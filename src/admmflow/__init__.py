@@ -24,7 +24,6 @@ from .discrete import (
     momentum_coefficient,
     run_aadmm,
     run_admm,
-    run_solver,
 )
 from .exceptions import (
     AdmmFlowError,
@@ -36,18 +35,13 @@ from .exceptions import (
 from .flows import (
     DEFAULT_RK4_H,
     DEFAULT_SYMPLECTIC_H,
-    FirstOrderFlowState,
     IntegratorConfig,
-    SecondOrderFlowState,
     aadmm_flow_integrate,
     admm_flow_rhs,
-    hamiltonian_energy,
     rk4_integrate,
-    symplectic_euler_step,
 )
 from .problem import (
     CallbackFunction,
-    CompositeObjective,
     QuadraticFunction,
     SplitProblem,
     eval_V,

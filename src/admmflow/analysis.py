@@ -15,13 +15,13 @@ decay.
 
 from __future__ import annotations
 
-import csv
 from dataclasses import dataclass
 
 import numpy as np
 
 from .exceptions import NumericalError, UnsupportedFunctionError, WindowError
 from .problem import eval_V
+from .trajectory import write_columns_csv
 
 __all__ = [
     "LyapunovSample",
@@ -86,6 +86,10 @@ def _check_traj(traj, need_velocity=False):
 
 
 def _resolve_r(traj, r):
+    """Damping parameter r of a second-order-flow trajectory with velocities, t > 0."""
+    _check_traj(traj, need_velocity=True)
+    if np.any(traj.t <= 0):
+        raise ValueError("second-order-flow monitors require positive sample times")
     if r is None:
         r = traj.meta.get("r")
     if r is None:
@@ -149,10 +153,7 @@ def monitor_aadmm_stability(problem, traj, x_star, r=None, rtol=1e-5):
     Along the exact flow, dE/dt = -(r/t) ||A X'||^2; ``residual`` reports
     ``|dE/dt + (r/t) ||A X'||^2|`` with dE/dt from central differences.
     """
-    _check_traj(traj, need_velocity=True)
     r = _resolve_r(traj, r)
-    if np.any(traj.t <= 0):
-        raise ValueError("second-order-flow monitors require positive sample times")
     E0 = eval_V(problem, x_star)
     a_xdot = traj.Xdot @ problem.A.T
     kinetic = np.einsum("ij,ij->i", a_xdot, a_xdot)
@@ -173,11 +174,8 @@ def monitor_aadmm_rate(problem, traj, x_star, r=None, rtol=1e-5):
     ``e^{-eta/2} + eta'/2 = r/t``; its residual is stored per sample and
     verified to hold to machine precision (relative to max(1, r/t)).
     """
-    _check_traj(traj, need_velocity=True)
     r = _resolve_r(traj, r)
     t = traj.t
-    if np.any(t <= 0):
-        raise ValueError("the rate energy requires positive sample times")
     x_star = np.asarray(x_star, dtype=float)
     eta = 2.0 * np.log(t / (r - 1.0))
     weight = np.exp(eta)
@@ -309,8 +307,10 @@ def sup_discrepancy(traj_discrete, traj_flow):
 
 def write_monitor_csv(samples, path):
     """Write monitor samples as ``t,E,decay_ok,residual`` (decay_ok as 0/1)."""
-    with open(path, "w", newline="", encoding="utf-8") as fh:
-        writer = csv.writer(fh, lineterminator="\n")
-        writer.writerow(["t", "E", "decay_ok", "residual"])
-        for s in samples:
-            writer.writerow([repr(s.t), repr(s.value), int(s.decay_ok), repr(s.residual)])
+    n = len(samples)
+    write_columns_csv(path, [
+        ("t", np.fromiter((s.t for s in samples), float, n)),
+        ("E", np.fromiter((s.value for s in samples), float, n)),
+        ("decay_ok", np.fromiter((s.decay_ok for s in samples), bool, n)),
+        ("residual", np.fromiter((s.residual for s in samples), float, n)),
+    ])

@@ -8,7 +8,6 @@ Exit codes: 0 success, 2 usage or input error, 3 numerical divergence,
 from __future__ import annotations
 
 import argparse
-import csv
 import json
 import math
 import os
@@ -36,7 +35,7 @@ from .flows import (
     rk4_integrate,
 )
 from .problem import gen_figure1_problem, load_problem, optimal_value, save_problem
-from .trajectory import Trajectory, load_trajectory_csv
+from .trajectory import Trajectory, load_trajectory_csv, write_columns_csv
 
 EXIT_OK = 0
 EXIT_USAGE = 2
@@ -74,27 +73,25 @@ def cmd_gen(args):
     return EXIT_OK
 
 
-def _run_one(problem, solver, x0, args):
-    """Run one solver/flow; returns (trajectory, divergence_error_or_None)."""
-    try:
-        if solver == "admm":
-            return run_admm(problem, x0, rho=args.rho, max_iter=args.max_iter,
-                            stop_tol=args.stop_tol), None
-        if solver == "aadmm":
-            return run_aadmm(problem, x0, rho=args.rho, r=args.r,
-                             max_iter=args.max_iter, stop_tol=args.stop_tol), None
-        if solver == "admm_flow":
-            h = args.h if args.h is not None else DEFAULT_RK4_H
-            t0 = args.t0 if args.t0 is not None else 0.0
-            t_end = args.t_end if args.t_end is not None else args.max_iter / args.rho
-            return rk4_integrate(problem, x0, IntegratorConfig(h=h, t0=t0, t_end=t_end)), None
-        h = args.h if args.h is not None else DEFAULT_SYMPLECTIC_H
-        t0 = args.t0 if args.t0 is not None else h
-        t_end = args.t_end if args.t_end is not None else args.max_iter / math.sqrt(args.rho)
-        config = IntegratorConfig(h=h, t0=t0, t_end=t_end, r=args.r)
-        return aadmm_flow_integrate(problem, x0, config), None
-    except DivergenceError as err:
-        return err.trajectory, err
+def _run_one(problem, solver, x0, v_star, args):
+    """Run one solver/flow and return its trajectory."""
+    if solver == "admm":
+        return run_admm(problem, x0, rho=args.rho, max_iter=args.max_iter,
+                        stop_tol=args.stop_tol, v_star=v_star)
+    if solver == "aadmm":
+        return run_aadmm(problem, x0, rho=args.rho, r=args.r, max_iter=args.max_iter,
+                         stop_tol=args.stop_tol, v_star=v_star)
+    if solver == "admm_flow":
+        h = args.h if args.h is not None else DEFAULT_RK4_H
+        t0 = args.t0 if args.t0 is not None else 0.0
+        t_end = args.t_end if args.t_end is not None else args.max_iter / args.rho
+        return rk4_integrate(problem, x0, IntegratorConfig(h=h, t0=t0, t_end=t_end),
+                             v_star=v_star)
+    h = args.h if args.h is not None else DEFAULT_SYMPLECTIC_H
+    t0 = args.t0 if args.t0 is not None else h
+    t_end = args.t_end if args.t_end is not None else args.max_iter / math.sqrt(args.rho)
+    config = IntegratorConfig(h=h, t0=t0, t_end=t_end, r=args.r)
+    return aadmm_flow_integrate(problem, x0, config, v_star=v_star)
 
 
 def cmd_run(args):
@@ -104,30 +101,30 @@ def cmd_run(args):
         print("error: no solver selected (use --solver/--integrator)", file=sys.stderr)
         return EXIT_USAGE
     problem = load_problem(args.problem)
+    v_star = None  # the first run computes it; the others reuse it
     x0 = np.full(problem.n, args.x0)
     outdir = args.out_dir or _default_outdir()
     os.makedirs(outdir, exist_ok=True)
     for solver in solvers:
         path = os.path.join(outdir, f"{solver}.csv")
-        traj, err = _run_one(problem, solver, x0, args)
-        if err is not None:
-            if traj is not None:
-                traj.to_csv(path, truncation_note=f"divergence near t={err.t_last:.6g}")
+        try:
+            traj = _run_one(problem, solver, x0, v_star, args)
+        except DivergenceError as err:
+            if err.trajectory is not None:
+                note = f"divergence near t={err.t_last:.6g}"
+                err.trajectory.to_csv(path, truncation_note=note)
             print(f"error: {solver} diverged: {err}", file=sys.stderr)
             return EXIT_DIVERGENCE
         traj.to_csv(path)
+        v_star = traj.v_star
         print(f"{solver}: wrote {path}, final V_gap={traj.v_gap[-1]:.6e}")
     return EXIT_OK
 
 
 def _interp_or_blank(grid, traj):
-    cells = []
-    for t in grid:
-        if traj.t[0] <= t <= traj.t[-1]:
-            cells.append(repr(float(np.interp(t, traj.t, traj.v_gap))))
-        else:
-            cells.append("")
-    return cells
+    inside = (grid >= traj.t[0]) & (grid <= traj.t[-1])
+    gaps = np.interp(grid, traj.t, traj.v_gap).tolist()
+    return np.array([repr(gap) if ok else "" for gap, ok in zip(gaps, inside)], dtype=object)
 
 
 def cmd_figure1(args):
@@ -144,43 +141,33 @@ def cmd_figure1(args):
     files = {"problem": problem_path}
     window = (args.window_lo, args.window_hi)
 
+    def csv_path(name):
+        files[name] = os.path.join(outdir, f"{name}.csv")
+        return files[name]
+
     # flows are penalty-free: integrate once, covering the rate window and
-    # the longest discrete time range (t = k/rho and t = k/sqrt(rho))
-    try:
-        t_end_plain = max(args.window_hi, args.max_iter / min(rhos))
-        plain_flow = rk4_integrate(
-            problem, x0, IntegratorConfig(h=args.h_rk4, t0=0.0, t_end=t_end_plain)
-        )
-        h_s = args.h_symplectic
-        t0_s = args.t0 if args.t0 is not None else h_s
-        t_end_acc = max(args.window_hi, args.max_iter / math.sqrt(min(rhos)))
-        acc_flow = aadmm_flow_integrate(
-            problem, x0, IntegratorConfig(h=h_s, t0=t0_s, t_end=t_end_acc, r=args.r)
-        )
-    except DivergenceError as err:
-        print(f"error: flow integration diverged: {err}", file=sys.stderr)
-        return EXIT_DIVERGENCE
-
-    for name, traj in (("admm_flow", plain_flow), ("aadmm_flow", acc_flow)):
-        path = os.path.join(outdir, f"{name}.csv")
-        traj.to_csv(path)
-        files[name] = path
-
+    # the longest discrete time range (t = k/rho and t = k/sqrt(rho));
+    # a DivergenceError from any run exits through main()
+    t_end_plain = max(args.window_hi, args.max_iter / min(rhos))
+    plain_flow = rk4_integrate(
+        problem, x0, IntegratorConfig(h=args.h_rk4, t0=0.0, t_end=t_end_plain), v_star=v_star
+    )
+    h_s = args.h_symplectic
+    t0_s = args.t0 if args.t0 is not None else h_s
+    t_end_acc = max(args.window_hi, args.max_iter / math.sqrt(min(rhos)))
+    acc_flow = aadmm_flow_integrate(
+        problem, x0, IntegratorConfig(h=h_s, t0=t0_s, t_end=t_end_acc, r=args.r), v_star=v_star
+    )
     discrete = {}
     for rho in rhos:
-        for method, runner in (("admm", run_admm), ("aadmm", run_aadmm)):
-            kwargs = {"rho": rho, "max_iter": args.max_iter}
-            if method == "aadmm":
-                kwargs["r"] = args.r
-            try:
-                traj = runner(problem, x0, **kwargs)
-            except DivergenceError as err:
-                print(f"error: {method} at rho={rho:g} diverged: {err}", file=sys.stderr)
-                return EXIT_DIVERGENCE
-            path = os.path.join(outdir, f"{method}_rho{rho:g}.csv")
-            traj.to_csv(path)
-            files[f"{method}_rho{rho:g}"] = path
-            discrete[(method, rho)] = traj
+        discrete[("admm", rho)] = run_admm(problem, x0, rho=rho, max_iter=args.max_iter,
+                                           v_star=v_star)
+        discrete[("aadmm", rho)] = run_aadmm(problem, x0, rho=rho, r=args.r,
+                                             max_iter=args.max_iter, v_star=v_star)
+    runs = [("admm_flow", plain_flow), ("aadmm_flow", acc_flow)]
+    runs += [(f"{method}_rho{rho:g}", traj) for (method, rho), traj in discrete.items()]
+    for name, traj in runs:
+        traj.to_csv(csv_path(name))
 
     monitors = {
         "monitor_admm_flow_stability": monitor_admm_stability(problem, plain_flow, x_star),
@@ -190,22 +177,16 @@ def cmd_figure1(args):
     }
     monitor_summary = {}
     for name, samples in monitors.items():
-        path = os.path.join(outdir, f"{name}.csv")
-        write_monitor_csv(samples, path)
-        files[name] = path
+        write_monitor_csv(samples, csv_path(name))
         monitor_summary[name] = sum(s.decay_ok for s in samples) / len(samples)
 
     fits = {
         "admm_flow": fit_rate(plain_flow, v_star, window, slope_target=-1.0),
         "aadmm_flow": fit_rate(acc_flow, v_star, window, slope_target=-2.0),
     }
-    rates_path = os.path.join(outdir, "rates.csv")
-    with open(rates_path, "w", newline="", encoding="utf-8") as fh:
-        writer = csv.writer(fh, lineterminator="\n")
-        writer.writerow(["method", "slope", "C", "window_lo", "window_hi", "n_samples"])
-        for name, fit in fits.items():
-            writer.writerow([name] + fit.summary().split(","))
-    files["rates"] = rates_path
+    rows = [[name] + fit.summary().split(",") for name, fit in fits.items()]
+    header = ["method", "slope", "C", "window_lo", "window_hi", "n_samples"]
+    write_columns_csv(csv_path("rates"), list(zip(header, zip(*rows))))
 
     discrepancies = []
     for rho in rhos:
@@ -216,14 +197,10 @@ def cmd_figure1(args):
                 "aadmm_vs_flow": sup_discrepancy(discrete[("aadmm", rho)], acc_flow),
             }
         )
-    disc_path = os.path.join(outdir, "discrepancy.csv")
-    with open(disc_path, "w", newline="", encoding="utf-8") as fh:
-        writer = csv.writer(fh, lineterminator="\n")
-        writer.writerow(["rho", "admm_vs_flow", "aadmm_vs_flow"])
-        for row in discrepancies:
-            writer.writerow([repr(row["rho"]), repr(row["admm_vs_flow"]),
-                             repr(row["aadmm_vs_flow"])])
-    files["discrepancy"] = disc_path
+    write_columns_csv(csv_path("discrepancy"), [
+        (key, np.array([row[key] for row in discrepancies], dtype=float))
+        for key in ("rho", "admm_vs_flow", "aadmm_vs_flow")
+    ])
 
     # overlay of V-gap vs t for all four methods at the first rho
     rho0 = rhos[0]
@@ -235,14 +212,9 @@ def cmd_figure1(args):
     ]
     t_max = max(traj.t[-1] for _, traj in curves)
     grid = np.linspace(0.0, t_max, args.overlay_points)
-    overlay_path = os.path.join(outdir, "overlay.csv")
-    with open(overlay_path, "w", newline="", encoding="utf-8") as fh:
-        writer = csv.writer(fh, lineterminator="\n")
-        writer.writerow(["t"] + [f"V_gap_{name}" for name, _ in curves])
-        columns = [_interp_or_blank(grid, traj) for _, traj in curves]
-        for i, t in enumerate(grid):
-            writer.writerow([repr(float(t))] + [col[i] for col in columns])
-    files["overlay"] = overlay_path
+    write_columns_csv(csv_path("overlay"), [("t", grid)] + [
+        (f"V_gap_{name}", _interp_or_blank(grid, traj)) for name, traj in curves
+    ])
 
     report = {
         "params": {

@@ -13,7 +13,8 @@ The accelerated variant runs the same sweep against extrapolated copies
 
 Steps are pure functions of ``(problem, state)``; for quadratic ``f, g``
 they use cached Cholesky solves, otherwise they delegate to a user-supplied
-inner minimizer. The ``run_*`` drivers record trajectories.
+inner minimizer. The ``run_*`` drivers record trajectories and raise
+:class:`DivergenceError` at the first non-finite iterate.
 """
 
 from __future__ import annotations
@@ -27,7 +28,7 @@ from scipy.linalg import cho_factor, cho_solve
 
 from .exceptions import NumericalError, UnsupportedFunctionError
 from .problem import _as_vector, eval_V, resolve_v_star
-from .trajectory import Trajectory
+from .trajectory import build_trajectory, divergence_error
 
 __all__ = [
     "AdmmState",
@@ -40,7 +41,6 @@ __all__ = [
     "aadmm_step",
     "run_admm",
     "run_aadmm",
-    "run_solver",
 ]
 
 # Relative tolerance on the linear-system residual of each subproblem solve
@@ -60,14 +60,12 @@ class AdmmState:
 
 @dataclass
 class AccAdmmState:
-    """Accelerated iterate: adds the extrapolated copies (z_hat, u_hat), the
-    previous (z, u), and the damping parameter r >= 3."""
+    """Accelerated iterate: adds the extrapolated copies (z_hat, u_hat) and
+    the damping parameter r >= 3."""
 
     x: np.ndarray
     z: np.ndarray
     u: np.ndarray
-    z_prev: np.ndarray
-    u_prev: np.ndarray
     z_hat: np.ndarray
     u_hat: np.ndarray
     k: int
@@ -97,8 +95,6 @@ def initial_aadmm_state(problem, x0, rho, r):
         x=base.x,
         z=base.z,
         u=base.u,
-        z_prev=base.z.copy(),
-        u_prev=base.u.copy(),
         z_hat=base.z.copy(),
         u_hat=base.u.copy(),
         k=0,
@@ -158,45 +154,48 @@ class SubproblemCache:
         return sol
 
 
-def _check_cache(problem, rho, cache):
-    if cache is None:
-        return SubproblemCache(problem, rho)
-    if cache.problem is not problem or cache.rho != rho:
-        raise ValueError("subproblem cache was built for a different (problem, rho)")
-    return cache
+def _solve_generic(h, rho, residual, adjoint, start, inner_solver):
+    """Minimize ``h(y) + (rho/2) ||residual(y)||^2`` with the inner solver,
+    from ``start``; ``adjoint`` is the transpose of the residual's linear part."""
 
+    def fun(y):
+        resid = residual(y)
+        return h.value(y) + 0.5 * rho * float(resid @ resid)
 
-def _solve_x_generic(problem, rho, v, start, inner_solver):
-    A, f = problem.A, problem.f
-
-    def fun(x):
-        resid = A @ x - v
-        return f.value(x) + 0.5 * rho * float(resid @ resid)
-
-    def grad(x):
-        return f.grad(x) + rho * (A.T @ (A @ x - v))
+    def grad(y):
+        return h.grad(y) + rho * adjoint(residual(y))
 
     return np.asarray(inner_solver(fun, grad, start), dtype=float)
 
 
-def _solve_z_generic(problem, rho, w, start, inner_solver):
-    g = problem.g
+def _sweep(problem, state, z, u, cache, inner_solver):
+    """x-minimization, z-minimization and scaled dual ascent against (z, u).
 
-    def fun(z):
-        resid = w - z
-        return g.value(z) + 0.5 * rho * float(resid @ resid)
-
-    def grad(z):
-        return g.grad(z) - rho * (w - z)
-
-    return np.asarray(inner_solver(fun, grad, start), dtype=float)
-
-
-def _check_state_dims(problem, state):
+    Returns ``(x+, z+, u+)``. An inner solver is warm-started from the
+    current iterate (state.x, state.z).
+    """
     if state.x.shape != (problem.n,) or state.z.shape != (problem.m,) or state.u.shape != (problem.m,):
         raise ValueError("state dimensions do not match the problem")
     if state.rho <= 0:
         raise ValueError("penalty parameter rho must be positive")
+    A, rho = problem.A, state.rho
+    if inner_solver is not None:
+        v = z - u
+        x_new = _solve_generic(problem.f, rho, lambda y: A @ y - v, lambda res: A.T @ res,
+                               state.x, inner_solver)
+        ax = A @ x_new
+        w = ax + u
+        z_new = _solve_generic(problem.g, rho, lambda y: y - w, lambda res: res,
+                               state.z, inner_solver)
+    else:
+        if cache is None:
+            cache = SubproblemCache(problem, rho)
+        elif cache.problem is not problem or cache.rho != rho:
+            raise ValueError("subproblem cache was built for a different (problem, rho)")
+        x_new = cache.solve_x(z - u)
+        ax = A @ x_new
+        z_new = cache.solve_z(ax + u)
+    return x_new, z_new, u + ax - z_new
 
 
 def admm_step(problem, state, cache=None, inner_solver=None):
@@ -207,15 +206,7 @@ def admm_step(problem, state, cache=None, inner_solver=None):
     drivers build it once per run). Otherwise ``inner_solver(fun, grad, x0)``
     must minimize a smooth convex function to gradient-norm tolerance 1e-10.
     """
-    _check_state_dims(problem, state)
-    if inner_solver is not None:
-        x_new = _solve_x_generic(problem, state.rho, state.z - state.u, state.x, inner_solver)
-        z_new = _solve_z_generic(problem, state.rho, problem.A @ x_new + state.u, state.z, inner_solver)
-    else:
-        cache = _check_cache(problem, state.rho, cache)
-        x_new = cache.solve_x(state.z - state.u)
-        z_new = cache.solve_z(problem.A @ x_new + state.u)
-    u_new = state.u + problem.A @ x_new - z_new
+    x_new, z_new, u_new = _sweep(problem, state, state.z, state.u, cache, inner_solver)
     return AdmmState(x=x_new, z=z_new, u=u_new, k=state.k + 1, rho=state.rho)
 
 
@@ -228,28 +219,14 @@ def aadmm_step(problem, state, cache=None, inner_solver=None, gamma=None):
     first step (k = 0, gamma = 0) coincides with plain ADMM. ``gamma`` may
     be overridden, e.g. forced to zero to recover plain ADMM iterates.
     """
-    _check_state_dims(problem, state)
     if state.r < 3:
         raise ValueError(f"damping parameter r must be >= 3, got {state.r}")
-    if inner_solver is not None:
-        x_new = _solve_x_generic(
-            problem, state.rho, state.z_hat - state.u_hat, state.x, inner_solver
-        )
-        z_new = _solve_z_generic(
-            problem, state.rho, problem.A @ x_new + state.u_hat, state.z, inner_solver
-        )
-    else:
-        cache = _check_cache(problem, state.rho, cache)
-        x_new = cache.solve_x(state.z_hat - state.u_hat)
-        z_new = cache.solve_z(problem.A @ x_new + state.u_hat)
-    u_new = state.u_hat + problem.A @ x_new - z_new
+    x_new, z_new, u_new = _sweep(problem, state, state.z_hat, state.u_hat, cache, inner_solver)
     g = momentum_coefficient(state.k, state.r) if gamma is None else float(gamma)
     return AccAdmmState(
         x=x_new,
         z=z_new,
         u=u_new,
-        z_prev=state.z,
-        u_prev=state.u,
         z_hat=z_new + g * (z_new - state.z),
         u_hat=u_new + g * (u_new - state.u),
         k=state.k + 1,
@@ -275,10 +252,25 @@ def _run(problem, x0, rho, r, max_iter, stop_tol, v_star, inner_solver):
 
     n_max = max_iter + 1
     ks = np.arange(n_max)
-    xs = np.empty((n_max, problem.n))
-    vals = np.empty(n_max)
-    primal = np.empty(n_max)
+    columns = {
+        "t": ks * delta,
+        "V": np.empty(n_max),
+        "X": np.empty((n_max, problem.n)),
+        "k": ks,
+        "primal_residual": np.empty(n_max),
+    }
+    xs, vals, primal = columns["X"], columns["V"], columns["primal_residual"]
     wall = np.empty(n_max)
+    meta = {
+        "method": "aadmm" if accelerated else "admm",
+        "rho": float(rho),
+        "max_iter": int(max_iter),
+        "stop_tol": float(stop_tol),
+        "stopped_early": False,
+    }
+    if accelerated:
+        meta["r"] = float(r)
+    label = f"{'accelerated ADMM' if accelerated else 'ADMM'} at rho = {rho:g}"
     t_start = time.perf_counter()
 
     def record(i, st):
@@ -286,43 +278,23 @@ def _run(problem, x0, rho, r, max_iter, stop_tol, v_star, inner_solver):
         vals[i] = eval_V(problem, st.x)
         primal[i] = np.linalg.norm(problem.A @ st.x - st.z)
         wall[i] = time.perf_counter() - t_start
+        if not (np.isfinite(vals[i]) and np.isfinite(primal[i])):
+            meta["wall_time"] = wall[:i]
+            raise divergence_error(label, columns, i, v_star, meta)
 
+    step = aadmm_step if accelerated else admm_step
     record(0, state)
-    n_samples = 1
-    stopped_early = False
     while state.k < max_iter:
         z_prev = state.z
-        if accelerated:
-            state = aadmm_step(problem, state, cache=cache, inner_solver=inner_solver)
-        else:
-            state = admm_step(problem, state, cache=cache, inner_solver=inner_solver)
+        state = step(problem, state, cache=cache, inner_solver=inner_solver)
         record(state.k, state)
-        n_samples += 1
         if primal[state.k] + np.linalg.norm(state.z - z_prev) <= stop_tol:
-            stopped_early = True
+            meta["stopped_early"] = True
             break
 
-    sl = slice(0, n_samples)
-    meta = {
-        "method": "aadmm" if accelerated else "admm",
-        "rho": float(rho),
-        "max_iter": int(max_iter),
-        "stop_tol": float(stop_tol),
-        "stopped_early": stopped_early,
-        "wall_time": wall[sl].copy(),
-    }
-    if accelerated:
-        meta["r"] = float(r)
-    return Trajectory(
-        t=ks[sl] * delta,
-        V=vals[sl].copy(),
-        v_gap=vals[sl] - v_star,
-        X=xs[sl].copy(),
-        k=ks[sl].copy(),
-        primal_residual=primal[sl].copy(),
-        v_star=v_star,
-        meta=meta,
-    )
+    n_samples = state.k + 1
+    meta["wall_time"] = wall[:n_samples]
+    return build_trajectory(columns, n_samples, v_star, meta)
 
 
 def run_admm(problem, x0, rho, max_iter, stop_tol=0.0, v_star=None, inner_solver=None):
@@ -342,10 +314,3 @@ def run_aadmm(problem, x0, rho, r, max_iter, stop_tol=0.0, v_star=None, inner_so
     if r is None or r < 3:
         raise ValueError(f"damping parameter r must be >= 3, got {r}")
     return _run(problem, x0, rho, float(r), max_iter, stop_tol, v_star, inner_solver)
-
-
-def run_solver(problem, x0, rho, r=None, max_iter=300, stop_tol=0.0, v_star=None, inner_solver=None):
-    """Run ADMM (``r`` is None) or accelerated ADMM (``r`` given)."""
-    if r is None:
-        return run_admm(problem, x0, rho, max_iter, stop_tol, v_star, inner_solver)
-    return run_aadmm(problem, x0, rho, r, max_iter, stop_tol, v_star, inner_solver)

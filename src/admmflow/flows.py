@@ -19,24 +19,20 @@ oscillator flow of accelerated gradient descent.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
 
-from .exceptions import DivergenceError
 from .problem import _as_vector, eval_V, grad_V, resolve_v_star
-from .trajectory import Trajectory
+from .trajectory import build_trajectory, divergence_error
 
 __all__ = [
     "DEFAULT_RK4_H",
     "DEFAULT_SYMPLECTIC_H",
     "IntegratorConfig",
-    "FirstOrderFlowState",
-    "SecondOrderFlowState",
     "admm_flow_rhs",
     "rk4_integrate",
-    "hamiltonian_energy",
-    "symplectic_euler_step",
     "aadmm_flow_integrate",
 ]
 
@@ -45,10 +41,17 @@ __all__ = [
 DEFAULT_RK4_H = 1e-3
 DEFAULT_SYMPLECTIC_H = 1e-2
 
+# (t_end - t0) / h may land just above a whole number of steps by rounding
+GRID_RTOL = 1e-9
+
 
 @dataclass
 class IntegratorConfig:
     """Fixed-step integration window [t0, t_end] with step h.
+
+    The grid ``t0 + i h`` takes the fewest steps that reach t_end, so its
+    last sample lies in ``[t_end, t_end + h)`` (up to rounding of the
+    quotient ``(t_end - t0) / h``); the window is never cut short.
 
     ``r`` is the damping parameter of the second-order flow (ignored by the
     first-order integrator). The second-order flow has a 1/t singularity at
@@ -74,37 +77,7 @@ class IntegratorConfig:
 
     @property
     def n_steps(self):
-        return int(round((self.t_end - self.t0) / self.h))
-
-
-@dataclass
-class FirstOrderFlowState:
-    """State X at time t of the first-order flow.
-
-    The constraint-side variables are derived, not stored: Z(t) = A X(t)
-    (accessor below), and the scaled dual stays at its initial value along
-    the flow.
-    """
-
-    t: float
-    X: np.ndarray
-
-    def z_value(self, problem):
-        """Constraint-side state Z(t) = A X(t)."""
-        return problem.A @ self.X
-
-
-@dataclass
-class SecondOrderFlowState:
-    """Position X and canonical momentum P at time t > 0."""
-
-    t: float
-    X: np.ndarray
-    P: np.ndarray
-
-    def velocity(self, problem, r):
-        """X' = t^{-r} (A^T A)^{-1} P."""
-        return problem.solve_ata(self.P) * self.t ** (-float(r))
+        return math.ceil((self.t_end - self.t0) / self.h - GRID_RTOL)
 
 
 def admm_flow_rhs(problem, X):
@@ -114,6 +87,51 @@ def admm_flow_rhs(problem, X):
     inverse is never formed. With A = I this is the plain negative gradient.
     """
     return -problem.solve_ata(grad_V(problem, X))
+
+
+def _integrate(problem, x0, config, v_star, meta, label, velocity, step, energy=None):
+    """Sampling loop shared by both integrators.
+
+    At each grid time t: check that X is finite, then record X, the
+    velocity ``velocity(t, X)``, V(X) and, when given, the energy
+    ``energy(t, V(X))``; then advance with ``X = step(t, X, X')``.
+
+    Raises
+    ------
+    DivergenceError
+        At the first non-finite sample; it carries the last finite time and
+        the trajectory up to it.
+    """
+    x = np.array(_as_vector(x0, problem.n, "x0"))
+    v_star = resolve_v_star(problem, v_star)
+    n = config.n_steps + 1
+    columns = {
+        "t": config.t0 + config.h * np.arange(n),
+        "V": np.empty(n),
+        "X": np.empty((n, problem.n)),
+        "Xdot": np.empty((n, problem.n)),
+    }
+    if energy is not None:
+        columns["hamiltonian"] = np.empty(n)
+    ts, vals, xs, xds = columns["t"], columns["V"], columns["X"], columns["Xdot"]
+    hams = columns.get("hamiltonian")
+    # divergence is detected and reported below; silence the raw overflow
+    with np.errstate(over="ignore", invalid="ignore"):
+        for i in range(n):
+            t = ts[i]
+            # before the velocity: cho_solve rejects non-finite input
+            if not np.all(np.isfinite(x)):
+                raise divergence_error(label, columns, i, v_star, meta)
+            xs[i] = x
+            xds[i] = velocity(t, x)
+            vals[i] = eval_V(problem, x)
+            if hams is not None:
+                hams[i] = energy(t, vals[i])
+            if not (np.isfinite(vals[i]) and (hams is None or np.isfinite(hams[i]))):
+                raise divergence_error(label, columns, i, v_star, meta)
+            if i + 1 < n:
+                x = step(t, x, xds[i])
+    return build_trajectory(columns, n, v_star, meta)
 
 
 def rk4_integrate(problem, x0, config, v_star=None):
@@ -128,24 +146,14 @@ def rk4_integrate(problem, x0, config, v_star=None):
         If the state leaves the finite range; the exception carries the
         last finite time and the partial trajectory.
     """
-    x = np.array(_as_vector(x0, problem.n, "x0"))
-    v_star = resolve_v_star(problem, v_star)
-    A, At = problem.A, problem.A.T
-    f, g = problem.f, problem.g
-    solve = problem.solve_ata
-
-    def rhs(y):
-        return -solve(f.grad(y) + At @ g.grad(A @ y))
-
-    def value(y):
-        return f.value(y) + g.value(A @ y)
-
     h = config.h
-    n_steps = config.n_steps
-    ts = config.t0 + h * np.arange(n_steps + 1)
-    xs = np.empty((n_steps + 1, problem.n))
-    xds = np.empty_like(xs)
-    vals = np.empty(n_steps + 1)
+
+    def step(t, x, k1):
+        k2 = admm_flow_rhs(problem, x + 0.5 * h * k1)
+        k3 = admm_flow_rhs(problem, x + 0.5 * h * k2)
+        k4 = admm_flow_rhs(problem, x + h * k3)
+        return x + (h / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
+
     meta = {
         "method": "admm_flow",
         "integrator": "rk4",
@@ -153,92 +161,8 @@ def rk4_integrate(problem, x0, config, v_star=None):
         "t0": config.t0,
         "t_end": config.t_end,
     }
-
-    def partial(i):
-        return Trajectory(
-            t=ts[: i + 1].copy(),
-            V=vals[: i + 1].copy(),
-            v_gap=vals[: i + 1] - v_star,
-            X=xs[: i + 1].copy(),
-            Xdot=xds[: i + 1].copy(),
-            v_star=v_star,
-            meta=meta,
-        )
-
-    # divergence is detected and reported below; silence the raw overflow
-    with np.errstate(over="ignore", invalid="ignore"):
-        for i in range(n_steps):
-            k1 = rhs(x)
-            xs[i] = x
-            xds[i] = k1
-            vals[i] = value(x)
-            if not np.isfinite(vals[i]):
-                raise DivergenceError(
-                    f"first-order flow diverged after t = {ts[max(i - 1, 0)]:.6g}",
-                    t_last=float(ts[max(i - 1, 0)]),
-                    trajectory=partial(i - 1) if i > 0 else None,
-                )
-            k2 = rhs(x + 0.5 * h * k1)
-            k3 = rhs(x + 0.5 * h * k2)
-            k4 = rhs(x + h * k3)
-            x = x + (h / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
-            if not np.all(np.isfinite(x)):
-                raise DivergenceError(
-                    f"first-order flow diverged after t = {ts[i]:.6g}",
-                    t_last=float(ts[i]),
-                    trajectory=partial(i),
-                )
-        xs[-1] = x
-        xds[-1] = rhs(x)
-        vals[-1] = value(x)
-    if not np.isfinite(vals[-1]):
-        raise DivergenceError(
-            f"first-order flow diverged after t = {ts[-2]:.6g}",
-            t_last=float(ts[-2]),
-            trajectory=partial(n_steps - 1),
-        )
-    return Trajectory(
-        t=ts,
-        V=vals,
-        v_gap=vals - v_star,
-        X=xs,
-        Xdot=xds,
-        v_star=v_star,
-        meta=meta,
-    )
-
-
-def hamiltonian_energy(problem, state, r):
-    """Energy ``0.5 t^{-r} <P, (A^T A)^{-1} P> + t^r V(X)`` of the damped flow."""
-    if state.t <= 0:
-        raise ValueError("time must be positive (logarithmic damping weight)")
-    w = problem.solve_ata(state.P)
-    tr = state.t ** float(r)
-    return float(0.5 * (state.P @ w) / tr + tr * eval_V(problem, state.X))
-
-
-def symplectic_euler_step(problem, state, h, r):
-    """One symplectic Euler step: momentum update, then position update.
-
-    Both damping weights use the pre-step time t:
-
-        P+ = P - h t^r grad V(X)
-        X+ = X + h t^{-r} (A^T A)^{-1} P+
-        t+ = t + h
-    """
-    if state.t <= 0:
-        raise ValueError("time must be positive (logarithmic damping weight)")
-    if h <= 0:
-        raise ValueError("step size h must be positive")
-    tr = state.t ** float(r)
-    p_new = state.P - h * tr * grad_V(problem, state.X)
-    x_new = state.X + (h / tr) * problem.solve_ata(p_new)
-    if not (np.all(np.isfinite(p_new)) and np.all(np.isfinite(x_new))):
-        raise DivergenceError(
-            f"second-order flow step diverged at t = {state.t:.6g}",
-            t_last=float(state.t),
-        )
-    return SecondOrderFlowState(t=state.t + h, X=x_new, P=p_new)
+    return _integrate(problem, x0, config, v_star, meta, "first-order flow",
+                      lambda t, x: admm_flow_rhs(problem, x), step)
 
 
 def aadmm_flow_integrate(problem, x0, config, v_star=None):
@@ -246,8 +170,8 @@ def aadmm_flow_integrate(problem, x0, config, v_star=None):
 
     Starts at t0 > 0 with X(t0) = x0 and zero momentum (carrying the
     zero-initial-velocity condition to t0), then applies symplectic Euler
-    steps up to t_end. Samples record t, X, the velocity X', the objective
-    gap and the Hamiltonian.
+    steps up to t_end. Samples record t, X, the velocity ``X' = t^{-r} (A^T A)^{-1} P``, the
+    objective gap and the Hamiltonian H(X, P, t).
 
     Requires ``config.r >= 3`` and ``config.t0 > 0``.
     """
@@ -255,26 +179,25 @@ def aadmm_flow_integrate(problem, x0, config, v_star=None):
         raise ValueError("config.r is required for the second-order flow")
     if config.t0 <= 0:
         raise ValueError("the second-order flow requires t0 > 0 (1/t damping); t0 = h is typical")
-    x = np.array(_as_vector(x0, problem.n, "x0"))
-    v_star = resolve_v_star(problem, v_star)
     r = float(config.r)
-    A, At = problem.A, problem.A.T
-    f, g = problem.f, problem.g
-    solve = problem.solve_ata
-
-    def gradient(y):
-        return f.grad(y) + At @ g.grad(A @ y)
-
-    def value(y):
-        return f.value(y) + g.value(A @ y)
-
     h = config.h
-    n_steps = config.n_steps
-    ts = config.t0 + h * np.arange(n_steps + 1)
-    xs = np.empty((n_steps + 1, problem.n))
-    xds = np.empty_like(xs)
-    vals = np.empty(n_steps + 1)
-    hams = np.empty(n_steps + 1)
+    p = np.zeros(problem.n)
+    w = np.zeros(problem.n)  # (A^T A)^{-1} p, carried across the step
+
+    def velocity(t, x):
+        return w / t**r
+
+    def energy(t, v):
+        tr = t**r
+        return 0.5 * (p @ w) / tr + tr * v
+
+    def step(t, x, xdot):
+        nonlocal p, w
+        tr = t**r
+        p = p - h * tr * grad_V(problem, x)
+        w = problem.solve_ata(p)
+        return x + (h / tr) * w
+
     meta = {
         "method": "aadmm_flow",
         "integrator": "symplectic_euler",
@@ -283,48 +206,6 @@ def aadmm_flow_integrate(problem, x0, config, v_star=None):
         "t_end": config.t_end,
         "r": r,
     }
-
-    def partial(i):
-        return Trajectory(
-            t=ts[: i + 1].copy(),
-            V=vals[: i + 1].copy(),
-            v_gap=vals[: i + 1] - v_star,
-            X=xs[: i + 1].copy(),
-            Xdot=xds[: i + 1].copy(),
-            hamiltonian=hams[: i + 1].copy(),
-            v_star=v_star,
-            meta=meta,
-        )
-
-    p = np.zeros(problem.n)
-    w = np.zeros(problem.n)  # (A^T A)^{-1} p, carried across the step
-    # divergence is detected and reported below; silence the raw overflow
-    with np.errstate(over="ignore", invalid="ignore"):
-        for i in range(n_steps + 1):
-            t = ts[i]
-            tr = t**r
-            xs[i] = x
-            xds[i] = w / tr
-            vals[i] = value(x)
-            hams[i] = 0.5 * (p @ w) / tr + tr * vals[i]
-            if not (np.all(np.isfinite(x)) and np.isfinite(vals[i]) and np.isfinite(hams[i])):
-                raise DivergenceError(
-                    f"second-order flow diverged after t = {ts[max(i - 1, 0)]:.6g}",
-                    t_last=float(ts[max(i - 1, 0)]),
-                    trajectory=partial(i - 1) if i > 0 else None,
-                )
-            if i == n_steps:
-                break
-            p = p - h * tr * gradient(x)
-            w = solve(p)
-            x = x + (h / tr) * w
-    return Trajectory(
-        t=ts,
-        V=vals,
-        v_gap=vals - v_star,
-        X=xs,
-        Xdot=xds,
-        hamiltonian=hams,
-        v_star=v_star,
-        meta=meta,
+    return _integrate(
+        problem, x0, config, v_star, meta, "second-order flow", velocity, step, energy
     )

@@ -24,7 +24,6 @@ __all__ = [
     "QuadraticFunction",
     "CallbackFunction",
     "SplitProblem",
-    "CompositeObjective",
     "eval_V",
     "grad_V",
     "optimal_value",
@@ -202,22 +201,6 @@ def grad_V(problem, x):
     """Gradient of the composite objective, ``grad f(x) + A^T grad g(A x)``."""
     x = _as_vector(x, problem.n, "x")
     return problem.f.grad(x) + problem.A.T @ problem.g.grad(problem.A @ x)
-
-
-class CompositeObjective:
-    """Thin wrapper bundling V, its gradient, and the optimal value."""
-
-    def __init__(self, problem):
-        self.problem = problem
-
-    def value(self, x):
-        return eval_V(self.problem, x)
-
-    def gradient(self, x):
-        return grad_V(self.problem, x)
-
-    def optimal(self):
-        return optimal_value(self.problem)
 
 
 def optimal_value(problem):

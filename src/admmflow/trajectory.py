@@ -7,9 +7,14 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
+from .exceptions import DivergenceError
+
 __all__ = ["Trajectory", "load_trajectory_csv"]
 
 TRUNCATION_MARKER = "truncated"
+
+# rows formatted per chunk, so a long trajectory never exists as one text table
+CSV_CHUNK_ROWS = 1024
 
 
 @dataclass
@@ -49,18 +54,12 @@ class Trajectory:
     def _columns(self):
         # Discrete schema: k,t,V_gap,primal_residual,x_norm
         # Flow schema:     t,V_gap[,hamiltonian],x_norm[,xdot_norm]
-        if self.k is not None:
-            cols = [("k", self.k), ("t", self.t), ("V_gap", self.v_gap)]
-            cols.append(("primal_residual", self.primal_residual))
-            cols.append(("x_norm", self.x_norms()))
-            return cols
-        cols = [("t", self.t), ("V_gap", self.v_gap)]
-        if self.hamiltonian is not None:
-            cols.append(("hamiltonian", self.hamiltonian))
-        cols.append(("x_norm", self.x_norms()))
-        if self.Xdot is not None:
-            cols.append(("xdot_norm", self.xdot_norms()))
-        return cols
+        # (each optional column is written when the trajectory carries it)
+        cols = [("k", self.k), ("t", self.t), ("V_gap", self.v_gap),
+                ("primal_residual", self.primal_residual), ("hamiltonian", self.hamiltonian),
+                ("x_norm", self.x_norms()),
+                ("xdot_norm", None if self.Xdot is None else self.xdot_norms())]
+        return [(name, values) for name, values in cols if values is not None]
 
     def to_csv(self, path, truncation_note=None):
         """Write the trajectory; floats use repr so files round-trip exactly.
@@ -69,23 +68,54 @@ class Trajectory:
         ``truncated``, remaining cells the note) for runs cut short.
         """
         cols = self._columns()
-        names = [name for name, _ in cols]
-        arrays = [np.asarray(arr) for _, arr in cols]
-        with open(path, "w", newline="", encoding="utf-8") as fh:
-            writer = csv.writer(fh, lineterminator="\n")
-            writer.writerow(names)
-            for i in range(len(self)):
-                row = []
-                for name, arr in zip(names, arrays):
-                    if name == "k":
-                        row.append(str(int(arr[i])))
-                    else:
-                        row.append(repr(float(arr[i])))
-                writer.writerow(row)
-            if truncation_note is not None:
-                writer.writerow(
-                    [TRUNCATION_MARKER, str(truncation_note)] + [""] * (len(names) - 2)
-                )
+        trailer = None
+        if truncation_note is not None:
+            trailer = [TRUNCATION_MARKER, str(truncation_note)] + [""] * (len(cols) - 2)
+        write_columns_csv(path, cols, trailer)
+
+
+def write_columns_csv(path, columns, trailer=None):
+    """Write ``columns``, a list of ``(name, values)`` of equal length, as CSV.
+
+    Each column's cell format is picked once from its dtype: floats by repr
+    (exact round trip), booleans as 0/1, integers and text as they print.
+    Rows are formatted and written in chunks of ``CSV_CHUNK_ROWS``.
+    ``trailer`` is an optional last row of ready-made cells.
+    """
+    arrays = [np.asarray(values) for _, values in columns]
+    arrays = [a.view(np.uint8) if a.dtype.kind == "b" else a for a in arrays]
+    formats = [repr if a.dtype.kind == "f" else str for a in arrays]
+    with open(path, "w", newline="", encoding="utf-8") as fh:
+        writer = csv.writer(fh, lineterminator="\n")
+        writer.writerow([name for name, _ in columns])
+        for start in range(0, len(arrays[0]), CSV_CHUNK_ROWS):
+            chunk = slice(start, start + CSV_CHUNK_ROWS)
+            writer.writerows(zip(*(map(fmt, a[chunk].tolist()) for fmt, a in zip(formats, arrays))))
+        if trailer is not None:
+            writer.writerow(trailer)
+
+
+def build_trajectory(columns, n, v_star, meta):
+    """Trajectory of the first ``n`` samples of preallocated ``columns``.
+
+    ``columns`` maps :class:`Trajectory` field names (``t`` and ``V`` at
+    least) to arrays with one row per sample; the trajectory holds views of
+    their first ``n`` rows, not copies.
+    """
+    cols = {name: values[:n] for name, values in columns.items()}
+    return Trajectory(v_gap=cols["V"] - v_star, v_star=v_star, meta=meta, **cols)
+
+
+def divergence_error(label, columns, i, v_star, meta):
+    """:class:`DivergenceError` of a run whose sample ``i`` is its first
+    non-finite one: it carries the time of sample ``i - 1`` and the
+    trajectory of samples ``0 .. i - 1`` (none when ``i`` is 0)."""
+    t_last = float(columns["t"][max(i - 1, 0)])
+    return DivergenceError(
+        f"{label} diverged after t = {t_last:.6g}",
+        t_last=t_last,
+        trajectory=build_trajectory(columns, i, v_star, meta) if i > 0 else None,
+    )
 
 
 def load_trajectory_csv(path):

@@ -218,7 +218,7 @@ def test_criterion_10_fixed_points_and_determinism(tmp_path):
         float(np.linalg.norm(new.u - u_star)),
     )
     acc = af.AccAdmmState(
-        x=x_star, z=z_star, u=u_star, z_prev=z_star.copy(), u_prev=u_star.copy(),
+        x=x_star, z=z_star, u=u_star,
         z_hat=z_star.copy(), u_hat=u_star.copy(), k=5, rho=rho, r=3.0,
     )
     new_acc = af.aadmm_step(p, acc)

@@ -3,7 +3,7 @@ import pytest
 
 import admmflow as af
 from admmflow.discrete import SubproblemCache, momentum_coefficient
-from admmflow.exceptions import UnsupportedFunctionError
+from admmflow.exceptions import DivergenceError, UnsupportedFunctionError
 
 from helpers import cg_minimize
 
@@ -47,7 +47,6 @@ def test_aadmm_fixed_point_invariant(pd_2d_problem, rho):
     x_star, z_star, u_star = kkt_fixed_point(pd_2d_problem, rho)
     state = af.AccAdmmState(
         x=x_star, z=z_star, u=u_star,
-        z_prev=z_star.copy(), u_prev=u_star.copy(),
         z_hat=z_star.copy(), u_hat=u_star.copy(),
         k=3, rho=rho, r=4.0,
     )
@@ -195,11 +194,39 @@ def test_callbacks_require_inner_solver(one_d_problem):
 
 def test_run_solver_dispatch(one_d_problem):
     x0 = np.array([1.0])
-    plain = af.run_solver(one_d_problem, x0, rho=1.0, max_iter=3)
+    plain = af.run_admm(one_d_problem, x0, rho=1.0, max_iter=3)
     assert plain.meta["method"] == "admm"
-    acc = af.run_solver(one_d_problem, x0, rho=1.0, r=3.0, max_iter=3)
+    assert "r" not in plain.meta
+    acc = af.run_aadmm(one_d_problem, x0, rho=1.0, r=3.0, max_iter=3)
     assert acc.meta["method"] == "aadmm"
     assert acc.meta["r"] == 3.0
+
+
+@pytest.mark.parametrize("r", [None, 3.0])
+def test_nan_inner_solver_raises_divergence(one_d_problem, r):
+    # the inner solver returns NaN from its third call, i.e. in the second
+    # sweep: samples k = 0, 1 are finite and the run stops at t = 1 * delta
+    calls = []
+
+    def failing(fun, grad, x0):
+        calls.append(1)
+        return np.full_like(x0, np.nan) if len(calls) >= 3 else cg_minimize(fun, grad, x0)
+
+    p = af.SplitProblem(quad_as_callbacks(one_d_problem.f),
+                        quad_as_callbacks(one_d_problem.g), one_d_problem.A)
+    rho = 4.0
+    with pytest.raises(DivergenceError) as err:
+        if r is None:
+            af.run_admm(p, np.array([1.0]), rho=rho, max_iter=10, v_star=0.0,
+                        inner_solver=failing)
+        else:
+            af.run_aadmm(p, np.array([1.0]), rho=rho, r=r, max_iter=10, v_star=0.0,
+                         inner_solver=failing)
+    delta = 1.0 / rho if r is None else 1.0 / np.sqrt(rho)
+    assert err.value.t_last == pytest.approx(delta)
+    partial = err.value.trajectory
+    assert np.array_equal(partial.k, [0, 1])
+    assert np.all(np.isfinite(partial.X)) and np.all(np.isfinite(partial.v_gap))
 
 
 def test_parameter_validation(one_d_problem):

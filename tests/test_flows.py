@@ -3,7 +3,7 @@ import pytest
 
 import admmflow as af
 from admmflow.exceptions import DivergenceError
-from admmflow.flows import IntegratorConfig, SecondOrderFlowState
+from admmflow.flows import IntegratorConfig
 
 from helpers import rk4_reference, second_order_rhs
 
@@ -85,44 +85,47 @@ def test_rk4_divergence_reports_partial(one_d_problem):
     assert err.value.t_last is not None
 
 
+def one_symplectic_step(problem, x0, t0, h, r):
+    return af.aadmm_flow_integrate(problem, x0, IntegratorConfig(h=h, t0=t0, t_end=t0 + h, r=r))
+
+
 def test_symplectic_step_hand_values(one_d_problem):
     # t=1 makes both damping weights 1: p+ = -h, x+ = 1 - h^2
-    state = SecondOrderFlowState(t=1.0, X=np.array([1.0]), P=np.array([0.0]))
-    new = af.symplectic_euler_step(one_d_problem, state, h=0.1, r=10.0)
-    assert new.P == pytest.approx(np.array([-0.1]))
-    assert new.X == pytest.approx(np.array([0.99]))
-    assert new.t == pytest.approx(1.1)
+    traj = one_symplectic_step(one_d_problem, np.array([1.0]), t0=1.0, h=0.1, r=10.0)
+    assert len(traj) == 2
+    assert traj.t[1] == pytest.approx(1.1)
+    assert traj.X[1] == pytest.approx(np.array([0.99]))
+    # P = t^r (A^T A) X' with A = [1]
+    assert traj.Xdot[1] * 1.1**10 == pytest.approx(np.array([-0.1]))
 
 
 def test_symplectic_step_equilibrium(pd_2d_problem):
     x_star, _ = af.optimal_value(pd_2d_problem)
-    state = SecondOrderFlowState(t=2.0, X=x_star, P=np.zeros(2))
-    new = af.symplectic_euler_step(pd_2d_problem, state, h=0.5, r=5.0)
-    assert np.allclose(new.X, x_star, atol=1e-12)
-    assert np.allclose(new.P, 0.0, atol=1e-12)
-    assert new.t == pytest.approx(2.5)
+    traj = one_symplectic_step(pd_2d_problem, x_star, t0=2.0, h=0.5, r=5.0)
+    assert np.allclose(traj.X[1], x_star, atol=1e-12)
+    assert np.allclose(traj.Xdot[1], 0.0, atol=1e-12)
+    assert traj.t[1] == pytest.approx(2.5)
 
 
 def test_symplectic_step_requires_positive_time(one_d_problem):
-    state = SecondOrderFlowState(t=0.0, X=np.array([1.0]), P=np.array([0.0]))
     with pytest.raises(ValueError):
-        af.symplectic_euler_step(one_d_problem, state, h=0.1, r=3.0)
+        one_symplectic_step(one_d_problem, np.array([1.0]), t0=0.0, h=0.1, r=3.0)
 
 
 def test_hamiltonian_zero_momentum_unit_time(pd_2d_problem):
+    # the flow starts from rest, so at t0 = 1 the Hamiltonian is V(x0)
     x = np.array([0.3, -0.7])
-    state = SecondOrderFlowState(t=1.0, X=x, P=np.zeros(2))
-    assert af.hamiltonian_energy(pd_2d_problem, state, r=10.0) == pytest.approx(
-        af.eval_V(pd_2d_problem, x)
-    )
+    traj = one_symplectic_step(pd_2d_problem, x, t0=1.0, h=0.1, r=10.0)
+    assert traj.hamiltonian[0] == pytest.approx(af.eval_V(pd_2d_problem, x))
 
 
 def test_hamiltonian_one_d_value(one_d_problem):
-    # 0.5 * 1 * 1 + 0.5 * 1 = 1 at t = 1 with A = [1]
-    state = SecondOrderFlowState(t=1.0, X=np.array([1.0]), P=np.array([1.0]))
-    assert af.hamiltonian_energy(one_d_problem, state, r=10.0) == pytest.approx(1.0)
-    with pytest.raises(ValueError):
-        af.hamiltonian_energy(one_d_problem, SecondOrderFlowState(0.0, np.array([1.0]), np.array([0.0])), r=10.0)
+    # H = 0.5 t^{-r} P^2 + t^r x^2 / 2 with A = [1]: 0.5 at (t, x, P) = (1, 1, 0),
+    # then (1.1, 0.99, -0.1) after one step of h = 0.1
+    traj = one_symplectic_step(one_d_problem, np.array([1.0]), t0=1.0, h=0.1, r=10.0)
+    assert traj.hamiltonian[0] == pytest.approx(0.5)
+    tr = 1.1**10
+    assert traj.hamiltonian[1] == pytest.approx(0.5 * 0.01 / tr + tr * 0.5 * 0.99**2)
 
 
 def test_config_validation():
@@ -135,6 +138,8 @@ def test_config_validation():
     with pytest.raises(ValueError):
         IntegratorConfig(h=0.1, t0=0.0, t_end=1.0, r=2.0)
     assert IntegratorConfig(h=0.1, t0=0.0, t_end=1.0).n_steps == 10
+    # a step that does not divide the window takes one more step past t_end
+    assert IntegratorConfig(h=0.3, t0=0.0, t_end=1.0).n_steps == 4
 
 
 def test_aadmm_flow_requires_positive_t0_and_r(one_d_problem):
@@ -154,15 +159,15 @@ def test_aadmm_flow_constant_at_minimizer(pd_2d_problem):
 
 
 def test_aadmm_flow_velocity_accessor_matches_samples(pd_2d_problem):
+    r, h = 5.0, 0.01
     traj = af.aadmm_flow_integrate(
-        pd_2d_problem, np.array([2.0, -1.0]), IntegratorConfig(h=0.01, t0=0.01, t_end=1.0, r=5.0)
+        pd_2d_problem, np.array([2.0, -1.0]), IntegratorConfig(h=h, t0=0.01, t_end=1.0, r=r)
     )
-    # recorded velocities are the accessor applied to the recorded momentum-free states:
-    # reconstruct momentum from velocity and check the accessor round-trips
-    i = len(traj) // 2
-    p = (traj.t[i] ** 5.0) * (pd_2d_problem.ata @ traj.Xdot[i])
-    state = SecondOrderFlowState(t=traj.t[i], X=traj.X[i], P=p)
-    assert np.allclose(state.velocity(pd_2d_problem, 5.0), traj.Xdot[i], rtol=1e-10)
+    # each position update X+ = X + h t^{-r} (A^T A)^{-1} P+ uses the recorded
+    # post-step velocity t+^{-r} (A^T A)^{-1} P+, reweighted to the pre-step time
+    t = traj.t
+    steps = h * traj.Xdot[1:] * ((t[1:] / t[:-1]) ** r)[:, None]
+    assert np.allclose(np.diff(traj.X, axis=0), steps, rtol=1e-10, atol=1e-14)
 
 
 def test_identity_A_reduction_against_reference(identity_A_problem):
@@ -245,11 +250,11 @@ def test_figure1_accelerated_flow_rate_window(figure1_symplectic_traj):
 
 
 def test_first_order_state_accessor(pd_2d_problem):
-    from admmflow.flows import FirstOrderFlowState
-
-    x = np.array([1.0, -2.0])
-    state = FirstOrderFlowState(t=0.5, X=x)
-    assert np.allclose(state.z_value(pd_2d_problem), pd_2d_problem.A @ x)
+    # the recorded velocity of every sample is the flow right-hand side there
+    traj = af.rk4_integrate(pd_2d_problem, np.array([1.0, -2.0]),
+                            IntegratorConfig(h=0.1, t0=0.0, t_end=1.0))
+    for x, xdot in zip(traj.X, traj.Xdot):
+        assert np.array_equal(xdot, af.admm_flow_rhs(pd_2d_problem, x))
 
 
 def test_rectangular_problem_end_to_end():
@@ -274,7 +279,9 @@ def test_concurrent_runs_share_problem(figure1_problem, figure1_x0):
 
     def run(job):
         rho, r = job
-        return af.run_solver(figure1_problem, figure1_x0, rho=rho, r=r, max_iter=40)
+        if r is None:
+            return af.run_admm(figure1_problem, figure1_x0, rho=rho, max_iter=40)
+        return af.run_aadmm(figure1_problem, figure1_x0, rho=rho, r=r, max_iter=40)
 
     sequential = [run(j) for j in jobs]
     with ThreadPoolExecutor(max_workers=4) as pool:

@@ -246,9 +246,10 @@ def test_load_rejects_malformed(tmp_path):
 
 
 def test_composite_objective_wrapper(pd_2d_problem):
-    comp = af.CompositeObjective(pd_2d_problem)
+    # V(x) = f(x) + g(A x), its gradient, and the optimal value V(x*)
+    p = pd_2d_problem
     x = np.array([0.7, -0.3])
-    assert comp.value(x) == af.eval_V(pd_2d_problem, x)
-    assert np.array_equal(comp.gradient(x), af.grad_V(pd_2d_problem, x))
-    x_star, v_star = comp.optimal()
-    assert v_star == af.optimal_value(pd_2d_problem)[1]
+    assert af.eval_V(p, x) == p.f.value(x) + p.g.value(p.A @ x)
+    assert np.array_equal(af.grad_V(p, x), p.f.grad(x) + p.A.T @ p.g.grad(p.A @ x))
+    x_star, v_star = af.optimal_value(p)
+    assert v_star == af.eval_V(p, x_star)

@@ -1,7 +1,14 @@
+import os
+import tempfile
+from unittest import mock
+
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import admmflow as af
+from admmflow import trajectory
 from admmflow.trajectory import load_trajectory_csv
 
 
@@ -59,3 +66,30 @@ def test_norm_helpers(one_d_problem):
     assert np.allclose(traj.x_norms(), np.abs(traj.X[:, 0]))
     with pytest.raises(ValueError):
         traj.xdot_norms()
+
+
+finite_floats = st.floats(allow_nan=False, allow_infinity=False)
+exact_ints = st.integers(min_value=-(2**53), max_value=2**53)  # exact as float64
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    n_rows=st.integers(min_value=1, max_value=12),
+    kinds=st.lists(st.sampled_from(["float", "int"]), min_size=1, max_size=4),
+    data=st.data(),
+)
+def test_write_columns_csv_round_trip(n_rows, kinds, data):
+    # every cell comes back exactly, across several row chunks
+    columns = []
+    for j, kind in enumerate(kinds):
+        cells = data.draw(st.lists(finite_floats if kind == "float" else exact_ints,
+                                   min_size=n_rows, max_size=n_rows))
+        columns.append((f"c{j}", np.array(cells, dtype=float if kind == "float" else np.int64)))
+    with tempfile.TemporaryDirectory() as tmp, \
+            mock.patch.object(trajectory, "CSV_CHUNK_ROWS", 5):
+        path = os.path.join(tmp, "cols.csv")
+        trajectory.write_columns_csv(path, columns)
+        loaded = load_trajectory_csv(path)
+    assert list(loaded) == [name for name, _ in columns]
+    for name, values in columns:
+        assert np.array_equal(loaded[name], values.astype(float))
