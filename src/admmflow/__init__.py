@@ -2,7 +2,6 @@
 Lyapunov-based convergence diagnostics."""
 
 from .analysis import (
-    LyapunovSample,
     RateFit,
     check_state_convergence,
     fit_rate,

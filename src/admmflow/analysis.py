@@ -4,7 +4,10 @@ Each monitor evaluates an energy along a sampled trajectory, flags
 per-sample monotone decay within a tolerance, and (where the flow gives an
 exact expression for the energy's time derivative) reports the residual
 between a finite-difference derivative and that expression. Monitors are
-pure functions over immutable trajectories.
+pure functions over immutable trajectories. Each returns one NumPy record
+array with one row per sample and the columns ``t``, ``value`` (the
+energy), ``decay_ok`` (bool) and ``residual`` (nan where undefined); its
+rows iterate as records with the same attribute names.
 
 Decay tolerances default to the integrator order that produced the
 trajectory: tight (1e-9) for RK4 runs of the first-order flow, looser
@@ -24,7 +27,6 @@ from .problem import eval_V
 from .trajectory import write_columns_csv
 
 __all__ = [
-    "LyapunovSample",
     "RateFit",
     "monitor_admm_stability",
     "monitor_admm_rate",
@@ -37,16 +39,6 @@ __all__ = [
 ]
 
 GAP_FLOOR = 1e-14  # objective gaps below this are treated as solver noise
-
-
-@dataclass
-class LyapunovSample:
-    """One monitored energy sample; ``residual`` is nan where undefined."""
-
-    t: float
-    value: float
-    decay_ok: bool
-    residual: float = float("nan")
 
 
 @dataclass
@@ -102,10 +94,7 @@ def _resolve_r(traj, r):
 def _samples(t, E, ok, resid=None):
     if resid is None:
         resid = np.full(E.size, np.nan)
-    return [
-        LyapunovSample(float(ti), float(ei), bool(oi), float(ri))
-        for ti, ei, oi, ri in zip(t, E, ok, resid)
-    ]
+    return np.rec.fromarrays([t, E, ok, resid], names="t,value,decay_ok,residual")
 
 
 def monitor_admm_stability(problem, traj, x_star, rtol=1e-9):
@@ -306,11 +295,8 @@ def sup_discrepancy(traj_discrete, traj_flow):
 
 
 def write_monitor_csv(samples, path):
-    """Write monitor samples as ``t,E,decay_ok,residual`` (decay_ok as 0/1)."""
-    n = len(samples)
-    write_columns_csv(path, [
-        ("t", np.fromiter((s.t for s in samples), float, n)),
-        ("E", np.fromiter((s.value for s in samples), float, n)),
-        ("decay_ok", np.fromiter((s.decay_ok for s in samples), bool, n)),
-        ("residual", np.fromiter((s.residual for s in samples), float, n)),
-    ])
+    """Write a monitor's record array (columns ``t``, ``value``, ``decay_ok``,
+    ``residual``) as CSV with header ``t,E,decay_ok,residual``; ``decay_ok``
+    is written as 0/1."""
+    write_columns_csv(path, [("t", samples.t), ("E", samples.value),
+                             ("decay_ok", samples.decay_ok), ("residual", samples.residual)])

@@ -55,6 +55,14 @@ def _default_outdir():
     return os.environ.get(OUTDIR_ENV, ".")
 
 
+def _positive_float(text):
+    """argparse type: a finite float > 0 (e.g. the penalty rho)."""
+    value = float(text)
+    if not (math.isfinite(value) and value > 0):
+        raise argparse.ArgumentTypeError(f"must be a positive finite number, got {text!r}")
+    return value
+
+
 def _matrix_rank(M):
     svals = np.linalg.svd(M, compute_uv=False)
     return int(np.sum(svals > 1e-8 * svals[0])) if svals[0] > 0 else 0
@@ -128,6 +136,10 @@ def _interp_or_blank(grid, traj):
 
 
 def cmd_figure1(args):
+    if not 0 < args.window_lo < args.window_hi:
+        print(f"error: rate-fit window must satisfy 0 < window-lo < window-hi, got "
+              f"({args.window_lo:g}, {args.window_hi:g})", file=sys.stderr)
+        return EXIT_USAGE
     rhos = args.rho or [50.0]
     outdir = args.out_dir or os.path.join(_default_outdir(), "figure1_out")
     os.makedirs(outdir, exist_ok=True)
@@ -178,7 +190,7 @@ def cmd_figure1(args):
     monitor_summary = {}
     for name, samples in monitors.items():
         write_monitor_csv(samples, csv_path(name))
-        monitor_summary[name] = sum(s.decay_ok for s in samples) / len(samples)
+        monitor_summary[name] = np.count_nonzero(samples.decay_ok) / len(samples)
 
     fits = {
         "admm_flow": fit_rate(plain_flow, v_star, window, slope_target=-1.0),
@@ -314,7 +326,8 @@ def build_parser():
     run.add_argument("--integrator", action="append", choices=sorted(INTEGRATOR_TO_SOLVER),
                      help="flow integrator to run: rk4 = first-order flow, "
                           "symplectic = second-order flow (repeatable)")
-    run.add_argument("--rho", type=float, default=50.0, help="penalty parameter (default 50)")
+    run.add_argument("--rho", type=_positive_float, default=50.0,
+                     help="penalty parameter (default 50)")
     run.add_argument("--r", type=float, default=10.0, help="damping parameter (default 10)")
     run.add_argument("--max-iter", type=int, default=300,
                      help="iteration budget; also sets default flow t-end via the "
@@ -344,7 +357,7 @@ def build_parser():
     )
     fig.add_argument("--seed", type=int, default=FIGURE1_DEFAULT_SEED,
                      help=f"problem seed (default {FIGURE1_DEFAULT_SEED})")
-    fig.add_argument("--rho", type=float, action="append",
+    fig.add_argument("--rho", type=_positive_float, action="append",
                      help="penalty parameter, repeatable for a sweep (default 50)")
     fig.add_argument("--r", type=float, default=10.0, help="damping parameter (default 10)")
     fig.add_argument("--max-iter", type=int, default=300,

@@ -57,7 +57,7 @@ class Trajectory:
         # (each optional column is written when the trajectory carries it)
         cols = [("k", self.k), ("t", self.t), ("V_gap", self.v_gap),
                 ("primal_residual", self.primal_residual), ("hamiltonian", self.hamiltonian),
-                ("x_norm", self.x_norms()),
+                ("x_norm", None if self.X is None else self.x_norms()),
                 ("xdot_norm", None if self.Xdot is None else self.xdot_norms())]
         return [(name, values) for name, values in cols if values is not None]
 

@@ -233,6 +233,40 @@ def test_sup_discrepancy_basics():
         af.sup_discrepancy(a, far)
 
 
+@pytest.fixture(scope="module")
+def pd_2d_flows(pd_2d_problem):
+    x0 = np.array([3.0, -2.0])
+    return {
+        "rk4": af.rk4_integrate(pd_2d_problem, x0, IntegratorConfig(h=1e-2, t0=0.0, t_end=2.0)),
+        "symplectic": af.aadmm_flow_integrate(
+            pd_2d_problem, x0, IntegratorConfig(h=1e-2, t0=1e-2, t_end=2.0, r=3.0)
+        ),
+    }
+
+
+@pytest.mark.parametrize("monitor, flow", [
+    ("monitor_admm_stability", "rk4"),
+    ("monitor_admm_rate", "rk4"),
+    ("monitor_aadmm_stability", "symplectic"),
+    ("monitor_aadmm_rate", "symplectic"),
+])
+def test_monitor_record_contract(pd_2d_problem, pd_2d_flows, monitor, flow):
+    traj = pd_2d_flows[flow]
+    x_star, _ = af.optimal_value(pd_2d_problem)
+    mon = getattr(af, monitor)(pd_2d_problem, traj, x_star)
+    assert isinstance(mon, np.recarray)
+    assert len(mon) == len(traj)
+    for name in ("t", "value", "residual"):
+        assert getattr(mon, name).dtype == np.float64, name
+    assert mon.decay_ok.dtype == np.bool_
+    assert np.array_equal(mon.t, traj.t)
+    # rows iterate as records with the column names as attributes
+    rows = list(mon)
+    for name in ("t", "value", "decay_ok", "residual"):
+        by_row = np.array([getattr(s, name) for s in rows])
+        assert np.array_equal(by_row, getattr(mon, name), equal_nan=name != "decay_ok"), name
+
+
 def test_write_monitor_csv(tmp_path, one_d_problem):
     traj = exp_flow_trajectory(n=11)
     samples = af.monitor_admm_stability(one_d_problem, traj, np.array([0.0]))

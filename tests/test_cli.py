@@ -69,6 +69,27 @@ def test_run_rejects_unknown_solver(tmp_path, one_d_file):
     assert err.value.code == 2
 
 
+@pytest.mark.parametrize("argv, flag", [
+    (["run", "--solver", "admm_flow", "--rho", "0"], "rho"),
+    (["run", "--solver", "aadmm_flow", "--rho", "-1"], "rho"),
+    (["figure1", "--rho", "0"], "rho"),
+    (["figure1", "--rho", "-1"], "rho"),
+    (["figure1", "--window-lo", "5", "--window-hi", "2"], "window"),
+], ids=["run-rho0", "run-rho-neg", "figure1-rho0", "figure1-rho-neg", "figure1-window"])
+def test_bad_numeric_flags_exit_2_before_any_work(tmp_path, one_d_file, capsys, argv, flag):
+    out = tmp_path / "out"
+    if argv[0] == "run":
+        argv = argv + ["--problem", one_d_file]
+    try:
+        code = main(argv + ["--out-dir", str(out)])
+    except SystemExit as err:  # argparse rejects the value itself
+        code = err.code
+    assert code == 2
+    err = capsys.readouterr().err
+    assert "error" in err and flag in err  # the message names the bad flag
+    assert not out.exists() or not any(out.iterdir())
+
+
 def test_run_integrator_alias(tmp_path, one_d_file):
     assert main(["run", "--problem", one_d_file, "--integrator", "rk4", "--h", "0.1",
                  "--t-end", "1", "--out-dir", str(tmp_path)]) == 0
@@ -143,6 +164,11 @@ def test_figure1_smoke(tmp_path, capsys):
     assert set(report["rate_fits"]) == {"admm_flow", "aadmm_flow"}
     assert report["discrepancies"][0]["rho"] == 50.0
     assert "report:" in capsys.readouterr().out
+    # the decay fraction of each monitor is the mean of its CSV's decay_ok column
+    assert len(report["monitor_decay_fraction"]) == 4
+    for name, frac in report["monitor_decay_fraction"].items():
+        cols = af.load_trajectory_csv(tmp_path / "fig" / f"{name}.csv")
+        assert frac == np.mean(cols["decay_ok"]), name
 
 
 def test_figure1_rho_sweep_smoke(tmp_path):

@@ -44,6 +44,19 @@ def test_flow_csv_schema(tmp_path, one_d_problem):
     assert len(cols["t"]) == len(acc)
 
 
+def test_csv_without_state_samples(tmp_path):
+    # X is optional: a trajectory without it writes no x_norm column
+    t = np.linspace(1.0, 2.0, 5)
+    v = 1.0 / t
+    path = tmp_path / "gap.csv"
+    af.Trajectory(t=t, V=v, v_gap=v).to_csv(path)
+    assert path.read_text().splitlines()[0] == "t,V_gap"
+    cols = load_trajectory_csv(path)
+    assert set(cols) == {"t", "V_gap"}
+    assert np.array_equal(cols["t"], t)
+    assert np.array_equal(cols["V_gap"], v)
+
+
 def test_truncation_marker_round_trip(tmp_path, one_d_problem):
     traj = af.run_admm(one_d_problem, np.array([1.0]), rho=1.0, max_iter=3)
     path = tmp_path / "trunc.csv"
