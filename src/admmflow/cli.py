@@ -45,8 +45,6 @@ EXIT_CHECK_FAILED = 4
 OUTDIR_ENV = "ADMMFLOW_OUTDIR"
 
 SOLVERS = ("admm", "aadmm", "admm_flow", "aadmm_flow")
-# the --integrator flag selects the corresponding flow run
-INTEGRATOR_TO_SOLVER = {"rk4": "admm_flow", "symplectic": "aadmm_flow"}
 
 FIGURE1_DEFAULT_SEED = 38
 
@@ -55,12 +53,15 @@ def _default_outdir():
     return os.environ.get(OUTDIR_ENV, ".")
 
 
-def _positive_float(text):
-    """argparse type: a finite float > 0 (e.g. the penalty rho)."""
-    value = float(text)
-    if not (math.isfinite(value) and value > 0):
-        raise argparse.ArgumentTypeError(f"must be a positive finite number, got {text!r}")
-    return value
+def _positive(convert):
+    """argparse type: a finite ``convert(text)`` > 0 (e.g. rho, max_iter)."""
+    def parse(text):
+        value = convert(text)
+        if not (math.isfinite(value) and value > 0):
+            raise argparse.ArgumentTypeError(f"must be a positive finite number, got {text!r}")
+        return value
+    parse.__name__ = convert.__name__  # argparse names it in "invalid <type> value"
+    return parse
 
 
 def _matrix_rank(M):
@@ -81,49 +82,53 @@ def cmd_gen(args):
     return EXIT_OK
 
 
-def _run_one(problem, solver, x0, v_star, args):
-    """Run one solver/flow and return its trajectory."""
-    if solver == "admm":
-        return run_admm(problem, x0, rho=args.rho, max_iter=args.max_iter,
-                        stop_tol=args.stop_tol, v_star=v_star)
-    if solver == "aadmm":
-        return run_aadmm(problem, x0, rho=args.rho, r=args.r, max_iter=args.max_iter,
-                         stop_tol=args.stop_tol, v_star=v_star)
+def _flow_config(solver, h, t0, t_end, r):
+    """Grid of the ``admm_flow`` or ``aadmm_flow`` run, checked on construction;
+    ``h``/``t0`` None take RK4 h = 1e-3, t0 = 0 and symplectic h = 1e-2, t0 = h."""
     if solver == "admm_flow":
-        h = args.h if args.h is not None else DEFAULT_RK4_H
-        t0 = args.t0 if args.t0 is not None else 0.0
-        t_end = args.t_end if args.t_end is not None else args.max_iter / args.rho
-        return rk4_integrate(problem, x0, IntegratorConfig(h=h, t0=t0, t_end=t_end),
-                             v_star=v_star)
-    h = args.h if args.h is not None else DEFAULT_SYMPLECTIC_H
-    t0 = args.t0 if args.t0 is not None else h
-    t_end = args.t_end if args.t_end is not None else args.max_iter / math.sqrt(args.rho)
-    config = IntegratorConfig(h=h, t0=t0, t_end=t_end, r=args.r)
-    return aadmm_flow_integrate(problem, x0, config, v_star=v_star)
+        h = DEFAULT_RK4_H if h is None else h
+        return IntegratorConfig(h=h, t0=0.0 if t0 is None else t0, t_end=t_end)
+    h = DEFAULT_SYMPLECTIC_H if h is None else h
+    return IntegratorConfig(h=h, t0=h if t0 is None else t0, t_end=t_end, r=r)
+
+
+def _run_to_csv(path, run, *args, **kwargs):
+    """Return ``run(*args, **kwargs)`` after writing its trajectory to ``path``;
+    on divergence write the partial one with a truncation marker and re-raise."""
+    try:
+        traj = run(*args, **kwargs)
+    except DivergenceError as err:
+        if err.trajectory is not None:
+            err.trajectory.to_csv(path, truncation_note=f"divergence near t={err.t_last:.6g}")
+        raise
+    traj.to_csv(path)
+    return traj
+
+
+def _driver(solver, args):
+    """Driver and keyword arguments of one ``run`` solver (a flow's grid is checked here)."""
+    budget = {"rho": args.rho, "max_iter": args.max_iter, "stop_tol": args.stop_tol}
+    if solver == "admm":
+        return run_admm, budget
+    if solver == "aadmm":
+        return run_aadmm, dict(budget, r=args.r)
+    # default t_end: max_iter samples of the method's time scale 1/rho or 1/sqrt(rho)
+    scale = args.rho if solver == "admm_flow" else math.sqrt(args.rho)
+    t_end = args.t_end if args.t_end is not None else args.max_iter / scale
+    config = _flow_config(solver, args.h, args.t0, t_end, args.r)
+    return rk4_integrate if solver == "admm_flow" else aadmm_flow_integrate, {"config": config}
 
 
 def cmd_run(args):
-    solvers = list(dict.fromkeys((args.solver or []) +
-                                 [INTEGRATOR_TO_SOLVER[i] for i in (args.integrator or [])]))
-    if not solvers:
-        print("error: no solver selected (use --solver/--integrator)", file=sys.stderr)
-        return EXIT_USAGE
     problem = load_problem(args.problem)
-    v_star = None  # the first run computes it; the others reuse it
+    drivers = {solver: _driver(solver, args) for solver in args.solver}
     x0 = np.full(problem.n, args.x0)
     outdir = args.out_dir or _default_outdir()
     os.makedirs(outdir, exist_ok=True)
-    for solver in solvers:
+    v_star = None  # the first run computes it; the others reuse it
+    for solver, (run, kwargs) in drivers.items():
         path = os.path.join(outdir, f"{solver}.csv")
-        try:
-            traj = _run_one(problem, solver, x0, v_star, args)
-        except DivergenceError as err:
-            if err.trajectory is not None:
-                note = f"divergence near t={err.t_last:.6g}"
-                err.trajectory.to_csv(path, truncation_note=note)
-            print(f"error: {solver} diverged: {err}", file=sys.stderr)
-            return EXIT_DIVERGENCE
-        traj.to_csv(path)
+        traj = _run_to_csv(path, run, problem, x0, v_star=v_star, **kwargs)
         v_star = traj.v_star
         print(f"{solver}: wrote {path}, final V_gap={traj.v_gap[-1]:.6e}")
     return EXIT_OK
@@ -141,6 +146,13 @@ def cmd_figure1(args):
               f"({args.window_lo:g}, {args.window_hi:g})", file=sys.stderr)
         return EXIT_USAGE
     rhos = args.rho or [50.0]
+    # flows are penalty-free: integrate once, covering the rate window and
+    # the longest discrete time range (t = k/rho and t = k/sqrt(rho)); both
+    # grids are built, and so checked, before any file is written
+    plain_config = _flow_config("admm_flow", args.h_rk4, None,
+                                max(args.window_hi, args.max_iter / min(rhos)), None)
+    acc_config = _flow_config("aadmm_flow", args.h_symplectic, args.t0,
+                              max(args.window_hi, args.max_iter / math.sqrt(min(rhos))), args.r)
     outdir = args.out_dir or os.path.join(_default_outdir(), "figure1_out")
     os.makedirs(outdir, exist_ok=True)
     t_start = time.perf_counter()
@@ -157,29 +169,19 @@ def cmd_figure1(args):
         files[name] = os.path.join(outdir, f"{name}.csv")
         return files[name]
 
-    # flows are penalty-free: integrate once, covering the rate window and
-    # the longest discrete time range (t = k/rho and t = k/sqrt(rho));
-    # a DivergenceError from any run exits through main()
-    t_end_plain = max(args.window_hi, args.max_iter / min(rhos))
-    plain_flow = rk4_integrate(
-        problem, x0, IntegratorConfig(h=args.h_rk4, t0=0.0, t_end=t_end_plain), v_star=v_star
-    )
-    h_s = args.h_symplectic
-    t0_s = args.t0 if args.t0 is not None else h_s
-    t_end_acc = max(args.window_hi, args.max_iter / math.sqrt(min(rhos)))
-    acc_flow = aadmm_flow_integrate(
-        problem, x0, IntegratorConfig(h=h_s, t0=t0_s, t_end=t_end_acc, r=args.r), v_star=v_star
-    )
+    # each trajectory is written as soon as it is computed; a DivergenceError
+    # keeps the partial CSV and exits through main()
+    plain_flow = _run_to_csv(csv_path("admm_flow"), rk4_integrate, problem, x0, plain_config,
+                             v_star=v_star)
+    acc_flow = _run_to_csv(csv_path("aadmm_flow"), aadmm_flow_integrate, problem, x0, acc_config,
+                           v_star=v_star)
     discrete = {}
     for rho in rhos:
-        discrete[("admm", rho)] = run_admm(problem, x0, rho=rho, max_iter=args.max_iter,
-                                           v_star=v_star)
-        discrete[("aadmm", rho)] = run_aadmm(problem, x0, rho=rho, r=args.r,
-                                             max_iter=args.max_iter, v_star=v_star)
-    runs = [("admm_flow", plain_flow), ("aadmm_flow", acc_flow)]
-    runs += [(f"{method}_rho{rho:g}", traj) for (method, rho), traj in discrete.items()]
-    for name, traj in runs:
-        traj.to_csv(csv_path(name))
+        discrete[("admm", rho)] = _run_to_csv(csv_path(f"admm_rho{rho:g}"), run_admm, problem,
+                                              x0, rho=rho, max_iter=args.max_iter, v_star=v_star)
+        discrete[("aadmm", rho)] = _run_to_csv(csv_path(f"aadmm_rho{rho:g}"), run_aadmm, problem,
+                                               x0, rho=rho, r=args.r, max_iter=args.max_iter,
+                                               v_star=v_star)
 
     monitors = {
         "monitor_admm_flow_stability": monitor_admm_stability(problem, plain_flow, x_star),
@@ -200,15 +202,10 @@ def cmd_figure1(args):
     header = ["method", "slope", "C", "window_lo", "window_hi", "n_samples"]
     write_columns_csv(csv_path("rates"), list(zip(header, zip(*rows))))
 
-    discrepancies = []
-    for rho in rhos:
-        discrepancies.append(
-            {
-                "rho": rho,
-                "admm_vs_flow": sup_discrepancy(discrete[("admm", rho)], plain_flow),
-                "aadmm_vs_flow": sup_discrepancy(discrete[("aadmm", rho)], acc_flow),
-            }
-        )
+    discrepancies = [{"rho": rho,
+                      "admm_vs_flow": sup_discrepancy(discrete[("admm", rho)], plain_flow),
+                      "aadmm_vs_flow": sup_discrepancy(discrete[("aadmm", rho)], acc_flow)}
+                     for rho in rhos]
     write_columns_csv(csv_path("discrepancy"), [
         (key, np.array([row[key] for row in discrepancies], dtype=float))
         for key in ("rho", "admm_vs_flow", "aadmm_vs_flow")
@@ -321,15 +318,13 @@ def build_parser():
                "partial CSV ends with a 'truncated,...' marker row.",
     )
     run.add_argument("--problem", required=True, help="problem JSON file")
-    run.add_argument("--solver", action="append", choices=SOLVERS,
-                     help="method to run (repeatable)")
-    run.add_argument("--integrator", action="append", choices=sorted(INTEGRATOR_TO_SOLVER),
-                     help="flow integrator to run: rk4 = first-order flow, "
-                          "symplectic = second-order flow (repeatable)")
-    run.add_argument("--rho", type=_positive_float, default=50.0,
+    run.add_argument("--solver", action="append", choices=SOLVERS, required=True,
+                     help="method to run (repeatable): admm_flow = first-order flow (RK4), "
+                          "aadmm_flow = second-order flow (symplectic Euler)")
+    run.add_argument("--rho", type=_positive(float), default=50.0,
                      help="penalty parameter (default 50)")
     run.add_argument("--r", type=float, default=10.0, help="damping parameter (default 10)")
-    run.add_argument("--max-iter", type=int, default=300,
+    run.add_argument("--max-iter", type=_positive(int), default=300,
                      help="iteration budget; also sets default flow t-end via the "
                           "method time scale (default 300)")
     run.add_argument("--stop-tol", type=float, default=0.0,
@@ -357,10 +352,10 @@ def build_parser():
     )
     fig.add_argument("--seed", type=int, default=FIGURE1_DEFAULT_SEED,
                      help=f"problem seed (default {FIGURE1_DEFAULT_SEED})")
-    fig.add_argument("--rho", type=_positive_float, action="append",
+    fig.add_argument("--rho", type=_positive(float), action="append",
                      help="penalty parameter, repeatable for a sweep (default 50)")
     fig.add_argument("--r", type=float, default=10.0, help="damping parameter (default 10)")
-    fig.add_argument("--max-iter", type=int, default=300,
+    fig.add_argument("--max-iter", type=_positive(int), default=300,
                      help="discrete iteration budget (default 300)")
     fig.add_argument("--h-rk4", type=float, default=DEFAULT_RK4_H,
                      help="first-order flow step (default 1e-3)")
@@ -372,7 +367,7 @@ def build_parser():
                      help="rate-fit window lower end (default 2)")
     fig.add_argument("--window-hi", type=float, default=20.0,
                      help="rate-fit window upper end (default 20)")
-    fig.add_argument("--overlay-points", type=int, default=2001,
+    fig.add_argument("--overlay-points", type=_positive(int), default=2001,
                      help="grid size of the overlay file (default 2001)")
     fig.add_argument("--out-dir", default=None,
                      help=f"report directory (default ${OUTDIR_ENV}/figure1_out)")

@@ -44,6 +44,9 @@ DEFAULT_SYMPLECTIC_H = 1e-2
 # (t_end - t0) / h may land just above a whole number of steps by rounding
 GRID_RTOL = 1e-9
 
+# every sample is stored, so a grid is bounded (50x the benchmark's 20,000 steps)
+MAX_STEPS = 10**6
+
 
 @dataclass
 class IntegratorConfig:
@@ -51,11 +54,12 @@ class IntegratorConfig:
 
     The grid ``t0 + i h`` takes the fewest steps that reach t_end, so its
     last sample lies in ``[t_end, t_end + h)`` (up to rounding of the
-    quotient ``(t_end - t0) / h``); the window is never cut short.
+    quotient ``(t_end - t0) / h``); the window is never cut short. A grid of
+    more than ``MAX_STEPS`` steps is refused.
 
     ``r`` is the damping parameter of the second-order flow (ignored by the
     first-order integrator). The second-order flow has a 1/t singularity at
-    t = 0, so it additionally requires t0 > 0; t0 = h is the usual choice.
+    t = 0, so with ``r`` set the config also requires t0 > 0 (t0 = h is usual).
     """
 
     h: float
@@ -72,8 +76,14 @@ class IntegratorConfig:
             raise ValueError("t_end must exceed t0")
         if self.h > self.t_end - self.t0:
             raise ValueError("h must not exceed t_end - t0")
+        steps = (self.t_end - self.t0) / self.h - GRID_RTOL  # n_steps = ceil(steps)
+        if not steps <= MAX_STEPS:  # refuses inf and nan too
+            raise ValueError(f"a grid of {steps:.6g} steps of h = {self.h:g} exceeds "
+                             f"MAX_STEPS = {MAX_STEPS}")
         if self.r is not None and self.r < 3:
             raise ValueError(f"damping parameter r must be >= 3, got {self.r}")
+        if self.r is not None and self.t0 <= 0:
+            raise ValueError("the second-order flow requires t0 > 0 (1/t damping); t0 = h is typical")
 
     @property
     def n_steps(self):
@@ -173,12 +183,10 @@ def aadmm_flow_integrate(problem, x0, config, v_star=None):
     steps up to t_end. Samples record t, X, the velocity ``X' = t^{-r} (A^T A)^{-1} P``, the
     objective gap and the Hamiltonian H(X, P, t).
 
-    Requires ``config.r >= 3`` and ``config.t0 > 0``.
+    Requires ``config.r``; the config then checks ``r >= 3`` and ``t0 > 0``.
     """
     if config.r is None:
         raise ValueError("config.r is required for the second-order flow")
-    if config.t0 <= 0:
-        raise ValueError("the second-order flow requires t0 > 0 (1/t damping); t0 = h is typical")
     r = float(config.r)
     h = config.h
     p = np.zeros(problem.n)

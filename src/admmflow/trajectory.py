@@ -24,7 +24,7 @@ class Trajectory:
     ``t`` and ``V`` are always present. Discrete runs carry ``k`` and
     ``primal_residual``; flow runs carry state samples ``X`` plus, where
     defined, velocities ``Xdot`` and the Hamiltonian. ``meta`` holds run
-    parameters (method, rho, step size, wall times) and never enters CSVs.
+    parameters (method, rho, step size) and never enters CSVs.
     """
 
     t: np.ndarray

@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 import admmflow as af
+from admmflow import cli
 from admmflow.cli import main
 
 
@@ -60,7 +61,10 @@ def test_run_flow_closed_form(tmp_path, one_d_file):
 
 
 def test_run_requires_solver(tmp_path, one_d_file):
-    assert main(["run", "--problem", one_d_file, "--out-dir", str(tmp_path)]) == 2
+    with pytest.raises(SystemExit) as err:
+        main(["run", "--problem", one_d_file, "--out-dir", str(tmp_path / "out")])
+    assert err.value.code == 2
+    assert not (tmp_path / "out").exists()
 
 
 def test_run_rejects_unknown_solver(tmp_path, one_d_file):
@@ -75,7 +79,20 @@ def test_run_rejects_unknown_solver(tmp_path, one_d_file):
     (["figure1", "--rho", "0"], "rho"),
     (["figure1", "--rho", "-1"], "rho"),
     (["figure1", "--window-lo", "5", "--window-hi", "2"], "window"),
-], ids=["run-rho0", "run-rho-neg", "figure1-rho0", "figure1-rho-neg", "figure1-window"])
+    (["figure1", "--h-rk4", "0"], "step size h"),
+    (["figure1", "--h-symplectic", "-1"], "step size h"),
+    (["figure1", "--t0", "0"], "t0 > 0"),
+    (["figure1", "--r", "1"], "damping parameter r"),
+    (["figure1", "--max-iter", "0"], "max-iter"),
+    (["figure1", "--overlay-points", "0"], "overlay-points"),
+    (["figure1", "--rho", "1e-6", "--max-iter", "2"], "MAX_STEPS"),
+    (["run", "--solver", "admm", "--solver", "aadmm_flow", "--h", "0"], "step size h"),
+    (["run", "--solver", "admm_flow", "--t-end", "0"], "t_end"),
+    (["run", "--solver", "admm", "--max-iter", "0"], "max-iter"),
+], ids=["run-rho0", "run-rho-neg", "figure1-rho0", "figure1-rho-neg", "figure1-window",
+        "figure1-h-rk4", "figure1-h-symplectic", "figure1-t0", "figure1-r",
+        "figure1-max-iter", "figure1-overlay-points", "figure1-grid-bound",
+        "run-h", "run-t-end", "run-max-iter"])
 def test_bad_numeric_flags_exit_2_before_any_work(tmp_path, one_d_file, capsys, argv, flag):
     out = tmp_path / "out"
     if argv[0] == "run":
@@ -87,13 +104,28 @@ def test_bad_numeric_flags_exit_2_before_any_work(tmp_path, one_d_file, capsys, 
     assert code == 2
     err = capsys.readouterr().err
     assert "error" in err and flag in err  # the message names the bad flag
-    assert not out.exists() or not any(out.iterdir())
+    assert not out.exists()  # refused before the output directory is made
 
 
-def test_run_integrator_alias(tmp_path, one_d_file):
-    assert main(["run", "--problem", one_d_file, "--integrator", "rk4", "--h", "0.1",
-                 "--t-end", "1", "--out-dir", str(tmp_path)]) == 0
-    assert (tmp_path / "admm_flow.csv").exists()
+def test_run_integrator_alias(tmp_path, one_d_file, capsys):
+    # --integrator was a second flag for --solver admm_flow/aadmm_flow; it is gone
+    with pytest.raises(SystemExit) as err:
+        main(["run", "--problem", one_d_file, "--solver", "admm_flow", "--integrator", "rk4",
+              "--h", "0.1", "--t-end", "1", "--out-dir", str(tmp_path / "out")])
+    assert err.value.code == 2
+    assert "--integrator" in capsys.readouterr().err
+    assert not (tmp_path / "out").exists()
+
+
+def test_run_aadmm_flow_defaults(tmp_path, one_d_file):
+    # symplectic h = 1e-2 from t0 = h up to max_iter / sqrt(rho) = 300 / sqrt(50)
+    assert main(["run", "--problem", one_d_file, "--solver", "aadmm_flow",
+                 "--out-dir", str(tmp_path)]) == 0
+    cols = af.load_trajectory_csv(tmp_path / "aadmm_flow.csv")
+    h, t_end = 1e-2, 300 / np.sqrt(50.0)
+    assert cols["t"][0] == h
+    assert t_end <= cols["t"][-1] < t_end + h
+    assert "hamiltonian" in cols
 
 
 def test_run_divergence_exit_3_with_partial_csv(tmp_path, one_d_file):
@@ -104,6 +136,24 @@ def test_run_divergence_exit_3_with_partial_csv(tmp_path, one_d_file):
     lines = (tmp_path / "admm_flow.csv").read_text().strip().splitlines()
     assert lines[-1].startswith("truncated")
     assert len(lines) > 2
+
+
+def test_cli_looks_up_drivers_when_called(tmp_path, one_d_file, monkeypatch):
+    # perfbench/rep.py replaces these module globals with wrappers after import
+    calls = dict.fromkeys(("rk4_integrate", "aadmm_flow_integrate", "run_admm", "run_aadmm"), 0)
+    for name in calls:
+        def counted(*args, _name=name, _fn=getattr(cli, name), **kwargs):
+            calls[_name] += 1
+            return _fn(*args, **kwargs)
+        monkeypatch.setattr(cli, name, counted)
+    assert main(["figure1", "--seed", "3", "--max-iter", "30", "--h-rk4", "1e-2",
+                 "--h-symplectic", "2e-2", "--window-lo", "0.2", "--window-hi", "0.58",
+                 "--overlay-points", "21", "--out-dir", str(tmp_path / "fig")]) == 0
+    assert set(calls.values()) == {1}
+    assert main(["run", "--problem", one_d_file] + [
+        arg for solver in cli.SOLVERS for arg in ("--solver", solver)] + [
+        "--max-iter", "20", "--h", "0.05", "--out-dir", str(tmp_path / "run")]) == 0
+    assert set(calls.values()) == {2}
 
 
 def test_run_deterministic_csvs(tmp_path, one_d_file):
@@ -169,6 +219,18 @@ def test_figure1_smoke(tmp_path, capsys):
     for name, frac in report["monitor_decay_fraction"].items():
         cols = af.load_trajectory_csv(tmp_path / "fig" / f"{name}.csv")
         assert frac == np.mean(cols["decay_ok"]), name
+
+
+def test_figure1_divergence_keeps_partial_csv(tmp_path, capsys):
+    # RK4 at h = 0.9 leaves its stability region on a long rate window
+    out = tmp_path / "fig"
+    assert main(["figure1", "--h-rk4", "0.9", "--window-lo", "2", "--window-hi", "2000",
+                 "--out-dir", str(out)]) == 3
+    assert "first-order flow diverged" in capsys.readouterr().err
+    lines = (out / "admm_flow.csv").read_text().strip().splitlines()
+    assert lines[-1].startswith("truncated,")
+    assert len(lines) > 2
+    assert not (out / "report.json").exists()
 
 
 def test_figure1_rho_sweep_smoke(tmp_path):

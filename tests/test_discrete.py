@@ -202,15 +202,16 @@ def test_run_solver_dispatch(one_d_problem):
     assert acc.meta["r"] == 3.0
 
 
-@pytest.mark.parametrize("r", [None, 3.0])
-def test_nan_inner_solver_raises_divergence(one_d_problem, r):
-    # the inner solver returns NaN from its third call, i.e. in the second
-    # sweep: samples k = 0, 1 are finite and the run stops at t = 1 * delta
+@pytest.mark.parametrize("r, bad", [(None, np.nan), (3.0, np.nan), (None, np.inf), (3.0, np.inf)],
+                         ids=["None", "3.0", "None-inf", "3.0-inf"])
+def test_nan_inner_solver_raises_divergence(one_d_problem, r, bad):
+    # the inner solver returns NaN (or inf) from its third call, i.e. in the
+    # second sweep: samples k = 0, 1 are finite and the run stops at t = 1 * delta
     calls = []
 
     def failing(fun, grad, x0):
         calls.append(1)
-        return np.full_like(x0, np.nan) if len(calls) >= 3 else cg_minimize(fun, grad, x0)
+        return np.full_like(x0, bad) if len(calls) >= 3 else cg_minimize(fun, grad, x0)
 
     p = af.SplitProblem(quad_as_callbacks(one_d_problem.f),
                         quad_as_callbacks(one_d_problem.g), one_d_problem.A)

@@ -137,9 +137,25 @@ def test_config_validation():
         IntegratorConfig(h=0.5, t0=0.0, t_end=0.4)
     with pytest.raises(ValueError):
         IntegratorConfig(h=0.1, t0=0.0, t_end=1.0, r=2.0)
+    # the second-order flow's 1/t damping needs t0 > 0: checked with the grid
+    with pytest.raises(ValueError, match="t0 > 0"):
+        IntegratorConfig(h=0.1, t0=0.0, t_end=1.0, r=3.0)
     assert IntegratorConfig(h=0.1, t0=0.0, t_end=1.0).n_steps == 10
     # a step that does not divide the window takes one more step past t_end
     assert IntegratorConfig(h=0.3, t0=0.0, t_end=1.0).n_steps == 4
+
+
+def test_config_refuses_oversized_grid():
+    # figure1 --rho 1e-6 --max-iter 2 asks for t_end = 2e6 at h = 1e-3
+    with pytest.raises(ValueError, match=r"2e\+09 steps of h = 0\.001"):
+        IntegratorConfig(h=1e-3, t0=0.0, t_end=2e6)
+    for t_end in (np.inf, np.nan):
+        with pytest.raises(ValueError, match="MAX_STEPS"):
+            IntegratorConfig(h=1e-3, t0=0.0, t_end=t_end)
+    max_steps = af.flows.MAX_STEPS
+    assert IntegratorConfig(h=1.0, t0=0.0, t_end=float(max_steps)).n_steps == max_steps
+    with pytest.raises(ValueError, match="MAX_STEPS"):
+        IntegratorConfig(h=1.0, t0=0.0, t_end=max_steps + 1.0)
 
 
 def test_aadmm_flow_requires_positive_t0_and_r(one_d_problem):
