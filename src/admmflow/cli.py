@@ -111,6 +111,8 @@ def _driver(solver, args):
     if solver == "admm":
         return run_admm, budget
     if solver == "aadmm":
+        if args.r < 3:  # as run_aadmm would, but before any file is written
+            raise ValueError(f"damping parameter r must be >= 3, got {args.r}")
         return run_aadmm, dict(budget, r=args.r)
     # default t_end: max_iter samples of the method's time scale 1/rho or 1/sqrt(rho)
     scale = args.rho if solver == "admm_flow" else math.sqrt(args.rho)

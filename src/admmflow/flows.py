@@ -8,10 +8,18 @@ Two dynamical systems are integrated against a :class:`SplitProblem`:
   through its Hamiltonian form with canonical momentum
   ``P = t^r (A^T A) X'`` and energy
 
-      H(X, P, t) = 0.5 t^{-r} <P, (A^T A)^{-1} P> + t^r V(X),
+      H(X, P, t) = 0.5 t^{-r} <P, (A^T A)^{-1} P> + t^r V(X)
+                 = t^r (0.5 <X', (A^T A) X'> + V(X)),
 
   integrated with the symplectic Euler scheme (momentum update first, both
-  damping weights evaluated at the pre-step time).
+  damping weights evaluated at the pre-step time). The scheme carries
+  ``(A^T A)^{-1} P = t^r X'`` rather than P, and H is evaluated in its
+  second form, so neither overflows where ``t^{2r}`` would.
+
+For quadratic f and g the velocity ``-(A^T A)^{-1} grad V(X)`` is the affine
+map ``-(K X + b)`` of :attr:`SplitProblem.flow_map`, so a step costs matrix-
+vector products and no linear solve; callback problems solve with the
+cached Cholesky factor of A^T A.
 
 With ``A = I`` these reduce to plain gradient flow and to the damped
 oscillator flow of accelerated gradient descent.
@@ -93,54 +101,73 @@ class IntegratorConfig:
 def admm_flow_rhs(problem, X):
     """Right-hand side ``-(A^T A)^{-1} grad V(X)`` of the first-order flow.
 
-    Applied through the problem's cached Cholesky factor of A^T A; the
+    For quadratic f and g this is the affine map ``-(K X + b)`` of
+    :attr:`SplitProblem.flow_map`, one matrix-vector product. Otherwise the
+    gradient goes through the problem's cached Cholesky factor of A^T A; the
     inverse is never formed. With A = I this is the plain negative gradient.
     """
+    X = _as_vector(X, problem.n, "X")
+    if problem.is_quadratic:
+        K, b = problem.flow_map
+        return -(K @ X + b)
     return -problem.solve_ata(grad_V(problem, X))
 
 
-def _integrate(problem, x0, config, v_star, meta, label, velocity, step, energy=None):
+def _values(problem, xs):
+    """V at each row of ``xs``: one pass of matrix products for quadratic f
+    and g, one ``eval_V`` call per row otherwise."""
+    if not problem.is_quadratic:
+        return np.array([eval_V(problem, x) for x in xs], dtype=float)
+    f, g = problem.f, problem.g
+    zs = xs @ problem.A.T
+    return (0.5 * np.einsum("ij,ij->i", xs @ f.M, xs) + xs @ f.q
+            + 0.5 * np.einsum("ij,ij->i", zs @ g.M, zs) + zs @ g.q)
+
+
+def _integrate(problem, x0, config, v_star, meta, label, velocity, step, r=None):
     """Sampling loop shared by both integrators.
 
-    At each grid time t: check that X is finite, then record X, the
-    velocity ``velocity(t, X)``, V(X) and, when given, the energy
-    ``energy(t, V(X))``; then advance with ``X = step(t, X, X')``.
+    At each grid time t: stop if X is not finite, else record X and the
+    velocity ``X' = velocity(t, X)`` and advance with ``X = step(t, X, X')``.
+    After the loop V is evaluated at every sample and, when ``r`` is given,
+    the Hamiltonian of the second-order flow,
+    ``H = t^r (0.5 <X', (A^T A) X'> + V)``.
 
     Raises
     ------
     DivergenceError
-        At the first non-finite sample; it carries the last finite time and
-        the trajectory up to it.
+        At the first sample where X, V or H is not finite; it carries the
+        last finite time and the trajectory up to it.
     """
     x = np.array(_as_vector(x0, problem.n, "x0"))
     v_star = resolve_v_star(problem, v_star)
     n = config.n_steps + 1
-    columns = {
-        "t": config.t0 + config.h * np.arange(n),
-        "V": np.empty(n),
-        "X": np.empty((n, problem.n)),
-        "Xdot": np.empty((n, problem.n)),
-    }
-    if energy is not None:
-        columns["hamiltonian"] = np.empty(n)
-    ts, vals, xs, xds = columns["t"], columns["V"], columns["X"], columns["Xdot"]
-    hams = columns.get("hamiltonian")
-    # divergence is detected and reported below; silence the raw overflow
-    with np.errstate(over="ignore", invalid="ignore"):
+    ts = config.t0 + config.h * np.arange(n)
+    xs, xds = np.empty((n, problem.n)), np.empty((n, problem.n))
+    columns = {"t": ts, "X": xs, "Xdot": xds}
+    # divergence is detected and reported below; silence the raw overflow, and
+    # the division by t^r once it underflows to 0 (large r, small t)
+    with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
+        end = n
         for i in range(n):
-            t = ts[i]
             # before the velocity: cho_solve rejects non-finite input
             if not np.all(np.isfinite(x)):
-                raise divergence_error(label, columns, i, v_star, meta)
+                end = i
+                break
             xs[i] = x
-            xds[i] = velocity(t, x)
-            vals[i] = eval_V(problem, x)
-            if hams is not None:
-                hams[i] = energy(t, vals[i])
-            if not (np.isfinite(vals[i]) and (hams is None or np.isfinite(hams[i]))):
-                raise divergence_error(label, columns, i, v_star, meta)
+            xds[i] = velocity(ts[i], x)
             if i + 1 < n:
-                x = step(t, x, xds[i])
+                x = step(ts[i], x, xds[i])
+        vals = columns["V"] = _values(problem, xs[:end])
+        finite = np.isfinite(vals)
+        if r is not None:
+            xds_end = xds[:end]
+            kinetic = 0.5 * np.einsum("ij,ij->i", xds_end @ problem.ata, xds_end)
+            hams = columns["hamiltonian"] = ts[:end] ** r * (kinetic + vals)
+            finite &= np.isfinite(hams)
+    stop = end if finite.all() else int(np.argmin(finite))
+    if stop < n:
+        raise divergence_error(label, columns, stop, v_star, meta)
     return build_trajectory(columns, n, v_star, meta)
 
 
@@ -181,7 +208,7 @@ def aadmm_flow_integrate(problem, x0, config, v_star=None):
     Starts at t0 > 0 with X(t0) = x0 and zero momentum (carrying the
     zero-initial-velocity condition to t0), then applies symplectic Euler
     steps up to t_end. Samples record t, X, the velocity ``X' = t^{-r} (A^T A)^{-1} P``, the
-    objective gap and the Hamiltonian H(X, P, t).
+    objective gap and the Hamiltonian ``H = t^r (0.5 <X', (A^T A) X'> + V(X))``.
 
     Requires ``config.r``; the config then checks ``r >= 3`` and ``t0 > 0``.
     """
@@ -189,21 +216,15 @@ def aadmm_flow_integrate(problem, x0, config, v_star=None):
         raise ValueError("config.r is required for the second-order flow")
     r = float(config.r)
     h = config.h
-    p = np.zeros(problem.n)
-    w = np.zeros(problem.n)  # (A^T A)^{-1} p, carried across the step
+    w = np.zeros(problem.n)  # t^r X' = (A^T A)^{-1} P, carried across the step
 
     def velocity(t, x):
         return w / t**r
 
-    def energy(t, v):
-        tr = t**r
-        return 0.5 * (p @ w) / tr + tr * v
-
     def step(t, x, xdot):
-        nonlocal p, w
+        nonlocal w
         tr = t**r
-        p = p - h * tr * grad_V(problem, x)
-        w = problem.solve_ata(p)
+        w = w + h * tr * admm_flow_rhs(problem, x)
         return x + (h / tr) * w
 
     meta = {
@@ -214,6 +235,4 @@ def aadmm_flow_integrate(problem, x0, config, v_star=None):
         "t_end": config.t_end,
         "r": r,
     }
-    return _integrate(
-        problem, x0, config, v_star, meta, "second-order flow", velocity, step, energy
-    )
+    return _integrate(problem, x0, config, v_star, meta, "second-order flow", velocity, step, r)

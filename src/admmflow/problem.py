@@ -14,6 +14,7 @@ feasible manifold ``z = A x``.
 from __future__ import annotations
 
 import json
+from functools import cached_property
 
 import numpy as np
 from scipy.linalg import cho_factor, cho_solve
@@ -136,10 +137,12 @@ class SplitProblem:
 
     The instance is immutable after construction; the Gram matrix ``A^T A``
     and its Cholesky factor are computed eagerly and shared by all solvers,
-    so a problem can safely back many concurrent runs.
+    so a problem can safely back many concurrent runs. The flow map of a
+    quadratic problem is computed on first use and cached (:attr:`flow_map`).
     """
 
     rank_rtol = 1e-10
+    flow_map_rtol = 1e-10
 
     def __init__(self, f, g, A, seed=None, generator_params=None):
         A = np.array(A, dtype=float)
@@ -187,6 +190,39 @@ class SplitProblem:
         """Solve ``(A^T A) y = b`` through the cached Cholesky factor."""
         return cho_solve(self._ata_factor, b)
 
+    @cached_property
+    def flow_map(self):
+        """``(K, b)`` with ``(A^T A)^{-1} grad V(x) = K x + b``, for quadratic f and g.
+
+        ``K = (A^T A)^{-1} H`` and ``b = (A^T A)^{-1} c``, where ``H`` and ``c``
+        are the Hessian and linear term of V. Both come from the cached
+        Cholesky factor on first access (O(n^3), so never in the constructor)
+        and are read-only.
+
+        Raises
+        ------
+        UnsupportedFunctionError
+            If ``f`` or ``g`` is a callback function.
+        NumericalError
+            If ``||(A^T A) K - H|| > 1e-10 (1 + ||H||)``, or the same test of
+            ``b`` against ``c`` fails.
+        """
+        if not self.is_quadratic:
+            raise UnsupportedFunctionError("the flow map requires quadratic f and g")
+        H, c = _hessian_and_linear_term(self)
+        K, b = self.solve_ata(H), self.solve_ata(c)
+        for name, got, rhs, want in (("K", K, "H", H), ("b", b, "c", c)):
+            resid = np.linalg.norm(self.ata @ got - want)
+            tol = self.flow_map_rtol * (1.0 + np.linalg.norm(want))
+            if resid > tol:
+                raise NumericalError(
+                    f"flow map {name} fails its residual check: ||(A^T A) {name} - {rhs}|| = "
+                    f"{resid:.3e} exceeds {tol:.3e} (cond(A) = {self.cond_A:.3g})"
+                )
+        K.flags.writeable = False
+        b.flags.writeable = False
+        return K, b
+
     def __repr__(self):
         return f"SplitProblem(n={self.n}, m={self.m}, cond_A={self.cond_A:.3g})"
 
@@ -201,6 +237,13 @@ def grad_V(problem, x):
     """Gradient of the composite objective, ``grad f(x) + A^T grad g(A x)``."""
     x = _as_vector(x, problem.n, "x")
     return problem.f.grad(x) + problem.A.T @ problem.g.grad(problem.A @ x)
+
+
+def _hessian_and_linear_term(problem):
+    """``(H, c)`` of a quadratic V: ``H = M_f + A^T M_g A`` and ``c = q_f + A^T q_g``."""
+    H = problem.f.M + problem.A.T @ (problem.g.M @ problem.A)
+    c = problem.f.q + problem.A.T @ problem.g.q
+    return H, c
 
 
 def optimal_value(problem):
@@ -230,8 +273,7 @@ def optimal_value(problem):
             "optimal_value requires quadratic f and g; supply the optimal value "
             "externally for callback functions"
         )
-    H = problem.f.M + problem.A.T @ (problem.g.M @ problem.A)
-    c = problem.f.q + problem.A.T @ problem.g.q
+    H, c = _hessian_and_linear_term(problem)
     x_star, *_ = np.linalg.lstsq(H, -c, rcond=None)
     g0 = np.linalg.norm(grad_V(problem, np.zeros(problem.n)))
     g_star = np.linalg.norm(grad_V(problem, x_star))

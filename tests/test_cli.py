@@ -89,10 +89,11 @@ def test_run_rejects_unknown_solver(tmp_path, one_d_file):
     (["run", "--solver", "admm", "--solver", "aadmm_flow", "--h", "0"], "step size h"),
     (["run", "--solver", "admm_flow", "--t-end", "0"], "t_end"),
     (["run", "--solver", "admm", "--max-iter", "0"], "max-iter"),
+    (["run", "--solver", "admm", "--solver", "aadmm", "--r", "1"], "damping parameter r"),
 ], ids=["run-rho0", "run-rho-neg", "figure1-rho0", "figure1-rho-neg", "figure1-window",
         "figure1-h-rk4", "figure1-h-symplectic", "figure1-t0", "figure1-r",
         "figure1-max-iter", "figure1-overlay-points", "figure1-grid-bound",
-        "run-h", "run-t-end", "run-max-iter"])
+        "run-h", "run-t-end", "run-max-iter", "run-r"])
 def test_bad_numeric_flags_exit_2_before_any_work(tmp_path, one_d_file, capsys, argv, flag):
     out = tmp_path / "out"
     if argv[0] == "run":

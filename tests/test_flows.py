@@ -1,5 +1,8 @@
+import warnings
+
 import numpy as np
 import pytest
+import scipy.linalg
 
 import admmflow as af
 from admmflow.exceptions import DivergenceError
@@ -27,6 +30,8 @@ def test_rhs_scalar_scaling():
     # f = x^2/2, A = [2]: rhs(x) = -x / 4
     p = af.SplitProblem(af.QuadraticFunction([[1.0]]), af.QuadraticFunction.zero(1), [[2.0]])
     assert af.admm_flow_rhs(p, np.array([3.0])) == pytest.approx(np.array([-0.75]))
+    with pytest.raises(ValueError, match="shape"):  # K @ X + b would broadcast
+        af.admm_flow_rhs(p, np.array([[3.0]]))
 
 
 def test_rhs_zero_at_minimizer(pd_2d_problem):
@@ -305,3 +310,74 @@ def test_concurrent_runs_share_problem(figure1_problem, figure1_x0):
     for a, b in zip(sequential, concurrent):
         assert np.array_equal(a.X, b.X)
         assert np.array_equal(a.v_gap, b.v_gap)
+
+
+def _callback_copy(problem):
+    # the same problem behind callbacks: the integrators take the solve path
+    f, g = problem.f, problem.g
+    return af.SplitProblem(af.CallbackFunction(f.value, f.grad, f.dim),
+                           af.CallbackFunction(g.value, g.grad, g.dim), problem.A)
+
+
+@pytest.mark.parametrize("which", ["pd_2d", "rectangular"])
+def test_affine_map_matches_solve_path(which, pd_2d_problem):
+    # the quadratic fast path (flow map, V and H evaluated after the loop) and
+    # the callback path (per-stage solves, eval_V per sample) agree
+    problem = pd_2d_problem if which == "pd_2d" else af.gen_figure1_problem(6, 2, 5.0, 10.0,
+                                                                             seed=3, m=9)
+    callbacks = _callback_copy(problem)
+    x0 = np.linspace(2.0, -1.0, problem.n)
+    _, v_star = af.optimal_value(problem)
+    runs = [(af.rk4_integrate, IntegratorConfig(h=0.01, t0=0.0, t_end=5.0), ()),
+            (af.aadmm_flow_integrate, IntegratorConfig(h=0.01, t0=0.01, t_end=5.0, r=3.0),
+             ("hamiltonian",))]
+    for integrate, config, extra in runs:
+        fast = integrate(problem, x0, config, v_star=v_star)
+        slow = integrate(callbacks, x0, config, v_star=v_star)
+        assert len(fast) == len(slow) == config.n_steps + 1
+        for field in ("X", "Xdot", "V") + extra:
+            got, want = getattr(fast, field), getattr(slow, field)
+            assert np.max(np.abs(got - want)) <= 1e-10 * np.max(np.abs(want)), field
+
+
+def test_figure1_rk4_matches_modal_solution(figure1_problem, figure1_x0, figure1_rk4_traj):
+    # the pencil (H, A^T A) splits the flow into modes y_i(t) = y_i(0) e^{-lambda_i t},
+    # so V(t) - V* = 0.5 sum_i lambda_i y_i(t)^2 (V* = 0: f is PSD with q = 0, g = 0)
+    p = figure1_problem
+    lam, phi = scipy.linalg.eigh(p.f.M + p.A.T @ p.g.M @ p.A, p.ata)
+    lam = np.clip(lam, 0.0, None)
+    y0 = phi.T @ (p.ata @ figure1_x0)
+    t = figure1_rk4_traj.t
+    exact = 0.5 * np.exp(-2.0 * np.outer(t, lam)) @ (lam * y0**2)
+    assert np.max(np.abs(figure1_rk4_traj.V - exact) / exact) <= 1e-9
+
+
+def test_flow_map_stays_lazy():
+    # the O(n^3) map is built by the first flow, never by the discrete solvers
+    p = af.gen_figure1_problem(8, 3, 5.0, 10.0, seed=4)
+    x0 = np.ones(8)
+    af.run_admm(p, x0, rho=5.0, max_iter=5)
+    af.run_aadmm(p, x0, rho=5.0, r=3.0, max_iter=5)
+    assert "flow_map" not in p.__dict__
+    af.rk4_integrate(p, x0, IntegratorConfig(h=0.1, t0=0.0, t_end=1.0))
+    assert "flow_map" in p.__dict__
+
+
+def test_large_r_flow_completes(one_d_problem):
+    # t^r X' and H = t^r (0.5 |A X'|^2 + V) stay finite at r = 100, where the
+    # momentum form's <P, (A^T A)^{-1} P> ~ t^{2r} overflowed after t = 37.96
+    traj = af.aadmm_flow_integrate(one_d_problem, np.array([1.0]),
+                                   IntegratorConfig(h=0.01, t0=0.01, t_end=60.0, r=100.0))
+    assert len(traj) == 6000
+    assert np.all(np.isfinite(traj.X)) and np.all(np.isfinite(traj.hamiltonian))
+    assert traj.v_gap[-1] < 1e-12 * traj.v_gap[0]
+
+
+def test_underflowing_t_r_reports_divergence_without_warning(one_d_problem):
+    # 0.01^200 underflows to 0: the velocity w / t^r is 0/0 at the first sample
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(DivergenceError, match=r"after t = 0\.01$") as err:
+            af.aadmm_flow_integrate(one_d_problem, np.array([1.0]),
+                                    IntegratorConfig(h=0.01, t0=0.01, t_end=60.0, r=200.0))
+    assert err.value.trajectory is None

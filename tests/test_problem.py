@@ -253,3 +253,35 @@ def test_composite_objective_wrapper(pd_2d_problem):
     assert np.array_equal(af.grad_V(p, x), p.f.grad(x) + p.A.T @ p.g.grad(p.A @ x))
     x_star, v_star = af.optimal_value(p)
     assert v_star == af.eval_V(p, x_star)
+
+
+def test_flow_map_is_the_flow_velocity(pd_2d_problem):
+    p = pd_2d_problem
+    K, b = p.flow_map
+    H = p.f.M + p.A.T @ p.g.M @ p.A
+    c = p.f.q + p.A.T @ p.g.q
+    assert np.linalg.norm(p.ata @ K - H) <= 1e-10 * (1.0 + np.linalg.norm(H))
+    assert np.linalg.norm(p.ata @ b - c) <= 1e-10 * (1.0 + np.linalg.norm(c))
+    x = np.array([0.7, -1.3])
+    want = np.linalg.solve(p.ata, af.grad_V(p, x))
+    assert np.allclose(K @ x + b, want, rtol=1e-12, atol=1e-12)
+    assert not K.flags.writeable and not b.flags.writeable
+    with pytest.raises(ValueError):
+        K[0, 0] = 1.0
+    assert p.flow_map is p.flow_map  # built once
+
+
+def test_flow_map_rejects_callbacks(pd_2d_problem):
+    f = af.CallbackFunction(pd_2d_problem.f.value, pd_2d_problem.f.grad, 2)
+    p = af.SplitProblem(f, pd_2d_problem.g, pd_2d_problem.A)
+    with pytest.raises(UnsupportedFunctionError):
+        p.flow_map
+
+
+def test_flow_map_refuses_inaccurate_map():
+    # cond(A) = 1e5: (A^T A) K - H ~ eps cond(A^T A) ||H|| fails the 1e-10 check
+    p = af.gen_figure1_problem(20, 5, 10.0, 1e5, seed=1)
+    with pytest.raises(NumericalError, match="flow map K"):
+        p.flow_map
+    with pytest.raises(NumericalError):
+        af.rk4_integrate(p, np.ones(20), af.flows.IntegratorConfig(h=0.1, t0=0.0, t_end=1.0))
