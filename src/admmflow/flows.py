@@ -12,14 +12,24 @@ Two dynamical systems are integrated against a :class:`SplitProblem`:
                  = t^r (0.5 <X', (A^T A) X'> + V(X)),
 
   integrated with the symplectic Euler scheme (momentum update first, both
-  damping weights evaluated at the pre-step time). The scheme carries
-  ``(A^T A)^{-1} P = t^r X'`` rather than P, and H is evaluated in its
-  second form, so neither overflows where ``t^{2r}`` would.
+  damping weights evaluated at the pre-step time). Written in X' itself,
+  with ``f(X) = -(A^T A)^{-1} grad V(X)``, a step is
 
-For quadratic f and g the velocity ``-(A^T A)^{-1} grad V(X)`` is the affine
-map ``-(K X + b)`` of :attr:`SplitProblem.flow_map`, so a step costs matrix-
-vector products and no linear solve; callback problems solve with the
-cached Cholesky factor of A^T A.
+      v = X'_k + h f(X_k),   X_{k+1} = X_k + h v,   X'_{k+1} = (t_k / t_{k+1})^r v,
+
+  the factor taken as ``exp(r log(t_k / t_{k+1}))``, so no ``t^r`` enters
+  the step. H is evaluated in its second form after the loop; ``t^r``
+  overflows there for large r and t (near t = 35 at r = 200), which is
+  reported as divergence.
+
+For quadratic f and g the velocity ``f(X)`` is the affine map
+``-(K X + b)`` of :attr:`SplitProblem.flow_map`, so no step solves a linear
+system. One RK4 step of it is itself an affine map ``X -> P X + d``, built
+once per run, and X is checked for finite values once after the loop (and
+every ``FINITE_CHECK_EVERY`` samples, to stop a diverged run early).
+Callback problems solve with the cached Cholesky factor of A^T A, take the
+four-stage RK4 step, and check X before each velocity, so a callback never
+sees a non-finite input.
 
 With ``A = I`` these reduce to plain gradient flow and to the damped
 oscillator flow of accelerated gradient descent.
@@ -54,6 +64,9 @@ GRID_RTOL = 1e-9
 
 # every sample is stored, so a grid is bounded (50x the benchmark's 20,000 steps)
 MAX_STEPS = 10**6
+
+# samples between the finiteness checks inside a quadratic run's loop
+FINITE_CHECK_EVERY = 1024
 
 
 @dataclass
@@ -124,11 +137,32 @@ def _values(problem, xs):
             + 0.5 * np.einsum("ij,ij->i", zs @ g.M, zs) + zs @ g.q)
 
 
+def _rk4_propagator(problem, h):
+    """``(P, d)`` such that one classical RK4 step of ``x' = -(K x + b)`` is
+    ``x -> P x + d``.
+
+    With ``z = -h K``: ``P = R(z) = 1 + z phi(z)``, the RK4 stability
+    function ``sum_{j<=4} z^j / j!``, and ``d = h phi(z) (-b)``, where
+    ``phi(z) = 1 + z/2 + z^2/6 + z^3/24`` is evaluated in Horner form.
+    """
+    K, b = problem.flow_map
+    z = -h * K
+    eye = np.eye(problem.n)
+    phi = eye + z / 4.0
+    phi = eye + (z / 3.0) @ phi
+    phi = eye + (z / 2.0) @ phi
+    return eye + z @ phi, -h * (phi @ b)
+
+
 def _integrate(problem, x0, config, v_star, meta, label, velocity, step, r=None):
     """Sampling loop shared by both integrators.
 
-    At each grid time t: stop if X is not finite, else record X and the
-    velocity ``X' = velocity(t, X)`` and advance with ``X = step(t, X, X')``.
+    At each grid time: record X and the velocity ``X' = velocity(X)`` and
+    advance with ``X = step(t, t_next, X, X')``. For callback problems the
+    loop stops at the first non-finite X, before its velocity is taken; for
+    quadratic problems X is checked only every ``FINITE_CHECK_EVERY``
+    samples, so a diverged run stops within that many steps, and the stored
+    X block is checked once after the loop.
     After the loop V is evaluated at every sample and, when ``r`` is given,
     the Hamiltonian of the second-order flow,
     ``H = t^r (0.5 <X', (A^T A) X'> + V)``.
@@ -145,21 +179,24 @@ def _integrate(problem, x0, config, v_star, meta, label, velocity, step, r=None)
     ts = config.t0 + config.h * np.arange(n)
     xs, xds = np.empty((n, problem.n)), np.empty((n, problem.n))
     columns = {"t": ts, "X": xs, "Xdot": xds}
+    # a callback must never see a non-finite X (nor cho_solve, which rejects
+    # it); a quadratic run's X is checked in full after the loop, so the check
+    # inside it only stops a diverged run early
+    check_every = FINITE_CHECK_EVERY if problem.is_quadratic else 1
     # divergence is detected and reported below; silence the raw overflow, and
-    # the division by t^r once it underflows to 0 (large r, small t)
-    with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
+    # t^r overflowing in H (large r and t)
+    with np.errstate(over="ignore", invalid="ignore"):
         end = n
         for i in range(n):
-            # before the velocity: cho_solve rejects non-finite input
-            if not np.all(np.isfinite(x)):
+            if i % check_every == 0 and not np.all(np.isfinite(x)):
                 end = i
                 break
             xs[i] = x
-            xds[i] = velocity(ts[i], x)
+            xds[i] = velocity(x)
             if i + 1 < n:
-                x = step(ts[i], x, xds[i])
+                x = step(ts[i], ts[i + 1], x, xds[i])
         vals = columns["V"] = _values(problem, xs[:end])
-        finite = np.isfinite(vals)
+        finite = np.isfinite(xs[:end]).all(axis=1) & np.isfinite(vals)
         if r is not None:
             xds_end = xds[:end]
             kinetic = 0.5 * np.einsum("ij,ij->i", xds_end @ problem.ata, xds_end)
@@ -184,12 +221,17 @@ def rk4_integrate(problem, x0, config, v_star=None):
         last finite time and the partial trajectory.
     """
     h = config.h
+    if problem.is_quadratic:
+        P, d = _rk4_propagator(problem, h)
 
-    def step(t, x, k1):
-        k2 = admm_flow_rhs(problem, x + 0.5 * h * k1)
-        k3 = admm_flow_rhs(problem, x + 0.5 * h * k2)
-        k4 = admm_flow_rhs(problem, x + h * k3)
-        return x + (h / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
+        def step(t, t_next, x, k1):
+            return P @ x + d
+    else:
+        def step(t, t_next, x, k1):
+            k2 = admm_flow_rhs(problem, x + 0.5 * h * k1)
+            k3 = admm_flow_rhs(problem, x + 0.5 * h * k2)
+            k4 = admm_flow_rhs(problem, x + h * k3)
+            return x + (h / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
 
     meta = {
         "method": "admm_flow",
@@ -199,16 +241,16 @@ def rk4_integrate(problem, x0, config, v_star=None):
         "t_end": config.t_end,
     }
     return _integrate(problem, x0, config, v_star, meta, "first-order flow",
-                      lambda t, x: admm_flow_rhs(problem, x), step)
+                      lambda x: admm_flow_rhs(problem, x), step)
 
 
 def aadmm_flow_integrate(problem, x0, config, v_star=None):
     """Integrate the second-order damped flow from rest.
 
-    Starts at t0 > 0 with X(t0) = x0 and zero momentum (carrying the
+    Starts at t0 > 0 with X(t0) = x0 and X'(t0) = 0 (carrying the
     zero-initial-velocity condition to t0), then applies symplectic Euler
-    steps up to t_end. Samples record t, X, the velocity ``X' = t^{-r} (A^T A)^{-1} P``, the
-    objective gap and the Hamiltonian ``H = t^r (0.5 <X', (A^T A) X'> + V(X))``.
+    steps up to t_end. Samples record t, X, the velocity X', the objective
+    gap and the Hamiltonian ``H = t^r (0.5 <X', (A^T A) X'> + V(X))``.
 
     Requires ``config.r``; the config then checks ``r >= 3`` and ``t0 > 0``.
     """
@@ -216,16 +258,16 @@ def aadmm_flow_integrate(problem, x0, config, v_star=None):
         raise ValueError("config.r is required for the second-order flow")
     r = float(config.r)
     h = config.h
-    w = np.zeros(problem.n)  # t^r X' = (A^T A)^{-1} P, carried across the step
+    carried = np.zeros(problem.n)  # X' at the next sample
 
-    def velocity(t, x):
-        return w / t**r
+    def velocity(x):
+        return carried
 
-    def step(t, x, xdot):
-        nonlocal w
-        tr = t**r
-        w = w + h * tr * admm_flow_rhs(problem, x)
-        return x + (h / tr) * w
+    def step(t, t_next, x, xdot):
+        nonlocal carried
+        v = xdot + h * admm_flow_rhs(problem, x)
+        carried = math.exp(r * math.log(t / t_next)) * v  # (t / t_next)^r v
+        return x + h * v
 
     meta = {
         "method": "aadmm_flow",

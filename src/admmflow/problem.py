@@ -142,7 +142,9 @@ class SplitProblem:
     """
 
     rank_rtol = 1e-10
-    flow_map_rtol = 1e-10
+    # normwise backward error allowed of the flow map (Higham, Accuracy and
+    # Stability of Numerical Algorithms, sec. 7.1)
+    flow_map_backward_tol = 64 * np.finfo(float).eps
 
     def __init__(self, f, g, A, seed=None, generator_params=None):
         A = np.array(A, dtype=float)
@@ -204,16 +206,22 @@ class SplitProblem:
         UnsupportedFunctionError
             If ``f`` or ``g`` is a callback function.
         NumericalError
-            If ``||(A^T A) K - H|| > 1e-10 (1 + ||H||)``, or the same test of
-            ``b`` against ``c`` fails.
+            If the normwise backward error of K,
+            ``||(A^T A) K - H||_F / (||A^T A||_F ||K||_F + ||H||_F)``, exceeds
+            ``64 eps``, or the same test of ``b`` against ``c`` fails. An
+            exactly rounded solve gives a small multiple of eps at any
+            conditioning of A, so the test accepts ill-conditioned A and
+            refuses a solve that went wrong.
         """
         if not self.is_quadratic:
             raise UnsupportedFunctionError("the flow map requires quadratic f and g")
         H, c = _hessian_and_linear_term(self)
         K, b = self.solve_ata(H), self.solve_ata(c)
+        ata_norm = np.linalg.norm(self.ata)
         for name, got, rhs, want in (("K", K, "H", H), ("b", b, "c", c)):
             resid = np.linalg.norm(self.ata @ got - want)
-            tol = self.flow_map_rtol * (1.0 + np.linalg.norm(want))
+            scale = ata_norm * np.linalg.norm(got) + np.linalg.norm(want)
+            tol = self.flow_map_backward_tol * scale
             if resid > tol:
                 raise NumericalError(
                     f"flow map {name} fails its residual check: ||(A^T A) {name} - {rhs}|| = "

@@ -79,18 +79,26 @@ def write_columns_csv(path, columns, trailer=None):
 
     Each column's cell format is picked once from its dtype: floats by repr
     (exact round trip), booleans as 0/1, integers and text as they print.
-    Rows are formatted and written in chunks of ``CSV_CHUNK_ROWS``.
-    ``trailer`` is an optional last row of ready-made cells.
+    Rows are formatted and written in chunks of ``CSV_CHUNK_ROWS``. When
+    every column is numeric no cell needs quoting, so rows are joined with
+    commas directly (the bytes ``csv.writer`` would write); other rows, the
+    header and ``trailer``, an optional last row of ready-made cells, go
+    through ``csv.writer``.
     """
     arrays = [np.asarray(values) for _, values in columns]
     arrays = [a.view(np.uint8) if a.dtype.kind == "b" else a for a in arrays]
     formats = [repr if a.dtype.kind == "f" else str for a in arrays]
+    numeric = all(a.dtype.kind in "fiu" for a in arrays)
     with open(path, "w", newline="", encoding="utf-8") as fh:
         writer = csv.writer(fh, lineterminator="\n")
         writer.writerow([name for name, _ in columns])
         for start in range(0, len(arrays[0]), CSV_CHUNK_ROWS):
             chunk = slice(start, start + CSV_CHUNK_ROWS)
-            writer.writerows(zip(*(map(fmt, a[chunk].tolist()) for fmt, a in zip(formats, arrays))))
+            rows = zip(*(map(fmt, a[chunk].tolist()) for fmt, a in zip(formats, arrays)))
+            if numeric:
+                fh.write("\n".join(map(",".join, rows)) + "\n")
+            else:
+                writer.writerows(rows)
         if trailer is not None:
             writer.writerow(trailer)
 
@@ -118,23 +126,24 @@ def divergence_error(label, columns, i, v_star, meta):
     )
 
 
+def _numeric_first_cell(line):
+    try:
+        float(line.split(",", 1)[0])
+    except ValueError:
+        return False
+    return True
+
+
 def load_trajectory_csv(path):
     """Read a trajectory CSV into a dict of float arrays keyed by column name.
 
-    Rows whose first cell is not numeric (e.g. a truncation marker) are
-    skipped.
+    Rows whose first cell is not numeric (e.g. a truncation marker or a
+    blank line) are skipped; the others are parsed by ``np.loadtxt``.
     """
     with open(path, "r", newline="", encoding="utf-8") as fh:
-        reader = csv.reader(fh)
-        header = next(reader)
-        rows = []
-        for row in reader:
-            if not row:
-                continue
-            try:
-                float(row[0])
-            except ValueError:
-                continue
-            rows.append([float(cell) for cell in row])
-    data = np.asarray(rows, dtype=float).reshape(len(rows), len(header))
+        header = next(csv.reader(fh))
+        lines = [line for line in fh if _numeric_first_cell(line)]
+    # loadtxt warns on empty input
+    data = np.loadtxt(lines, delimiter=",", ndmin=2) if lines else np.empty(0)
+    data = data.reshape(len(lines), len(header))
     return {name: data[:, j] for j, name in enumerate(header)}

@@ -60,6 +60,18 @@ def test_run_flow_closed_form(tmp_path, one_d_file):
     assert abs(cols["x_norm"][-1] - np.exp(-1.0)) <= 1e-8
 
 
+def test_run_flow_on_ill_conditioned_A(tmp_path):
+    # the flow map's backward-error check accepts cond(A) = 1e4 (its old
+    # residual check refused it, and the run exited 2)
+    out = str(tmp_path / "p.json")
+    assert main(["gen", "--n", "60", "--zero-eigs", "40", "--eig-hi", "10",
+                 "--cond-a", "1e4", "--seed", "38", "--out", out]) == 0
+    assert main(["run", "--problem", out, "--solver", "admm_flow", "--t-end", "1",
+                 "--out-dir", str(tmp_path / "run")]) == 0
+    cols = af.load_trajectory_csv(tmp_path / "run" / "admm_flow.csv")
+    assert len(cols["t"]) == 1001 and np.all(np.isfinite(cols["V_gap"]))
+
+
 def test_run_requires_solver(tmp_path, one_d_file):
     with pytest.raises(SystemExit) as err:
         main(["run", "--problem", one_d_file, "--out-dir", str(tmp_path / "out")])

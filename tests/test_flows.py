@@ -1,3 +1,5 @@
+import math
+import sys
 import warnings
 
 import numpy as np
@@ -88,6 +90,19 @@ def test_rk4_divergence_reports_partial(one_d_problem):
     assert np.all(np.isfinite(partial.X))
     assert np.all(np.isfinite(partial.V))
     assert err.value.t_last is not None
+
+
+def test_diverged_quadratic_run_stops_within_a_check_block(one_d_problem, monkeypatch):
+    # X overflows at sample 63 of a 10^5-step grid; the quadratic loop checks X
+    # every FINITE_CHECK_EVERY samples, so it stops long before the grid ends
+    calls = []
+    rhs = af.flows.admm_flow_rhs
+    monkeypatch.setattr(af.flows, "admm_flow_rhs", lambda p, x: calls.append(1) or rhs(p, x))
+    config = IntegratorConfig(h=10.0, t0=0.0, t_end=1e6)
+    with pytest.raises(DivergenceError, match=r"after t = 620$") as err:
+        af.rk4_integrate(one_d_problem, np.array([1.0]), config)
+    assert len(err.value.trajectory) == 63
+    assert len(calls) <= af.flows.FINITE_CHECK_EVERY < config.n_steps
 
 
 def one_symplectic_step(problem, x0, t0, h, r):
@@ -321,8 +336,9 @@ def _callback_copy(problem):
 
 @pytest.mark.parametrize("which", ["pd_2d", "rectangular"])
 def test_affine_map_matches_solve_path(which, pd_2d_problem):
-    # the quadratic fast path (flow map, V and H evaluated after the loop) and
-    # the callback path (per-stage solves, eval_V per sample) agree
+    # the quadratic fast path (RK4 propagator, V and H evaluated after the loop)
+    # and the callback path (four-stage step with per-stage solves, eval_V per
+    # sample) agree
     problem = pd_2d_problem if which == "pd_2d" else af.gen_figure1_problem(6, 2, 5.0, 10.0,
                                                                              seed=3, m=9)
     callbacks = _callback_copy(problem)
@@ -338,6 +354,20 @@ def test_affine_map_matches_solve_path(which, pd_2d_problem):
         for field in ("X", "Xdot", "V") + extra:
             got, want = getattr(fast, field), getattr(slow, field)
             assert np.max(np.abs(got - want)) <= 1e-10 * np.max(np.abs(want)), field
+
+
+def test_rk4_propagator_matches_solve_path_at_ill_conditioned_A():
+    # cond(A) = 1e5, which the map's old residual check refused: RK4 on the
+    # propagator agrees with the four-stage step solving A^T A at every stage
+    problem = af.gen_figure1_problem(20, 5, 10.0, 1e5, seed=1)
+    x0 = np.linspace(2.0, -1.0, problem.n)
+    config = IntegratorConfig(h=0.01, t0=0.0, t_end=5.0)
+    _, v_star = af.optimal_value(problem)
+    fast = af.rk4_integrate(problem, x0, config, v_star=v_star)
+    slow = af.rk4_integrate(_callback_copy(problem), x0, config, v_star=v_star)
+    for field in ("X", "Xdot", "V"):
+        got, want = getattr(fast, field), getattr(slow, field)
+        assert np.max(np.abs(got - want)) <= 1e-10 * np.max(np.abs(want)), field
 
 
 def test_figure1_rk4_matches_modal_solution(figure1_problem, figure1_x0, figure1_rk4_traj):
@@ -373,11 +403,34 @@ def test_large_r_flow_completes(one_d_problem):
     assert traj.v_gap[-1] < 1e-12 * traj.v_gap[0]
 
 
-def test_underflowing_t_r_reports_divergence_without_warning(one_d_problem):
-    # 0.01^200 underflows to 0: the velocity w / t^r is 0/0 at the first sample
+def test_small_t_large_r_flow_completes(one_d_problem):
+    # the step carries X' itself, so 0.01^200 (which underflows) never enters
+    # it; t^r in H stays below the overflow threshold up to t = 20
+    config = IntegratorConfig(h=0.01, t0=0.01, t_end=20.0, r=200.0)
     with warnings.catch_warnings():
         warnings.simplefilter("error")
-        with pytest.raises(DivergenceError, match=r"after t = 0\.01$") as err:
+        traj = af.aadmm_flow_integrate(one_d_problem, np.array([1.0]), config)
+    assert len(traj) == config.n_steps + 1
+    for values in (traj.X, traj.Xdot, traj.hamiltonian):
+        assert np.all(np.isfinite(values))
+    # first step from rest: v = -h x0, X_1 = x0 + h v, X'_1 = (t0 / t1)^r v
+    assert traj.X[1, 0] == pytest.approx(1.0 - 0.01**2, rel=1e-15)
+    assert traj.Xdot[1, 0] == pytest.approx(-0.01 * 0.5**200, rel=1e-12)
+    assert traj.v_gap[-1] < traj.v_gap[0]
+
+
+def test_overflowing_t_r_reports_divergence_without_warning(one_d_problem):
+    # H = t^r (...) overflows once 200 log t > log(DBL_MAX), near t = 34.8
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(DivergenceError, match=r"after t = 34\.\d+$") as err:
             af.aadmm_flow_integrate(one_d_problem, np.array([1.0]),
                                     IntegratorConfig(h=0.01, t0=0.01, t_end=60.0, r=200.0))
-    assert err.value.trajectory is None
+    partial = err.value.trajectory
+    assert partial is not None
+    assert err.value.t_last == partial.t[-1]
+    # the last sample is the last grid time with a finite t^200
+    log_max = math.log(sys.float_info.max)
+    assert 200.0 * math.log(partial.t[-1]) < log_max < 200.0 * math.log(partial.t[-1] + 0.01)
+    for values in (partial.X, partial.Xdot, partial.V, partial.hamiltonian):
+        assert np.all(np.isfinite(values))

@@ -278,10 +278,26 @@ def test_flow_map_rejects_callbacks(pd_2d_problem):
         p.flow_map
 
 
-def test_flow_map_refuses_inaccurate_map():
-    # cond(A) = 1e5: (A^T A) K - H ~ eps cond(A^T A) ||H|| fails the 1e-10 check
-    p = af.gen_figure1_problem(20, 5, 10.0, 1e5, seed=1)
-    with pytest.raises(NumericalError, match="flow map K"):
-        p.flow_map
-    with pytest.raises(NumericalError):
-        af.rk4_integrate(p, np.ones(20), af.flows.IntegratorConfig(h=0.1, t0=0.0, t_end=1.0))
+def test_flow_map_refuses_inaccurate_map(pd_2d_problem, monkeypatch):
+    # a solve that is off by 1e-9 relative: far above the 64 eps backward-error
+    # gate, whatever the conditioning of A
+    base = pd_2d_problem
+    for name, ndim in (("K", 2), ("b", 1)):
+        p = af.SplitProblem(base.f, base.g, base.A)
+        exact = p.solve_ata
+        monkeypatch.setattr(p, "solve_ata",
+                            lambda rhs: exact(rhs) * (1.0 + 1e-9 * (np.ndim(rhs) == ndim)))
+        with pytest.raises(NumericalError, match=f"flow map {name} "):
+            p.flow_map
+        with pytest.raises(NumericalError):
+            af.rk4_integrate(p, np.ones(2), af.flows.IntegratorConfig(h=0.1, t0=0.0, t_end=1.0))
+
+
+@pytest.mark.parametrize("cond_a", [1e4, 1e5, 1e6])
+def test_flow_map_accepts_ill_conditioned_A(cond_a):
+    # a correctly computed map has a backward error near 0.1 eps at any
+    # cond(A); the residual check 1e-10 (1 + ||H||) refused these from 5e3 on
+    p = af.gen_figure1_problem(20, 5, 10.0, cond_a, seed=1)
+    K, _ = p.flow_map
+    H = p.f.M + p.A.T @ p.g.M @ p.A
+    assert np.linalg.norm(p.ata @ K - H) > 1e-10 * (1.0 + np.linalg.norm(H))

@@ -1,0 +1,103 @@
+"""Invariants of the steps on random small quadratic problems.
+
+Every bound here was fixed from a rounding-error estimate before the tests
+were first run.
+"""
+
+import numpy as np
+import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+import admmflow as af
+from admmflow.flows import IntegratorConfig, _rk4_propagator
+
+EPS = np.finfo(float).eps
+
+
+def random_problem(seed, n, extra_rows):
+    # strongly convex f, convex g with linear terms, sigma_min(A) >= about 1.5
+    rng = np.random.default_rng(seed)
+    m = n + extra_rows
+    B = rng.standard_normal((n, n))
+    C = rng.standard_normal((m, m))
+    f = af.QuadraticFunction(B @ B.T + np.eye(n), rng.standard_normal(n))
+    g = af.QuadraticFunction(C @ C.T, rng.standard_normal(m))
+    A = 3.0 * np.eye(m, n) + 0.3 * rng.standard_normal((m, n))
+    return af.SplitProblem(f, g, A), rng
+
+
+problems = st.builds(random_problem, seed=st.integers(0, 2**32 - 1),
+                     n=st.integers(1, 5), extra_rows=st.integers(0, 3))
+
+
+@settings(max_examples=40, deadline=None)
+@given(problem_rng=problems, frac=st.floats(1e-3, 2.5))
+def test_rk4_propagator_is_the_four_stage_step(problem_rng, frac):
+    problem, rng = problem_rng
+    K, b = problem.flow_map
+    norm_hk = frac  # h ||K||_2, inside RK4's stability interval on the real axis
+    h = frac / np.linalg.norm(K, 2)
+    P, d = _rk4_propagator(problem, h)
+    x = rng.standard_normal(problem.n)
+
+    def rhs(y):
+        return af.admm_flow_rhs(problem, y)
+
+    k1 = rhs(x)
+    k2 = rhs(x + 0.5 * h * k1)
+    k3 = rhs(x + 0.5 * h * k2)
+    k4 = rhs(x + h * k3)
+    want = x + (h / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
+    scale = (1.0 + norm_hk) ** 4 * (np.linalg.norm(x) + h * np.linalg.norm(b))
+    assert np.linalg.norm(P @ x + d - want) <= 64 * problem.n * EPS * scale
+
+
+@settings(max_examples=30, deadline=None)
+@given(problem_rng=problems, h=st.floats(1e-3, 0.5), rho=st.floats(0.1, 100.0),
+       r=st.floats(3.0, 20.0), k=st.integers(0, 50))
+def test_minimizer_is_a_fixed_point_of_every_step(problem_rng, h, rho, r, k):
+    problem, _ = problem_rng
+    x_star, _ = af.optimal_value(problem)
+    tol = 1e-10 * (1.0 + np.linalg.norm(x_star))
+
+    P, d = _rk4_propagator(problem, h)
+    assert np.linalg.norm(P @ x_star + d - x_star) <= tol
+
+    # symplectic Euler steps from rest at x*: X and X' stay put
+    sym = af.aadmm_flow_integrate(problem, x_star,
+                                  IntegratorConfig(h=h, t0=1.0, t_end=1.0 + 1.5 * h, r=r))
+    assert len(sym) == 3
+    assert np.max(np.linalg.norm(sym.X - x_star, axis=1)) <= tol
+    assert np.max(np.linalg.norm(sym.Xdot, axis=1)) <= tol
+
+    # ADMM at (x*, z* = A x*, u* = grad g(z*) / rho), the scaled dual optimum
+    z_star = problem.A @ x_star
+    u_star = problem.g.grad(z_star) / rho
+    plain = af.admm_step(problem, af.AdmmState(x=x_star, z=z_star, u=u_star, k=k, rho=rho))
+    acc = af.aadmm_step(problem, af.AccAdmmState(x=x_star, z=z_star, u=u_star, z_hat=z_star,
+                                                 u_hat=u_star, k=k, rho=rho, r=r))
+    for state in (plain, acc):
+        assert np.linalg.norm(state.x - x_star) <= tol
+        assert np.linalg.norm(state.z - z_star) <= tol * np.linalg.norm(problem.A, 2)
+    assert np.linalg.norm(acc.z_hat - z_star) <= tol * np.linalg.norm(problem.A, 2)
+
+
+def test_rk4_is_fourth_order_against_exp():
+    # f = sum_i lam_i x_i^2 / 2 + q_i x_i, A = diag(a): x' = -(K x + b) with
+    # K = diag(lam / a^2), b = q / a^2, so x(t) = x* + (x0 - x*) e^{-K t}
+    lam = np.array([0.5, 1.0, 2.0, 4.0])
+    a = np.array([1.0, 0.8, 1.2, 1.0])
+    q = np.array([1.0, -0.5, 0.25, 2.0])
+    problem = af.SplitProblem(af.QuadraticFunction(np.diag(lam), q), af.QuadraticFunction.zero(4),
+                              np.diag(a))
+    kappa, x_star = lam / a**2, -q / lam
+    x0 = np.array([1.0, -2.0, 0.5, 3.0])
+    exact = x_star + (x0 - x_star) * np.exp(-kappa)
+    errs = []
+    for h in (0.02, 0.01, 0.005):
+        traj = af.rk4_integrate(problem, x0, IntegratorConfig(h=h, t0=0.0, t_end=1.0))
+        assert traj.t[-1] == pytest.approx(1.0)
+        errs.append(np.max(np.abs(traj.X[-1] - exact)))
+    orders = np.log2(np.array(errs[:-1]) / np.array(errs[1:]))
+    assert np.all((orders >= 3.9) & (orders <= 4.1)), orders

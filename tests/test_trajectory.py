@@ -1,3 +1,5 @@
+import csv
+import io
 import os
 import tempfile
 from unittest import mock
@@ -106,3 +108,35 @@ def test_write_columns_csv_round_trip(n_rows, kinds, data):
     assert list(loaded) == [name for name, _ in columns]
     for name, values in columns:
         assert np.array_equal(loaded[name], values.astype(float))
+
+
+@settings(max_examples=40, deadline=None)
+@given(
+    n_rows=st.integers(min_value=1, max_value=12),
+    kinds=st.lists(st.sampled_from(["float", "int", "bool"]), min_size=1, max_size=4),
+    note=st.none() | st.text(max_size=8),
+    data=st.data(),
+)
+def test_write_columns_csv_matches_csv_writer(n_rows, kinds, note, data):
+    # numeric rows are joined directly: the bytes must be those of csv.writer
+    # writing the repr/str cells, header and trailer included
+    draw = {"float": st.floats(), "int": exact_ints, "bool": st.booleans()}
+    dtypes = {"float": float, "int": np.int64, "bool": bool}
+    columns = [(f"c{j}", np.array(data.draw(st.lists(draw[kind], min_size=n_rows,
+                                                         max_size=n_rows)), dtype=dtypes[kind]))
+               for j, kind in enumerate(kinds)]
+    trailer = None if note is None else ["truncated", note] + [""] * (len(columns) - 2)
+    ref = io.StringIO(newline="")
+    writer = csv.writer(ref, lineterminator="\n")
+    writer.writerow([name for name, _ in columns])
+    cell = {"float": repr, "int": str, "bool": lambda v: str(int(v))}
+    writer.writerows(zip(*([cell[kind](v) for v in values.tolist()]
+                           for kind, (_, values) in zip(kinds, columns))))
+    if trailer is not None:
+        writer.writerow(trailer)
+    with tempfile.TemporaryDirectory() as tmp, \
+            mock.patch.object(trajectory, "CSV_CHUNK_ROWS", 5):
+        path = os.path.join(tmp, "cols.csv")
+        trajectory.write_columns_csv(path, columns, trailer)
+        with open(path, "rb") as fh:
+            assert fh.read() == ref.getvalue().encode("utf-8")
