@@ -7,7 +7,11 @@ between a finite-difference derivative and that expression. Monitors are
 pure functions over immutable trajectories. Each returns one NumPy record
 array with one row per sample and the columns ``t``, ``value`` (the
 energy), ``decay_ok`` (bool) and ``residual`` (nan where undefined); its
-rows iterate as records with the same attribute names.
+rows iterate as records with the same attribute names. Monitors that need
+the velocity X' read the trajectory's recorded ``Xdot`` (both flows record
+it), and every ``||A y||^2`` term is formed by the same row-wise helper as
+the Hamiltonian of the second-order flow. Rate fits read the trajectory's
+own objective gaps ``v_gap``.
 
 Decay tolerances default to the integrator order that produced the
 trajectory: tight (1e-9) for RK4 runs of the first-order flow, looser
@@ -23,7 +27,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .exceptions import NumericalError, UnsupportedFunctionError, WindowError
-from .problem import eval_V
+from .problem import _a_sq_norms, _check_damping, _hessian_and_linear_term, eval_V
 from .trajectory import write_columns_csv
 
 __all__ = [
@@ -50,8 +54,11 @@ class RateFit:
     window: tuple[float, float]
     n_samples: int
 
+    # the cells of summary(), in order: the columns of a rates table
+    FIELDS = ("slope", "C", "window_lo", "window_hi", "n_samples")
+
     def summary(self):
-        """Single-line report: slope,C,window_lo,window_hi,n_samples."""
+        """Single-line report, one cell per name in ``FIELDS``."""
         lo, hi = self.window
         return f"{self.slope:.6g},{self.C:.6g},{lo:.6g},{hi:.6g},{self.n_samples}"
 
@@ -86,9 +93,7 @@ def _resolve_r(traj, r):
         r = traj.meta.get("r")
     if r is None:
         raise ValueError("damping parameter r not given and absent from trajectory meta")
-    if r < 3:
-        raise ValueError(f"damping parameter r must be >= 3, got {r}")
-    return float(r)
+    return _check_damping(r)
 
 
 def _samples(t, E, ok, resid=None):
@@ -103,20 +108,11 @@ def monitor_admm_stability(problem, traj, x_star, rtol=1e-9):
     Along the exact flow, dE/dt = -||A X'||^2 <= 0. ``decay_ok`` flags
     per-sample decrease within ``rtol * (1 + |E|)``; ``residual`` is
     ``|dE/dt + ||A X'||^2|`` with dE/dt from central differences (nan at
-    the endpoints). The flow velocity comes from the recorded samples, or
-    from the flow right-hand side when the trajectory has none.
+    the endpoints), with X' the trajectory's recorded velocity samples.
     """
-    _check_traj(traj)
+    _check_traj(traj, need_velocity=True)
     E = traj.V - eval_V(problem, x_star)
-    if traj.Xdot is not None:
-        xdot = traj.Xdot
-    else:
-        from .flows import admm_flow_rhs
-
-        xdot = np.array([admm_flow_rhs(problem, xi) for xi in traj.X])
-    a_xdot = xdot @ problem.A.T
-    decay_rate = np.einsum("ij,ij->i", a_xdot, a_xdot)
-    resid = np.abs(_central_diff(traj.t, E) + decay_rate)
+    resid = np.abs(_central_diff(traj.t, E) + _a_sq_norms(problem, traj.Xdot))
     return _samples(traj.t, E, _decay_flags(E, rtol), resid)
 
 
@@ -130,8 +126,7 @@ def monitor_admm_rate(problem, traj, x_star, rtol=1e-9):
     _check_traj(traj)
     x_star = np.asarray(x_star, dtype=float)
     gap = traj.V - eval_V(problem, x_star)
-    a_disp = (traj.X - x_star) @ problem.A.T
-    E = traj.t * gap + 0.5 * np.einsum("ij,ij->i", a_disp, a_disp)
+    E = traj.t * gap + 0.5 * _a_sq_norms(problem, traj.X - x_star)
     return _samples(traj.t, E, _decay_flags(E, rtol))
 
 
@@ -144,8 +139,7 @@ def monitor_aadmm_stability(problem, traj, x_star, r=None, rtol=1e-5):
     """
     r = _resolve_r(traj, r)
     E0 = eval_V(problem, x_star)
-    a_xdot = traj.Xdot @ problem.A.T
-    kinetic = np.einsum("ij,ij->i", a_xdot, a_xdot)
+    kinetic = _a_sq_norms(problem, traj.Xdot)
     E = 0.5 * kinetic + traj.V - E0
     resid = np.abs(_central_diff(traj.t, E) + (r / traj.t) * kinetic)
     return _samples(traj.t, E, _decay_flags(E, rtol), resid)
@@ -170,8 +164,8 @@ def monitor_aadmm_rate(problem, traj, x_star, r=None, rtol=1e-5):
     weight = np.exp(eta)
     half_weight = np.exp(0.5 * eta)
     gap = traj.V - eval_V(problem, x_star)
-    disp = (traj.X - x_star + half_weight[:, None] * traj.Xdot) @ problem.A.T
-    E = weight * gap + 0.5 * np.einsum("ij,ij->i", disp, disp)
+    disp = traj.X - x_star + half_weight[:, None] * traj.Xdot
+    E = weight * gap + 0.5 * _a_sq_norms(problem, disp)
     identity_resid = np.abs(np.exp(-0.5 * eta) + 1.0 / t - r / t)
     worst = np.max(identity_resid / np.maximum(1.0, r / t))
     if worst > 1e-12:
@@ -182,13 +176,13 @@ def monitor_aadmm_rate(problem, traj, x_star, r=None, rtol=1e-5):
     return _samples(t, E, _decay_flags(E, rtol), identity_resid)
 
 
-def fit_rate(traj, v_star, window, slope_target=None):
+def fit_rate(traj, window, slope_target=None):
     """Least-squares slope of log(gap) against log(t) over a time window.
 
     Parameters
     ----------
     traj : Trajectory
-        Gaps are recomputed as ``traj.V - v_star``.
+        The gaps are its ``v_gap``.
     window : (t_lo, t_hi)
         Fit window, ``0 < t_lo < t_hi``; must contain >= 10 samples.
     slope_target : float, optional
@@ -208,7 +202,7 @@ def fit_rate(traj, v_star, window, slope_target=None):
         raise ValueError(f"window must satisfy 0 < t_lo < t_hi, got ({t_lo}, {t_hi})")
     mask = (traj.t >= t_lo) & (traj.t <= t_hi)
     t = traj.t[mask]
-    gap = traj.V[mask] - float(v_star)
+    gap = traj.v_gap[mask]
     if t.size < 10:
         raise ValueError(f"window contains {t.size} samples; at least 10 are required")
     if np.any(gap <= GAP_FLOOR):
@@ -243,7 +237,7 @@ def check_state_convergence(problem, traj, x_star, tail_fraction=0.5):
             "state convergence needs the smallest Hessian eigenvalue of V, "
             "available only for quadratic problems"
         )
-    hessian = problem.f.M + problem.A.T @ (problem.g.M @ problem.A)
+    hessian, _ = _hessian_and_linear_term(problem)
     mu = float(np.linalg.eigvalsh(hessian)[0])
     if mu <= 0:
         raise UnsupportedFunctionError(

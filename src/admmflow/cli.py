@@ -13,10 +13,12 @@ import math
 import os
 import sys
 import time
+from dataclasses import asdict
 
 import numpy as np
 
 from .analysis import (
+    RateFit,
     fit_rate,
     monitor_aadmm_rate,
     monitor_aadmm_stability,
@@ -25,7 +27,7 @@ from .analysis import (
     sup_discrepancy,
     write_monitor_csv,
 )
-from .discrete import run_aadmm, run_admm
+from .discrete import run_aadmm, run_admm, time_scale
 from .exceptions import AdmmFlowError, DivergenceError, WindowError
 from .flows import (
     DEFAULT_RK4_H,
@@ -34,7 +36,7 @@ from .flows import (
     aadmm_flow_integrate,
     rk4_integrate,
 )
-from .problem import gen_figure1_problem, load_problem, optimal_value, save_problem
+from .problem import _check_damping, gen_figure1_problem, load_problem, optimal_value, save_problem
 from .trajectory import Trajectory, load_trajectory_csv, write_columns_csv
 
 EXIT_OK = 0
@@ -111,11 +113,10 @@ def _driver(solver, args):
     if solver == "admm":
         return run_admm, budget
     if solver == "aadmm":
-        if args.r < 3:  # as run_aadmm would, but before any file is written
-            raise ValueError(f"damping parameter r must be >= 3, got {args.r}")
+        _check_damping(args.r)  # as run_aadmm would, but before any file is written
         return run_aadmm, dict(budget, r=args.r)
-    # default t_end: max_iter samples of the method's time scale 1/rho or 1/sqrt(rho)
-    scale = args.rho if solver == "admm_flow" else math.sqrt(args.rho)
+    # default t_end: where the matching discrete method's iterate max_iter sits
+    scale = time_scale(args.rho, accelerated=solver == "aadmm_flow")
     t_end = args.t_end if args.t_end is not None else args.max_iter / scale
     config = _flow_config(solver, args.h, args.t0, t_end, args.r)
     return rk4_integrate if solver == "admm_flow" else aadmm_flow_integrate, {"config": config}
@@ -149,12 +150,14 @@ def cmd_figure1(args):
         return EXIT_USAGE
     rhos = args.rho or [50.0]
     # flows are penalty-free: integrate once, covering the rate window and
-    # the longest discrete time range (t = k/rho and t = k/sqrt(rho)); both
-    # grids are built, and so checked, before any file is written
+    # the longest discrete time range (that of the smallest rho); both grids
+    # are built, and so checked, before any file is written
+    plain_t_end = args.max_iter / time_scale(min(rhos), accelerated=False)
+    acc_t_end = args.max_iter / time_scale(min(rhos), accelerated=True)
     plain_config = _flow_config("admm_flow", args.h_rk4, None,
-                                max(args.window_hi, args.max_iter / min(rhos)), None)
+                                max(args.window_hi, plain_t_end), None)
     acc_config = _flow_config("aadmm_flow", args.h_symplectic, args.t0,
-                              max(args.window_hi, args.max_iter / math.sqrt(min(rhos))), args.r)
+                              max(args.window_hi, acc_t_end), args.r)
     outdir = args.out_dir or os.path.join(_default_outdir(), "figure1_out")
     os.makedirs(outdir, exist_ok=True)
     t_start = time.perf_counter()
@@ -197,11 +200,11 @@ def cmd_figure1(args):
         monitor_summary[name] = np.count_nonzero(samples.decay_ok) / len(samples)
 
     fits = {
-        "admm_flow": fit_rate(plain_flow, v_star, window, slope_target=-1.0),
-        "aadmm_flow": fit_rate(acc_flow, v_star, window, slope_target=-2.0),
+        "admm_flow": fit_rate(plain_flow, window, slope_target=-1.0),
+        "aadmm_flow": fit_rate(acc_flow, window, slope_target=-2.0),
     }
     rows = [[name] + fit.summary().split(",") for name, fit in fits.items()]
-    header = ["method", "slope", "C", "window_lo", "window_hi", "n_samples"]
+    header = ("method",) + RateFit.FIELDS
     write_columns_csv(csv_path("rates"), list(zip(header, zip(*rows))))
 
     discrepancies = [{"rho": rho,
@@ -243,8 +246,7 @@ def cmd_figure1(args):
             f"{method}_rho{rho:g}": float(discrete[(method, rho)].v_gap[-1])
             for method, rho in discrete
         },
-        "rate_fits": {name: {"slope": fit.slope, "C": fit.C, "window": list(fit.window),
-                             "n_samples": fit.n_samples} for name, fit in fits.items()},
+        "rate_fits": {name: asdict(fit) for name, fit in fits.items()},
         "discrepancies": discrepancies,
         "monitor_decay_fraction": monitor_summary,
         "files": files,
@@ -275,12 +277,11 @@ def cmd_rates(args):
     gap = cols["V_gap"]
     traj = Trajectory(t=cols["t"], V=gap, v_gap=gap - v_star)
     try:
-        fit = fit_rate(traj, v_star, (args.window_lo, args.window_hi),
-                       slope_target=args.target)
+        fit = fit_rate(traj, (args.window_lo, args.window_hi), slope_target=args.target)
     except WindowError as err:
         print(f"error: {err}", file=sys.stderr)
         return EXIT_USAGE
-    print("slope,C,window_lo,window_hi,n_samples")
+    print(",".join(RateFit.FIELDS))
     print(fit.summary())
     if fit.slope <= args.target + args.tol:
         return EXIT_OK
@@ -315,7 +316,7 @@ def build_parser():
         "run",
         help="run solvers/flows on a saved problem; one CSV each",
         epilog="CSV columns: discrete methods k,t,V_gap,primal_residual,x_norm "
-               "(t = k/rho for admm, k/sqrt(rho) for aadmm); flows "
+               "(t = k/rho for admm, k/rho**0.5 for aadmm); flows "
                "t,V_gap[,hamiltonian],x_norm,xdot_norm. On divergence the "
                "partial CSV ends with a 'truncated,...' marker row.",
     )
@@ -347,8 +348,8 @@ def build_parser():
         help="benchmark experiment: all four methods, monitors, rate fits, "
              "discrete-vs-flow discrepancies, overlay data",
         epilog="Outputs: trajectory CSVs as in 'run'; monitor CSVs "
-               "t,E,decay_ok,residual; rates.csv method,slope,C,window_lo,"
-               "window_hi,n_samples; discrepancy.csv rho,admm_vs_flow,"
+               f"t,E,decay_ok,residual; rates.csv method,{','.join(RateFit.FIELDS)}; "
+               "discrepancy.csv rho,admm_vs_flow,"
                "aadmm_vs_flow; overlay.csv t plus one V-gap column per "
                "method; report.json index written last.",
     )

@@ -13,7 +13,10 @@ The accelerated variant runs the same sweep against extrapolated copies
 
 Steps are pure functions of ``(problem, state)``; for quadratic ``f, g``
 they use cached Cholesky solves, otherwise they delegate to a user-supplied
-inner minimizer. The ``run_*`` drivers record trajectories and raise
+inner minimizer. A state checks its own parameters on construction
+(rho > 0, and r >= 3 for the accelerated iterate). The ``run_*`` drivers
+record trajectories, placing iterate k at flow time ``t = k / time_scale``
+(``rho`` for ADMM, ``sqrt(rho)`` for A-ADMM), and raise
 :class:`DivergenceError` at the first non-finite iterate.
 """
 
@@ -26,7 +29,7 @@ import numpy as np
 from scipy.linalg import cho_factor, cho_solve
 
 from .exceptions import NumericalError, UnsupportedFunctionError
-from .problem import _as_vector, eval_V, resolve_v_star
+from .problem import _as_vector, _check_damping, eval_V, resolve_v_star
 from .trajectory import build_trajectory, divergence_error
 
 __all__ = [
@@ -56,20 +59,24 @@ class AdmmState:
     k: int
     rho: float
 
+    def __post_init__(self):
+        if not self.rho > 0:
+            raise ValueError(f"penalty parameter rho must be positive, got {self.rho}")
+        self.rho = float(self.rho)
+
 
 @dataclass
-class AccAdmmState:
+class AccAdmmState(AdmmState):
     """Accelerated iterate: adds the extrapolated copies (z_hat, u_hat) and
     the damping parameter r >= 3."""
 
-    x: np.ndarray
-    z: np.ndarray
-    u: np.ndarray
     z_hat: np.ndarray
     u_hat: np.ndarray
-    k: int
-    rho: float
     r: float
+
+    def __post_init__(self):
+        super().__post_init__()
+        self.r = _check_damping(self.r)
 
 
 def momentum_coefficient(k, r):
@@ -77,29 +84,22 @@ def momentum_coefficient(k, r):
     return k / (k + r)
 
 
+def time_scale(rho, accelerated):
+    """Iterations per unit of flow time: ``rho`` for ADMM, ``sqrt(rho)`` for
+    accelerated ADMM, whose iterate k sits at ``t = k / time_scale``."""
+    return math.sqrt(rho) if accelerated else rho
+
+
 def initial_admm_state(problem, x0, rho):
     """Start state with z0 = A x0 and u0 = 0."""
     x0 = np.array(_as_vector(x0, problem.n, "x0"))
-    if rho <= 0:
-        raise ValueError("penalty parameter rho must be positive")
-    return AdmmState(x=x0, z=problem.A @ x0, u=np.zeros(problem.m), k=0, rho=float(rho))
+    return AdmmState(x=x0, z=problem.A @ x0, u=np.zeros(problem.m), k=0, rho=rho)
 
 
 def initial_aadmm_state(problem, x0, rho, r):
     """Start state with z0 = A x0, u0 = 0 and the extrapolated copies equal to them."""
-    if r < 3:
-        raise ValueError(f"damping parameter r must be >= 3, got {r}")
     base = initial_admm_state(problem, x0, rho)
-    return AccAdmmState(
-        x=base.x,
-        z=base.z,
-        u=base.u,
-        z_hat=base.z.copy(),
-        u_hat=base.u.copy(),
-        k=0,
-        rho=base.rho,
-        r=float(r),
-    )
+    return AccAdmmState(**vars(base), z_hat=base.z.copy(), u_hat=base.u.copy(), r=r)
 
 
 class SubproblemCache:
@@ -175,8 +175,6 @@ def _sweep(problem, state, z, u, cache, inner_solver):
     """
     if state.x.shape != (problem.n,) or state.z.shape != (problem.m,) or state.u.shape != (problem.m,):
         raise ValueError("state dimensions do not match the problem")
-    if state.rho <= 0:
-        raise ValueError("penalty parameter rho must be positive")
     A, rho = problem.A, state.rho
     if inner_solver is not None:
         v = z - u
@@ -209,19 +207,16 @@ def admm_step(problem, state, cache=None, inner_solver=None):
     return AdmmState(x=x_new, z=z_new, u=u_new, k=state.k + 1, rho=state.rho)
 
 
-def aadmm_step(problem, state, cache=None, inner_solver=None, gamma=None):
+def aadmm_step(problem, state, cache=None, inner_solver=None):
     """One accelerated sweep against the extrapolated copies (z_hat, u_hat).
 
     The sweep mirrors :func:`admm_step` with (z_hat, u_hat) in place of
     (z, u); afterwards the copies are re-extrapolated with weight
     ``gamma = k / (k + r)`` evaluated at the pre-step counter, so the very
-    first step (k = 0, gamma = 0) coincides with plain ADMM. ``gamma`` may
-    be overridden, e.g. forced to zero to recover plain ADMM iterates.
+    first step (k = 0, gamma = 0) coincides with plain ADMM.
     """
-    if state.r < 3:
-        raise ValueError(f"damping parameter r must be >= 3, got {state.r}")
     x_new, z_new, u_new = _sweep(problem, state, state.z_hat, state.u_hat, cache, inner_solver)
-    g = momentum_coefficient(state.k, state.r) if gamma is None else float(gamma)
+    g = momentum_coefficient(state.k, state.r)
     return AccAdmmState(
         x=x_new,
         z=z_new,
@@ -234,20 +229,16 @@ def aadmm_step(problem, state, cache=None, inner_solver=None, gamma=None):
     )
 
 
-def _run(problem, x0, rho, r, max_iter, stop_tol, v_star, inner_solver):
+def _run(problem, state, max_iter, stop_tol, v_star, inner_solver):
     if max_iter < 1:
         raise ValueError("max_iter must be >= 1")
     v_star = resolve_v_star(problem, v_star)
-    accelerated = r is not None
-    state = (
-        initial_aadmm_state(problem, x0, rho, r)
-        if accelerated
-        else initial_admm_state(problem, x0, rho)
-    )
+    accelerated = isinstance(state, AccAdmmState)
+    rho = state.rho
     cache = None
     if inner_solver is None:
         cache = SubproblemCache(problem, rho)
-    delta = 1.0 / rho if not accelerated else 1.0 / math.sqrt(rho)
+    delta = 1.0 / time_scale(rho, accelerated)
 
     n_max = max_iter + 1
     ks = np.arange(n_max)
@@ -261,13 +252,13 @@ def _run(problem, x0, rho, r, max_iter, stop_tol, v_star, inner_solver):
     xs, vals, primal = columns["X"], columns["V"], columns["primal_residual"]
     meta = {
         "method": "aadmm" if accelerated else "admm",
-        "rho": float(rho),
+        "rho": rho,
         "max_iter": int(max_iter),
         "stop_tol": float(stop_tol),
         "stopped_early": False,
     }
     if accelerated:
-        meta["r"] = float(r)
+        meta["r"] = state.r
     label = f"{'accelerated ADMM' if accelerated else 'ADMM'} at rho = {rho:g}"
 
     def record(i, st):
@@ -299,12 +290,12 @@ def run_admm(problem, x0, rho, max_iter, stop_tol=0.0, v_star=None, inner_solver
     fixed budget). The time column is ``t = k / rho``. Records per iterate:
     x, objective gap and primal residual.
     """
-    return _run(problem, x0, rho, None, max_iter, stop_tol, v_star, inner_solver)
+    return _run(problem, initial_admm_state(problem, x0, rho), max_iter, stop_tol, v_star,
+                inner_solver)
 
 
 def run_aadmm(problem, x0, rho, r, max_iter, stop_tol=0.0, v_star=None, inner_solver=None):
     """Drive accelerated ADMM; same recording as :func:`run_admm`, with the
     time column ``t = k / sqrt(rho)``."""
-    if r is None or r < 3:
-        raise ValueError(f"damping parameter r must be >= 3, got {r}")
-    return _run(problem, x0, rho, float(r), max_iter, stop_tol, v_star, inner_solver)
+    return _run(problem, initial_aadmm_state(problem, x0, rho, r), max_iter, stop_tol, v_star,
+                inner_solver)

@@ -1,5 +1,8 @@
 """Exception types shared across the package."""
 
+__all__ = ["AdmmFlowError", "UnsupportedFunctionError", "NumericalError", "DivergenceError",
+           "WindowError"]
+
 
 class AdmmFlowError(Exception):
     """Base class for errors raised by this package."""

@@ -9,7 +9,7 @@ Two dynamical systems are integrated against a :class:`SplitProblem`:
   ``P = t^r (A^T A) X'`` and energy
 
       H(X, P, t) = 0.5 t^{-r} <P, (A^T A)^{-1} P> + t^r V(X)
-                 = t^r (0.5 <X', (A^T A) X'> + V(X)),
+                 = t^r (0.5 ||A X'||^2 + V(X)),
 
   integrated with the symplectic Euler scheme (momentum update first, both
   damping weights evaluated at the pre-step time). Written in X' itself,
@@ -19,8 +19,8 @@ Two dynamical systems are integrated against a :class:`SplitProblem`:
 
   the factor taken as ``exp(r log(t_k / t_{k+1}))``, so no ``t^r`` enters
   the step. H is evaluated in its second form after the loop; ``t^r``
-  overflows there for large r and t (near t = 35 at r = 200), which is
-  reported as divergence.
+  overflows there for large r and t (near t = 35 at r = 200), where H is
+  ``inf``. Divergence is judged on X, X' and V alone.
 
 For quadratic f and g the velocity ``f(X)`` is the affine map
 ``-(K X + b)`` of :attr:`SplitProblem.flow_map`, so no step solves a linear
@@ -42,7 +42,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .problem import _as_vector, eval_V, grad_V, resolve_v_star
+from .problem import _a_sq_norms, _as_vector, _check_damping, eval_V, grad_V, resolve_v_star
 from .trajectory import build_trajectory, divergence_error
 
 __all__ = [
@@ -101,10 +101,11 @@ class IntegratorConfig:
         if not steps <= MAX_STEPS:  # refuses inf and nan too
             raise ValueError(f"a grid of {steps:.6g} steps of h = {self.h:g} exceeds "
                              f"MAX_STEPS = {MAX_STEPS}")
-        if self.r is not None and self.r < 3:
-            raise ValueError(f"damping parameter r must be >= 3, got {self.r}")
-        if self.r is not None and self.t0 <= 0:
-            raise ValueError("the second-order flow requires t0 > 0 (1/t damping); t0 = h is typical")
+        if self.r is not None:
+            _check_damping(self.r)
+            if self.t0 <= 0:
+                raise ValueError("the second-order flow requires t0 > 0 (1/t damping); "
+                                 "t0 = h is typical")
 
     @property
     def n_steps(self):
@@ -164,13 +165,13 @@ def _integrate(problem, x0, config, v_star, meta, label, velocity, step, r=None)
     samples, so a diverged run stops within that many steps, and the stored
     X block is checked once after the loop.
     After the loop V is evaluated at every sample and, when ``r`` is given,
-    the Hamiltonian of the second-order flow,
-    ``H = t^r (0.5 <X', (A^T A) X'> + V)``.
+    the Hamiltonian of the second-order flow, ``H = t^r (0.5 ||A X'||^2 + V)``;
+    H is ``inf`` where ``t^r`` overflows, which is not divergence.
 
     Raises
     ------
     DivergenceError
-        At the first sample where X, V or H is not finite; it carries the
+        At the first sample where X, X' or V is not finite; it carries the
         last finite time and the trajectory up to it.
     """
     x = np.array(_as_vector(x0, problem.n, "x0"))
@@ -184,7 +185,7 @@ def _integrate(problem, x0, config, v_star, meta, label, velocity, step, r=None)
     # inside it only stops a diverged run early
     check_every = FINITE_CHECK_EVERY if problem.is_quadratic else 1
     # divergence is detected and reported below; silence the raw overflow, and
-    # t^r overflowing in H (large r and t)
+    # t^r overflowing in H (large r and t), which leaves H = inf
     with np.errstate(over="ignore", invalid="ignore"):
         end = n
         for i in range(n):
@@ -196,12 +197,10 @@ def _integrate(problem, x0, config, v_star, meta, label, velocity, step, r=None)
             if i + 1 < n:
                 x = step(ts[i], ts[i + 1], x, xds[i])
         vals = columns["V"] = _values(problem, xs[:end])
-        finite = np.isfinite(xs[:end]).all(axis=1) & np.isfinite(vals)
         if r is not None:
-            xds_end = xds[:end]
-            kinetic = 0.5 * np.einsum("ij,ij->i", xds_end @ problem.ata, xds_end)
-            hams = columns["hamiltonian"] = ts[:end] ** r * (kinetic + vals)
-            finite &= np.isfinite(hams)
+            columns["hamiltonian"] = ts[:end] ** r * (0.5 * _a_sq_norms(problem, xds[:end]) + vals)
+    finite = (np.isfinite(xs[:end]).all(axis=1) & np.isfinite(xds[:end]).all(axis=1)
+              & np.isfinite(vals))
     stop = end if finite.all() else int(np.argmin(finite))
     if stop < n:
         raise divergence_error(label, columns, stop, v_star, meta)
@@ -250,7 +249,8 @@ def aadmm_flow_integrate(problem, x0, config, v_star=None):
     Starts at t0 > 0 with X(t0) = x0 and X'(t0) = 0 (carrying the
     zero-initial-velocity condition to t0), then applies symplectic Euler
     steps up to t_end. Samples record t, X, the velocity X', the objective
-    gap and the Hamiltonian ``H = t^r (0.5 <X', (A^T A) X'> + V(X))``.
+    gap and the Hamiltonian ``H = t^r (0.5 ||A X'||^2 + V(X))`` (``inf``
+    where ``t^r`` overflows).
 
     Requires ``config.r``; the config then checks ``r >= 3`` and ``t0 > 0``.
     """

@@ -44,6 +44,14 @@ def _as_vector(x, dim, name):
     return x
 
 
+def _check_damping(r):
+    """``r`` as a float, if it is a valid damping parameter of the second-order
+    flow and of A-ADMM: ``r >= 3`` (Su, Boyd & Candes, arXiv:1503.01243)."""
+    if r is None or not r >= 3:
+        raise ValueError(f"damping parameter r must be >= 3, got {r}")
+    return float(r)
+
+
 class QuadraticFunction:
     """Convex quadratic ``h(v) = 0.5 * <v, M v> + <q, v>``.
 
@@ -245,6 +253,13 @@ def grad_V(problem, x):
     """Gradient of the composite objective, ``grad f(x) + A^T grad g(A x)``."""
     x = _as_vector(x, problem.n, "x")
     return problem.f.grad(x) + problem.A.T @ problem.g.grad(problem.A @ x)
+
+
+def _a_sq_norms(problem, ys):
+    """``||A y||^2`` for each row ``y`` of ``ys``: the kinetic term of the
+    second-order flow and the quadratic part of the Lyapunov energies."""
+    ays = ys @ problem.A.T
+    return np.einsum("ij,ij->i", ays, ays)
 
 
 def _hessian_and_linear_term(problem):

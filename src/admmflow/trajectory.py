@@ -41,24 +41,14 @@ class Trajectory:
     def __len__(self):
         return int(self.t.shape[0])
 
-    def x_norms(self):
-        if self.X is None:
-            raise ValueError("trajectory carries no state samples")
-        return np.linalg.norm(self.X, axis=1)
-
-    def xdot_norms(self):
-        if self.Xdot is None:
-            raise ValueError("trajectory carries no velocity samples")
-        return np.linalg.norm(self.Xdot, axis=1)
-
     def _columns(self):
         # Discrete schema: k,t,V_gap,primal_residual,x_norm
         # Flow schema:     t,V_gap[,hamiltonian],x_norm[,xdot_norm]
         # (each optional column is written when the trajectory carries it)
         cols = [("k", self.k), ("t", self.t), ("V_gap", self.v_gap),
                 ("primal_residual", self.primal_residual), ("hamiltonian", self.hamiltonian),
-                ("x_norm", None if self.X is None else self.x_norms()),
-                ("xdot_norm", None if self.Xdot is None else self.xdot_norms())]
+                ("x_norm", None if self.X is None else np.linalg.norm(self.X, axis=1)),
+                ("xdot_norm", None if self.Xdot is None else np.linalg.norm(self.Xdot, axis=1))]
         return [(name, values) for name, values in cols if values is not None]
 
     def to_csv(self, path, truncation_note=None):
@@ -138,10 +128,13 @@ def load_trajectory_csv(path):
     """Read a trajectory CSV into a dict of float arrays keyed by column name.
 
     Rows whose first cell is not numeric (e.g. a truncation marker or a
-    blank line) are skipped; the others are parsed by ``np.loadtxt``.
+    blank line) are skipped; the others are parsed by ``np.loadtxt``. A file
+    without a header row raises ``ValueError``.
     """
     with open(path, "r", newline="", encoding="utf-8") as fh:
-        header = next(csv.reader(fh))
+        header = next(csv.reader(fh), None)
+        if header is None:
+            raise ValueError(f"{path}: empty file, expected a trajectory CSV header")
         lines = [line for line in fh if _numeric_first_cell(line)]
     # loadtxt warns on empty input
     data = np.loadtxt(lines, delimiter=",", ndmin=2) if lines else np.empty(0)

@@ -109,7 +109,7 @@ def test_criterion_05_one_over_t_rate():
     p = figure1_instance(FIGURE1_DEFAULT_SEED)
     x0 = X0_SCALE * np.ones(p.n)
     flow = af.rk4_integrate(p, x0, IntegratorConfig(h=1e-3, t0=0.0, t_end=20.0))
-    fit = af.fit_rate(flow, 0.0, (2.0, 20.0), slope_target=-1.0)
+    fit = af.fit_rate(flow, (2.0, 20.0), slope_target=-1.0)
     elapsed = time.perf_counter() - start
     report(5, "first-order flow objective-gap rate", fit.slope <= -0.9,
            f"log-log slope {fit.slope:.3f} <= -0.9 on t in [2, 20] (C = {fit.C:.3g})",
@@ -121,7 +121,7 @@ def test_criterion_06_one_over_t2_rate():
     p = figure1_instance(FIGURE1_DEFAULT_SEED)
     x0 = X0_SCALE * np.ones(p.n)
     flow = af.aadmm_flow_integrate(p, x0, IntegratorConfig(h=1e-2, t0=1e-2, t_end=20.0, r=10.0))
-    fit = af.fit_rate(flow, 0.0, (2.0, 20.0), slope_target=-2.0)
+    fit = af.fit_rate(flow, (2.0, 20.0), slope_target=-2.0)
     elapsed = time.perf_counter() - start
     report(6, "second-order flow objective-gap rate", fit.slope <= -1.7,
            f"log-log slope {fit.slope:.3f} <= -1.7 on t in [2, 20] with r=10 (C = {fit.C:.3g})",

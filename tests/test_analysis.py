@@ -46,12 +46,12 @@ def test_monitor_admm_stability_exponential(one_d_problem):
     assert np.isnan(resid[0]) and np.isnan(resid[-1])
 
 
-def test_monitor_admm_stability_uses_rhs_when_no_velocity(one_d_problem):
+def test_monitor_admm_stability_requires_velocity(one_d_problem):
+    # the residual needs X': a trajectory without recorded velocities is refused
     traj = exp_flow_trajectory()
     bare = af.Trajectory(t=traj.t, V=traj.V, v_gap=traj.v_gap, X=traj.X, v_star=0.0)
-    a = af.monitor_admm_stability(one_d_problem, traj, np.array([0.0]))
-    b = af.monitor_admm_stability(one_d_problem, bare, np.array([0.0]))
-    assert np.allclose([s.residual for s in a][1:-1], [s.residual for s in b][1:-1], rtol=1e-10)
+    with pytest.raises(ValueError, match="velocity"):
+        af.monitor_admm_stability(one_d_problem, bare, np.array([0.0]))
 
 
 def test_monitor_admm_rate_constant(one_d_problem):
@@ -162,16 +162,25 @@ def test_monitor_aadmm_requires_velocity(one_d_problem):
 def test_fit_rate_pure_power_laws():
     t = np.linspace(1.0, 30.0, 400)
     quad = af.Trajectory(t=t, V=7.0 / t**2, v_gap=7.0 / t**2)
-    fit = af.fit_rate(quad, 0.0, (2.0, 20.0), slope_target=-2.0)
+    fit = af.fit_rate(quad, (2.0, 20.0), slope_target=-2.0)
     assert fit.slope == pytest.approx(-2.0, abs=1e-6)
     assert fit.C == pytest.approx(7.0, abs=1e-5)
     lin = af.Trajectory(t=t, V=3.0 / t, v_gap=3.0 / t)
-    fit = af.fit_rate(lin, 0.0, (2.0, 20.0), slope_target=-1.0)
+    fit = af.fit_rate(lin, (2.0, 20.0), slope_target=-1.0)
     assert fit.slope == pytest.approx(-1.0, abs=1e-6)
     assert fit.C == pytest.approx(3.0, abs=1e-5)
     assert fit.n_samples >= 10
     assert "slope" not in fit.summary()  # values only, comma separated
-    assert fit.summary().count(",") == 4
+    assert len(fit.summary().split(",")) == len(af.RateFit.FIELDS)
+
+
+def test_fit_rate_reads_trajectory_gaps():
+    # the gaps are the trajectory's v_gap, whatever offset V carries
+    t = np.linspace(1.0, 30.0, 400)
+    offset = af.Trajectory(t=t, V=7.0 / t**2 + 5.0, v_gap=7.0 / t**2)
+    fit = af.fit_rate(offset, (2.0, 20.0), slope_target=-2.0)
+    assert fit.slope == pytest.approx(-2.0, abs=1e-6)
+    assert fit.C == pytest.approx(7.0, abs=1e-5)
 
 
 def test_fit_rate_window_errors():
@@ -179,19 +188,19 @@ def test_fit_rate_window_errors():
     gap = 1e-12 / t**2  # drops through the 1e-14 floor at t = 10
     traj = af.Trajectory(t=t, V=gap, v_gap=gap)
     with pytest.raises(WindowError) as err:
-        af.fit_rate(traj, 0.0, (2.0, 25.0))
+        af.fit_rate(traj, (2.0, 25.0))
     assert "t_hi" in str(err.value)
     with pytest.raises(ValueError):
-        af.fit_rate(traj, 0.0, (0.0, 10.0))
+        af.fit_rate(traj, (0.0, 10.0))
     small = af.Trajectory(t=np.linspace(2, 3, 5), V=np.ones(5), v_gap=np.ones(5))
     with pytest.raises(ValueError):
-        af.fit_rate(small, 0.0, (1.0, 10.0))
+        af.fit_rate(small, (1.0, 10.0))
 
 
 def test_figure1_rate_fits(figure1_rk4_traj, figure1_symplectic_traj):
-    plain = af.fit_rate(figure1_rk4_traj, 0.0, (2.0, 20.0), slope_target=-1.0)
+    plain = af.fit_rate(figure1_rk4_traj, (2.0, 20.0), slope_target=-1.0)
     assert plain.slope <= -1.0 + 0.3
-    acc = af.fit_rate(figure1_symplectic_traj, 0.0, (2.0, 20.0), slope_target=-2.0)
+    acc = af.fit_rate(figure1_symplectic_traj, (2.0, 20.0), slope_target=-2.0)
     assert acc.slope <= -2.0 + 0.3
 
 

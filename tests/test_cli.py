@@ -212,6 +212,14 @@ def test_rates_window_underflow(tmp_path):
                  "--target", "-2", "--window-hi", "25"]) == 2
 
 
+def test_rates_empty_csv_exits_2(tmp_path, capsys):
+    path = tmp_path / "empty.csv"
+    path.write_text("")
+    assert main(["rates", "--trajectory", str(path), "--target", "-1"]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error:") and "empty.csv" in err
+
+
 def test_figure1_smoke(tmp_path, capsys):
     out = str(tmp_path / "fig")
     code = main(["figure1", "--seed", "5", "--max-iter", "50", "--h-rk4", "5e-3",

@@ -1,3 +1,5 @@
+import dataclasses
+
 import numpy as np
 import pytest
 
@@ -98,13 +100,16 @@ def test_aadmm_first_step_equals_admm(pd_2d_problem):
 
 
 def test_aadmm_forced_zero_momentum_matches_admm(figure1_problem, figure1_x0):
+    # resetting the extrapolated copies to (z, u) before each step removes the
+    # momentum, leaving plain ADMM iterates
     rho = 20.0
     cache = SubproblemCache(figure1_problem, rho)
     a = af.initial_admm_state(figure1_problem, figure1_x0, rho)
     b = af.initial_aadmm_state(figure1_problem, figure1_x0, rho, r=5.0)
     for _ in range(20):
         a = af.admm_step(figure1_problem, a, cache=cache)
-        b = af.aadmm_step(figure1_problem, b, cache=cache, gamma=0.0)
+        b = dataclasses.replace(b, z_hat=b.z, u_hat=b.u)
+        b = af.aadmm_step(figure1_problem, b, cache=cache)
         assert np.array_equal(a.x, b.x)
         assert np.array_equal(a.z, b.z)
         assert np.array_equal(a.u, b.u)
@@ -116,6 +121,12 @@ def test_aadmm_rejects_small_r(pd_2d_problem):
         af.initial_aadmm_state(pd_2d_problem, x0, rho=1.0, r=2.9)
     with pytest.raises(ValueError):
         af.run_aadmm(pd_2d_problem, x0, rho=1.0, r=2.0, max_iter=5)
+    with pytest.raises(ValueError, match="r must be >= 3"):
+        af.run_aadmm(pd_2d_problem, x0, rho=1.0, r=None, max_iter=5)
+    # the state itself owns the check, also when built directly
+    for r in (2.9, np.nan, None):
+        with pytest.raises(ValueError, match="r must be >= 3"):
+            af.AccAdmmState(x=x0, z=x0, u=x0, k=0, rho=1.0, z_hat=x0, u_hat=x0, r=r)
 
 
 def test_run_admm_sample_count(one_d_problem):
@@ -234,6 +245,10 @@ def test_parameter_validation(one_d_problem):
     x0 = np.array([1.0])
     with pytest.raises(ValueError):
         af.initial_admm_state(one_d_problem, x0, rho=0.0)
+    for state_class, extra in ((af.AdmmState, {}),
+                               (af.AccAdmmState, {"z_hat": x0, "u_hat": x0, "r": 3.0})):
+        with pytest.raises(ValueError, match="rho"):
+            state_class(x=x0, z=x0, u=x0, k=0, rho=-1.0, **extra)
     with pytest.raises(ValueError):
         af.run_admm(one_d_problem, x0, rho=1.0, max_iter=0)
     cache = SubproblemCache(one_d_problem, 1.0)

@@ -76,11 +76,21 @@ def test_csv_deterministic(tmp_path, one_d_problem):
     assert a.read_bytes() == b.read_bytes()
 
 
-def test_norm_helpers(one_d_problem):
+def test_norm_columns(tmp_path, one_d_problem):
+    # x_norm is ||X|| per sample; a discrete run records no velocities, so its
+    # CSV has no xdot_norm column
     traj = af.run_admm(one_d_problem, np.array([1.0]), rho=1.0, max_iter=2)
-    assert np.allclose(traj.x_norms(), np.abs(traj.X[:, 0]))
-    with pytest.raises(ValueError):
-        traj.xdot_norms()
+    traj.to_csv(tmp_path / "run.csv")
+    cols = load_trajectory_csv(tmp_path / "run.csv")
+    assert np.allclose(cols["x_norm"], np.abs(traj.X[:, 0]))
+    assert "xdot_norm" not in cols
+
+
+def test_load_empty_csv_names_the_file(tmp_path):
+    path = tmp_path / "empty.csv"
+    path.write_text("")
+    with pytest.raises(ValueError, match="empty.csv"):
+        load_trajectory_csv(path)
 
 
 finite_floats = st.floats(allow_nan=False, allow_infinity=False)
