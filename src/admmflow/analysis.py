@@ -9,9 +9,10 @@ array with one row per sample and the columns ``t``, ``value`` (the
 energy), ``decay_ok`` (bool) and ``residual`` (nan where undefined); its
 rows iterate as records with the same attribute names. Monitors that need
 the velocity X' read the trajectory's recorded ``Xdot`` (both flows record
-it), and every ``||A y||^2`` term is formed by the same row-wise helper as
-the Hamiltonian of the second-order flow. Rate fits read the trajectory's
-own objective gaps ``v_gap``.
+it), the second-order ones read the damping r from its ``meta["r"]``, and
+every ``||A y||^2`` term is formed by the same row-wise helper as the
+Hamiltonian of the second-order flow. Rate fits read the trajectory's own
+objective gaps ``v_gap``.
 
 Decay tolerances default to the integrator order that produced the
 trajectory: tight (1e-9) for RK4 runs of the first-order flow, looser
@@ -84,16 +85,15 @@ def _check_traj(traj, need_velocity=False):
         raise ValueError("this monitor needs velocity samples (trajectory.Xdot)")
 
 
-def _resolve_r(traj, r):
-    """Damping parameter r of a second-order-flow trajectory with velocities, t > 0."""
+def _damping(traj):
+    """Damping parameter ``meta["r"]`` of a second-order-flow trajectory with
+    velocities and positive sample times."""
     _check_traj(traj, need_velocity=True)
     if np.any(traj.t <= 0):
         raise ValueError("second-order-flow monitors require positive sample times")
-    if r is None:
-        r = traj.meta.get("r")
-    if r is None:
-        raise ValueError("damping parameter r not given and absent from trajectory meta")
-    return _check_damping(r)
+    if "r" not in traj.meta:
+        raise ValueError("damping parameter r absent from trajectory meta")
+    return _check_damping(traj.meta["r"])
 
 
 def _samples(t, E, ok, resid=None):
@@ -130,14 +130,15 @@ def monitor_admm_rate(problem, traj, x_star, rtol=1e-9):
     return _samples(traj.t, E, _decay_flags(E, rtol))
 
 
-def monitor_aadmm_stability(problem, traj, x_star, r=None, rtol=1e-5):
+def monitor_aadmm_stability(problem, traj, x_star, rtol=1e-5):
     """Mechanical energy ``E = 0.5 ||A X'||^2 + V(X) - V(x*)`` of the
     second-order flow.
 
-    Along the exact flow, dE/dt = -(r/t) ||A X'||^2; ``residual`` reports
+    Along the exact flow, dE/dt = -(r/t) ||A X'||^2, with r the damping
+    parameter the trajectory records in ``meta["r"]``; ``residual`` reports
     ``|dE/dt + (r/t) ||A X'||^2|`` with dE/dt from central differences.
     """
-    r = _resolve_r(traj, r)
+    r = _damping(traj)
     E0 = eval_V(problem, x_star)
     kinetic = _a_sq_norms(problem, traj.Xdot)
     E = 0.5 * kinetic + traj.V - E0
@@ -145,10 +146,10 @@ def monitor_aadmm_stability(problem, traj, x_star, r=None, rtol=1e-5):
     return _samples(traj.t, E, _decay_flags(E, rtol), resid)
 
 
-def monitor_aadmm_rate(problem, traj, x_star, r=None, rtol=1e-5):
+def monitor_aadmm_rate(problem, traj, x_star, rtol=1e-5):
     """Time-weighted rate energy of the second-order flow.
 
-    With ``eta(t) = 2 log(t / (r - 1))``,
+    With r the trajectory's ``meta["r"]`` and ``eta(t) = 2 log(t / (r - 1))``,
 
         E = e^eta (V(X) - V(x*)) + 0.5 ||A (X - x* + e^{eta/2} X')||^2,
 
@@ -157,7 +158,7 @@ def monitor_aadmm_rate(problem, traj, x_star, r=None, rtol=1e-5):
     ``e^{-eta/2} + eta'/2 = r/t``; its residual is stored per sample and
     verified to hold to machine precision (relative to max(1, r/t)).
     """
-    r = _resolve_r(traj, r)
+    r = _damping(traj)
     t = traj.t
     x_star = np.asarray(x_star, dtype=float)
     eta = 2.0 * np.log(t / (r - 1.0))

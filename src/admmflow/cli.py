@@ -28,7 +28,7 @@ from .analysis import (
     write_monitor_csv,
 )
 from .discrete import run_aadmm, run_admm, time_scale
-from .exceptions import AdmmFlowError, DivergenceError, WindowError
+from .exceptions import AdmmFlowError, DivergenceError
 from .flows import (
     DEFAULT_RK4_H,
     DEFAULT_SYMPLECTIC_H,
@@ -48,7 +48,11 @@ OUTDIR_ENV = "ADMMFLOW_OUTDIR"
 
 SOLVERS = ("admm", "aadmm", "admm_flow", "aadmm_flow")
 
-FIGURE1_DEFAULT_SEED = 38
+# the paper's experiment, and the defaults of gen, run, figure1 and rates:
+# problem draw, start point x0 * ones, rho, r, iterations and rate-fit window
+FIGURE1 = {"n": 60, "zero_eigs": 40, "eig_hi": 10.0, "cond_a": 100.0, "seed": 38,
+           "x0": 5.0, "rho": 50.0, "r": 10.0, "max_iter": 300,
+           "window_lo": 2.0, "window_hi": 20.0}
 
 
 def _default_outdir():
@@ -148,7 +152,7 @@ def cmd_figure1(args):
         print(f"error: rate-fit window must satisfy 0 < window-lo < window-hi, got "
               f"({args.window_lo:g}, {args.window_hi:g})", file=sys.stderr)
         return EXIT_USAGE
-    rhos = args.rho or [50.0]
+    rhos = args.rho or [FIGURE1["rho"]]
     # flows are penalty-free: integrate once, covering the rate window and
     # the longest discrete time range (that of the smallest rho); both grids
     # are built, and so checked, before any file is written
@@ -162,11 +166,12 @@ def cmd_figure1(args):
     os.makedirs(outdir, exist_ok=True)
     t_start = time.perf_counter()
 
-    problem = gen_figure1_problem(60, 40, 10.0, 100.0, seed=args.seed)
+    problem = gen_figure1_problem(FIGURE1["n"], FIGURE1["zero_eigs"], FIGURE1["eig_hi"],
+                                  FIGURE1["cond_a"], seed=args.seed)
     problem_path = os.path.join(outdir, "problem.json")
     save_problem(problem, problem_path)
     x_star, v_star = optimal_value(problem)
-    x0 = 5.0 * np.ones(problem.n)
+    x0 = np.full(problem.n, FIGURE1["x0"])
     files = {"problem": problem_path}
     window = (args.window_lo, args.window_hi)
 
@@ -238,7 +243,7 @@ def cmd_figure1(args):
             "max_iter": args.max_iter,
             "h_rk4": args.h_rk4,
             "h_symplectic": args.h_symplectic,
-            "x0": 5.0,
+            "x0": FIGURE1["x0"],
             "window": list(window),
         },
         "v_star": v_star,
@@ -276,11 +281,7 @@ def cmd_rates(args):
         _, v_star = optimal_value(load_problem(args.problem))
     gap = cols["V_gap"]
     traj = Trajectory(t=cols["t"], V=gap, v_gap=gap - v_star)
-    try:
-        fit = fit_rate(traj, (args.window_lo, args.window_hi), slope_target=args.target)
-    except WindowError as err:
-        print(f"error: {err}", file=sys.stderr)
-        return EXIT_USAGE
+    fit = fit_rate(traj, (args.window_lo, args.window_hi), slope_target=args.target)
     print(",".join(RateFit.FIELDS))
     print(fit.summary())
     if fit.slope <= args.target + args.tol:
@@ -288,6 +289,13 @@ def cmd_rates(args):
     print(f"rate check failed: slope {fit.slope:.4f} > target {args.target:g} "
           f"+ tol {args.tol:g}", file=sys.stderr)
     return EXIT_CHECK_FAILED
+
+
+def _figure1_default(parser, flag, type, help=None):
+    """Add ``flag`` with its default from :data:`FIGURE1`, named in its help."""
+    default = FIGURE1[flag[2:].replace("-", "_")]
+    parser.add_argument(flag, type=type, default=default,
+                        help=help and f"{help} (default {default:g})")
 
 
 def build_parser():
@@ -299,13 +307,10 @@ def build_parser():
     sub = parser.add_subparsers(dest="command", required=True)
 
     gen = sub.add_parser("gen", help="generate and save a random benchmark problem")
-    gen.add_argument("--n", type=int, default=60, help="primal dimension (default 60)")
-    gen.add_argument("--zero-eigs", type=int, default=40,
-                     help="zero eigenvalues of the quadratic term (default 40)")
-    gen.add_argument("--eig-hi", type=float, default=10.0,
-                     help="upper end of the nonzero eigenvalue range (default 10)")
-    gen.add_argument("--cond-a", type=float, default=100.0,
-                     help="condition number of A (default 100)")
+    _figure1_default(gen, "--n", int, "primal dimension")
+    _figure1_default(gen, "--zero-eigs", int, "zero eigenvalues of the quadratic term")
+    _figure1_default(gen, "--eig-hi", float, "upper end of the nonzero eigenvalue range")
+    _figure1_default(gen, "--cond-a", float, "condition number of A")
     gen.add_argument("--m", type=int, default=None, help="rows of A (default n)")
     gen.add_argument("--seed", type=int, default=7, help="RNG seed (default 7)")
     gen.add_argument("--out", default=None,
@@ -324,12 +329,10 @@ def build_parser():
     run.add_argument("--solver", action="append", choices=SOLVERS, required=True,
                      help="method to run (repeatable): admm_flow = first-order flow (RK4), "
                           "aadmm_flow = second-order flow (symplectic Euler)")
-    run.add_argument("--rho", type=_positive(float), default=50.0,
-                     help="penalty parameter (default 50)")
-    run.add_argument("--r", type=float, default=10.0, help="damping parameter (default 10)")
-    run.add_argument("--max-iter", type=_positive(int), default=300,
-                     help="iteration budget; also sets default flow t-end via the "
-                          "method time scale (default 300)")
+    _figure1_default(run, "--rho", _positive(float), "penalty parameter")
+    _figure1_default(run, "--r", float, "damping parameter")
+    _figure1_default(run, "--max-iter", _positive(int),
+                     "iteration budget; also sets default flow t-end via the method time scale")
     run.add_argument("--stop-tol", type=float, default=0.0,
                      help="early-stop tolerance on primal residual + z movement (default 0)")
     run.add_argument("--h", type=float, default=None,
@@ -338,8 +341,7 @@ def build_parser():
                      help="flow start time (defaults: rk4 0, symplectic h)")
     run.add_argument("--t-end", type=float, default=None,
                      help="flow end time (default max_iter * method time scale)")
-    run.add_argument("--x0", type=float, default=5.0,
-                     help="initial point, replicated across coordinates (default 5)")
+    _figure1_default(run, "--x0", float, "initial point, replicated across coordinates")
     run.add_argument("--out-dir", default=None, help=f"output directory (default ${OUTDIR_ENV} or .)")
     run.set_defaults(func=cmd_run)
 
@@ -353,23 +355,19 @@ def build_parser():
                "aadmm_vs_flow; overlay.csv t plus one V-gap column per "
                "method; report.json index written last.",
     )
-    fig.add_argument("--seed", type=int, default=FIGURE1_DEFAULT_SEED,
-                     help=f"problem seed (default {FIGURE1_DEFAULT_SEED})")
+    _figure1_default(fig, "--seed", int, "problem seed")
     fig.add_argument("--rho", type=_positive(float), action="append",
-                     help="penalty parameter, repeatable for a sweep (default 50)")
-    fig.add_argument("--r", type=float, default=10.0, help="damping parameter (default 10)")
-    fig.add_argument("--max-iter", type=_positive(int), default=300,
-                     help="discrete iteration budget (default 300)")
+                     help=f"penalty parameter, repeatable for a sweep (default {FIGURE1['rho']:g})")
+    _figure1_default(fig, "--r", float, "damping parameter")
+    _figure1_default(fig, "--max-iter", _positive(int), "discrete iteration budget")
     fig.add_argument("--h-rk4", type=float, default=DEFAULT_RK4_H,
                      help="first-order flow step (default 1e-3)")
     fig.add_argument("--h-symplectic", type=float, default=DEFAULT_SYMPLECTIC_H,
                      help="second-order flow step (default 1e-2)")
     fig.add_argument("--t0", type=float, default=None,
                      help="second-order flow start time (default h)")
-    fig.add_argument("--window-lo", type=float, default=2.0,
-                     help="rate-fit window lower end (default 2)")
-    fig.add_argument("--window-hi", type=float, default=20.0,
-                     help="rate-fit window upper end (default 20)")
+    _figure1_default(fig, "--window-lo", float, "rate-fit window lower end")
+    _figure1_default(fig, "--window-hi", float, "rate-fit window upper end")
     fig.add_argument("--overlay-points", type=_positive(int), default=2001,
                      help="grid size of the overlay file (default 2001)")
     fig.add_argument("--out-dir", default=None,
@@ -388,8 +386,8 @@ def build_parser():
                        help="target slope, e.g. -1 or -2")
     rates.add_argument("--tol", type=float, default=0.1,
                        help="slack added to the target (default 0.1)")
-    rates.add_argument("--window-lo", type=float, default=2.0)
-    rates.add_argument("--window-hi", type=float, default=20.0)
+    _figure1_default(rates, "--window-lo", float)
+    _figure1_default(rates, "--window-hi", float)
     rates.set_defaults(func=cmd_rates)
 
     return parser

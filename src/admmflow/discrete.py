@@ -177,6 +177,8 @@ def _sweep(problem, state, z, u, cache, inner_solver):
         raise ValueError("state dimensions do not match the problem")
     A, rho = problem.A, state.rho
     if inner_solver is not None:
+        if cache is not None:
+            raise ValueError("pass a subproblem cache or an inner solver, not both")
         v = z - u
         x_new = _solve_generic(problem.f, rho, lambda y: A @ y - v, lambda res: A.T @ res,
                                state.x, inner_solver)
@@ -201,7 +203,8 @@ def admm_step(problem, state, cache=None, inner_solver=None):
     With quadratic f, g the two subproblems are solved exactly through
     cached Cholesky factors (built on the fly when ``cache`` is None;
     drivers build it once per run). Otherwise ``inner_solver(fun, grad, x0)``
-    must minimize a smooth convex function to gradient-norm tolerance 1e-10.
+    must minimize a smooth convex function to gradient-norm tolerance 1e-10;
+    a ``cache`` given with it is refused with ``ValueError``.
     """
     x_new, z_new, u_new = _sweep(problem, state, state.z, state.u, cache, inner_solver)
     return AdmmState(x=x_new, z=z_new, u=u_new, k=state.k + 1, rho=state.rho)

@@ -28,8 +28,8 @@ system. One RK4 step of it is itself an affine map ``X -> P X + d``, built
 once per run, and X is checked for finite values once after the loop (and
 every ``FINITE_CHECK_EVERY`` samples, to stop a diverged run early).
 Callback problems solve with the cached Cholesky factor of A^T A, take the
-four-stage RK4 step, and check X before each velocity, so a callback never
-sees a non-finite input.
+four-stage RK4 step, and check X before each velocity and X' before each
+step, so a callback never sees a non-finite input.
 
 With ``A = I`` these reduce to plain gradient flow and to the damped
 oscillator flow of accelerated gradient descent.
@@ -160,7 +160,8 @@ def _integrate(problem, x0, config, v_star, meta, label, velocity, step, r=None)
 
     At each grid time: record X and the velocity ``X' = velocity(X)`` and
     advance with ``X = step(t, t_next, X, X')``. For callback problems the
-    loop stops at the first non-finite X, before its velocity is taken; for
+    loop stops at the first non-finite X, before its velocity is taken, and
+    at the first non-finite X', before the step passes it to a callback; for
     quadratic problems X is checked only every ``FINITE_CHECK_EVERY``
     samples, so a diverged run stops within that many steps, and the stored
     X block is checked once after the loop.
@@ -180,9 +181,9 @@ def _integrate(problem, x0, config, v_star, meta, label, velocity, step, r=None)
     ts = config.t0 + config.h * np.arange(n)
     xs, xds = np.empty((n, problem.n)), np.empty((n, problem.n))
     columns = {"t": ts, "X": xs, "Xdot": xds}
-    # a callback must never see a non-finite X (nor cho_solve, which rejects
-    # it); a quadratic run's X is checked in full after the loop, so the check
-    # inside it only stops a diverged run early
+    # a callback must never see a non-finite X or X' (nor cho_solve, which
+    # rejects it); a quadratic run's X is checked in full after the loop, so
+    # the check inside it only stops a diverged run early
     check_every = FINITE_CHECK_EVERY if problem.is_quadratic else 1
     # divergence is detected and reported below; silence the raw overflow, and
     # t^r overflowing in H (large r and t), which leaves H = inf
@@ -194,6 +195,9 @@ def _integrate(problem, x0, config, v_star, meta, label, velocity, step, r=None)
                 break
             xs[i] = x
             xds[i] = velocity(x)
+            if check_every == 1 and not np.all(np.isfinite(xds[i])):
+                end = i + 1  # sample i is kept, and the check below stops there
+                break
             if i + 1 < n:
                 x = step(ts[i], ts[i + 1], x, xds[i])
         vals = columns["V"] = _values(problem, xs[:end])

@@ -30,8 +30,6 @@ __all__ = [
     "optimal_value",
     "resolve_v_star",
     "gen_figure1_problem",
-    "problem_to_dict",
-    "problem_from_dict",
     "save_problem",
     "load_problem",
 ]
@@ -391,13 +389,14 @@ def gen_figure1_problem(n, zero_eigs, eig_hi, cond_a, seed, m=None):
     )
 
 
-def problem_to_dict(problem):
-    """Self-describing dict form of a quadratic problem (matrices row-major)."""
+def save_problem(problem, path):
+    """Write a quadratic problem as JSON (matrices row-major). Deterministic
+    for identical problems."""
     if not problem.is_quadratic:
         raise UnsupportedFunctionError(
             "only quadratic problems can be serialized (callback functions have no data form)"
         )
-    return {
+    data = {
         "n": problem.n,
         "m": problem.m,
         "M_f": problem.f.M.ravel().tolist(),
@@ -408,9 +407,15 @@ def problem_to_dict(problem):
         "seed": problem.seed,
         "generator_params": problem.generator_params,
     }
+    with open(path, "w", encoding="utf-8") as fh:
+        json.dump(data, fh, indent=1)
+        fh.write("\n")
 
 
-def problem_from_dict(data):
+def load_problem(path):
+    """Read a problem written by :func:`save_problem`."""
+    with open(path, "r", encoding="utf-8") as fh:
+        data = json.load(fh)
     try:
         n = int(data["n"])
         m = int(data["m"])
@@ -428,15 +433,3 @@ def problem_from_dict(data):
     return SplitProblem(
         f, g, A, seed=data.get("seed"), generator_params=data.get("generator_params")
     )
-
-
-def save_problem(problem, path):
-    """Write a quadratic problem as JSON. Deterministic for identical problems."""
-    with open(path, "w", encoding="utf-8") as fh:
-        json.dump(problem_to_dict(problem), fh, indent=1)
-        fh.write("\n")
-
-
-def load_problem(path):
-    with open(path, "r", encoding="utf-8") as fh:
-        return problem_from_dict(json.load(fh))

@@ -124,19 +124,36 @@ def _numeric_first_cell(line):
     return True
 
 
+def _width_fault(lines, width):
+    """The first of ``lines`` without ``width`` cells, described, or None."""
+    for line in lines:
+        cells = line.count(",") + 1
+        if cells != width:
+            return f"the header names {width} columns, but data row {line.strip()!r} has {cells}"
+    return None
+
+
 def load_trajectory_csv(path):
     """Read a trajectory CSV into a dict of float arrays keyed by column name.
 
     Rows whose first cell is not numeric (e.g. a truncation marker or a
     blank line) are skipped; the others are parsed by ``np.loadtxt``. A file
-    without a header row raises ``ValueError``.
+    without a header row, or with a data row that is not one number per
+    header column, raises ``ValueError`` naming the file and the fault.
     """
     with open(path, "r", newline="", encoding="utf-8") as fh:
         header = next(csv.reader(fh), None)
         if header is None:
             raise ValueError(f"{path}: empty file, expected a trajectory CSV header")
+        if not any(header):
+            raise ValueError(f"{path}: the first line is blank, expected a trajectory CSV header")
         lines = [line for line in fh if _numeric_first_cell(line)]
-    # loadtxt warns on empty input
-    data = np.loadtxt(lines, delimiter=",", ndmin=2) if lines else np.empty(0)
-    data = data.reshape(len(lines), len(header))
+    width = len(header)
+    try:
+        # loadtxt warns on empty input
+        data = np.loadtxt(lines, delimiter=",", ndmin=2) if lines else np.empty((0, width))
+    except ValueError as exc:  # a ragged row, or a cell that is not a number
+        raise ValueError(f"{path}: {_width_fault(lines, width) or exc}") from None
+    if data.shape[1] != width:
+        raise ValueError(f"{path}: {_width_fault(lines, width)}")
     return {name: data[:, j] for j, name in enumerate(header)}

@@ -18,7 +18,7 @@ import time
 import numpy as np
 
 import admmflow as af
-from admmflow.cli import FIGURE1_DEFAULT_SEED
+from admmflow.cli import FIGURE1
 from admmflow.flows import IntegratorConfig
 
 from helpers import fd_grad, rk4_reference, second_order_rhs
@@ -71,7 +71,7 @@ def test_criterion_02_closed_form_flow():
 
 def test_criterion_03_admm_limit():
     start = time.perf_counter()
-    p = figure1_instance(FIGURE1_DEFAULT_SEED)
+    p = figure1_instance(FIGURE1["seed"])
     x0 = X0_SCALE * np.ones(p.n)
     rhos = (10.0, 50.0, 200.0)
     flow = af.rk4_integrate(p, x0, IntegratorConfig(h=1e-3, t0=0.0, t_end=300.0 / min(rhos)))
@@ -106,7 +106,7 @@ def test_criterion_04_aadmm_limit():
 
 def test_criterion_05_one_over_t_rate():
     start = time.perf_counter()
-    p = figure1_instance(FIGURE1_DEFAULT_SEED)
+    p = figure1_instance(FIGURE1["seed"])
     x0 = X0_SCALE * np.ones(p.n)
     flow = af.rk4_integrate(p, x0, IntegratorConfig(h=1e-3, t0=0.0, t_end=20.0))
     fit = af.fit_rate(flow, (2.0, 20.0), slope_target=-1.0)
@@ -118,7 +118,7 @@ def test_criterion_05_one_over_t_rate():
 
 def test_criterion_06_one_over_t2_rate():
     start = time.perf_counter()
-    p = figure1_instance(FIGURE1_DEFAULT_SEED)
+    p = figure1_instance(FIGURE1["seed"])
     x0 = X0_SCALE * np.ones(p.n)
     flow = af.aadmm_flow_integrate(p, x0, IntegratorConfig(h=1e-2, t0=1e-2, t_end=20.0, r=10.0))
     fit = af.fit_rate(flow, (2.0, 20.0), slope_target=-2.0)
@@ -130,7 +130,7 @@ def test_criterion_06_one_over_t2_rate():
 
 def test_criterion_07_lyapunov_monotonicity():
     start = time.perf_counter()
-    p = figure1_instance(FIGURE1_DEFAULT_SEED)
+    p = figure1_instance(FIGURE1["seed"])
     x0 = X0_SCALE * np.ones(p.n)
     x_star = np.zeros(p.n)
     rk4 = af.rk4_integrate(p, x0, IntegratorConfig(h=1e-3, t0=0.0, t_end=20.0))

@@ -113,10 +113,10 @@ def test_monitor_aadmm_stability_matches_identity_A_reference():
     ts, ys = rk4_reference(second_order_rhs(p, r), np.concatenate([x0, np.zeros(2)]), t0, t_end, h)
     ref = af.Trajectory(
         t=ts, V=np.array([af.eval_V(p, y[:2]) for y in ys]),
-        v_gap=np.zeros(len(ts)), X=ys[:, :2], Xdot=ys[:, 2:],
+        v_gap=np.zeros(len(ts)), X=ys[:, :2], Xdot=ys[:, 2:], meta={"r": r},
     )
-    e_symp = np.array([s.value for s in af.monitor_aadmm_stability(p, traj, x_star, r=r)])
-    e_ref = np.array([s.value for s in af.monitor_aadmm_stability(p, ref, x_star, r=r)])
+    e_symp = np.array([s.value for s in af.monitor_aadmm_stability(p, traj, x_star)])
+    e_ref = np.array([s.value for s in af.monitor_aadmm_stability(p, ref, x_star)])
     scale = np.max(e_ref)
     assert np.max(np.abs(e_symp - e_ref)) <= 0.05 * scale
 
@@ -138,23 +138,24 @@ def test_monitor_aadmm_rate_weight_identity(one_d_problem):
     r = 3.0
     t = np.array([2.0, 2.5, 3.0])
     X = np.zeros((3, 1))
-    traj = af.Trajectory(t=t, V=np.zeros(3), v_gap=np.zeros(3), X=X, Xdot=np.zeros((3, 1)))
-    samples = af.monitor_aadmm_rate(one_d_problem, traj, np.array([0.0]), r=r)
+    traj = af.Trajectory(t=t, V=np.zeros(3), v_gap=np.zeros(3), X=X, Xdot=np.zeros((3, 1)),
+                         meta={"r": r})
+    samples = af.monitor_aadmm_rate(one_d_problem, traj, np.array([0.0]))
     assert samples[0].residual <= 1e-13
     # hand value: X = 1, Xdot = 0, x* = 0 at t = r - 1 gives E = e^0*gap + 0.5*1
     traj2 = af.Trajectory(
         t=np.array([2.0, 2.1]), V=np.array([0.5, 0.5]), v_gap=np.array([0.5, 0.5]),
-        X=np.ones((2, 1)), Xdot=np.zeros((2, 1)),
+        X=np.ones((2, 1)), Xdot=np.zeros((2, 1)), meta={"r": r},
     )
-    s2 = af.monitor_aadmm_rate(one_d_problem, traj2, np.array([0.0]), r=r)
+    s2 = af.monitor_aadmm_rate(one_d_problem, traj2, np.array([0.0]))
     assert s2[0].value == pytest.approx(1.0, rel=1e-12)
 
 
 def test_monitor_aadmm_requires_velocity(one_d_problem):
     traj = exp_flow_trajectory()
-    bare = af.Trajectory(t=traj.t, V=traj.V, v_gap=traj.v_gap, X=traj.X)
+    bare = af.Trajectory(t=traj.t, V=traj.V, v_gap=traj.v_gap, X=traj.X, meta={"r": 3.0})
     with pytest.raises(ValueError):
-        af.monitor_aadmm_stability(one_d_problem, bare, np.array([0.0]), r=3.0)
+        af.monitor_aadmm_stability(one_d_problem, bare, np.array([0.0]))
     with pytest.raises(ValueError):
         af.monitor_aadmm_rate(one_d_problem, traj, np.array([0.0]))  # no r anywhere
 
@@ -290,5 +291,6 @@ def test_write_monitor_csv(tmp_path, one_d_problem):
 def test_monitor_aadmm_rate_constant_at_minimizer(pd_2d_problem):
     x_star, v_star = af.optimal_value(pd_2d_problem)
     traj = constant_trajectory(x_star, v_star, t_start=0.5)
-    samples = af.monitor_aadmm_rate(pd_2d_problem, traj, x_star, r=3.0)
+    traj.meta["r"] = 3.0
+    samples = af.monitor_aadmm_rate(pd_2d_problem, traj, x_star)
     assert all(abs(s.value) <= 1e-12 and s.decay_ok for s in samples)

@@ -220,6 +220,16 @@ def test_rates_empty_csv_exits_2(tmp_path, capsys):
     assert err.startswith("error:") and "empty.csv" in err
 
 
+@pytest.mark.parametrize("text", ["\nt,V_gap\n1,2\n", "t,V_gap\n1\n"],
+                         ids=["blank-first-line", "short-row"])
+def test_rates_malformed_csv_exits_2(tmp_path, capsys, text):
+    path = tmp_path / "bad.csv"
+    path.write_text(text)
+    assert main(["rates", "--trajectory", str(path), "--target", "-1"]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith(f"error: {path}: ") and "reshape" not in err
+
+
 def test_figure1_smoke(tmp_path, capsys):
     out = str(tmp_path / "fig")
     code = main(["figure1", "--seed", "5", "--max-iter", "50", "--h-rk4", "5e-3",
@@ -278,3 +288,16 @@ def test_figure1_deterministic_csvs(tmp_path):
     for name in ("admm_rho50.csv", "aadmm_rho50.csv", "admm_flow.csv",
                  "aadmm_flow.csv", "overlay.csv", "problem.json"):
         assert (tmp_path / "fa" / name).read_bytes() == (tmp_path / "fb" / name).read_bytes()
+
+
+def test_gen_run_and_figure1_share_the_paper_defaults(tmp_path):
+    # one parameter table feeds every subcommand: gen draws figure1's problem,
+    # and run's defaults are the penalty, damping, budget and x0 figure1 uses
+    assert main(["gen", "--seed", "38", "--out", str(tmp_path / "gen.json")]) == 0
+    assert main(["figure1", "--seed", "38", "--h-rk4", "1e-2", "--h-symplectic", "2e-2",
+                 "--overlay-points", "21", "--out-dir", str(tmp_path / "fig")]) == 0
+    assert (tmp_path / "gen.json").read_bytes() == (tmp_path / "fig" / "problem.json").read_bytes()
+    params = json.loads((tmp_path / "fig" / "report.json").read_text())["params"]
+    run = cli.build_parser().parse_args(["run", "--problem", "p.json", "--solver", "admm"])
+    assert ([run.rho], run.r, run.max_iter, run.x0) == (
+        params["rho"], params["r"], params["max_iter"], params["x0"])

@@ -255,3 +255,13 @@ def test_parameter_validation(one_d_problem):
     state = af.AdmmState(x=x0, z=x0, u=np.zeros(1), k=0, rho=2.0)
     with pytest.raises(ValueError):
         af.admm_step(one_d_problem, state, cache=cache)  # cache rho mismatch
+
+
+def test_cache_and_inner_solver_are_refused_together(one_d_problem):
+    # the inner solver would take over and the cache be silently ignored
+    cache = SubproblemCache(one_d_problem, 1.0)
+    x0 = np.array([1.0])
+    for step, state in ((af.admm_step, af.initial_admm_state(one_d_problem, x0, 1.0)),
+                        (af.aadmm_step, af.initial_aadmm_state(one_d_problem, x0, 1.0, 3.0))):
+        with pytest.raises(ValueError, match="not both"):
+            step(one_d_problem, state, cache=cache, inner_solver=cg_minimize)

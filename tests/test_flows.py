@@ -459,3 +459,24 @@ def test_non_finite_velocity_is_caught_at_its_sample(one_d_problem, monkeypatch)
     assert len(partial) == 5
     assert err.value.t_last == partial.t[-1] == pytest.approx(0.4)
     assert np.all(np.isfinite(partial.Xdot))
+
+
+def test_callback_rk4_stops_at_non_finite_velocity():
+    # f = x^2/2 behind a callback whose gradient overflows from its 21st call:
+    # with A = 0.1 the solve scales it by 100, so X' at sample 5 (4 gradients
+    # per sample) is inf while X stays finite; no RK4 stage may see it
+    calls = []
+
+    def grad(x):
+        calls.append(1)
+        return np.full(1, 1e308) if len(calls) >= 21 else x
+
+    f = af.CallbackFunction(lambda x: 0.5 * float(x @ x), grad, 1)
+    p = af.SplitProblem(f, af.QuadraticFunction.zero(1), [[0.1]])
+    with pytest.raises(DivergenceError, match=r"after t = 0\.4$") as err:
+        af.rk4_integrate(p, np.array([1.0]), IntegratorConfig(h=0.1, t0=0.0, t_end=2.0),
+                         v_star=0.0)
+    assert len(calls) == 21
+    partial = err.value.trajectory
+    assert len(partial) == 5
+    assert np.all(np.isfinite(partial.X)) and np.all(np.isfinite(partial.Xdot))

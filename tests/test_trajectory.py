@@ -93,6 +93,21 @@ def test_load_empty_csv_names_the_file(tmp_path):
         load_trajectory_csv(path)
 
 
+@pytest.mark.parametrize("text, fault", [
+    ("\nt,V_gap\n1,2\n", "first line is blank"),
+    ("t,V_gap\n1\n", "header names 2 columns, but data row '1' has 1"),
+    ("t,V_gap\n1,2\n3\n4,5\n", "header names 2 columns, but data row '3' has 1"),
+    ("t,V_gap\n1,2,3\n", "header names 2 columns, but data row '1,2,3' has 3"),
+    ("t,V_gap\n1,2\n3,x\n", "'x'"),
+], ids=["blank-first-line", "short-row", "ragged", "wide-row", "not-a-number"])
+def test_load_malformed_csv_names_the_file_and_fault(tmp_path, text, fault):
+    path = tmp_path / "bad.csv"
+    path.write_text(text)
+    with pytest.raises(ValueError) as err:
+        load_trajectory_csv(path)
+    assert str(err.value).startswith(f"{path}: ") and fault in str(err.value)
+
+
 finite_floats = st.floats(allow_nan=False, allow_infinity=False)
 exact_ints = st.integers(min_value=-(2**53), max_value=2**53)  # exact as float64
 
