@@ -12,16 +12,29 @@ The accelerated variant runs the same sweep against extrapolated copies
 ``gamma = k / (k + r)``, ``r >= 3``.
 
 Steps are pure functions of ``(problem, state)``; for quadratic ``f, g``
-they use cached Cholesky solves, otherwise they delegate to a user-supplied
-inner minimizer. A state checks its own parameters on construction
-(rho > 0, and r >= 3 for the accelerated iterate). The ``run_*`` drivers
-record trajectories, placing iterate k at flow time ``t = k / time_scale``
-(``rho`` for ADMM, ``sqrt(rho)`` for A-ADMM), and raise
-:class:`DivergenceError` at the first non-finite iterate.
+they apply the affine subproblem operators of a :class:`SubproblemCache`
+(``x = S_x v - s_x``, ``z = S_z w - s_z``, factored once per (problem,
+rho)), so a sweep is three matrix-vector products and solves no system;
+otherwise they delegate to a user-supplied inner minimizer. A state checks
+its own parameters on construction (rho > 0, and r >= 3 for the accelerated
+iterate). The ``run_*`` drivers record trajectories, placing iterate k at
+flow time ``t = k / time_scale`` (``rho`` for ADMM, ``sqrt(rho)`` for
+A-ADMM), and raise :class:`DivergenceError` at the first non-finite iterate.
+
+A quadratic run advances in blocks of ``BLOCK`` steps through the same step
+functions, with each solve's residual check deferred to the end of the
+block. There, matrix products over the block's rows give V, the primal
+residuals, finiteness, the ``stop_tol`` test and the residual check of every
+x- and z-solve (same formula and tolerance as a single solve). The first
+step with a failing solve is replayed through the checked cache (one
+refinement retry, else :class:`NumericalError`), the steps after it are
+dropped, and the run goes on in blocks; ``meta["refinements"]`` counts the
+replays. A run with an inner solver checks every step before the next.
 """
 
 from __future__ import annotations
 
+import copy
 import math
 from dataclasses import dataclass
 
@@ -29,7 +42,7 @@ import numpy as np
 from scipy.linalg import cho_factor, cho_solve
 
 from .exceptions import NumericalError, UnsupportedFunctionError
-from .problem import _as_vector, _check_damping, eval_V, resolve_v_star
+from .problem import _as_vector, _check_damping, _values, resolve_v_star
 from .trajectory import build_trajectory, divergence_error
 
 __all__ = [
@@ -47,6 +60,9 @@ __all__ = [
 
 # Relative tolerance on the linear-system residual of each subproblem solve
 SUBPROBLEM_RTOL = 1e-10
+
+# iterations a quadratic run advances between the checks of its solves
+BLOCK = 64
 
 
 @dataclass
@@ -103,13 +119,23 @@ def initial_aadmm_state(problem, x0, rho, r):
 
 
 class SubproblemCache:
-    """Cholesky factors of the two quadratic subproblem systems for a fixed rho.
+    """The two quadratic subproblems for a fixed rho, as factor-once affine operators.
 
-    The x-step solves ``(M_f + rho A^T A) x = rho A^T v - q_f`` and the
-    z-step solves ``(M_g + rho I) z = rho w - q_g``. Both matrices are
-    positive definite under full column rank of A with rho > 0, and are
-    factored once per (problem, rho). Every solve is residual-checked to
-    ``SUBPROBLEM_RTOL * (1 + ||rhs||)`` with one iterative-refinement retry.
+    The x-step solves ``H_x x = rho A^T v - q_f`` with ``H_x = M_f + rho A^T A``
+    and the z-step solves ``H_z z = rho w - q_g`` with ``H_z = M_g + rho I``.
+    Both matrices are positive definite under full column rank of A with
+    rho > 0. Each is Cholesky-factored once per (problem, rho), and one solve
+    on a matrix right-hand side turns it into an affine operator:
+    ``x = S_x v - s_x`` with ``S_x = rho H_x^{-1} A^T`` and ``s_x = H_x^{-1} q_f``,
+    and ``z = S_z w - s_z`` with ``S_z = rho H_z^{-1}`` and ``s_z = H_z^{-1} q_g``.
+    A solve is then one matrix-vector product.
+
+    Every solution is checked to ``||rhs - H sol|| <= SUBPROBLEM_RTOL (1 + ||rhs||)``,
+    with one iterative-refinement retry through the factor, else
+    :class:`NumericalError`. :meth:`solve_x` and :meth:`solve_z` check each
+    solution at once. On a copy from :meth:`deferred` they skip the check
+    and log the solve instead, and :meth:`first_failure` applies the same
+    check to all logged solves at once, with matrix products over their rows.
     """
 
     def __init__(self, problem, rho):
@@ -125,32 +151,69 @@ class SubproblemCache:
         self._hx = problem.f.M + rho * problem.ata
         self._hz = problem.g.M + rho * np.eye(problem.m)
         try:
-            self._hx_factor = cho_factor(self._hx)
-            self._hz_factor = cho_factor(self._hz)
+            self._factors = {"x": cho_factor(self._hx), "z": cho_factor(self._hz)}
         except np.linalg.LinAlgError as exc:
             raise NumericalError(f"singular subproblem system: {exc}") from exc
+        self._ops = {"x": self._operator("x", problem.A.T, problem.f.q),
+                     "z": self._operator("z", np.eye(problem.m), problem.g.q)}
+        self._log = None  # {"x": [(v, x), ...], "z": [(w, z), ...]} on a deferred copy
+
+    def _operator(self, which, B, q):
+        """``(rho H^{-1} B, H^{-1} q)``, from one solve on ``[rho B, q]``."""
+        sol = cho_solve(self._factors[which], np.column_stack([self.rho * B, q]))
+        return np.ascontiguousarray(sol[:, :-1]), np.ascontiguousarray(sol[:, -1])
 
     def solve_x(self, v):
-        rhs = self.rho * (self.problem.A.T @ v) - self.problem.f.q
-        return self._solve(self._hx, self._hx_factor, rhs, "x")
+        return self._solve("x", v)
 
     def solve_z(self, w):
-        rhs = self.rho * w - self.problem.g.q
-        return self._solve(self._hz, self._hz_factor, rhs, "z")
+        return self._solve("z", w)
 
-    def _solve(self, H, factor, rhs, which):
-        sol = cho_solve(factor, rhs)
-        tol = SUBPROBLEM_RTOL * (1.0 + np.linalg.norm(rhs))
-        resid = rhs - H @ sol
+    def deferred(self):
+        """A copy sharing the operators whose solves skip the check and are
+        logged for :meth:`first_failure`."""
+        log = copy.copy(self)
+        log._log = {"x": [], "z": []}
+        return log
+
+    def _residual(self, which, args, sols):
+        """``rhs - H sol`` of the ``which`` solves of ``args`` (one per row, or
+        a single vector) and the tolerance of each."""
+        if which == "x":
+            H, rhs = self._hx, self.rho * (args @ self.problem.A) - self.problem.f.q
+        else:
+            H, rhs = self._hz, self.rho * args - self.problem.g.q
+        return rhs - sols @ H, SUBPROBLEM_RTOL * (1.0 + np.linalg.norm(rhs, axis=-1))
+
+    def _solve(self, which, arg):
+        S, s = self._ops[which]
+        sol = S @ arg - s
+        if self._log is not None:
+            self._log[which].append((arg, sol))
+            return sol
+        resid, tol = self._residual(which, arg, sol)
         if np.linalg.norm(resid) > tol:
-            sol = sol + cho_solve(factor, resid)
-            resid = rhs - H @ sol
+            sol = sol + cho_solve(self._factors[which], resid)
+            resid, tol = self._residual(which, arg, sol)
             if np.linalg.norm(resid) > tol:
                 raise NumericalError(
                     f"{which}-subproblem residual {np.linalg.norm(resid):.3e} "
                     f"exceeds tolerance {tol:.3e}"
                 )
         return sol
+
+    def first_failure(self):
+        """Index of the first logged sweep whose x- or z-solve fails the check,
+        or None. A solution that is not finite is left to the run's
+        divergence check."""
+        failures = []
+        for which, log in self._log.items():
+            if log:
+                args, sols = (np.array(col) for col in zip(*log))
+                resid, tol = self._residual(which, args, sols)
+                bad = (np.linalg.norm(resid, axis=1) > tol) & np.isfinite(sols).all(axis=1)
+                failures.extend(np.flatnonzero(bad)[:1])
+        return int(min(failures)) if failures else None
 
 
 def _solve_generic(h, rho, residual, adjoint, start, inner_solver):
@@ -200,11 +263,12 @@ def _sweep(problem, state, z, u, cache, inner_solver):
 def admm_step(problem, state, cache=None, inner_solver=None):
     """One ADMM sweep: x-minimization, z-minimization, scaled dual ascent.
 
-    With quadratic f, g the two subproblems are solved exactly through
-    cached Cholesky factors (built on the fly when ``cache`` is None;
-    drivers build it once per run). Otherwise ``inner_solver(fun, grad, x0)``
-    must minimize a smooth convex function to gradient-norm tolerance 1e-10;
-    a ``cache`` given with it is refused with ``ValueError``.
+    With quadratic f, g the two subproblems are solved exactly by the
+    checked operators of a :class:`SubproblemCache` (built on the fly when
+    ``cache`` is None; drivers build it once per run). Otherwise
+    ``inner_solver(fun, grad, x0)`` must minimize a smooth convex function to
+    gradient-norm tolerance 1e-10; a ``cache`` given with it is refused with
+    ``ValueError``.
     """
     x_new, z_new, u_new = _sweep(problem, state, state.z, state.u, cache, inner_solver)
     return AdmmState(x=x_new, z=z_new, u=u_new, k=state.k + 1, rho=state.rho)
@@ -232,15 +296,16 @@ def aadmm_step(problem, state, cache=None, inner_solver=None):
     )
 
 
-def _run(problem, state, max_iter, stop_tol, v_star, inner_solver):
+def _run(problem, start, args, max_iter, stop_tol, v_star, inner_solver):
+    # a start that is not finite is reported below, at sample 0
+    with np.errstate(over="ignore", invalid="ignore"):
+        state = start(problem, *args)
     if max_iter < 1:
         raise ValueError("max_iter must be >= 1")
     v_star = resolve_v_star(problem, v_star)
     accelerated = isinstance(state, AccAdmmState)
     rho = state.rho
-    cache = None
-    if inner_solver is None:
-        cache = SubproblemCache(problem, rho)
+    cache = SubproblemCache(problem, rho) if inner_solver is None else None
     delta = 1.0 / time_scale(rho, accelerated)
 
     n_max = max_iter + 1
@@ -259,29 +324,65 @@ def _run(problem, state, max_iter, stop_tol, v_star, inner_solver):
         "max_iter": int(max_iter),
         "stop_tol": float(stop_tol),
         "stopped_early": False,
+        "refinements": 0,
     }
     if accelerated:
         meta["r"] = state.r
     label = f"{'accelerated ADMM' if accelerated else 'ADMM'} at rho = {rho:g}"
-
-    def record(i, st):
-        xs[i] = st.x
-        vals[i] = eval_V(problem, st.x)
-        primal[i] = np.linalg.norm(problem.A @ st.x - st.z)
-        if not (np.isfinite(vals[i]) and np.isfinite(primal[i])):
-            raise divergence_error(label, columns, i, v_star, meta)
-
     step = aadmm_step if accelerated else admm_step
+    size = BLOCK  # steps in the next block
+
+    def advance(state):
+        """The states after ``state``: one with an inner solver, else a block
+        of steps whose solves are checked together afterwards. The first step
+        with a failing solve is replayed through the checked cache and the
+        steps after it are dropped; the block length then restarts at 1 and
+        doubles back to BLOCK, so an operator that keeps failing costs about
+        one replay per step, not a block."""
+        nonlocal size
+        if cache is None:
+            return [step(problem, state, inner_solver=inner_solver)]
+        deferred = cache.deferred()
+        states = [state]
+        for _ in range(min(size, max_iter - state.k)):
+            states.append(step(problem, states[-1], cache=deferred))
+        bad = deferred.first_failure()
+        if bad is None:
+            size = min(2 * size, BLOCK)
+        else:
+            meta["refinements"] += 1
+            states[bad + 1:] = [step(problem, states[bad], cache=cache)]
+            size = 1
+        return states[1:]
+
+    def record(states, z_prev):
+        """Store the samples of consecutive ``states`` and return how many the
+        run keeps: all, or up to the first that meets ``stop_tol`` (tested when
+        ``z_prev``, the z before them, is given). Raises DivergenceError at the
+        first sample whose V or primal residual is not finite."""
+        rows = slice(states[0].k, states[-1].k + 1)
+        xs[rows] = [st.x for st in states]
+        zs = np.array([st.z for st in states])
+        vals[rows] = _values(problem, xs[rows])
+        primal[rows] = np.linalg.norm(xs[rows] @ problem.A.T - zs, axis=1)
+        finite = np.isfinite(vals[rows]) & np.isfinite(primal[rows])
+        n_ok = len(states) if finite.all() else int(np.argmin(finite))
+        if z_prev is not None:
+            dz = np.linalg.norm(np.diff(zs, axis=0, prepend=z_prev[None]), axis=1)
+            met = np.flatnonzero(primal[rows][:n_ok] + dz[:n_ok] <= stop_tol)
+            if met.size:
+                meta["stopped_early"] = True
+                return int(met[0]) + 1
+        if n_ok < len(states):
+            raise divergence_error(label, columns, rows.start + n_ok, v_star, meta)
+        return len(states)
+
     # divergence is detected and reported in record(); silence the raw overflow
     with np.errstate(over="ignore", invalid="ignore"):
-        record(0, state)
-        while state.k < max_iter:
-            z_prev = state.z
-            state = step(problem, state, cache=cache, inner_solver=inner_solver)
-            record(state.k, state)
-            if primal[state.k] + np.linalg.norm(state.z - z_prev) <= stop_tol:
-                meta["stopped_early"] = True
-                break
+        record([state], None)
+        while state.k < max_iter and not meta["stopped_early"]:
+            states = advance(state)
+            state = states[record(states, state.z) - 1]
     return build_trajectory(columns, state.k + 1, v_star, meta)
 
 
@@ -293,12 +394,11 @@ def run_admm(problem, x0, rho, max_iter, stop_tol=0.0, v_star=None, inner_solver
     fixed budget). The time column is ``t = k / rho``. Records per iterate:
     x, objective gap and primal residual.
     """
-    return _run(problem, initial_admm_state(problem, x0, rho), max_iter, stop_tol, v_star,
-                inner_solver)
+    return _run(problem, initial_admm_state, (x0, rho), max_iter, stop_tol, v_star, inner_solver)
 
 
 def run_aadmm(problem, x0, rho, r, max_iter, stop_tol=0.0, v_star=None, inner_solver=None):
     """Drive accelerated ADMM; same recording as :func:`run_admm`, with the
     time column ``t = k / sqrt(rho)``."""
-    return _run(problem, initial_aadmm_state(problem, x0, rho, r), max_iter, stop_tol, v_star,
+    return _run(problem, initial_aadmm_state, (x0, rho, r), max_iter, stop_tol, v_star,
                 inner_solver)

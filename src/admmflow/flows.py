@@ -42,7 +42,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .problem import _a_sq_norms, _as_vector, _check_damping, eval_V, grad_V, resolve_v_star
+from .problem import _a_sq_norms, _as_vector, _check_damping, _values, grad_V, resolve_v_star
 from .trajectory import build_trajectory, divergence_error
 
 __all__ = [
@@ -125,17 +125,6 @@ def admm_flow_rhs(problem, X):
         K, b = problem.flow_map
         return -(K @ X + b)
     return -problem.solve_ata(grad_V(problem, X))
-
-
-def _values(problem, xs):
-    """V at each row of ``xs``: one pass of matrix products for quadratic f
-    and g, one ``eval_V`` call per row otherwise."""
-    if not problem.is_quadratic:
-        return np.array([eval_V(problem, x) for x in xs], dtype=float)
-    f, g = problem.f, problem.g
-    zs = xs @ problem.A.T
-    return (0.5 * np.einsum("ij,ij->i", xs @ f.M, xs) + xs @ f.q
-            + 0.5 * np.einsum("ij,ij->i", zs @ g.M, zs) + zs @ g.q)
 
 
 def _rk4_propagator(problem, h):

@@ -247,6 +247,17 @@ def eval_V(problem, x):
     return problem.f.value(x) + problem.g.value(problem.A @ x)
 
 
+def _values(problem, xs):
+    """V at each row of ``xs``: one pass of matrix products for quadratic f
+    and g, one ``eval_V`` call per row otherwise."""
+    if not problem.is_quadratic:
+        return np.array([eval_V(problem, x) for x in xs], dtype=float)
+    f, g = problem.f, problem.g
+    zs = xs @ problem.A.T
+    return (0.5 * np.einsum("ij,ij->i", xs @ f.M, xs) + xs @ f.q
+            + 0.5 * np.einsum("ij,ij->i", zs @ g.M, zs) + zs @ g.q)
+
+
 def grad_V(problem, x):
     """Gradient of the composite objective, ``grad f(x) + A^T grad g(A x)``."""
     x = _as_vector(x, problem.n, "x")

@@ -124,12 +124,20 @@ def _numeric_first_cell(line):
     return True
 
 
-def _width_fault(lines, width):
-    """The first of ``lines`` without ``width`` cells, described, or None."""
-    for line in lines:
-        cells = line.count(",") + 1
-        if cells != width:
-            return f"the header names {width} columns, but data row {line.strip()!r} has {cells}"
+def _row_fault(lines, width):
+    """The first fault of the numbered ``lines`` (``(line number, text)``): a
+    row without ``width`` cells or a cell that is not a number, described
+    with its file line, or None."""
+    for lineno, line in lines:
+        cells = line.rstrip("\r\n").split(",")
+        if len(cells) != width:
+            return (f"line {lineno}: the header names {width} columns, but data row "
+                    f"{line.strip()!r} has {len(cells)}")
+        for col, cell in enumerate(cells, 1):
+            try:
+                float(cell)
+            except ValueError:
+                return f"line {lineno}, column {col}: {cell.strip()!r} is not a number"
     return None
 
 
@@ -139,7 +147,8 @@ def load_trajectory_csv(path):
     Rows whose first cell is not numeric (e.g. a truncation marker or a
     blank line) are skipped; the others are parsed by ``np.loadtxt``. A file
     without a header row, or with a data row that is not one number per
-    header column, raises ``ValueError`` naming the file and the fault.
+    header column, raises ``ValueError`` naming the file, the fault and its
+    line in the file.
     """
     with open(path, "r", newline="", encoding="utf-8") as fh:
         header = next(csv.reader(fh), None)
@@ -147,13 +156,15 @@ def load_trajectory_csv(path):
             raise ValueError(f"{path}: empty file, expected a trajectory CSV header")
         if not any(header):
             raise ValueError(f"{path}: the first line is blank, expected a trajectory CSV header")
-        lines = [line for line in fh if _numeric_first_cell(line)]
+        numbered = [(lineno, line) for lineno, line in enumerate(fh, 2)
+                    if _numeric_first_cell(line)]
     width = len(header)
+    lines = [line for _, line in numbered]
     try:
         # loadtxt warns on empty input
         data = np.loadtxt(lines, delimiter=",", ndmin=2) if lines else np.empty((0, width))
     except ValueError as exc:  # a ragged row, or a cell that is not a number
-        raise ValueError(f"{path}: {_width_fault(lines, width) or exc}") from None
+        raise ValueError(f"{path}: {_row_fault(numbered, width) or exc}") from None
     if data.shape[1] != width:
-        raise ValueError(f"{path}: {_width_fault(lines, width)}")
+        raise ValueError(f"{path}: {_row_fault(numbered, width)}")
     return {name: data[:, j] for j, name in enumerate(header)}

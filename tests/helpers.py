@@ -2,6 +2,15 @@
 
 import numpy as np
 
+# trajectory CSVs with a cell that is not a number, and the fault the loader
+# reports: the bad cell's file line counts the header and, in the second
+# file, the rows the loader skips (a truncation marker and a blank line)
+NOT_A_NUMBER = {
+    "not-a-number": ("t,V_gap\n1,2\n3,x\n", "line 3, column 2: 'x' is not a number"),
+    "not-a-number-after-skipped-rows": ("t,V_gap\n1,2\ntruncated,note\n\n3,4\n5,x\n",
+                                        "line 6, column 2: 'x' is not a number"),
+}
+
 
 def fd_grad(fun, x, step=1e-5):
     """Central finite-difference gradient of a scalar function."""

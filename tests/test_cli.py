@@ -6,6 +6,9 @@ import pytest
 import admmflow as af
 from admmflow import cli
 from admmflow.cli import main
+from admmflow.discrete import BLOCK
+
+from helpers import NOT_A_NUMBER
 
 
 @pytest.fixture()
@@ -178,6 +181,17 @@ def test_run_deterministic_csvs(tmp_path, one_d_file):
         assert (tmp_path / "r1" / name).read_bytes() == (tmp_path / "r2" / name).read_bytes()
 
 
+def test_run_deterministic_csvs_across_blocks(tmp_path):
+    # a generated draw, run past two blocks of deferred solve checks
+    problem = str(tmp_path / "p.json")
+    assert main(["gen", "--n", "20", "--zero-eigs", "10", "--out", problem]) == 0
+    for sub in ("r1", "r2"):
+        assert main(["run", "--problem", problem, "--solver", "admm", "--solver", "aadmm",
+                     "--max-iter", str(2 * BLOCK + 1), "--out-dir", str(tmp_path / sub)]) == 0
+    for name in ("admm.csv", "aadmm.csv"):
+        assert (tmp_path / "r1" / name).read_bytes() == (tmp_path / "r2" / name).read_bytes()
+
+
 def test_rates_synthetic(tmp_path):
     t = np.linspace(1.0, 30.0, 300)
     for name, gap in (("quad.csv", 7.0 / t**2), ("lin.csv", 3.0 / t)):
@@ -228,6 +242,15 @@ def test_rates_malformed_csv_exits_2(tmp_path, capsys, text):
     assert main(["rates", "--trajectory", str(path), "--target", "-1"]) == 2
     err = capsys.readouterr().err
     assert err.startswith(f"error: {path}: ") and "reshape" not in err
+
+
+@pytest.mark.parametrize("name", sorted(NOT_A_NUMBER))
+def test_rates_names_the_line_of_a_bad_cell(tmp_path, capsys, name):
+    text, fault = NOT_A_NUMBER[name]
+    path = tmp_path / "bad.csv"
+    path.write_text(text)
+    assert main(["rates", "--trajectory", str(path), "--target", "-1"]) == 2
+    assert capsys.readouterr().err == f"error: {path}: {fault}\n"
 
 
 def test_figure1_smoke(tmp_path, capsys):

@@ -4,8 +4,10 @@ import numpy as np
 import pytest
 
 import admmflow as af
+from admmflow import discrete
+from admmflow.cli import main
 from admmflow.discrete import SubproblemCache, momentum_coefficient
-from admmflow.exceptions import DivergenceError, UnsupportedFunctionError
+from admmflow.exceptions import DivergenceError, NumericalError, UnsupportedFunctionError
 
 from helpers import cg_minimize
 
@@ -76,6 +78,7 @@ def test_admm_figure1_decrease_and_inner_solver_oracle(figure1_problem, figure1_
         v_star=0.0, inner_solver=cg_minimize,
     )
     assert np.allclose(oracle.X, closed.X, rtol=1e-7, atol=1e-7)
+    assert oracle.meta["refinements"] == closed.meta["refinements"] == 0
     assert np.allclose(oracle.v_gap, closed.v_gap, rtol=1e-6, atol=1e-8)
 
 
@@ -265,3 +268,103 @@ def test_cache_and_inner_solver_are_refused_together(one_d_problem):
                         (af.aadmm_step, af.initial_aadmm_state(one_d_problem, x0, 1.0, 3.0))):
         with pytest.raises(ValueError, match="not both"):
             step(one_d_problem, state, cache=cache, inner_solver=cg_minimize)
+
+
+@pytest.mark.parametrize("cond_a", ["1e2", "1e4", "1e6"])
+def test_no_refinement_on_generated_draws(tmp_path, cond_a):
+    # every solve of the operators passes its check at once on the CLI's draws
+    path = str(tmp_path / "p.json")
+    assert main(["gen", "--cond-a", cond_a, "--out", path]) == 0
+    problem = af.load_problem(path)
+    x0 = 5.0 * np.ones(problem.n)
+    for rho in (10.0, 200.0):
+        for traj in (af.run_admm(problem, x0, rho=rho, max_iter=300),
+                     af.run_aadmm(problem, x0, rho=rho, r=10.0, max_iter=300)):
+            assert traj.meta["refinements"] == 0
+    traj.to_csv(tmp_path / "run.csv")
+    header = (tmp_path / "run.csv").read_text().splitlines()[0]
+    assert header == "k,t,V_gap,primal_residual,x_norm"  # the count stays out of the CSV
+
+
+def spy_cho_solve(monkeypatch, matrix_scale=1.0):
+    """Count the Cholesky solves of the discrete solvers; a solve on a matrix
+    right-hand side (an operator build) is scaled by ``matrix_scale``."""
+    calls = []
+    real = discrete.cho_solve
+
+    def solve(factor, rhs):
+        calls.append(np.ndim(rhs))
+        sol = real(factor, rhs)
+        return sol * matrix_scale if np.ndim(rhs) == 2 else sol
+
+    monkeypatch.setattr(discrete, "cho_solve", solve)
+    return calls
+
+
+@pytest.mark.parametrize("method", ["admm", "aadmm"])
+def test_quadratic_run_solves_no_system_per_step(monkeypatch, figure1_problem, figure1_x0, method):
+    # the factor solves build the two operators and do not grow with max_iter
+    calls = spy_cho_solve(monkeypatch)
+    counts = []
+    for max_iter in (10, 300):
+        del calls[:]
+        if method == "admm":
+            traj = af.run_admm(figure1_problem, figure1_x0, rho=50.0, max_iter=max_iter)
+        else:
+            traj = af.run_aadmm(figure1_problem, figure1_x0, rho=50.0, r=10.0, max_iter=max_iter)
+        assert len(traj) == max_iter + 1 and traj.meta["refinements"] == 0
+        counts.append(len(calls))
+    assert counts == [2, 2]
+
+
+@pytest.mark.parametrize("method", ["admm", "aadmm"])
+def test_failing_operator_is_replayed_and_refined(monkeypatch, pd_2d_problem, method):
+    # an x-operator off by 1e-6 fails the check of every solve: each step is
+    # replayed through the checked cache, whose refinement through the exact
+    # factor recovers the unperturbed iterates
+    x0 = np.array([2.0, -1.0])
+
+    def run():
+        if method == "admm":
+            return af.run_admm(pd_2d_problem, x0, rho=5.0, max_iter=100)
+        return af.run_aadmm(pd_2d_problem, x0, rho=5.0, r=4.0, max_iter=100)
+
+    clean = run()
+    assert clean.meta["refinements"] == 0
+    calls = spy_cho_solve(monkeypatch, matrix_scale=1.0 + 1e-6)
+    perturbed = run()
+    assert perturbed.meta["refinements"] == 100
+    assert calls.count(1) >= 100  # a refinement solve per replayed step
+    scale = np.max(np.abs(clean.X))
+    assert np.max(np.abs(perturbed.X - clean.X)) <= 1e-9 * scale
+    assert np.max(np.abs(perturbed.V - clean.V)) <= 1e-9 * np.max(np.abs(clean.V))
+
+
+@pytest.mark.parametrize("method", ["admm", "aadmm"])
+def test_unrecoverable_solve_raises(monkeypatch, pd_2d_problem, method):
+    # operators and factor both 10 % off: the refinement cannot meet the check
+    real = discrete.cho_factor
+
+    def factor(H):
+        c, lower = real(H)
+        return 1.1 * c, lower
+
+    monkeypatch.setattr(discrete, "cho_factor", factor)
+    spy_cho_solve(monkeypatch, matrix_scale=1.0 + 1e-3)
+    x0 = np.array([2.0, -1.0])
+    with pytest.raises(NumericalError, match="subproblem residual"):
+        if method == "admm":
+            af.run_admm(pd_2d_problem, x0, rho=5.0, max_iter=100)
+        else:
+            af.run_aadmm(pd_2d_problem, x0, rho=5.0, r=4.0, max_iter=100)
+
+
+@pytest.mark.parametrize("bad", [np.nan, np.inf])
+def test_non_finite_start_raises_at_sample_0(pd_2d_problem, bad):
+    x0 = np.array([bad, 1.0])
+    for run in (lambda: af.run_admm(pd_2d_problem, x0, rho=2.0, max_iter=10),
+                lambda: af.run_aadmm(pd_2d_problem, x0, rho=2.0, r=3.0, max_iter=10)):
+        with pytest.raises(DivergenceError) as err:
+            run()
+        assert err.value.t_last == 0.0
+        assert err.value.trajectory is None

@@ -1,4 +1,4 @@
-"""Invariants of the steps on random small quadratic problems.
+"""Invariants of the steps and run drivers on random small quadratic problems.
 
 Every bound here was fixed from a rounding-error estimate before the tests
 were first run.
@@ -6,10 +6,11 @@ were first run.
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 import admmflow as af
+from admmflow.discrete import BLOCK, SubproblemCache
 from admmflow.flows import IntegratorConfig, _rk4_propagator
 
 EPS = np.finfo(float).eps
@@ -101,3 +102,73 @@ def test_rk4_is_fourth_order_against_exp():
         errs.append(np.max(np.abs(traj.X[-1] - exact)))
     orders = np.log2(np.array(errs[:-1]) / np.array(errs[1:]))
     assert np.all((orders >= 3.9) & (orders <= 4.1)), orders
+
+
+def start_state(problem, x0, rho, r):
+    if r is None:
+        return af.initial_admm_state(problem, x0, rho)
+    return af.initial_aadmm_state(problem, x0, rho, r)
+
+
+def run(problem, x0, rho, r, max_iter, stop_tol=0.0):
+    if r is None:
+        return af.run_admm(problem, x0, rho, max_iter, stop_tol)
+    return af.run_aadmm(problem, x0, rho, r, max_iter, stop_tol)
+
+
+def step_loop(problem, state, max_iter):
+    """States 0 .. max_iter of a plain loop of checked steps."""
+    cache = SubproblemCache(problem, state.rho)
+    step = af.aadmm_step if isinstance(state, af.AccAdmmState) else af.admm_step
+    states = [state]
+    for _ in range(max_iter):
+        states.append(step(problem, states[-1], cache=cache))
+    return states
+
+
+@settings(max_examples=40, deadline=None)
+@given(problem_rng=problems, rho=st.floats(0.1, 100.0),
+       r=st.one_of(st.none(), st.floats(3.0, 20.0)),
+       max_iter=st.sampled_from([BLOCK - 1, BLOCK, 2 * BLOCK + 1]))
+def test_blocked_run_is_the_step_loop(problem_rng, rho, r, max_iter):
+    problem, rng = problem_rng
+    x0 = rng.standard_normal(problem.n)
+    traj = run(problem, x0, rho, r, max_iter)
+    # the default stop_tol = 0 ends a run whose iterate stops moving
+    assert len(traj) == max_iter + 1 or traj.meta["stopped_early"]
+    states = step_loop(problem, start_state(problem, x0, rho, r), len(traj) - 1)
+    xs = np.array([st.x for st in states])
+    if traj.meta["refinements"] == 0:
+        assert np.array_equal(traj.X, xs)
+    else:
+        assert np.allclose(traj.X, xs, rtol=1e-9, atol=1e-12)
+    # the run's V comes from row-wise products; each form of every term is
+    # within gamma_{2(n+m)} of exact, so the two differ by at most twice that
+    f, g, A = problem.f, problem.g, problem.A
+    x_sq = np.sum(xs**2, axis=1)
+    scale = (np.linalg.norm(f.M) * x_sq + np.linalg.norm(f.q) * np.sqrt(x_sq)
+             + np.linalg.norm(g.M) * np.linalg.norm(A) ** 2 * x_sq
+             + np.linalg.norm(g.q) * np.linalg.norm(A) * np.sqrt(x_sq))
+    want = np.array([af.eval_V(problem, x) for x in xs])
+    assert np.all(np.abs(traj.V - want) <= 16 * (problem.n + problem.m) * EPS * scale)
+
+
+@settings(max_examples=40, deadline=None)
+@given(problem_rng=problems, rho=st.floats(0.1, 100.0),
+       r=st.one_of(st.none(), st.floats(3.0, 20.0)),
+       target=st.sampled_from([BLOCK - 1, BLOCK, BLOCK + 1]))
+def test_stop_tol_stops_where_the_step_loop_does(problem_rng, rho, r, target):
+    # a stop_tol between the stopping criterion at `target` and its smallest
+    # earlier value stops the step loop at `target`, on either side of the
+    # first block boundary (sample BLOCK ends the first block)
+    problem, rng = problem_rng
+    x0 = rng.standard_normal(problem.n)
+    states = step_loop(problem, start_state(problem, x0, rho, r), target + 3)
+    crit = [np.linalg.norm(problem.A @ b.x - b.z) + np.linalg.norm(b.z - a.z)
+            for a, b in zip(states, states[1:])]  # crit[k - 1] is that of sample k
+    earlier = min(crit[:target - 1])
+    assume(0.0 < crit[target - 1] < earlier * (1.0 - 1e-6))
+    traj = run(problem, x0, rho, r, max_iter=target + 3,
+               stop_tol=np.sqrt(crit[target - 1] * earlier))
+    assert traj.meta["stopped_early"]
+    assert traj.k[-1] == target

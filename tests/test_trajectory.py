@@ -13,6 +13,8 @@ import admmflow as af
 from admmflow import trajectory
 from admmflow.trajectory import load_trajectory_csv
 
+from helpers import NOT_A_NUMBER
+
 
 def test_discrete_csv_schema(tmp_path, one_d_problem):
     traj = af.run_admm(one_d_problem, np.array([1.0]), rho=1.0, max_iter=5)
@@ -95,11 +97,11 @@ def test_load_empty_csv_names_the_file(tmp_path):
 
 @pytest.mark.parametrize("text, fault", [
     ("\nt,V_gap\n1,2\n", "first line is blank"),
-    ("t,V_gap\n1\n", "header names 2 columns, but data row '1' has 1"),
-    ("t,V_gap\n1,2\n3\n4,5\n", "header names 2 columns, but data row '3' has 1"),
-    ("t,V_gap\n1,2,3\n", "header names 2 columns, but data row '1,2,3' has 3"),
-    ("t,V_gap\n1,2\n3,x\n", "'x'"),
-], ids=["blank-first-line", "short-row", "ragged", "wide-row", "not-a-number"])
+    ("t,V_gap\n1\n", "line 2: the header names 2 columns, but data row '1' has 1"),
+    ("t,V_gap\n1,2\n3\n4,5\n", "line 3: the header names 2 columns, but data row '3' has 1"),
+    ("t,V_gap\n1,2,3\n", "line 2: the header names 2 columns, but data row '1,2,3' has 3"),
+    *NOT_A_NUMBER.values(),
+], ids=["blank-first-line", "short-row", "ragged", "wide-row", *NOT_A_NUMBER])
 def test_load_malformed_csv_names_the_file_and_fault(tmp_path, text, fault):
     path = tmp_path / "bad.csv"
     path.write_text(text)
