@@ -11,12 +11,14 @@ import argparse
 import json
 import math
 import os
+import platform
 import sys
 import time
 from dataclasses import asdict
 
 import numpy as np
 
+from . import __version__
 from .analysis import (
     RateFit,
     fit_rate,
@@ -255,6 +257,9 @@ def cmd_figure1(args):
         "discrepancies": discrepancies,
         "monitor_decay_fraction": monitor_summary,
         "files": files,
+        # what the run ran on: fixed for an installation, so reruns stay identical
+        "env": {"admmflow": __version__, "python": platform.python_version(),
+                "numpy": np.__version__},
         "wall_time_s": time.perf_counter() - t_start,
     }
     report_path = os.path.join(outdir, "report.json")  # index, written last

@@ -13,8 +13,9 @@ The accelerated variant runs the same sweep against extrapolated copies
 
 Steps are pure functions of ``(problem, state)``; for quadratic ``f, g``
 they apply the affine subproblem operators of a :class:`SubproblemCache`
-(``x = S_x v - s_x``, ``z = S_z w - s_z``, factored once per (problem,
-rho)), so a sweep is three matrix-vector products and solves no system;
+(``x = S_x v - s_x``, ``z = S_z w - s_z``, built by one LU solve each per
+(problem, rho)), so a sweep is three matrix-vector products and solves no
+system;
 otherwise they delegate to a user-supplied inner minimizer. A state checks
 its own parameters on construction (rho > 0, and r >= 3 for the accelerated
 iterate). The ``run_*`` drivers record trajectories, placing iterate k at
@@ -27,9 +28,9 @@ block. There, matrix products over the block's rows give V, the primal
 residuals, finiteness, the ``stop_tol`` test and the residual check of every
 x- and z-solve (same formula and tolerance as a single solve). The first
 step with a failing solve is replayed through the checked cache (one
-refinement retry, else :class:`NumericalError`), the steps after it are
-dropped, and the run goes on in blocks; ``meta["refinements"]`` counts the
-replays. A run with an inner solver checks every step before the next.
+refinement retry by an LU solve, else :class:`NumericalError`), the steps
+after it are dropped, and the run goes on in blocks; ``meta["refinements"]``
+counts the replays. A run with an inner solver checks every step before the next.
 """
 
 from __future__ import annotations
@@ -39,7 +40,6 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.linalg import cho_factor, cho_solve
 
 from .exceptions import NumericalError, UnsupportedFunctionError
 from .problem import _as_vector, _check_damping, _values, resolve_v_star
@@ -63,6 +63,13 @@ SUBPROBLEM_RTOL = 1e-10
 
 # iterations a quadratic run advances between the checks of its solves
 BLOCK = 64
+
+
+def _solve(H, rhs):
+    """``H^{-1} rhs`` by LU with partial pivoting, for a vector or a matrix
+    ``rhs``: every linear solve of :class:`SubproblemCache` (the operator
+    builds and the refinement retry) goes through this one name."""
+    return np.linalg.solve(H, rhs)
 
 
 @dataclass
@@ -124,16 +131,17 @@ class SubproblemCache:
     The x-step solves ``H_x x = rho A^T v - q_f`` with ``H_x = M_f + rho A^T A``
     and the z-step solves ``H_z z = rho w - q_g`` with ``H_z = M_g + rho I``.
     Both matrices are positive definite under full column rank of A with
-    rho > 0. Each is Cholesky-factored once per (problem, rho), and one solve
-    on a matrix right-hand side turns it into an affine operator:
+    rho > 0; a matrix that is not numerically so (``np.linalg.cholesky``
+    fails) is refused with :class:`NumericalError`. One LU solve on a matrix
+    right-hand side per (problem, rho) turns each into an affine operator:
     ``x = S_x v - s_x`` with ``S_x = rho H_x^{-1} A^T`` and ``s_x = H_x^{-1} q_f``,
     and ``z = S_z w - s_z`` with ``S_z = rho H_z^{-1}`` and ``s_z = H_z^{-1} q_g``.
     A solve is then one matrix-vector product.
 
     Every solution is checked to ``||rhs - H sol|| <= SUBPROBLEM_RTOL (1 + ||rhs||)``,
-    with one iterative-refinement retry through the factor, else
-    :class:`NumericalError`. :meth:`solve_x` and :meth:`solve_z` check each
-    solution at once. On a copy from :meth:`deferred` they skip the check
+    with one iterative-refinement retry (``H delta = rhs - H sol`` by an LU
+    solve), else :class:`NumericalError`. :meth:`solve_x` and :meth:`solve_z`
+    check each solution at once. On a copy from :meth:`deferred` they skip the check
     and log the solve instead, and :meth:`first_failure` applies the same
     check to all logged solves at once, with matrix products over their rows.
     """
@@ -148,19 +156,20 @@ class SubproblemCache:
             raise ValueError("penalty parameter rho must be positive")
         self.problem = problem
         self.rho = float(rho)
-        self._hx = problem.f.M + rho * problem.ata
-        self._hz = problem.g.M + rho * np.eye(problem.m)
-        try:
-            self._factors = {"x": cho_factor(self._hx), "z": cho_factor(self._hz)}
-        except np.linalg.LinAlgError as exc:
-            raise NumericalError(f"singular subproblem system: {exc}") from exc
-        self._ops = {"x": self._operator("x", problem.A.T, problem.f.q),
-                     "z": self._operator("z", np.eye(problem.m), problem.g.q)}
+        self._h = {"x": problem.f.M + rho * problem.ata,
+                   "z": problem.g.M + rho * np.eye(problem.m)}
+        for H in self._h.values():
+            try:
+                np.linalg.cholesky(H)
+            except np.linalg.LinAlgError as exc:
+                raise NumericalError(f"singular subproblem system: {exc}") from exc
+        self._ops = {"x": self._operator(self._h["x"], problem.A.T, problem.f.q),
+                     "z": self._operator(self._h["z"], np.eye(problem.m), problem.g.q)}
         self._log = None  # {"x": [(v, x), ...], "z": [(w, z), ...]} on a deferred copy
 
-    def _operator(self, which, B, q):
+    def _operator(self, H, B, q):
         """``(rho H^{-1} B, H^{-1} q)``, from one solve on ``[rho B, q]``."""
-        sol = cho_solve(self._factors[which], np.column_stack([self.rho * B, q]))
+        sol = _solve(H, np.column_stack([self.rho * B, q]))
         return np.ascontiguousarray(sol[:, :-1]), np.ascontiguousarray(sol[:, -1])
 
     def solve_x(self, v):
@@ -180,10 +189,10 @@ class SubproblemCache:
         """``rhs - H sol`` of the ``which`` solves of ``args`` (one per row, or
         a single vector) and the tolerance of each."""
         if which == "x":
-            H, rhs = self._hx, self.rho * (args @ self.problem.A) - self.problem.f.q
+            rhs = self.rho * (args @ self.problem.A) - self.problem.f.q
         else:
-            H, rhs = self._hz, self.rho * args - self.problem.g.q
-        return rhs - sols @ H, SUBPROBLEM_RTOL * (1.0 + np.linalg.norm(rhs, axis=-1))
+            rhs = self.rho * args - self.problem.g.q
+        return rhs - sols @ self._h[which], SUBPROBLEM_RTOL * (1.0 + np.linalg.norm(rhs, axis=-1))
 
     def _solve(self, which, arg):
         S, s = self._ops[which]
@@ -193,7 +202,7 @@ class SubproblemCache:
             return sol
         resid, tol = self._residual(which, arg, sol)
         if np.linalg.norm(resid) > tol:
-            sol = sol + cho_solve(self._factors[which], resid)
+            sol = sol + _solve(self._h[which], resid)
             resid, tol = self._residual(which, arg, sol)
             if np.linalg.norm(resid) > tol:
                 raise NumericalError(

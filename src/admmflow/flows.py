@@ -27,9 +27,10 @@ For quadratic f and g the velocity ``f(X)`` is the affine map
 system. One RK4 step of it is itself an affine map ``X -> P X + d``, built
 once per run, and X is checked for finite values once after the loop (and
 every ``FINITE_CHECK_EVERY`` samples, to stop a diverged run early).
-Callback problems solve with the cached Cholesky factor of A^T A, take the
-four-stage RK4 step, and check X before each velocity and X' before each
-step, so a callback never sees a non-finite input.
+Callback problems solve with :meth:`SplitProblem.solve_ata` (two products
+with the cached inverse Cholesky factor of A^T A), take the four-stage RK4
+step, and check X before each velocity and X' before each step, so a
+callback never sees a non-finite input.
 
 With ``A = I`` these reduce to plain gradient flow and to the damped
 oscillator flow of accelerated gradient descent.
@@ -117,8 +118,9 @@ def admm_flow_rhs(problem, X):
 
     For quadratic f and g this is the affine map ``-(K X + b)`` of
     :attr:`SplitProblem.flow_map`, one matrix-vector product. Otherwise the
-    gradient goes through the problem's cached Cholesky factor of A^T A; the
-    inverse is never formed. With A = I this is the plain negative gradient.
+    gradient goes through :meth:`SplitProblem.solve_ata`, two matrix-vector
+    products with the cached inverse of the Cholesky factor of A^T A. With
+    A = I this is the plain negative gradient.
     """
     X = _as_vector(X, problem.n, "X")
     if problem.is_quadratic:
@@ -170,9 +172,9 @@ def _integrate(problem, x0, config, v_star, meta, label, velocity, step, r=None)
     ts = config.t0 + config.h * np.arange(n)
     xs, xds = np.empty((n, problem.n)), np.empty((n, problem.n))
     columns = {"t": ts, "X": xs, "Xdot": xds}
-    # a callback must never see a non-finite X or X' (nor cho_solve, which
-    # rejects it); a quadratic run's X is checked in full after the loop, so
-    # the check inside it only stops a diverged run early
+    # a callback must never see a non-finite X or X'; a quadratic run's X is
+    # checked in full after the loop, so the check inside it only stops a
+    # diverged run early
     check_every = FINITE_CHECK_EVERY if problem.is_quadratic else 1
     # divergence is detected and reported below; silence the raw overflow, and
     # t^r overflowing in H (large r and t), which leaves H = inf

@@ -1,4 +1,5 @@
 import json
+import platform
 
 import numpy as np
 import pytest
@@ -192,6 +193,22 @@ def test_run_deterministic_csvs_across_blocks(tmp_path):
         assert (tmp_path / "r1" / name).read_bytes() == (tmp_path / "r2" / name).read_bytes()
 
 
+@pytest.mark.parametrize("field, index, value, fault", [
+    ("M_f", 1, float("nan"), "f: M must be finite; M[0, 1] is nan"),
+    ("A", 4, float("nan"), "A must be finite; A[1, 1] is nan"),
+    ("q_f", 2, float("inf"), "f: q must be finite; q[2] is inf"),
+], ids=["M_f-nan", "A-nan", "q_f-inf"])
+def test_run_names_non_finite_problem_data(tmp_path, capsys, field, index, value, fault):
+    path = tmp_path / "p.json"
+    af.save_problem(af.gen_figure1_problem(3, 1, 5.0, 10.0, seed=1), path)
+    data = json.loads(path.read_text())
+    data[field][index] = value
+    path.write_text(json.dumps(data))
+    assert main(["run", "--problem", str(path), "--solver", "admm",
+                 "--out-dir", str(tmp_path / "out")]) == 2
+    assert capsys.readouterr().err == f"error: {path}: {fault}\n"
+
+
 def test_rates_synthetic(tmp_path):
     t = np.linspace(1.0, 30.0, 300)
     for name, gap in (("quad.csv", 7.0 / t**2), ("lin.csv", 3.0 / t)):
@@ -267,6 +284,9 @@ def test_figure1_smoke(tmp_path, capsys):
     assert len(lines) == 52
     assert set(report["rate_fits"]) == {"admm_flow", "aadmm_flow"}
     assert report["discrepancies"][0]["rho"] == 50.0
+    # what the run ran on, fixed for an installation
+    assert report["env"] == {"admmflow": af.__version__, "python": platform.python_version(),
+                             "numpy": np.__version__}
     assert "report:" in capsys.readouterr().out
     # the decay fraction of each monitor is the mean of its CSV's decay_ok column
     assert len(report["monitor_decay_fraction"]) == 4

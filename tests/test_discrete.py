@@ -286,25 +286,25 @@ def test_no_refinement_on_generated_draws(tmp_path, cond_a):
     assert header == "k,t,V_gap,primal_residual,x_norm"  # the count stays out of the CSV
 
 
-def spy_cho_solve(monkeypatch, matrix_scale=1.0):
-    """Count the Cholesky solves of the discrete solvers; a solve on a matrix
-    right-hand side (an operator build) is scaled by ``matrix_scale``."""
+def spy_solve(monkeypatch, matrix_scale=1.0, vector_scale=1.0):
+    """Count the linear solves of the discrete solvers; a solve on a matrix
+    right-hand side (an operator build) is scaled by ``matrix_scale``, one on
+    a vector (a refinement) by ``vector_scale``."""
     calls = []
-    real = discrete.cho_solve
+    real = discrete._solve
 
-    def solve(factor, rhs):
+    def solve(H, rhs):
         calls.append(np.ndim(rhs))
-        sol = real(factor, rhs)
-        return sol * matrix_scale if np.ndim(rhs) == 2 else sol
+        return real(H, rhs) * (matrix_scale if np.ndim(rhs) == 2 else vector_scale)
 
-    monkeypatch.setattr(discrete, "cho_solve", solve)
+    monkeypatch.setattr(discrete, "_solve", solve)
     return calls
 
 
 @pytest.mark.parametrize("method", ["admm", "aadmm"])
 def test_quadratic_run_solves_no_system_per_step(monkeypatch, figure1_problem, figure1_x0, method):
-    # the factor solves build the two operators and do not grow with max_iter
-    calls = spy_cho_solve(monkeypatch)
+    # the solves build the two operators and do not grow with max_iter
+    calls = spy_solve(monkeypatch)
     counts = []
     for max_iter in (10, 300):
         del calls[:]
@@ -320,8 +320,8 @@ def test_quadratic_run_solves_no_system_per_step(monkeypatch, figure1_problem, f
 @pytest.mark.parametrize("method", ["admm", "aadmm"])
 def test_failing_operator_is_replayed_and_refined(monkeypatch, pd_2d_problem, method):
     # an x-operator off by 1e-6 fails the check of every solve: each step is
-    # replayed through the checked cache, whose refinement through the exact
-    # factor recovers the unperturbed iterates
+    # replayed through the checked cache, whose exact refinement solve
+    # recovers the unperturbed iterates
     x0 = np.array([2.0, -1.0])
 
     def run():
@@ -331,7 +331,7 @@ def test_failing_operator_is_replayed_and_refined(monkeypatch, pd_2d_problem, me
 
     clean = run()
     assert clean.meta["refinements"] == 0
-    calls = spy_cho_solve(monkeypatch, matrix_scale=1.0 + 1e-6)
+    calls = spy_solve(monkeypatch, matrix_scale=1.0 + 1e-6)
     perturbed = run()
     assert perturbed.meta["refinements"] == 100
     assert calls.count(1) >= 100  # a refinement solve per replayed step
@@ -342,21 +342,28 @@ def test_failing_operator_is_replayed_and_refined(monkeypatch, pd_2d_problem, me
 
 @pytest.mark.parametrize("method", ["admm", "aadmm"])
 def test_unrecoverable_solve_raises(monkeypatch, pd_2d_problem, method):
-    # operators and factor both 10 % off: the refinement cannot meet the check
-    real = discrete.cho_factor
-
-    def factor(H):
-        c, lower = real(H)
-        return 1.1 * c, lower
-
-    monkeypatch.setattr(discrete, "cho_factor", factor)
-    spy_cho_solve(monkeypatch, matrix_scale=1.0 + 1e-3)
+    # operators 1e-3 off and the refinement solve 10 % off: the retry cannot
+    # meet the check
+    spy_solve(monkeypatch, matrix_scale=1.0 + 1e-3, vector_scale=1.1)
     x0 = np.array([2.0, -1.0])
     with pytest.raises(NumericalError, match="subproblem residual"):
         if method == "admm":
             af.run_admm(pd_2d_problem, x0, rho=5.0, max_iter=100)
         else:
             af.run_aadmm(pd_2d_problem, x0, rho=5.0, r=4.0, max_iter=100)
+
+
+def test_non_positive_definite_subproblem_is_refused():
+    # M_f is PSD within its 1e-10 relative tolerance, but H_x = M_f + rho A^T A
+    # = diag(1, -9e-12) is not positive definite: no operator is built from it
+    p = af.SplitProblem(af.QuadraticFunction(np.diag([1.0, -1e-11])),
+                        af.QuadraticFunction.zero(2), 1e-6 * np.eye(2))
+    x0 = np.array([1.0, 1.0])
+    for build in (lambda: SubproblemCache(p, 1.0),
+                  lambda: af.run_admm(p, x0, rho=1.0, max_iter=10),
+                  lambda: af.run_aadmm(p, x0, rho=1.0, r=3.0, max_iter=10)):
+        with pytest.raises(NumericalError, match="singular subproblem system"):
+            build()
 
 
 @pytest.mark.parametrize("bad", [np.nan, np.inf])

@@ -1,3 +1,6 @@
+import os
+import subprocess
+import sys
 import types
 
 import admmflow as af
@@ -12,3 +15,16 @@ def test_namespace_reexports_exactly_the_module_all_lists():
     exported = {name for name, value in vars(af).items()
                 if not name.startswith("_") and not isinstance(value, types.ModuleType)}
     assert exported == declared
+
+
+def test_cli_imports_no_scipy():
+    # the runtime is numpy only: scipy is a test dependency, never imported by
+    # the package (checked in a fresh interpreter, as each CLI run starts one)
+    src = os.path.dirname(os.path.dirname(af.__file__))
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        filter(None, [src, os.environ.get("PYTHONPATH")])))
+    code = ("import sys, admmflow.cli; "
+            "print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))")
+    out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
+                         text=True, check=True)
+    assert out.stdout == "[]\n"

@@ -1,4 +1,5 @@
 import json
+import re
 
 import numpy as np
 import pytest
@@ -191,6 +192,44 @@ def test_quadratic_function_immutable():
         q.M[0, 0] = 5.0
 
 
+@pytest.mark.parametrize("build, message", [
+    (lambda: af.QuadraticFunction([[1.0, np.nan], [0.0, 1.0]]), r"M must be finite; M\[0, 1\] is nan"),
+    (lambda: af.QuadraticFunction(np.eye(3), [0.0, 0.0, np.inf]), r"q must be finite; q\[2\] is inf"),
+    (lambda: af.SplitProblem(af.QuadraticFunction(np.eye(2)), af.QuadraticFunction.zero(3),
+                             [[1.0, 0.0], [0.0, 1.0], [-np.inf, 0.0]]),
+     r"A must be finite; A\[2, 0\] is -inf"),
+], ids=["M-nan", "q-inf", "A-inf"])
+def test_non_finite_data_is_refused_by_name(build, message):
+    with pytest.raises(ValueError, match=message):
+        build()
+
+
+@pytest.mark.parametrize("cond_a", [1e2, 1e4, 1e6])
+def test_solve_ata_backward_error(cond_a):
+    # the normwise backward error ||b - (A^T A) y|| / (||A^T A|| ||y|| + ||b||)
+    # of the solve is a small multiple of eps at any cond(A), for a vector and
+    # for a matrix of right-hand sides
+    p = af.gen_figure1_problem(60, 40, 10.0, cond_a, seed=38)
+    rng = np.random.default_rng(1)
+    ata_norm = np.linalg.norm(p.ata)
+    for b in (rng.standard_normal(60), rng.standard_normal((60, 60)), p.f.M):
+        y = p.solve_ata(b)
+        resid = np.linalg.norm(b - p.ata @ y)
+        assert resid <= 64 * np.finfo(float).eps * (ata_norm * np.linalg.norm(y)
+                                                    + np.linalg.norm(b))
+
+
+def test_solve_ata_refuses_numerically_singular_gram():
+    # A passes the rank test (cond(A) = 1e9 < 1e10), but A^T A (cond 1e18)
+    # has no Cholesky factor in double precision: the solve, and so the
+    # flows, refuse it with NumericalError rather than a bare LinAlgError
+    p = af.gen_figure1_problem(60, 40, 10.0, 1e9, seed=38)
+    with pytest.raises(NumericalError, match="not numerically positive definite"):
+        p.solve_ata(np.ones(p.n))
+    with pytest.raises(NumericalError, match="not numerically positive definite"):
+        p.flow_map
+
+
 def test_split_problem_validation():
     f1 = af.QuadraticFunction(np.eye(2))
     g1 = af.QuadraticFunction.zero(2)
@@ -240,9 +279,10 @@ def test_serialization_rejects_callbacks(tmp_path):
 
 def test_load_rejects_malformed(tmp_path):
     path = tmp_path / "bad.json"
-    path.write_text('{"n": 2}')
-    with pytest.raises(ValueError):
-        af.load_problem(path)
+    for text in ('{"n": 2}', "not json"):
+        path.write_text(text)
+        with pytest.raises(ValueError, match=f"^{re.escape(str(path))}: "):
+            af.load_problem(path)
 
 
 def test_composite_objective_wrapper(pd_2d_problem):
