@@ -22,15 +22,17 @@ Two dynamical systems are integrated against a :class:`SplitProblem`:
   overflows there for large r and t (near t = 35 at r = 200), where H is
   ``inf``. Divergence is judged on X, X' and V alone.
 
-For quadratic f and g the velocity ``f(X)`` is the affine map
-``-(K X + b)`` of :attr:`SplitProblem.flow_map`, so no step solves a linear
-system. One RK4 step of it is itself an affine map ``X -> P X + d``, built
-once per run, and X is checked for finite values once after the loop (and
-every ``FINITE_CHECK_EVERY`` samples, to stop a diverged run early).
-Callback problems solve with :meth:`SplitProblem.solve_ata` (two products
-with the cached inverse Cholesky factor of A^T A), take the four-stage RK4
-step, and check X before each velocity and X' before each step, so a
-callback never sees a non-finite input.
+For quadratic f and g both flows run on the modal basis
+:attr:`SplitProblem.modes`: with ``X = phi y`` the first-order flow splits
+into scalar modes ``y_i' = -(lam_i y_i + beta_i)``. RK4 multiplies each
+mode's ``y - y*`` by its stability factor ``R(-h lam)`` per step, so every
+sample has a closed form, formed in row blocks of ``FINITE_CHECK_EVERY``;
+symplectic Euler runs its step per mode, elementwise. X and X' are products
+with ``phi^T``, and ``meta["modal_backward_error"]`` records the basis's
+backward error in units of eps. Callback problems solve with
+:meth:`SplitProblem.solve_ata`, take the four-stage RK4 step, and check X
+before each velocity and X' before each step, so a callback never sees a
+non-finite input.
 
 With ``A = I`` these reduce to plain gradient flow and to the damped
 oscillator flow of accelerated gradient descent.
@@ -66,7 +68,8 @@ GRID_RTOL = 1e-9
 # every sample is stored, so a grid is bounded (50x the benchmark's 20,000 steps)
 MAX_STEPS = 10**6
 
-# samples between the finiteness checks inside a quadratic run's loop
+# rows per block of a quadratic flow run, and steps between the finiteness
+# checks of its loop: a diverged run stops within this many samples
 FINITE_CHECK_EVERY = 1024
 
 
@@ -116,90 +119,160 @@ class IntegratorConfig:
 def admm_flow_rhs(problem, X):
     """Right-hand side ``-(A^T A)^{-1} grad V(X)`` of the first-order flow.
 
-    For quadratic f and g this is the affine map ``-(K X + b)`` of
-    :attr:`SplitProblem.flow_map`, one matrix-vector product. Otherwise the
-    gradient goes through :meth:`SplitProblem.solve_ata`, two matrix-vector
-    products with the cached inverse of the Cholesky factor of A^T A. With
-    A = I this is the plain negative gradient.
+    The gradient goes through :meth:`SplitProblem.solve_ata`, two
+    matrix-vector products with the cached inverse of the Cholesky factor of
+    A^T A. With A = I this is the plain negative gradient.
     """
     X = _as_vector(X, problem.n, "X")
-    if problem.is_quadratic:
-        K, b = problem.flow_map
-        return -(K @ X + b)
     return -problem.solve_ata(grad_V(problem, X))
 
 
-def _rk4_propagator(problem, h):
-    """``(P, d)`` such that one classical RK4 step of ``x' = -(K x + b)`` is
-    ``x -> P x + d``.
-
-    With ``z = -h K``: ``P = R(z) = 1 + z phi(z)``, the RK4 stability
-    function ``sum_{j<=4} z^j / j!``, and ``d = h phi(z) (-b)``, where
-    ``phi(z) = 1 + z/2 + z^2/6 + z^3/24`` is evaluated in Horner form.
-    """
-    K, b = problem.flow_map
-    z = -h * K
-    eye = np.eye(problem.n)
-    phi = eye + z / 4.0
-    phi = eye + (z / 3.0) @ phi
-    phi = eye + (z / 2.0) @ phi
-    return eye + z @ phi, -h * (phi @ b)
+def _start(problem, x0, config, v_star):
+    """``x0`` as a vector, the resolved ``v_star`` and the preallocated
+    columns ``t``, ``X`` and ``Xdot`` of the config's grid."""
+    x = np.array(_as_vector(x0, problem.n, "x0"))
+    v_star = resolve_v_star(problem, v_star)
+    n = config.n_steps + 1
+    columns = {"t": config.t0 + config.h * np.arange(n),
+               "X": np.empty((n, problem.n)), "Xdot": np.empty((n, problem.n))}
+    return x, v_star, columns
 
 
-def _integrate(problem, x0, config, v_star, meta, label, velocity, step, r=None):
-    """Sampling loop shared by both integrators.
+def _finish(problem, columns, end, v_star, meta, label, r=None):
+    """Trajectory of a run whose first ``end`` samples of X and X' are stored.
 
-    At each grid time: record X and the velocity ``X' = velocity(X)`` and
-    advance with ``X = step(t, t_next, X, X')``. For callback problems the
-    loop stops at the first non-finite X, before its velocity is taken, and
-    at the first non-finite X', before the step passes it to a callback; for
-    quadratic problems X is checked only every ``FINITE_CHECK_EVERY``
-    samples, so a diverged run stops within that many steps, and the stored
-    X block is checked once after the loop.
-    After the loop V is evaluated at every sample and, when ``r`` is given,
-    the Hamiltonian of the second-order flow, ``H = t^r (0.5 ||A X'||^2 + V)``;
-    H is ``inf`` where ``t^r`` overflows, which is not divergence.
+    V is evaluated at those samples and, when ``r`` is given, the Hamiltonian
+    of the second-order flow, ``H = t^r (0.5 ||A X'||^2 + V)``; H is ``inf``
+    where ``t^r`` overflows, which is not divergence.
 
     Raises
     ------
     DivergenceError
-        At the first sample where X, X' or V is not finite; it carries the
-        last finite time and the trajectory up to it.
+        At the first sample where X, X' or V is not finite, or at ``end``
+        when that falls short of the grid; it carries the last finite time
+        and the trajectory up to it.
     """
-    x = np.array(_as_vector(x0, problem.n, "x0"))
-    v_star = resolve_v_star(problem, v_star)
-    n = config.n_steps + 1
-    ts = config.t0 + config.h * np.arange(n)
-    xs, xds = np.empty((n, problem.n)), np.empty((n, problem.n))
-    columns = {"t": ts, "X": xs, "Xdot": xds}
-    # a callback must never see a non-finite X or X'; a quadratic run's X is
-    # checked in full after the loop, so the check inside it only stops a
-    # diverged run early
-    check_every = FINITE_CHECK_EVERY if problem.is_quadratic else 1
-    # divergence is detected and reported below; silence the raw overflow, and
-    # t^r overflowing in H (large r and t), which leaves H = inf
+    n = len(columns["t"])
+    xs, xds = columns["X"][:end], columns["Xdot"][:end]
+    # divergence is detected and reported below; silence the overflow of a
+    # diverged run, and of t^r in H (large r and t), which leaves H = inf
     with np.errstate(over="ignore", invalid="ignore"):
-        end = n
-        for i in range(n):
-            if i % check_every == 0 and not np.all(np.isfinite(x)):
-                end = i
-                break
-            xs[i] = x
-            xds[i] = velocity(x)
-            if check_every == 1 and not np.all(np.isfinite(xds[i])):
-                end = i + 1  # sample i is kept, and the check below stops there
-                break
-            if i + 1 < n:
-                x = step(ts[i], ts[i + 1], x, xds[i])
-        vals = columns["V"] = _values(problem, xs[:end])
+        vals = columns["V"] = _values(problem, xs)
         if r is not None:
-            columns["hamiltonian"] = ts[:end] ** r * (0.5 * _a_sq_norms(problem, xds[:end]) + vals)
-    finite = (np.isfinite(xs[:end]).all(axis=1) & np.isfinite(xds[:end]).all(axis=1)
-              & np.isfinite(vals))
+            columns["hamiltonian"] = columns["t"][:end] ** r * (0.5 * _a_sq_norms(problem, xds)
+                                                                + vals)
+    finite = np.isfinite(xs).all(axis=1) & np.isfinite(xds).all(axis=1) & np.isfinite(vals)
     stop = end if finite.all() else int(np.argmin(finite))
     if stop < n:
         raise divergence_error(label, columns, stop, v_star, meta)
     return build_trajectory(columns, n, v_star, meta)
+
+
+def _integrate(problem, x, columns, v_star, meta, label, velocity, step, r=None):
+    """Sampling loop of a callback problem.
+
+    At each grid time: record X and the velocity ``X' = velocity(X)`` and
+    advance with ``X = step(t, t_next, X, X')``. The loop stops at the first
+    non-finite X, before its velocity is taken, and at the first non-finite
+    X', before the step passes it to a callback.
+    """
+    ts, xs, xds = columns["t"], columns["X"], columns["Xdot"]
+    n = len(ts)
+    end = n
+    with np.errstate(over="ignore", invalid="ignore"):
+        for i in range(n):
+            if not np.all(np.isfinite(x)):
+                end = i
+                break
+            xs[i] = x
+            xds[i] = velocity(x)
+            if not np.all(np.isfinite(xds[i])):
+                end = i + 1  # sample i is kept, and _finish stops there
+                break
+            if i + 1 < n:
+                x = step(ts[i], ts[i + 1], x, xds[i])
+    return _finish(problem, columns, end, v_star, meta, label, r)
+
+
+def _modal_rk4(problem, x, columns, h, v_star, meta):
+    """RK4 samples of a quadratic problem's first-order flow, mode by mode.
+
+    With ``z = -h lam``, one step multiplies ``y - y*`` (``y* = -beta / lam``)
+    by ``R(z) = 1 + z phi(z)``, ``phi(z) = 1 + z/2 + z^2/6 + z^3/24``, so
+    sample k is ``y0 + (R^k - 1)(y0 - y*)`` with ``R^k - 1 = expm1(k log1p(z
+    phi(z)))``, accurate for lam near 0; a mode with ``z phi(z) = 0`` drifts
+    as ``y0 - k h beta``, which RK4 integrates exactly. A run stops after the
+    first block holding a non-finite row of X or X'.
+    """
+    modes = problem.modes
+    meta["modal_backward_error"] = modes.backward_error
+    lam, beta = modes.lam, modes.beta
+    z = -h * lam
+    growth = z * (1.0 + z / 2.0 * (1.0 + z / 3.0 * (1.0 + z / 4.0)))  # R(z) - 1
+    log_r = np.log1p(growth)
+    drift = growth == 0.0
+    y0 = modes.coordinates(x)
+    gap = y0 - np.divide(-beta, lam, out=np.zeros_like(lam), where=~drift)  # y0 - y*
+    # X = phi y and X' = -phi (lam y + beta), as products with the rows y
+    phi_t = modes.phi.T
+    neg_phi_t = -phi_t
+    xs, xds = columns["X"], columns["Xdot"]
+    n = len(xs)
+    end = n
+    steps = np.arange(min(FINITE_CHECK_EVERY, n), dtype=float)[:, None]
+    with np.errstate(over="ignore", invalid="ignore"):
+        within = np.expm1(steps * log_r)  # R^j - 1 for the rows j of a block
+        for start in range(0, n, FINITE_CHECK_EVERY):
+            rows = slice(start, min(start + FINITE_CHECK_EVERY, n))
+            ahead = np.expm1(start * log_r)  # R^start - 1
+            part = within[:rows.stop - start]
+            ys = part * ahead
+            ys += part
+            ys += ahead  # R^k - 1 = (R^j - 1)(R^start - 1) + (R^j - 1) + (R^start - 1)
+            ys *= gap
+            ys += y0
+            if drift.any():
+                ys[:, drift] = y0[drift] - ((start + steps[:len(ys)]) * h) * beta[drift]
+            np.matmul(ys, phi_t, out=xs[rows])
+            ys *= lam
+            ys += beta
+            np.matmul(ys, neg_phi_t, out=xds[rows])
+            if not (np.isfinite(xs[rows]).all() and np.isfinite(xds[rows]).all()):
+                end = rows.stop
+                break
+    return _finish(problem, columns, end, v_star, meta, "first-order flow")
+
+
+def _modal_symplectic(problem, x, columns, h, r, v_star, meta):
+    """Symplectic Euler samples of a quadratic problem's second-order flow:
+    the step of :func:`aadmm_flow_integrate` on ``(y, w) = phi^{-1} (X, X')``,
+    checked for finite values every ``FINITE_CHECK_EVERY`` steps."""
+    modes = problem.modes
+    meta["modal_backward_error"] = modes.backward_error
+    h_lam, h_beta = h * modes.lam, h * modes.beta
+    ts = columns["t"]
+    # (t_k / t_{k+1})^r for every step
+    damping = np.exp(r * np.log(ts[:-1] / ts[1:])).tolist()
+    # the loop stores the mode coordinates in the X and X' columns
+    ys, ws = columns["X"], columns["Xdot"]
+    n = len(ts)
+    end = n
+    y, w = modes.coordinates(x), np.zeros(problem.n)
+    ys[0], ws[0] = y, w
+    with np.errstate(over="ignore", invalid="ignore"):
+        for i in range(1, n):
+            v = w - (h_lam * y + h_beta)
+            y = y + h * v
+            w = damping[i - 1] * v
+            ys[i], ws[i] = y, w
+            if i % FINITE_CHECK_EVERY == 0 and not (np.isfinite(y).all()
+                                                    and np.isfinite(w).all()):
+                end = i + 1
+                break
+        phi_t = modes.phi.T
+        ys[:end] = ys[:end] @ phi_t
+        ws[:end] = ws[:end] @ phi_t
+    return _finish(problem, columns, end, v_star, meta, "second-order flow", r)
 
 
 def rk4_integrate(problem, x0, config, v_star=None):
@@ -215,18 +288,6 @@ def rk4_integrate(problem, x0, config, v_star=None):
         last finite time and the partial trajectory.
     """
     h = config.h
-    if problem.is_quadratic:
-        P, d = _rk4_propagator(problem, h)
-
-        def step(t, t_next, x, k1):
-            return P @ x + d
-    else:
-        def step(t, t_next, x, k1):
-            k2 = admm_flow_rhs(problem, x + 0.5 * h * k1)
-            k3 = admm_flow_rhs(problem, x + 0.5 * h * k2)
-            k4 = admm_flow_rhs(problem, x + h * k3)
-            return x + (h / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
-
     meta = {
         "method": "admm_flow",
         "integrator": "rk4",
@@ -234,7 +295,17 @@ def rk4_integrate(problem, x0, config, v_star=None):
         "t0": config.t0,
         "t_end": config.t_end,
     }
-    return _integrate(problem, x0, config, v_star, meta, "first-order flow",
+    x, v_star, columns = _start(problem, x0, config, v_star)
+    if problem.is_quadratic:
+        return _modal_rk4(problem, x, columns, h, v_star, meta)
+
+    def step(t, t_next, x, k1):
+        k2 = admm_flow_rhs(problem, x + 0.5 * h * k1)
+        k3 = admm_flow_rhs(problem, x + 0.5 * h * k2)
+        k4 = admm_flow_rhs(problem, x + h * k3)
+        return x + (h / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
+
+    return _integrate(problem, x, columns, v_star, meta, "first-order flow",
                       lambda x: admm_flow_rhs(problem, x), step)
 
 
@@ -253,6 +324,17 @@ def aadmm_flow_integrate(problem, x0, config, v_star=None):
         raise ValueError("config.r is required for the second-order flow")
     r = float(config.r)
     h = config.h
+    meta = {
+        "method": "aadmm_flow",
+        "integrator": "symplectic_euler",
+        "h": h,
+        "t0": config.t0,
+        "t_end": config.t_end,
+        "r": r,
+    }
+    x, v_star, columns = _start(problem, x0, config, v_star)
+    if problem.is_quadratic:
+        return _modal_symplectic(problem, x, columns, h, r, v_star, meta)
     carried = np.zeros(problem.n)  # X' at the next sample
 
     def velocity(x):
@@ -264,12 +346,4 @@ def aadmm_flow_integrate(problem, x0, config, v_star=None):
         carried = math.exp(r * math.log(t / t_next)) * v  # (t / t_next)^r v
         return x + h * v
 
-    meta = {
-        "method": "aadmm_flow",
-        "integrator": "symplectic_euler",
-        "h": h,
-        "t0": config.t0,
-        "t_end": config.t_end,
-        "r": r,
-    }
-    return _integrate(problem, x0, config, v_star, meta, "second-order flow", velocity, step, r)
+    return _integrate(problem, x, columns, v_star, meta, "second-order flow", velocity, step, r)

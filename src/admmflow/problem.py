@@ -14,6 +14,7 @@ feasible manifold ``z = A x``.
 from __future__ import annotations
 
 import json
+from dataclasses import dataclass
 from functools import cached_property
 
 import numpy as np
@@ -139,6 +140,30 @@ class CallbackFunction:
         return f"CallbackFunction(dim={self.dim})"
 
 
+@dataclass(frozen=True, eq=False)
+class Modes:
+    """Modal basis of the pencil ``(H, A^T A)`` (:attr:`SplitProblem.modes`).
+
+    ``phi^T (A^T A) phi = I``, ``phi^T H phi = diag(lam)`` (lam ascending) and
+    ``beta = phi^T c``, so with ``X = phi y`` the first-order flow splits into
+    the scalar modes ``y_i' = -(lam_i y_i + beta_i)``. ``q`` holds the
+    eigenvectors behind ``phi = L^{-T} q``, ``chol`` the Cholesky factor L,
+    and ``backward_error`` the pencil test's ratio in units of eps.
+    """
+
+    lam: np.ndarray
+    phi: np.ndarray
+    beta: np.ndarray
+    q: np.ndarray
+    chol: np.ndarray
+    backward_error: float
+
+    def coordinates(self, x):
+        """Mode coordinates ``y = Q^T (L^T x)`` of a point, so that ``x = phi y``
+        (the equal ``phi^T (A^T A) x`` amplifies the rounding of ``phi``)."""
+        return self.q.T @ (self.chol.T @ x)
+
+
 class SplitProblem:
     """Problem data for ``min f(x) + g(z)  s.t.  z = A x``.
 
@@ -155,16 +180,16 @@ class SplitProblem:
         Provenance of generated problems, carried into serialization.
 
     The instance is immutable after construction. The Gram matrix ``A^T A``
-    is computed eagerly; the inverse of its Cholesky factor (behind
-    :meth:`solve_ata`) and the flow map of a quadratic problem
-    (:attr:`flow_map`) are computed on first use and cached, so a run that
+    is computed eagerly; its Cholesky factor and that factor's inverse
+    (behind :meth:`solve_ata`) and the modal basis of a quadratic problem
+    (:attr:`modes`) are computed on first use and cached, so a run that
     needs neither, such as a discrete solver's, never pays for them.
     """
 
     rank_rtol = 1e-10
-    # normwise backward error allowed of the flow map (Higham, Accuracy and
+    # normwise backward error allowed of the modal basis (Higham, Accuracy and
     # Stability of Numerical Algorithms, sec. 7.1)
-    flow_map_backward_tol = 64 * np.finfo(float).eps
+    modal_backward_tol = 64 * np.finfo(float).eps
 
     def __init__(self, f, g, A, seed=None, generator_params=None):
         A = np.array(A, dtype=float)
@@ -210,14 +235,15 @@ class SplitProblem:
 
     @cached_property
     def _ata_inverse_factor(self):
-        """``L^{-1}`` for the Cholesky factor ``A^T A = L L^T``, and its
-        transpose, both C-contiguous; computed on first use."""
+        """``(L, L^{-1}, L^{-T})`` for the Cholesky factor ``A^T A = L L^T``,
+        all C-contiguous; computed on first use."""
         try:
-            inv = np.linalg.inv(np.linalg.cholesky(self.ata))
+            chol = np.linalg.cholesky(self.ata)
         except np.linalg.LinAlgError as exc:
             raise NumericalError(f"A^T A is not numerically positive definite "
                                  f"(cond(A) = {self.cond_A:.3g}): {exc}") from exc
-        return inv, np.ascontiguousarray(inv.T)
+        inv = np.linalg.inv(chol)
+        return chol, inv, np.ascontiguousarray(inv.T)
 
     def solve_ata(self, b):
         """Solve ``(A^T A) y = b`` as ``y = L^{-T} (L^{-1} b)``, two matrix
@@ -226,51 +252,63 @@ class SplitProblem:
 
         There is no refinement step: the normwise backward error
         ``||b - (A^T A) y|| / (||A^T A|| ||y|| + ||b||)`` stays a small
-        multiple of eps at any conditioning of A (the flow map checks its
-        own solves to 64 eps), and the forward error is of order
-        ``cond(A^T A) eps``, as for any backward-stable solve.
+        multiple of eps at any conditioning of A, and the forward error is of
+        order ``cond(A^T A) eps``, as for any backward-stable solve.
         """
-        inv, inv_t = self._ata_inverse_factor
+        _, inv, inv_t = self._ata_inverse_factor
         return inv_t @ (inv @ b)
 
     @cached_property
-    def flow_map(self):
-        """``(K, b)`` with ``(A^T A)^{-1} grad V(x) = K x + b``, for quadratic f and g.
+    def modes(self):
+        """The :class:`Modes` of a quadratic problem.
 
-        ``K = (A^T A)^{-1} H`` and ``b = (A^T A)^{-1} c``, where ``H`` and ``c``
-        are the Hessian and linear term of V. Both come from :meth:`solve_ata`
-        on first access (O(n^3), so never in the constructor) and are
-        read-only.
+        With ``A^T A = L L^T`` (the factor behind :meth:`solve_ata`) and
+        ``H``, ``c`` the Hessian and linear term of V: ``eigh`` of the
+        symmetrised ``L^{-1} H L^{-T}`` gives ``Q`` and ``lam``, then
+        ``phi = L^{-T} Q`` and ``beta = Q^T (L^{-1} c)``. Built on first
+        access (O(n^3), so never in the constructor or by the discrete
+        solvers); the arrays are read-only.
 
         Raises
         ------
         UnsupportedFunctionError
             If ``f`` or ``g`` is a callback function.
         NumericalError
-            If the normwise backward error of K,
-            ``||(A^T A) K - H||_F / (||A^T A||_F ||K||_F + ||H||_F)``, exceeds
-            ``64 eps``, or the same test of ``b`` against ``c`` fails. An
-            exactly rounded solve gives a small multiple of eps at any
-            conditioning of A, so the test accepts ill-conditioned A and
-            refuses a solve that went wrong.
+            If a normwise backward error (Higham, Accuracy and Stability of
+            Numerical Algorithms, sec. 7.1) exceeds ``64 eps``: that of the
+            pencil, ``||H phi - (A^T A) phi diag(lam)||_F / ((||H||_F +
+            ||A^T A||_F max|lam|) ||phi||_F)``, or that of the linear term,
+            ``||(A^T A) phi beta - c|| / (||A^T A||_F ||phi||_F ||beta|| +
+            ||c||)``. A correct decomposition scores a small multiple of eps
+            at any conditioning of A.
         """
         if not self.is_quadratic:
-            raise UnsupportedFunctionError("the flow map requires quadratic f and g")
+            raise UnsupportedFunctionError("the modal basis requires quadratic f and g")
+        chol, inv, inv_t = self._ata_inverse_factor
         H, c = _hessian_and_linear_term(self)
-        K, b = self.solve_ata(H), self.solve_ata(c)
-        ata_norm = np.linalg.norm(self.ata)
-        for name, got, rhs, want in (("K", K, "H", H), ("b", b, "c", c)):
-            resid = np.linalg.norm(self.ata @ got - want)
-            scale = ata_norm * np.linalg.norm(got) + np.linalg.norm(want)
-            tol = self.flow_map_backward_tol * scale
+        S = inv @ H @ inv_t
+        lam, Q = np.linalg.eigh(0.5 * (S + S.T))
+        phi = inv_t @ Q
+        beta = Q.T @ (inv @ c)
+        ata_norm, phi_norm = np.linalg.norm(self.ata), np.linalg.norm(phi)
+        lam_max = float(np.max(np.abs(lam)))
+        pencil = np.linalg.norm(H @ phi - (self.ata @ phi) * lam)
+        pencil_scale = (np.linalg.norm(H) + ata_norm * lam_max) * phi_norm
+        linear = np.linalg.norm(self.ata @ (phi @ beta) - c)
+        linear_scale = ata_norm * phi_norm * np.linalg.norm(beta) + np.linalg.norm(c)
+        for name, resid, scale in (("pencil", pencil, pencil_scale),
+                                   ("linear-term", linear, linear_scale)):
+            tol = self.modal_backward_tol * scale
             if resid > tol:
                 raise NumericalError(
-                    f"flow map {name} fails its residual check: ||(A^T A) {name} - {rhs}|| = "
-                    f"{resid:.3e} exceeds {tol:.3e} (cond(A) = {self.cond_A:.3g})"
+                    f"modal basis fails its {name} check: residual {resid:.3e} exceeds "
+                    f"{tol:.3e} (cond(A) = {self.cond_A:.3g})"
                 )
-        K.flags.writeable = False
-        b.flags.writeable = False
-        return K, b
+        eps = np.finfo(float).eps
+        for a in (lam, phi, beta, Q, chol):
+            a.flags.writeable = False
+        return Modes(lam, phi, beta, Q, chol,
+                     float(pencil / pencil_scale / eps) if pencil_scale else 0.0)
 
     def __repr__(self):
         return f"SplitProblem(n={self.n}, m={self.m}, cond_A={self.cond_A:.3g})"

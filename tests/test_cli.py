@@ -65,8 +65,8 @@ def test_run_flow_closed_form(tmp_path, one_d_file):
 
 
 def test_run_flow_on_ill_conditioned_A(tmp_path):
-    # the flow map's backward-error check accepts cond(A) = 1e4 (its old
-    # residual check refused it, and the run exited 2)
+    # the modal basis's backward-error check accepts cond(A) = 1e4 (the flow
+    # map's old residual check refused it, and the run exited 2)
     out = str(tmp_path / "p.json")
     assert main(["gen", "--n", "60", "--zero-eigs", "40", "--eig-hi", "10",
                  "--cond-a", "1e4", "--seed", "38", "--out", out]) == 0
@@ -288,6 +288,8 @@ def test_figure1_smoke(tmp_path, capsys):
     assert report["env"] == {"admmflow": af.__version__, "python": platform.python_version(),
                              "numpy": np.__version__}
     assert "report:" in capsys.readouterr().out
+    # run records such as the flows' modal backward error stay out of the report
+    assert "modal_backward_error" not in (tmp_path / "fig" / "report.json").read_text()
     # the decay fraction of each monitor is the mean of its CSV's decay_ok column
     assert len(report["monitor_decay_fraction"]) == 4
     for name, frac in report["monitor_decay_fraction"].items():

@@ -12,6 +12,8 @@ from admmflow.flows import IntegratorConfig
 
 from helpers import rk4_reference, second_order_rhs
 
+EPS = np.finfo(float).eps
+
 
 @pytest.fixture(scope="module")
 def identity_A_problem():
@@ -93,16 +95,18 @@ def test_rk4_divergence_reports_partial(one_d_problem):
 
 
 def test_diverged_quadratic_run_stops_within_a_check_block(one_d_problem, monkeypatch):
-    # X overflows at sample 63 of a 10^5-step grid; the quadratic loop checks X
-    # every FINITE_CHECK_EVERY samples, so it stops long before the grid ends
-    calls = []
-    rhs = af.flows.admm_flow_rhs
-    monkeypatch.setattr(af.flows, "admm_flow_rhs", lambda p, x: calls.append(1) or rhs(p, x))
+    # V overflows at sample 63 of a 10^5-step grid (R(-10) = 291 per step); the
+    # quadratic run forms its samples in blocks of FINITE_CHECK_EVERY rows and
+    # stops after the first block holding a non-finite row, so V is evaluated
+    # on that block only, long before the grid ends
+    rows = []
+    values = af.flows._values
+    monkeypatch.setattr(af.flows, "_values", lambda p, xs: rows.append(len(xs)) or values(p, xs))
     config = IntegratorConfig(h=10.0, t0=0.0, t_end=1e6)
     with pytest.raises(DivergenceError, match=r"after t = 620$") as err:
         af.rk4_integrate(one_d_problem, np.array([1.0]), config)
     assert len(err.value.trajectory) == 63
-    assert len(calls) <= af.flows.FINITE_CHECK_EVERY < config.n_steps
+    assert rows == [af.flows.FINITE_CHECK_EVERY] and rows[0] < config.n_steps
 
 
 def one_symplectic_step(problem, x0, t0, h, r):
@@ -286,11 +290,21 @@ def test_figure1_accelerated_flow_rate_window(figure1_symplectic_traj):
 
 
 def test_first_order_state_accessor(pd_2d_problem):
-    # the recorded velocity of every sample is the flow right-hand side there
-    traj = af.rk4_integrate(pd_2d_problem, np.array([1.0, -2.0]),
-                            IntegratorConfig(h=0.1, t0=0.0, t_end=1.0))
+    # the recorded velocity of every sample is the flow right-hand side there.
+    # The run forms X = phi y and X' = -phi (lam y + beta) from the mode
+    # coordinates y; the rounding of X = phi y (at most gamma_n ||phi|| ||y||
+    # <= gamma_n cond(A) ||X||), carried through K = (A^T A)^{-1} H, and the
+    # rounding of either velocity (the solve's forward error, at most a
+    # gamma_n cond(A)^2 multiple of ||K X + b||) bound the difference by
+    # 64 n eps cond(A)^2 (||K|| ||X|| + ||b||)
+    p = pd_2d_problem
+    H, c = p.f.M + p.A.T @ p.g.M @ p.A, p.f.q + p.A.T @ p.g.q
+    K_norm, b_norm = np.linalg.norm(np.linalg.solve(p.ata, H), 2), np.linalg.norm(
+        np.linalg.solve(p.ata, c))
+    traj = af.rk4_integrate(p, np.array([1.0, -2.0]), IntegratorConfig(h=0.1, t0=0.0, t_end=1.0))
     for x, xdot in zip(traj.X, traj.Xdot):
-        assert np.array_equal(xdot, af.admm_flow_rhs(pd_2d_problem, x))
+        tol = 64 * p.n * EPS * p.cond_A**2 * (K_norm * np.linalg.norm(x) + b_norm)
+        assert np.linalg.norm(xdot - af.admm_flow_rhs(p, x)) <= tol
 
 
 def test_rectangular_problem_end_to_end():
@@ -334,15 +348,21 @@ def _callback_copy(problem):
                            af.CallbackFunction(g.value, g.grad, g.dim), problem.A)
 
 
-@pytest.mark.parametrize("which", ["pd_2d", "rectangular", "cond_1e5"])
+@pytest.mark.parametrize("which", ["pd_2d", "rectangular", "cond_1e5", "cond_1e6"])
 def test_affine_map_matches_solve_path(which, pd_2d_problem):
-    # the quadratic fast path (RK4 propagator, V and H evaluated after the loop)
-    # and the callback path (four-stage step with per-stage solves, eval_V per
-    # sample) agree; at cond(A) = 1e5 this holds for H only with its kinetic
-    # term formed as ||A X'||^2 (<X', (A^T A) X'> amplifies rounding in X')
+    # the quadratic fast path (both flows on the modal basis, V and H evaluated
+    # after the loop) and the callback path (four-stage step with per-stage
+    # solves, eval_V per sample) agree; at cond(A) = 1e5 this holds for H only
+    # with its kinetic term formed as ||A X'||^2 (<X', (A^T A) X'> amplifies
+    # rounding in X'), and for X only with the mode coordinates of x0 formed
+    # through L^T (phi^T (A^T A) x0 is off by 1.6e-8)
     problem = {"pd_2d": pd_2d_problem,
                "rectangular": af.gen_figure1_problem(6, 2, 5.0, 10.0, seed=3, m=9),
-               "cond_1e5": af.gen_figure1_problem(20, 5, 10.0, 1e5, seed=1)}[which]
+               "cond_1e5": af.gen_figure1_problem(20, 5, 10.0, 1e5, seed=1),
+               "cond_1e6": af.gen_figure1_problem(20, 5, 10.0, 1e6, seed=1)}[which]
+    # at cond(A) = 1e6 the products with L^T and phi = L^{-T} Q each carry a
+    # relative rounding of order cond(A) eps: 64 cond(A) eps, 1.4e-8
+    rtol = 64 * 1e6 * EPS if which == "cond_1e6" else 1e-10
     callbacks = _callback_copy(problem)
     x0 = np.linspace(2.0, -1.0, problem.n)
     _, v_star = af.optimal_value(problem)
@@ -355,12 +375,13 @@ def test_affine_map_matches_solve_path(which, pd_2d_problem):
         assert len(fast) == len(slow) == config.n_steps + 1
         for field in ("X", "Xdot", "V") + extra:
             got, want = getattr(fast, field), getattr(slow, field)
-            assert np.max(np.abs(got - want)) <= 1e-10 * np.max(np.abs(want)), field
+            assert np.max(np.abs(got - want)) <= rtol * np.max(np.abs(want)), field
 
 
 def test_rk4_propagator_matches_solve_path_at_ill_conditioned_A():
-    # cond(A) = 1e5, which the map's old residual check refused: RK4 on the
-    # propagator agrees with the four-stage step solving A^T A at every stage
+    # cond(A) = 1e5, which the flow map's old residual check refused: RK4 on
+    # the modal basis agrees with the four-stage step solving A^T A at every
+    # stage
     problem = af.gen_figure1_problem(20, 5, 10.0, 1e5, seed=1)
     x0 = np.linspace(2.0, -1.0, problem.n)
     config = IntegratorConfig(h=0.01, t0=0.0, t_end=5.0)
@@ -385,14 +406,15 @@ def test_figure1_rk4_matches_modal_solution(figure1_problem, figure1_x0, figure1
 
 
 def test_flow_map_stays_lazy():
-    # the O(n^3) map is built by the first flow, never by the discrete solvers
+    # the flow's O(n^3) modal basis, and the Cholesky factor under it, are
+    # built by the first flow, never by the discrete solvers
     p = af.gen_figure1_problem(8, 3, 5.0, 10.0, seed=4)
     x0 = np.ones(8)
     af.run_admm(p, x0, rho=5.0, max_iter=5)
     af.run_aadmm(p, x0, rho=5.0, r=3.0, max_iter=5)
-    assert "flow_map" not in p.__dict__
+    assert "modes" not in p.__dict__ and "_ata_inverse_factor" not in p.__dict__
     af.rk4_integrate(p, x0, IntegratorConfig(h=0.1, t0=0.0, t_end=1.0))
-    assert "flow_map" in p.__dict__
+    assert "modes" in p.__dict__
 
 
 def test_large_r_flow_completes(one_d_problem):
@@ -441,24 +463,22 @@ def test_overflowing_t_r_leaves_bounded_run_complete_without_warning(one_d_probl
     assert 200.0 * math.log(traj.t[n_finite - 1]) < log_max < 200.0 * math.log(traj.t[n_finite])
 
 
-def test_non_finite_velocity_is_caught_at_its_sample(one_d_problem, monkeypatch):
-    # the quadratic RK4 step does not use the sample's velocity, so a velocity
-    # that overflows at sample 5 leaves every X finite; the run still stops
-    # there, after sample 4
-    calls = []
-    rhs = af.flows.admm_flow_rhs
-
-    def overflowing(p, x):
-        calls.append(1)
-        return np.full(1, np.inf) if len(calls) == 6 else rhs(p, x)
-
-    monkeypatch.setattr(af.flows, "admm_flow_rhs", overflowing)
+def test_non_finite_velocity_is_caught_at_its_sample():
+    # f = x^2/2 with A = [1e-150]: the flow is x' = -1e300 x, and h = 1e-299
+    # puts each RK4 step at R(-10) = 291. X' = -1e300 X overflows first, at
+    # sample 4 (X = 291^4 = 7.2e9 and V = 2.6e19 are finite there), so the run
+    # stops there, after sample 3
+    p = af.SplitProblem(af.QuadraticFunction([[1.0]]), af.QuadraticFunction.zero(1), [[1e-150]])
+    h = 1e-299
     with pytest.raises(DivergenceError) as err:
-        af.rk4_integrate(one_d_problem, np.array([1.0]), IntegratorConfig(h=0.1, t0=0.0, t_end=2.0))
+        af.rk4_integrate(p, np.array([1.0]), IntegratorConfig(h=h, t0=0.0, t_end=20 * h))
     partial = err.value.trajectory
-    assert len(partial) == 5
-    assert err.value.t_last == partial.t[-1] == pytest.approx(0.4)
+    assert len(partial) == 4
+    assert err.value.t_last == partial.t[-1] == pytest.approx(3 * h)
     assert np.all(np.isfinite(partial.Xdot))
+    assert partial.X[-1, 0] == pytest.approx(291.0**3, rel=1e-12)
+    x4 = 291.0**4  # the premise: at sample 4 only X' leaves the finite range
+    assert np.isfinite(0.5 * x4**2) and 1e300 * x4 == np.inf
 
 
 def test_callback_rk4_stops_at_non_finite_velocity():
@@ -480,3 +500,38 @@ def test_callback_rk4_stops_at_non_finite_velocity():
     partial = err.value.trajectory
     assert len(partial) == 5
     assert np.all(np.isfinite(partial.X)) and np.all(np.isfinite(partial.Xdot))
+
+
+def test_modal_flows_record_their_backward_error(pd_2d_problem):
+    # quadratic flow runs record the pencil backward error of the modal basis
+    # (in units of eps, below the 64 eps gate); callback runs have no basis
+    x0 = np.array([1.0, -2.0])
+    configs = [(af.rk4_integrate, IntegratorConfig(h=0.1, t0=0.0, t_end=1.0)),
+               (af.aadmm_flow_integrate, IntegratorConfig(h=0.1, t0=0.1, t_end=1.0, r=3.0))]
+    for integrate, config in configs:
+        traj = integrate(pd_2d_problem, x0, config)
+        assert traj.meta["modal_backward_error"] == pd_2d_problem.modes.backward_error
+        assert 0.0 <= traj.meta["modal_backward_error"] < 64.0
+        slow = integrate(_callback_copy(pd_2d_problem), x0, config, v_star=traj.v_star)
+        assert "modal_backward_error" not in slow.meta
+
+
+def test_zero_mode_drifts_on_both_paths():
+    # f = x1^2/2 + x2, g = 0, A = I: the second mode has lam = 0 and drifts
+    # (V is unbounded below, so v_star is given); both modal flows match the
+    # callback path, and RK4 integrates the drift x2(t) = x2(0) - t exactly
+    p = af.SplitProblem(af.QuadraticFunction(np.diag([1.0, 0.0]), [0.0, 1.0]),
+                        af.QuadraticFunction.zero(2), np.eye(2))
+    assert 0.0 in p.modes.lam  # the drift branch, not a tiny decaying mode
+    x0 = np.array([1.5, 0.5])
+    runs = [(af.rk4_integrate, IntegratorConfig(h=0.01, t0=0.0, t_end=5.0), ()),
+            (af.aadmm_flow_integrate, IntegratorConfig(h=0.01, t0=0.01, t_end=5.0, r=3.0),
+             ("hamiltonian",))]
+    for integrate, config, extra in runs:
+        fast = integrate(p, x0, config, v_star=0.0)
+        slow = integrate(_callback_copy(p), x0, config, v_star=0.0)
+        for field in ("X", "Xdot", "V") + extra:
+            got, want = getattr(fast, field), getattr(slow, field)
+            assert np.max(np.abs(got - want)) <= 1e-10 * np.max(np.abs(want)), field
+    rk = af.rk4_integrate(p, x0, runs[0][1], v_star=0.0)
+    assert np.all(np.abs(rk.X[:, 1] - (x0[1] - rk.t)) <= 4 * EPS * (abs(x0[1]) + rk.t))

@@ -227,7 +227,7 @@ def test_solve_ata_refuses_numerically_singular_gram():
     with pytest.raises(NumericalError, match="not numerically positive definite"):
         p.solve_ata(np.ones(p.n))
     with pytest.raises(NumericalError, match="not numerically positive definite"):
-        p.flow_map
+        p.modes
 
 
 def test_split_problem_validation():
@@ -295,49 +295,67 @@ def test_composite_objective_wrapper(pd_2d_problem):
     assert v_star == af.eval_V(p, x_star)
 
 
+# The flow map -(A^T A)^{-1} grad V of a quadratic problem is held as its
+# modal basis, problem.modes; the tests below check that basis.
+
+
 def test_flow_map_is_the_flow_velocity(pd_2d_problem):
     p = pd_2d_problem
-    K, b = p.flow_map
+    modes = p.modes
+    lam, phi, beta = modes.lam, modes.phi, modes.beta
     H = p.f.M + p.A.T @ p.g.M @ p.A
     c = p.f.q + p.A.T @ p.g.q
-    assert np.linalg.norm(p.ata @ K - H) <= 1e-10 * (1.0 + np.linalg.norm(H))
-    assert np.linalg.norm(p.ata @ b - c) <= 1e-10 * (1.0 + np.linalg.norm(c))
+    assert np.all(np.diff(lam) >= 0)  # ascending
+    assert np.allclose(phi.T @ p.ata @ phi, np.eye(2), rtol=0, atol=1e-12)
+    assert np.allclose(phi.T @ H @ phi, np.diag(lam), rtol=0, atol=1e-12)
+    assert np.allclose(beta, phi.T @ c, rtol=0, atol=1e-12)
+    # in mode coordinates the velocity is -(lam y + beta), and x = phi y
     x = np.array([0.7, -1.3])
+    y = modes.coordinates(x)
+    assert np.allclose(phi @ y, x, rtol=1e-12, atol=1e-12)
     want = np.linalg.solve(p.ata, af.grad_V(p, x))
-    assert np.allclose(K @ x + b, want, rtol=1e-12, atol=1e-12)
-    assert not K.flags.writeable and not b.flags.writeable
+    assert np.allclose(phi @ (lam * y + beta), want, rtol=1e-12, atol=1e-12)
+    for array in (lam, phi, beta, modes.q, modes.chol):
+        assert not array.flags.writeable
     with pytest.raises(ValueError):
-        K[0, 0] = 1.0
-    assert p.flow_map is p.flow_map  # built once
+        phi[0, 0] = 1.0
+    assert p.modes is p.modes  # built once
 
 
 def test_flow_map_rejects_callbacks(pd_2d_problem):
     f = af.CallbackFunction(pd_2d_problem.f.value, pd_2d_problem.f.grad, 2)
     p = af.SplitProblem(f, pd_2d_problem.g, pd_2d_problem.A)
     with pytest.raises(UnsupportedFunctionError):
-        p.flow_map
+        p.modes
 
 
 def test_flow_map_refuses_inaccurate_map(pd_2d_problem, monkeypatch):
-    # a solve that is off by 1e-9 relative: far above the 64 eps backward-error
-    # gate, whatever the conditioning of A
+    # an eigendecomposition off by 1e-9 relative: far above the 64 eps
+    # backward-error gates, whatever the conditioning of A. Scaled
+    # eigenvalues fail the pencil test; scaled eigenvectors leave the
+    # (scale-free) pencil ratio alone and fail the linear-term test
     base = pd_2d_problem
-    for name, ndim in (("K", 2), ("b", 1)):
+    exact = np.linalg.eigh
+    perturbations = {"pencil": lambda lam, Q: (lam * (1.0 + 1e-9), Q),
+                     "linear-term": lambda lam, Q: (lam, Q * (1.0 + 1e-9))}
+    for name, perturb in perturbations.items():
+        monkeypatch.setattr(np.linalg, "eigh", lambda S, perturb=perturb: perturb(*exact(S)))
         p = af.SplitProblem(base.f, base.g, base.A)
-        exact = p.solve_ata
-        monkeypatch.setattr(p, "solve_ata",
-                            lambda rhs: exact(rhs) * (1.0 + 1e-9 * (np.ndim(rhs) == ndim)))
-        with pytest.raises(NumericalError, match=f"flow map {name} "):
-            p.flow_map
-        with pytest.raises(NumericalError):
-            af.rk4_integrate(p, np.ones(2), af.flows.IntegratorConfig(h=0.1, t0=0.0, t_end=1.0))
+        with pytest.raises(NumericalError, match=f"fails its {name} check"):
+            p.modes
+        config = af.flows.IntegratorConfig(h=0.1, t0=0.1, t_end=1.0, r=3.0)
+        for integrate in (af.rk4_integrate, af.aadmm_flow_integrate):
+            with pytest.raises(NumericalError):
+                integrate(af.SplitProblem(base.f, base.g, base.A), np.ones(2), config)
 
 
-@pytest.mark.parametrize("cond_a", [1e4, 1e5, 1e6])
+@pytest.mark.parametrize("cond_a", [1e2, 1e4, 1e5, 1e6])
 def test_flow_map_accepts_ill_conditioned_A(cond_a):
-    # a correctly computed map has a backward error near 0.1 eps at any
-    # cond(A); the residual check 1e-10 (1 + ||H||) refused these from 5e3 on
+    # a correctly computed basis has a pencil backward error of a fraction of
+    # eps on these draws (0.26 eps at 1e5), far inside the 64 eps gate; the
+    # flow map's old residual check 1e-10 (1 + ||H||) refused them from 5e3 on
     p = af.gen_figure1_problem(20, 5, 10.0, cond_a, seed=1)
-    K, _ = p.flow_map
-    H = p.f.M + p.A.T @ p.g.M @ p.A
-    assert np.linalg.norm(p.ata @ K - H) > 1e-10 * (1.0 + np.linalg.norm(H))
+    assert 0.0 <= p.modes.backward_error < 64.0
+    config = af.flows.IntegratorConfig(h=0.1, t0=0.0, t_end=1.0)
+    traj = af.rk4_integrate(p, np.ones(20), config)
+    assert np.all(np.isfinite(traj.X)) and traj.v_gap[-1] < traj.v_gap[0]

@@ -11,7 +11,7 @@ from hypothesis import strategies as st
 
 import admmflow as af
 from admmflow.discrete import BLOCK, SubproblemCache
-from admmflow.flows import IntegratorConfig, _rk4_propagator
+from admmflow.flows import IntegratorConfig
 
 EPS = np.finfo(float).eps
 
@@ -35,12 +35,16 @@ problems = st.builds(random_problem, seed=st.integers(0, 2**32 - 1),
 @settings(max_examples=40, deadline=None)
 @given(problem_rng=problems, frac=st.floats(1e-3, 2.5))
 def test_rk4_propagator_is_the_four_stage_step(problem_rng, frac):
+    # sample 1 of the modal RK4 (each mode multiplied by R(-h lam)) is one
+    # four-stage step of the flow's right-hand side
     problem, rng = problem_rng
-    K, b = problem.flow_map
+    H = problem.f.M + problem.A.T @ problem.g.M @ problem.A
+    c = problem.f.q + problem.A.T @ problem.g.q
+    K, b = problem.solve_ata(H), problem.solve_ata(c)
     norm_hk = frac  # h ||K||_2, inside RK4's stability interval on the real axis
     h = frac / np.linalg.norm(K, 2)
-    P, d = _rk4_propagator(problem, h)
     x = rng.standard_normal(problem.n)
+    got = af.rk4_integrate(problem, x, IntegratorConfig(h=h, t0=0.0, t_end=h)).X[1]
 
     def rhs(y):
         return af.admm_flow_rhs(problem, y)
@@ -51,7 +55,7 @@ def test_rk4_propagator_is_the_four_stage_step(problem_rng, frac):
     k4 = rhs(x + h * k3)
     want = x + (h / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
     scale = (1.0 + norm_hk) ** 4 * (np.linalg.norm(x) + h * np.linalg.norm(b))
-    assert np.linalg.norm(P @ x + d - want) <= 64 * problem.n * EPS * scale
+    assert np.linalg.norm(got - want) <= 64 * problem.n * EPS * scale
 
 
 @settings(max_examples=30, deadline=None)
@@ -62,8 +66,11 @@ def test_minimizer_is_a_fixed_point_of_every_step(problem_rng, h, rho, r, k):
     x_star, _ = af.optimal_value(problem)
     tol = 1e-10 * (1.0 + np.linalg.norm(x_star))
 
-    P, d = _rk4_propagator(problem, h)
-    assert np.linalg.norm(P @ x_star + d - x_star) <= tol
+    # a modal RK4 step from x*: X stays put and X' stays zero
+    rk = af.rk4_integrate(problem, x_star, IntegratorConfig(h=h, t0=0.0, t_end=h))
+    assert len(rk) == 2
+    assert np.max(np.linalg.norm(rk.X - x_star, axis=1)) <= tol
+    assert np.max(np.linalg.norm(rk.Xdot, axis=1)) <= tol
 
     # symplectic Euler steps from rest at x*: X and X' stay put
     sym = af.aadmm_flow_integrate(problem, x_star,
