@@ -109,6 +109,24 @@ def test_diverged_quadratic_run_stops_within_a_check_block(one_d_problem, monkey
     assert rows == [af.flows.FINITE_CHECK_EVERY] and rows[0] < config.n_steps
 
 
+def test_diverged_symplectic_run_stops_within_a_check_block(monkeypatch):
+    # symplectic Euler at h^2 lam = 100 > 4 grows about 98-fold per step, so
+    # V = 50 X^2 overflows within the first hundred of 10^5 steps; the
+    # quadratic loop checks its mode coordinates every FINITE_CHECK_EVERY
+    # steps and stops at the first check, so V is evaluated on
+    # FINITE_CHECK_EVERY + 1 samples only
+    stiff = af.SplitProblem(af.QuadraticFunction([[100.0]]), af.QuadraticFunction.zero(1), [[1.0]])
+    rows = []
+    values = af.flows._values
+    monkeypatch.setattr(af.flows, "_values", lambda p, xs: rows.append(len(xs)) or values(p, xs))
+    config = IntegratorConfig(h=1.0, t0=1.0, t_end=1e5, r=3.0)
+    with pytest.raises(DivergenceError) as err:
+        af.aadmm_flow_integrate(stiff, np.array([1.0]), config)
+    assert rows == [af.flows.FINITE_CHECK_EVERY + 1] and rows[0] < config.n_steps
+    partial = err.value.trajectory
+    assert len(partial) < 100 and np.all(np.isfinite(partial.X))
+
+
 def one_symplectic_step(problem, x0, t0, h, r):
     return af.aadmm_flow_integrate(problem, x0, IntegratorConfig(h=h, t0=t0, t_end=t0 + h, r=r))
 
@@ -463,7 +481,7 @@ def test_overflowing_t_r_leaves_bounded_run_complete_without_warning(one_d_probl
     assert 200.0 * math.log(traj.t[n_finite - 1]) < log_max < 200.0 * math.log(traj.t[n_finite])
 
 
-def test_non_finite_velocity_is_caught_at_its_sample():
+def test_non_finite_velocity_is_caught_at_its_sample(monkeypatch):
     # f = x^2/2 with A = [1e-150]: the flow is x' = -1e300 x, and h = 1e-299
     # puts each RK4 step at R(-10) = 291. X' = -1e300 X overflows first, at
     # sample 4 (X = 291^4 = 7.2e9 and V = 2.6e19 are finite there), so the run
@@ -479,6 +497,16 @@ def test_non_finite_velocity_is_caught_at_its_sample():
     assert partial.X[-1, 0] == pytest.approx(291.0**3, rel=1e-12)
     x4 = 291.0**4  # the premise: at sample 4 only X' leaves the finite range
     assert np.isfinite(0.5 * x4**2) and 1e300 * x4 == np.inf
+    # from x0 = 1e9 at h = 1e-301 X decays and stays finite, but X' = -1e309
+    # is inf from sample 0: the run still stops after its first block
+    rows = []
+    values = af.flows._values
+    monkeypatch.setattr(af.flows, "_values", lambda p, xs: rows.append(len(xs)) or values(p, xs))
+    config = IntegratorConfig(h=1e-301, t0=0.0, t_end=2000e-301)
+    with pytest.raises(DivergenceError, match=r"after t = 0$") as err:
+        af.rk4_integrate(p, np.array([1e9]), config)
+    assert err.value.trajectory is None
+    assert rows == [af.flows.FINITE_CHECK_EVERY] and rows[0] < config.n_steps
 
 
 def test_callback_rk4_stops_at_non_finite_velocity():
