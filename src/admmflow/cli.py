@@ -72,11 +72,6 @@ def _positive(convert):
     return parse
 
 
-def _matrix_rank(M):
-    svals = np.linalg.svd(M, compute_uv=False)
-    return int(np.sum(svals > 1e-8 * svals[0])) if svals[0] > 0 else 0
-
-
 def cmd_gen(args):
     problem = gen_figure1_problem(
         args.n, args.zero_eigs, args.eig_hi, args.cond_a, seed=args.seed, m=args.m
@@ -84,8 +79,9 @@ def cmd_gen(args):
     out = args.out or os.path.join(_default_outdir(), "problem.json")
     os.makedirs(os.path.dirname(out) or ".", exist_ok=True)
     save_problem(problem, out)
+    evals = problem.f.eigenvalues
     print(f"wrote {out}")
-    print(f"n={problem.n} m={problem.m} rank(M_f)={_matrix_rank(problem.f.M)} "
+    print(f"n={problem.n} m={problem.m} rank(M_f)={np.sum(evals > 1e-8 * evals[-1])} "
           f"cond(A)={problem.cond_A:.6f}")
     return EXIT_OK
 
@@ -155,6 +151,11 @@ def cmd_figure1(args):
               f"({args.window_lo:g}, {args.window_hi:g})", file=sys.stderr)
         return EXIT_USAGE
     rhos = args.rho or [FIGURE1["rho"]]
+    labels = [f"{rho:g}" for rho in rhos]  # as in the discrete runs' CSV names
+    if len(set(labels)) < len(labels):
+        print(f"error: each --rho must name its own CSVs (admm_rho<rho:g>.csv), got "
+              f"{' '.join(labels)}", file=sys.stderr)
+        return EXIT_USAGE
     # flows are penalty-free: integrate once, covering the rate window and
     # the longest discrete time range (that of the smallest rho); both grids
     # are built, and so checked, before any file is written
@@ -381,12 +382,13 @@ def build_parser():
 
     rates = sub.add_parser("rates", help="fit a rate exponent on a trajectory CSV and gate on it")
     rates.add_argument("--trajectory", required=True, help="trajectory CSV (t, V_gap columns)")
-    rates.add_argument("--v-star", type=float, default=0.0,
-                       help="offset subtracted from V_gap before fitting (default 0; "
-                            "this package's CSVs already store gaps)")
-    rates.add_argument("--problem", default=None,
-                       help="problem file whose optimal value supplies the offset "
-                            "(for CSVs whose V_gap column holds raw objective values)")
+    offset = rates.add_mutually_exclusive_group()
+    offset.add_argument("--v-star", type=float, default=0.0,
+                        help="offset subtracted from V_gap before fitting (default 0; "
+                             "this package's CSVs already store gaps)")
+    offset.add_argument("--problem", default=None,
+                        help="problem file whose optimal value supplies the offset "
+                             "(for CSVs whose V_gap column holds raw objective values)")
     rates.add_argument("--target", type=float, required=True,
                        help="target slope, e.g. -1 or -2")
     rates.add_argument("--tol", type=float, default=0.1,

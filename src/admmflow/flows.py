@@ -15,24 +15,26 @@ Two dynamical systems are integrated against a :class:`SplitProblem`:
   damping weights evaluated at the pre-step time). Written in X' itself,
   with ``f(X) = -(A^T A)^{-1} grad V(X)``, a step is
 
-      v = X'_k + h f(X_k),   X_{k+1} = X_k + h v,   X'_{k+1} = (t_k / t_{k+1})^r v,
+      v = X'_k + h f(X_k),   X_{k+1} = X_k + h v,   X'_{k+1} = d_k v,
 
-  the factor taken as ``exp(r log(t_k / t_{k+1}))``, so no ``t^r`` enters
-  the step. H is evaluated in its second form after the loop; ``t^r``
-  overflows there for large r and t (near t = 35 at r = 200), where H is
-  ``inf``. Divergence is judged on X, X' and V alone.
+  with ``d_k = (t_k / t_{k+1})^r`` formed once per grid as
+  ``exp(r log(t_k / t_{k+1}))``, so no ``t^r`` enters the step. H is
+  evaluated in its second form after the loop; ``t^r`` overflows there for
+  large r and t (near t = 35 at r = 200), where H is ``inf``. Divergence is
+  judged on X, X' and V alone.
 
 For quadratic f and g both flows run on the modal basis
 :attr:`SplitProblem.modes`: with ``X = phi y`` the first-order flow splits
 into scalar modes ``y_i' = -(lam_i y_i + beta_i)``. RK4 multiplies each
 mode's ``y - y*`` by its stability factor ``R(-h lam)`` per step, so every
 sample has a closed form, formed in row blocks of ``FINITE_CHECK_EVERY``;
-symplectic Euler runs its step per mode, elementwise. X and X' are products
-with ``phi^T``, and ``meta["modal_backward_error"]`` records the basis's
-backward error in units of eps. Callback problems solve with
-:meth:`SplitProblem.solve_ata`, take the four-stage RK4 step, and check X
-before each velocity and X' before each step, so a callback never sees a
-non-finite input.
+symplectic Euler takes its step on the mode coordinates, elementwise. X and
+X' are products with ``phi^T``, and ``meta["modal_backward_error"]`` records
+the basis's backward error in units of eps. Callback problems solve with
+:meth:`SplitProblem.solve_ata` and take the four-stage RK4 step or the same
+symplectic step. One sampling loop runs every stepped flow; on callbacks it
+checks X before each velocity and X' before each step, so a callback never
+sees a non-finite input.
 
 With ``A = I`` these reduce to plain gradient flow and to the damped
 oscillator flow of accelerated gradient descent.
@@ -127,15 +129,22 @@ def admm_flow_rhs(problem, X):
     return -problem.solve_ata(grad_V(problem, X))
 
 
-def _start(problem, x0, config, v_star):
-    """``x0`` as a vector, the resolved ``v_star`` and the preallocated
-    columns ``t``, ``X`` and ``Xdot`` of the config's grid."""
+def _start(problem, x0, config, v_star, method, integrator, r=None):
+    """``x0`` as a vector, the resolved ``v_star``, the run meta (with ``r``
+    when given, and the modal backward error of a quadratic problem) and the
+    preallocated columns ``t``, ``X`` and ``Xdot`` of the config's grid."""
     x = np.array(_as_vector(x0, problem.n, "x0"))
     v_star = resolve_v_star(problem, v_star)
+    meta = {"method": method, "integrator": integrator, "h": config.h, "t0": config.t0,
+            "t_end": config.t_end}
+    if r is not None:
+        meta["r"] = r
+    if problem.is_quadratic:
+        meta["modal_backward_error"] = problem.modes.backward_error
     n = config.n_steps + 1
     columns = {"t": config.t0 + config.h * np.arange(n),
                "X": np.empty((n, problem.n)), "Xdot": np.empty((n, problem.n))}
-    return x, v_star, columns
+    return x, v_star, meta, columns
 
 
 def _finish(problem, columns, end, v_star, meta, label, r=None):
@@ -168,34 +177,37 @@ def _finish(problem, columns, end, v_star, meta, label, r=None):
     return build_trajectory(columns, n, v_star, meta)
 
 
-def _integrate(problem, x, columns, v_star, meta, label, velocity, step, r=None):
-    """Sampling loop of a callback problem.
+def _sample(columns, x, xdot, velocity, step, check_every):
+    """Sampling loop of every stepped flow; returns the number of samples stored.
 
-    At each grid time: record X and the velocity ``X' = velocity(X)`` and
-    advance with ``X = step(t, t_next, X, X')``. The loop stops at the first
-    non-finite X, before its velocity is taken, and at the first non-finite
-    X', before the step passes it to a callback.
+    At sample i the loop stores X, then X', which is ``velocity(X)`` or,
+    with ``velocity`` None, the ``xdot`` the last step returned, and advances
+    with ``X, X' = step(i, X, X')``. Every ``check_every`` samples it stops
+    at a non-finite X before its velocity is taken and at a non-finite X'
+    before the step passes it on, so with ``check_every = 1`` a callback
+    never sees a non-finite input.
     """
-    ts, xs, xds = columns["t"], columns["X"], columns["Xdot"]
-    n = len(ts)
-    end = n
+    xs, xds = columns["X"], columns["Xdot"]
+    n = len(xs)
     with np.errstate(over="ignore", invalid="ignore"):
         for i in range(n):
-            if not np.all(np.isfinite(x)):
-                end = i
-                break
+            check = i % check_every == 0
+            if check and not np.isfinite(x).all():
+                return i
             xs[i] = x
-            xds[i] = velocity(x)
-            if not np.all(np.isfinite(xds[i])):
-                end = i + 1  # sample i is kept, and _finish stops there
-                break
+            if velocity is not None:
+                xdot = velocity(x)
+            xds[i] = xdot
+            if check and not np.isfinite(xdot).all():
+                return i + 1  # sample i is kept, and _finish stops there
             if i + 1 < n:
-                x = step(ts[i], ts[i + 1], x, xds[i])
-    return _finish(problem, columns, end, v_star, meta, label, r)
+                x, xdot = step(i, x, xdot)
+    return n
 
 
-def _modal_rk4(problem, x, columns, h, v_star, meta):
-    """RK4 samples of a quadratic problem's first-order flow, mode by mode.
+def _modal_rk4(modes, x, columns, h):
+    """RK4 samples of a quadratic problem's first-order flow, mode by mode;
+    returns the number of samples stored.
 
     With ``z = -h lam``, one step multiplies ``y - y*`` (``y* = -beta / lam``)
     by ``R(z) = 1 + z phi(z)``, ``phi(z) = 1 + z/2 + z^2/6 + z^3/24``, so
@@ -204,8 +216,6 @@ def _modal_rk4(problem, x, columns, h, v_star, meta):
     as ``y0 - k h beta``, which RK4 integrates exactly. A run stops after the
     first block holding a non-finite row of X or X'.
     """
-    modes = problem.modes
-    meta["modal_backward_error"] = modes.backward_error
     lam, beta = modes.lam, modes.beta
     z = -h * lam
     growth = z * (1.0 + z / 2.0 * (1.0 + z / 3.0 * (1.0 + z / 4.0)))  # R(z) - 1
@@ -218,7 +228,6 @@ def _modal_rk4(problem, x, columns, h, v_star, meta):
     neg_phi_t = -phi_t
     xs, xds = columns["X"], columns["Xdot"]
     n = len(xs)
-    end = n
     steps = np.arange(min(FINITE_CHECK_EVERY, n), dtype=float)[:, None]
     with np.errstate(over="ignore", invalid="ignore"):
         within = np.expm1(steps * log_r)  # R^j - 1 for the rows j of a block
@@ -238,41 +247,8 @@ def _modal_rk4(problem, x, columns, h, v_star, meta):
             ys += beta
             np.matmul(ys, neg_phi_t, out=xds[rows])
             if not (np.isfinite(xs[rows]).all() and np.isfinite(xds[rows]).all()):
-                end = rows.stop
-                break
-    return _finish(problem, columns, end, v_star, meta, "first-order flow")
-
-
-def _modal_symplectic(problem, x, columns, h, r, v_star, meta):
-    """Symplectic Euler samples of a quadratic problem's second-order flow:
-    the step of :func:`aadmm_flow_integrate` on ``(y, w) = phi^{-1} (X, X')``,
-    checked for finite values every ``FINITE_CHECK_EVERY`` steps."""
-    modes = problem.modes
-    meta["modal_backward_error"] = modes.backward_error
-    h_lam, h_beta = h * modes.lam, h * modes.beta
-    ts = columns["t"]
-    # (t_k / t_{k+1})^r for every step
-    damping = np.exp(r * np.log(ts[:-1] / ts[1:])).tolist()
-    # the loop stores the mode coordinates in the X and X' columns
-    ys, ws = columns["X"], columns["Xdot"]
-    n = len(ts)
-    end = n
-    y, w = modes.coordinates(x), np.zeros(problem.n)
-    ys[0], ws[0] = y, w
-    with np.errstate(over="ignore", invalid="ignore"):
-        for i in range(1, n):
-            v = w - (h_lam * y + h_beta)
-            y = y + h * v
-            w = damping[i - 1] * v
-            ys[i], ws[i] = y, w
-            if i % FINITE_CHECK_EVERY == 0 and not (np.isfinite(y).all()
-                                                    and np.isfinite(w).all()):
-                end = i + 1
-                break
-        phi_t = modes.phi.T
-        ys[:end] = ys[:end] @ phi_t
-        ws[:end] = ws[:end] @ phi_t
-    return _finish(problem, columns, end, v_star, meta, "second-order flow", r)
+                return rows.stop
+    return n
 
 
 def rk4_integrate(problem, x0, config, v_star=None):
@@ -288,25 +264,21 @@ def rk4_integrate(problem, x0, config, v_star=None):
         last finite time and the partial trajectory.
     """
     h = config.h
-    meta = {
-        "method": "admm_flow",
-        "integrator": "rk4",
-        "h": h,
-        "t0": config.t0,
-        "t_end": config.t_end,
-    }
-    x, v_star, columns = _start(problem, x0, config, v_star)
+    x, v_star, meta, columns = _start(problem, x0, config, v_star, "admm_flow", "rk4")
     if problem.is_quadratic:
-        return _modal_rk4(problem, x, columns, h, v_star, meta)
+        end = _modal_rk4(problem.modes, x, columns, h)
+    else:
+        def rhs(x):
+            return admm_flow_rhs(problem, x)
 
-    def step(t, t_next, x, k1):
-        k2 = admm_flow_rhs(problem, x + 0.5 * h * k1)
-        k3 = admm_flow_rhs(problem, x + 0.5 * h * k2)
-        k4 = admm_flow_rhs(problem, x + h * k3)
-        return x + (h / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
+        def step(i, x, k1):
+            k2 = rhs(x + 0.5 * h * k1)
+            k3 = rhs(x + 0.5 * h * k2)
+            k4 = rhs(x + h * k3)
+            return x + (h / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4), None
 
-    return _integrate(problem, x, columns, v_star, meta, "first-order flow",
-                      lambda x: admm_flow_rhs(problem, x), step)
+        end = _sample(columns, x, None, rhs, step, 1)
+    return _finish(problem, columns, end, v_star, meta, "first-order flow")
 
 
 def aadmm_flow_integrate(problem, x0, config, v_star=None):
@@ -322,28 +294,33 @@ def aadmm_flow_integrate(problem, x0, config, v_star=None):
     """
     if config.r is None:
         raise ValueError("config.r is required for the second-order flow")
-    r = float(config.r)
-    h = config.h
-    meta = {
-        "method": "aadmm_flow",
-        "integrator": "symplectic_euler",
-        "h": h,
-        "t0": config.t0,
-        "t_end": config.t_end,
-        "r": r,
-    }
-    x, v_star, columns = _start(problem, x0, config, v_star)
+    r, h = float(config.r), config.h
+    x, v_star, meta, columns = _start(problem, x0, config, v_star, "aadmm_flow",
+                                      "symplectic_euler", r)
+    ts = columns["t"]
+    damping = np.exp(r * np.log(ts[:-1] / ts[1:])).tolist()  # (t_k / t_{k+1})^r
     if problem.is_quadratic:
-        return _modal_symplectic(problem, x, columns, h, r, v_star, meta)
-    carried = np.zeros(problem.n)  # X' at the next sample
+        # the loop steps the mode coordinates (y, w) of (X, X') = phi (y, w)
+        modes = problem.modes
+        h_lam, h_beta = h * modes.lam, h * modes.beta
+        x, check_every = modes.coordinates(x), FINITE_CHECK_EVERY
 
-    def velocity(x):
-        return carried
+        def kick(y):
+            return -(h_lam * y + h_beta)
+    else:
+        check_every = 1
 
-    def step(t, t_next, x, xdot):
-        nonlocal carried
-        v = xdot + h * admm_flow_rhs(problem, x)
-        carried = math.exp(r * math.log(t / t_next)) * v  # (t / t_next)^r v
-        return x + h * v
+        def kick(x):
+            return h * admm_flow_rhs(problem, x)
 
-    return _integrate(problem, x, columns, v_star, meta, "second-order flow", velocity, step, r)
+    def step(i, x, xdot):
+        v = xdot + kick(x)
+        return x + h * v, damping[i] * v
+
+    end = _sample(columns, x, np.zeros(problem.n), None, step, check_every)
+    if problem.is_quadratic:
+        phi_t = modes.phi.T
+        with np.errstate(over="ignore", invalid="ignore"):
+            for name in ("X", "Xdot"):
+                columns[name][:end] = columns[name][:end] @ phi_t
+    return _finish(problem, columns, end, v_star, meta, "second-order flow", r)

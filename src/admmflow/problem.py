@@ -73,7 +73,8 @@ class QuadraticFunction:
 
     A NaN or inf entry of M or q raises ValueError naming the entry.
 
-    Instances are immutable: the stored arrays are read-only.
+    Instances are immutable: the stored arrays are read-only. ``eigenvalues``
+    holds the spectrum of M, ascending, from the positive-semidefinite check.
     """
 
     psd_rtol = 1e-10
@@ -96,10 +97,11 @@ class QuadraticFunction:
             raise ValueError(
                 f"M must be positive semidefinite; smallest eigenvalue is {evals[0]:.3e}"
             )
-        M.flags.writeable = False
-        q.flags.writeable = False
+        for array in (M, q, evals):
+            array.flags.writeable = False
         self.M = M
         self.q = q
+        self.eigenvalues = evals
         self.dim = dim
 
     @classmethod

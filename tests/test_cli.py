@@ -95,6 +95,8 @@ def test_run_rejects_unknown_solver(tmp_path, one_d_file):
     (["figure1", "--rho", "0"], "rho"),
     (["figure1", "--rho", "-1"], "rho"),
     (["figure1", "--window-lo", "5", "--window-hi", "2"], "window"),
+    (["figure1", "--rho", "50", "--rho", "5e1"], "rho"),
+    (["figure1", "--rho", "50", "--rho", "50.000001"], "rho"),
     (["figure1", "--h-rk4", "0"], "step size h"),
     (["figure1", "--h-symplectic", "-1"], "step size h"),
     (["figure1", "--t0", "0"], "t0 > 0"),
@@ -107,6 +109,7 @@ def test_run_rejects_unknown_solver(tmp_path, one_d_file):
     (["run", "--solver", "admm", "--max-iter", "0"], "max-iter"),
     (["run", "--solver", "admm", "--solver", "aadmm", "--r", "1"], "damping parameter r"),
 ], ids=["run-rho0", "run-rho-neg", "figure1-rho0", "figure1-rho-neg", "figure1-window",
+        "figure1-rho-repeated", "figure1-rho-same-csv-name",
         "figure1-h-rk4", "figure1-h-symplectic", "figure1-t0", "figure1-r",
         "figure1-max-iter", "figure1-overlay-points", "figure1-grid-bound",
         "run-h", "run-t-end", "run-max-iter", "run-r"])
@@ -220,7 +223,7 @@ def test_rates_synthetic(tmp_path):
     assert main(["rates", "--trajectory", lin, "--target", "-1", "--tol", "0.05"]) == 0
 
 
-def test_rates_with_problem_offset(tmp_path, one_d_file):
+def test_rates_with_problem_offset(tmp_path, one_d_file, capsys):
     # raw objective values of f(x) = (x-1)^2/2 (optimal value -1/2): the
     # problem file supplies the offset so the fit sees the true gap
     p = af.SplitProblem(
@@ -233,6 +236,12 @@ def test_rates_with_problem_offset(tmp_path, one_d_file):
     af.Trajectory(t=t, V=raw, v_gap=raw, X=np.zeros((t.size, 1))).to_csv(tmp_path / "raw.csv")
     assert main(["rates", "--trajectory", str(tmp_path / "raw.csv"), "--problem",
                  str(ppath), "--target", "-2", "--tol", "0.05"]) == 0
+    # the problem file replaces the offset, so an explicit --v-star with it is refused
+    with pytest.raises(SystemExit) as err:
+        main(["rates", "--trajectory", str(tmp_path / "raw.csv"), "--v-star", "123",
+              "--problem", str(ppath), "--target", "-2"])
+    assert err.value.code == 2
+    assert "not allowed with argument" in capsys.readouterr().err
 
 
 def test_rates_window_underflow(tmp_path):

@@ -113,8 +113,8 @@ def test_diverged_symplectic_run_stops_within_a_check_block(monkeypatch):
     # symplectic Euler at h^2 lam = 100 > 4 grows about 98-fold per step, so
     # V = 50 X^2 overflows within the first hundred of 10^5 steps; the
     # quadratic loop checks its mode coordinates every FINITE_CHECK_EVERY
-    # steps and stops at the first check, so V is evaluated on
-    # FINITE_CHECK_EVERY + 1 samples only
+    # samples and stops at the first check, before storing the non-finite
+    # sample, so V is evaluated on FINITE_CHECK_EVERY samples only
     stiff = af.SplitProblem(af.QuadraticFunction([[100.0]]), af.QuadraticFunction.zero(1), [[1.0]])
     rows = []
     values = af.flows._values
@@ -122,7 +122,7 @@ def test_diverged_symplectic_run_stops_within_a_check_block(monkeypatch):
     config = IntegratorConfig(h=1.0, t0=1.0, t_end=1e5, r=3.0)
     with pytest.raises(DivergenceError) as err:
         af.aadmm_flow_integrate(stiff, np.array([1.0]), config)
-    assert rows == [af.flows.FINITE_CHECK_EVERY + 1] and rows[0] < config.n_steps
+    assert rows == [af.flows.FINITE_CHECK_EVERY] and rows[0] < config.n_steps
     partial = err.value.trajectory
     assert len(partial) < 100 and np.all(np.isfinite(partial.X))
 
@@ -528,6 +528,31 @@ def test_callback_rk4_stops_at_non_finite_velocity():
     partial = err.value.trajectory
     assert len(partial) == 5
     assert np.all(np.isfinite(partial.X)) and np.all(np.isfinite(partial.Xdot))
+
+
+def test_callback_symplectic_run_stops_before_a_non_finite_input():
+    # symplectic Euler on f = 50 x^2, A = 1 at h = 1 grows about 98-fold per
+    # step; behind callbacks the run stops where the quadratic path reports
+    # divergence, and no callback sees a non-finite input
+    seen = []
+
+    def value(x):
+        seen.append(bool(np.isfinite(x).all()))
+        return 50.0 * float(x @ x)
+
+    def grad(x):
+        seen.append(bool(np.isfinite(x).all()))
+        return 100.0 * x
+
+    quad = af.SplitProblem(af.QuadraticFunction([[100.0]]), af.QuadraticFunction.zero(1), [[1.0]])
+    callbacks = af.SplitProblem(af.CallbackFunction(value, grad, 1), quad.g, quad.A)
+    config = IntegratorConfig(h=1.0, t0=1.0, t_end=1e4, r=3.0)
+    for problem in (quad, callbacks):
+        with pytest.raises(DivergenceError) as err:
+            af.aadmm_flow_integrate(problem, np.array([1.0]), config, v_star=0.0)
+        assert len(err.value.trajectory) == 77
+        assert err.value.t_last == err.value.trajectory.t[-1] == 77.0
+    assert seen and all(seen)
 
 
 def test_modal_flows_record_their_backward_error(pd_2d_problem):

@@ -180,6 +180,8 @@ def test_convexity_of_V(seed):
 def test_quadratic_function_symmetrizes_and_checks_psd():
     q = af.QuadraticFunction([[1.0, 0.3], [0.1, 1.0]])
     assert np.max(np.abs(q.M - q.M.T)) == 0.0
+    # the spectrum of the symmetrised M = [[1, 0.2], [0.2, 1]], ascending
+    assert np.allclose(q.eigenvalues, [0.8, 1.2], rtol=0, atol=1e-15)
     with pytest.raises(ValueError):
         af.QuadraticFunction([[-1.0, 0.0], [0.0, 1.0]])
     with pytest.raises(ValueError):
@@ -190,6 +192,8 @@ def test_quadratic_function_immutable():
     q = af.QuadraticFunction(np.eye(2))
     with pytest.raises(ValueError):
         q.M[0, 0] = 5.0
+    with pytest.raises(ValueError):
+        q.eigenvalues[0] = 5.0
 
 
 @pytest.mark.parametrize("build, message", [

@@ -6,7 +6,7 @@ were first run.
 
 import numpy as np
 import pytest
-from hypothesis import assume, given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 import admmflow as af
@@ -164,6 +164,10 @@ def test_blocked_run_is_the_step_loop(problem_rng, rho, r, max_iter):
 @given(problem_rng=problems, rho=st.floats(0.1, 100.0),
        r=st.one_of(st.none(), st.floats(3.0, 20.0)),
        target=st.sampled_from([BLOCK - 1, BLOCK, BLOCK + 1]))
+@example(problem_rng=random_problem(seed=2, n=2, extra_rows=2), rho=1.0, r=None,
+         target=BLOCK + 1)
+@example(problem_rng=random_problem(seed=2, n=2, extra_rows=2), rho=3.0, r=None,
+         target=BLOCK + 1)
 def test_stop_tol_stops_where_the_step_loop_does(problem_rng, rho, r, target):
     # a stop_tol between the stopping criterion at `target` and its smallest
     # earlier value stops the step loop at `target`, on either side of the
@@ -174,8 +178,18 @@ def test_stop_tol_stops_where_the_step_loop_does(problem_rng, rho, r, target):
     crit = [np.linalg.norm(problem.A @ b.x - b.z) + np.linalg.norm(b.z - a.z)
             for a, b in zip(states, states[1:])]  # crit[k - 1] is that of sample k
     earlier = min(crit[:target - 1])
-    assume(0.0 < crit[target - 1] < earlier * (1.0 - 1e-6))
+    # the run forms A x as rows of xs @ A^T, this oracle as A @ x: each is
+    # within gamma_n |A||x| of exact per entry, and the subtraction, the two
+    # norms and their sum add a relative gamma_{m+3} to either side, so the
+    # two roundings of sample k's criterion differ by at most
+    # 4 (n + m + 3) eps (||A||_F ||x_k|| + crit_k); a stop_tol halfway between
+    # crit[target - 1] and `earlier` decides as here when they are further
+    # apart than twice that
+    norm_a = np.linalg.norm(problem.A)
+    slack = 4 * (problem.n + problem.m + 3) * EPS * max(
+        norm_a * np.linalg.norm(b.x) + c for b, c in zip(states[1:target + 1], crit))
+    assume(earlier - crit[target - 1] > 2.0 * slack)
     traj = run(problem, x0, rho, r, max_iter=target + 3,
-               stop_tol=np.sqrt(crit[target - 1] * earlier))
+               stop_tol=0.5 * (crit[target - 1] + earlier))
     assert traj.meta["stopped_early"]
     assert traj.k[-1] == target
