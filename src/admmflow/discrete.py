@@ -13,9 +13,10 @@ The accelerated variant runs the same sweep against extrapolated copies
 
 Steps are pure functions of ``(problem, state)``; for quadratic ``f, g``
 they apply the affine subproblem operators of a :class:`SubproblemCache`
-(``x = S_x v - s_x``, ``z = S_z w - s_z``, built by one LU solve each per
-(problem, rho)), so a sweep is three matrix-vector products and solves no
-system;
+(``x = S_x v - s_x``, ``z = S_z w - s_z``, built once per (problem, rho)),
+so a sweep solves no system: it is three matrix-vector products, or two
+and an O(m) scaling when ``M_g`` is diagonal (``S_z`` is then the identity
+for g = 0, which every generated draw has);
 otherwise they delegate to a user-supplied inner minimizer. A state checks
 its own parameters on construction (rho > 0, and r >= 3 for the accelerated
 iterate). The ``run_*`` drivers record trajectories, placing iterate k at
@@ -24,13 +25,14 @@ A-ADMM), and raise :class:`DivergenceError` at the first non-finite iterate.
 
 A quadratic run advances in blocks of ``BLOCK`` steps through the same step
 functions, with each solve's residual check deferred to the end of the
-block. There, matrix products over the block's rows give V, the primal
-residuals, finiteness, the ``stop_tol`` test and the residual check of every
-x- and z-solve (same formula and tolerance as a single solve). The first
-step with a failing solve is replayed through the checked cache (one
-refinement retry by an LU solve, else :class:`NumericalError`), the steps
-after it are dropped, and the run goes on in blocks; ``meta["refinements"]``
-counts the replays. A run with an inner solver checks every step before the next.
+block. There, matrix products over the block's rows give V (without its g
+terms when g = 0), the primal residuals, finiteness, the ``stop_tol`` test
+and the residual check of every x- and z-solve (same formula and tolerance
+as a single solve). The first step with a failing solve is replayed through
+the checked cache (one refinement retry, else :class:`NumericalError`), the
+steps after it are dropped, and the run goes on in blocks;
+``meta["refinements"]`` counts the replays. A run with an inner solver checks
+every step before the next.
 """
 
 from __future__ import annotations
@@ -66,10 +68,17 @@ BLOCK = 64
 
 
 def _solve(H, rhs):
-    """``H^{-1} rhs`` by LU with partial pivoting, for a vector or a matrix
-    ``rhs``: every linear solve of :class:`SubproblemCache` (the operator
-    builds and the refinement retry) goes through this one name."""
-    return np.linalg.solve(H, rhs)
+    """``H^{-1} rhs`` for a vector or a matrix ``rhs``: by LU with partial
+    pivoting, or by division for a diagonal ``H`` held as its diagonal. The
+    refinement retries and the builds of the dense operators of
+    :class:`SubproblemCache` go through this one name."""
+    return np.linalg.solve(H, rhs) if H.ndim == 2 else rhs / H
+
+
+def _apply(v, op):
+    """``v @ op`` for a vector or the rows of a matrix ``v``, where a 1-D
+    ``op`` is a diagonal matrix held as its diagonal (then ``v * op``)."""
+    return v @ op if op.ndim == 2 else v * op
 
 
 @dataclass
@@ -132,18 +141,24 @@ class SubproblemCache:
     and the z-step solves ``H_z z = rho w - q_g`` with ``H_z = M_g + rho I``.
     Both matrices are positive definite under full column rank of A with
     rho > 0; a matrix that is not numerically so (``np.linalg.cholesky``
-    fails) is refused with :class:`NumericalError`. One LU solve on a matrix
-    right-hand side per (problem, rho) turns each into an affine operator:
+    fails, or a diagonal ``H_z`` has an entry <= 0) is refused with
+    :class:`NumericalError`. Each becomes an affine operator:
     ``x = S_x v - s_x`` with ``S_x = rho H_x^{-1} A^T`` and ``s_x = H_x^{-1} q_f``,
     and ``z = S_z w - s_z`` with ``S_z = rho H_z^{-1}`` and ``s_z = H_z^{-1} q_g``.
-    A solve is then one matrix-vector product.
+    A dense operator takes one LU solve on a matrix right-hand side per
+    (problem, rho), and a solve is then one matrix-vector product. When
+    ``M_g`` is diagonal (``g.diagonal``, g = 0 included), ``H_z``, ``S_z``
+    and ``s_z`` are held as vectors (``h_z = diag(M_g) + rho``,
+    ``S_z = rho / h_z``, ``s_z = q_g / h_z``), and the z-solve, its check and
+    its retry are O(m).
 
     Every solution is checked to ``||rhs - H sol|| <= SUBPROBLEM_RTOL (1 + ||rhs||)``,
     with one iterative-refinement retry (``H delta = rhs - H sol`` by an LU
-    solve), else :class:`NumericalError`. :meth:`solve_x` and :meth:`solve_z`
-    check each solution at once. On a copy from :meth:`deferred` they skip the check
-    and log the solve instead, and :meth:`first_failure` applies the same
-    check to all logged solves at once, with matrix products over their rows.
+    solve, or a division for a diagonal ``H_z``), else :class:`NumericalError`.
+    :meth:`solve_x` and :meth:`solve_z` check each solution at once. On a
+    copy from :meth:`deferred` they skip the check and log the solve instead,
+    and :meth:`first_failure` applies the same check to all logged solves at
+    once, with matrix products over their rows.
     """
 
     def __init__(self, problem, rho):
@@ -156,15 +171,21 @@ class SubproblemCache:
             raise ValueError("penalty parameter rho must be positive")
         self.problem = problem
         self.rho = float(rho)
-        self._h = {"x": problem.f.M + rho * problem.ata,
-                   "z": problem.g.M + rho * np.eye(problem.m)}
-        for H in self._h.values():
+        d = problem.g.diagonal
+        h_x = problem.f.M + rho * problem.ata
+        h_z = problem.g.M + rho * np.eye(problem.m) if d is None else d + rho
+        for H in (h_x, h_z):
             try:
-                np.linalg.cholesky(H)
+                if H.ndim == 2:
+                    np.linalg.cholesky(H)
+                elif not np.all(H > 0):
+                    raise np.linalg.LinAlgError(f"diagonal entry {np.min(H):.3e} <= 0")
             except np.linalg.LinAlgError as exc:
                 raise NumericalError(f"singular subproblem system: {exc}") from exc
-        self._ops = {"x": self._operator(self._h["x"], problem.A.T, problem.f.q),
-                     "z": self._operator(self._h["z"], np.eye(problem.m), problem.g.q)}
+        self._h = {"x": h_x, "z": h_z}
+        self._ops = {"x": self._operator(h_x, problem.A.T, problem.f.q),
+                     "z": self._operator(h_z, np.eye(problem.m), problem.g.q) if d is None
+                     else (self.rho / h_z, problem.g.q / h_z)}
         self._log = None  # {"x": [(v, x), ...], "z": [(w, z), ...]} on a deferred copy
 
     def _operator(self, H, B, q):
@@ -192,11 +213,12 @@ class SubproblemCache:
             rhs = self.rho * (args @ self.problem.A) - self.problem.f.q
         else:
             rhs = self.rho * args - self.problem.g.q
-        return rhs - sols @ self._h[which], SUBPROBLEM_RTOL * (1.0 + np.linalg.norm(rhs, axis=-1))
+        tol = SUBPROBLEM_RTOL * (1.0 + np.linalg.norm(rhs, axis=-1))
+        return rhs - _apply(sols, self._h[which]), tol
 
     def _solve(self, which, arg):
         S, s = self._ops[which]
-        sol = S @ arg - s
+        sol = _apply(arg, S.T) - s  # arg @ S.T is the BLAS product S @ arg
         if self._log is not None:
             self._log[which].append((arg, sol))
             return sol
@@ -372,8 +394,9 @@ def _run(problem, start, args, max_iter, stop_tol, v_star, inner_solver):
         rows = slice(states[0].k, states[-1].k + 1)
         xs[rows] = [st.x for st in states]
         zs = np.array([st.z for st in states])
-        vals[rows] = _values(problem, xs[rows])
-        primal[rows] = np.linalg.norm(xs[rows] @ problem.A.T - zs, axis=1)
+        axs = xs[rows] @ problem.A.T
+        vals[rows] = _values(problem, xs[rows], axs)
+        primal[rows] = np.linalg.norm(axs - zs, axis=1)
         finite = np.isfinite(vals[rows]) & np.isfinite(primal[rows])
         n_ok = len(states) if finite.all() else int(np.argmin(finite))
         if z_prev is not None:

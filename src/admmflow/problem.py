@@ -75,6 +75,9 @@ class QuadraticFunction:
 
     Instances are immutable: the stored arrays are read-only. ``eigenvalues``
     holds the spectrum of M, ascending, from the positive-semidefinite check.
+    ``diagonal`` is the diagonal of M when M is diagonal (a zero M included),
+    else None; the spectrum of a diagonal M is its sorted diagonal, and the
+    solvers use ``diagonal`` to apply ``M + rho I`` in O(dim).
     """
 
     psd_rtol = 1e-10
@@ -91,7 +94,10 @@ class QuadraticFunction:
         else:
             q = np.array(_as_vector(q, dim, "q"))
             _check_finite(q, "q")
-        evals = np.linalg.eigvalsh(M)
+        diagonal = M.diagonal()  # a read-only view
+        if np.count_nonzero(M) > np.count_nonzero(diagonal):
+            diagonal = None
+        evals = np.linalg.eigvalsh(M) if diagonal is None else np.sort(diagonal)
         scale = float(np.max(np.abs(evals)))
         if evals[0] < -self.psd_rtol * scale:
             raise ValueError(
@@ -102,6 +108,7 @@ class QuadraticFunction:
         self.M = M
         self.q = q
         self.eigenvalues = evals
+        self.diagonal = diagonal
         self.dim = dim
 
     @classmethod
@@ -322,15 +329,25 @@ def eval_V(problem, x):
     return problem.f.value(x) + problem.g.value(problem.A @ x)
 
 
-def _values(problem, xs):
+def _is_zero(h):
+    """Whether the quadratic ``h`` is identically zero (M = 0 and q = 0)."""
+    return h.diagonal is not None and not h.diagonal.any() and not h.q.any()
+
+
+def _values(problem, xs, zs=None):
     """V at each row of ``xs``: one pass of matrix products for quadratic f
-    and g, one ``eval_V`` call per row otherwise."""
+    and g, one ``eval_V`` call per row otherwise. The g terms are skipped
+    when g is identically zero; otherwise they take ``zs``, the rows of
+    ``xs @ A^T``, when the caller has them."""
     if not problem.is_quadratic:
         return np.array([eval_V(problem, x) for x in xs], dtype=float)
     f, g = problem.f, problem.g
-    zs = xs @ problem.A.T
-    return (0.5 * np.einsum("ij,ij->i", xs @ f.M, xs) + xs @ f.q
-            + 0.5 * np.einsum("ij,ij->i", zs @ g.M, zs) + zs @ g.q)
+    vals = 0.5 * np.einsum("ij,ij->i", xs @ f.M, xs) + xs @ f.q
+    if _is_zero(g):
+        return vals
+    if zs is None:
+        zs = xs @ problem.A.T
+    return vals + 0.5 * np.einsum("ij,ij->i", zs @ g.M, zs) + zs @ g.q
 
 
 def grad_V(problem, x):
@@ -347,10 +364,12 @@ def _a_sq_norms(problem, ys):
 
 
 def _hessian_and_linear_term(problem):
-    """``(H, c)`` of a quadratic V: ``H = M_f + A^T M_g A`` and ``c = q_f + A^T q_g``."""
-    H = problem.f.M + problem.A.T @ (problem.g.M @ problem.A)
-    c = problem.f.q + problem.A.T @ problem.g.q
-    return H, c
+    """``(H, c)`` of a quadratic V: ``H = M_f + A^T M_g A`` and ``c = q_f + A^T q_g``
+    (``M_f`` and ``q_f`` themselves when g is identically zero)."""
+    f, g, A = problem.f, problem.g, problem.A
+    if _is_zero(g):
+        return f.M, f.q
+    return f.M + A.T @ (g.M @ A), f.q + A.T @ g.q
 
 
 def optimal_value(problem):
@@ -475,9 +494,27 @@ def gen_figure1_problem(n, zero_eigs, eig_hi, cond_a, seed, m=None):
     )
 
 
+# floats formatted per write of a problem file's arrays: bounds the text in memory
+JSON_CHUNK = 4096
+
+
+def _write_json_floats(fh, values):
+    """Write a float array as ``json.dump(values.tolist(), fh, indent=1)``
+    would nested one level deep, ``JSON_CHUNK`` floats at a time. ``repr``
+    of a list of floats writes each as ``json`` does (``float.__repr__``)."""
+    fh.write("[\n  ")
+    for start in range(0, values.size, JSON_CHUNK):
+        if start:
+            fh.write(",\n  ")
+        fh.write(repr(values[start:start + JSON_CHUNK].tolist())[1:-1].replace(", ", ",\n  "))
+    fh.write("\n ]")
+
+
 def save_problem(problem, path):
-    """Write a quadratic problem as JSON (matrices row-major). Deterministic
-    for identical problems."""
+    """Write a quadratic problem as JSON (matrices row-major), byte for byte
+    the text of ``json.dump(data, fh, indent=1)`` and a newline, with the
+    float arrays streamed in chunks rather than built as one string.
+    Deterministic for identical problems."""
     if not problem.is_quadratic:
         raise UnsupportedFunctionError(
             "only quadratic problems can be serialized (callback functions have no data form)"
@@ -485,17 +522,23 @@ def save_problem(problem, path):
     data = {
         "n": problem.n,
         "m": problem.m,
-        "M_f": problem.f.M.ravel().tolist(),
-        "q_f": problem.f.q.tolist(),
-        "M_g": problem.g.M.ravel().tolist(),
-        "q_g": problem.g.q.tolist(),
-        "A": problem.A.ravel().tolist(),
+        "M_f": problem.f.M.ravel(),
+        "q_f": problem.f.q,
+        "M_g": problem.g.M.ravel(),
+        "q_g": problem.g.q,
+        "A": problem.A.ravel(),
         "seed": problem.seed,
         "generator_params": problem.generator_params,
     }
     with open(path, "w", encoding="utf-8") as fh:
-        json.dump(data, fh, indent=1)
-        fh.write("\n")
+        fh.write("{")
+        for i, (key, value) in enumerate(data.items()):
+            fh.write(f"{',' if i else ''}\n {json.dumps(key)}: ")
+            if isinstance(value, np.ndarray):
+                _write_json_floats(fh, value)
+            else:
+                fh.write(json.dumps(value, indent=1).replace("\n", "\n "))
+        fh.write("\n}\n")
 
 
 def _load_quadratic(data, name, dim):

@@ -12,6 +12,30 @@ NOT_A_NUMBER = {
 }
 
 
+def with_g(problem, kind, seed=1):
+    """``problem`` with its f and A and a quadratic g of the given structure:
+    ``"zero"``, ``"linear"`` (``M_g = 0``), ``"diagonal"``
+    (``M_g = diag(0.1 + 5U)``) or ``"dense"`` (``M_g = Q diag(0.1 + 5U) Q^T``,
+    Q random orthogonal); q_g ~ N(0, I) unless g is zero."""
+    from admmflow import QuadraticFunction, SplitProblem
+
+    m = problem.m
+    if kind == "zero":
+        g = QuadraticFunction.zero(m)
+    else:
+        rng = np.random.default_rng(seed)
+        spectrum = 0.1 + 5.0 * rng.uniform(size=m)
+        if kind == "linear":
+            M = np.zeros((m, m))
+        elif kind == "diagonal":
+            M = np.diag(spectrum)
+        else:
+            q_mat, _ = np.linalg.qr(rng.standard_normal((m, m)))
+            M = (q_mat * spectrum) @ q_mat.T
+        g = QuadraticFunction(M, rng.standard_normal(m))
+    return SplitProblem(problem.f, g, problem.A)
+
+
 def fd_grad(fun, x, step=1e-5):
     """Central finite-difference gradient of a scalar function."""
     x = np.asarray(x, dtype=float)

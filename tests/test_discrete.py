@@ -9,7 +9,7 @@ from admmflow.cli import main
 from admmflow.discrete import SubproblemCache, momentum_coefficient
 from admmflow.exceptions import DivergenceError, NumericalError, UnsupportedFunctionError
 
-from helpers import cg_minimize
+from helpers import cg_minimize, with_g
 
 
 def quad_as_callbacks(q):
@@ -303,18 +303,22 @@ def spy_solve(monkeypatch, matrix_scale=1.0, vector_scale=1.0):
 
 @pytest.mark.parametrize("method", ["admm", "aadmm"])
 def test_quadratic_run_solves_no_system_per_step(monkeypatch, figure1_problem, figure1_x0, method):
-    # the solves build the two operators and do not grow with max_iter
+    # the solves build the operators and do not grow with max_iter: the x- and
+    # z-operators for a dense M_g, the x-operator alone for g = 0, whose
+    # z-operator is held as a vector and built without a solve
     calls = spy_solve(monkeypatch)
-    counts = []
-    for max_iter in (10, 300):
-        del calls[:]
-        if method == "admm":
-            traj = af.run_admm(figure1_problem, figure1_x0, rho=50.0, max_iter=max_iter)
-        else:
-            traj = af.run_aadmm(figure1_problem, figure1_x0, rho=50.0, r=10.0, max_iter=max_iter)
-        assert len(traj) == max_iter + 1 and traj.meta["refinements"] == 0
-        counts.append(len(calls))
-    assert counts == [2, 2]
+    for kind, builds in (("zero", 1), ("dense", 2)):
+        problem = with_g(figure1_problem, kind)
+        counts = []
+        for max_iter in (10, 300):
+            del calls[:]
+            if method == "admm":
+                traj = af.run_admm(problem, figure1_x0, rho=50.0, max_iter=max_iter)
+            else:
+                traj = af.run_aadmm(problem, figure1_x0, rho=50.0, r=10.0, max_iter=max_iter)
+            assert len(traj) == max_iter + 1 and traj.meta["refinements"] == 0
+            counts.append(len(calls))
+        assert counts == [builds, builds], kind
 
 
 @pytest.mark.parametrize("method", ["admm", "aadmm"])
@@ -353,17 +357,125 @@ def test_unrecoverable_solve_raises(monkeypatch, pd_2d_problem, method):
             af.run_aadmm(pd_2d_problem, x0, rho=5.0, r=4.0, max_iter=100)
 
 
+def scale_z_operator(monkeypatch, scale):
+    """Build every :class:`SubproblemCache` with its ``S_z`` scaled by ``scale``."""
+    init = SubproblemCache.__init__
+
+    def scaled(self, problem, rho):
+        init(self, problem, rho)
+        S, s = self._ops["z"]
+        self._ops["z"] = (scale * S, s)
+
+    monkeypatch.setattr(SubproblemCache, "__init__", scaled)
+
+
+@pytest.mark.parametrize("kind", ["zero", "linear", "diagonal", "dense"])
+def test_z_step_matches_a_dense_solve(figure1_problem, kind):
+    # the z-solve, checked at once or logged and checked by rows, against
+    # (M_g + rho I)^{-1} (rho w - q_g); held as vectors when M_g is diagonal,
+    # where g = 0 gives z = w exactly
+    p = with_g(figure1_problem, kind)
+    rho = 10.0
+    cache = SubproblemCache(p, rho)
+    deferred = cache.deferred()
+    rng = np.random.default_rng(2)
+    for _ in range(3):
+        w = 10.0 * rng.standard_normal(p.m)
+        ref = np.linalg.solve(p.g.M + rho * np.eye(p.m), rho * w - p.g.q)
+        z = cache.solve_z(w)
+        assert np.array_equal(deferred.solve_z(w), z)
+        assert np.linalg.norm(z - ref) <= 64 * p.m * np.finfo(float).eps * np.linalg.norm(ref)
+        if kind == "zero":
+            assert np.array_equal(z, w)
+    assert deferred.first_failure() is None
+    assert cache._ops["z"][0].ndim == (2 if kind == "dense" else 1)
+
+
+@pytest.mark.parametrize("method", ["admm", "aadmm"])
+def test_diagonal_z_operator_is_replayed_and_refined(monkeypatch, pd_2d_problem, method):
+    # pd_2d_problem has a diagonal M_g != 0: an S_z off by 1e-6 fails the O(m)
+    # check of every z-solve, and the retry's division recovers the iterates
+    assert pd_2d_problem.g.diagonal is not None and pd_2d_problem.g.q.any()
+    x0 = np.array([2.0, -1.0])
+
+    def run():
+        if method == "admm":
+            return af.run_admm(pd_2d_problem, x0, rho=5.0, max_iter=100)
+        return af.run_aadmm(pd_2d_problem, x0, rho=5.0, r=4.0, max_iter=100)
+
+    clean = run()
+    assert clean.meta["refinements"] == 0
+    calls = spy_solve(monkeypatch)
+    scale_z_operator(monkeypatch, 1.0 + 1e-6)
+    perturbed = run()
+    assert perturbed.meta["refinements"] == 100
+    assert calls.count(1) >= 100  # a refinement solve per replayed step
+    scale = np.max(np.abs(clean.X))
+    assert np.max(np.abs(perturbed.X - clean.X)) <= 1e-9 * scale
+    assert np.max(np.abs(perturbed.V - clean.V)) <= 1e-9 * np.max(np.abs(clean.V))
+
+
+@pytest.mark.parametrize("method", ["admm", "aadmm"])
+def test_unrecoverable_diagonal_z_solve_raises(monkeypatch, pd_2d_problem, method):
+    # S_z 1e-3 off and the retry's division 10 % off: the retry cannot meet
+    # the check
+    spy_solve(monkeypatch, vector_scale=1.1)
+    scale_z_operator(monkeypatch, 1.0 + 1e-3)
+    x0 = np.array([2.0, -1.0])
+    with pytest.raises(NumericalError, match="z-subproblem residual"):
+        if method == "admm":
+            af.run_admm(pd_2d_problem, x0, rho=5.0, max_iter=100)
+        else:
+            af.run_aadmm(pd_2d_problem, x0, rho=5.0, r=4.0, max_iter=100)
+
+
+@pytest.mark.parametrize("method", ["admm", "aadmm"])
+def test_diagonal_g_run_exercises_the_dual(figure1_problem, figure1_x0, method):
+    # on a diagonal g != 0 the dual u moves, so the run cannot pass through the
+    # g = 0 reduction unseen; its iterates match a loop of dense solves
+    p = with_g(figure1_problem, "diagonal")
+    rho, r, max_iter = 10.0, 10.0, 100
+    H_x = p.f.M + rho * p.ata
+    H_z = p.g.M + rho * np.eye(p.m)
+    x, z, u = figure1_x0, p.A @ figure1_x0, np.zeros(p.m)
+    z_hat, u_hat = z, u
+    xs, us, primal = [x], [u], [0.0]
+    for k in range(max_iter):
+        x = np.linalg.solve(H_x, rho * (p.A.T @ (z_hat - u_hat)) - p.f.q)
+        z_new = np.linalg.solve(H_z, rho * (p.A @ x + u_hat) - p.g.q)
+        u_new = u_hat + p.A @ x - z_new
+        gamma = momentum_coefficient(k, r) if method == "aadmm" else 0.0
+        z_hat, u_hat = z_new + gamma * (z_new - z), u_new + gamma * (u_new - u)
+        z, u = z_new, u_new
+        xs.append(x)
+        us.append(u)
+        primal.append(np.linalg.norm(p.A @ x - z))
+    assert min(np.linalg.norm(v) for v in us[1:]) > 1e-3
+    if method == "admm":
+        traj = af.run_admm(p, figure1_x0, rho=rho, max_iter=max_iter)
+    else:
+        traj = af.run_aadmm(p, figure1_x0, rho=rho, r=r, max_iter=max_iter)
+    assert np.max(np.abs(traj.X - np.array(xs))) <= 1e-10 * np.max(np.abs(xs))
+    values = np.array([af.eval_V(p, x) for x in xs])
+    assert np.max(np.abs(traj.V - values)) <= 1e-10 * np.max(np.abs(values))
+    assert np.min(traj.primal_residual[1:]) > 1e-6
+    assert np.allclose(traj.primal_residual, primal, rtol=1e-8, atol=0)
+
+
 def test_non_positive_definite_subproblem_is_refused():
     # M_f is PSD within its 1e-10 relative tolerance, but H_x = M_f + rho A^T A
-    # = diag(1, -9e-12) is not positive definite: no operator is built from it
-    p = af.SplitProblem(af.QuadraticFunction(np.diag([1.0, -1e-11])),
-                        af.QuadraticFunction.zero(2), 1e-6 * np.eye(2))
+    # = diag(1, -9e-12) is not positive definite: no operator is built from it.
+    # The same holds for a diagonal H_z = M_g + rho I = diag(1, -9e-12), which
+    # takes no Cholesky factor
+    psd = af.QuadraticFunction(np.diag([1.0, -1e-11]))
     x0 = np.array([1.0, 1.0])
-    for build in (lambda: SubproblemCache(p, 1.0),
-                  lambda: af.run_admm(p, x0, rho=1.0, max_iter=10),
-                  lambda: af.run_aadmm(p, x0, rho=1.0, r=3.0, max_iter=10)):
-        with pytest.raises(NumericalError, match="singular subproblem system"):
-            build()
+    for p, rho in ((af.SplitProblem(psd, af.QuadraticFunction.zero(2), 1e-6 * np.eye(2)), 1.0),
+                   (af.SplitProblem(af.QuadraticFunction(np.eye(2)), psd, np.eye(2)), 1e-12)):
+        for build in (lambda: SubproblemCache(p, rho),
+                      lambda: af.run_admm(p, x0, rho=rho, max_iter=10),
+                      lambda: af.run_aadmm(p, x0, rho=rho, r=3.0, max_iter=10)):
+            with pytest.raises(NumericalError, match="singular subproblem system"):
+                build()
 
 
 @pytest.mark.parametrize("bad", [np.nan, np.inf])

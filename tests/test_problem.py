@@ -6,8 +6,9 @@ import pytest
 
 import admmflow as af
 from admmflow.exceptions import NumericalError, UnsupportedFunctionError
+from admmflow.problem import _values
 
-from helpers import fd_grad
+from helpers import fd_grad, with_g
 
 
 def test_eval_V_one_d(one_d_problem):
@@ -196,6 +197,39 @@ def test_quadratic_function_immutable():
         q.eigenvalues[0] = 5.0
 
 
+def test_diagonal_spectrum_is_the_sorted_diagonal():
+    # a diagonal M (zeros included) skips eigvalsh: its spectrum is its
+    # sorted diagonal, equal to eigvalsh's; a dense M has no diagonal
+    rng = np.random.default_rng(3)
+    d = rng.uniform(size=50) * (rng.uniform(size=50) < 0.7)
+    q = af.QuadraticFunction(np.diag(d))
+    assert np.array_equal(q.diagonal, d)
+    assert np.array_equal(q.eigenvalues, np.linalg.eigvalsh(np.diag(d)))
+    assert np.array_equal(af.QuadraticFunction.zero(4).diagonal, np.zeros(4))
+    dense = af.QuadraticFunction([[1.0, 1e-300], [1e-300, 1.0]])
+    assert dense.diagonal is None
+    for array in (q.diagonal, q.eigenvalues):
+        with pytest.raises(ValueError):
+            array[0] = 5.0
+
+
+@pytest.mark.parametrize("kind", ["zero", "linear", "diagonal", "dense"])
+def test_values_by_g_structure(figure1_problem, kind):
+    # V at rows: the left-to-right four-term sum when g != 0 (bit for bit,
+    # with A x passed in or not; M_g = 0 with q_g != 0 included), the two f
+    # terms alone when g = 0
+    p = with_g(figure1_problem, kind)
+    xs = np.random.default_rng(4).standard_normal((7, p.n))
+    zs = xs @ p.A.T
+    f_terms = 0.5 * np.einsum("ij,ij->i", xs @ p.f.M, xs) + xs @ p.f.q
+    expected = f_terms if kind == "zero" else (
+        f_terms + 0.5 * np.einsum("ij,ij->i", zs @ p.g.M, zs) + zs @ p.g.q)
+    assert np.array_equal(_values(p, xs), expected)
+    assert np.array_equal(_values(p, xs, zs), expected)
+    if kind != "zero":
+        assert not np.array_equal(expected, f_terms)
+
+
 @pytest.mark.parametrize("build, message", [
     (lambda: af.QuadraticFunction([[1.0, np.nan], [0.0, 1.0]]), r"M must be finite; M\[0, 1\] is nan"),
     (lambda: af.QuadraticFunction(np.eye(3), [0.0, 0.0, np.inf]), r"q must be finite; q\[2\] is inf"),
@@ -261,6 +295,32 @@ def test_serialization_byte_identical(tmp_path):
     af.save_problem(p1, f1)
     af.save_problem(p2, f2)
     assert f1.read_bytes() == f2.read_bytes()
+
+
+@pytest.mark.parametrize("build", [
+    lambda: af.gen_figure1_problem(2, 1, 5.0, 10.0, seed=3),
+    lambda: af.gen_figure1_problem(60, 40, 10.0, 100.0, seed=38),
+    lambda: with_g(af.gen_figure1_problem(5, 2, 5.0, 10.0, seed=3), "dense"),
+], ids=["gen-n2", "gen-n60", "no-provenance"])
+def test_save_problem_matches_json_dump(monkeypatch, tmp_path, build):
+    # the streamed writer lays out the text of json.dump(..., indent=1) + "\n",
+    # with its chunks of floats as they are and as short as 7 (a boundary
+    # inside every array)
+    p = build()
+    data = {"n": p.n, "m": p.m, "M_f": p.f.M.ravel().tolist(), "q_f": p.f.q.tolist(),
+            "M_g": p.g.M.ravel().tolist(), "q_g": p.g.q.tolist(), "A": p.A.ravel().tolist(),
+            "seed": p.seed, "generator_params": p.generator_params}
+    expected = json.dumps(data, indent=1) + "\n"
+    path = tmp_path / "p.json"
+    for chunk in (af.problem.JSON_CHUNK, 7):
+        monkeypatch.setattr(af.problem, "JSON_CHUNK", chunk)
+        af.save_problem(p, path)
+        text = path.read_text(encoding="utf-8")
+        if text != expected:  # not `assert ==`: pytest's diff of long strings takes minutes
+            first = next((i for i, (a, b) in enumerate(zip(text, expected)) if a != b),
+                         min(len(text), len(expected)))
+            pytest.fail(f"chunk {chunk}: first difference at {first}: "
+                        f"{text[first - 20:first + 20]!r}")
 
 
 def test_serialization_keeps_generator_params(tmp_path):
