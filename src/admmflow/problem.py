@@ -334,10 +334,10 @@ def _is_zero(h):
     return h.diagonal is not None and not h.diagonal.any() and not h.q.any()
 
 
-def _values(problem, xs, zs=None):
+def _values(problem, xs, axs=None):
     """V at each row of ``xs``: one pass of matrix products for quadratic f
     and g, one ``eval_V`` call per row otherwise. The g terms are skipped
-    when g is identically zero; otherwise they take ``zs``, the rows of
+    when g is identically zero; otherwise they take ``axs``, the rows of
     ``xs @ A^T``, when the caller has them."""
     if not problem.is_quadratic:
         return np.array([eval_V(problem, x) for x in xs], dtype=float)
@@ -345,9 +345,9 @@ def _values(problem, xs, zs=None):
     vals = 0.5 * np.einsum("ij,ij->i", xs @ f.M, xs) + xs @ f.q
     if _is_zero(g):
         return vals
-    if zs is None:
-        zs = xs @ problem.A.T
-    return vals + 0.5 * np.einsum("ij,ij->i", zs @ g.M, zs) + zs @ g.q
+    if axs is None:
+        axs = xs @ problem.A.T
+    return vals + 0.5 * np.einsum("ij,ij->i", axs @ g.M, axs) + axs @ g.q
 
 
 def grad_V(problem, x):
@@ -364,11 +364,8 @@ def _a_sq_norms(problem, ys):
 
 
 def _hessian_and_linear_term(problem):
-    """``(H, c)`` of a quadratic V: ``H = M_f + A^T M_g A`` and ``c = q_f + A^T q_g``
-    (``M_f`` and ``q_f`` themselves when g is identically zero)."""
+    """``(H, c)`` of a quadratic V: ``H = M_f + A^T M_g A`` and ``c = q_f + A^T q_g``."""
     f, g, A = problem.f, problem.g, problem.A
-    if _is_zero(g):
-        return f.M, f.q
     return f.M + A.T @ (g.M @ A), f.q + A.T @ g.q
 
 

@@ -321,42 +321,6 @@ def test_quadratic_run_solves_no_system_per_step(monkeypatch, figure1_problem, f
         assert counts == [builds, builds], kind
 
 
-@pytest.mark.parametrize("method", ["admm", "aadmm"])
-def test_failing_operator_is_replayed_and_refined(monkeypatch, pd_2d_problem, method):
-    # an x-operator off by 1e-6 fails the check of every solve: each step is
-    # replayed through the checked cache, whose exact refinement solve
-    # recovers the unperturbed iterates
-    x0 = np.array([2.0, -1.0])
-
-    def run():
-        if method == "admm":
-            return af.run_admm(pd_2d_problem, x0, rho=5.0, max_iter=100)
-        return af.run_aadmm(pd_2d_problem, x0, rho=5.0, r=4.0, max_iter=100)
-
-    clean = run()
-    assert clean.meta["refinements"] == 0
-    calls = spy_solve(monkeypatch, matrix_scale=1.0 + 1e-6)
-    perturbed = run()
-    assert perturbed.meta["refinements"] == 100
-    assert calls.count(1) >= 100  # a refinement solve per replayed step
-    scale = np.max(np.abs(clean.X))
-    assert np.max(np.abs(perturbed.X - clean.X)) <= 1e-9 * scale
-    assert np.max(np.abs(perturbed.V - clean.V)) <= 1e-9 * np.max(np.abs(clean.V))
-
-
-@pytest.mark.parametrize("method", ["admm", "aadmm"])
-def test_unrecoverable_solve_raises(monkeypatch, pd_2d_problem, method):
-    # operators 1e-3 off and the refinement solve 10 % off: the retry cannot
-    # meet the check
-    spy_solve(monkeypatch, matrix_scale=1.0 + 1e-3, vector_scale=1.1)
-    x0 = np.array([2.0, -1.0])
-    with pytest.raises(NumericalError, match="subproblem residual"):
-        if method == "admm":
-            af.run_admm(pd_2d_problem, x0, rho=5.0, max_iter=100)
-        else:
-            af.run_aadmm(pd_2d_problem, x0, rho=5.0, r=4.0, max_iter=100)
-
-
 def scale_z_operator(monkeypatch, scale):
     """Build every :class:`SubproblemCache` with its ``S_z`` scaled by ``scale``."""
     init = SubproblemCache.__init__
@@ -367,6 +331,63 @@ def scale_z_operator(monkeypatch, scale):
         self._ops["z"] = (scale * S, s)
 
     monkeypatch.setattr(SubproblemCache, "__init__", scaled)
+
+
+def perturbed_operators(pd_2d_problem):
+    """``(which, problem)`` for each operator a replay can refine: S_x, and
+    S_z held as a vector (pd_2d_problem's diagonal g != 0) or as a dense matrix."""
+    dense = with_g(pd_2d_problem, "dense")
+    assert pd_2d_problem.g.diagonal is not None and pd_2d_problem.g.q.any()
+    assert dense.g.diagonal is None
+    return (("x", pd_2d_problem), ("z", pd_2d_problem), ("z", dense))
+
+
+def perturb(monkeypatch, which, scale, vector_scale=1.0):
+    """Spy on the solves with the ``which`` operator scaled by ``scale`` and
+    every refinement solve by ``vector_scale``; returns the spy's calls. S_x
+    is perturbed through its LU build, S_z after the cache is built."""
+    if which == "x":
+        return spy_solve(monkeypatch, matrix_scale=scale, vector_scale=vector_scale)
+    calls = spy_solve(monkeypatch, vector_scale=vector_scale)
+    scale_z_operator(monkeypatch, scale)
+    return calls
+
+
+def run_2d(problem, method):
+    x0 = np.array([2.0, -1.0])
+    if method == "admm":
+        return af.run_admm(problem, x0, rho=5.0, max_iter=100)
+    return af.run_aadmm(problem, x0, rho=5.0, r=4.0, max_iter=100)
+
+
+@pytest.mark.parametrize("method", ["admm", "aadmm"])
+def test_failing_operator_is_replayed_and_refined(monkeypatch, pd_2d_problem, method):
+    # an operator off by 1e-6 fails the check of every solve: each step is
+    # replayed through the checked cache, whose exact refinement solve (a
+    # division for a diagonal S_z) recovers the unperturbed iterates
+    for which, problem in perturbed_operators(pd_2d_problem):
+        clean = run_2d(problem, method)
+        assert clean.meta["refinements"] == 0
+        with monkeypatch.context() as mp:
+            calls = perturb(mp, which, 1.0 + 1e-6)
+            perturbed = run_2d(problem, method)
+        case = (which, problem.g.diagonal is None)
+        assert perturbed.meta["refinements"] == 100, case
+        assert calls.count(1) == 100, case  # one refinement solve per replayed step
+        scale = np.max(np.abs(clean.X))
+        assert np.max(np.abs(perturbed.X - clean.X)) <= 1e-9 * scale, case
+        assert np.max(np.abs(perturbed.V - clean.V)) <= 1e-9 * np.max(np.abs(clean.V)), case
+
+
+@pytest.mark.parametrize("method", ["admm", "aadmm"])
+def test_unrecoverable_solve_raises(monkeypatch, pd_2d_problem, method):
+    # an operator 1e-3 off and the refinement solve 10 % off: the retry cannot
+    # meet the check (with an exact retry a 1e-3 error is recovered)
+    for which, problem in perturbed_operators(pd_2d_problem):
+        with monkeypatch.context() as mp:
+            perturb(mp, which, 1.0 + 1e-3, vector_scale=1.1)
+            with pytest.raises(NumericalError, match=f"{which}-subproblem residual"):
+                run_2d(problem, method)
 
 
 @pytest.mark.parametrize("kind", ["zero", "linear", "diagonal", "dense"])
@@ -389,44 +410,6 @@ def test_z_step_matches_a_dense_solve(figure1_problem, kind):
             assert np.array_equal(z, w)
     assert deferred.first_failure() is None
     assert cache._ops["z"][0].ndim == (2 if kind == "dense" else 1)
-
-
-@pytest.mark.parametrize("method", ["admm", "aadmm"])
-def test_diagonal_z_operator_is_replayed_and_refined(monkeypatch, pd_2d_problem, method):
-    # pd_2d_problem has a diagonal M_g != 0: an S_z off by 1e-6 fails the O(m)
-    # check of every z-solve, and the retry's division recovers the iterates
-    assert pd_2d_problem.g.diagonal is not None and pd_2d_problem.g.q.any()
-    x0 = np.array([2.0, -1.0])
-
-    def run():
-        if method == "admm":
-            return af.run_admm(pd_2d_problem, x0, rho=5.0, max_iter=100)
-        return af.run_aadmm(pd_2d_problem, x0, rho=5.0, r=4.0, max_iter=100)
-
-    clean = run()
-    assert clean.meta["refinements"] == 0
-    calls = spy_solve(monkeypatch)
-    scale_z_operator(monkeypatch, 1.0 + 1e-6)
-    perturbed = run()
-    assert perturbed.meta["refinements"] == 100
-    assert calls.count(1) >= 100  # a refinement solve per replayed step
-    scale = np.max(np.abs(clean.X))
-    assert np.max(np.abs(perturbed.X - clean.X)) <= 1e-9 * scale
-    assert np.max(np.abs(perturbed.V - clean.V)) <= 1e-9 * np.max(np.abs(clean.V))
-
-
-@pytest.mark.parametrize("method", ["admm", "aadmm"])
-def test_unrecoverable_diagonal_z_solve_raises(monkeypatch, pd_2d_problem, method):
-    # S_z 1e-3 off and the retry's division 10 % off: the retry cannot meet
-    # the check
-    spy_solve(monkeypatch, vector_scale=1.1)
-    scale_z_operator(monkeypatch, 1.0 + 1e-3)
-    x0 = np.array([2.0, -1.0])
-    with pytest.raises(NumericalError, match="z-subproblem residual"):
-        if method == "admm":
-            af.run_admm(pd_2d_problem, x0, rho=5.0, max_iter=100)
-        else:
-            af.run_aadmm(pd_2d_problem, x0, rho=5.0, r=4.0, max_iter=100)
 
 
 @pytest.mark.parametrize("method", ["admm", "aadmm"])

@@ -220,12 +220,12 @@ def test_values_by_g_structure(figure1_problem, kind):
     # terms alone when g = 0
     p = with_g(figure1_problem, kind)
     xs = np.random.default_rng(4).standard_normal((7, p.n))
-    zs = xs @ p.A.T
+    axs = xs @ p.A.T
     f_terms = 0.5 * np.einsum("ij,ij->i", xs @ p.f.M, xs) + xs @ p.f.q
     expected = f_terms if kind == "zero" else (
-        f_terms + 0.5 * np.einsum("ij,ij->i", zs @ p.g.M, zs) + zs @ p.g.q)
+        f_terms + 0.5 * np.einsum("ij,ij->i", axs @ p.g.M, axs) + axs @ p.g.q)
     assert np.array_equal(_values(p, xs), expected)
-    assert np.array_equal(_values(p, xs, zs), expected)
+    assert np.array_equal(_values(p, xs, axs), expected)
     if kind != "zero":
         assert not np.array_equal(expected, f_terms)
 
