@@ -136,6 +136,9 @@ def cmd_run(args):
         traj = _run_to_csv(path, run, problem, x0, v_star=v_star, **kwargs)
         v_star = traj.v_star
         print(f"{solver}: wrote {path}, final V_gap={traj.v_gap[-1]:.6e}")
+        if traj.meta.get("stopped_early") and traj.k[-1] < args.max_iter:
+            print(f"{solver}: stopped early at k={traj.k[-1]} of --max-iter {args.max_iter}: "
+                  f"primal residual + z movement <= --stop-tol {args.stop_tol:g}")
     return EXIT_OK
 
 
@@ -340,7 +343,8 @@ def build_parser():
     _figure1_default(run, "--max-iter", _positive(int),
                      "iteration budget; also sets default flow t-end via the method time scale")
     run.add_argument("--stop-tol", type=float, default=0.0,
-                     help="early-stop tolerance on primal residual + z movement (default 0)")
+                     help="early-stop tolerance on primal residual + z movement (default 0: "
+                          "stops only at an exact fixed point)")
     run.add_argument("--h", type=float, default=None,
                      help="flow step size (defaults: rk4 1e-3, symplectic 1e-2)")
     run.add_argument("--t0", type=float, default=None,

@@ -17,7 +17,10 @@ they apply the affine subproblem operators of a :class:`SubproblemCache`
 so a sweep solves no system: it is three matrix-vector products, or two
 and an O(m) scaling when ``M_g`` is diagonal (``S_z`` is then the identity
 for g = 0, which every generated draw has);
-otherwise they delegate to a user-supplied inner minimizer. A state checks
+otherwise they delegate to a user-supplied inner minimizer, which sees the
+x-subproblem in the coordinates ``w = L^T x`` of the Cholesky factor
+``A^T A = L L^T`` (its Hessian is then ``rho I + L^{-1} (grad^2 f) L^{-T}``,
+well conditioned as rho grows) and the z-subproblem as posed. A state checks
 its own parameters on construction (rho > 0, and r >= 3 for the accelerated
 iterate). The ``run_*`` drivers record trajectories, placing iterate k at
 flow time ``t = k / time_scale`` (``rho`` for ADMM, ``sqrt(rho)`` for
@@ -247,25 +250,41 @@ class SubproblemCache:
         return int(min(failures)) if failures else None
 
 
-def _solve_generic(h, rho, residual, adjoint, start, inner_solver):
-    """Minimize ``h(y) + (rho/2) ||residual(y)||^2`` with the inner solver,
-    from ``start``; ``adjoint`` is the transpose of the residual's linear part."""
+def _solve_generic(which, h, rho, target, start, inner_solver, factor=None):
+    """Minimize ``h(y) + (rho/2) ||L^T y - target||^2`` with the inner solver,
+    posed in ``w = L^T y``: the solver minimizes ``h(L^{-T} w) + (rho/2)
+    ||w - target||^2`` from ``w = start`` (a fresh array, already in w) with
+    the gradient ``L^{-1} grad h(L^{-T} w) + rho (w - target)``, and the
+    result is mapped back as ``y = L^{-T} w``. ``factor`` is ``(L^{-1},
+    L^{-T})``, or None for ``L = I``. A result whose shape is not the
+    target's is refused with ValueError naming the ``which``-subproblem."""
+    inv, inv_t = factor or (None, None)
 
-    def fun(y):
-        resid = residual(y)
-        return h.value(y) + 0.5 * rho * float(resid @ resid)
+    def primal(w):
+        return w if inv_t is None else inv_t @ w
 
-    def grad(y):
-        return h.grad(y) + rho * adjoint(residual(y))
+    def fun(w):
+        d = w - target
+        return h.value(primal(w)) + 0.5 * rho * float(d @ d)
 
-    return np.asarray(inner_solver(fun, grad, start), dtype=float)
+    def grad(w):
+        grad_h = h.grad(primal(w))
+        return (grad_h if inv is None else inv @ grad_h) + rho * (w - target)
+
+    w = np.asarray(inner_solver(fun, grad, start), dtype=float)
+    if w.shape != target.shape:
+        raise ValueError(f"inner solver returned shape {w.shape} for the {which}-subproblem, "
+                         f"expected {target.shape}")
+    return primal(w)
 
 
 def _sweep(problem, state, z, u, cache, inner_solver):
     """x-minimization, z-minimization and scaled dual ascent against (z, u).
 
-    Returns ``(x+, z+, u+)``. An inner solver is warm-started from the
-    current iterate (state.x, state.z).
+    Returns ``(x+, z+, u+)``. An inner solver is warm-started from fresh
+    copies of the current iterate (state.x, state.z); with ``A^T A = L L^T``,
+    ``(rho/2) ||A x - v||^2`` is ``(rho/2) ||L^T x - L^{-1} A^T v||^2`` up to
+    a constant.
     """
     if state.x.shape != (problem.n,) or state.z.shape != (problem.m,) or state.u.shape != (problem.m,):
         raise ValueError("state dimensions do not match the problem")
@@ -273,13 +292,11 @@ def _sweep(problem, state, z, u, cache, inner_solver):
     if inner_solver is not None:
         if cache is not None:
             raise ValueError("pass a subproblem cache or an inner solver, not both")
-        v = z - u
-        x_new = _solve_generic(problem.f, rho, lambda y: A @ y - v, lambda res: A.T @ res,
-                               state.x, inner_solver)
+        chol, inv, inv_t = problem._ata_inverse_factor
+        x_new = _solve_generic("x", problem.f, rho, inv @ (A.T @ (z - u)), chol.T @ state.x,
+                               inner_solver, (inv, inv_t))
         ax = A @ x_new
-        w = ax + u
-        z_new = _solve_generic(problem.g, rho, lambda y: y - w, lambda res: res,
-                               state.z, inner_solver)
+        z_new = _solve_generic("z", problem.g, rho, ax + u, state.z.copy(), inner_solver)
     else:
         if cache is None:
             cache = SubproblemCache(problem, rho)
@@ -298,8 +315,14 @@ def admm_step(problem, state, cache=None, inner_solver=None):
     checked operators of a :class:`SubproblemCache` (built on the fly when
     ``cache`` is None; drivers build it once per run). Otherwise
     ``inner_solver(fun, grad, x0)`` must minimize a smooth convex function to
-    gradient-norm tolerance 1e-10; a ``cache`` given with it is refused with
-    ``ValueError``.
+    gradient-norm tolerance 1e-10 and return an array of ``x0``'s shape
+    (else ``ValueError``); a ``cache`` given with it is refused with
+    ``ValueError``. The solver sees the x-subproblem in ``w = L^T x``, with
+    ``A^T A = L L^T`` the factor behind :meth:`SplitProblem.solve_ata`
+    (:class:`NumericalError` where it does not exist): it minimizes
+    ``f(L^{-T} w) + (rho/2) ||w - L^{-1} A^T (z - u)||^2`` from ``L^T x``,
+    with Hessian ``rho I + L^{-1} (grad^2 f) L^{-T}``, and ``x = L^{-T} w``.
+    It sees the z-subproblem as posed.
     """
     x_new, z_new, u_new = _sweep(problem, state, state.z, state.u, cache, inner_solver)
     return AdmmState(x=x_new, z=z_new, u=u_new, k=state.k + 1, rho=state.rho)
@@ -337,6 +360,10 @@ def _run(problem, start, args, max_iter, stop_tol, v_star, inner_solver):
     accelerated = isinstance(state, AccAdmmState)
     rho = state.rho
     cache = SubproblemCache(problem, rho) if inner_solver is None else None
+    if cache is None:
+        # the inner solver's x-coordinates need the factor of A^T A: a problem
+        # without one raises its NumericalError here, before sample 0
+        problem._ata_inverse_factor
     delta = 1.0 / time_scale(rho, accelerated)
 
     n_max = max_iter + 1
@@ -422,8 +449,9 @@ def run_admm(problem, x0, rho, max_iter, stop_tol=0.0, v_star=None, inner_solver
     """Drive ADMM from ``x0`` (z0 = A x0, u0 = 0), recording a trajectory.
 
     Iterates until ``k = max_iter`` or
-    ``||A x_k - z_k|| + ||z_k - z_{k-1}|| <= stop_tol`` (default 0, i.e. a
-    fixed budget). The time column is ``t = k / rho``. Records per iterate:
+    ``||A x_k - z_k|| + ||z_k - z_{k-1}|| <= stop_tol`` (default 0: only an
+    exact fixed point stops early); ``meta["stopped_early"]`` records a stop
+    by this test. The time column is ``t = k / rho``. Records per iterate:
     x, objective gap and primal residual.
     """
     return _run(problem, initial_admm_state, (x0, rho), max_iter, stop_tol, v_star, inner_solver)

@@ -82,6 +82,24 @@ def cg_minimize(fun, grad, x0, tol=1e-12, max_iter=None):
     return x
 
 
+class GradCounter:
+    """An inner solver (``cg_minimize`` unless given) that counts its solves
+    and the gradient calls they make."""
+
+    def __init__(self, solver=cg_minimize):
+        self.solver = solver
+        self.solves = 0
+        self.grad_calls = 0
+
+    def __call__(self, fun, grad, x0):
+        def counted(y):
+            self.grad_calls += 1
+            return grad(y)
+
+        self.solves += 1
+        return self.solver(fun, counted, x0)
+
+
 def rk4_reference(rhs, y0, t0, t_end, h):
     """Classical RK4 on a time-dependent system y' = rhs(t, y).
 

@@ -56,6 +56,25 @@ def test_run_hand_unrolled(tmp_path, one_d_file):
     assert np.allclose(cols["V_gap"], 12.5 * 0.25 ** np.arange(6), rtol=1e-12)
 
 
+@pytest.mark.parametrize("x0, stop_tol, stop_k", [("1", "0.3", 2), ("0", "0", 1), ("1", "0", None)],
+                         ids=["stop-tol", "exact-fixed-point", "full-budget"])
+def test_run_reports_an_early_stop(tmp_path, one_d_file, capsys, x0, stop_tol, stop_k):
+    # on the 1-D problem at rho = 1, z moves by x_{k-1} / 2 at step k: 0.25 at
+    # k = 2 from x0 = 1; from x0 = 0 the default stop_tol = 0 stops at k = 1
+    argv = ["run", "--problem", one_d_file, "--solver", "admm", "--solver", "aadmm",
+            "--rho", "1", "--r", "3", "--max-iter", "20", "--x0", x0, "--stop-tol", stop_tol,
+            "--out-dir", str(tmp_path)]
+    assert main(argv) == 0
+    out = capsys.readouterr().out
+    for solver in ("admm", "aadmm"):
+        rows = len(af.load_trajectory_csv(tmp_path / f"{solver}.csv")["k"])
+        if stop_k is None:
+            assert rows == 21 and "stopped early" not in out
+        else:
+            assert f"{solver}: stopped early at k={stop_k} of --max-iter 20" in out
+            assert rows == stop_k + 1
+
+
 def test_run_flow_closed_form(tmp_path, one_d_file):
     assert main(["run", "--problem", one_d_file, "--solver", "admm_flow", "--h", "0.01",
                  "--t-end", "1", "--x0", "1", "--out-dir", str(tmp_path)]) == 0

@@ -9,11 +9,15 @@ from admmflow.cli import main
 from admmflow.discrete import SubproblemCache, momentum_coefficient
 from admmflow.exceptions import DivergenceError, NumericalError, UnsupportedFunctionError
 
-from helpers import cg_minimize, with_g
+from helpers import GradCounter, cg_minimize, with_g
 
 
 def quad_as_callbacks(q):
     return af.CallbackFunction(q.value, q.grad, q.dim)
+
+
+def as_callbacks(problem):
+    return af.SplitProblem(quad_as_callbacks(problem.f), quad_as_callbacks(problem.g), problem.A)
 
 
 def test_admm_step_hand_values(one_d_problem):
@@ -68,13 +72,8 @@ def test_admm_figure1_decrease_and_inner_solver_oracle(figure1_problem, figure1_
 
     # independent oracle: same iteration with every subproblem minimized by a
     # generic gradient-based inner solver (tolerance 1e-12 relative)
-    generic = af.SplitProblem(
-        quad_as_callbacks(figure1_problem.f),
-        quad_as_callbacks(figure1_problem.g),
-        figure1_problem.A,
-    )
     oracle = af.run_admm(
-        generic, figure1_x0, rho=rho, max_iter=10,
+        as_callbacks(figure1_problem), figure1_x0, rho=rho, max_iter=10,
         v_star=0.0, inner_solver=cg_minimize,
     )
     assert np.allclose(oracle.X, closed.X, rtol=1e-7, atol=1e-7)
@@ -227,8 +226,7 @@ def test_nan_inner_solver_raises_divergence(one_d_problem, r, bad):
         calls.append(1)
         return np.full_like(x0, bad) if len(calls) >= 3 else cg_minimize(fun, grad, x0)
 
-    p = af.SplitProblem(quad_as_callbacks(one_d_problem.f),
-                        quad_as_callbacks(one_d_problem.g), one_d_problem.A)
+    p = as_callbacks(one_d_problem)
     rho = 4.0
     with pytest.raises(DivergenceError) as err:
         if r is None:
@@ -268,6 +266,151 @@ def test_cache_and_inner_solver_are_refused_together(one_d_problem):
                         (af.aadmm_step, af.initial_aadmm_state(one_d_problem, x0, 1.0, 3.0))):
         with pytest.raises(ValueError, match="not both"):
             step(one_d_problem, state, cache=cache, inner_solver=cg_minimize)
+
+
+def test_inner_solver_gets_fresh_starts(pd_2d_problem):
+    # a solver that overwrites its start after solving must not reach the
+    # state: A-ADMM reads state.z for its momentum after the sweep
+    def clobbering(fun, grad, x0):
+        x = cg_minimize(fun, grad, x0)
+        x0[:] = np.nan
+        return x
+
+    p = as_callbacks(pd_2d_problem)
+    state = af.initial_aadmm_state(p, np.array([2.0, -1.0]), rho=2.0, r=3.0)
+    for _ in range(3):
+        state = af.aadmm_step(p, state, inner_solver=cg_minimize)
+    kept = dataclasses.replace(state, x=state.x.copy(), z=state.z.copy())
+    got = af.aadmm_step(p, state, inner_solver=clobbering)
+    want = af.aadmm_step(p, kept, inner_solver=cg_minimize)
+    assert np.array_equal(state.x, kept.x) and np.array_equal(state.z, kept.z)
+    for name in ("x", "z", "u", "z_hat", "u_hat"):
+        assert np.array_equal(getattr(got, name), getattr(want, name))
+
+
+@pytest.mark.parametrize("rho", [0.5, 7.0])
+def test_inner_solver_is_warm_started_at_the_iterate(pd_2d_problem, rho):
+    # at the KKT fixed point each subproblem's minimizer is the current
+    # iterate, so the start handed to the solver has a zero gradient
+    x_star, z_star, u_star = kkt_fixed_point(pd_2d_problem, rho)
+    ratios = []
+
+    def recording(fun, grad, x0):
+        ratios.append(np.linalg.norm(grad(x0)) / np.linalg.norm(grad(np.zeros_like(x0))))
+        return cg_minimize(fun, grad, x0)
+
+    state = af.AdmmState(x=x_star, z=z_star, u=u_star, k=0, rho=rho)
+    af.admm_step(as_callbacks(pd_2d_problem), state, inner_solver=recording)
+    assert len(ratios) == 2 and max(ratios) <= 1e-12
+
+
+@pytest.mark.parametrize("which", ["x", "z"])
+@pytest.mark.parametrize("shape", ["column", "short"])
+def test_inner_result_of_wrong_shape_is_refused(pd_2d_problem, which, shape):
+    calls = []
+
+    def misshapen(fun, grad, x0):
+        calls.append(1)
+        y = cg_minimize(fun, grad, x0)
+        if (which == "x") == (len(calls) == 1):  # the x-solve is a sweep's first
+            return y[:, None] if shape == "column" else y[:-1]
+        return y
+
+    p = as_callbacks(pd_2d_problem)
+    state = af.initial_admm_state(p, np.array([2.0, -1.0]), rho=2.0)
+    with pytest.raises(ValueError, match=f"for the {which}-subproblem"):
+        af.admm_step(p, state, inner_solver=misshapen)
+
+
+def test_callback_run_without_a_factor_is_refused_before_sample_0():
+    # the x-subproblem's coordinates need the Cholesky factor of A^T A: at
+    # cond(A) = 1e9 numpy refuses it (1e8 still factors)
+    quad = af.gen_figure1_problem(60, 40, 10.0, 1e9, seed=38)
+    calls = []
+
+    def counted(h):
+        return af.CallbackFunction(lambda v: calls.append(v) or h.value(v), h.grad, h.dim)
+
+    p = af.SplitProblem(counted(quad.f), counted(quad.g), quad.A)
+    solver = GradCounter()
+    x0 = np.full(p.n, 5.0)
+    for run in (lambda: af.run_admm(p, x0, rho=50.0, max_iter=10, v_star=0.0,
+                                    inner_solver=solver),
+                lambda: af.run_aadmm(p, x0, rho=50.0, r=10.0, max_iter=10, v_star=0.0,
+                                     inner_solver=solver)):
+        with pytest.raises(NumericalError, match="not numerically positive definite"):
+            run()
+    assert solver.solves == 0 and not calls  # not even V at sample 0
+    as_callbacks(af.gen_figure1_problem(60, 40, 10.0, 1e8, seed=38))._ata_inverse_factor
+
+
+# sup-relative X of the callback path against the quadratic one, 100 iterations
+# at rho = 50; fixed from one measurement (ADMM / A-ADMM: 4.5e-10 / 7.1e-10,
+# 9.8e-8 / 1.7e-7, 2.1e-3 / 2.5e-3) before the first comparison. At 1e6 the
+# quadratic path is itself 4.5e-4 / 8.4e-4 off the exact iterates (a 40-digit
+# solve), and the callback path 1.9e-3 / 1.8e-3.
+CALLBACK_X_BANDS = {"1e2": 1e-8, "1e4": 2e-6, "1e6": 1e-2}
+
+
+@pytest.mark.parametrize("method", ["admm", "aadmm"])
+@pytest.mark.parametrize("cond_a", sorted(CALLBACK_X_BANDS))
+def test_callback_run_across_cond_a(cond_a, method):
+    # the CG inner solver is never accepted at its start, so no run stops
+    # early, and it needs few gradient calls at any cond(A): the
+    # x-subproblem's Hessian in w = L^T x is rho I + L^{-1} M_f L^{-T}
+    quad = af.gen_figure1_problem(60, 40, 10.0, float(cond_a), seed=38)
+    solver = GradCounter()
+    x0 = np.full(quad.n, 5.0)
+    kwargs = {"r": 10.0} if method == "aadmm" else {}
+    run = af.run_aadmm if method == "aadmm" else af.run_admm
+    got = run(as_callbacks(quad), x0, rho=50.0, max_iter=100, v_star=0.0,
+              inner_solver=solver, **kwargs)
+    want = run(quad, x0, rho=50.0, max_iter=100, **kwargs)
+    assert len(got) == 101 and not got.meta["stopped_early"]
+    err = np.max(np.abs(got.X - want.X)) / np.max(np.abs(want.X))
+    assert err <= CALLBACK_X_BANDS[cond_a]
+    assert solver.solves == 200
+    if cond_a == "1e2":  # the figure1 draw: about 10 per sweep, 203 in raw x
+        assert solver.grad_calls <= 20 * 100
+
+
+@pytest.mark.parametrize("method", ["admm", "aadmm"])
+def test_inner_steps_are_stationary_for_a_general_f(figure1_problem, method):
+    # log-cosh f and g, minimized by scipy's BFGS to a w-gradient of 1e-10:
+    # each x-step is stationary for the subproblem in x,
+    # ||grad f(x) + rho A^T (A x - v)|| <= 1e-10 (1 + ||rho A^T v||) (seen:
+    # 2.6e-12), so the change of variables is exact beyond quadratics; each
+    # z-step, solved as posed, meets ||grad g(z) + rho (z - w)|| <=
+    # 1e-9 (1 + rho ||w||) (seen: 9.9e-11, where BFGS stops short of gtol)
+    from scipy.optimize import minimize
+
+    rng = np.random.default_rng(5)
+    a, b = rng.standard_normal(figure1_problem.n), rng.standard_normal(figure1_problem.m)
+    f = af.CallbackFunction(lambda x: float(np.sum(np.log(np.cosh(x - a))) + 5e-3 * (x @ x)),
+                            lambda x: np.tanh(x - a) + 1e-2 * x, figure1_problem.n)
+    g = af.CallbackFunction(lambda z: float(np.sum(np.log(np.cosh(z - b)))),
+                            lambda z: np.tanh(z - b), figure1_problem.m)
+    p = af.SplitProblem(f, g, figure1_problem.A)
+    A, rho = p.A, 50.0
+
+    def bfgs(fun, grad, x0):
+        return minimize(fun, x0, jac=grad, method="BFGS", options={"gtol": 1e-10}).x
+
+    x0 = np.full(p.n, 5.0)
+    if method == "aadmm":
+        state, step = af.initial_aadmm_state(p, x0, rho, r=10.0), af.aadmm_step
+    else:
+        state, step = af.initial_admm_state(p, x0, rho), af.admm_step
+    for _ in range(20):
+        z, u = (state.z_hat, state.u_hat) if method == "aadmm" else (state.z, state.u)
+        v = z - u
+        new = step(p, state, inner_solver=bfgs)
+        x_stat = np.linalg.norm(f.grad(new.x) + rho * A.T @ (A @ new.x - v))
+        assert x_stat <= 1e-10 * (1.0 + np.linalg.norm(rho * A.T @ v))
+        w = A @ new.x + u
+        assert np.linalg.norm(g.grad(new.z) + rho * (new.z - w)) <= 1e-9 * (
+            1.0 + rho * np.linalg.norm(w))
+        state = new
 
 
 @pytest.mark.parametrize("cond_a", ["1e2", "1e4", "1e6"])
