@@ -36,6 +36,27 @@ def with_g(problem, kind, seed=1):
     return SplitProblem(problem.f, g, problem.A)
 
 
+def as_callbacks(problem, calls=None):
+    """``problem`` with f and g behind callbacks. With a dict ``calls``, each
+    call is counted in it, keyed ``("f", "grad")``, ``("g", "value")`` and
+    so on."""
+    from admmflow import CallbackFunction, SplitProblem
+
+    def counted(name, kind, fn):
+        if calls is None:
+            return fn
+
+        def call(v):
+            calls[(name, kind)] = calls.get((name, kind), 0) + 1
+            return fn(v)
+        return call
+
+    f, g = (CallbackFunction(counted(name, "value", h.value), counted(name, "grad", h.grad),
+                             h.dim)
+            for name, h in (("f", problem.f), ("g", problem.g)))
+    return SplitProblem(f, g, problem.A)
+
+
 def fd_grad(fun, x, step=1e-5):
     """Central finite-difference gradient of a scalar function."""
     x = np.asarray(x, dtype=float)

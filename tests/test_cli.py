@@ -1,5 +1,7 @@
 import json
 import platform
+import types
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -8,6 +10,7 @@ import admmflow as af
 from admmflow import cli
 from admmflow.cli import main
 from admmflow.discrete import BLOCK
+from admmflow.flows import IntegratorConfig
 
 from helpers import NOT_A_NUMBER
 
@@ -374,3 +377,41 @@ def test_gen_run_and_figure1_share_the_paper_defaults(tmp_path):
     run = cli.build_parser().parse_args(["run", "--problem", "p.json", "--solver", "admm"])
     assert ([run.rho], run.r, run.max_iter, run.x0) == (
         params["rho"], params["r"], params["max_iter"], params["x0"])
+
+
+def test_benchmark_workloads_restate_the_cli_defaults():
+    # perfbench/workloads.py restates the paper's values and the grids they
+    # imply; it is executed from its text, so nothing is written beside it
+    path = Path(__file__).resolve().parent.parent / "perfbench" / "workloads.py"
+    workloads = types.ModuleType("workloads")
+    exec(compile(path.read_text(encoding="utf-8"), str(path), "exec"), workloads.__dict__)
+    fig = cli.FIGURE1
+    paper = (fig["n"], fig["zero_eigs"], fig["eig_hi"], fig["cond_a"], fig["seed"])
+    assert workloads.PAPER_SEED == fig["seed"]
+    assert workloads.figure1_problem_args(fig["seed"]) == paper
+    sweep = workloads.SWEEP
+    assert workloads.sweep_problem_args(7) == (sweep["n"], sweep["zero_eigs"], fig["eig_hi"],
+                                               fig["cond_a"], 7)
+    for name in ("x0", "r"):
+        assert sweep[name] == fig[name], name
+    for table in (workloads.FIGURE1, workloads.CALLBACK):
+        for name in ("x0", "rho", "r", "max_iter"):
+            assert table[name] == fig[name], name
+    # the grids of figure1 and of `run --solver admm_flow/aadmm_flow`, with defaults
+    parser = cli.build_parser()
+    figure1 = parser.parse_args(["figure1"])
+    t_end = {accelerated: max(figure1.window_hi,
+                              figure1.max_iter / cli.time_scale(fig["rho"], accelerated))
+             for accelerated in (False, True)}
+    plain = cli._flow_config("admm_flow", figure1.h_rk4, None, t_end[False], None)
+    acc = cli._flow_config("aadmm_flow", figure1.h_symplectic, figure1.t0, t_end[True],
+                           figure1.r)
+    assert (plain.n_steps, acc.n_steps) == (workloads.FIGURE1["rk4_steps"],
+                                            workloads.FIGURE1["symplectic_steps"]) == (20000, 4242)
+    run = parser.parse_args(["run", "--problem", "p.json", "--solver", "admm_flow"])
+    callback = workloads.CALLBACK
+    for solver, key in (("admm_flow", "rk4"), ("aadmm_flow", "symplectic")):
+        config = cli._driver(solver, run)[1]["config"]
+        assert config == IntegratorConfig(**callback[key]), solver
+        assert config.n_steps == callback[f"{key}_steps"]
+    assert (callback["rk4_steps"], callback["symplectic_steps"]) == (6000, 4242)

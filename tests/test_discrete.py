@@ -9,15 +9,7 @@ from admmflow.cli import main
 from admmflow.discrete import SubproblemCache, momentum_coefficient
 from admmflow.exceptions import DivergenceError, NumericalError, UnsupportedFunctionError
 
-from helpers import GradCounter, cg_minimize, with_g
-
-
-def quad_as_callbacks(q):
-    return af.CallbackFunction(q.value, q.grad, q.dim)
-
-
-def as_callbacks(problem):
-    return af.SplitProblem(quad_as_callbacks(problem.f), quad_as_callbacks(problem.g), problem.A)
+from helpers import GradCounter, as_callbacks, cg_minimize, with_g
 
 
 def test_admm_step_hand_values(one_d_problem):
@@ -372,6 +364,22 @@ def test_callback_run_across_cond_a(cond_a, method):
     assert solver.solves == 200
     if cond_a == "1e2":  # the figure1 draw: about 10 per sweep, 203 in raw x
         assert solver.grad_calls <= 20 * 100
+
+
+@pytest.mark.parametrize("stop_tol, kept", [(0.0, 21), (1e9, 2)], ids=["full", "early-stop"])
+@pytest.mark.parametrize("method", ["admm", "aadmm"])
+def test_callback_run_evaluates_V_once_per_kept_sample(pd_2d_problem, method, stop_tol, kept):
+    # V is taken once per sample the run keeps, with A x from the record's
+    # own product, and never by the inner solver (cg_minimize calls no value)
+    calls = {}
+    problem = as_callbacks(pd_2d_problem, calls)
+    kwargs = {"r": 3.0} if method == "aadmm" else {}
+    run = af.run_aadmm if method == "aadmm" else af.run_admm
+    traj = run(problem, np.array([1.0, -2.0]), rho=5.0, max_iter=20, stop_tol=stop_tol,
+               v_star=0.0, inner_solver=cg_minimize, **kwargs)
+    assert len(traj) == kept
+    assert calls[("f", "value")] == calls[("g", "value")] == kept
+    assert np.allclose(traj.V, [af.eval_V(pd_2d_problem, x) for x in traj.X], rtol=1e-14, atol=0)
 
 
 @pytest.mark.parametrize("method", ["admm", "aadmm"])

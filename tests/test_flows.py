@@ -10,7 +10,7 @@ import admmflow as af
 from admmflow.exceptions import DivergenceError
 from admmflow.flows import IntegratorConfig
 
-from helpers import rk4_reference, second_order_rhs
+from helpers import as_callbacks, rk4_reference, second_order_rhs
 
 EPS = np.finfo(float).eps
 
@@ -359,21 +359,14 @@ def test_concurrent_runs_share_problem(figure1_problem, figure1_x0):
         assert np.array_equal(a.v_gap, b.v_gap)
 
 
-def _callback_copy(problem):
-    # the same problem behind callbacks: the integrators take the solve path
-    f, g = problem.f, problem.g
-    return af.SplitProblem(af.CallbackFunction(f.value, f.grad, f.dim),
-                           af.CallbackFunction(g.value, g.grad, g.dim), problem.A)
-
-
 @pytest.mark.parametrize("which", ["pd_2d", "rectangular", "cond_1e5", "cond_1e6"])
 def test_affine_map_matches_solve_path(which, pd_2d_problem):
     # the quadratic fast path (both flows on the modal basis, V and H evaluated
-    # after the loop) and the callback path (four-stage step with per-stage
-    # solves, eval_V per sample) agree; at cond(A) = 1e5 this holds for H only
-    # with its kinetic term formed as ||A X'||^2 (<X', (A^T A) X'> amplifies
-    # rounding in X'), and for X only with the mode coordinates of x0 formed
-    # through L^T (phi^T (A^T A) x0 is off by 1.6e-8)
+    # after the loop) and the callback path (four-stage step on the velocity
+    # -(P grad f + Q grad g), V per sample) agree; at cond(A) = 1e5 this holds
+    # for H only with its kinetic term formed as ||A X'||^2 (<X', (A^T A) X'>
+    # amplifies rounding in X'), and for X only with the mode coordinates of
+    # x0 formed through L^T (phi^T (A^T A) x0 is off by 1.6e-8)
     problem = {"pd_2d": pd_2d_problem,
                "rectangular": af.gen_figure1_problem(6, 2, 5.0, 10.0, seed=3, m=9),
                "cond_1e5": af.gen_figure1_problem(20, 5, 10.0, 1e5, seed=1),
@@ -381,7 +374,7 @@ def test_affine_map_matches_solve_path(which, pd_2d_problem):
     # at cond(A) = 1e6 the products with L^T and phi = L^{-T} Q each carry a
     # relative rounding of order cond(A) eps: 64 cond(A) eps, 1.4e-8
     rtol = 64 * 1e6 * EPS if which == "cond_1e6" else 1e-10
-    callbacks = _callback_copy(problem)
+    callbacks = as_callbacks(problem)
     x0 = np.linspace(2.0, -1.0, problem.n)
     _, v_star = af.optimal_value(problem)
     runs = [(af.rk4_integrate, IntegratorConfig(h=0.01, t0=0.0, t_end=5.0), ()),
@@ -398,14 +391,14 @@ def test_affine_map_matches_solve_path(which, pd_2d_problem):
 
 def test_rk4_propagator_matches_solve_path_at_ill_conditioned_A():
     # cond(A) = 1e5, which the flow map's old residual check refused: RK4 on
-    # the modal basis agrees with the four-stage step solving A^T A at every
-    # stage
+    # the modal basis agrees with the four-stage step applying (A^T A)^{-1}
+    # at every stage
     problem = af.gen_figure1_problem(20, 5, 10.0, 1e5, seed=1)
     x0 = np.linspace(2.0, -1.0, problem.n)
     config = IntegratorConfig(h=0.01, t0=0.0, t_end=5.0)
     _, v_star = af.optimal_value(problem)
     fast = af.rk4_integrate(problem, x0, config, v_star=v_star)
-    slow = af.rk4_integrate(_callback_copy(problem), x0, config, v_star=v_star)
+    slow = af.rk4_integrate(as_callbacks(problem), x0, config, v_star=v_star)
     for field in ("X", "Xdot", "V"):
         got, want = getattr(fast, field), getattr(slow, field)
         assert np.max(np.abs(got - want)) <= 1e-10 * np.max(np.abs(want)), field
@@ -425,14 +418,15 @@ def test_figure1_rk4_matches_modal_solution(figure1_problem, figure1_x0, figure1
 
 def test_flow_map_stays_lazy():
     # the flow's O(n^3) modal basis, and the Cholesky factor under it, are
-    # built by the first flow, never by the discrete solvers
+    # built by the first flow, never by the discrete solvers; the inverse
+    # (A^T A)^{-1} of the callback velocity is built by neither
     p = af.gen_figure1_problem(8, 3, 5.0, 10.0, seed=4)
     x0 = np.ones(8)
     af.run_admm(p, x0, rho=5.0, max_iter=5)
     af.run_aadmm(p, x0, rho=5.0, r=3.0, max_iter=5)
     assert "modes" not in p.__dict__ and "_ata_inverse_factor" not in p.__dict__
     af.rk4_integrate(p, x0, IntegratorConfig(h=0.1, t0=0.0, t_end=1.0))
-    assert "modes" in p.__dict__
+    assert "modes" in p.__dict__ and "_ata_inverse" not in p.__dict__
 
 
 def test_large_r_flow_completes(one_d_problem):
@@ -530,6 +524,46 @@ def test_callback_rk4_stops_at_non_finite_velocity():
     assert np.all(np.isfinite(partial.X)) and np.all(np.isfinite(partial.Xdot))
 
 
+@pytest.mark.parametrize("bad_call", [22, 23, 24], ids=["k2", "k3", "k4"])
+def test_callback_rk4_stops_before_a_non_finite_stage_input(bad_call):
+    # as above, but the gradient overflows at a later stage of the step from
+    # sample 5 (calls 21-24 are its k1-k4): the next stage's input, or the
+    # next X after k4, is not finite, so no further callback is made and the
+    # run keeps the six samples up to t = 0.5
+    seen = []
+
+    def grad(x):
+        seen.append(bool(np.isfinite(x).all()))
+        return np.full(1, 1e308) if len(seen) >= bad_call else x
+
+    f = af.CallbackFunction(lambda x: 0.5 * float(x @ x), grad, 1)
+    p = af.SplitProblem(f, af.QuadraticFunction.zero(1), [[0.1]])
+    with pytest.raises(DivergenceError, match=r"after t = 0\.5$") as err:
+        af.rk4_integrate(p, np.array([1.0]), IntegratorConfig(h=0.1, t0=0.0, t_end=2.0),
+                         v_star=0.0)
+    assert len(seen) == bad_call and all(seen)
+    assert len(err.value.trajectory) == 6
+
+
+@pytest.mark.parametrize("flow", ["rk4", "symplectic"])
+def test_callback_flow_work_per_step(pd_2d_problem, flow):
+    # the work a callback flow does on an N-step grid: RK4 takes 4 gradients
+    # per step and one at the last sample, symplectic Euler one per step (its
+    # first X' is 0), and both evaluate V once per sample
+    calls = {}
+    problem = as_callbacks(pd_2d_problem, calls)
+    x0 = np.array([1.0, -2.0])
+    if flow == "rk4":
+        config, grads = IntegratorConfig(h=0.01, t0=0.0, t_end=0.5), 4 * 50 + 1
+        af.rk4_integrate(problem, x0, config, v_star=0.0)
+    else:
+        config, grads = IntegratorConfig(h=0.01, t0=0.01, t_end=0.51, r=3.0), 50
+        af.aadmm_flow_integrate(problem, x0, config, v_star=0.0)
+    assert config.n_steps == 50
+    assert calls == {(name, "grad"): grads for name in "fg"} | {
+        (name, "value"): 51 for name in "fg"}
+
+
 def test_callback_symplectic_run_stops_before_a_non_finite_input():
     # symplectic Euler on f = 50 x^2, A = 1 at h = 1 grows about 98-fold per
     # step; behind callbacks the run stops where the quadratic path reports
@@ -565,7 +599,7 @@ def test_modal_flows_record_their_backward_error(pd_2d_problem):
         traj = integrate(pd_2d_problem, x0, config)
         assert traj.meta["modal_backward_error"] == pd_2d_problem.modes.backward_error
         assert 0.0 <= traj.meta["modal_backward_error"] < 64.0
-        slow = integrate(_callback_copy(pd_2d_problem), x0, config, v_star=traj.v_star)
+        slow = integrate(as_callbacks(pd_2d_problem), x0, config, v_star=traj.v_star)
         assert "modal_backward_error" not in slow.meta
 
 
@@ -582,7 +616,7 @@ def test_zero_mode_drifts_on_both_paths():
              ("hamiltonian",))]
     for integrate, config, extra in runs:
         fast = integrate(p, x0, config, v_star=0.0)
-        slow = integrate(_callback_copy(p), x0, config, v_star=0.0)
+        slow = integrate(as_callbacks(p), x0, config, v_star=0.0)
         for field in ("X", "Xdot", "V") + extra:
             got, want = getattr(fast, field), getattr(slow, field)
             assert np.max(np.abs(got - want)) <= 1e-10 * np.max(np.abs(want)), field

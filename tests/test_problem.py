@@ -6,9 +6,9 @@ import pytest
 
 import admmflow as af
 from admmflow.exceptions import NumericalError, UnsupportedFunctionError
-from admmflow.problem import _values
+from admmflow.problem import ROW_BLOCK, _hessian_and_linear_term, _values
 
-from helpers import fd_grad, with_g
+from helpers import as_callbacks, fd_grad, with_g
 
 
 def test_eval_V_one_d(one_d_problem):
@@ -228,6 +228,28 @@ def test_values_by_g_structure(figure1_problem, kind):
     assert np.array_equal(_values(p, xs, axs), expected)
     if kind != "zero":
         assert not np.array_equal(expected, f_terms)
+
+
+def test_callback_values_span_row_blocks(pd_2d_problem):
+    # on callbacks V takes A x from one product per block of ROW_BLOCK rows,
+    # or from the caller's A x: every row of a longer run gets its own value
+    p = as_callbacks(pd_2d_problem)
+    xs = np.random.default_rng(6).standard_normal((2 * ROW_BLOCK + 5, p.n))
+    want = np.array([af.eval_V(p, x) for x in xs])
+    for axs in (None, xs @ p.A.T):
+        assert np.max(np.abs(_values(p, xs, axs) - want)) <= 1e-14 * np.max(np.abs(want))
+
+
+@pytest.mark.parametrize("kind", ["zero", "linear", "diagonal", "dense"])
+def test_hessian_and_linear_term_by_g_structure(figure1_problem, kind):
+    # (H, c) is bit for bit the four-term formula M_f + A^T (M_g A), q_f +
+    # A^T q_g; when g = 0 it is f's own (M, q), with no product formed
+    p = with_g(figure1_problem, kind)
+    f, g, A = p.f, p.g, p.A
+    H, c = _hessian_and_linear_term(p)
+    assert np.array_equal(H, f.M + A.T @ (g.M @ A))
+    assert np.array_equal(c, f.q + A.T @ g.q)
+    assert (H is f.M and c is f.q) == (kind == "zero")
 
 
 @pytest.mark.parametrize("build, message", [
