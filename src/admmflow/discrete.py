@@ -13,41 +13,36 @@ The accelerated variant runs the same sweep against extrapolated copies
 
 Steps are pure functions of ``(problem, state)``; for quadratic ``f, g``
 they apply the affine subproblem operators of a :class:`SubproblemCache`
-(``x = S_x v - s_x``, ``z = S_z w - s_z``, built once per (problem, rho)),
-so a sweep solves no system: it is three matrix-vector products, or two
-and an O(m) scaling when ``M_g`` is diagonal (``S_z`` is then the identity
-for g = 0, which every generated draw has);
-otherwise they delegate to a user-supplied inner minimizer, which sees the
-x-subproblem in the coordinates ``w = L^T x`` of the Cholesky factor
-``A^T A = L L^T`` (its Hessian is then ``rho I + L^{-1} (grad^2 f) L^{-T}``,
-well conditioned as rho grows) and the z-subproblem as posed. A state checks
-its own parameters on construction (rho > 0, and r >= 3 for the accelerated
+(``x = S_x v - s_x``, ``z = S_z w - s_z``, built and checked once per
+(problem, rho)), so a sweep solves no system: it is three matrix-vector
+products, or two and an O(m) scaling when ``M_g`` is diagonal (``S_z`` is
+then the identity for g = 0, which every generated draw has). The
+x-operator comes from the QR factorization ``A = U R`` of the problem, so
+``A^T A`` is never formed. Otherwise the steps delegate to a user-supplied
+inner minimizer, which sees the x-subproblem in the coordinates ``w = R x``
+(its Hessian is then ``rho I + R^{-T} (grad^2 f) R^{-1}``, well conditioned
+as rho grows) and the z-subproblem as posed. A state checks its own
+parameters on construction (rho > 0, and r >= 3 for the accelerated
 iterate). The ``run_*`` drivers record trajectories, placing iterate k at
 flow time ``t = k / time_scale`` (``rho`` for ADMM, ``sqrt(rho)`` for
 A-ADMM), and raise :class:`DivergenceError` at the first non-finite iterate.
 
-A quadratic run advances in blocks of ``BLOCK`` steps through the same step
-functions, with each solve's residual check deferred to the end of the
-block. There, matrix products over the block's rows give V (without its g
-terms when g = 0), the primal residuals, finiteness, the ``stop_tol`` test
-and the residual check of every x- and z-solve (same formula and tolerance
-as a single solve). The first step with a failing solve is replayed through
-the checked cache (one refinement retry, else :class:`NumericalError`), the
-steps after it are dropped, and the run goes on in blocks;
-``meta["refinements"]`` counts the replays. A run with an inner solver checks
-every step before the next.
+A quadratic run advances in blocks of ``BLOCK`` steps; at the end of each,
+matrix products over the block's rows give V (without its g terms when
+g = 0), the primal residuals, finiteness and the ``stop_tol`` test. A run
+with an inner solver records every step before the next, so no callback
+sees the state after a non-finite one.
 """
 
 from __future__ import annotations
 
-import copy
 import math
 from dataclasses import dataclass
 
 import numpy as np
 
 from .exceptions import NumericalError, UnsupportedFunctionError
-from .problem import _as_vector, _check_damping, _values, resolve_v_star
+from .problem import _as_vector, _check_damping, _qr, _values, resolve_v_star
 from .trajectory import build_trajectory, divergence_error
 
 __all__ = [
@@ -63,19 +58,12 @@ __all__ = [
     "run_aadmm",
 ]
 
-# Relative tolerance on the linear-system residual of each subproblem solve
+# Relative tolerance on the residual of each column of a subproblem operator's
+# linear system, checked once when the operator is built
 SUBPROBLEM_RTOL = 1e-10
 
-# iterations a quadratic run advances between the checks of its solves
+# iterations a quadratic run advances between the records of its samples
 BLOCK = 64
-
-
-def _solve(H, rhs):
-    """``H^{-1} rhs`` for a vector or a matrix ``rhs``: by LU with partial
-    pivoting, or by division for a diagonal ``H`` held as its diagonal. The
-    refinement retries and the builds of the dense operators of
-    :class:`SubproblemCache` go through this one name."""
-    return np.linalg.solve(H, rhs) if H.ndim == 2 else rhs / H
 
 
 def _apply(v, op):
@@ -137,31 +125,81 @@ def initial_aadmm_state(problem, x0, rho, r):
     return AccAdmmState(**vars(base), z_hat=base.z.copy(), u_hat=base.u.copy(), r=r)
 
 
+def _checked_solve(which, H, rhs):
+    """``H^{-1} rhs`` for a symmetric ``H`` and a matrix ``rhs``, by LU with
+    partial pivoting. :class:`NumericalError` names the ``which``-subproblem
+    when H is not numerically positive definite (``np.linalg.cholesky``
+    fails) or when a column fails ``||rhs - H sol|| <= SUBPROBLEM_RTOL (1 +
+    ||rhs||)``."""
+    try:
+        np.linalg.cholesky(H)
+    except np.linalg.LinAlgError as exc:
+        raise NumericalError(f"singular subproblem system ({which}): {exc}") from exc
+    sol = np.linalg.solve(H, rhs)
+    resid = np.linalg.norm(rhs - H @ sol, axis=0)
+    tol = SUBPROBLEM_RTOL * (1.0 + np.linalg.norm(rhs, axis=0))
+    bad = np.flatnonzero(~(resid <= tol))
+    if bad.size:
+        j = bad[0]
+        raise NumericalError(f"{which}-subproblem operator fails its residual check: "
+                             f"column {j}: {resid[j]:.3e} exceeds {tol[j]:.3e}")
+    return sol
+
+
+def _operators(problem, rho):
+    """The read-only, C-contiguous operators ``{"x": (S_x, s_x), "z": (S_z,
+    s_z)}`` of :class:`SubproblemCache` at ``rho``."""
+    f, g, m = problem.f, problem.g, problem.m
+    # A is factored here rather than through the cached problem._factor, so
+    # that a discrete run keeps no U, R or R^{-1} alive beside its operators
+    U, _, inv = _qr(problem.A)
+    K = inv.T @ f.M @ inv
+    K[np.diag_indices_from(K)] += rho
+    sol = _checked_solve("x", K, np.column_stack([rho * U.T, inv.T @ f.q]))
+    ops = {"x": (inv @ sol[:, :-1], inv @ sol[:, -1])}
+    if g.diagonal is None:
+        sol = _checked_solve("z", g.M + rho * np.eye(m), np.column_stack([rho * np.eye(m), g.q]))
+        ops["z"] = sol[:, :-1], sol[:, -1]
+    else:
+        h_z = g.diagonal + rho
+        if not np.all(h_z > 0):
+            raise NumericalError(f"singular subproblem system (z): diagonal entry "
+                                 f"{np.min(h_z):.3e} <= 0")
+        ops["z"] = rho / h_z, g.q / h_z
+    for which, pair in ops.items():
+        ops[which] = tuple(np.ascontiguousarray(a) for a in pair)
+        for a in ops[which]:
+            a.flags.writeable = False
+    return ops
+
+
 class SubproblemCache:
-    """The two quadratic subproblems for a fixed rho, as factor-once affine operators.
+    """The two quadratic subproblems for a fixed rho, as affine operators.
 
     The x-step solves ``H_x x = rho A^T v - q_f`` with ``H_x = M_f + rho A^T A``
     and the z-step solves ``H_z z = rho w - q_g`` with ``H_z = M_g + rho I``.
-    Both matrices are positive definite under full column rank of A with
-    rho > 0; a matrix that is not numerically so (``np.linalg.cholesky``
-    fails, or a diagonal ``H_z`` has an entry <= 0) is refused with
-    :class:`NumericalError`. Each becomes an affine operator:
-    ``x = S_x v - s_x`` with ``S_x = rho H_x^{-1} A^T`` and ``s_x = H_x^{-1} q_f``,
-    and ``z = S_z w - s_z`` with ``S_z = rho H_z^{-1}`` and ``s_z = H_z^{-1} q_g``.
-    A dense operator takes one LU solve on a matrix right-hand side per
-    (problem, rho), and a solve is then one matrix-vector product. When
-    ``M_g`` is diagonal (``g.diagonal``, g = 0 included), ``H_z``, ``S_z``
-    and ``s_z`` are held as vectors (``h_z = diag(M_g) + rho``,
-    ``S_z = rho / h_z``, ``s_z = q_g / h_z``), and the z-solve, its check and
-    its retry are O(m).
+    Each becomes an affine operator: ``x = S_x v - s_x`` and
+    ``z = S_z w - s_z``, so a solve is one matrix-vector product.
 
-    Every solution is checked to ``||rhs - H sol|| <= SUBPROBLEM_RTOL (1 + ||rhs||)``,
-    with one iterative-refinement retry (``H delta = rhs - H sol`` by an LU
-    solve, or a division for a diagonal ``H_z``), else :class:`NumericalError`.
-    :meth:`solve_x` and :meth:`solve_z` check each solution at once. On a
-    copy from :meth:`deferred` they skip the check and log the solve instead,
-    and :meth:`first_failure` applies the same check to all logged solves at
-    once, with matrix products over their rows.
+    ``H_x`` is never formed. With ``A = U R`` (diag R > 0) and ``w = R x``
+    the x-step is ``K w = rho U^T v - R^{-T} q_f`` with ``K = R^{-T} M_f
+    R^{-1} + rho I``, whose condition number is at most ``1 + ||M_f|| /
+    (rho sigma_min^2)``, so ``S_x = R^{-1} K^{-1} rho U^T`` and ``s_x =
+    R^{-1} K^{-1} R^{-T} q_f`` come from one LU solve with K on the matrix
+    right-hand side ``[rho U^T, R^{-T} q_f]``. A dense ``H_z`` gives ``S_z =
+    rho H_z^{-1}`` and ``s_z = H_z^{-1} q_g`` from one solve on ``[rho I,
+    q_g]``. When ``M_g`` is diagonal (``g.diagonal``, g = 0 included), ``S_z``
+    and ``s_z`` are held as vectors (``S_z = rho / h_z``, ``s_z = q_g / h_z``
+    with ``h_z = diag(M_g) + rho``) and the z-solve is O(m).
+
+    Each system is checked once, when its operator is built: every column
+    meets ``||rhs - H sol|| <= SUBPROBLEM_RTOL (1 + ||rhs||)`` for ``K`` and
+    a dense ``H_z``, and ``K``, ``H_z`` are positive definite (a Cholesky
+    factor exists, or every ``h_z > 0``), else :class:`NumericalError`
+    names the subproblem. The operators are kept on the problem per rho, so
+    the caches of one (problem, rho), such as those of ADMM and A-ADMM in
+    one ``run``, share one build (two threads that build at once keep
+    either of two equal builds).
     """
 
     def __init__(self, problem, rho):
@@ -174,94 +212,30 @@ class SubproblemCache:
             raise ValueError("penalty parameter rho must be positive")
         self.problem = problem
         self.rho = float(rho)
-        d = problem.g.diagonal
-        h_x = problem.f.M + rho * problem.ata
-        h_z = problem.g.M + rho * np.eye(problem.m) if d is None else d + rho
-        for H in (h_x, h_z):
-            try:
-                if H.ndim == 2:
-                    np.linalg.cholesky(H)
-                elif not np.all(H > 0):
-                    raise np.linalg.LinAlgError(f"diagonal entry {np.min(H):.3e} <= 0")
-            except np.linalg.LinAlgError as exc:
-                raise NumericalError(f"singular subproblem system: {exc}") from exc
-        self._h = {"x": h_x, "z": h_z}
-        self._ops = {"x": self._operator(h_x, problem.A.T, problem.f.q),
-                     "z": self._operator(h_z, np.eye(problem.m), problem.g.q) if d is None
-                     else (self.rho / h_z, problem.g.q / h_z)}
-        self._log = None  # {"x": [(v, x), ...], "z": [(w, z), ...]} on a deferred copy
-
-    def _operator(self, H, B, q):
-        """``(rho H^{-1} B, H^{-1} q)``, from one solve on ``[rho B, q]``."""
-        sol = _solve(H, np.column_stack([self.rho * B, q]))
-        return np.ascontiguousarray(sol[:, :-1]), np.ascontiguousarray(sol[:, -1])
+        if self.rho not in problem._operators:
+            problem._operators[self.rho] = _operators(problem, self.rho)
+        self._ops = problem._operators[self.rho]
 
     def solve_x(self, v):
-        return self._solve("x", v)
+        S, s = self._ops["x"]
+        return _apply(v, S.T) - s  # v @ S.T is the BLAS product S @ v
 
     def solve_z(self, w):
-        return self._solve("z", w)
-
-    def deferred(self):
-        """A copy sharing the operators whose solves skip the check and are
-        logged for :meth:`first_failure`."""
-        log = copy.copy(self)
-        log._log = {"x": [], "z": []}
-        return log
-
-    def _residual(self, which, args, sols):
-        """``rhs - H sol`` of the ``which`` solves of ``args`` (one per row, or
-        a single vector) and the tolerance of each."""
-        if which == "x":
-            rhs = self.rho * (args @ self.problem.A) - self.problem.f.q
-        else:
-            rhs = self.rho * args - self.problem.g.q
-        tol = SUBPROBLEM_RTOL * (1.0 + np.linalg.norm(rhs, axis=-1))
-        return rhs - _apply(sols, self._h[which]), tol
-
-    def _solve(self, which, arg):
-        S, s = self._ops[which]
-        sol = _apply(arg, S.T) - s  # arg @ S.T is the BLAS product S @ arg
-        if self._log is not None:
-            self._log[which].append((arg, sol))
-            return sol
-        resid, tol = self._residual(which, arg, sol)
-        if np.linalg.norm(resid) > tol:
-            sol = sol + _solve(self._h[which], resid)
-            resid, tol = self._residual(which, arg, sol)
-            if np.linalg.norm(resid) > tol:
-                raise NumericalError(
-                    f"{which}-subproblem residual {np.linalg.norm(resid):.3e} "
-                    f"exceeds tolerance {tol:.3e}"
-                )
-        return sol
-
-    def first_failure(self):
-        """Index of the first logged sweep whose x- or z-solve fails the check,
-        or None. A solution that is not finite is left to the run's
-        divergence check."""
-        failures = []
-        for which, log in self._log.items():
-            if log:
-                args, sols = (np.array(col) for col in zip(*log))
-                resid, tol = self._residual(which, args, sols)
-                bad = (np.linalg.norm(resid, axis=1) > tol) & np.isfinite(sols).all(axis=1)
-                failures.extend(np.flatnonzero(bad)[:1])
-        return int(min(failures)) if failures else None
+        S, s = self._ops["z"]
+        return _apply(w, S.T) - s
 
 
-def _solve_generic(which, h, rho, target, start, inner_solver, factor=None):
-    """Minimize ``h(y) + (rho/2) ||L^T y - target||^2`` with the inner solver,
-    posed in ``w = L^T y``: the solver minimizes ``h(L^{-T} w) + (rho/2)
+def _solve_generic(which, h, rho, target, start, inner_solver, inv=None):
+    """Minimize ``h(y) + (rho/2) ||R y - target||^2`` with the inner solver,
+    posed in ``w = R y``: the solver minimizes ``h(R^{-1} w) + (rho/2)
     ||w - target||^2`` from ``w = start`` (a fresh array, already in w) with
-    the gradient ``L^{-1} grad h(L^{-T} w) + rho (w - target)``, and the
-    result is mapped back as ``y = L^{-T} w``. ``factor`` is ``(L^{-1},
-    L^{-T})``, or None for ``L = I``. A result whose shape is not the
-    target's is refused with ValueError naming the ``which``-subproblem."""
-    inv, inv_t = factor or (None, None)
+    the gradient ``R^{-T} grad h(R^{-1} w) + rho (w - target)``, and the
+    result is mapped back as ``y = R^{-1} w``. ``inv`` is ``R^{-1}``, or None
+    for ``R = I``. A result whose shape is not the target's is refused with
+    ValueError naming the ``which``-subproblem."""
 
     def primal(w):
-        return w if inv_t is None else inv_t @ w
+        return w if inv is None else inv @ w
 
     def fun(w):
         d = w - target
@@ -269,7 +243,7 @@ def _solve_generic(which, h, rho, target, start, inner_solver, factor=None):
 
     def grad(w):
         grad_h = h.grad(primal(w))
-        return (grad_h if inv is None else inv @ grad_h) + rho * (w - target)
+        return (grad_h if inv is None else grad_h @ inv) + rho * (w - target)
 
     w = np.asarray(inner_solver(fun, grad, start), dtype=float)
     if w.shape != target.shape:
@@ -282,9 +256,9 @@ def _sweep(problem, state, z, u, cache, inner_solver):
     """x-minimization, z-minimization and scaled dual ascent against (z, u).
 
     Returns ``(x+, z+, u+)``. An inner solver is warm-started from fresh
-    copies of the current iterate (state.x, state.z); with ``A^T A = L L^T``,
-    ``(rho/2) ||A x - v||^2`` is ``(rho/2) ||L^T x - L^{-1} A^T v||^2`` up to
-    a constant.
+    copies of the current iterate (state.x, state.z); with ``A = U R``,
+    ``(rho/2) ||A x - v||^2`` is ``(rho/2) ||R x - U^T v||^2`` up to a
+    constant.
     """
     if state.x.shape != (problem.n,) or state.z.shape != (problem.m,) or state.u.shape != (problem.m,):
         raise ValueError("state dimensions do not match the problem")
@@ -292,9 +266,8 @@ def _sweep(problem, state, z, u, cache, inner_solver):
     if inner_solver is not None:
         if cache is not None:
             raise ValueError("pass a subproblem cache or an inner solver, not both")
-        chol, inv, inv_t = problem._ata_inverse_factor
-        x_new = _solve_generic("x", problem.f, rho, inv @ (A.T @ (z - u)), chol.T @ state.x,
-                               inner_solver, (inv, inv_t))
+        U, R, inv = problem._factor
+        x_new = _solve_generic("x", problem.f, rho, (z - u) @ U, R @ state.x, inner_solver, inv)
         ax = A @ x_new
         z_new = _solve_generic("z", problem.g, rho, ax + u, state.z.copy(), inner_solver)
     else:
@@ -317,11 +290,10 @@ def admm_step(problem, state, cache=None, inner_solver=None):
     ``inner_solver(fun, grad, x0)`` must minimize a smooth convex function to
     gradient-norm tolerance 1e-10 and return an array of ``x0``'s shape
     (else ``ValueError``); a ``cache`` given with it is refused with
-    ``ValueError``. The solver sees the x-subproblem in ``w = L^T x``, with
-    ``A^T A = L L^T`` the factor behind :meth:`SplitProblem.solve_ata`
-    (:class:`NumericalError` where it does not exist): it minimizes
-    ``f(L^{-T} w) + (rho/2) ||w - L^{-1} A^T (z - u)||^2`` from ``L^T x``,
-    with Hessian ``rho I + L^{-1} (grad^2 f) L^{-T}``, and ``x = L^{-T} w``.
+    ``ValueError``. The solver sees the x-subproblem in ``w = R x``, with
+    ``A = U R`` the factor behind :meth:`SplitProblem.solve_ata`: it
+    minimizes ``f(R^{-1} w) + (rho/2) ||w - U^T (z - u)||^2`` from ``R x``,
+    with Hessian ``rho I + R^{-T} (grad^2 f) R^{-1}``, and ``x = R^{-1} w``.
     It sees the z-subproblem as posed.
     """
     x_new, z_new, u_new = _sweep(problem, state, state.z, state.u, cache, inner_solver)
@@ -360,10 +332,7 @@ def _run(problem, start, args, max_iter, stop_tol, v_star, inner_solver):
     accelerated = isinstance(state, AccAdmmState)
     rho = state.rho
     cache = SubproblemCache(problem, rho) if inner_solver is None else None
-    if cache is None:
-        # the inner solver's x-coordinates need the factor of A^T A: a problem
-        # without one raises its NumericalError here, before sample 0
-        problem._ata_inverse_factor
+    size = 1 if cache is None else BLOCK  # steps between records
     delta = 1.0 / time_scale(rho, accelerated)
 
     n_max = max_iter + 1
@@ -382,36 +351,11 @@ def _run(problem, start, args, max_iter, stop_tol, v_star, inner_solver):
         "max_iter": int(max_iter),
         "stop_tol": float(stop_tol),
         "stopped_early": False,
-        "refinements": 0,
     }
     if accelerated:
         meta["r"] = state.r
     label = f"{'accelerated ADMM' if accelerated else 'ADMM'} at rho = {rho:g}"
     step = aadmm_step if accelerated else admm_step
-    size = BLOCK  # steps in the next block
-
-    def advance(state):
-        """The states after ``state``: one with an inner solver, else a block
-        of steps whose solves are checked together afterwards. The first step
-        with a failing solve is replayed through the checked cache and the
-        steps after it are dropped; the block length then restarts at 1 and
-        doubles back to BLOCK, so an operator that keeps failing costs about
-        one replay per step, not a block."""
-        nonlocal size
-        if cache is None:
-            return [step(problem, state, inner_solver=inner_solver)]
-        deferred = cache.deferred()
-        states = [state]
-        for _ in range(min(size, max_iter - state.k)):
-            states.append(step(problem, states[-1], cache=deferred))
-        bad = deferred.first_failure()
-        if bad is None:
-            size = min(2 * size, BLOCK)
-        else:
-            meta["refinements"] += 1
-            states[bad + 1:] = [step(problem, states[bad], cache=cache)]
-            size = 1
-        return states[1:]
 
     def record(states, z_prev):
         """Store the samples of consecutive ``states`` and return how many the
@@ -440,8 +384,10 @@ def _run(problem, start, args, max_iter, stop_tol, v_star, inner_solver):
     with np.errstate(over="ignore", invalid="ignore"):
         record([state], None)
         while state.k < max_iter and not meta["stopped_early"]:
-            states = advance(state)
-            state = states[record(states, state.z) - 1]
+            states = [state]
+            for _ in range(min(size, max_iter - state.k)):
+                states.append(step(problem, states[-1], cache, inner_solver))
+            state = states[record(states[1:], state.z)]
     return build_trajectory(columns, state.k + 1, v_star, meta)
 
 

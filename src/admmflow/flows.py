@@ -32,13 +32,15 @@ symplectic Euler takes its step on the mode coordinates, elementwise. X and
 X' are products with ``phi^T``, and ``meta["modal_backward_error"]`` records
 the basis's backward error in units of eps. Callback problems take the
 four-stage RK4 step or the same symplectic step on the velocity
-``-(P grad f(X) + Q grad g(A X))``, with ``P = (A^T A)^{-1}`` and
-``Q = P A^T`` the pair cached on the problem (behind
-:meth:`SplitProblem.solve_ata`), bound once per run. One sampling loop runs
-every stepped flow; on callbacks it checks X before each velocity and X'
-before each step, and RK4 checks each stage input before its velocity and
-ends the run at the current sample when one is not finite, so a callback is
-never called at a non-finite X.
+``-(P grad f(X) + Q grad g(A X))``, with ``P = (A^T A)^{-1} = R^{-1} R^{-T}``
+and ``Q = P A^T = R^{-1} U^T`` the pair cached on the problem from ``A = U R``
+(behind :meth:`SplitProblem.solve_ata`), bound once per run. One sampling
+loop runs every stepped flow; on callbacks it checks X before each velocity
+and X' before each step, RK4 checks each stage input before its velocity,
+and the velocity checks ``A X`` before it calls a gradient; each ends the
+run at the current sample when its input is not finite, so a callback is
+never called at a non-finite X or ``A X`` (V reads NaN at such a sample and
+calls neither function).
 
 With ``A = I`` these reduce to plain gradient flow and to the damped
 oscillator flow of accelerated gradient descent.
@@ -125,14 +127,20 @@ class IntegratorConfig:
 def _flow_velocity(problem):
     """The velocity ``X -> -(P grad f(X) + Q grad g(A X))`` of the first-order
     flow, with ``(P, Q)`` the problem's cached ``((A^T A)^{-1}, (A^T A)^{-1}
-    A^T)``: three matrix-vector products and the two gradient calls. The
-    input is not validated; callers pass a vector of shape (n,)."""
+    A^T)``: three matrix-vector products and the two gradient calls. When
+    ``A X`` is not finite it returns a NaN velocity and calls neither
+    gradient, so a sampling loop ends at the current sample. The input is
+    not validated; callers pass a vector of shape (n,)."""
     P, Q = problem._ata_inverse
     f_grad, g_grad, A = problem.f.grad, problem.g.grad, problem.A
+    zero = np.zeros(problem.m)
 
     def velocity(x):
+        ax = A @ x
+        if not _is_finite(ax, zero):
+            return np.full(len(x), np.nan)
         v = P @ f_grad(x)
-        v += Q @ g_grad(A @ x)
+        v += Q @ g_grad(ax)
         return np.negative(v, out=v)
 
     return velocity

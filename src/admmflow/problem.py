@@ -9,6 +9,13 @@ matrix ``A`` of full column rank, representing
 Solvers, flows and monitors are all written against the composite objective
 ``V(x) = f(x) + g(A x)``, i.e. the constrained objective evaluated on the
 feasible manifold ``z = A x``.
+
+Both flows and the ADMM x-step are posed in ``A^T A``, whose condition
+number is ``cond(A)^2``. It is never formed: the reduced QR factorization
+``A = U R`` is the one factor behind :meth:`SplitProblem.solve_ata`, the
+callback velocity, the modal basis and the discrete x-operator, so their
+results lose digits as ``cond(A)``, and everything the rank test accepts
+(``sigma_min > 1e-10 sigma_max``) can be run.
 """
 
 from __future__ import annotations
@@ -37,6 +44,9 @@ __all__ = [
 
 # rows per block of a product over the samples of a run: bounds its temporaries
 ROW_BLOCK = 1024
+
+# normwise backward error of a stationary point that optimal_value accepts
+STATIONARY_BACKWARD_TOL = 1e-10
 
 
 def _as_vector(x, dim, name):
@@ -153,6 +163,25 @@ class CallbackFunction:
         return f"CallbackFunction(dim={self.dim})"
 
 
+def _qr(A):
+    """``(U, R, R^{-1})`` of the reduced QR factorization ``A = U R`` with
+    ``diag R > 0``, read-only. ``R^T`` is then the Cholesky factor of
+    ``A^T A = R^T R``, which is never formed: a product with ``R^{-1}``
+    carries ``cond(A) eps`` of rounding where one with the factor of the
+    formed Gram matrix carries ``cond(A)^2 eps`` (Higham, Accuracy and
+    Stability of Numerical Algorithms, ch. 20; Golub & Van Loan, Matrix
+    Computations, sec. 5.3). ``R^{-1}`` is the LU inverse of R, which for
+    an upper triangular R pivots no row and is back substitution."""
+    U, R = np.linalg.qr(A)
+    sign = np.copysign(1.0, R.diagonal())
+    U *= sign
+    R *= sign[:, None]
+    factor = U, R, np.linalg.inv(R)
+    for a in factor:
+        a.flags.writeable = False
+    return factor
+
+
 @dataclass(frozen=True, eq=False)
 class Modes:
     """Modal basis of the pencil ``(H, A^T A)`` (:attr:`SplitProblem.modes`).
@@ -160,8 +189,9 @@ class Modes:
     ``phi^T (A^T A) phi = I``, ``phi^T H phi = diag(lam)`` (lam ascending) and
     ``beta = phi^T c``, so with ``X = phi y`` the first-order flow splits into
     the scalar modes ``y_i' = -(lam_i y_i + beta_i)``. ``q`` holds the
-    eigenvectors behind ``phi = L^{-T} q``, ``chol`` the Cholesky factor L,
-    and ``backward_error`` the pencil test's ratio in units of eps.
+    eigenvectors behind ``phi = R^{-1} q``, ``chol`` the factor ``L = R^T``
+    of ``A^T A = L L^T`` from ``A = U R``, and ``backward_error`` the pencil
+    test's ratio in units of eps.
     """
 
     lam: np.ndarray
@@ -172,7 +202,7 @@ class Modes:
     backward_error: float
 
     def coordinates(self, x):
-        """Mode coordinates ``y = Q^T (L^T x)`` of a point, so that ``x = phi y``
+        """Mode coordinates ``y = Q^T (R x)`` of a point, so that ``x = phi y``
         (the equal ``phi^T (A^T A) x`` amplifies the rounding of ``phi``)."""
         return self.q.T @ (self.chol.T @ x)
 
@@ -193,11 +223,13 @@ class SplitProblem:
         Provenance of generated problems, carried into serialization.
 
     The instance is immutable after construction. The Gram matrix ``A^T A``
-    is computed eagerly; its Cholesky factor and that factor's inverse, the
-    inverse ``(A^T A)^{-1}`` formed from them (behind :meth:`solve_ata` and
-    the callback flows' velocity) and the modal basis of a quadratic problem
-    (:attr:`modes`) are computed on first use and cached, so a run that
-    needs none of them, such as a discrete solver's, never pays for them.
+    is never formed: every solve with it goes through the reduced QR
+    factorization ``A = U R`` (:func:`_qr`). The factor, the pair behind
+    :meth:`solve_ata` and the callback flows' velocity, and the modal basis
+    of a quadratic problem (:attr:`modes`) are computed on first use and
+    cached, so a run that needs none of them, such as a discrete solver's,
+    never pays for them. The discrete solvers keep their subproblem
+    operators per rho in ``_operators`` (see :class:`SubproblemCache`).
     """
 
     rank_rtol = 1e-10
@@ -223,7 +255,8 @@ class SplitProblem:
                 "A must have full column rank; "
                 f"sigma_min/sigma_max = {svals[-1] / svals[0]:.3e}"
             )
-        A.flags.writeable = False
+        for a in (A, svals):
+            a.flags.writeable = False
         self.f = f
         self.g = g
         self.A = A
@@ -231,9 +264,8 @@ class SplitProblem:
         self.m = m
         self.sigma_max = float(svals[0])
         self.sigma_min = float(svals[-1])
-        ata = A.T @ A
-        ata.flags.writeable = False
-        self.ata = ata
+        self._svals = svals
+        self._operators = {}
         self.seed = seed
         self.generator_params = dict(generator_params) if generator_params else None
 
@@ -248,43 +280,33 @@ class SplitProblem:
         return self.sigma_max / self.sigma_min
 
     @cached_property
-    def _ata_inverse_factor(self):
-        """``(L, L^{-1}, L^{-T})`` for the Cholesky factor ``A^T A = L L^T``,
-        all C-contiguous; computed on first use."""
-        try:
-            chol = np.linalg.cholesky(self.ata)
-        except np.linalg.LinAlgError as exc:
-            raise NumericalError(f"A^T A is not numerically positive definite "
-                                 f"(cond(A) = {self.cond_A:.3g}): {exc}") from exc
-        inv = np.linalg.inv(chol)
-        return chol, inv, np.ascontiguousarray(inv.T)
+    def _factor(self):
+        """``(U, R, R^{-1})`` of ``A = U R`` (:func:`_qr`); computed on first use."""
+        return _qr(self.A)
 
     @cached_property
     def _ata_inverse(self):
-        """``(P, Q)`` with ``P = (A^T A)^{-1} = L^{-T} L^{-1}`` and ``Q = P A^T``,
-        read-only; formed on first use from :attr:`_ata_inverse_factor`."""
-        _, inv, inv_t = self._ata_inverse_factor
-        P = inv_t @ inv
-        Q = P @ self.A.T
+        """``(P, Q)`` with ``P = (A^T A)^{-1} = R^{-1} R^{-T}`` and
+        ``Q = P A^T = R^{-1} U^T``, read-only; formed on first use from
+        :attr:`_factor`."""
+        U, _, inv = self._factor
+        P = inv @ inv.T
+        Q = inv @ U.T
         for a in (P, Q):
             a.flags.writeable = False
         return P, Q
 
     def solve_ata(self, b):
         """Solve ``(A^T A) y = b`` as ``y = P b``, one matrix product with the
-        cached ``P = (A^T A)^{-1} = L^{-T} L^{-1}`` (``A^T A = L L^T``) that
-        the callback flows' velocity applies too; ``b`` is a vector or a
-        matrix of right-hand sides.
+        cached ``P = (A^T A)^{-1} = R^{-1} R^{-T}`` (``A = U R``) that the
+        callback flows' velocity applies too; ``b`` is a vector or a matrix
+        of right-hand sides.
 
         There is no refinement step. The normwise backward error
-        ``||b - (A^T A) y|| / (||A^T A|| ||y|| + ||b||)`` is a fraction of eps
+        ``||b - A^T (A y)|| / (||A^T A|| ||y|| + ||b||)`` is a fraction of eps
         for random vectors and blocks and for ``M_f`` on the generated draws
-        at cond(A) 1e2 to 1e8. A ``b`` along the top eigenvector of ``A^T A``
-        alone scores about ``cond(A^T A) eps``, as a product with any explicit
-        inverse does (the two triangular products ``L^{-T} (L^{-1} b)`` score
-        at most 10 eps there). The forward error against the exact solve is
-        of order ``cond(A^T A) eps`` for both, since forming ``A^T A`` already
-        costs that much.
+        at cond(A) 1e2 to 9e9. The forward error against the exact solve is
+        of order ``cond(A)^2 eps``, the condition number of the system.
         """
         return self._ata_inverse[0] @ b
 
@@ -292,12 +314,13 @@ class SplitProblem:
     def modes(self):
         """The :class:`Modes` of a quadratic problem.
 
-        With ``A^T A = L L^T`` (the factor behind :meth:`solve_ata`) and
-        ``H``, ``c`` the Hessian and linear term of V: ``eigh`` of the
-        symmetrised ``L^{-1} H L^{-T}`` gives ``Q`` and ``lam``, then
-        ``phi = L^{-T} Q`` and ``beta = Q^T (L^{-1} c)``. Built on first
-        access (O(n^3), so never in the constructor or by the discrete
-        solvers); the arrays are read-only.
+        With ``A = U R`` (the factor behind :meth:`solve_ata`): ``eigh`` of
+        the symmetrised ``R^{-T} M_f R^{-1} + U^T M_g U`` (which is
+        ``R^{-T} H R^{-1}`` for the Hessian H of V, formed without
+        ``A^T M_g A``) gives ``Q`` and ``lam``, then ``phi = R^{-1} Q`` and
+        ``beta = Q^T (R^{-T} q_f + U^T q_g)``. Built on first access (O(n^3),
+        so never in the constructor or by the discrete solvers); the arrays
+        are read-only.
 
         Raises
         ------
@@ -309,22 +332,29 @@ class SplitProblem:
             pencil, ``||H phi - (A^T A) phi diag(lam)||_F / ((||H||_F +
             ||A^T A||_F max|lam|) ||phi||_F)``, or that of the linear term,
             ``||(A^T A) phi beta - c|| / (||A^T A||_F ||phi||_F ||beta|| +
-            ||c||)``. A correct decomposition scores a small multiple of eps
-            at any conditioning of A.
+            ||c||)``, with ``c = q_f + A^T q_g``. Both residuals are formed
+            as products with A (``H phi = M_f phi + A^T (M_g (A phi))``),
+            and ``||A^T A||_F = (sum sigma_i^4)^(1/2)`` comes from the
+            singular values of A. A correct decomposition scores a small
+            multiple of eps at any conditioning of A.
         """
         if not self.is_quadratic:
             raise UnsupportedFunctionError("the modal basis requires quadratic f and g")
-        chol, inv, inv_t = self._ata_inverse_factor
-        H, c = _hessian_and_linear_term(self)
-        S = inv @ H @ inv_t
+        f, g, A = self.f, self.g, self.A
+        U, R, inv = self._factor
+        S = inv.T @ f.M @ inv + U.T @ g.M @ U
         lam, Q = np.linalg.eigh(0.5 * (S + S.T))
-        phi = inv_t @ Q
-        beta = Q.T @ (inv @ c)
-        ata_norm, phi_norm = np.linalg.norm(self.ata), np.linalg.norm(phi)
+        phi = inv @ Q
+        beta = Q.T @ (inv.T @ f.q + U.T @ g.q)
+        # H is formed only for its norm, the pencil gate's scale
+        H, c = _hessian_and_linear_term(self)
+        a_phi = A @ phi
+        h_phi = f.M @ phi + A.T @ (g.M @ a_phi)
+        ata_norm, phi_norm = np.linalg.norm(self._svals**2), np.linalg.norm(phi)
         lam_max = float(np.max(np.abs(lam)))
-        pencil = np.linalg.norm(H @ phi - (self.ata @ phi) * lam)
+        pencil = np.linalg.norm(h_phi - (A.T @ a_phi) * lam)
         pencil_scale = (np.linalg.norm(H) + ata_norm * lam_max) * phi_norm
-        linear = np.linalg.norm(self.ata @ (phi @ beta) - c)
+        linear = np.linalg.norm(A.T @ (A @ (phi @ beta)) - c)
         linear_scale = ata_norm * phi_norm * np.linalg.norm(beta) + np.linalg.norm(c)
         for name, resid, scale in (("pencil", pencil, pencil_scale),
                                    ("linear-term", linear, linear_scale)):
@@ -335,9 +365,9 @@ class SplitProblem:
                     f"{tol:.3e} (cond(A) = {self.cond_A:.3g})"
                 )
         eps = np.finfo(float).eps
-        for a in (lam, phi, beta, Q, chol):
+        for a in (lam, phi, beta, Q):
             a.flags.writeable = False
-        return Modes(lam, phi, beta, Q, chol,
+        return Modes(lam, phi, beta, Q, R.T,
                      float(pencil / pencil_scale / eps) if pencil_scale else 0.0)
 
     def __repr__(self):
@@ -360,14 +390,17 @@ def _values(problem, xs, axs=None):
     the caller has them. For quadratic f and g: one pass of matrix products,
     without the g terms when g is identically zero. Otherwise: one value
     call of f and of g per row, with ``A x`` from ``axs`` or from one
-    product per block of ``ROW_BLOCK`` rows."""
+    product per block of ``ROW_BLOCK`` rows; a row whose x or ``A x`` is not
+    finite reads NaN and calls neither."""
     f, g = problem.f, problem.g
     if not problem.is_quadratic:
         vals = np.empty(len(xs))
         for start in range(0, len(xs), ROW_BLOCK):
             rows = slice(start, start + ROW_BLOCK)
             block = xs[rows] @ problem.A.T if axs is None else axs[rows]
-            vals[rows] = [f.value(x) + g.value(ax) for x, ax in zip(xs[rows], block)]
+            finite = np.isfinite(xs[rows]).all(axis=1) & np.isfinite(block).all(axis=1)
+            vals[rows] = [f.value(x) + g.value(ax) if ok else np.nan
+                          for x, ax, ok in zip(xs[rows], block, finite)]
         return vals
     vals = 0.5 * np.einsum("ij,ij->i", xs @ f.M, xs) + xs @ f.q
     if _is_zero(g):
@@ -417,9 +450,11 @@ def optimal_value(problem):
         If ``f`` or ``g`` is not a :class:`QuadraticFunction`; callers must
         then supply the optimal value externally.
     NumericalError
-        If the candidate fails first-order optimality
-        (``||grad V(x*)|| <= 1e-8 * (1 + ||grad V(0)||)``), e.g. when V is
-        unbounded below.
+        If the candidate is not stationary to ``STATIONARY_BACKWARD_TOL``
+        in the normwise backward error ``||H x* + c|| / (||H||_F ||x*|| +
+        ||c||)`` (Higham, Accuracy and Stability of Numerical Algorithms,
+        sec. 7.1), which is scale-free: V is then unbounded below (c has a
+        component outside the range of H), where it reads about 1.
     """
     if not problem.is_quadratic:
         raise UnsupportedFunctionError(
@@ -428,12 +463,12 @@ def optimal_value(problem):
         )
     H, c = _hessian_and_linear_term(problem)
     x_star, *_ = np.linalg.lstsq(H, -c, rcond=None)
-    g0 = np.linalg.norm(grad_V(problem, np.zeros(problem.n)))
-    g_star = np.linalg.norm(grad_V(problem, x_star))
-    if g_star > 1e-8 * (1.0 + g0):
+    resid = np.linalg.norm(H @ x_star + c)
+    scale = np.linalg.norm(H) * np.linalg.norm(x_star) + np.linalg.norm(c)
+    if resid > STATIONARY_BACKWARD_TOL * scale:
         raise NumericalError(
-            f"no stationary point found (||grad V(x*)|| = {g_star:.3e}); "
-            "V may be unbounded below"
+            f"no stationary point found (backward error of H x* = -c is "
+            f"{resid / scale:.3e}, above {STATIONARY_BACKWARD_TOL:g}); V may be unbounded below"
         )
     return x_star, eval_V(problem, x_star)
 

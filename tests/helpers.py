@@ -159,3 +159,131 @@ def second_order_rhs(problem, r):
         return np.concatenate([v, -(r / t) * v - np.linalg.solve(B, grad_V(problem, x))])
 
     return rhs
+
+
+# Exact-arithmetic oracles in stdlib decimal: a binary float converts to a
+# Decimal exactly, so these act on the problem's own data. At DIGITS
+# significant digits the solves of a Gram matrix of cond(A)^2 <= 1e20 keep
+# more than 25 correct digits, far below the double-precision errors the
+# tests bound.
+DIGITS = 50
+
+
+def _dec(a):
+    """A float array as nested lists of Decimal (exact)."""
+    from decimal import Decimal
+
+    return [_dec(row) for row in a] if np.ndim(a) > 1 else [Decimal(float(v)) for v in a]
+
+
+def _mv(M, v):
+    return [sum(a * b for a, b in zip(row, v)) for row in M]
+
+
+def _mm(M, N):
+    cols = list(zip(*N))
+    return [[sum(a * b for a, b in zip(row, col)) for col in cols] for row in M]
+
+
+def _gauss_jordan_inverse(M):
+    """Inverse of a square Decimal matrix by Gauss-Jordan with partial pivoting."""
+    from decimal import Decimal
+
+    n = len(M)
+    aug = [list(row) + [Decimal(int(i == j)) for j in range(n)] for i, row in enumerate(M)]
+    for col in range(n):
+        piv = max(range(col, n), key=lambda i: abs(aug[i][col]))
+        aug[col], aug[piv] = aug[piv], aug[col]
+        p = aug[col][col]
+        aug[col] = [v / p for v in aug[col]]
+        for i in range(n):
+            if i != col and aug[i][col]:
+                factor = aug[i][col]
+                aug[i] = [a - factor * b for a, b in zip(aug[i], aug[col])]
+    return [row[n:] for row in aug]
+
+
+def decimal_admm(problem, x0, rho, max_iter, r=None):
+    """The exact X iterates of ADMM (``r`` None) or A-ADMM on a quadratic
+    problem from ``x0`` (z0 = A x0, u0 = 0), as a float array of
+    ``max_iter + 1`` rows: the same recursion as the package's steps, with
+    each subproblem matrix (``M_f + rho A^T A``, ``M_g + rho I``) inverted
+    once by Gauss-Jordan at DIGITS digits."""
+    from decimal import Decimal, localcontext
+
+    with localcontext() as ctx:
+        ctx.prec = DIGITS
+        f, g = problem.f, problem.g
+        A, M_f, q_f, M_g, q_g = (_dec(a) for a in (problem.A, f.M, f.q, g.M, g.q))
+        At = [list(col) for col in zip(*A)]
+        rho_d, m, n = Decimal(float(rho)), problem.m, problem.n
+        ata = _mm(At, A)
+        inv_x = _gauss_jordan_inverse([[M_f[i][j] + rho_d * ata[i][j] for j in range(n)]
+                                       for i in range(n)])
+        inv_z = _gauss_jordan_inverse([[M_g[i][j] + (rho_d if i == j else 0) for j in range(m)]
+                                       for i in range(m)])
+        x = _dec(x0)
+        z, u = _mv(A, x), [Decimal(0)] * m
+        z_hat, u_hat = z, u
+        xs = [x]
+        for k in range(max_iter):
+            rhs = [rho_d * a - b for a, b in zip(_mv(At, [p - q for p, q in zip(z_hat, u_hat)]),
+                                                  q_f)]
+            x = _mv(inv_x, rhs)
+            ax = _mv(A, x)
+            z_new = _mv(inv_z, [rho_d * (a + b) - c for a, b, c in zip(ax, u_hat, q_g)])
+            u_new = [a + b - c for a, b, c in zip(u_hat, ax, z_new)]
+            gamma = Decimal(0) if r is None else Decimal(k) / (Decimal(k) + Decimal(float(r)))
+            z_hat = [a + gamma * (a - b) for a, b in zip(z_new, z)]
+            u_hat = [a + gamma * (a - b) for a, b in zip(u_new, u)]
+            z, u = z_new, u_new
+            xs.append(x)
+        return np.array([[float(v) for v in x] for x in xs])
+
+
+def decimal_flow(problem, x0, times):
+    """The exact first-order flow ``(A^T A) X' = -(H X + c)`` of a quadratic
+    problem from ``X(0) = x0`` at each of ``times``, as a float array with a
+    row per time. At DIGITS digits: the Cholesky factor ``A^T A = L L^T``
+    turns the flow into ``w' = -(S w + d)`` in ``w = L^T X``, with the
+    symmetric ``S = L^{-1} H L^{-T}`` and ``d = L^{-1} c``, whose
+    propagator is ``expm`` of the augmented matrix ``[[-S, -d], [0, 0]]``:
+    a Taylor series after scaling by ``2^-s`` to norm < 1/2, then ``s``
+    squarings."""
+    from decimal import Decimal, localcontext
+
+    with localcontext() as ctx:
+        ctx.prec = DIGITS
+        f, g, n = problem.f, problem.g, problem.n
+        A, M_f, q_f, M_g, q_g = (_dec(a) for a in (problem.A, f.M, f.q, g.M, g.q))
+        At = [list(col) for col in zip(*A)]
+        ata = _mm(At, A)
+        H = [[a + b for a, b in zip(r1, r2)] for r1, r2 in zip(M_f, _mm(At, _mm(M_g, A)))]
+        c = [a + b for a, b in zip(q_f, _mv(At, q_g))]
+        L = [[Decimal(0)] * n for _ in range(n)]
+        for j in range(n):
+            L[j][j] = (ata[j][j] - sum(v * v for v in L[j][:j])).sqrt()
+            for i in range(j + 1, n):
+                L[i][j] = (ata[i][j] - sum(a * b for a, b in zip(L[i][:j], L[j][:j]))) / L[j][j]
+        inv = _gauss_jordan_inverse(L)
+        inv_t = [list(col) for col in zip(*inv)]
+        S, d = _mm(inv, _mm(H, inv_t)), _mv(inv, c)
+        G = [[-v for v in row] + [-di] for row, di in zip(S, d)] + [[Decimal(0)] * (n + 1)]
+        w0 = _mv([list(col) for col in zip(*L)], _dec(x0)) + [Decimal(1)]
+        norm = max(sum(abs(v) for v in row) for row in G)
+        rows = []
+        for t in times:
+            t = Decimal(float(t))
+            s = 0
+            while norm * t / 2**s >= Decimal("0.5"):
+                s += 1
+            Z = [[v * t / 2**s for v in row] for row in G]
+            E = [[Decimal(int(i == j)) for j in range(n + 1)] for i in range(n + 1)]
+            term = E
+            for k in range(1, 40):
+                term = [[v / k for v in row] for row in _mm(term, Z)]
+                E = [[a + b for a, b in zip(r1, r2)] for r1, r2 in zip(E, term)]
+            for _ in range(s):
+                E = _mm(E, E)
+            rows.append([float(v) for v in _mv(inv_t, _mv(E, w0)[:n])])
+        return np.array(rows)

@@ -207,8 +207,21 @@ def test_run_deterministic_csvs(tmp_path, one_d_file):
         assert (tmp_path / "r1" / name).read_bytes() == (tmp_path / "r2" / name).read_bytes()
 
 
+def test_run_completes_on_a_cond_1e8_draw(tmp_path, capsys):
+    # both discrete solvers at rho = 10 exited 2 on this draw while the x-step
+    # went through the formed A^T A (A-ADMM failed its solve check); the flow
+    # ran. Through A = U R all three complete
+    problem = str(tmp_path / "p.json")
+    assert main(["gen", "--n", "60", "--cond-a", "1e8", "--out", problem]) == 0
+    assert main(["run", "--problem", problem, "--solver", "admm", "--solver", "aadmm",
+                 "--rho", "10", "--out-dir", str(tmp_path / "discrete")]) == 0
+    assert main(["run", "--problem", problem, "--solver", "admm_flow",
+                 "--out-dir", str(tmp_path / "flow")]) == 0
+    assert "error" not in capsys.readouterr().err
+
+
 def test_run_deterministic_csvs_across_blocks(tmp_path):
-    # a generated draw, run past two blocks of deferred solve checks
+    # a generated draw, run past two blocks of sample records
     problem = str(tmp_path / "p.json")
     assert main(["gen", "--n", "20", "--zero-eigs", "10", "--out", problem]) == 0
     for sub in ("r1", "r2"):

@@ -9,7 +9,7 @@ from admmflow.cli import main
 from admmflow.discrete import SubproblemCache, momentum_coefficient
 from admmflow.exceptions import DivergenceError, NumericalError, UnsupportedFunctionError
 
-from helpers import GradCounter, as_callbacks, cg_minimize, with_g
+from helpers import GradCounter, as_callbacks, cg_minimize, decimal_admm, with_g
 
 
 def test_admm_step_hand_values(one_d_problem):
@@ -69,7 +69,6 @@ def test_admm_figure1_decrease_and_inner_solver_oracle(figure1_problem, figure1_
         v_star=0.0, inner_solver=cg_minimize,
     )
     assert np.allclose(oracle.X, closed.X, rtol=1e-7, atol=1e-7)
-    assert oracle.meta["refinements"] == closed.meta["refinements"] == 0
     assert np.allclose(oracle.v_gap, closed.v_gap, rtol=1e-6, atol=1e-8)
 
 
@@ -176,9 +175,10 @@ def test_subproblem_residual_tolerance(figure1_problem):
     for _ in range(5):
         v = 10.0 * rng.standard_normal(figure1_problem.m)
         x = cache.solve_x(v)
-        rhs = rho * (figure1_problem.A.T @ v) - figure1_problem.f.q
-        H = figure1_problem.f.M + rho * figure1_problem.ata
-        assert np.linalg.norm(H @ x - rhs) <= 1e-10 * (1.0 + np.linalg.norm(rhs))
+        A = figure1_problem.A
+        rhs = rho * (A.T @ v) - figure1_problem.f.q
+        h_x = figure1_problem.f.M @ x + rho * (A.T @ (A @ x))  # H_x x, with A^T A unformed
+        assert np.linalg.norm(h_x - rhs) <= 1e-10 * (1.0 + np.linalg.norm(rhs))
         w = 10.0 * rng.standard_normal(figure1_problem.m)
         z = cache.solve_z(w)
         rhs_z = rho * w - figure1_problem.g.q
@@ -314,33 +314,33 @@ def test_inner_result_of_wrong_shape_is_refused(pd_2d_problem, which, shape):
         af.admm_step(p, state, inner_solver=misshapen)
 
 
-def test_callback_run_without_a_factor_is_refused_before_sample_0():
-    # the x-subproblem's coordinates need the Cholesky factor of A^T A: at
-    # cond(A) = 1e9 numpy refuses it (1e8 still factors)
-    quad = af.gen_figure1_problem(60, 40, 10.0, 1e9, seed=38)
-    calls = []
+# sup-relative X of the callback path against the quadratic one at cond(A) =
+# 1e8: ten times cond(A) times the CG inner solver's relative tolerance 1e-12,
+# fixed before the first comparison
+CALLBACK_1E8_BAND = 10 * 1e8 * 1e-12
 
-    def counted(h):
-        return af.CallbackFunction(lambda v: calls.append(v) or h.value(v), h.grad, h.dim)
 
-    p = af.SplitProblem(counted(quad.f), counted(quad.g), quad.A)
-    solver = GradCounter()
-    x0 = np.full(p.n, 5.0)
-    for run in (lambda: af.run_admm(p, x0, rho=50.0, max_iter=10, v_star=0.0,
-                                    inner_solver=solver),
-                lambda: af.run_aadmm(p, x0, rho=50.0, r=10.0, max_iter=10, v_star=0.0,
-                                     inner_solver=solver)):
-        with pytest.raises(NumericalError, match="not numerically positive definite"):
-            run()
-    assert solver.solves == 0 and not calls  # not even V at sample 0
-    as_callbacks(af.gen_figure1_problem(60, 40, 10.0, 1e8, seed=38))._ata_inverse_factor
+def test_callback_run_at_cond_1e8_matches_the_quadratic_path():
+    # the inner solver's coordinates w = R x come from the QR factor of A,
+    # which exists wherever SplitProblem accepts A (the Cholesky factor of
+    # the formed A^T A that they came from was refused from cond(A) = 1e9)
+    quad = af.gen_figure1_problem(60, 40, 10.0, 1e8, seed=38)
+    x0 = np.full(quad.n, 5.0)
+    for run, kwargs in ((af.run_admm, {}), (af.run_aadmm, {"r": 10.0})):
+        solver = GradCounter()
+        got = run(as_callbacks(quad), x0, rho=50.0, max_iter=50, v_star=0.0,
+                  inner_solver=solver, **kwargs)
+        want = run(quad, x0, rho=50.0, max_iter=50, **kwargs)
+        assert len(got) == 51 and solver.solves == 100
+        assert np.max(np.abs(got.X - want.X)) <= CALLBACK_1E8_BAND * np.max(np.abs(want.X))
 
 
 # sup-relative X of the callback path against the quadratic one, 100 iterations
 # at rho = 50; fixed from one measurement (ADMM / A-ADMM: 4.5e-10 / 7.1e-10,
-# 9.8e-8 / 1.7e-7, 2.1e-3 / 2.5e-3) before the first comparison. At 1e6 the
-# quadratic path is itself 4.5e-4 / 8.4e-4 off the exact iterates (a 40-digit
-# solve), and the callback path 1.9e-3 / 1.8e-3.
+# 9.8e-8 / 1.7e-7, 2.1e-3 / 2.5e-3) before the first comparison, when both
+# paths went through the formed A^T A. Through A = U R they read 4.5e-10 /
+# 7.2e-10, 3.0e-8 / 3.7e-8 and 3.2e-6 / 3.5e-6: the CG solver's relative
+# tolerance 1e-12 times cond(A).
 CALLBACK_X_BANDS = {"1e2": 1e-8, "1e4": 2e-6, "1e6": 1e-2}
 
 
@@ -349,7 +349,7 @@ CALLBACK_X_BANDS = {"1e2": 1e-8, "1e4": 2e-6, "1e6": 1e-2}
 def test_callback_run_across_cond_a(cond_a, method):
     # the CG inner solver is never accepted at its start, so no run stops
     # early, and it needs few gradient calls at any cond(A): the
-    # x-subproblem's Hessian in w = L^T x is rho I + L^{-1} M_f L^{-T}
+    # x-subproblem's Hessian in w = R x is rho I + R^{-T} M_f R^{-1}
     quad = af.gen_figure1_problem(60, 40, 10.0, float(cond_a), seed=38)
     solver = GradCounter()
     x0 = np.full(quad.n, 5.0)
@@ -423,7 +423,8 @@ def test_inner_steps_are_stationary_for_a_general_f(figure1_problem, method):
 
 @pytest.mark.parametrize("cond_a", ["1e2", "1e4", "1e6"])
 def test_no_refinement_on_generated_draws(tmp_path, cond_a):
-    # every solve of the operators passes its check at once on the CLI's draws
+    # the operators are checked once, when built, so a run on the CLI's draws
+    # has no per-step check, replay or count of replays to record
     path = str(tmp_path / "p.json")
     assert main(["gen", "--cond-a", cond_a, "--out", path]) == 0
     problem = af.load_problem(path)
@@ -431,32 +432,35 @@ def test_no_refinement_on_generated_draws(tmp_path, cond_a):
     for rho in (10.0, 200.0):
         for traj in (af.run_admm(problem, x0, rho=rho, max_iter=300),
                      af.run_aadmm(problem, x0, rho=rho, r=10.0, max_iter=300)):
-            assert traj.meta["refinements"] == 0
+            assert len(traj) == 301 and np.all(np.isfinite(traj.V))
+            assert "refinements" not in traj.meta
     traj.to_csv(tmp_path / "run.csv")
     header = (tmp_path / "run.csv").read_text().splitlines()[0]
-    assert header == "k,t,V_gap,primal_residual,x_norm"  # the count stays out of the CSV
+    assert header == "k,t,V_gap,primal_residual,x_norm"
 
 
-def spy_solve(monkeypatch, matrix_scale=1.0, vector_scale=1.0):
-    """Count the linear solves of the discrete solvers; a solve on a matrix
-    right-hand side (an operator build) is scaled by ``matrix_scale``, one on
-    a vector (a refinement) by ``vector_scale``."""
+def spy_solve(monkeypatch, scales=()):
+    """Count the linear solves of the operator builds; the i-th solve's
+    result is scaled by ``scales[i]`` where given (a build solves for the
+    x-operator first, then for a dense z-operator)."""
     calls = []
-    real = discrete._solve
+    real = np.linalg.solve
 
     def solve(H, rhs):
         calls.append(np.ndim(rhs))
-        return real(H, rhs) * (matrix_scale if np.ndim(rhs) == 2 else vector_scale)
+        sol = real(H, rhs)
+        return sol * scales[len(calls) - 1] if len(calls) <= len(scales) else sol
 
-    monkeypatch.setattr(discrete, "_solve", solve)
+    monkeypatch.setattr(np.linalg, "solve", solve)
     return calls
 
 
 @pytest.mark.parametrize("method", ["admm", "aadmm"])
 def test_quadratic_run_solves_no_system_per_step(monkeypatch, figure1_problem, figure1_x0, method):
-    # the solves build the operators and do not grow with max_iter: the x- and
+    # the solves build the operators, once per (problem, rho): the x- and
     # z-operators for a dense M_g, the x-operator alone for g = 0, whose
-    # z-operator is held as a vector and built without a solve
+    # z-operator is held as a vector and built without a solve. A second run
+    # at the same rho reuses them, however long either run is
     calls = spy_solve(monkeypatch)
     for kind, builds in (("zero", 1), ("dense", 2)):
         problem = with_g(figure1_problem, kind)
@@ -467,41 +471,18 @@ def test_quadratic_run_solves_no_system_per_step(monkeypatch, figure1_problem, f
                 traj = af.run_admm(problem, figure1_x0, rho=50.0, max_iter=max_iter)
             else:
                 traj = af.run_aadmm(problem, figure1_x0, rho=50.0, r=10.0, max_iter=max_iter)
-            assert len(traj) == max_iter + 1 and traj.meta["refinements"] == 0
+            assert len(traj) == max_iter + 1
             counts.append(len(calls))
-        assert counts == [builds, builds], kind
-
-
-def scale_z_operator(monkeypatch, scale):
-    """Build every :class:`SubproblemCache` with its ``S_z`` scaled by ``scale``."""
-    init = SubproblemCache.__init__
-
-    def scaled(self, problem, rho):
-        init(self, problem, rho)
-        S, s = self._ops["z"]
-        self._ops["z"] = (scale * S, s)
-
-    monkeypatch.setattr(SubproblemCache, "__init__", scaled)
+        assert counts == [builds, 0], kind
+        assert calls.count(2) == len(calls)  # every solve has a matrix right-hand side
 
 
 def perturbed_operators(pd_2d_problem):
-    """``(which, problem)`` for each operator a replay can refine: S_x, and
-    S_z held as a vector (pd_2d_problem's diagonal g != 0) or as a dense matrix."""
+    """``(which, index, problem)`` for each operator whose build solves a
+    system: S_x (the build's first solve), and a dense S_z (its second)."""
     dense = with_g(pd_2d_problem, "dense")
-    assert pd_2d_problem.g.diagonal is not None and pd_2d_problem.g.q.any()
     assert dense.g.diagonal is None
-    return (("x", pd_2d_problem), ("z", pd_2d_problem), ("z", dense))
-
-
-def perturb(monkeypatch, which, scale, vector_scale=1.0):
-    """Spy on the solves with the ``which`` operator scaled by ``scale`` and
-    every refinement solve by ``vector_scale``; returns the spy's calls. S_x
-    is perturbed through its LU build, S_z after the cache is built."""
-    if which == "x":
-        return spy_solve(monkeypatch, matrix_scale=scale, vector_scale=vector_scale)
-    calls = spy_solve(monkeypatch, vector_scale=vector_scale)
-    scale_z_operator(monkeypatch, scale)
-    return calls
+    return (("x", 0, pd_2d_problem), ("z", 1, dense))
 
 
 def run_2d(problem, method):
@@ -512,54 +493,83 @@ def run_2d(problem, method):
 
 
 @pytest.mark.parametrize("method", ["admm", "aadmm"])
-def test_failing_operator_is_replayed_and_refined(monkeypatch, pd_2d_problem, method):
-    # an operator off by 1e-6 fails the check of every solve: each step is
-    # replayed through the checked cache, whose exact refinement solve (a
-    # division for a diagonal S_z) recovers the unperturbed iterates
-    for which, problem in perturbed_operators(pd_2d_problem):
-        clean = run_2d(problem, method)
-        assert clean.meta["refinements"] == 0
+def test_failing_operator_is_refused_when_built(monkeypatch, pd_2d_problem, method):
+    # a solve off by 1e-6 fails the residual check of the operator it
+    # builds: the run is refused before its first step, naming the
+    # subproblem, and nothing is kept, so a clean build then succeeds and
+    # reproduces a clean run on a fresh copy bit for bit
+    for which, index, problem in perturbed_operators(pd_2d_problem):
+        problem = af.SplitProblem(problem.f, problem.g, problem.A)
+        scales = [1.0, 1.0]
+        scales[index] = 1.0 + 1e-6
         with monkeypatch.context() as mp:
-            calls = perturb(mp, which, 1.0 + 1e-6)
-            perturbed = run_2d(problem, method)
-        case = (which, problem.g.diagonal is None)
-        assert perturbed.meta["refinements"] == 100, case
-        assert calls.count(1) == 100, case  # one refinement solve per replayed step
-        scale = np.max(np.abs(clean.X))
-        assert np.max(np.abs(perturbed.X - clean.X)) <= 1e-9 * scale, case
-        assert np.max(np.abs(perturbed.V - clean.V)) <= 1e-9 * np.max(np.abs(clean.V)), case
+            spy_solve(mp, scales)
+            with pytest.raises(NumericalError,
+                               match=f"{which}-subproblem operator fails its residual check"):
+                run_2d(problem, method)
+        assert not problem._operators
+        clean = run_2d(af.SplitProblem(problem.f, problem.g, problem.A), method)
+        assert np.array_equal(run_2d(problem, method).X, clean.X)
 
 
 @pytest.mark.parametrize("method", ["admm", "aadmm"])
 def test_unrecoverable_solve_raises(monkeypatch, pd_2d_problem, method):
-    # an operator 1e-3 off and the refinement solve 10 % off: the retry cannot
-    # meet the check (with an exact retry a 1e-3 error is recovered)
-    for which, problem in perturbed_operators(pd_2d_problem):
+    # a solve that returns NaN is refused by the same check (a NaN residual
+    # does not meet the tolerance), naming the subproblem
+    for which, index, problem in perturbed_operators(pd_2d_problem):
+        problem = af.SplitProblem(problem.f, problem.g, problem.A)
+        scales = [1.0, 1.0]
+        scales[index] = np.nan
         with monkeypatch.context() as mp:
-            perturb(mp, which, 1.0 + 1e-3, vector_scale=1.1)
-            with pytest.raises(NumericalError, match=f"{which}-subproblem residual"):
+            spy_solve(mp, scales)
+            with pytest.raises(NumericalError, match=f"{which}-subproblem operator"):
                 run_2d(problem, method)
+
+
+# Forward-error gate of the discrete runs: C in C cond(A) eps, fixed from one
+# measurement before the first comparison (the largest of the 16 cases read
+# 34, A-ADMM with g = 0 at cond(A) = 1e8; through the formed A^T A they read
+# 53 to 1.4e8 where they ran at all, and NumericalError from 1e8 or 9e9 on)
+DISCRETE_FORWARD_C = 128
+
+
+@pytest.mark.parametrize("kind", ["zero", "dense"])
+@pytest.mark.parametrize("cond_a", [1e2, 1e6, 1e8, 9e9])
+@pytest.mark.parametrize("method", ["admm", "aadmm"])
+def test_discrete_runs_match_a_decimal_recursion(kind, cond_a, method):
+    # sup |x_k - exact| / max |exact| over 100 iterations from 5 1 at rho = 50,
+    # against the same recursion at 50 digits on the problem's own data
+    p = with_g(af.gen_figure1_problem(8, 2, 10.0, cond_a, seed=38), kind)
+    x0 = np.full(p.n, 5.0)
+    r = 3.0 if method == "aadmm" else None
+    if r is None:
+        traj = af.run_admm(p, x0, rho=50.0, max_iter=100)
+    else:
+        traj = af.run_aadmm(p, x0, rho=50.0, r=r, max_iter=100)
+    exact = decimal_admm(p, x0, 50.0, 100, r)
+    err = np.max(np.abs(traj.X - exact)) / np.max(np.abs(exact))
+    assert err <= DISCRETE_FORWARD_C * p.cond_A * np.finfo(float).eps
 
 
 @pytest.mark.parametrize("kind", ["zero", "linear", "diagonal", "dense"])
 def test_z_step_matches_a_dense_solve(figure1_problem, kind):
-    # the z-solve, checked at once or logged and checked by rows, against
-    # (M_g + rho I)^{-1} (rho w - q_g); held as vectors when M_g is diagonal,
-    # where g = 0 gives z = w exactly
+    # the z-solve, of a cache or of a second cache sharing its operators,
+    # against (M_g + rho I)^{-1} (rho w - q_g); held as vectors when M_g is
+    # diagonal, where g = 0 gives z = w exactly
     p = with_g(figure1_problem, kind)
     rho = 10.0
     cache = SubproblemCache(p, rho)
-    deferred = cache.deferred()
+    shared = SubproblemCache(p, rho)
     rng = np.random.default_rng(2)
     for _ in range(3):
         w = 10.0 * rng.standard_normal(p.m)
         ref = np.linalg.solve(p.g.M + rho * np.eye(p.m), rho * w - p.g.q)
         z = cache.solve_z(w)
-        assert np.array_equal(deferred.solve_z(w), z)
+        assert np.array_equal(shared.solve_z(w), z)
         assert np.linalg.norm(z - ref) <= 64 * p.m * np.finfo(float).eps * np.linalg.norm(ref)
         if kind == "zero":
             assert np.array_equal(z, w)
-    assert deferred.first_failure() is None
+    assert shared._ops["z"][0] is cache._ops["z"][0]
     assert cache._ops["z"][0].ndim == (2 if kind == "dense" else 1)
 
 
@@ -569,7 +579,7 @@ def test_diagonal_g_run_exercises_the_dual(figure1_problem, figure1_x0, method):
     # g = 0 reduction unseen; its iterates match a loop of dense solves
     p = with_g(figure1_problem, "diagonal")
     rho, r, max_iter = 10.0, 10.0, 100
-    H_x = p.f.M + rho * p.ata
+    H_x = p.f.M + rho * p.A.T @ p.A
     H_z = p.g.M + rho * np.eye(p.m)
     x, z, u = figure1_x0, p.A @ figure1_x0, np.zeros(p.m)
     z_hat, u_hat = z, u
@@ -597,10 +607,11 @@ def test_diagonal_g_run_exercises_the_dual(figure1_problem, figure1_x0, method):
 
 
 def test_non_positive_definite_subproblem_is_refused():
-    # M_f is PSD within its 1e-10 relative tolerance, but H_x = M_f + rho A^T A
-    # = diag(1, -9e-12) is not positive definite: no operator is built from it.
-    # The same holds for a diagonal H_z = M_g + rho I = diag(1, -9e-12), which
-    # takes no Cholesky factor
+    # M_f is PSD within its 1e-10 relative tolerance, but with A = 1e-6 I the
+    # x-step's K = R^{-T} M_f R^{-1} + rho I = diag(1e12 + 1, -9) is not
+    # positive definite: no operator is built from it. The same holds for a
+    # diagonal H_z = M_g + rho I = diag(1, -9e-12), which takes no Cholesky
+    # factor
     psd = af.QuadraticFunction(np.diag([1.0, -1e-11]))
     x0 = np.array([1.0, 1.0])
     for p, rho in ((af.SplitProblem(psd, af.QuadraticFunction.zero(2), 1e-6 * np.eye(2)), 1.0),

@@ -10,7 +10,8 @@ import admmflow as af
 from admmflow.exceptions import DivergenceError
 from admmflow.flows import IntegratorConfig
 
-from helpers import as_callbacks, rk4_reference, second_order_rhs
+from helpers import (GradCounter, as_callbacks, decimal_flow, rk4_reference,
+                     second_order_rhs, with_g)
 
 EPS = np.finfo(float).eps
 
@@ -316,9 +317,9 @@ def test_first_order_state_accessor(pd_2d_problem):
     # gamma_n cond(A)^2 multiple of ||K X + b||) bound the difference by
     # 64 n eps cond(A)^2 (||K|| ||X|| + ||b||)
     p = pd_2d_problem
-    H, c = p.f.M + p.A.T @ p.g.M @ p.A, p.f.q + p.A.T @ p.g.q
-    K_norm, b_norm = np.linalg.norm(np.linalg.solve(p.ata, H), 2), np.linalg.norm(
-        np.linalg.solve(p.ata, c))
+    H, c, ata = p.f.M + p.A.T @ p.g.M @ p.A, p.f.q + p.A.T @ p.g.q, p.A.T @ p.A
+    K_norm, b_norm = np.linalg.norm(np.linalg.solve(ata, H), 2), np.linalg.norm(
+        np.linalg.solve(ata, c))
     traj = af.rk4_integrate(p, np.array([1.0, -2.0]), IntegratorConfig(h=0.1, t0=0.0, t_end=1.0))
     for x, xdot in zip(traj.X, traj.Xdot):
         tol = 64 * p.n * EPS * p.cond_A**2 * (K_norm * np.linalg.norm(x) + b_norm)
@@ -339,8 +340,9 @@ def test_rectangular_problem_end_to_end():
 
 
 def test_concurrent_runs_share_problem(figure1_problem, figure1_x0):
-    # problems are immutable and caches are per run: concurrent runs over a
-    # shared instance must reproduce the sequential results exactly
+    # problems are immutable, and the subproblem operators they keep per rho
+    # are the same whichever run builds them: concurrent runs over a shared
+    # instance must reproduce the sequential results exactly
     from concurrent.futures import ThreadPoolExecutor
 
     jobs = [(10.0, None), (50.0, None), (20.0, 5.0), (50.0, 10.0)]
@@ -366,12 +368,12 @@ def test_affine_map_matches_solve_path(which, pd_2d_problem):
     # -(P grad f + Q grad g), V per sample) agree; at cond(A) = 1e5 this holds
     # for H only with its kinetic term formed as ||A X'||^2 (<X', (A^T A) X'>
     # amplifies rounding in X'), and for X only with the mode coordinates of
-    # x0 formed through L^T (phi^T (A^T A) x0 is off by 1.6e-8)
+    # x0 formed through R (phi^T (A^T A) x0 is off by 1.6e-8)
     problem = {"pd_2d": pd_2d_problem,
                "rectangular": af.gen_figure1_problem(6, 2, 5.0, 10.0, seed=3, m=9),
                "cond_1e5": af.gen_figure1_problem(20, 5, 10.0, 1e5, seed=1),
                "cond_1e6": af.gen_figure1_problem(20, 5, 10.0, 1e6, seed=1)}[which]
-    # at cond(A) = 1e6 the products with L^T and phi = L^{-T} Q each carry a
+    # at cond(A) = 1e6 the products with R and phi = R^{-1} Q each carry a
     # relative rounding of order cond(A) eps: 64 cond(A) eps, 1.4e-8
     rtol = 64 * 1e6 * EPS if which == "cond_1e6" else 1e-10
     callbacks = as_callbacks(problem)
@@ -408,25 +410,28 @@ def test_figure1_rk4_matches_modal_solution(figure1_problem, figure1_x0, figure1
     # the pencil (H, A^T A) splits the flow into modes y_i(t) = y_i(0) e^{-lambda_i t},
     # so V(t) - V* = 0.5 sum_i lambda_i y_i(t)^2 (V* = 0: f is PSD with q = 0, g = 0)
     p = figure1_problem
-    lam, phi = scipy.linalg.eigh(p.f.M + p.A.T @ p.g.M @ p.A, p.ata)
+    ata = p.A.T @ p.A
+    lam, phi = scipy.linalg.eigh(p.f.M + p.A.T @ p.g.M @ p.A, ata)
     lam = np.clip(lam, 0.0, None)
-    y0 = phi.T @ (p.ata @ figure1_x0)
+    y0 = phi.T @ (ata @ figure1_x0)
     t = figure1_rk4_traj.t
     exact = 0.5 * np.exp(-2.0 * np.outer(t, lam)) @ (lam * y0**2)
     assert np.max(np.abs(figure1_rk4_traj.V - exact) / exact) <= 1e-9
 
 
 def test_flow_map_stays_lazy():
-    # the flow's O(n^3) modal basis, and the Cholesky factor under it, are
-    # built by the first flow, never by the discrete solvers; the inverse
-    # (A^T A)^{-1} of the callback velocity is built by neither
+    # the flow's O(n^3) modal basis, and the QR factor of A under it, are
+    # built by the first flow, never by the discrete solvers (whose operator
+    # build factors A without keeping the factor); the inverse (A^T A)^{-1}
+    # of the callback velocity is built by neither
     p = af.gen_figure1_problem(8, 3, 5.0, 10.0, seed=4)
     x0 = np.ones(8)
     af.run_admm(p, x0, rho=5.0, max_iter=5)
     af.run_aadmm(p, x0, rho=5.0, r=3.0, max_iter=5)
-    assert "modes" not in p.__dict__ and "_ata_inverse_factor" not in p.__dict__
+    assert "modes" not in p.__dict__ and "_factor" not in p.__dict__
     af.rk4_integrate(p, x0, IntegratorConfig(h=0.1, t0=0.0, t_end=1.0))
-    assert "modes" in p.__dict__ and "_ata_inverse" not in p.__dict__
+    assert "modes" in p.__dict__ and "_factor" in p.__dict__
+    assert "_ata_inverse" not in p.__dict__
 
 
 def test_large_r_flow_completes(one_d_problem):
@@ -543,6 +548,97 @@ def test_callback_rk4_stops_before_a_non_finite_stage_input(bad_call):
                          v_star=0.0)
     assert len(seen) == bad_call and all(seen)
     assert len(err.value.trajectory) == 6
+
+
+@pytest.mark.parametrize("flow", ["rk4", "symplectic"])
+def test_callback_g_is_never_called_at_a_non_finite_AX(flow):
+    # f = |x| and g = |z| behind callbacks, A = [[1e150]] and x0 = 1e160: X is
+    # finite but A X = inf from sample 0, so neither the velocity nor V calls
+    # a callback there, and the run is reported as diverged at sample 0
+    args = []
+
+    def recorded(fn):
+        def call(v):
+            args.append(v.copy())
+            return fn(v)
+        return call
+
+    def absolute():
+        return af.CallbackFunction(recorded(lambda v: float(np.sum(np.abs(v)))),
+                                   recorded(np.sign), 1)
+
+    p = af.SplitProblem(absolute(), absolute(), [[1e150]])
+    x0 = np.array([1e160])
+    with pytest.raises(DivergenceError, match=r"after t = 0\.1$" if flow == "symplectic"
+                       else r"after t = 0$") as err:
+        if flow == "rk4":
+            af.rk4_integrate(p, x0, IntegratorConfig(h=0.1, t0=0.0, t_end=1.0), v_star=0.0)
+        else:
+            af.aadmm_flow_integrate(p, x0, IntegratorConfig(h=0.1, t0=0.1, t_end=1.0, r=3.0),
+                                    v_star=0.0)
+    assert err.value.trajectory is None
+    assert all(np.isfinite(v).all() for v in args)
+
+
+# Forward-error gate of the modal flow: C in C cond(A) eps, fixed from one
+# measurement before the first comparison (the largest of the 8 cases read
+# 0.13, g = 0 at cond(A) = 1e2; the modes of the formed A^T A read 1.1 to
+# 3.3e6, and NumericalError at 9e9)
+FLOW_FORWARD_C = 1.0
+
+# sup-relative X of quadratic RK4 against callback RK4 on the same grid: C in
+# C cond(A) eps, fixed from one measurement before the first comparison (the
+# largest of the 8 cases read 57, g = 0 at cond(A) = 1e8; modes built from
+# A^T M_g A were 3e-2 off at 1e8 with a dense g)
+FLOW_CALLBACK_C = 256.0
+
+
+def modal_solution(modes, x0, times):
+    """X(t) of the first-order flow on the modal basis: each mode is
+    ``y(t) = e^{-lam t} y(0) - beta (1 - e^{-lam t}) / lam``, with the limit
+    ``y(0) - beta t`` at lam = 0."""
+    lam, y0 = modes.lam, modes.coordinates(x0)
+    zero = lam == 0.0
+    rows = []
+    for t in times:
+        drift = np.where(zero, t, -np.expm1(-lam * t) / np.where(zero, 1.0, lam))
+        rows.append(modes.phi @ (np.exp(-lam * t) * y0 - drift * modes.beta))
+    return np.array(rows)
+
+
+@pytest.mark.parametrize("kind", ["zero", "dense"])
+@pytest.mark.parametrize("cond_a", [1e2, 1e6, 1e8, 9e9])
+def test_modal_flow_matches_a_decimal_expm(kind, cond_a):
+    # X(t) at t = 0.5, 2 and 6 from 5 1, against expm at 50 digits on the
+    # problem's own data
+    p = with_g(af.gen_figure1_problem(8, 2, 10.0, cond_a, seed=38), kind)
+    x0, times = np.full(p.n, 5.0), (0.5, 2.0, 6.0)
+    exact = decimal_flow(p, x0, times)
+    err = np.max(np.abs(modal_solution(p.modes, x0, times) - exact)) / np.max(np.abs(exact))
+    assert err <= FLOW_FORWARD_C * p.cond_A * EPS
+
+
+@pytest.mark.parametrize("kind", ["zero", "dense"])
+@pytest.mark.parametrize("cond_a", [1e2, 1e6, 1e8, 9e9])
+def test_every_solver_and_flow_runs_across_cond_a(kind, cond_a):
+    # every path completes without NumericalError on the n = 8 draws up to
+    # cond(A) = 9e9, just inside the rank test's 1e10; quadratic and callback
+    # RK4 agree to the rounding that a product with R^{-1} carries
+    quad = with_g(af.gen_figure1_problem(8, 2, 10.0, cond_a, seed=38), kind)
+    _, v_star = af.optimal_value(quad)
+    x0 = np.full(quad.n, 5.0)
+    rk4 = IntegratorConfig(h=1e-3, t0=0.0, t_end=2.0)
+    symplectic = IntegratorConfig(h=1e-2, t0=1e-2, t_end=5.0, r=3.0)
+    runs = {}
+    for name, p, inner in (("quadratic", quad, None),
+                           ("callback", as_callbacks(quad), GradCounter())):
+        af.run_admm(p, x0, rho=50.0, max_iter=20, v_star=v_star, inner_solver=inner)
+        af.run_aadmm(p, x0, rho=50.0, r=3.0, max_iter=20, v_star=v_star, inner_solver=inner)
+        af.aadmm_flow_integrate(p, x0, symplectic, v_star=v_star)
+        runs[name] = af.rk4_integrate(p, x0, rk4, v_star=v_star)
+    want = runs["callback"].X
+    err = np.max(np.abs(runs["quadratic"].X - want)) / np.max(np.abs(want))
+    assert err <= FLOW_CALLBACK_C * quad.cond_A * EPS
 
 
 @pytest.mark.parametrize("flow", ["rk4", "symplectic"])

@@ -98,6 +98,19 @@ def test_optimal_value_stationarity(seed):
     assert np.linalg.norm(af.grad_V(p, x_star)) <= 1e-8 * (1.0 + g0)
 
 
+def test_optimal_value_solves_an_ill_conditioned_dense_g_draw():
+    # M_g is PD, so V is bounded below at any cond(A); the gradient-norm test
+    # 1e-8 (1 + ||grad V(0)||) refused this draw, whose lstsq answer has a
+    # normwise backward error of 2.9 eps
+    p = with_g(af.gen_figure1_problem(8, 2, 10.0, 1e8, seed=38), "dense")
+    x_star, v_star = af.optimal_value(p)
+    H, c = _hessian_and_linear_term(p)
+    eps = np.finfo(float).eps
+    assert np.linalg.norm(H @ x_star + c) <= 64 * eps * (
+        np.linalg.norm(H) * np.linalg.norm(x_star) + np.linalg.norm(c))
+    assert v_star == af.eval_V(p, x_star)
+
+
 def test_optimal_value_rejects_callbacks():
     f = af.CallbackFunction(lambda x: float(x @ x), lambda x: 2.0 * x, 2)
     p = af.SplitProblem(f, af.QuadraticFunction.zero(2), np.eye(2))
@@ -266,28 +279,35 @@ def test_non_finite_data_is_refused_by_name(build, message):
 
 @pytest.mark.parametrize("cond_a", [1e2, 1e4, 1e6])
 def test_solve_ata_backward_error(cond_a):
-    # the normwise backward error ||b - (A^T A) y|| / (||A^T A|| ||y|| + ||b||)
+    # the normwise backward error ||b - A^T (A y)|| / (||A^T A|| ||y|| + ||b||)
     # of the solve is a small multiple of eps at any cond(A), for a vector and
-    # for a matrix of right-hand sides
+    # for a matrix of right-hand sides; ||A^T A||_F = (sum sigma_i^4)^(1/2)
     p = af.gen_figure1_problem(60, 40, 10.0, cond_a, seed=38)
     rng = np.random.default_rng(1)
-    ata_norm = np.linalg.norm(p.ata)
+    ata_norm = np.linalg.norm(np.linalg.svd(p.A, compute_uv=False) ** 2)
     for b in (rng.standard_normal(60), rng.standard_normal((60, 60)), p.f.M):
         y = p.solve_ata(b)
-        resid = np.linalg.norm(b - p.ata @ y)
+        resid = np.linalg.norm(b - p.A.T @ (p.A @ y))
         assert resid <= 64 * np.finfo(float).eps * (ata_norm * np.linalg.norm(y)
                                                     + np.linalg.norm(b))
 
 
-def test_solve_ata_refuses_numerically_singular_gram():
-    # A passes the rank test (cond(A) = 1e9 < 1e10), but A^T A (cond 1e18)
-    # has no Cholesky factor in double precision: the solve, and so the
-    # flows, refuse it with NumericalError rather than a bare LinAlgError
+def test_solve_ata_and_modes_accept_every_full_rank_A():
+    # A passes the rank test at cond(A) = 1e9 < 1e10, where the formed A^T A
+    # (cond 1e18) has no Cholesky factor in double precision; the QR factor
+    # of A serves the solve and the modal basis there, with the same
+    # backward errors as at cond(A) = 1e2. The rank test itself refuses
+    # cond(A) = 1e10
     p = af.gen_figure1_problem(60, 40, 10.0, 1e9, seed=38)
-    with pytest.raises(NumericalError, match="not numerically positive definite"):
-        p.solve_ata(np.ones(p.n))
-    with pytest.raises(NumericalError, match="not numerically positive definite"):
-        p.modes
+    b = np.ones(p.n)
+    y = p.solve_ata(b)
+    ata_norm = np.linalg.norm(np.linalg.svd(p.A, compute_uv=False) ** 2)
+    assert np.linalg.norm(b - p.A.T @ (p.A @ y)) <= 64 * np.finfo(float).eps * (
+        ata_norm * np.linalg.norm(y) + np.linalg.norm(b))
+    assert 0.0 <= p.modes.backward_error < 64.0
+    assert np.all(np.diag(p.modes.chol) > 0)  # diag R > 0 makes R^T the Cholesky factor
+    with pytest.raises(ValueError, match="full column rank"):
+        af.gen_figure1_problem(8, 2, 10.0, 1e10, seed=38)
 
 
 def test_split_problem_validation():
@@ -392,14 +412,18 @@ def test_flow_map_is_the_flow_velocity(pd_2d_problem):
     H = p.f.M + p.A.T @ p.g.M @ p.A
     c = p.f.q + p.A.T @ p.g.q
     assert np.all(np.diff(lam) >= 0)  # ascending
-    assert np.allclose(phi.T @ p.ata @ phi, np.eye(2), rtol=0, atol=1e-12)
+    ata = p.A.T @ p.A
+    assert np.allclose(phi.T @ ata @ phi, np.eye(2), rtol=0, atol=1e-12)
+    # chol is the Cholesky factor L = R^T of A^T A = L L^T, from A = U R
+    assert np.all(np.diag(modes.chol) > 0) and np.allclose(np.triu(modes.chol, 1), 0.0)
+    assert np.allclose(modes.chol @ modes.chol.T, ata, rtol=0, atol=1e-12)
     assert np.allclose(phi.T @ H @ phi, np.diag(lam), rtol=0, atol=1e-12)
     assert np.allclose(beta, phi.T @ c, rtol=0, atol=1e-12)
     # in mode coordinates the velocity is -(lam y + beta), and x = phi y
     x = np.array([0.7, -1.3])
     y = modes.coordinates(x)
     assert np.allclose(phi @ y, x, rtol=1e-12, atol=1e-12)
-    want = np.linalg.solve(p.ata, af.grad_V(p, x))
+    want = np.linalg.solve(ata, af.grad_V(p, x))
     assert np.allclose(phi @ (lam * y + beta), want, rtol=1e-12, atol=1e-12)
     for array in (lam, phi, beta, modes.q, modes.chol):
         assert not array.flags.writeable

@@ -145,10 +145,7 @@ def test_blocked_run_is_the_step_loop(problem_rng, rho, r, max_iter):
     assert len(traj) == max_iter + 1 or traj.meta["stopped_early"]
     states = step_loop(problem, start_state(problem, x0, rho, r), len(traj) - 1)
     xs = np.array([st.x for st in states])
-    if traj.meta["refinements"] == 0:
-        assert np.array_equal(traj.X, xs)
-    else:
-        assert np.allclose(traj.X, xs, rtol=1e-9, atol=1e-12)
+    assert np.array_equal(traj.X, xs)
     # the run's V comes from row-wise products; each form of every term is
     # within gamma_{2(n+m)} of exact, so the two differ by at most twice that
     f, g, A = problem.f, problem.g, problem.A
