@@ -15,8 +15,7 @@ Steps are pure functions of ``(problem, state)``; for quadratic ``f, g``
 they apply the affine subproblem operators of a :class:`SubproblemCache`
 (``x = S_x v - s_x``, ``z = S_z w - s_z``, built and checked once per
 (problem, rho)), so a sweep solves no system: it is three matrix-vector
-products, or two and an O(m) scaling when ``M_g`` is diagonal (``S_z`` is
-then the identity for g = 0, which every generated draw has). The
+products, or two and an O(m) scaling when ``M_g`` is diagonal. The
 x-operator comes from the QR factorization ``A = U R`` of the problem, so
 ``A^T A`` is never formed. Otherwise the steps delegate to a user-supplied
 inner minimizer, which sees the x-subproblem in the coordinates ``w = R x``
@@ -27,11 +26,19 @@ iterate). The ``run_*`` drivers record trajectories, placing iterate k at
 flow time ``t = k / time_scale`` (``rho`` for ADMM, ``sqrt(rho)`` for
 A-ADMM), and raise :class:`DivergenceError` at the first non-finite iterate.
 
-A quadratic run advances in blocks of ``BLOCK`` steps; at the end of each,
-matrix products over the block's rows give V (without its g terms when
-g = 0), the primal residuals, finiteness and the ``stop_tol`` test. A run
-with an inner solver records every step before the next, so no callback
-sees the state after a non-finite one.
+A run with quadratic f, g = 0 (every generated draw) and no inner solver
+takes no step: u stays 0 and z = A x, so in the mode coordinates ``y = Q^T R
+x`` of :attr:`SplitProblem.modes` (``x = phi y``) ADMM is ``y <- d y - e``
+and A-ADMM ``y <- d (y + gamma_{k-1} (y - y_{k-1})) - e`` elementwise, with
+``d = rho / (lam + rho)`` and ``e = beta / (lam + rho)``; a mode with ``lam
++ rho <= 0`` is refused as the Cholesky test of K refuses it.
+
+A quadratic run advances in blocks of ``BLOCK`` iterations; at the end of
+each, matrix products over the block's rows give X (from y on the modal
+path), V (without its g terms when g = 0), the primal residuals (with z = A
+x, 0 on the modal path), finiteness and the ``stop_tol`` test. A run with an
+inner solver records every step before the next, so no callback sees the
+state after a non-finite one.
 """
 
 from __future__ import annotations
@@ -42,7 +49,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .exceptions import NumericalError, UnsupportedFunctionError
-from .problem import _as_vector, _check_damping, _qr, _values, resolve_v_star
+from .problem import _as_vector, _check_damping, _is_zero, _qr, _values, resolve_v_star
 from .trajectory import build_trajectory, divergence_error
 
 __all__ = [
@@ -72,6 +79,13 @@ def _apply(v, op):
     return v @ op if op.ndim == 2 else v * op
 
 
+def _check_penalty(rho):
+    """``rho`` as a float, if it is a valid penalty parameter: finite and > 0."""
+    if not (math.isfinite(rho) and rho > 0):
+        raise ValueError(f"penalty parameter rho must be finite and positive, got {rho}")
+    return float(rho)
+
+
 @dataclass
 class AdmmState:
     """Iterate (x, z, u) with counter k and penalty rho > 0 (u is the scaled dual)."""
@@ -83,9 +97,7 @@ class AdmmState:
     rho: float
 
     def __post_init__(self):
-        if not self.rho > 0:
-            raise ValueError(f"penalty parameter rho must be positive, got {self.rho}")
-        self.rho = float(self.rho)
+        self.rho = _check_penalty(self.rho)
 
 
 @dataclass
@@ -174,7 +186,9 @@ def _operators(problem, rho):
 
 
 class SubproblemCache:
-    """The two quadratic subproblems for a fixed rho, as affine operators.
+    """The two quadratic subproblems for a fixed rho, as affine operators:
+    the steps of every quadratic run with g != 0, and of any caller of
+    :func:`admm_step` or :func:`aadmm_step` without an inner solver.
 
     The x-step solves ``H_x x = rho A^T v - q_f`` with ``H_x = M_f + rho A^T A``
     and the z-step solves ``H_z z = rho w - q_g`` with ``H_z = M_g + rho I``.
@@ -208,10 +222,8 @@ class SubproblemCache:
                 "closed-form subproblem solves require quadratic f and g; "
                 "pass inner_solver for callback functions"
             )
-        if rho <= 0:
-            raise ValueError("penalty parameter rho must be positive")
         self.problem = problem
-        self.rho = float(rho)
+        self.rho = _check_penalty(rho)
         if self.rho not in problem._operators:
             problem._operators[self.rho] = _operators(problem, self.rho)
         self._ops = problem._operators[self.rho]
@@ -331,8 +343,16 @@ def _run(problem, start, args, max_iter, stop_tol, v_star, inner_solver):
     v_star = resolve_v_star(problem, v_star)
     accelerated = isinstance(state, AccAdmmState)
     rho = state.rho
-    cache = SubproblemCache(problem, rho) if inner_solver is None else None
-    size = 1 if cache is None else BLOCK  # steps between records
+    modal = inner_solver is None and problem.is_quadratic and _is_zero(problem.g)
+    if modal:
+        modes = problem.modes
+        h_x = modes.lam + rho  # the eigenvalues of K = R^{-T} M_f R^{-1} + rho I
+        if not np.all(h_x > 0):
+            raise NumericalError(f"singular subproblem system (x): lam + rho = {np.min(h_x):.3e}")
+        d, e, phi_t = rho / h_x, modes.beta / h_x, modes.phi.T
+        ys = np.empty((min(BLOCK, max_iter), problem.n))
+    cache = SubproblemCache(problem, rho) if inner_solver is None and not modal else None
+    size = 1 if inner_solver is not None else BLOCK  # steps between records
     delta = 1.0 / time_scale(rho, accelerated)
 
     n_max = max_iter + 1
@@ -357,38 +377,62 @@ def _run(problem, start, args, max_iter, stop_tol, v_star, inner_solver):
     label = f"{'accelerated ADMM' if accelerated else 'ADMM'} at rho = {rho:g}"
     step = aadmm_step if accelerated else admm_step
 
-    def record(states, z_prev):
-        """Store the samples of consecutive ``states`` and return how many the
-        run keeps: all, or up to the first that meets ``stop_tol`` (tested when
-        ``z_prev``, the z before them, is given). Raises DivergenceError at the
-        first sample whose V or primal residual is not finite."""
-        rows = slice(states[0].k, states[-1].k + 1)
-        xs[rows] = [st.x for st in states]
-        zs = np.array([st.z for st in states])
+    def advance(k, count):
+        """Store X of samples k + 1 .. k + count and return their z, or None
+        where z = A x (the modal path)."""
+        nonlocal state, y, y_prev
+        rows = slice(k + 1, k + 1 + count)
+        if not modal:
+            states = [state]
+            for _ in range(count):
+                states.append(step(problem, states[-1], cache, inner_solver))
+            state = states[-1]
+            xs[rows] = [st.x for st in states[1:]]
+            return np.array([st.z for st in states[1:]])
+        for j in range(count):
+            y_hat = y
+            if accelerated and k + j > 1:  # gamma_{k+j-1}; gamma_{-1} = gamma_0 = 0
+                y_hat = y + momentum_coefficient(k + j - 1, state.r) * (y - y_prev)
+            # ys[j] is written once y_hat is formed from the two rows before it
+            # (in cyclic order), so ys carries y and y_prev into the next block
+            y_prev, y = y, np.multiply(d, y_hat, out=ys[j])
+            y -= e
+        np.matmul(ys[:count], phi_t, out=xs[rows])
+        return None
+
+    def record(rows, zs, z_prev):
+        """Complete the samples ``rows``, whose X is stored and whose z is
+        ``zs`` (A x where None), and return how many the run keeps and the z
+        of the last: all, or up to the first that meets ``stop_tol`` (tested
+        when ``z_prev``, the z before them, is given). Raises DivergenceError
+        at the first sample whose V or primal residual is not finite."""
         axs = xs[rows] @ problem.A.T
+        zs = axs if zs is None else zs
         vals[rows] = _values(problem, xs[rows], axs)
         primal[rows] = np.linalg.norm(axs - zs, axis=1)
         finite = np.isfinite(vals[rows]) & np.isfinite(primal[rows])
-        n_ok = len(states) if finite.all() else int(np.argmin(finite))
+        n_ok = len(zs) if finite.all() else int(np.argmin(finite))
         if z_prev is not None:
             dz = np.linalg.norm(np.diff(zs, axis=0, prepend=z_prev[None]), axis=1)
             met = np.flatnonzero(primal[rows][:n_ok] + dz[:n_ok] <= stop_tol)
             if met.size:
                 meta["stopped_early"] = True
-                return int(met[0]) + 1
-        if n_ok < len(states):
+                return int(met[0]) + 1, None
+        if n_ok < len(zs):
             raise divergence_error(label, columns, rows.start + n_ok, v_star, meta)
-        return len(states)
+        return len(zs), zs[-1]
 
     # divergence is detected and reported in record(); silence the raw overflow
     with np.errstate(over="ignore", invalid="ignore"):
-        record([state], None)
-        while state.k < max_iter and not meta["stopped_early"]:
-            states = [state]
-            for _ in range(min(size, max_iter - state.k)):
-                states.append(step(problem, states[-1], cache, inner_solver))
-            state = states[record(states[1:], state.z)]
-    return build_trajectory(columns, state.k + 1, v_star, meta)
+        xs[0] = state.x
+        k, z_prev = 0, record(slice(0, 1), None if modal else state.z[None], None)[1]
+        if modal:
+            y = y_prev = modes.coordinates(state.x)
+        while k < max_iter and not meta["stopped_early"]:
+            count = min(size, max_iter - k)
+            kept, z_prev = record(slice(k + 1, k + 1 + count), advance(k, count), z_prev)
+            k += kept
+    return build_trajectory(columns, k + 1, v_star, meta)
 
 
 def run_admm(problem, x0, rho, max_iter, stop_tol=0.0, v_star=None, inner_solver=None):

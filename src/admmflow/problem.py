@@ -224,12 +224,13 @@ class SplitProblem:
 
     The instance is immutable after construction. The Gram matrix ``A^T A``
     is never formed: every solve with it goes through the reduced QR
-    factorization ``A = U R`` (:func:`_qr`). The factor, the pair behind
-    :meth:`solve_ata` and the callback flows' velocity, and the modal basis
-    of a quadratic problem (:attr:`modes`) are computed on first use and
-    cached, so a run that needs none of them, such as a discrete solver's,
-    never pays for them. The discrete solvers keep their subproblem
-    operators per rho in ``_operators`` (see :class:`SubproblemCache`).
+    factorization ``A = U R`` (:func:`_qr`). The factor and the pair behind
+    :meth:`solve_ata` (used by callback runs), and the modal basis of a
+    quadratic problem (:attr:`modes`, used by the quadratic flows and by the
+    discrete solvers when g = 0) are computed on first use and cached, so a
+    run pays only for what it uses. The discrete solvers keep the subproblem
+    operators of a g != 0 problem per rho in ``_operators`` (see
+    :class:`SubproblemCache`).
     """
 
     rank_rtol = 1e-10
@@ -318,9 +319,8 @@ class SplitProblem:
         the symmetrised ``R^{-T} M_f R^{-1} + U^T M_g U`` (which is
         ``R^{-T} H R^{-1}`` for the Hessian H of V, formed without
         ``A^T M_g A``) gives ``Q`` and ``lam``, then ``phi = R^{-1} Q`` and
-        ``beta = Q^T (R^{-T} q_f + U^T q_g)``. Built on first access (O(n^3),
-        so never in the constructor or by the discrete solvers); the arrays
-        are read-only.
+        ``beta = Q^T (R^{-T} q_f + U^T q_g)``. Built on first access (O(n^3))
+        by a quadratic flow or a g = 0 discrete run; the arrays are read-only.
 
         Raises
         ------
@@ -341,15 +341,21 @@ class SplitProblem:
         if not self.is_quadratic:
             raise UnsupportedFunctionError("the modal basis requires quadratic f and g")
         f, g, A = self.f, self.g, self.A
-        U, R, inv = self._factor
-        S = inv.T @ f.M @ inv + U.T @ g.M @ U
+        U, R, inv = _qr(A)  # not the cached _factor: no U or R^{-1} outlives the build
+        S, s = inv.T @ f.M @ inv, inv.T @ f.q
+        g_terms = not _is_zero(g)  # the g terms, exact zeros when g = 0
+        if g_terms:
+            S += U.T @ g.M @ U
+            s += U.T @ g.q
         lam, Q = np.linalg.eigh(0.5 * (S + S.T))
         phi = inv @ Q
-        beta = Q.T @ (inv.T @ f.q + U.T @ g.q)
+        beta = Q.T @ s
         # H is formed only for its norm, the pencil gate's scale
         H, c = _hessian_and_linear_term(self)
         a_phi = A @ phi
-        h_phi = f.M @ phi + A.T @ (g.M @ a_phi)
+        h_phi = f.M @ phi
+        if g_terms:
+            h_phi += A.T @ (g.M @ a_phi)
         ata_norm, phi_norm = np.linalg.norm(self._svals**2), np.linalg.norm(phi)
         lam_max = float(np.max(np.abs(lam)))
         pencil = np.linalg.norm(h_phi - (A.T @ a_phi) * lam)

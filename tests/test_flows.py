@@ -420,18 +420,23 @@ def test_figure1_rk4_matches_modal_solution(figure1_problem, figure1_x0, figure1
 
 
 def test_flow_map_stays_lazy():
-    # the flow's O(n^3) modal basis, and the QR factor of A under it, are
-    # built by the first flow, never by the discrete solvers (whose operator
-    # build factors A without keeping the factor); the inverse (A^T A)^{-1}
-    # of the callback velocity is built by neither
-    p = af.gen_figure1_problem(8, 3, 5.0, 10.0, seed=4)
+    # the O(n^3) modal basis is built by the first quadratic flow or g = 0
+    # discrete run, from a QR factor of A that it does not keep; a dense-g
+    # discrete run builds it not at all (its operator build factors A
+    # without keeping the factor either). The cached factor and the inverse
+    # (A^T A)^{-1} of the callback velocity are built by none of them
+    zero = af.gen_figure1_problem(8, 3, 5.0, 10.0, seed=4)
+    dense = with_g(zero, "dense")
     x0 = np.ones(8)
-    af.run_admm(p, x0, rho=5.0, max_iter=5)
-    af.run_aadmm(p, x0, rho=5.0, r=3.0, max_iter=5)
-    assert "modes" not in p.__dict__ and "_factor" not in p.__dict__
-    af.rk4_integrate(p, x0, IntegratorConfig(h=0.1, t0=0.0, t_end=1.0))
-    assert "modes" in p.__dict__ and "_factor" in p.__dict__
-    assert "_ata_inverse" not in p.__dict__
+    for p in (dense, zero):
+        af.run_admm(p, x0, rho=5.0, max_iter=5)
+        af.run_aadmm(p, x0, rho=5.0, r=3.0, max_iter=5)
+    assert not {"modes", "_factor", "_ata_inverse"} & set(dense.__dict__)
+    assert "modes" in zero.__dict__
+    modes = zero.modes
+    af.rk4_integrate(zero, x0, IntegratorConfig(h=0.1, t0=0.0, t_end=1.0))
+    assert zero.modes is modes
+    assert not {"_factor", "_ata_inverse"} & set(zero.__dict__)
 
 
 def test_large_r_flow_completes(one_d_problem):

@@ -190,3 +190,68 @@ def test_stop_tol_stops_where_the_step_loop_does(problem_rng, rho, r, target):
                stop_tol=0.5 * (crit[target - 1] + earlier))
     assert traj.meta["stopped_early"]
     assert traj.k[-1] == target
+
+
+def zero_g(problem_rng):
+    """A random problem's f and A with g = 0: its runs step the mode coordinates."""
+    problem, rng = problem_rng
+    return af.SplitProblem(problem.f, af.QuadraticFunction.zero(problem.m), problem.A), rng
+
+
+zero_g_problems = problems.map(zero_g)
+
+
+@settings(max_examples=40, deadline=None)
+@given(problem_rng=zero_g_problems, rho=st.floats(0.1, 100.0),
+       r=st.one_of(st.none(), st.floats(3.0, 20.0)))
+def test_modal_run_stays_near_the_step_loop(problem_rng, rho, r):
+    # both paths compute w = R x <- K^{-1} (rho w_hat - R^{-T} q_f), K = R^{-T}
+    # M_f R^{-1} + rho I; each computed step is the exact step of its input
+    # plus a local error of at most 4 (n + m) cond(A) eps max ||x|| (two
+    # products of norm <= cond(A), each within gamma_{n+m}). ADMM's exact
+    # step is nonexpansive in w (0 < d <= 1), so sample k is within
+    # cond(A) k times that of exact, and the paths within twice that. A-ADMM's
+    # momentum carries a local error forward amplified at most k + 1 times
+    # (per mode, successive differences shrink by d gamma <= 1): k^2 for k
+    problem, rng = problem_rng
+    x0 = rng.standard_normal(problem.n)
+    traj = run(problem, x0, rho, r, 2 * BLOCK + 1)
+    states = step_loop(problem, start_state(problem, x0, rho, r), len(traj) - 1)
+    xs = np.array([st.x for st in states])
+    k = np.arange(len(xs))
+    local = 4 * (problem.n + problem.m) * problem.cond_A * EPS * np.max(
+        np.linalg.norm(xs, axis=1))
+    bound = 2 * problem.cond_A * local * (k if r is None else k**2)
+    assert np.all(np.linalg.norm(traj.X - xs, axis=1) <= bound)
+    assert np.array_equal(traj.X[0], x0) and not np.any(traj.primal_residual)
+
+
+@settings(max_examples=40, deadline=None)
+@given(problem_rng=zero_g_problems, rho=st.floats(0.1, 100.0),
+       r=st.one_of(st.none(), st.floats(3.0, 20.0)),
+       target=st.sampled_from([BLOCK - 1, BLOCK, BLOCK + 1]))
+def test_modal_stop_tol_stops_where_the_step_loop_does(problem_rng, rho, r, target):
+    # as test_stop_tol_stops_where_the_step_loop_does, for the g = 0 runs
+    # that step the mode coordinates. Their criterion is ||A (x_k -
+    # x_{k-1})|| (z = A x, so the primal residual is 0), and it differs from
+    # the step loop's by at most ||A|| (||e_k|| + ||e_{k-1}||), with e the
+    # difference of the two paths' iterates (taken from a full run, whose
+    # iterates a stop_tol does not change), on top of the rounding slack
+    # argued there
+    problem, rng = problem_rng
+    x0 = rng.standard_normal(problem.n)
+    states = step_loop(problem, start_state(problem, x0, rho, r), target + 3)
+    crit = [np.linalg.norm(problem.A @ b.x - b.z) + np.linalg.norm(b.z - a.z)
+            for a, b in zip(states, states[1:])]  # crit[k - 1] is that of sample k
+    earlier = min(crit[:target - 1])
+    full = run(problem, x0, rho, r, max_iter=target + 3)
+    assume(len(full) > target)
+    e = np.linalg.norm(full.X[:target + 1] - [st.x for st in states[:target + 1]], axis=1)
+    norm_a = np.linalg.norm(problem.A)
+    slack = norm_a * 2 * np.max(e) + 4 * (problem.n + problem.m + 3) * EPS * max(
+        norm_a * np.linalg.norm(b.x) + c for b, c in zip(states[1:target + 1], crit))
+    assume(earlier - crit[target - 1] > 2.0 * slack)
+    traj = run(problem, x0, rho, r, max_iter=target + 3,
+               stop_tol=0.5 * (crit[target - 1] + earlier))
+    assert traj.meta["stopped_early"]
+    assert traj.k[-1] == target
