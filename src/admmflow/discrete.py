@@ -12,12 +12,11 @@ The accelerated variant runs the same sweep against extrapolated copies
 ``gamma = k / (k + r)``, ``r >= 3``.
 
 Steps are pure functions of ``(problem, state)``; for quadratic ``f, g``
-they apply the affine subproblem operators of a :class:`SubproblemCache`
-(``x = S_x v - s_x``, ``z = S_z w - s_z``, built and checked once per
-(problem, rho)), so a sweep solves no system: it is three matrix-vector
-products, or two and an O(m) scaling when ``M_g`` is diagonal. The
-x-operator comes from the QR factorization ``A = U R`` of the problem, so
-``A^T A`` is never formed. Otherwise the steps delegate to a user-supplied
+they apply the affine subproblem operators of :func:`_operators` (``x =
+S_x v - s_x``, ``z = S_z w - s_z``, built and checked once per (problem,
+rho) and kept on the problem), so a sweep is three matrix-vector products.
+The x-operator comes from the QR factorization ``A = U R`` of the problem,
+so ``A^T A`` is never formed. Otherwise the steps delegate to a user-supplied
 inner minimizer, which sees the x-subproblem in the coordinates ``w = R x``
 (its Hessian is then ``rho I + R^{-T} (grad^2 f) R^{-1}``, well conditioned
 as rho grows) and the z-subproblem as posed. A state checks its own
@@ -55,7 +54,6 @@ from .trajectory import build_trajectory, divergence_error
 __all__ = [
     "AdmmState",
     "AccAdmmState",
-    "SubproblemCache",
     "initial_admm_state",
     "initial_aadmm_state",
     "momentum_coefficient",
@@ -73,19 +71,6 @@ SUBPROBLEM_RTOL = 1e-10
 BLOCK = 64
 
 
-def _apply(v, op):
-    """``v @ op`` for a vector or the rows of a matrix ``v``, where a 1-D
-    ``op`` is a diagonal matrix held as its diagonal (then ``v * op``)."""
-    return v @ op if op.ndim == 2 else v * op
-
-
-def _check_penalty(rho):
-    """``rho`` as a float, if it is a valid penalty parameter: finite and > 0."""
-    if not (math.isfinite(rho) and rho > 0):
-        raise ValueError(f"penalty parameter rho must be finite and positive, got {rho}")
-    return float(rho)
-
-
 @dataclass
 class AdmmState:
     """Iterate (x, z, u) with counter k and penalty rho > 0 (u is the scaled dual)."""
@@ -97,7 +82,9 @@ class AdmmState:
     rho: float
 
     def __post_init__(self):
-        self.rho = _check_penalty(self.rho)
+        if not (math.isfinite(self.rho) and self.rho > 0):
+            raise ValueError(f"penalty parameter rho must be finite and positive, got {self.rho}")
+        self.rho = float(self.rho)
 
 
 @dataclass
@@ -159,82 +146,51 @@ def _checked_solve(which, H, rhs):
 
 
 def _operators(problem, rho):
-    """The read-only, C-contiguous operators ``{"x": (S_x, s_x), "z": (S_z,
-    s_z)}`` of :class:`SubproblemCache` at ``rho``."""
+    """The two quadratic subproblems at ``rho`` as affine operators, the
+    read-only, C-contiguous ``(S_x, s_x, S_z, s_z)``: built by the first
+    step at ``rho`` without an inner solver and kept on the problem per rho,
+    so ADMM and A-ADMM in one ``run`` share one build (two threads that
+    build at once keep either of two equal builds).
+
+    The x-step ``H_x x = rho A^T v - q_f`` (``H_x = M_f + rho A^T A``) and
+    the z-step ``H_z z = rho w - q_g`` (``H_z = M_g + rho I``) become ``x =
+    S_x v - s_x`` and ``z = S_z w - s_z``, one matrix-vector product each.
+    ``H_x`` is never formed. With ``A = U R`` (diag R > 0) and ``w = R x``
+    the x-step is ``K w = rho U^T v - R^{-T} q_f`` with ``K = R^{-T} M_f
+    R^{-1} + rho I``, whose condition number is at most ``1 + ||M_f|| /
+    (rho sigma_min^2)``, so ``S_x = R^{-1} K^{-1} rho U^T`` and ``s_x =
+    R^{-1} K^{-1} R^{-T} q_f`` come from one LU solve with K on the matrix
+    right-hand side ``[rho U^T, R^{-T} q_f]``. ``S_z = rho H_z^{-1}`` and
+    ``s_z = H_z^{-1} q_g`` come from one solve on ``[rho I, q_g]``.
+
+    Each system is checked once, by :func:`_checked_solve`: ``K`` and
+    ``H_z`` are positive definite and every column meets ``||rhs - H sol||
+    <= SUBPROBLEM_RTOL (1 + ||rhs||)``, else :class:`NumericalError` names
+    the subproblem and nothing is kept. Callback problems are refused with
+    :class:`UnsupportedFunctionError`.
+    """
+    ops = problem._operators.get(rho)
+    if ops is not None:
+        return ops
+    if not problem.is_quadratic:
+        raise UnsupportedFunctionError(
+            "closed-form subproblem solves require quadratic f and g; "
+            "pass inner_solver for callback functions"
+        )
     f, g, m = problem.f, problem.g, problem.m
     # A is factored here rather than through the cached problem._factor, so
     # that a discrete run keeps no U, R or R^{-1} alive beside its operators
     U, _, inv = _qr(problem.A)
     K = inv.T @ f.M @ inv
     K[np.diag_indices_from(K)] += rho
-    sol = _checked_solve("x", K, np.column_stack([rho * U.T, inv.T @ f.q]))
-    ops = {"x": (inv @ sol[:, :-1], inv @ sol[:, -1])}
-    if g.diagonal is None:
-        sol = _checked_solve("z", g.M + rho * np.eye(m), np.column_stack([rho * np.eye(m), g.q]))
-        ops["z"] = sol[:, :-1], sol[:, -1]
-    else:
-        h_z = g.diagonal + rho
-        if not np.all(h_z > 0):
-            raise NumericalError(f"singular subproblem system (z): diagonal entry "
-                                 f"{np.min(h_z):.3e} <= 0")
-        ops["z"] = rho / h_z, g.q / h_z
-    for which, pair in ops.items():
-        ops[which] = tuple(np.ascontiguousarray(a) for a in pair)
-        for a in ops[which]:
-            a.flags.writeable = False
+    sol_x = _checked_solve("x", K, np.column_stack([rho * U.T, inv.T @ f.q]))
+    sol_z = _checked_solve("z", g.M + rho * np.eye(m), np.column_stack([rho * np.eye(m), g.q]))
+    ops = tuple(np.ascontiguousarray(a) for a in (inv @ sol_x[:, :-1], inv @ sol_x[:, -1],
+                                                  sol_z[:, :-1], sol_z[:, -1]))
+    for a in ops:
+        a.flags.writeable = False
+    problem._operators[rho] = ops
     return ops
-
-
-class SubproblemCache:
-    """The two quadratic subproblems for a fixed rho, as affine operators:
-    the steps of every quadratic run with g != 0, and of any caller of
-    :func:`admm_step` or :func:`aadmm_step` without an inner solver.
-
-    The x-step solves ``H_x x = rho A^T v - q_f`` with ``H_x = M_f + rho A^T A``
-    and the z-step solves ``H_z z = rho w - q_g`` with ``H_z = M_g + rho I``.
-    Each becomes an affine operator: ``x = S_x v - s_x`` and
-    ``z = S_z w - s_z``, so a solve is one matrix-vector product.
-
-    ``H_x`` is never formed. With ``A = U R`` (diag R > 0) and ``w = R x``
-    the x-step is ``K w = rho U^T v - R^{-T} q_f`` with ``K = R^{-T} M_f
-    R^{-1} + rho I``, whose condition number is at most ``1 + ||M_f|| /
-    (rho sigma_min^2)``, so ``S_x = R^{-1} K^{-1} rho U^T`` and ``s_x =
-    R^{-1} K^{-1} R^{-T} q_f`` come from one LU solve with K on the matrix
-    right-hand side ``[rho U^T, R^{-T} q_f]``. A dense ``H_z`` gives ``S_z =
-    rho H_z^{-1}`` and ``s_z = H_z^{-1} q_g`` from one solve on ``[rho I,
-    q_g]``. When ``M_g`` is diagonal (``g.diagonal``, g = 0 included), ``S_z``
-    and ``s_z`` are held as vectors (``S_z = rho / h_z``, ``s_z = q_g / h_z``
-    with ``h_z = diag(M_g) + rho``) and the z-solve is O(m).
-
-    Each system is checked once, when its operator is built: every column
-    meets ``||rhs - H sol|| <= SUBPROBLEM_RTOL (1 + ||rhs||)`` for ``K`` and
-    a dense ``H_z``, and ``K``, ``H_z`` are positive definite (a Cholesky
-    factor exists, or every ``h_z > 0``), else :class:`NumericalError`
-    names the subproblem. The operators are kept on the problem per rho, so
-    the caches of one (problem, rho), such as those of ADMM and A-ADMM in
-    one ``run``, share one build (two threads that build at once keep
-    either of two equal builds).
-    """
-
-    def __init__(self, problem, rho):
-        if not problem.is_quadratic:
-            raise UnsupportedFunctionError(
-                "closed-form subproblem solves require quadratic f and g; "
-                "pass inner_solver for callback functions"
-            )
-        self.problem = problem
-        self.rho = _check_penalty(rho)
-        if self.rho not in problem._operators:
-            problem._operators[self.rho] = _operators(problem, self.rho)
-        self._ops = problem._operators[self.rho]
-
-    def solve_x(self, v):
-        S, s = self._ops["x"]
-        return _apply(v, S.T) - s  # v @ S.T is the BLAS product S @ v
-
-    def solve_z(self, w):
-        S, s = self._ops["z"]
-        return _apply(w, S.T) - s
 
 
 def _solve_generic(which, h, rho, target, start, inner_solver, inv=None):
@@ -264,7 +220,7 @@ def _solve_generic(which, h, rho, target, start, inner_solver, inv=None):
     return primal(w)
 
 
-def _sweep(problem, state, z, u, cache, inner_solver):
+def _sweep(problem, state, z, u, inner_solver):
     """x-minimization, z-minimization and scaled dual ascent against (z, u).
 
     Returns ``(x+, z+, u+)``. An inner solver is warm-started from fresh
@@ -276,43 +232,37 @@ def _sweep(problem, state, z, u, cache, inner_solver):
         raise ValueError("state dimensions do not match the problem")
     A, rho = problem.A, state.rho
     if inner_solver is not None:
-        if cache is not None:
-            raise ValueError("pass a subproblem cache or an inner solver, not both")
         U, R, inv = problem._factor
         x_new = _solve_generic("x", problem.f, rho, (z - u) @ U, R @ state.x, inner_solver, inv)
         ax = A @ x_new
         z_new = _solve_generic("z", problem.g, rho, ax + u, state.z.copy(), inner_solver)
     else:
-        if cache is None:
-            cache = SubproblemCache(problem, rho)
-        elif cache.problem is not problem or cache.rho != rho:
-            raise ValueError("subproblem cache was built for a different (problem, rho)")
-        x_new = cache.solve_x(z - u)
+        S_x, s_x, S_z, s_z = _operators(problem, rho)
+        x_new = (z - u) @ S_x.T - s_x  # v @ S.T is the BLAS product S @ v
         ax = A @ x_new
-        z_new = cache.solve_z(ax + u)
+        z_new = (ax + u) @ S_z.T - s_z
     return x_new, z_new, u + ax - z_new
 
 
-def admm_step(problem, state, cache=None, inner_solver=None):
+def admm_step(problem, state, inner_solver=None):
     """One ADMM sweep: x-minimization, z-minimization, scaled dual ascent.
 
-    With quadratic f, g the two subproblems are solved exactly by the
-    checked operators of a :class:`SubproblemCache` (built on the fly when
-    ``cache`` is None; drivers build it once per run). Otherwise
+    With quadratic f, g and no inner solver the two subproblems are solved
+    exactly by the checked operators of :func:`_operators` at ``state.rho``,
+    built by the first step at that rho and kept on the problem. Otherwise
     ``inner_solver(fun, grad, x0)`` must minimize a smooth convex function to
     gradient-norm tolerance 1e-10 and return an array of ``x0``'s shape
-    (else ``ValueError``); a ``cache`` given with it is refused with
-    ``ValueError``. The solver sees the x-subproblem in ``w = R x``, with
+    (else ``ValueError``). The solver sees the x-subproblem in ``w = R x``, with
     ``A = U R`` the factor behind :meth:`SplitProblem.solve_ata`: it
     minimizes ``f(R^{-1} w) + (rho/2) ||w - U^T (z - u)||^2`` from ``R x``,
     with Hessian ``rho I + R^{-T} (grad^2 f) R^{-1}``, and ``x = R^{-1} w``.
     It sees the z-subproblem as posed.
     """
-    x_new, z_new, u_new = _sweep(problem, state, state.z, state.u, cache, inner_solver)
+    x_new, z_new, u_new = _sweep(problem, state, state.z, state.u, inner_solver)
     return AdmmState(x=x_new, z=z_new, u=u_new, k=state.k + 1, rho=state.rho)
 
 
-def aadmm_step(problem, state, cache=None, inner_solver=None):
+def aadmm_step(problem, state, inner_solver=None):
     """One accelerated sweep against the extrapolated copies (z_hat, u_hat).
 
     The sweep mirrors :func:`admm_step` with (z_hat, u_hat) in place of
@@ -320,7 +270,7 @@ def aadmm_step(problem, state, cache=None, inner_solver=None):
     ``gamma = k / (k + r)`` evaluated at the pre-step counter, so the very
     first step (k = 0, gamma = 0) coincides with plain ADMM.
     """
-    x_new, z_new, u_new = _sweep(problem, state, state.z_hat, state.u_hat, cache, inner_solver)
+    x_new, z_new, u_new = _sweep(problem, state, state.z_hat, state.u_hat, inner_solver)
     g = momentum_coefficient(state.k, state.r)
     return AccAdmmState(
         x=x_new,
@@ -351,7 +301,8 @@ def _run(problem, start, args, max_iter, stop_tol, v_star, inner_solver):
             raise NumericalError(f"singular subproblem system (x): lam + rho = {np.min(h_x):.3e}")
         d, e, phi_t = rho / h_x, modes.beta / h_x, modes.phi.T
         ys = np.empty((min(BLOCK, max_iter), problem.n))
-    cache = SubproblemCache(problem, rho) if inner_solver is None and not modal else None
+    if inner_solver is None and not modal:
+        _operators(problem, rho)  # refused here, before sample 0
     size = 1 if inner_solver is not None else BLOCK  # steps between records
     delta = 1.0 / time_scale(rho, accelerated)
 
@@ -385,7 +336,7 @@ def _run(problem, start, args, max_iter, stop_tol, v_star, inner_solver):
         if not modal:
             states = [state]
             for _ in range(count):
-                states.append(step(problem, states[-1], cache, inner_solver))
+                states.append(step(problem, states[-1], inner_solver))
             state = states[-1]
             xs[rows] = [st.x for st in states[1:]]
             return np.array([st.z for st in states[1:]])

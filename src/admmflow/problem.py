@@ -65,6 +65,14 @@ def _check_finite(x, name):
                          f"is {float(x[index])!r}")
 
 
+def _norm(a):
+    """The 2-norm (Frobenius for a matrix) of ``a`` as ``s ||a / s||`` with
+    ``s = max |a|``, so that no square overflows; ``s`` itself when that is 0,
+    inf or NaN."""
+    s = np.max(np.abs(a))
+    return s * np.linalg.norm(a / s) if 0 < s < np.inf else s
+
+
 def _check_damping(r):
     """``r`` as a float, if it is a valid damping parameter of the second-order
     flow and of A-ADMM: ``r >= 3`` (Su, Boyd & Candes, arXiv:1503.01243)."""
@@ -88,10 +96,8 @@ class QuadraticFunction:
     A NaN or inf entry of M or q raises ValueError naming the entry.
 
     Instances are immutable: the stored arrays are read-only. ``eigenvalues``
-    holds the spectrum of M, ascending, from the positive-semidefinite check.
-    ``diagonal`` is the diagonal of M when M is diagonal (a zero M included),
-    else None; the spectrum of a diagonal M is its sorted diagonal, and the
-    solvers use ``diagonal`` to apply ``M + rho I`` in O(dim).
+    holds the spectrum of M, ascending, from the positive-semidefinite check
+    (zeros, without an eigendecomposition, for a zero M).
     """
 
     psd_rtol = 1e-10
@@ -101,17 +107,15 @@ class QuadraticFunction:
         if M.ndim != 2 or M.shape[0] != M.shape[1]:
             raise ValueError(f"M must be a square matrix, got shape {M.shape}")
         _check_finite(M, "M")
-        M = 0.5 * (M + M.T)
+        M = 0.5 * M + 0.5 * M.T  # M + M.T can overflow; each half is exact
         dim = M.shape[0]
         if q is None:
             q = np.zeros(dim)
         else:
             q = np.array(_as_vector(q, dim, "q"))
             _check_finite(q, "q")
-        diagonal = M.diagonal()  # a read-only view
-        if np.count_nonzero(M) > np.count_nonzero(diagonal):
-            diagonal = None
-        evals = np.linalg.eigvalsh(M) if diagonal is None else np.sort(diagonal)
+        nonzero = M.any()
+        evals = np.linalg.eigvalsh(M) if nonzero else np.zeros(dim)
         scale = float(np.max(np.abs(evals)))
         if evals[0] < -self.psd_rtol * scale:
             raise ValueError(
@@ -122,8 +126,8 @@ class QuadraticFunction:
         self.M = M
         self.q = q
         self.eigenvalues = evals
-        self.diagonal = diagonal
         self.dim = dim
+        self._zero = not nonzero and not q.any()
 
     @classmethod
     def zero(cls, dim):
@@ -229,8 +233,8 @@ class SplitProblem:
     quadratic problem (:attr:`modes`, used by the quadratic flows and by the
     discrete solvers when g = 0) are computed on first use and cached, so a
     run pays only for what it uses. The discrete solvers keep the subproblem
-    operators of a g != 0 problem per rho in ``_operators`` (see
-    :class:`SubproblemCache`).
+    operators of a quadratic problem per rho in ``_operators`` (see
+    :func:`discrete._operators`).
     """
 
     rank_rtol = 1e-10
@@ -335,8 +339,10 @@ class SplitProblem:
             ||c||)``, with ``c = q_f + A^T q_g``. Both residuals are formed
             as products with A (``H phi = M_f phi + A^T (M_g (A phi))``),
             and ``||A^T A||_F = (sum sigma_i^4)^(1/2)`` comes from the
-            singular values of A. A correct decomposition scores a small
-            multiple of eps at any conditioning of A.
+            singular values of A. Every norm is scaled (:func:`_norm`), so
+            none overflows, and a NaN residual fails. A correct
+            decomposition scores a small multiple of eps at any conditioning
+            of A.
         """
         if not self.is_quadratic:
             raise UnsupportedFunctionError("the modal basis requires quadratic f and g")
@@ -356,16 +362,16 @@ class SplitProblem:
         h_phi = f.M @ phi
         if g_terms:
             h_phi += A.T @ (g.M @ a_phi)
-        ata_norm, phi_norm = np.linalg.norm(self._svals**2), np.linalg.norm(phi)
+        ata_norm, phi_norm = _norm(self._svals**2), _norm(phi)
         lam_max = float(np.max(np.abs(lam)))
-        pencil = np.linalg.norm(h_phi - (A.T @ a_phi) * lam)
-        pencil_scale = (np.linalg.norm(H) + ata_norm * lam_max) * phi_norm
-        linear = np.linalg.norm(A.T @ (A @ (phi @ beta)) - c)
-        linear_scale = ata_norm * phi_norm * np.linalg.norm(beta) + np.linalg.norm(c)
+        pencil = _norm(h_phi - (A.T @ a_phi) * lam)
+        pencil_scale = (_norm(H) + ata_norm * lam_max) * phi_norm
+        linear = _norm(A.T @ (A @ (phi @ beta)) - c)
+        linear_scale = ata_norm * phi_norm * _norm(beta) + _norm(c)
         for name, resid, scale in (("pencil", pencil, pencil_scale),
                                    ("linear-term", linear, linear_scale)):
             tol = self.modal_backward_tol * scale
-            if resid > tol:
+            if not resid <= tol:
                 raise NumericalError(
                     f"modal basis fails its {name} check: residual {resid:.3e} exceeds "
                     f"{tol:.3e} (cond(A) = {self.cond_A:.3g})"
@@ -388,7 +394,7 @@ def eval_V(problem, x):
 
 def _is_zero(h):
     """Whether the quadratic ``h`` is identically zero (M = 0 and q = 0)."""
-    return h.diagonal is not None and not h.diagonal.any() and not h.q.any()
+    return h._zero
 
 
 def _values(problem, xs, axs=None):

@@ -7,7 +7,7 @@ import pytest
 import admmflow as af
 from admmflow import discrete
 from admmflow.cli import main
-from admmflow.discrete import SubproblemCache, momentum_coefficient
+from admmflow.discrete import _operators, momentum_coefficient
 from admmflow.exceptions import DivergenceError, NumericalError, UnsupportedFunctionError
 
 from helpers import GradCounter, as_callbacks, cg_minimize, decimal_admm, with_g
@@ -97,13 +97,12 @@ def test_aadmm_forced_zero_momentum_matches_admm(figure1_problem, figure1_x0):
     # resetting the extrapolated copies to (z, u) before each step removes the
     # momentum, leaving plain ADMM iterates
     rho = 20.0
-    cache = SubproblemCache(figure1_problem, rho)
     a = af.initial_admm_state(figure1_problem, figure1_x0, rho)
     b = af.initial_aadmm_state(figure1_problem, figure1_x0, rho, r=5.0)
     for _ in range(20):
-        a = af.admm_step(figure1_problem, a, cache=cache)
+        a = af.admm_step(figure1_problem, a)
         b = dataclasses.replace(b, z_hat=b.z, u_hat=b.u)
-        b = af.aadmm_step(figure1_problem, b, cache=cache)
+        b = af.aadmm_step(figure1_problem, b)
         assert np.array_equal(a.x, b.x)
         assert np.array_equal(a.z, b.z)
         assert np.array_equal(a.u, b.u)
@@ -171,17 +170,18 @@ def test_discrete_one_over_k_rate(figure1_problem, figure1_x0):
 
 def test_subproblem_residual_tolerance(figure1_problem):
     rho = 200.0
-    cache = SubproblemCache(figure1_problem, rho)
+    S_x, s_x, S_z, s_z = ops = _operators(figure1_problem, rho)
+    assert all(a is b for a, b in zip(_operators(figure1_problem, rho), ops))
     rng = np.random.default_rng(0)
     for _ in range(5):
         v = 10.0 * rng.standard_normal(figure1_problem.m)
-        x = cache.solve_x(v)
+        x = S_x @ v - s_x
         A = figure1_problem.A
         rhs = rho * (A.T @ v) - figure1_problem.f.q
         h_x = figure1_problem.f.M @ x + rho * (A.T @ (A @ x))  # H_x x, with A^T A unformed
         assert np.linalg.norm(h_x - rhs) <= 1e-10 * (1.0 + np.linalg.norm(rhs))
         w = 10.0 * rng.standard_normal(figure1_problem.m)
-        z = cache.solve_z(w)
+        z = S_z @ w - s_z
         rhs_z = rho * w - figure1_problem.g.q
         Hz = figure1_problem.g.M + rho * np.eye(figure1_problem.m)
         assert np.linalg.norm(Hz @ z - rhs_z) <= 1e-10 * (1.0 + np.linalg.norm(rhs_z))
@@ -193,6 +193,11 @@ def test_callbacks_require_inner_solver(one_d_problem):
     state = af.initial_admm_state(p, np.array([1.0]), rho=1.0)
     with pytest.raises(UnsupportedFunctionError):
         af.admm_step(p, state)
+    # a run is refused before sample 0, so no callback is called
+    calls = {}
+    with pytest.raises(UnsupportedFunctionError, match="pass inner_solver"):
+        af.run_admm(as_callbacks(one_d_problem, calls), [1.0], rho=1.0, max_iter=3, v_star=0.0)
+    assert not calls
     new = af.admm_step(p, state, inner_solver=cg_minimize)
     ref = af.admm_step(one_d_problem, af.initial_admm_state(one_d_problem, np.array([1.0]), 1.0))
     assert np.allclose(new.x, ref.x, atol=1e-12)
@@ -235,7 +240,7 @@ def test_nan_inner_solver_raises_divergence(one_d_problem, r, bad):
     assert np.all(np.isfinite(partial.X)) and np.all(np.isfinite(partial.v_gap))
 
 
-def test_parameter_validation(one_d_problem):
+def test_parameter_validation(one_d_problem, pd_2d_problem):
     x0 = np.array([1.0])
     with pytest.raises(ValueError):
         af.initial_admm_state(one_d_problem, x0, rho=0.0)
@@ -245,20 +250,25 @@ def test_parameter_validation(one_d_problem):
             state_class(x=x0, z=x0, u=x0, k=0, rho=-1.0, **extra)
     with pytest.raises(ValueError):
         af.run_admm(one_d_problem, x0, rho=1.0, max_iter=0)
-    cache = SubproblemCache(one_d_problem, 1.0)
-    state = af.AdmmState(x=x0, z=x0, u=np.zeros(1), k=0, rho=2.0)
-    with pytest.raises(ValueError):
-        af.admm_step(one_d_problem, state, cache=cache)  # cache rho mismatch
+    # steps at two rho on one problem each take their own rho's operators:
+    # they match steps on fresh copies, and both operator sets stay kept
+    p = af.SplitProblem(pd_2d_problem.f, pd_2d_problem.g, pd_2d_problem.A)
+    for rho in (1.0, 2.0, 1.0):
+        state = af.initial_admm_state(p, np.ones(2), rho)
+        fresh = af.SplitProblem(p.f, p.g, p.A)
+        assert np.array_equal(af.admm_step(p, state).x, af.admm_step(fresh, state).x)
+    assert sorted(p._operators) == [1.0, 2.0]
 
 
-def test_cache_and_inner_solver_are_refused_together(one_d_problem):
-    # the inner solver would take over and the cache be silently ignored
-    cache = SubproblemCache(one_d_problem, 1.0)
+def test_inner_solver_step_builds_no_operator(one_d_problem):
+    # with an inner solver a step on a quadratic problem takes the solver's
+    # result and builds no operator
+    p = af.SplitProblem(one_d_problem.f, one_d_problem.g, one_d_problem.A)
     x0 = np.array([1.0])
-    for step, state in ((af.admm_step, af.initial_admm_state(one_d_problem, x0, 1.0)),
-                        (af.aadmm_step, af.initial_aadmm_state(one_d_problem, x0, 1.0, 3.0))):
-        with pytest.raises(ValueError, match="not both"):
-            step(one_d_problem, state, cache=cache, inner_solver=cg_minimize)
+    for step, state in ((af.admm_step, af.initial_admm_state(p, x0, 1.0)),
+                        (af.aadmm_step, af.initial_aadmm_state(p, x0, 1.0, 3.0))):
+        assert np.allclose(step(p, state, inner_solver=cg_minimize).x, [0.5], rtol=1e-10)
+    assert not p._operators
 
 
 def test_inner_solver_gets_fresh_starts(pd_2d_problem):
@@ -443,7 +453,7 @@ def test_no_refinement_on_generated_draws(tmp_path, cond_a):
 def spy_solve(monkeypatch, scales=()):
     """Count the linear solves of the operator builds; the i-th solve's
     result is scaled by ``scales[i]`` where given (a build solves for the
-    x-operator first, then for a dense z-operator)."""
+    x-operator first, then for the z-operator)."""
     calls = []
     real = np.linalg.solve
 
@@ -479,11 +489,11 @@ def test_quadratic_run_solves_no_system_per_step(monkeypatch, figure1_problem, f
 
 
 def perturbed_operators(pd_2d_problem):
-    """``(which, index, problem)`` for each operator whose build solves a
-    system: S_x (the build's first solve), and a dense S_z (its second)."""
+    """``(which, index, problem)`` for each operator a build solves for: S_x
+    (the build's first solve) and S_z (its second), for the problem's
+    diagonal g and for a dense g."""
     dense = with_g(pd_2d_problem, "dense")
-    assert dense.g.diagonal is None
-    return (("x", 0, pd_2d_problem), ("z", 1, dense))
+    return (("x", 0, pd_2d_problem), ("z", 1, pd_2d_problem), ("z", 1, dense))
 
 
 def run_2d(problem, method):
@@ -491,6 +501,21 @@ def run_2d(problem, method):
     if method == "admm":
         return af.run_admm(problem, x0, rho=5.0, max_iter=100)
     return af.run_aadmm(problem, x0, rho=5.0, r=4.0, max_iter=100)
+
+
+def test_steps_build_the_operators_once_per_rho(monkeypatch, figure1_problem, figure1_x0):
+    # the first step at a rho solves for the x- and z-operators; later steps
+    # and the accelerated step at that rho reuse them, and a new rho builds
+    # its own
+    p = with_g(figure1_problem, "dense")
+    calls = spy_solve(monkeypatch)
+    for rho, builds in ((10.0, 2), (10.0, 0), (30.0, 2)):
+        del calls[:]
+        state = af.admm_step(p, af.initial_admm_state(p, figure1_x0, rho))
+        assert len(calls) == builds
+        af.admm_step(p, state)
+        af.aadmm_step(p, af.initial_aadmm_state(p, figure1_x0, rho, r=3.0))
+        assert len(calls) == builds
 
 
 @pytest.mark.parametrize("method", ["admm", "aadmm"])
@@ -586,10 +611,9 @@ def test_modal_run_diverges_where_the_step_loop_does(method, x0, kept):
         states, step = [af.initial_admm_state(p, x0, rho)], af.admm_step
     else:
         states, step = [af.initial_aadmm_state(p, x0, rho, r)], af.aadmm_step
-    cache = SubproblemCache(p, rho)
     with np.errstate(over="ignore", invalid="ignore"):
         for _ in range(4):
-            states.append(step(p, states[-1], cache=cache))
+            states.append(step(p, states[-1]))
         values = np.array([af.eval_V(p, st.x) for st in states])
     assert int(np.argmin(np.isfinite(values))) == kept
     with pytest.raises(DivergenceError) as err:
@@ -622,7 +646,7 @@ def test_one_run_builds_the_modes_once(tmp_path, monkeypatch):
 @pytest.mark.parametrize("rho", [0.0, -1.0, np.nan, np.inf])
 def test_non_finite_or_non_positive_rho_is_refused(one_d_problem, pd_2d_problem, rho):
     # refused with ValueError naming rho before any work, on the modal path
-    # (g = 0) and the operator path alike, and by a cache built directly,
+    # (g = 0) and the operator path alike, and by a state built directly,
     # with no warning on the way
     with warnings.catch_warnings():
         warnings.simplefilter("error")
@@ -630,31 +654,31 @@ def test_non_finite_or_non_positive_rho_is_refused(one_d_problem, pd_2d_problem,
             x0 = np.ones(p.n)
             for build in (lambda: af.run_admm(p, x0, rho=rho, max_iter=5),
                           lambda: af.run_aadmm(p, x0, rho=rho, r=3.0, max_iter=5),
-                          lambda: SubproblemCache(p, rho)):
+                          lambda: af.AdmmState(x=x0, z=p.A @ x0, u=np.zeros(p.m), k=0,
+                                               rho=rho)):
                 with pytest.raises(ValueError, match="rho must be finite and positive"):
                     build()
 
 
 @pytest.mark.parametrize("kind", ["zero", "linear", "diagonal", "dense"])
 def test_z_step_matches_a_dense_solve(figure1_problem, kind):
-    # the z-solve, of a cache or of a second cache sharing its operators,
-    # against (M_g + rho I)^{-1} (rho w - q_g); held as vectors when M_g is
-    # diagonal, where g = 0 gives z = w exactly
+    # the z-operator of every kind of g is one dense matrix, the same arrays
+    # at every lookup at one rho, and its solve matches (M_g + rho I)^{-1}
+    # (rho w - q_g); g = 0 gives z = w exactly
     p = with_g(figure1_problem, kind)
     rho = 10.0
-    cache = SubproblemCache(p, rho)
-    shared = SubproblemCache(p, rho)
+    ops = _operators(p, rho)
+    assert all(a is b for a, b in zip(_operators(p, rho), ops))
+    S_z, s_z = ops[2:]
+    assert S_z.ndim == 2
     rng = np.random.default_rng(2)
     for _ in range(3):
         w = 10.0 * rng.standard_normal(p.m)
         ref = np.linalg.solve(p.g.M + rho * np.eye(p.m), rho * w - p.g.q)
-        z = cache.solve_z(w)
-        assert np.array_equal(shared.solve_z(w), z)
+        z = w @ S_z.T - s_z
         assert np.linalg.norm(z - ref) <= 64 * p.m * np.finfo(float).eps * np.linalg.norm(ref)
         if kind == "zero":
             assert np.array_equal(z, w)
-    assert shared._ops["z"][0] is cache._ops["z"][0]
-    assert cache._ops["z"][0].ndim == (2 if kind == "dense" else 1)
 
 
 @pytest.mark.parametrize("method", ["admm", "aadmm"])
@@ -693,14 +717,13 @@ def test_diagonal_g_run_exercises_the_dual(figure1_problem, figure1_x0, method):
 def test_non_positive_definite_subproblem_is_refused():
     # M_f is PSD within its 1e-10 relative tolerance, but with A = 1e-6 I the
     # x-step's K = R^{-T} M_f R^{-1} + rho I = diag(1e12 + 1, -9) is not
-    # positive definite: no operator is built from it. The same holds for a
-    # diagonal H_z = M_g + rho I = diag(1, -9e-12), which takes no Cholesky
-    # factor
+    # positive definite: no operator is built from it. The same holds for
+    # H_z = M_g + rho I = diag(1, -9e-12), which takes no Cholesky factor
     psd = af.QuadraticFunction(np.diag([1.0, -1e-11]))
     x0 = np.array([1.0, 1.0])
     for p, rho in ((af.SplitProblem(psd, af.QuadraticFunction.zero(2), 1e-6 * np.eye(2)), 1.0),
                    (af.SplitProblem(af.QuadraticFunction(np.eye(2)), psd, np.eye(2)), 1e-12)):
-        for build in (lambda: SubproblemCache(p, rho),
+        for build in (lambda: _operators(p, rho),
                       lambda: af.run_admm(p, x0, rho=rho, max_iter=10),
                       lambda: af.run_aadmm(p, x0, rho=rho, r=3.0, max_iter=10)):
             with pytest.raises(NumericalError, match="singular subproblem system"):

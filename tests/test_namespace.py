@@ -28,3 +28,15 @@ def test_cli_imports_no_scipy():
     out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
                          text=True, check=True)
     assert out.stdout == "[]\n"
+
+
+def test_readme_library_example_runs(capsys):
+    # the one runnable example of the docs names only the public API there is
+    readme = os.path.join(os.path.dirname(__file__), os.pardir, "README.md")
+    with open(readme, encoding="utf-8") as fh:
+        text = fh.read()
+    section = text[text.index("\n## Library example\n"):]
+    code = section[section.index("```python\n") + len("```python\n"):]
+    code = code[:code.index("\n```")]
+    exec(compile(code, "README.md", "exec"), {})
+    assert len(capsys.readouterr().out.splitlines()) == 3

@@ -1,12 +1,13 @@
 import json
 import re
+import warnings
 
 import numpy as np
 import pytest
 
 import admmflow as af
-from admmflow.exceptions import NumericalError, UnsupportedFunctionError
-from admmflow.problem import ROW_BLOCK, _hessian_and_linear_term, _values
+from admmflow.exceptions import DivergenceError, NumericalError, UnsupportedFunctionError
+from admmflow.problem import ROW_BLOCK, _hessian_and_linear_term, _is_zero, _values
 
 from helpers import as_callbacks, fd_grad, with_g
 
@@ -210,20 +211,56 @@ def test_quadratic_function_immutable():
         q.eigenvalues[0] = 5.0
 
 
-def test_diagonal_spectrum_is_the_sorted_diagonal():
-    # a diagonal M (zeros included) skips eigvalsh: its spectrum is its
-    # sorted diagonal, equal to eigvalsh's; a dense M has no diagonal
+def test_diagonal_spectrum_is_the_sorted_diagonal(monkeypatch):
+    # eigvalsh returns a diagonal M's sorted diagonal bit for bit (0
+    # mismatches in 140 draws with n <= 480); a zero M's spectrum is zeros,
+    # with no eigvalsh call, and the function is zero when q is zero too
     rng = np.random.default_rng(3)
     d = rng.uniform(size=50) * (rng.uniform(size=50) < 0.7)
     q = af.QuadraticFunction(np.diag(d))
-    assert np.array_equal(q.diagonal, d)
-    assert np.array_equal(q.eigenvalues, np.linalg.eigvalsh(np.diag(d)))
-    assert np.array_equal(af.QuadraticFunction.zero(4).diagonal, np.zeros(4))
-    dense = af.QuadraticFunction([[1.0, 1e-300], [1e-300, 1.0]])
-    assert dense.diagonal is None
-    for array in (q.diagonal, q.eigenvalues):
+    assert np.array_equal(q.eigenvalues, np.sort(d))
+    assert not _is_zero(q)
+    calls = []
+    real = np.linalg.eigvalsh
+    monkeypatch.setattr(np.linalg, "eigvalsh", lambda a: calls.append(1) or real(a))
+    zero, linear = af.QuadraticFunction.zero(4), af.QuadraticFunction(np.zeros((4, 4)), np.ones(4))
+    assert not calls
+    for h in (zero, linear):
+        assert np.array_equal(h.eigenvalues, np.zeros(4))
         with pytest.raises(ValueError):
-            array[0] = 5.0
+            h.eigenvalues[0] = 5.0
+    assert _is_zero(zero) and not _is_zero(linear)
+    assert not _is_zero(af.QuadraticFunction([[1.0, 1e-300], [1e-300, 1.0]]))
+    assert calls == [1]
+
+
+def test_huge_finite_M_is_stored_finite():
+    # symmetrizing as (M + M^T) / 2 overflowed to M[0, 0] = inf; each half
+    # is exact, so the largest finite entries survive
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        q = af.QuadraticFunction([[1e308, 0.0], [0.0, 1.0]])
+    assert q.M[0, 0] == 1e308
+    assert np.all(np.isfinite(q.eigenvalues))
+
+
+def test_modes_gates_take_scaled_norms(monkeypatch):
+    # ||q_f||^2 overflows for f = x^2/2 + 1e306 x, so plain norms made the
+    # linear-term gate compare inf with inf; scaled norms pass it with no
+    # warning, and the run then diverges where V overflows, at sample 1
+    p = af.SplitProblem(af.QuadraticFunction([[1.0]], [1e306]), af.QuadraticFunction.zero(1),
+                        [[1.0]])
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert p.modes.backward_error == 0.0
+        with pytest.raises(DivergenceError) as err:
+            af.run_admm(p, [1.0], rho=1.0, max_iter=3, v_star=0.0)
+    assert err.value.t_last == 0.0 and len(err.value.trajectory) == 1
+    # a NaN residual fails its gate rather than passing it
+    exact = np.linalg.eigh
+    monkeypatch.setattr(np.linalg, "eigh", lambda S: (exact(S)[0] * np.nan, exact(S)[1]))
+    with pytest.raises(NumericalError, match="fails its pencil check"):
+        af.SplitProblem(p.f, p.g, p.A).modes
 
 
 @pytest.mark.parametrize("kind", ["zero", "linear", "diagonal", "dense"])

@@ -10,7 +10,7 @@ from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 import admmflow as af
-from admmflow.discrete import BLOCK, SubproblemCache
+from admmflow.discrete import BLOCK
 from admmflow.flows import IntegratorConfig
 
 EPS = np.finfo(float).eps
@@ -125,11 +125,10 @@ def run(problem, x0, rho, r, max_iter, stop_tol=0.0):
 
 def step_loop(problem, state, max_iter):
     """States 0 .. max_iter of a plain loop of checked steps."""
-    cache = SubproblemCache(problem, state.rho)
     step = af.aadmm_step if isinstance(state, af.AccAdmmState) else af.admm_step
     states = [state]
     for _ in range(max_iter):
-        states.append(step(problem, states[-1], cache=cache))
+        states.append(step(problem, states[-1]))
     return states
 
 
