@@ -89,7 +89,7 @@ def _damping(traj):
     """Damping parameter ``meta["r"]`` of a second-order-flow trajectory with
     velocities and positive sample times."""
     _check_traj(traj, need_velocity=True)
-    if np.any(traj.t <= 0):
+    if not np.all(traj.t > 0):  # NaN times too
         raise ValueError("second-order-flow monitors require positive sample times")
     if "r" not in traj.meta:
         raise ValueError("damping parameter r absent from trajectory meta")
@@ -169,7 +169,7 @@ def monitor_aadmm_rate(problem, traj, x_star, rtol=1e-5):
     E = weight * gap + 0.5 * _a_sq_norms(problem, disp)
     identity_resid = np.abs(np.exp(-0.5 * eta) + 1.0 / t - r / t)
     worst = np.max(identity_resid / np.maximum(1.0, r / t))
-    if worst > 1e-12:
+    if not worst <= 1e-12:  # NaN too
         raise NumericalError(
             f"damping-weight identity violated (relative residual {worst:.3e}); "
             "sample times or r are inconsistent"
@@ -194,6 +194,9 @@ def fit_rate(traj, window, slope_target=None):
 
     Raises
     ------
+    ValueError
+        If the window holds a gap that is not finite (NaN or inf), or the
+        trajectory a NaN sample time; the message names the first such t.
     WindowError
         If any gap in the window is at or below the 1e-14 noise floor; the
         message suggests a usable upper end.
@@ -201,11 +204,14 @@ def fit_rate(traj, window, slope_target=None):
     t_lo, t_hi = float(window[0]), float(window[1])
     if not 0 < t_lo < t_hi:
         raise ValueError(f"window must satisfy 0 < t_lo < t_hi, got ({t_lo}, {t_hi})")
-    mask = (traj.t >= t_lo) & (traj.t <= t_hi)
+    mask = ~((traj.t < t_lo) | (traj.t > t_hi))  # a NaN t is kept, to be refused
     t = traj.t[mask]
     gap = traj.v_gap[mask]
     if t.size < 10:
         raise ValueError(f"window contains {t.size} samples; at least 10 are required")
+    bad = ~(np.isfinite(t) & np.isfinite(gap))
+    if bad.any():
+        raise ValueError(f"sample time or objective gap is not finite at t = {t[bad][0]:.6g}")
     if np.any(gap <= GAP_FLOOR):
         usable = t[gap > GAP_FLOOR]
         hint = f"; try t_hi <= {usable.max():.6g}" if usable.size else ""

@@ -86,16 +86,6 @@ def cmd_gen(args):
     return EXIT_OK
 
 
-def _flow_config(solver, h, t0, t_end, r):
-    """Grid of the ``admm_flow`` or ``aadmm_flow`` run, checked on construction;
-    ``h``/``t0`` None take RK4 h = 1e-3, t0 = 0 and symplectic h = 1e-2, t0 = h."""
-    if solver == "admm_flow":
-        h = DEFAULT_RK4_H if h is None else h
-        return IntegratorConfig(h=h, t0=0.0 if t0 is None else t0, t_end=t_end)
-    h = DEFAULT_SYMPLECTIC_H if h is None else h
-    return IntegratorConfig(h=h, t0=h if t0 is None else t0, t_end=t_end, r=r)
-
-
 def _run_to_csv(path, run, *args, **kwargs):
     """Return ``run(*args, **kwargs)`` after writing its trajectory to ``path``;
     on divergence write the partial one with a truncation marker and re-raise."""
@@ -109,24 +99,33 @@ def _run_to_csv(path, run, *args, **kwargs):
     return traj
 
 
-def _driver(solver, args):
-    """Driver and keyword arguments of one ``run`` solver (a flow's grid is checked here)."""
-    budget = {"rho": args.rho, "max_iter": args.max_iter, "stop_tol": args.stop_tol}
+def _driver(solver, *, rho, r, max_iter, stop_tol=0.0, h=None, t0=None, t_end=None):
+    """Driver and keyword arguments of one run of ``solver``. A flow's grid is
+    built, and so checked, here: ``h``/``t0`` None take RK4 h = 1e-3, t0 = 0
+    and symplectic h = 1e-2, t0 = h; ``t_end`` None is where the matching
+    discrete method's iterate ``max_iter`` sits."""
+    budget = {"rho": rho, "max_iter": max_iter, "stop_tol": stop_tol}
     if solver == "admm":
         return run_admm, budget
     if solver == "aadmm":
-        _check_damping(args.r)  # as run_aadmm would, but before any file is written
-        return run_aadmm, dict(budget, r=args.r)
-    # default t_end: where the matching discrete method's iterate max_iter sits
-    scale = time_scale(args.rho, accelerated=solver == "aadmm_flow")
-    t_end = args.t_end if args.t_end is not None else args.max_iter / scale
-    config = _flow_config(solver, args.h, args.t0, t_end, args.r)
-    return rk4_integrate if solver == "admm_flow" else aadmm_flow_integrate, {"config": config}
+        _check_damping(r)  # as run_aadmm would, but before any file is written
+        return run_aadmm, dict(budget, r=r)
+    accelerated = solver == "aadmm_flow"
+    t_end = max_iter / time_scale(rho, accelerated) if t_end is None else t_end
+    if not accelerated:
+        h = DEFAULT_RK4_H if h is None else h
+        config = IntegratorConfig(h=h, t0=0.0 if t0 is None else t0, t_end=t_end)
+        return rk4_integrate, {"config": config}
+    h = DEFAULT_SYMPLECTIC_H if h is None else h
+    config = IntegratorConfig(h=h, t0=h if t0 is None else t0, t_end=t_end, r=r)
+    return aadmm_flow_integrate, {"config": config}
 
 
 def cmd_run(args):
     problem = load_problem(args.problem)
-    drivers = {solver: _driver(solver, args) for solver in args.solver}
+    drivers = {solver: _driver(solver, rho=args.rho, r=args.r, max_iter=args.max_iter,
+                               stop_tol=args.stop_tol, h=args.h, t0=args.t0, t_end=args.t_end)
+               for solver in args.solver}
     x0 = np.full(problem.n, args.x0)
     outdir = args.out_dir or _default_outdir()
     os.makedirs(outdir, exist_ok=True)
@@ -154,20 +153,26 @@ def cmd_figure1(args):
               f"({args.window_lo:g}, {args.window_hi:g})", file=sys.stderr)
         return EXIT_USAGE
     rhos = args.rho or [FIGURE1["rho"]]
-    labels = [f"{rho:g}" for rho in rhos]  # as in the discrete runs' CSV names
-    if len(set(labels)) < len(labels):
-        print(f"error: each --rho must name its own CSVs (admm_rho<rho:g>.csv), got "
-              f"{' '.join(labels)}", file=sys.stderr)
-        return EXIT_USAGE
-    # flows are penalty-free: integrate once, covering the rate window and
-    # the longest discrete time range (that of the smallest rho); both grids
-    # are built, and so checked, before any file is written
-    plain_t_end = args.max_iter / time_scale(min(rhos), accelerated=False)
-    acc_t_end = args.max_iter / time_scale(min(rhos), accelerated=True)
-    plain_config = _flow_config("admm_flow", args.h_rk4, None,
-                                max(args.window_hi, plain_t_end), None)
-    acc_config = _flow_config("aadmm_flow", args.h_symplectic, args.t0,
-                              max(args.window_hi, acc_t_end), args.r)
+
+    def stem(solver, rho):  # CSV name of a run; a flow's is the same for every rho
+        return solver if solver.endswith("_flow") else f"{solver}_rho{rho:g}"
+
+    # one run per CSV stem, in run order; the penalty-free flows run once, over
+    # the rate window and the smallest rho's (longest) discrete time range.
+    # Every grid is built, and so checked, before any file is written
+    runs = {}
+    for solver, h, t0 in (("admm_flow", args.h_rk4, None),
+                          ("aadmm_flow", args.h_symplectic, args.t0)):
+        t_end = args.max_iter / time_scale(min(rhos), accelerated=solver == "aadmm_flow")
+        runs[solver] = _driver(solver, rho=min(rhos), r=args.r, max_iter=args.max_iter, h=h,
+                               t0=t0, t_end=max(args.window_hi, t_end))
+    for rho in rhos:
+        for solver in ("admm", "aadmm"):
+            if stem(solver, rho) in runs:
+                print(f"error: each --rho must name its own CSVs (admm_rho<rho:g>.csv), got "
+                      f"{' '.join(f'{value:g}' for value in rhos)}", file=sys.stderr)
+                return EXIT_USAGE
+            runs[stem(solver, rho)] = _driver(solver, rho=rho, r=args.r, max_iter=args.max_iter)
     outdir = args.out_dir or os.path.join(_default_outdir(), "figure1_out")
     os.makedirs(outdir, exist_ok=True)
     t_start = time.perf_counter()
@@ -187,40 +192,32 @@ def cmd_figure1(args):
 
     # each trajectory is written as soon as it is computed; a DivergenceError
     # keeps the partial CSV and exits through main()
-    plain_flow = _run_to_csv(csv_path("admm_flow"), rk4_integrate, problem, x0, plain_config,
-                             v_star=v_star)
-    acc_flow = _run_to_csv(csv_path("aadmm_flow"), aadmm_flow_integrate, problem, x0, acc_config,
-                           v_star=v_star)
-    discrete = {}
-    for rho in rhos:
-        discrete[("admm", rho)] = _run_to_csv(csv_path(f"admm_rho{rho:g}"), run_admm, problem,
-                                              x0, rho=rho, max_iter=args.max_iter, v_star=v_star)
-        discrete[("aadmm", rho)] = _run_to_csv(csv_path(f"aadmm_rho{rho:g}"), run_aadmm, problem,
-                                               x0, rho=rho, r=args.r, max_iter=args.max_iter,
-                                               v_star=v_star)
+    trajs = {name: _run_to_csv(csv_path(name), run, problem, x0, v_star=v_star, **kwargs)
+             for name, (run, kwargs) in runs.items()}
 
-    monitors = {
-        "monitor_admm_flow_stability": monitor_admm_stability(problem, plain_flow, x_star),
-        "monitor_admm_flow_rate": monitor_admm_rate(problem, plain_flow, x_star),
-        "monitor_aadmm_flow_stability": monitor_aadmm_stability(problem, acc_flow, x_star),
-        "monitor_aadmm_flow_rate": monitor_aadmm_rate(problem, acc_flow, x_star),
-    }
+    monitors = {}
+    for name, stability, rate in (("admm_flow", monitor_admm_stability, monitor_admm_rate),
+                                  ("aadmm_flow", monitor_aadmm_stability, monitor_aadmm_rate)):
+        monitors[f"monitor_{name}_stability"] = stability(problem, trajs[name], x_star)
+        monitors[f"monitor_{name}_rate"] = rate(problem, trajs[name], x_star)
     monitor_summary = {}
     for name, samples in monitors.items():
         write_monitor_csv(samples, csv_path(name))
         monitor_summary[name] = np.count_nonzero(samples.decay_ok) / len(samples)
 
     fits = {
-        "admm_flow": fit_rate(plain_flow, window, slope_target=-1.0),
-        "aadmm_flow": fit_rate(acc_flow, window, slope_target=-2.0),
+        "admm_flow": fit_rate(trajs["admm_flow"], window, slope_target=-1.0),
+        "aadmm_flow": fit_rate(trajs["aadmm_flow"], window, slope_target=-2.0),
     }
     rows = [[name] + fit.summary().split(",") for name, fit in fits.items()]
     header = ("method",) + RateFit.FIELDS
     write_columns_csv(csv_path("rates"), list(zip(header, zip(*rows))))
 
     discrepancies = [{"rho": rho,
-                      "admm_vs_flow": sup_discrepancy(discrete[("admm", rho)], plain_flow),
-                      "aadmm_vs_flow": sup_discrepancy(discrete[("aadmm", rho)], acc_flow)}
+                      "admm_vs_flow": sup_discrepancy(trajs[stem("admm", rho)],
+                                                      trajs["admm_flow"]),
+                      "aadmm_vs_flow": sup_discrepancy(trajs[stem("aadmm", rho)],
+                                                       trajs["aadmm_flow"])}
                      for rho in rhos]
     write_columns_csv(csv_path("discrepancy"), [
         (key, np.array([row[key] for row in discrepancies], dtype=float))
@@ -228,17 +225,11 @@ def cmd_figure1(args):
     ])
 
     # overlay of V-gap vs t for all four methods at the first rho
-    rho0 = rhos[0]
-    curves = [
-        ("admm", discrete[("admm", rho0)]),
-        ("admm_flow", plain_flow),
-        ("aadmm", discrete[("aadmm", rho0)]),
-        ("aadmm_flow", acc_flow),
-    ]
-    t_max = max(traj.t[-1] for _, traj in curves)
-    grid = np.linspace(0.0, t_max, args.overlay_points)
+    curves = {name: stem(name, rhos[0]) for name in ("admm", "admm_flow", "aadmm", "aadmm_flow")}
+    grid = np.linspace(0.0, max(trajs[name].t[-1] for name in curves.values()),
+                       args.overlay_points)
     write_columns_csv(csv_path("overlay"), [("t", grid)] + [
-        (f"V_gap_{name}", _interp_or_blank(grid, traj)) for name, traj in curves
+        (f"V_gap_{label}", _interp_or_blank(grid, trajs[name])) for label, name in curves.items()
     ])
 
     report = {
@@ -253,10 +244,8 @@ def cmd_figure1(args):
             "window": list(window),
         },
         "v_star": v_star,
-        "final_v_gap": {
-            f"{method}_rho{rho:g}": float(discrete[(method, rho)].v_gap[-1])
-            for method, rho in discrete
-        },
+        "final_v_gap": {stem(solver, rho): float(trajs[stem(solver, rho)].v_gap[-1])
+                        for rho in rhos for solver in ("admm", "aadmm")},
         "rate_fits": {name: asdict(fit) for name, fit in fits.items()},
         "discrepancies": discrepancies,
         "monitor_decay_fraction": monitor_summary,

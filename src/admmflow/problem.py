@@ -75,9 +75,10 @@ def _norm(a):
 
 def _check_damping(r):
     """``r`` as a float, if it is a valid damping parameter of the second-order
-    flow and of A-ADMM: ``r >= 3`` (Su, Boyd & Candes, arXiv:1503.01243)."""
-    if r is None or not r >= 3:
-        raise ValueError(f"damping parameter r must be >= 3, got {r}")
+    flow and of A-ADMM: ``3 <= r < inf`` (Su, Boyd & Candes, arXiv:1503.01243);
+    r = inf would freeze the flow and turn A-ADMM into plain ADMM."""
+    if r is None or not 3 <= r < np.inf:
+        raise ValueError(f"damping parameter r must be >= 3 and finite, got {r}")
     return float(r)
 
 
@@ -519,9 +520,9 @@ def gen_figure1_problem(n, zero_eigs, eig_hi, cond_a, seed, m=None):
     zero_eigs : int
         Number of zero eigenvalues of M, ``0 <= zero_eigs < n``.
     eig_hi : float
-        Upper end of the nonzero-eigenvalue range, > 0.
+        Upper end of the nonzero-eigenvalue range, finite and > 0.
     cond_a : float
-        Condition number of A, >= 1.
+        Condition number of A, finite and >= 1.
     seed : int
         RNG seed; identical seeds give bitwise-identical problems.
     m : int, optional
@@ -534,10 +535,10 @@ def gen_figure1_problem(n, zero_eigs, eig_hi, cond_a, seed, m=None):
         raise ValueError("n must be positive")
     if not 0 <= zero_eigs < n:
         raise ValueError(f"zero_eigs must satisfy 0 <= zero_eigs < n, got {zero_eigs}")
-    if eig_hi <= 0:
-        raise ValueError("eig_hi must be positive")
-    if cond_a < 1:
-        raise ValueError("cond_a must be >= 1")
+    if not 0 < eig_hi < np.inf:
+        raise ValueError(f"eig_hi must be positive and finite, got {eig_hi}")
+    if not 1 <= cond_a < np.inf:
+        raise ValueError(f"cond_a must be >= 1 and finite, got {cond_a}")
     if m < n:
         raise ValueError(f"m must be >= n, got m={m}, n={n}")
 

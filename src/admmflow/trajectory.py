@@ -116,12 +116,10 @@ def divergence_error(label, columns, i, v_star, meta):
     )
 
 
-def _numeric_first_cell(line):
-    try:
-        float(line.split(",", 1)[0])
-    except ValueError:
-        return False
-    return True
+def _is_data_row(line):
+    """False for a blank line and for the truncation marker row of
+    :meth:`Trajectory.to_csv`, the rows the loader skips."""
+    return bool(line.strip()) and line.split(",", 1)[0] != TRUNCATION_MARKER
 
 
 def _row_fault(lines, width):
@@ -144,11 +142,11 @@ def _row_fault(lines, width):
 def load_trajectory_csv(path):
     """Read a trajectory CSV into a dict of float arrays keyed by column name.
 
-    Rows whose first cell is not numeric (e.g. a truncation marker or a
-    blank line) are skipped; the others are parsed by ``np.loadtxt``. A file
-    without a header row, or with a data row that is not one number per
-    header column, raises ``ValueError`` naming the file, the fault and its
-    line in the file.
+    Blank lines and the ``truncated`` marker row that :meth:`Trajectory.to_csv`
+    writes after a divergence are skipped; every other row is data, parsed by
+    ``np.loadtxt``. A file without a header row, or with a data row that is
+    not one number per header column, raises ``ValueError`` naming the file,
+    the fault and its line in the file.
     """
     with open(path, "r", newline="", encoding="utf-8") as fh:
         header = next(csv.reader(fh), None)
@@ -157,12 +155,13 @@ def load_trajectory_csv(path):
         if not any(header):
             raise ValueError(f"{path}: the first line is blank, expected a trajectory CSV header")
         numbered = [(lineno, line) for lineno, line in enumerate(fh, 2)
-                    if _numeric_first_cell(line)]
+                    if _is_data_row(line)]
     width = len(header)
     lines = [line for _, line in numbered]
     try:
-        # loadtxt warns on empty input
-        data = np.loadtxt(lines, delimiter=",", ndmin=2) if lines else np.empty((0, width))
+        # loadtxt warns on empty input; comments=None: a '#' row is data too
+        data = (np.loadtxt(lines, delimiter=",", comments=None, ndmin=2) if lines
+                else np.empty((0, width)))
     except ValueError as exc:  # a ragged row, or a cell that is not a number
         raise ValueError(f"{path}: {_row_fault(numbered, width) or exc}") from None
     if data.shape[1] != width:

@@ -4,11 +4,16 @@ import numpy as np
 
 # trajectory CSVs with a cell that is not a number, and the fault the loader
 # reports: the bad cell's file line counts the header and, in the second
-# file, the rows the loader skips (a truncation marker and a blank line)
+# file, the rows the loader skips (a truncation marker and a blank line); a
+# bad first cell is a fault too, not a row to skip
 NOT_A_NUMBER = {
     "not-a-number": ("t,V_gap\n1,2\n3,x\n", "line 3, column 2: 'x' is not a number"),
     "not-a-number-after-skipped-rows": ("t,V_gap\n1,2\ntruncated,note\n\n3,4\n5,x\n",
                                         "line 6, column 2: 'x' is not a number"),
+    "not-a-number-first-cell": ("t,V_gap\n1,2\nx0.74,1.34\n3,4\n",
+                                "line 3, column 1: 'x0.74' is not a number"),
+    "not-a-number-comment-row": ("t,V_gap\n1,2\n# note,3\n",
+                                 "line 3, column 1: '# note' is not a number"),
 }
 
 

@@ -160,6 +160,19 @@ def test_monitor_aadmm_requires_velocity(one_d_problem):
         af.monitor_aadmm_rate(one_d_problem, traj, np.array([0.0]))  # no r anywhere
 
 
+@pytest.mark.parametrize("bad_t", [0.0, -1.0, np.nan], ids=["zero", "negative", "nan"])
+@pytest.mark.parametrize("monitor", [af.monitor_aadmm_stability, af.monitor_aadmm_rate],
+                         ids=["stability", "rate"])
+def test_second_order_monitors_require_positive_times(one_d_problem, monitor, bad_t):
+    # a NaN sample time fails the t > 0 test as 0 and -1 do, before any weight
+    # or residual is formed from it
+    t = np.array([1.0, 2.0, bad_t, 4.0])
+    traj = af.Trajectory(t=t, V=np.zeros(4), v_gap=np.zeros(4), X=np.zeros((4, 1)),
+                         Xdot=np.zeros((4, 1)), meta={"r": 3.0})
+    with pytest.raises(ValueError, match="positive sample times"):
+        monitor(one_d_problem, traj, np.array([0.0]))
+
+
 def test_fit_rate_pure_power_laws():
     t = np.linspace(1.0, 30.0, 400)
     quad = af.Trajectory(t=t, V=7.0 / t**2, v_gap=7.0 / t**2)
@@ -196,6 +209,17 @@ def test_fit_rate_window_errors():
     small = af.Trajectory(t=np.linspace(2, 3, 5), V=np.ones(5), v_gap=np.ones(5))
     with pytest.raises(ValueError):
         af.fit_rate(small, (1.0, 10.0))
+    # a non-finite gap inside the window is refused, naming its t, rather
+    # than fitted to a NaN slope; a NaN time is refused, not dropped
+    for bad in (np.nan, np.inf):
+        broken = 3.0 / t
+        broken[[20, 40]] = bad
+        with pytest.raises(ValueError, match=f"not finite at t = {t[20]:.6g}$"):
+            af.fit_rate(af.Trajectory(t=t, V=broken, v_gap=broken), (2.0, 25.0))
+    broken = t.copy()
+    broken[30] = np.nan
+    with pytest.raises(ValueError, match="not finite at t = nan$"):
+        af.fit_rate(af.Trajectory(t=broken, V=3.0 / t, v_gap=3.0 / t), (2.0, 25.0))
 
 
 def test_figure1_rate_fits(figure1_rk4_traj, figure1_symplectic_traj):

@@ -1,3 +1,4 @@
+import ast
 import json
 import platform
 import types
@@ -43,9 +44,15 @@ def test_gen_small_pd(tmp_path):
     assert np.linalg.eigvalsh(p.f.M)[0] > 0
 
 
-def test_gen_bad_params_exit_2(tmp_path):
-    out = str(tmp_path / "p.json")
-    assert main(["gen", "--n", "5", "--zero-eigs", "5", "--out", out]) == 2
+def test_gen_bad_params_exit_2(tmp_path, capsys):
+    # refused before any draw, naming the parameter
+    out = tmp_path / "p.json"
+    for flags, fault in ((["--n", "5", "--zero-eigs", "5"], "zero_eigs must satisfy"),
+                         (["--eig-hi", "inf"], "eig_hi must be positive and finite, got inf"),
+                         (["--cond-a", "nan"], "cond_a must be >= 1 and finite, got nan")):
+        assert main(["gen", *flags, "--out", str(out)]) == 2
+        assert capsys.readouterr().err.startswith(f"error: {fault}")
+        assert not out.exists()
 
 
 def test_run_hand_unrolled(tmp_path, one_d_file):
@@ -123,6 +130,7 @@ def test_run_rejects_unknown_solver(tmp_path, one_d_file):
     (["figure1", "--h-symplectic", "-1"], "step size h"),
     (["figure1", "--t0", "0"], "t0 > 0"),
     (["figure1", "--r", "1"], "damping parameter r"),
+    (["figure1", "--r", "inf"], "damping parameter r"),
     (["figure1", "--max-iter", "0"], "max-iter"),
     (["figure1", "--overlay-points", "0"], "overlay-points"),
     (["figure1", "--rho", "1e-6", "--max-iter", "2"], "MAX_STEPS"),
@@ -130,11 +138,13 @@ def test_run_rejects_unknown_solver(tmp_path, one_d_file):
     (["run", "--solver", "admm_flow", "--t-end", "0"], "t_end"),
     (["run", "--solver", "admm", "--max-iter", "0"], "max-iter"),
     (["run", "--solver", "admm", "--solver", "aadmm", "--r", "1"], "damping parameter r"),
+    (["run", "--solver", "admm", "--solver", "aadmm", "--r", "inf"], "damping parameter r"),
+    (["run", "--solver", "aadmm_flow", "--r", "inf"], "damping parameter r"),
 ], ids=["run-rho0", "run-rho-neg", "figure1-rho0", "figure1-rho-neg", "figure1-window",
         "figure1-rho-repeated", "figure1-rho-same-csv-name",
-        "figure1-h-rk4", "figure1-h-symplectic", "figure1-t0", "figure1-r",
+        "figure1-h-rk4", "figure1-h-symplectic", "figure1-t0", "figure1-r", "figure1-r-inf",
         "figure1-max-iter", "figure1-overlay-points", "figure1-grid-bound",
-        "run-h", "run-t-end", "run-max-iter", "run-r"])
+        "run-h", "run-t-end", "run-max-iter", "run-r", "run-r-inf", "run-flow-r-inf"])
 def test_bad_numeric_flags_exit_2_before_any_work(tmp_path, one_d_file, capsys, argv, flag):
     out = tmp_path / "out"
     if argv[0] == "run":
@@ -180,10 +190,27 @@ def test_run_divergence_exit_3_with_partial_csv(tmp_path, one_d_file):
     assert len(lines) > 2
 
 
+def _traced_names():
+    """The keys of perfbench/rep.py's TRACED_FUNCTIONS, read from its text with
+    ast: nothing is imported, so nothing is written beside the file."""
+    path = Path(__file__).resolve().parent.parent / "perfbench" / "rep.py"
+    for node in ast.parse(path.read_text(encoding="utf-8")).body:
+        targets = [getattr(t, "id", None) for t in getattr(node, "targets", ())]
+        if isinstance(node, ast.Assign) and targets == ["TRACED_FUNCTIONS"]:
+            return [ast.literal_eval(key) for key in node.value.keys]
+    raise AssertionError(f"{path} assigns no TRACED_FUNCTIONS")
+
+
 def test_cli_looks_up_drivers_when_called(tmp_path, one_d_file, monkeypatch):
-    # perfbench/rep.py replaces these module globals with wrappers after import
-    calls = dict.fromkeys(("rk4_integrate", "aadmm_flow_integrate", "run_admm", "run_aadmm"), 0)
+    # perfbench/rep.py replaces these module globals with wrappers after
+    # import: every traced name but main, which the harness calls itself
+    drivers = ("rk4_integrate", "aadmm_flow_integrate", "run_admm", "run_aadmm")
+    names = [name for name in _traced_names() if name != "main"]
+    assert set(drivers) <= set(names)
+    calls = dict.fromkeys(names, 0)
     for name in calls:
+        assert name in vars(cli), name
+
         def counted(*args, _name=name, _fn=getattr(cli, name), **kwargs):
             calls[_name] += 1
             return _fn(*args, **kwargs)
@@ -191,11 +218,17 @@ def test_cli_looks_up_drivers_when_called(tmp_path, one_d_file, monkeypatch):
     assert main(["figure1", "--seed", "3", "--max-iter", "30", "--h-rk4", "1e-2",
                  "--h-symplectic", "2e-2", "--window-lo", "0.2", "--window-hi", "0.58",
                  "--overlay-points", "21", "--out-dir", str(tmp_path / "fig")]) == 0
-    assert set(calls.values()) == {1}
+    assert {calls[name] for name in drivers} == {1}
     assert main(["run", "--problem", one_d_file] + [
         arg for solver in cli.SOLVERS for arg in ("--solver", solver)] + [
         "--max-iter", "20", "--h", "0.05", "--out-dir", str(tmp_path / "run")]) == 0
-    assert set(calls.values()) == {2}
+    assert {calls[name] for name in drivers} == {2}
+    assert main(["gen", "--n", "4", "--zero-eigs", "1", "--out", str(tmp_path / "p.json")]) == 0
+    # the short window's fitted slope is about -0.02: within target 0 + tol 0.1
+    assert main(["rates", "--trajectory", str(tmp_path / "fig" / "aadmm_flow.csv"),
+                 "--problem", str(tmp_path / "fig" / "problem.json"), "--target", "0",
+                 "--window-lo", "0.2", "--window-hi", "0.58"]) == 0
+    assert [name for name, count in calls.items() if count == 0] == []
 
 
 def test_run_deterministic_csvs(tmp_path, one_d_file):
@@ -277,6 +310,21 @@ def test_rates_with_problem_offset(tmp_path, one_d_file, capsys):
               "--problem", str(ppath), "--target", "-2"])
     assert err.value.code == 2
     assert "not allowed with argument" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("row, bad_t", [("{t!r},nan", "{t:.6g}"), ("{t!r},inf", "{t:.6g}"),
+                                        ("nan,{t!r}", "nan")], ids=["nan-gap", "inf-gap", "nan-t"])
+def test_rates_refuses_a_non_finite_sample(tmp_path, capsys, row, bad_t):
+    # a NaN or inf gap in the window is an input fault (exit 2) naming its t,
+    # not a failed rate check on a NaN slope (exit 4); a NaN t is not dropped
+    t = np.linspace(1.0, 30.0, 300).tolist()
+    lines = [f"{ti!r},{3.0 / ti!r}" for ti in t]
+    lines[50] = row.format(t=t[50])
+    path = tmp_path / "gap.csv"
+    path.write_text("t,V_gap\n" + "\n".join(lines) + "\n")
+    assert main(["rates", "--trajectory", str(path), "--target", "-1"]) == 2
+    assert capsys.readouterr().err == (
+        f"error: sample time or objective gap is not finite at t = {bad_t.format(t=t[50])}\n")
 
 
 def test_rates_window_underflow(tmp_path):
@@ -416,15 +464,18 @@ def test_benchmark_workloads_restate_the_cli_defaults():
     t_end = {accelerated: max(figure1.window_hi,
                               figure1.max_iter / cli.time_scale(fig["rho"], accelerated))
              for accelerated in (False, True)}
-    plain = cli._flow_config("admm_flow", figure1.h_rk4, None, t_end[False], None)
-    acc = cli._flow_config("aadmm_flow", figure1.h_symplectic, figure1.t0, t_end[True],
-                           figure1.r)
+    common = {"rho": fig["rho"], "r": figure1.r, "max_iter": figure1.max_iter}
+    plain = cli._driver("admm_flow", h=figure1.h_rk4, t_end=t_end[False], **common)[1]["config"]
+    acc = cli._driver("aadmm_flow", h=figure1.h_symplectic, t0=figure1.t0, t_end=t_end[True],
+                      **common)[1]["config"]
     assert (plain.n_steps, acc.n_steps) == (workloads.FIGURE1["rk4_steps"],
                                             workloads.FIGURE1["symplectic_steps"]) == (20000, 4242)
     run = parser.parse_args(["run", "--problem", "p.json", "--solver", "admm_flow"])
     callback = workloads.CALLBACK
     for solver, key in (("admm_flow", "rk4"), ("aadmm_flow", "symplectic")):
-        config = cli._driver(solver, run)[1]["config"]
+        _, kwargs = cli._driver(solver, rho=run.rho, r=run.r, max_iter=run.max_iter,
+                                stop_tol=run.stop_tol, h=run.h, t0=run.t0, t_end=run.t_end)
+        config = kwargs["config"]
         assert config == IntegratorConfig(**callback[key]), solver
         assert config.n_steps == callback[f"{key}_steps"]
     assert (callback["rk4_steps"], callback["symplectic_steps"]) == (6000, 4242)

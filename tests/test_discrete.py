@@ -117,7 +117,7 @@ def test_aadmm_rejects_small_r(pd_2d_problem):
     with pytest.raises(ValueError, match="r must be >= 3"):
         af.run_aadmm(pd_2d_problem, x0, rho=1.0, r=None, max_iter=5)
     # the state itself owns the check, also when built directly
-    for r in (2.9, np.nan, None):
+    for r in (2.9, np.nan, np.inf, None):
         with pytest.raises(ValueError, match="r must be >= 3"):
             af.AccAdmmState(x=x0, z=x0, u=x0, k=0, rho=1.0, z_hat=x0, u_hat=x0, r=r)
 

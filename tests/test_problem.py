@@ -167,8 +167,12 @@ def test_gen_figure1_rejects_bad_params():
         af.gen_figure1_problem(5, 5, 1.0, 10.0, seed=0)  # zero_eigs >= n
     with pytest.raises(ValueError):
         af.gen_figure1_problem(5, 1, 0.0, 10.0, seed=0)
+    with pytest.raises(ValueError, match="eig_hi must be positive and finite, got nan"):
+        af.gen_figure1_problem(5, 1, np.nan, 10.0, seed=0)
     with pytest.raises(ValueError):
         af.gen_figure1_problem(5, 1, 1.0, 0.5, seed=0)
+    with pytest.raises(ValueError, match="cond_a must be >= 1 and finite, got inf"):
+        af.gen_figure1_problem(5, 1, 1.0, np.inf, seed=0)
     with pytest.raises(ValueError):
         af.gen_figure1_problem(5, 1, 1.0, 10.0, seed=0, m=3)
 
