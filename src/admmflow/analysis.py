@@ -28,7 +28,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .exceptions import NumericalError, UnsupportedFunctionError, WindowError
-from .problem import _a_sq_norms, _check_damping, _hessian_and_linear_term, eval_V
+from .problem import (_a_sq_norms, _check_damping, _hessian_and_linear_term, _map_rows,
+                      _row_norms, eval_V)
 from .trajectory import write_columns_csv
 
 __all__ = [
@@ -126,7 +127,8 @@ def monitor_admm_rate(problem, traj, x_star, rtol=1e-9):
     _check_traj(traj)
     x_star = np.asarray(x_star, dtype=float)
     gap = traj.V - eval_V(problem, x_star)
-    E = traj.t * gap + 0.5 * _a_sq_norms(problem, traj.X - x_star)
+    disp_sq = _map_rows(lambda rows: _a_sq_norms(problem, traj.X[rows] - x_star), len(traj))
+    E = traj.t * gap + 0.5 * disp_sq
     return _samples(traj.t, E, _decay_flags(E, rtol))
 
 
@@ -165,8 +167,9 @@ def monitor_aadmm_rate(problem, traj, x_star, rtol=1e-5):
     weight = np.exp(eta)
     half_weight = np.exp(0.5 * eta)
     gap = traj.V - eval_V(problem, x_star)
-    disp = traj.X - x_star + half_weight[:, None] * traj.Xdot
-    E = weight * gap + 0.5 * _a_sq_norms(problem, disp)
+    disp_sq = _map_rows(lambda rows: _a_sq_norms(
+        problem, traj.X[rows] - x_star + half_weight[rows, None] * traj.Xdot[rows]), len(traj))
+    E = weight * gap + 0.5 * disp_sq
     identity_resid = np.abs(np.exp(-0.5 * eta) + 1.0 / t - r / t)
     worst = np.max(identity_resid / np.maximum(1.0, r / t))
     if not worst <= 1e-12:  # NaN too
@@ -187,7 +190,7 @@ def fit_rate(traj, window, slope_target=None):
     window : (t_lo, t_hi)
         Fit window, ``0 < t_lo < t_hi``; must contain >= 10 samples.
     slope_target : float, optional
-        Reference exponent (e.g. -1 or -2). The constant is
+        Reference exponent (e.g. -1 or -2), finite. The constant is
         ``C = max gap * t^(-slope_target)`` over the window, so that
         ``gap <= C * t^slope_target`` holds on it. Defaults to the fitted
         slope.
@@ -195,12 +198,15 @@ def fit_rate(traj, window, slope_target=None):
     Raises
     ------
     ValueError
-        If the window holds a gap that is not finite (NaN or inf), or the
-        trajectory a NaN sample time; the message names the first such t.
+        If ``slope_target`` is not finite, or the window holds a gap that is
+        not finite (NaN or inf) or the trajectory a NaN sample time; the
+        message names the first such t.
     WindowError
         If any gap in the window is at or below the 1e-14 noise floor; the
         message suggests a usable upper end.
     """
+    if slope_target is not None and not np.isfinite(slope_target):
+        raise ValueError(f"slope_target must be finite, got {slope_target}")
     t_lo, t_hi = float(window[0]), float(window[1])
     if not 0 < t_lo < t_hi:
         raise ValueError(f"window must satisfy 0 < t_lo < t_hi, got ({t_lo}, {t_hi})")
@@ -253,8 +259,8 @@ def check_state_convergence(problem, traj, x_star, tail_fraction=0.5):
         )
     x_star = np.asarray(x_star, dtype=float)
     n_tail = max(int(np.ceil(tail_fraction * len(traj))), 2)
-    dist = np.linalg.norm(traj.X[-n_tail:] - x_star, axis=1)
-    speed = np.linalg.norm(traj.Xdot[-n_tail:], axis=1)
+    dist = _row_norms(traj.X[-n_tail:], x_star)
+    speed = _row_norms(traj.Xdot[-n_tail:])
     half = n_tail // 2
     bounded = bool(np.max(dist) <= 10 * dist[0]) and bool(np.max(speed) <= 10 * speed[0])
     trend = bool(np.max(dist[half:]) <= np.max(dist[:half])) and bool(

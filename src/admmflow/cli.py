@@ -34,6 +34,7 @@ from .exceptions import AdmmFlowError, DivergenceError
 from .flows import (
     DEFAULT_RK4_H,
     DEFAULT_SYMPLECTIC_H,
+    MAX_STEPS,
     IntegratorConfig,
     aadmm_flow_integrate,
     rk4_integrate,
@@ -61,12 +62,13 @@ def _default_outdir():
     return os.environ.get(OUTDIR_ENV, ".")
 
 
-def _positive(convert):
-    """argparse type: a finite ``convert(text)`` > 0 (e.g. rho, max_iter)."""
+def _finite(convert, positive=False):
+    """argparse type: a finite ``convert(text)`` (e.g. x0), > 0 if ``positive`` (e.g. rho)."""
     def parse(text):
         value = convert(text)
-        if not (math.isfinite(value) and value > 0):
-            raise argparse.ArgumentTypeError(f"must be a positive finite number, got {text!r}")
+        if not (math.isfinite(value) and (value > 0 or not positive)):
+            raise argparse.ArgumentTypeError(
+                f"must be a {'positive ' * positive}finite number, got {text!r}")
         return value
     parse.__name__ = convert.__name__  # argparse names it in "invalid <type> value"
     return parse
@@ -151,6 +153,9 @@ def cmd_figure1(args):
     if not 0 < args.window_lo < args.window_hi:
         print(f"error: rate-fit window must satisfy 0 < window-lo < window-hi, got "
               f"({args.window_lo:g}, {args.window_hi:g})", file=sys.stderr)
+        return EXIT_USAGE
+    if args.overlay_points > MAX_STEPS + 1:  # the samples of the longest flow grid
+        print(f"error: --overlay-points must be at most {MAX_STEPS + 1}", file=sys.stderr)
         return EXIT_USAGE
     rhos = args.rho or [FIGURE1["rho"]]
 
@@ -327,11 +332,11 @@ def build_parser():
     run.add_argument("--solver", action="append", choices=SOLVERS, required=True,
                      help="method to run (repeatable): admm_flow = first-order flow (RK4), "
                           "aadmm_flow = second-order flow (symplectic Euler)")
-    _figure1_default(run, "--rho", _positive(float), "penalty parameter")
+    _figure1_default(run, "--rho", _finite(float, positive=True), "penalty parameter")
     _figure1_default(run, "--r", float, "damping parameter")
-    _figure1_default(run, "--max-iter", _positive(int),
+    _figure1_default(run, "--max-iter", _finite(int, positive=True),
                      "iteration budget; also sets default flow t-end via the method time scale")
-    run.add_argument("--stop-tol", type=float, default=0.0,
+    run.add_argument("--stop-tol", type=_finite(float), default=0.0,
                      help="early-stop tolerance on primal residual + z movement (default 0: "
                           "stops only at an exact fixed point)")
     run.add_argument("--h", type=float, default=None,
@@ -340,7 +345,7 @@ def build_parser():
                      help="flow start time (defaults: rk4 0, symplectic h)")
     run.add_argument("--t-end", type=float, default=None,
                      help="flow end time (default max_iter * method time scale)")
-    _figure1_default(run, "--x0", float, "initial point, replicated across coordinates")
+    _figure1_default(run, "--x0", _finite(float), "initial point, replicated across coordinates")
     run.add_argument("--out-dir", default=None, help=f"output directory (default ${OUTDIR_ENV} or .)")
     run.set_defaults(func=cmd_run)
 
@@ -355,10 +360,10 @@ def build_parser():
                "method; report.json index written last.",
     )
     _figure1_default(fig, "--seed", int, "problem seed")
-    fig.add_argument("--rho", type=_positive(float), action="append",
+    fig.add_argument("--rho", type=_finite(float, positive=True), action="append",
                      help=f"penalty parameter, repeatable for a sweep (default {FIGURE1['rho']:g})")
     _figure1_default(fig, "--r", float, "damping parameter")
-    _figure1_default(fig, "--max-iter", _positive(int), "discrete iteration budget")
+    _figure1_default(fig, "--max-iter", _finite(int, positive=True), "discrete iteration budget")
     fig.add_argument("--h-rk4", type=float, default=DEFAULT_RK4_H,
                      help="first-order flow step (default 1e-3)")
     fig.add_argument("--h-symplectic", type=float, default=DEFAULT_SYMPLECTIC_H,
@@ -367,7 +372,7 @@ def build_parser():
                      help="second-order flow start time (default h)")
     _figure1_default(fig, "--window-lo", float, "rate-fit window lower end")
     _figure1_default(fig, "--window-hi", float, "rate-fit window upper end")
-    fig.add_argument("--overlay-points", type=_positive(int), default=2001,
+    fig.add_argument("--overlay-points", type=_finite(int, positive=True), default=2001,
                      help="grid size of the overlay file (default 2001)")
     fig.add_argument("--out-dir", default=None,
                      help=f"report directory (default ${OUTDIR_ENV}/figure1_out)")
@@ -376,15 +381,15 @@ def build_parser():
     rates = sub.add_parser("rates", help="fit a rate exponent on a trajectory CSV and gate on it")
     rates.add_argument("--trajectory", required=True, help="trajectory CSV (t, V_gap columns)")
     offset = rates.add_mutually_exclusive_group()
-    offset.add_argument("--v-star", type=float, default=0.0,
+    offset.add_argument("--v-star", type=_finite(float), default=0.0,
                         help="offset subtracted from V_gap before fitting (default 0; "
                              "this package's CSVs already store gaps)")
     offset.add_argument("--problem", default=None,
                         help="problem file whose optimal value supplies the offset "
                              "(for CSVs whose V_gap column holds raw objective values)")
-    rates.add_argument("--target", type=float, required=True,
+    rates.add_argument("--target", type=_finite(float), required=True,
                        help="target slope, e.g. -1 or -2")
-    rates.add_argument("--tol", type=float, default=0.1,
+    rates.add_argument("--tol", type=_finite(float), default=0.1,
                        help="slack added to the target (default 0.1)")
     _figure1_default(rates, "--window-lo", float)
     _figure1_default(rates, "--window-hi", float)

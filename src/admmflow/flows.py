@@ -53,7 +53,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .problem import ROW_BLOCK, _a_sq_norms, _as_vector, _check_damping, _values, resolve_v_star
+from .problem import (ROW_BLOCK, _a_sq_norms, _as_vector, _check_damping, _row_blocks, _values,
+                      resolve_v_star)
 from .trajectory import build_trajectory, divergence_error
 
 __all__ = [
@@ -378,5 +379,6 @@ def aadmm_flow_integrate(problem, x0, config, v_star=None):
         phi_t = modes.phi.T
         with np.errstate(over="ignore", invalid="ignore"):
             for name in ("X", "Xdot"):
-                columns[name][:end] = columns[name][:end] @ phi_t
+                for rows in _row_blocks(end):
+                    columns[name][rows] = columns[name][rows] @ phi_t
     return _finish(problem, columns, end, v_star, meta, "second-order flow", r)

@@ -42,7 +42,10 @@ __all__ = [
 ]
 
 
-# rows per block of a product over the samples of a run: bounds its temporaries
+# rows per block of a product over the samples of a run (_row_blocks): it then
+# holds O(ROW_BLOCK n) floats of temporaries, not a copy of the run. A short
+# last block is folded into the one before it: at n = 60 OpenBLAS rounded a
+# 147-row product unlike the same rows of one full product; 300+ rows did not
 ROW_BLOCK = 1024
 
 # normwise backward error of a stationary point that optimal_value accepts
@@ -54,6 +57,22 @@ def _as_vector(x, dim, name):
     if x.shape != (dim,):
         raise ValueError(f"{name} must have shape ({dim},), got {x.shape}")
     return x
+
+
+def _row_blocks(n):
+    """Slices of ``ROW_BLOCK`` rows covering ``range(n)``, the last holding the rest."""
+    bounds = [i * ROW_BLOCK for i in range(max(n // ROW_BLOCK, 1))] + [n]
+    return [slice(a, b) for a, b in zip(bounds, bounds[1:])]
+
+
+def _map_rows(fn, n):
+    """``fn(rows)`` for the slices of :func:`_row_blocks` (n), concatenated."""
+    return np.concatenate([fn(rows) for rows in _row_blocks(n)])
+
+
+def _row_norms(ys, shift=0.0):
+    """``||y - shift||`` for each row ``y`` of ``ys``, by :func:`_map_rows`."""
+    return _map_rows(lambda rows: np.linalg.norm(ys[rows] - shift, axis=1), len(ys))
 
 
 def _check_finite(x, name):
@@ -400,27 +419,27 @@ def _is_zero(h):
 
 def _values(problem, xs, axs=None):
     """V at each row of ``xs``, taking ``axs``, the rows of ``xs @ A^T``, when
-    the caller has them. For quadratic f and g: one pass of matrix products,
-    without the g terms when g is identically zero. Otherwise: one value
-    call of f and of g per row, with ``A x`` from ``axs`` or from one
-    product per block of ``ROW_BLOCK`` rows; a row whose x or ``A x`` is not
-    finite reads NaN and calls neither."""
-    f, g = problem.f, problem.g
-    if not problem.is_quadratic:
-        vals = np.empty(len(xs))
-        for start in range(0, len(xs), ROW_BLOCK):
-            rows = slice(start, start + ROW_BLOCK)
-            block = xs[rows] @ problem.A.T if axs is None else axs[rows]
-            finite = np.isfinite(xs[rows]).all(axis=1) & np.isfinite(block).all(axis=1)
-            vals[rows] = [f.value(x) + g.value(ax) if ok else np.nan
-                          for x, ax, ok in zip(xs[rows], block, finite)]
-        return vals
-    vals = 0.5 * np.einsum("ij,ij->i", xs @ f.M, xs) + xs @ f.q
-    if _is_zero(g):
-        return vals
-    if axs is None:
-        axs = xs @ problem.A.T
-    return vals + 0.5 * np.einsum("ij,ij->i", axs @ g.M, axs) + axs @ g.q
+    the caller has them, one block of :func:`_row_blocks` at a time, so the
+    temporaries are O(``ROW_BLOCK`` n). For quadratic f and g: matrix
+    products, without the g terms (nor ``A x``) when g is identically zero.
+    Otherwise: one value call of f and of g per row; a row whose x or ``A x``
+    is not finite reads NaN and calls neither."""
+    f, g, quadratic = problem.f, problem.g, problem.is_quadratic
+
+    def block(rows):
+        x_blk = xs[rows]
+        if quadratic:
+            vals = 0.5 * np.einsum("ij,ij->i", x_blk @ f.M, x_blk) + x_blk @ f.q
+            if _is_zero(g):
+                return vals
+        ax_blk = x_blk @ problem.A.T if axs is None else axs[rows]
+        if quadratic:
+            return vals + 0.5 * np.einsum("ij,ij->i", ax_blk @ g.M, ax_blk) + ax_blk @ g.q
+        finite = np.isfinite(x_blk).all(axis=1) & np.isfinite(ax_blk).all(axis=1)
+        return np.array([f.value(x) + g.value(ax) if ok else np.nan
+                         for x, ax, ok in zip(x_blk, ax_blk, finite)], dtype=float)
+
+    return _map_rows(block, len(xs))
 
 
 def grad_V(problem, x):
@@ -431,9 +450,13 @@ def grad_V(problem, x):
 
 def _a_sq_norms(problem, ys):
     """``||A y||^2`` for each row ``y`` of ``ys``: the kinetic term of the
-    second-order flow and the quadratic part of the Lyapunov energies."""
-    ays = ys @ problem.A.T
-    return np.einsum("ij,ij->i", ays, ays)
+    second-order flow and the quadratic part of the Lyapunov energies, formed
+    one block of :func:`_row_blocks` at a time."""
+    def block(rows):
+        ays = ys[rows] @ problem.A.T
+        return np.einsum("ij,ij->i", ays, ays)
+
+    return _map_rows(block, len(ys))
 
 
 def _hessian_and_linear_term(problem):

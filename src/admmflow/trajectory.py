@@ -8,6 +8,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .exceptions import DivergenceError
+from .problem import _row_norms
 
 __all__ = ["Trajectory", "load_trajectory_csv"]
 
@@ -47,8 +48,8 @@ class Trajectory:
         # (each optional column is written when the trajectory carries it)
         cols = [("k", self.k), ("t", self.t), ("V_gap", self.v_gap),
                 ("primal_residual", self.primal_residual), ("hamiltonian", self.hamiltonian),
-                ("x_norm", None if self.X is None else np.linalg.norm(self.X, axis=1)),
-                ("xdot_norm", None if self.Xdot is None else np.linalg.norm(self.Xdot, axis=1))]
+                ("x_norm", None if self.X is None else _row_norms(self.X)),
+                ("xdot_norm", None if self.Xdot is None else _row_norms(self.Xdot))]
         return [(name, values) for name, values in cols if values is not None]
 
     def to_csv(self, path, truncation_note=None):

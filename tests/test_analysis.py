@@ -222,6 +222,15 @@ def test_fit_rate_window_errors():
         af.fit_rate(af.Trajectory(t=broken, V=3.0 / t, v_gap=3.0 / t), (2.0, 25.0))
 
 
+@pytest.mark.parametrize("target", [np.nan, np.inf, -np.inf])
+def test_fit_rate_refuses_a_non_finite_target(target):
+    # C = max gap t^(-target) would read nan or 0 and gate nothing
+    t = np.linspace(1.0, 30.0, 200)
+    traj = af.Trajectory(t=t, V=3.0 / t, v_gap=3.0 / t)
+    with pytest.raises(ValueError, match="slope_target must be finite"):
+        af.fit_rate(traj, (2.0, 25.0), slope_target=target)
+
+
 def test_figure1_rate_fits(figure1_rk4_traj, figure1_symplectic_traj):
     plain = af.fit_rate(figure1_rk4_traj, (2.0, 20.0), slope_target=-1.0)
     assert plain.slope <= -1.0 + 0.3

@@ -140,11 +140,18 @@ def test_run_rejects_unknown_solver(tmp_path, one_d_file):
     (["run", "--solver", "admm", "--solver", "aadmm", "--r", "1"], "damping parameter r"),
     (["run", "--solver", "admm", "--solver", "aadmm", "--r", "inf"], "damping parameter r"),
     (["run", "--solver", "aadmm_flow", "--r", "inf"], "damping parameter r"),
+    # a non-finite start point is an input fault, not a divergence (exit 3)
+    (["run", "--solver", "admm", "--x0", "nan"], "--x0"),
+    (["run", "--solver", "admm_flow", "--x0", "inf"], "--x0"),
+    (["run", "--solver", "admm", "--stop-tol", "nan"], "--stop-tol"),
+    # the overlay grid is built after every run: its size is checked first
+    (["figure1", "--overlay-points", "1000002"], "overlay-points"),
 ], ids=["run-rho0", "run-rho-neg", "figure1-rho0", "figure1-rho-neg", "figure1-window",
         "figure1-rho-repeated", "figure1-rho-same-csv-name",
         "figure1-h-rk4", "figure1-h-symplectic", "figure1-t0", "figure1-r", "figure1-r-inf",
         "figure1-max-iter", "figure1-overlay-points", "figure1-grid-bound",
-        "run-h", "run-t-end", "run-max-iter", "run-r", "run-r-inf", "run-flow-r-inf"])
+        "run-h", "run-t-end", "run-max-iter", "run-r", "run-r-inf", "run-flow-r-inf",
+        "run-x0-nan", "run-x0-inf", "run-stop-tol-nan", "figure1-overlay-points-bound"])
 def test_bad_numeric_flags_exit_2_before_any_work(tmp_path, one_d_file, capsys, argv, flag):
     out = tmp_path / "out"
     if argv[0] == "run":
@@ -289,6 +296,20 @@ def test_rates_synthetic(tmp_path):
     assert main(["rates", "--trajectory", quad, "--target", "-2", "--tol", "0.05"]) == 0
     assert main(["rates", "--trajectory", lin, "--target", "-2", "--tol", "0.05"]) == 4
     assert main(["rates", "--trajectory", lin, "--target", "-1", "--tol", "0.05"]) == 0
+
+
+@pytest.mark.parametrize("value", ["nan", "inf"])
+@pytest.mark.parametrize("flag", ["--target", "--tol", "--v-star"])
+def test_rates_refuses_non_finite_flags(tmp_path, capsys, flag, value):
+    # a NaN or infinite target, slack or offset would reach the verdict (a
+    # NaN bound fails every slope, an infinite one passes any): usage error
+    t = np.linspace(1.0, 30.0, 300)
+    path = tmp_path / "lin.csv"
+    af.Trajectory(t=t, V=3.0 / t, v_gap=3.0 / t, X=np.zeros((t.size, 1))).to_csv(path)
+    with pytest.raises(SystemExit) as err:
+        main(["rates", "--trajectory", str(path), "--target", "-1", flag, value])
+    assert err.value.code == 2
+    assert f"argument {flag}: must be a finite number" in capsys.readouterr().err
 
 
 def test_rates_with_problem_offset(tmp_path, one_d_file, capsys):
