@@ -233,14 +233,18 @@ def fit_rate(traj, window, slope_target=None):
 def check_state_convergence(problem, traj, x_star, tail_fraction=0.5):
     """State convergence check for strongly convex quadratic problems.
 
-    Strong convexity (mu > 0, the smallest eigenvalue of the Hessian of V)
-    turns objective-gap decay into state convergence, so the trailing
-    ``tail_fraction`` of a second-order-flow trajectory should approach
-    (x*, 0). The check passes iff, over the tail, both ``||X - x*||`` and
-    ``||X'||`` stay below 10x their values at the tail start and their
-    oscillation envelope decreases (second-half peak <= first-half peak).
+    Strong convexity (mu > 0, the smallest eigenvalue of the Hessian H of V)
+    turns objective-gap decay into state convergence. It is decided by ``mu
+    > 64 eps max|eig(H)|`` (:attr:`SplitProblem.modal_backward_tol` times
+    H's spectral radius), else :class:`UnsupportedFunctionError`: below that
+    the sign of mu is rounding noise of ``eigvalsh`` on a singular H. The
+    trailing ``tail_fraction`` of a second-order-flow trajectory should
+    approach (x*, 0). The check passes iff, over the tail, both ``||X -
+    x*||`` and ``||X'||`` stay below 10x their values at the tail start and
+    their oscillation envelope decreases (second-half peak <= first-half
+    peak).
 
-    Returns ``(converged, report)``.
+    Returns ``(converged, report)``; ``report["mu"]`` is mu.
     """
     _check_traj(traj, need_velocity=True)
     if not 0 < tail_fraction <= 1:
@@ -251,11 +255,12 @@ def check_state_convergence(problem, traj, x_star, tail_fraction=0.5):
             "available only for quadratic problems"
         )
     hessian, _ = _hessian_and_linear_term(problem)
-    mu = float(np.linalg.eigvalsh(hessian)[0])
-    if mu <= 0:
+    evals = np.linalg.eigvalsh(hessian)
+    mu = float(evals[0])
+    if not mu > problem.modal_backward_tol * np.max(np.abs(evals)):
         raise UnsupportedFunctionError(
-            f"V is not strongly convex (smallest Hessian eigenvalue {mu:.3e}); "
-            "objective-gap decay does not control the state"
+            f"V is not strongly convex (smallest Hessian eigenvalue {mu:.3e} is not above "
+            "64 eps of its spectral radius); objective-gap decay does not control the state"
         )
     x_star = np.asarray(x_star, dtype=float)
     n_tail = max(int(np.ceil(tail_fraction * len(traj))), 2)

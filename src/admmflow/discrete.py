@@ -15,11 +15,12 @@ Steps are pure functions of ``(problem, state)``; for quadratic ``f, g``
 they apply the affine subproblem operators of :func:`_operators` (``x =
 S_x v - s_x``, ``z = S_z w - s_z``, built and checked once per (problem,
 rho) and kept on the problem), so a sweep is three matrix-vector products.
-The x-operator comes from the QR factorization ``A = U R`` of the problem,
-so ``A^T A`` is never formed. Otherwise the steps delegate to a user-supplied
-inner minimizer, which sees the x-subproblem in the coordinates ``w = R x``
-(its Hessian is then ``rho I + R^{-T} (grad^2 f) R^{-1}``, well conditioned
-as rho grows) and the z-subproblem as posed. A state checks its own
+The x-operator comes from the problem's one QR factorization ``A = U R``
+(``SplitProblem._factor``), so ``A^T A`` is never formed. Otherwise the
+steps delegate to a user-supplied inner minimizer, which sees the
+x-subproblem in the coordinates ``w = R x`` (its Hessian is then ``rho I +
+R^{-T} (grad^2 f) R^{-1}``, well conditioned as rho grows) and the
+z-subproblem as posed. A state checks its own
 parameters on construction (rho > 0, and r >= 3 for the accelerated
 iterate). The ``run_*`` drivers record trajectories, placing iterate k at
 flow time ``t = k / time_scale`` (``rho`` for ADMM, ``sqrt(rho)`` for
@@ -48,7 +49,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .exceptions import NumericalError, UnsupportedFunctionError
-from .problem import _as_vector, _check_damping, _is_zero, _qr, _values, resolve_v_star
+from .problem import _as_vector, _check_damping, _is_zero, _values, resolve_v_star
 from .trajectory import build_trajectory, divergence_error
 
 __all__ = [
@@ -155,7 +156,8 @@ def _operators(problem, rho):
     The x-step ``H_x x = rho A^T v - q_f`` (``H_x = M_f + rho A^T A``) and
     the z-step ``H_z z = rho w - q_g`` (``H_z = M_g + rho I``) become ``x =
     S_x v - s_x`` and ``z = S_z w - s_z``, one matrix-vector product each.
-    ``H_x`` is never formed. With ``A = U R`` (diag R > 0) and ``w = R x``
+    ``H_x`` is never formed. With the problem's cached factor ``A = U R``
+    (``SplitProblem._factor``, diag R > 0) and ``w = R x``
     the x-step is ``K w = rho U^T v - R^{-T} q_f`` with ``K = R^{-T} M_f
     R^{-1} + rho I``, whose condition number is at most ``1 + ||M_f|| /
     (rho sigma_min^2)``, so ``S_x = R^{-1} K^{-1} rho U^T`` and ``s_x =
@@ -178,9 +180,7 @@ def _operators(problem, rho):
             "pass inner_solver for callback functions"
         )
     f, g, m = problem.f, problem.g, problem.m
-    # A is factored here rather than through the cached problem._factor, so
-    # that a discrete run keeps no U, R or R^{-1} alive beside its operators
-    U, _, inv = _qr(problem.A)
+    U, _, inv = problem._factor
     K = inv.T @ f.M @ inv
     K[np.diag_indices_from(K)] += rho
     sol_x = _checked_solve("x", K, np.column_stack([rho * U.T, inv.T @ f.q]))

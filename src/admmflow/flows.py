@@ -33,14 +33,14 @@ X' are products with ``phi^T``, and ``meta["modal_backward_error"]`` records
 the basis's backward error in units of eps. Callback problems take the
 four-stage RK4 step or the same symplectic step on the velocity
 ``-(P grad f(X) + Q grad g(A X))``, with ``P = (A^T A)^{-1} = R^{-1} R^{-T}``
-and ``Q = P A^T = R^{-1} U^T`` the pair cached on the problem from ``A = U R``
-(behind :meth:`SplitProblem.solve_ata`), bound once per run. One sampling
-loop runs every stepped flow; on callbacks it checks X before each velocity
-and X' before each step, RK4 checks each stage input before its velocity,
-and the velocity checks ``A X`` before it calls a gradient; each ends the
-run at the current sample when its input is not finite, so a callback is
-never called at a non-finite X or ``A X`` (V reads NaN at such a sample and
-calls neither function).
+and ``Q = P A^T = R^{-1} U^T`` formed once per run from the problem's one
+factor ``A = U R`` (``SplitProblem._factor``) and not kept after it. One
+sampling loop runs every stepped flow; on callbacks it checks X before each
+velocity and X' before each step, RK4 checks each stage input before its
+velocity, and the velocity checks ``A X`` before it calls a gradient; each
+ends the run at the current sample when its input is not finite, so a
+callback is never called at a non-finite X or ``A X`` (V reads NaN at such
+a sample and calls neither function).
 
 With ``A = I`` these reduce to plain gradient flow and to the damped
 oscillator flow of accelerated gradient descent.
@@ -53,8 +53,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .problem import (ROW_BLOCK, _a_sq_norms, _as_vector, _check_damping, _row_blocks, _values,
-                      resolve_v_star)
+from .problem import (ROW_BLOCK, _a_sq_norms, _as_vector, _check_damping, _map_rows,
+                      _row_blocks, _values, resolve_v_star)
 from .trajectory import build_trajectory, divergence_error
 
 __all__ = [
@@ -88,8 +88,9 @@ class IntegratorConfig:
 
     The grid ``t0 + i h`` takes the fewest steps that reach t_end, so its
     last sample lies in ``[t_end, t_end + h)`` (up to rounding of the
-    quotient ``(t_end - t0) / h``); the window is never cut short. A grid of
-    more than ``MAX_STEPS`` steps is refused.
+    quotient ``(t_end - t0) / h``); the window is never cut short. A NaN or
+    infinite h, t0 or t_end is refused by name, and a grid of more than
+    ``MAX_STEPS`` steps is refused.
 
     ``r`` is the damping parameter of the second-order flow (ignored by the
     first-order integrator). The second-order flow has a 1/t singularity at
@@ -102,6 +103,10 @@ class IntegratorConfig:
     r: float | None = None
 
     def __post_init__(self):
+        for name, value in (("step size h", self.h), ("start time t0", self.t0),
+                            ("end time t_end", self.t_end)):
+            if not math.isfinite(value):
+                raise ValueError(f"{name} must be finite, got {value}")
         if self.h <= 0:
             raise ValueError("step size h must be positive")
         if self.t0 < 0:
@@ -111,7 +116,7 @@ class IntegratorConfig:
         if self.h > self.t_end - self.t0:
             raise ValueError("h must not exceed t_end - t0")
         steps = (self.t_end - self.t0) / self.h - GRID_RTOL  # n_steps = ceil(steps)
-        if not steps <= MAX_STEPS:  # refuses inf and nan too
+        if not steps <= MAX_STEPS:  # refuses a quotient that overflows to inf too
             raise ValueError(f"a grid of {steps:.6g} steps of h = {self.h:g} exceeds "
                              f"MAX_STEPS = {MAX_STEPS}")
         if self.r is not None:
@@ -127,12 +132,14 @@ class IntegratorConfig:
 
 def _flow_velocity(problem):
     """The velocity ``X -> -(P grad f(X) + Q grad g(A X))`` of the first-order
-    flow, with ``(P, Q)`` the problem's cached ``((A^T A)^{-1}, (A^T A)^{-1}
-    A^T)``: three matrix-vector products and the two gradient calls. When
-    ``A X`` is not finite it returns a NaN velocity and calls neither
-    gradient, so a sampling loop ends at the current sample. The input is
-    not validated; callers pass a vector of shape (n,)."""
-    P, Q = problem._ata_inverse
+    flow, with ``P = (A^T A)^{-1} = R^{-1} R^{-T}`` and ``Q = P A^T = R^{-1}
+    U^T`` formed here from the problem's factor ``A = U R``, held only by the
+    returned closure: three matrix-vector products and the two gradient
+    calls. When ``A X`` is not finite it returns a NaN velocity and calls
+    neither gradient, so a sampling loop ends at the current sample. The
+    input is not validated; callers pass a vector of shape (n,)."""
+    U, _, inv = problem._factor
+    P, Q = inv @ inv.T, inv @ U.T
     f_grad, g_grad, A = problem.f.grad, problem.g.grad, problem.A
     zero = np.zeros(problem.m)
 
@@ -151,9 +158,8 @@ def admm_flow_rhs(problem, X):
     """Right-hand side ``-(A^T A)^{-1} grad V(X)`` of the first-order flow.
 
     It is ``-(P grad f(X) + Q grad g(A X))`` with ``P = (A^T A)^{-1}`` and
-    ``Q = P A^T``, the pair cached on the problem behind
-    :meth:`SplitProblem.solve_ata`. With A = I this is the plain negative
-    gradient.
+    ``Q = P A^T``, formed from the problem's factor ``A = U R`` for this
+    call. With A = I this is the plain negative gradient.
     """
     return _flow_velocity(problem)(_as_vector(X, problem.n, "X"))
 
@@ -181,7 +187,8 @@ def _finish(problem, columns, end, v_star, meta, label, r=None):
 
     V is evaluated at those samples and, when ``r`` is given, the Hamiltonian
     of the second-order flow, ``H = t^r (0.5 ||A X'||^2 + V)``; H is ``inf``
-    where ``t^r`` overflows, which is not divergence.
+    where ``t^r`` overflows, which is not divergence. Products and the
+    finiteness test go one block of :func:`_row_blocks` at a time.
 
     Raises
     ------
@@ -199,7 +206,8 @@ def _finish(problem, columns, end, v_star, meta, label, r=None):
         if r is not None:
             columns["hamiltonian"] = columns["t"][:end] ** r * (0.5 * _a_sq_norms(problem, xds)
                                                                 + vals)
-    finite = np.isfinite(xs).all(axis=1) & np.isfinite(xds).all(axis=1) & np.isfinite(vals)
+    finite = _map_rows(lambda rows: np.isfinite(xs[rows]).all(axis=1)
+                       & np.isfinite(xds[rows]).all(axis=1), end) & np.isfinite(vals)
     stop = end if finite.all() else int(np.argmin(finite))
     if stop < n:
         raise divergence_error(label, columns, stop, v_star, meta)

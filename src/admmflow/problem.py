@@ -11,11 +11,12 @@ Solvers, flows and monitors are all written against the composite objective
 feasible manifold ``z = A x``.
 
 Both flows and the ADMM x-step are posed in ``A^T A``, whose condition
-number is ``cond(A)^2``. It is never formed: the reduced QR factorization
-``A = U R`` is the one factor behind :meth:`SplitProblem.solve_ata`, the
-callback velocity, the modal basis and the discrete x-operator, so their
-results lose digits as ``cond(A)``, and everything the rank test accepts
-(``sigma_min > 1e-10 sigma_max``) can be run.
+number is ``cond(A)^2``. It is never formed: A is factored once per
+problem, as ``A = U R`` (reduced QR, cached on first use), and that one
+factor is behind :meth:`SplitProblem.solve_ata`, the callback velocity,
+the modal basis and the discrete x-operator, so their results lose digits
+as ``cond(A)``, and everything the rank test accepts (``sigma_min > 1e-10
+sigma_max``) can be run.
 """
 
 from __future__ import annotations
@@ -187,25 +188,6 @@ class CallbackFunction:
         return f"CallbackFunction(dim={self.dim})"
 
 
-def _qr(A):
-    """``(U, R, R^{-1})`` of the reduced QR factorization ``A = U R`` with
-    ``diag R > 0``, read-only. ``R^T`` is then the Cholesky factor of
-    ``A^T A = R^T R``, which is never formed: a product with ``R^{-1}``
-    carries ``cond(A) eps`` of rounding where one with the factor of the
-    formed Gram matrix carries ``cond(A)^2 eps`` (Higham, Accuracy and
-    Stability of Numerical Algorithms, ch. 20; Golub & Van Loan, Matrix
-    Computations, sec. 5.3). ``R^{-1}`` is the LU inverse of R, which for
-    an upper triangular R pivots no row and is back substitution."""
-    U, R = np.linalg.qr(A)
-    sign = np.copysign(1.0, R.diagonal())
-    U *= sign
-    R *= sign[:, None]
-    factor = U, R, np.linalg.inv(R)
-    for a in factor:
-        a.flags.writeable = False
-    return factor
-
-
 @dataclass(frozen=True, eq=False)
 class Modes:
     """Modal basis of the pencil ``(H, A^T A)`` (:attr:`SplitProblem.modes`).
@@ -247,14 +229,13 @@ class SplitProblem:
         Provenance of generated problems, carried into serialization.
 
     The instance is immutable after construction. The Gram matrix ``A^T A``
-    is never formed: every solve with it goes through the reduced QR
-    factorization ``A = U R`` (:func:`_qr`). The factor and the pair behind
-    :meth:`solve_ata` (used by callback runs), and the modal basis of a
+    is never formed: every path posed in it reads the one factorization of
+    A, ``A = U R`` (:attr:`_factor`). The factor and the modal basis of a
     quadratic problem (:attr:`modes`, used by the quadratic flows and by the
     discrete solvers when g = 0) are computed on first use and cached, so a
-    run pays only for what it uses. The discrete solvers keep the subproblem
-    operators of a quadratic problem per rho in ``_operators`` (see
-    :func:`discrete._operators`).
+    run pays only for what it uses. The discrete solvers keep
+    the subproblem operators of a quadratic problem per rho in
+    ``_operators`` (see :func:`discrete._operators`).
     """
 
     rank_rtol = 1e-10
@@ -306,40 +287,43 @@ class SplitProblem:
 
     @cached_property
     def _factor(self):
-        """``(U, R, R^{-1})`` of ``A = U R`` (:func:`_qr`); computed on first use."""
-        return _qr(self.A)
-
-    @cached_property
-    def _ata_inverse(self):
-        """``(P, Q)`` with ``P = (A^T A)^{-1} = R^{-1} R^{-T}`` and
-        ``Q = P A^T = R^{-1} U^T``, read-only; formed on first use from
-        :attr:`_factor`."""
-        U, _, inv = self._factor
-        P = inv @ inv.T
-        Q = inv @ U.T
-        for a in (P, Q):
+        """``(U, R, R^{-1})`` of the reduced QR factorization ``A = U R`` with
+        ``diag R > 0``, read-only; the only factorization of A, computed on
+        first use and kept. ``R^T`` is then the Cholesky factor of ``A^T A =
+        R^T R``, which is never formed: a product with ``R^{-1}`` carries
+        ``cond(A) eps`` of rounding where one with the factor of the formed
+        Gram matrix carries ``cond(A)^2 eps`` (Higham, Accuracy and Stability
+        of Numerical Algorithms, ch. 20; Golub & Van Loan, Matrix
+        Computations, sec. 5.3). ``R^{-1}`` is the LU inverse of R, which for
+        an upper triangular R pivots no row and is back substitution."""
+        U, R = np.linalg.qr(self.A)
+        sign = np.copysign(1.0, R.diagonal())
+        U *= sign
+        R *= sign[:, None]
+        factor = U, R, np.linalg.inv(R)
+        for a in factor:
             a.flags.writeable = False
-        return P, Q
+        return factor
 
     def solve_ata(self, b):
-        """Solve ``(A^T A) y = b`` as ``y = P b``, one matrix product with the
-        cached ``P = (A^T A)^{-1} = R^{-1} R^{-T}`` (``A = U R``) that the
-        callback flows' velocity applies too; ``b`` is a vector or a matrix
-        of right-hand sides.
+        """Solve ``(A^T A) y = b`` as ``y = R^{-1} (R^{-T} b)``, two products
+        with the cached factor ``A = U R`` (:attr:`_factor`); ``b`` is a
+        vector or a matrix of right-hand sides.
 
         There is no refinement step. The normwise backward error
-        ``||b - A^T (A y)|| / (||A^T A|| ||y|| + ||b||)`` is a fraction of eps
-        for random vectors and blocks and for ``M_f`` on the generated draws
-        at cond(A) 1e2 to 9e9. The forward error against the exact solve is
+        ``||b - A^T (A y)|| / (||A^T A|| ||y|| + ||b||)`` is at most about
+        eps for random vectors and blocks and for ``M_f`` on the generated
+        draws at cond(A) 1e2 to 9e9. The forward error against the exact solve is
         of order ``cond(A)^2 eps``, the condition number of the system.
         """
-        return self._ata_inverse[0] @ b
+        inv = self._factor[2]
+        return inv @ (inv.T @ b)
 
     @cached_property
     def modes(self):
         """The :class:`Modes` of a quadratic problem.
 
-        With ``A = U R`` (the factor behind :meth:`solve_ata`): ``eigh`` of
+        With the problem's factor ``A = U R`` (:attr:`_factor`): ``eigh`` of
         the symmetrised ``R^{-T} M_f R^{-1} + U^T M_g U`` (which is
         ``R^{-T} H R^{-1}`` for the Hessian H of V, formed without
         ``A^T M_g A``) gives ``Q`` and ``lam``, then ``phi = R^{-1} Q`` and
@@ -367,7 +351,7 @@ class SplitProblem:
         if not self.is_quadratic:
             raise UnsupportedFunctionError("the modal basis requires quadratic f and g")
         f, g, A = self.f, self.g, self.A
-        U, R, inv = _qr(A)  # not the cached _factor: no U or R^{-1} outlives the build
+        U, R, inv = self._factor
         S, s = inv.T @ f.M @ inv, inv.T @ f.q
         g_terms = not _is_zero(g)  # the g terms, exact zeros when g = 0
         if g_terms:

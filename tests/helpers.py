@@ -41,6 +41,25 @@ def with_g(problem, kind, seed=1):
     return SplitProblem(problem.f, g, problem.A)
 
 
+def range_term_draw(cond_a, n=8, zero_eigs=2, seed=38, w_seed=3):
+    """A bounded g = 0 draw with a linear term: ``gen_figure1_problem(n,
+    zero_eigs, 10, cond_a, seed)`` with ``q_f = M_f w``, ``w ~ N(0, I)``
+    from ``w_seed``, so ``x* = -w`` (up to the null space of M_f). Returns
+    the problem and ``V* = -w^T M_f w / 2`` summed exactly (at DIGITS
+    digits), then rounded."""
+    from decimal import localcontext
+
+    from admmflow import QuadraticFunction, SplitProblem, gen_figure1_problem
+
+    base = gen_figure1_problem(n, zero_eigs, 10.0, cond_a, seed)
+    w, M = np.random.default_rng(w_seed).standard_normal(n), base.f.M
+    with localcontext() as ctx:
+        ctx.prec = DIGITS
+        w_dec = _dec(w)
+        v_star = float(-sum(a * b for a, b in zip(w_dec, _mv(_dec(M), w_dec))) / 2)
+    return SplitProblem(QuadraticFunction(M, M @ w), base.g, base.A), v_star
+
+
 def as_callbacks(problem, calls=None):
     """``problem`` with f and g behind callbacks. With a dict ``calls``, each
     call is counted in it, keyed ``("f", "grad")``, ``("g", "value")`` and

@@ -264,6 +264,17 @@ def test_check_state_convergence_rejects_singular(figure1_problem, figure1_sympl
         )
 
 
+def test_check_state_convergence_rejects_a_zero_eigenvalue_rounded_positive():
+    # M_f of this draw has one exact zero eigenvalue, which eigvalsh returns
+    # as +5.5e-16: a sign test called V strongly convex with mu = 5.5e-16
+    p = af.gen_figure1_problem(8, 1, 10.0, 100.0, seed=3)
+    assert np.linalg.eigvalsh(p.f.M)[0] > 0
+    traj = af.aadmm_flow_integrate(p, 5.0 * np.ones(8),
+                                   IntegratorConfig(h=1e-2, t0=1e-2, t_end=20.0, r=10.0))
+    with pytest.raises(UnsupportedFunctionError, match="not strongly convex"):
+        af.check_state_convergence(p, traj, af.optimal_value(p)[0])
+
+
 def test_sup_discrepancy_basics():
     t = np.linspace(0.0, 10.0, 50)
     a = af.Trajectory(t=t, V=np.ones(50), v_gap=np.ones(50))

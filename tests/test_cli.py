@@ -146,12 +146,20 @@ def test_run_rejects_unknown_solver(tmp_path, one_d_file):
     (["run", "--solver", "admm", "--stop-tol", "nan"], "--stop-tol"),
     # the overlay grid is built after every run: its size is checked first
     (["figure1", "--overlay-points", "1000002"], "overlay-points"),
+    # a non-finite grid field is named, not blamed on the grid bound
+    (["run", "--solver", "aadmm_flow", "--t0", "nan"], "t0"),
+    (["run", "--solver", "aadmm_flow", "--h", "nan"], "step size h"),
+    (["run", "--solver", "aadmm_flow", "--t-end", "nan"], "t_end"),
+    (["run", "--solver", "aadmm_flow", "--h", "inf"], "step size h"),
+    (["figure1", "--h-rk4", "nan"], "step size h"),
 ], ids=["run-rho0", "run-rho-neg", "figure1-rho0", "figure1-rho-neg", "figure1-window",
         "figure1-rho-repeated", "figure1-rho-same-csv-name",
         "figure1-h-rk4", "figure1-h-symplectic", "figure1-t0", "figure1-r", "figure1-r-inf",
         "figure1-max-iter", "figure1-overlay-points", "figure1-grid-bound",
         "run-h", "run-t-end", "run-max-iter", "run-r", "run-r-inf", "run-flow-r-inf",
-        "run-x0-nan", "run-x0-inf", "run-stop-tol-nan", "figure1-overlay-points-bound"])
+        "run-x0-nan", "run-x0-inf", "run-stop-tol-nan", "figure1-overlay-points-bound",
+        "run-flow-t0-nan", "run-flow-h-nan", "run-flow-t-end-nan", "run-flow-h-inf",
+        "figure1-h-rk4-nan"])
 def test_bad_numeric_flags_exit_2_before_any_work(tmp_path, one_d_file, capsys, argv, flag):
     out = tmp_path / "out"
     if argv[0] == "run":

@@ -192,9 +192,13 @@ def test_config_refuses_oversized_grid():
     # figure1 --rho 1e-6 --max-iter 2 asks for t_end = 2e6 at h = 1e-3
     with pytest.raises(ValueError, match=r"2e\+09 steps of h = 0\.001"):
         IntegratorConfig(h=1e-3, t0=0.0, t_end=2e6)
+    # a non-finite field is named; a finite window whose quotient overflows
+    # is refused by the bound
     for t_end in (np.inf, np.nan):
-        with pytest.raises(ValueError, match="MAX_STEPS"):
+        with pytest.raises(ValueError, match="end time t_end must be finite"):
             IntegratorConfig(h=1e-3, t0=0.0, t_end=t_end)
+    with pytest.raises(ValueError, match="inf steps .* exceeds MAX_STEPS"):
+        IntegratorConfig(h=1e-300, t0=0.0, t_end=1e300)
     max_steps = af.flows.MAX_STEPS
     assert IntegratorConfig(h=1.0, t0=0.0, t_end=float(max_steps)).n_steps == max_steps
     with pytest.raises(ValueError, match="MAX_STEPS"):
@@ -421,22 +425,27 @@ def test_figure1_rk4_matches_modal_solution(figure1_problem, figure1_x0, figure1
 
 def test_flow_map_stays_lazy():
     # the O(n^3) modal basis is built by the first quadratic flow or g = 0
-    # discrete run, from a QR factor of A that it does not keep; a dense-g
-    # discrete run builds it not at all (its operator build factors A
-    # without keeping the factor either). The cached factor and the inverse
-    # (A^T A)^{-1} of the callback velocity are built by none of them
+    # discrete run, and a dense-g discrete run builds it not at all: its
+    # operators read only the problem's one factor A = U R. Every path reads
+    # that same cached factor, and no run keeps the callback pair
+    # (A^T A)^{-1}, (A^T A)^{-1} A^T on the problem
     zero = af.gen_figure1_problem(8, 3, 5.0, 10.0, seed=4)
     dense = with_g(zero, "dense")
     x0 = np.ones(8)
+    built = set(zero.__dict__)
     for p in (dense, zero):
         af.run_admm(p, x0, rho=5.0, max_iter=5)
         af.run_aadmm(p, x0, rho=5.0, r=3.0, max_iter=5)
-    assert not {"modes", "_factor", "_ata_inverse"} & set(dense.__dict__)
-    assert "modes" in zero.__dict__
-    modes = zero.modes
+    assert set(dense.__dict__) - built == {"_factor"}
+    assert set(zero.__dict__) - built == {"_factor", "modes"}
+    modes, factor = zero.modes, zero._factor
     af.rk4_integrate(zero, x0, IntegratorConfig(h=0.1, t0=0.0, t_end=1.0))
-    assert zero.modes is modes
-    assert not {"_factor", "_ata_inverse"} & set(zero.__dict__)
+    assert zero.modes is modes and zero._factor is factor
+    callbacks = as_callbacks(dense)
+    af.rk4_integrate(callbacks, x0, IntegratorConfig(h=0.1, t0=0.0, t_end=1.0), v_star=0.0)
+    af.aadmm_flow_integrate(callbacks, x0, IntegratorConfig(h=0.1, t0=0.1, t_end=1.0, r=3.0),
+                            v_star=0.0)
+    assert set(callbacks.__dict__) - built == {"_factor"}
 
 
 def test_large_r_flow_completes(one_d_problem):

@@ -9,7 +9,7 @@ import admmflow as af
 from admmflow.exceptions import DivergenceError, NumericalError, UnsupportedFunctionError
 from admmflow.problem import ROW_BLOCK, _hessian_and_linear_term, _is_zero, _values
 
-from helpers import as_callbacks, fd_grad, with_g
+from helpers import as_callbacks, fd_grad, range_term_draw, with_g
 
 
 def test_eval_V_one_d(one_d_problem):
@@ -110,6 +110,22 @@ def test_optimal_value_solves_an_ill_conditioned_dense_g_draw():
     assert np.linalg.norm(H @ x_star + c) <= 64 * eps * (
         np.linalg.norm(H) * np.linalg.norm(x_star) + np.linalg.norm(c))
     assert v_star == af.eval_V(p, x_star)
+
+
+@pytest.mark.parametrize("cond_a", [1e2, 1e6, 1e8, 9e9])
+def test_optimal_value_on_a_g_zero_draw_with_a_range_linear_term(cond_a):
+    # q_f = M_f w on a singular M_f: V is bounded and x* = -w. The lstsq
+    # solve of M_f x = -q_f does not see A, and measured 0.79 eps of
+    # backward error and 0.81 eps of V* error at every cond(A); both are
+    # held to 4 eps. A route through the modal basis of the pencil
+    # (M_f, A^T A), x* = phi (-beta / lam), loses digits as cond(A) grows
+    p, v_exact = range_term_draw(cond_a)
+    x_star, v_star = af.optimal_value(p)
+    M, q = p.f.M, p.f.q
+    eps = np.finfo(float).eps
+    assert np.linalg.norm(M @ x_star + q) <= 4 * eps * (
+        np.linalg.norm(M) * np.linalg.norm(x_star) + np.linalg.norm(q))
+    assert abs(v_star - v_exact) <= 4 * eps * abs(v_exact)
 
 
 def test_optimal_value_rejects_callbacks():
@@ -349,6 +365,29 @@ def test_solve_ata_and_modes_accept_every_full_rank_A():
     assert np.all(np.diag(p.modes.chol) > 0)  # diag R > 0 makes R^T the Cholesky factor
     with pytest.raises(ValueError, match="full column rank"):
         af.gen_figure1_problem(8, 2, 10.0, 1e10, seed=38)
+
+
+def test_a_is_factored_once_per_problem(monkeypatch):
+    # a flow (through modes), ADMM at two rho (through the operators),
+    # solve_ata and the flow velocity all read the one cached A = U R
+    p = with_g(af.gen_figure1_problem(20, 5, 10.0, 100.0, seed=38), "dense")
+    factored = []
+    qr = np.linalg.qr
+
+    def counted(a, *args, **kwargs):
+        if np.shape(a) == p.A.shape and np.array_equal(a, p.A):
+            factored.append(a)
+        return qr(a, *args, **kwargs)
+
+    monkeypatch.setattr(np.linalg, "qr", counted)
+    x0 = np.ones(p.n)
+    af.rk4_integrate(p, x0, af.IntegratorConfig(h=0.1, t0=0.0, t_end=1.0))
+    for rho in (10.0, 50.0):
+        af.run_admm(p, x0, rho=rho, max_iter=5)
+    p.solve_ata(x0)
+    af.admm_flow_rhs(p, x0)
+    assert len(factored) == 1
+    assert set(p._operators) == {10.0, 50.0} and "modes" in p.__dict__
 
 
 def test_split_problem_validation():

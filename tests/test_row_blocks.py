@@ -105,13 +105,14 @@ def long_runs(figure1_problem, figure1_x0):
 
 
 @pytest.mark.parametrize("name", ["admm_stability", "admm_rate", "aadmm_stability",
-                                  "aadmm_rate", "values", "to_csv", "aadmm_flow"])
+                                  "aadmm_rate", "values", "to_csv", "aadmm_flow", "rk4"])
 def test_products_over_a_long_run_stay_in_blocks(figure1_problem, figure1_x0, long_runs,
                                                  tmp_path, name):
     p = figure1_problem
     first, second = long_runs
     x_star, _ = af.optimal_value(p)
     config = IntegratorConfig(h=1e-3, t0=1e-3, t_end=len(second) * 1e-3, r=10.0)
+    rk4_config = IntegratorConfig(h=1e-3, t0=0.0, t_end=(len(first) - 1) * 1e-3)
     calls = {
         "admm_stability": lambda: af.monitor_admm_stability(p, first, x_star),
         "admm_rate": lambda: af.monitor_admm_rate(p, first, x_star),
@@ -121,10 +122,12 @@ def test_products_over_a_long_run_stay_in_blocks(figure1_problem, figure1_x0, lo
         "to_csv": lambda: second.to_csv(tmp_path / "run.csv"),
         # its stored X and X' are outputs too; the back-transform is in blocks
         "aadmm_flow": lambda: af.aadmm_flow_integrate(p, figure1_x0, config),
+        # so are its X and X'; V and the finiteness test are in blocks
+        "rk4": lambda: af.rk4_integrate(p, figure1_x0, rk4_config),
     }
     n_samples = len(first)
     outputs = VECTORS * n_samples * 8
-    if name == "aadmm_flow":
+    if name in ("aadmm_flow", "rk4"):
         outputs += second.X.nbytes + second.Xdot.nbytes
     budget = outputs + BLOCKS * ROW_BLOCK * p.n * 8
     assert BLOCKS * ROW_BLOCK * p.n * 8 < first.X.nbytes / 4
