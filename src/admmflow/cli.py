@@ -14,7 +14,7 @@ import os
 import platform
 import sys
 import time
-from dataclasses import asdict
+from dataclasses import asdict, replace
 
 import numpy as np
 
@@ -196,15 +196,19 @@ def cmd_figure1(args):
         return files[name]
 
     # each trajectory is written as soon as it is computed; a DivergenceError
-    # keeps the partial CSV and exits through main()
-    trajs = {name: _run_to_csv(csv_path(name), run, problem, x0, v_star=v_star, **kwargs)
-             for name, (run, kwargs) in runs.items()}
-
+    # keeps the partial CSV and exits through main(). A flow's monitors read its
+    # X and X' last, and each run then keeps only what later stages read
     monitors = {}
-    for name, stability, rate in (("admm_flow", monitor_admm_stability, monitor_admm_rate),
-                                  ("aadmm_flow", monitor_aadmm_stability, monitor_aadmm_rate)):
-        monitors[f"monitor_{name}_stability"] = stability(problem, trajs[name], x_star)
-        monitors[f"monitor_{name}_rate"] = rate(problem, trajs[name], x_star)
+
+    def run_to_csv(name, run, kwargs):
+        traj = _run_to_csv(csv_path(name), run, problem, x0, v_star=v_star, **kwargs)
+        flow_monitors = {"admm_flow": (monitor_admm_stability, monitor_admm_rate),  # looked
+                         "aadmm_flow": (monitor_aadmm_stability, monitor_aadmm_rate)}  # up now
+        for kind, monitor in zip(("stability", "rate"), flow_monitors.get(name, ())):
+            monitors[f"monitor_{name}_{kind}"] = monitor(problem, traj, x_star)
+        return replace(traj, X=None, Xdot=None)
+
+    trajs = {name: run_to_csv(name, run, kwargs) for name, (run, kwargs) in runs.items()}
     monitor_summary = {}
     for name, samples in monitors.items():
         write_monitor_csv(samples, csv_path(name))

@@ -155,13 +155,17 @@ def _flow_velocity(problem):
 
 
 def admm_flow_rhs(problem, X):
-    """Right-hand side ``-(A^T A)^{-1} grad V(X)`` of the first-order flow.
-
-    It is ``-(P grad f(X) + Q grad g(A X))`` with ``P = (A^T A)^{-1}`` and
-    ``Q = P A^T``, formed from the problem's factor ``A = U R`` for this
-    call. With A = I this is the plain negative gradient.
+    """Right-hand side ``-(A^T A)^{-1} grad V(X)`` of the first-order flow,
+    as ``-R^{-1} (R^{-T} grad f(X) + U^T grad g(A X))`` on the problem's
+    factor ``A = U R``, forming no n x n matrix; NaN, with neither gradient
+    called, when ``A X`` is not finite. With A = I it is the negative gradient.
     """
-    return _flow_velocity(problem)(_as_vector(X, problem.n, "X"))
+    x = _as_vector(X, problem.n, "X")
+    U, _, inv = problem._factor
+    ax = problem.A @ x
+    if not np.isfinite(ax).all():
+        return np.full(problem.n, np.nan)
+    return -(inv @ (inv.T @ problem.f.grad(x) + U.T @ problem.g.grad(ax)))
 
 
 def _start(problem, x0, config, v_star, method, integrator, r=None):

@@ -623,12 +623,22 @@ def save_problem(problem, path):
         fh.write("\n}\n")
 
 
+def _load_array(data, name):
+    """Field ``name`` of a problem file's data as a float array: one
+    ``np.asarray``, refused unless it reads numbers (integers within int64)."""
+    values = np.asarray(data[name])
+    if values.dtype.kind not in "iuf":  # bool (b), str (U) or object (O), as for a null
+        raise ValueError(f"{name} must be an array of numbers; it reads as {values.dtype.name}: "
+                         "a string, a null, only true/false or an integer beyond int64")
+    return values.astype(float, copy=False)
+
+
 def _load_quadratic(data, name, dim):
     """The quadratic ``name`` ("f" or "g") of a problem file's data; a
     ValueError of its fields is prefixed with ``name``."""
+    M, q = _load_array(data, f"M_{name}"), _load_array(data, f"q_{name}")
     try:
-        return QuadraticFunction(np.asarray(data[f"M_{name}"], dtype=float).reshape(dim, dim),
-                                 np.asarray(data[f"q_{name}"], dtype=float))
+        return QuadraticFunction(M.reshape(dim, dim), q)
     except ValueError as exc:
         raise ValueError(f"{name}: {exc}") from exc
 
@@ -639,15 +649,17 @@ def load_problem(path):
     A file that is not JSON, or a field that is missing, malformed, not
     finite or otherwise invalid, raises ValueError prefixed with ``path``
     (and with ``f:`` or ``g:`` for the data of one function), e.g.
-    ``p.json: f: M must be finite; M[0, 1] is nan``.
+    ``p.json: f: M must be finite; M[0, 1] is nan``. ``n`` and ``m`` must be
+    JSON integers, and arrays numbers (a bool among numbers reads as 1 or 0).
     """
     try:
         with open(path, "r", encoding="utf-8") as fh:
             data = json.load(fh)
-        n = int(data["n"])
-        m = int(data["m"])
+        n, m = data["n"], data["m"]
+        if type(n) is not int or type(m) is not int:  # 4.0, "4" and true are not
+            raise ValueError(f"n and m must be integers, got n = {n!r}, m = {m!r}")
         f, g = _load_quadratic(data, "f", n), _load_quadratic(data, "g", m)
-        A = np.asarray(data["A"], dtype=float).reshape(m, n)
+        A = _load_array(data, "A").reshape(m, n)
         return SplitProblem(
             f, g, A, seed=data.get("seed"), generator_params=data.get("generator_params")
         )

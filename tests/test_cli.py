@@ -430,6 +430,19 @@ def test_figure1_divergence_keeps_partial_csv(tmp_path, capsys):
     assert not (out / "report.json").exists()
 
 
+def test_figure1_second_order_divergence_writes_no_file_early(tmp_path, capsys):
+    # the RK4 monitors run before the symplectic run, but every monitor CSV is
+    # written after all runs: a symplectic divergence at h = 1 leaves only the
+    # problem and the two flow CSVs, the second one truncated
+    out = tmp_path / "fig"
+    assert main(["figure1", "--h-symplectic", "1.0", "--h-rk4", "1e-2", "--window-lo", "2",
+                 "--window-hi", "900", "--out-dir", str(out)]) == 3
+    assert "second-order flow diverged after t = 328" in capsys.readouterr().err
+    assert sorted(path.name for path in out.iterdir()) == [
+        "aadmm_flow.csv", "admm_flow.csv", "problem.json"]
+    assert (out / "aadmm_flow.csv").read_text().splitlines()[-1].startswith("truncated,")
+
+
 def test_figure1_rho_sweep_smoke(tmp_path):
     out = str(tmp_path / "fig")
     code = main(["figure1", "--seed", "5", "--max-iter", "40", "--h-rk4", "1e-2",

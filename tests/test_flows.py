@@ -1,5 +1,6 @@
 import math
 import sys
+import tracemalloc
 import warnings
 
 import numpy as np
@@ -8,7 +9,7 @@ import scipy.linalg
 
 import admmflow as af
 from admmflow.exceptions import DivergenceError
-from admmflow.flows import IntegratorConfig
+from admmflow.flows import IntegratorConfig, _flow_velocity
 
 from helpers import (GradCounter, as_callbacks, decimal_flow, rk4_reference,
                      second_order_rhs, with_g)
@@ -53,6 +54,50 @@ def test_rhs_descent_identity(figure1_problem):
         lhs = float(af.grad_V(figure1_problem, x) @ rhs)
         expected = -float(np.linalg.norm(figure1_problem.A @ rhs) ** 2)
         assert lhs == pytest.approx(expected, rel=1e-9)
+
+
+# normwise distance allowed between admm_flow_rhs and the flows' velocity, in
+# eps: fixed from one measurement, 3.6 at cond(A) = 1e2 in the test below
+RHS_VELOCITY_EPS = 8
+
+
+@pytest.mark.parametrize("cond_a", [1e2, 1e6])
+def test_rhs_matches_the_flow_velocity(cond_a):
+    # admm_flow_rhs applies the factor A = U R, the flows the pair P = R^-1 R^-T,
+    # Q = R^-1 U^T formed once per run: the same map, rounded apart
+    p = with_g(af.gen_figure1_problem(60, 40, 10.0, cond_a, seed=38), "dense")
+    velocity = _flow_velocity(p)
+    rng = np.random.default_rng(0)
+    for _ in range(20):
+        x = 5.0 * rng.standard_normal(p.n)
+        want = velocity(x)
+        assert (np.linalg.norm(af.admm_flow_rhs(p, x) - want)
+                <= RHS_VELOCITY_EPS * EPS * np.linalg.norm(want))
+
+
+def test_rhs_forms_no_n_by_n_matrix():
+    # a call at n = 480 takes less than one n x n float array (1.8 MB) beyond
+    # the factor the problem keeps; forming P and Q took two
+    p = with_g(af.gen_figure1_problem(480, 320, 10.0, 100.0, seed=38), "dense")
+    x = np.ones(p.n)
+    af.admm_flow_rhs(p, x)  # builds the factor
+    tracemalloc.start()
+    try:
+        before = tracemalloc.get_traced_memory()[0]
+        af.admm_flow_rhs(p, x)
+        peak = tracemalloc.get_traced_memory()[1] - before
+    finally:
+        tracemalloc.stop()
+    assert peak < p.n * p.n * 8
+
+
+def test_rhs_calls_no_gradient_at_a_non_finite_AX():
+    calls = []
+    f = af.CallbackFunction(lambda v: 0.0, lambda v: calls.append(v) or np.sign(v), 1)
+    p = af.SplitProblem(f, f, [[1e150]])
+    with np.errstate(over="ignore"):  # A X = inf
+        assert np.isnan(af.admm_flow_rhs(p, np.array([1e160]))).all()
+    assert calls == []
 
 
 def test_rk4_exponential_closed_form(one_d_problem):

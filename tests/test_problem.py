@@ -463,12 +463,27 @@ def test_serialization_rejects_callbacks(tmp_path):
         af.save_problem(p, tmp_path / "p.json")
 
 
-def test_load_rejects_malformed(tmp_path):
+def test_load_rejects_malformed(tmp_path, pd_2d_problem):
     path = tmp_path / "bad.json"
     for text in ('{"n": 2}', "not json"):
         path.write_text(text)
         with pytest.raises(ValueError, match=f"^{re.escape(str(path))}: "):
             af.load_problem(path)
+    # one malformed field per row, refused by name: n not a JSON integer, and
+    # arrays holding a string, only true/false or a null
+    af.save_problem(pd_2d_problem, path)
+    good = json.loads(path.read_text())
+    rows = [("n", 2.7, "n and m must be integers"), ("n", "2", "n and m must be integers"),
+            ("M_f", ["2", 0.0, 0.0, 1.0], "M_f must be an array of numbers"),
+            ("A", [True, False, False, True], "A must be an array of numbers"),
+            ("q_f", [1.0, None], "q_f must be an array of numbers")]
+    for field, value, message in rows:
+        path.write_text(json.dumps(dict(good, **{field: value})))
+        with pytest.raises(ValueError, match=f"^{re.escape(str(path))}: {message}"):
+            af.load_problem(path)
+    # a bool among numbers reads as 0 or 1
+    path.write_text(json.dumps(dict(good, q_f=[True, 0.5])))
+    assert np.array_equal(af.load_problem(path).f.q, [1.0, 0.5])
 
 
 def test_composite_objective_wrapper(pd_2d_problem):

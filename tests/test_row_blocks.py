@@ -20,8 +20,9 @@ from helpers import with_g
 # ROW_BLOCK rows of n floats, well under one copy of the run's samples
 VECTORS = 12
 BLOCKS = 4
-# what an in-process figure1 may hold beyond the trajectories it keeps: its
-# monitors, the overlay grid and the blocks of its products
+# what an in-process figure1 may hold beyond its largest run's samples: the
+# runs it keeps without X and X', its monitors, the overlay grid and the
+# blocks of its products
 FIGURE1_ALLOWANCE = 6 * 2**20
 
 
@@ -136,21 +137,24 @@ def test_products_over_a_long_run_stay_in_blocks(figure1_problem, figure1_x0, lo
 
 
 def test_figure1_holds_its_trajectories_and_little_more(tmp_path, monkeypatch):
-    # the trajectories figure1 keeps (its RK4 run is 20,001 x 60) plus a fixed
-    # allowance; a full copy of that run's samples (9.6 MB) does not fit
-    kept = []
+    # figure1 holds one flow run at a time: its largest run (RK4, 20,001 x 60,
+    # with X and X') plus a fixed allowance; a second run's samples (9.6 MB
+    # an array) do not fit. Each run's stored bytes are recorded, the run is
+    # not kept
+    stored = []
     run_to_csv = cli._run_to_csv
+    fields = ("t", "V", "v_gap", "X", "Xdot", "hamiltonian", "k", "primal_residual")
 
-    def keep(*args, **kwargs):
-        kept.append(run_to_csv(*args, **kwargs))
-        return kept[-1]
+    def record(*args, **kwargs):
+        traj = run_to_csv(*args, **kwargs)
+        stored.append((len(traj), sum(getattr(traj, name).nbytes for name in fields
+                                      if getattr(traj, name) is not None)))
+        return traj
 
-    monkeypatch.setattr(cli, "_run_to_csv", keep)
+    monkeypatch.setattr(cli, "_run_to_csv", record)
     peak = _traced_peak(lambda: cli.main(["figure1", "--seed", "38",
                                           "--out-dir", str(tmp_path)]))
-    fields = ("t", "V", "v_gap", "X", "Xdot", "hamiltonian", "k", "primal_residual")
-    held = sum(getattr(traj, name).nbytes for traj in kept for name in fields
-               if getattr(traj, name) is not None)
-    assert len(kept) == 4 and max(len(traj) for traj in kept) == 20_001
-    assert peak <= held + FIGURE1_ALLOWANCE, (
-        f"traced peak {peak} B exceeds the kept {held} B + {FIGURE1_ALLOWANCE} B")
+    largest = max(nbytes for _, nbytes in stored)
+    assert len(stored) == 4 and max(samples for samples, _ in stored) == 20_001
+    assert peak <= largest + FIGURE1_ALLOWANCE, (
+        f"traced peak {peak} B exceeds the largest run's {largest} B + {FIGURE1_ALLOWANCE} B")
