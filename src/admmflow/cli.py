@@ -29,7 +29,7 @@ from .analysis import (
     sup_discrepancy,
     write_monitor_csv,
 )
-from .discrete import run_aadmm, run_admm, time_scale
+from .discrete import _check_max_iter, run_aadmm, run_admm, time_scale
 from .exceptions import AdmmFlowError, DivergenceError
 from .flows import (
     DEFAULT_RK4_H,
@@ -107,10 +107,11 @@ def _driver(solver, *, rho, r, max_iter, stop_tol=0.0, h=None, t0=None, t_end=No
     and symplectic h = 1e-2, t0 = h; ``t_end`` None is where the matching
     discrete method's iterate ``max_iter`` sits."""
     budget = {"rho": rho, "max_iter": max_iter, "stop_tol": stop_tol}
-    if solver == "admm":
-        return run_admm, budget
-    if solver == "aadmm":
-        _check_damping(r)  # as run_aadmm would, but before any file is written
+    if solver in ("admm", "aadmm"):  # checked as the run would, before any file is written
+        _check_max_iter(max_iter)
+        if solver == "admm":
+            return run_admm, budget
+        _check_damping(r)
         return run_aadmm, dict(budget, r=r)
     accelerated = solver == "aadmm_flow"
     t_end = max_iter / time_scale(rho, accelerated) if t_end is None else t_end
@@ -124,6 +125,9 @@ def _driver(solver, *, rho, r, max_iter, stop_tol=0.0, h=None, t0=None, t_end=No
 
 
 def cmd_run(args):
+    for flag, value in (("--h", args.h), ("--t0", args.t0), ("--t-end", args.t_end)):
+        if value is not None and not any(s.endswith("_flow") for s in args.solver):
+            raise ValueError(f"{flag} applies only to the flow solvers admm_flow and aadmm_flow")
     problem = load_problem(args.problem)
     drivers = {solver: _driver(solver, rho=args.rho, r=args.r, max_iter=args.max_iter,
                                stop_tol=args.stop_tol, h=args.h, t0=args.t0, t_end=args.t_end)

@@ -49,7 +49,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .exceptions import NumericalError, UnsupportedFunctionError
-from .problem import _as_vector, _check_damping, _is_zero, _values, resolve_v_star
+from .problem import MAX_STEPS, _as_vector, _check_damping, _is_zero, _values, resolve_v_star
 from .trajectory import build_trajectory, divergence_error
 
 __all__ = [
@@ -284,12 +284,17 @@ def aadmm_step(problem, state, inner_solver=None):
     )
 
 
+def _check_max_iter(max_iter):
+    """Refuse fewer than 1 or (every iterate is stored) more than ``MAX_STEPS`` iterations."""
+    if not 1 <= max_iter <= MAX_STEPS:
+        raise ValueError(f"max_iter must be in [1, MAX_STEPS = {MAX_STEPS}], got {max_iter}")
+
+
 def _run(problem, start, args, max_iter, stop_tol, v_star, inner_solver):
+    _check_max_iter(max_iter)  # before any column of the run is allocated
     # a start that is not finite is reported below, at sample 0
     with np.errstate(over="ignore", invalid="ignore"):
         state = start(problem, *args)
-    if max_iter < 1:
-        raise ValueError("max_iter must be >= 1")
     v_star = resolve_v_star(problem, v_star)
     accelerated = isinstance(state, AccAdmmState)
     rho = state.rho

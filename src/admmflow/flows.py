@@ -34,13 +34,15 @@ the basis's backward error in units of eps. Callback problems take the
 four-stage RK4 step or the same symplectic step on the velocity
 ``-(P grad f(X) + Q grad g(A X))``, with ``P = (A^T A)^{-1} = R^{-1} R^{-T}``
 and ``Q = P A^T = R^{-1} U^T`` formed once per run from the problem's one
-factor ``A = U R`` (``SplitProblem._factor``) and not kept after it. One
-sampling loop runs every stepped flow; on callbacks it checks X before each
-velocity and X' before each step, RK4 checks each stage input before its
-velocity, and the velocity checks ``A X`` before it calls a gradient; each
-ends the run at the current sample when its input is not finite, so a
-callback is never called at a non-finite X or ``A X`` (V reads NaN at such
-a sample and calls neither function).
+factor ``A = U R`` (``SplitProblem._factor``) and not kept after it. Every
+stepped flow advances as ``X, X' = step(i, X, X')`` in one sampling loop,
+which checks X and X' once per ``FINITE_CHECK_EVERY`` samples, as the modal
+RK4 blocks are checked. A non-finite X or X' stays non-finite from step to
+step, so a diverged run stops at the next check, and :func:`_finish`
+reports its first non-finite sample. The one check before a gradient call
+is the velocity's: when ``A X`` is not finite (as for every non-finite X, A
+having full column rank) it returns NaN and calls neither gradient, so no
+callback sees a non-finite X or ``A X`` (V reads NaN there without a call).
 
 With ``A = I`` these reduce to plain gradient flow and to the damped
 oscillator flow of accelerated gradient descent.
@@ -53,7 +55,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .problem import (ROW_BLOCK, _a_sq_norms, _as_vector, _check_damping, _map_rows,
+from .problem import (MAX_STEPS, ROW_BLOCK, _a_sq_norms, _as_vector, _check_damping, _map_rows,
                       _row_blocks, _values, resolve_v_star)
 from .trajectory import build_trajectory, divergence_error
 
@@ -74,11 +76,8 @@ DEFAULT_SYMPLECTIC_H = 1e-2
 # (t_end - t0) / h may land just above a whole number of steps by rounding
 GRID_RTOL = 1e-9
 
-# every sample is stored, so a grid is bounded (50x the benchmark's 20,000 steps)
-MAX_STEPS = 10**6
-
-# rows per block of a quadratic flow run, and steps between the finiteness
-# checks of its loop: a diverged run stops within this many samples
+# rows per block of a modal RK4 run, and samples between the finiteness
+# checks of every other flow's loop: a diverged run stops within this many
 FINITE_CHECK_EVERY = ROW_BLOCK
 
 
@@ -136,8 +135,8 @@ def _flow_velocity(problem):
     U^T`` formed here from the problem's factor ``A = U R``, held only by the
     returned closure: three matrix-vector products and the two gradient
     calls. When ``A X`` is not finite it returns a NaN velocity and calls
-    neither gradient, so a sampling loop ends at the current sample. The
-    input is not validated; callers pass a vector of shape (n,)."""
+    neither gradient, the one check before a gradient call of a flow run.
+    The input is not validated; callers pass a vector of shape (n,)."""
     U, _, inv = problem._factor
     P, Q = inv @ inv.T, inv @ U.T
     f_grad, g_grad, A = problem.f.grad, problem.g.grad, problem.A
@@ -226,30 +225,22 @@ def _is_finite(v, zero):
     return math.isfinite(v.dot(zero))
 
 
-def _sample(columns, x, xdot, velocity, step, check_every):
+def _sample(columns, x, xdot, step):
     """Sampling loop of every stepped flow; returns the number of samples stored.
 
-    At sample i the loop stores X, then X', which is ``velocity(X)`` or,
-    with ``velocity`` None, the ``xdot`` the last step returned, and advances
-    with ``X, X' = step(i, X, X')``. Every ``check_every`` samples it stops
-    at a non-finite X before its velocity is taken and at a non-finite X'
-    before the step passes it on, so with ``check_every = 1`` no velocity is
-    taken at a non-finite sample. A step that meets a non-finite input of
-    its own returns it as the next X, which ends the run at sample i.
+    Sample i stores X and X', then ``X, X' = step(i, X, X')`` advances. At
+    the last sample of each block of ``FINITE_CHECK_EVERY`` the loop stops
+    when X or X' is not finite; neither becomes finite again, so the run
+    stops after the first block holding a non-finite sample, as
+    :func:`_modal_rk4` does.
     """
     xs, xds = columns["X"], columns["Xdot"]
-    n, zero = len(xs), np.zeros(len(x))
+    n = len(xs)
     with np.errstate(over="ignore", invalid="ignore"):
         for i in range(n):
-            check = i % check_every == 0
-            if check and not _is_finite(x, zero):
-                return i
-            xs[i] = x
-            if velocity is not None:
-                xdot = velocity(x)
-            xds[i] = xdot
-            if check and not _is_finite(xdot, zero):
-                return i + 1  # sample i is kept, and _finish stops there
+            xs[i], xds[i] = x, xdot
+            if (i + 1) % FINITE_CHECK_EVERY == 0 and not np.isfinite((x, xdot)).all():
+                return i + 1
             if i + 1 < n:
                 x, xdot = step(i, x, xdot)
     return n
@@ -319,20 +310,12 @@ def rk4_integrate(problem, x0, config, v_star=None):
         end = _modal_rk4(problem.modes, x, columns, h)
     else:
         rhs = _flow_velocity(problem)
-        half_h, sixth_h, zero = 0.5 * h, h / 6.0, np.zeros(problem.n)
+        half_h, sixth_h = 0.5 * h, h / 6.0
 
         def step(i, x, k1):
-            # each stage input x + c k is checked before its velocity; a
-            # non-finite one is returned as the next X, which the loop
-            # refuses, so the run ends at sample i
-            ks = [k1]
-            for c in (half_h, half_h, h):
-                y = ks[-1] * c
-                y += x
-                if not _is_finite(y, zero):
-                    return y, None
-                ks.append(rhs(y))
-            k1, k2, k3, k4 = ks
+            k2 = rhs(x + half_h * k1)
+            k3 = rhs(x + half_h * k2)
+            k4 = rhs(x + h * k3)
             # x + (h/6) (k1 + 2 k2 + 2 k3 + k4), summed left to right in place
             k2 *= 2.0
             k2 += k1
@@ -341,9 +324,11 @@ def rk4_integrate(problem, x0, config, v_star=None):
             k2 += k4
             k2 *= sixth_h
             k2 += x
-            return k2, None
+            return k2, rhs(k2)
 
-        end = _sample(columns, x, None, rhs, step, 1)
+        with np.errstate(over="ignore", invalid="ignore"):  # as in _sample: A x0 may overflow
+            xdot = rhs(x)
+        end = _sample(columns, x, xdot, step)
     return _finish(problem, columns, end, v_star, meta, "first-order flow")
 
 
@@ -369,12 +354,11 @@ def aadmm_flow_integrate(problem, x0, config, v_star=None):
         # the loop steps the mode coordinates (y, w) of (X, X') = phi (y, w)
         modes = problem.modes
         h_lam, h_beta = h * modes.lam, h * modes.beta
-        x, check_every = modes.coordinates(x), FINITE_CHECK_EVERY
+        x = modes.coordinates(x)
 
         def kick(y):
             return -(h_lam * y + h_beta)
     else:
-        check_every = 1
         velocity = _flow_velocity(problem)
 
         def kick(x):
@@ -386,7 +370,7 @@ def aadmm_flow_integrate(problem, x0, config, v_star=None):
         v = xdot + kick(x)
         return x + h * v, damping[i] * v
 
-    end = _sample(columns, x, np.zeros(problem.n), None, step, check_every)
+    end = _sample(columns, x, np.zeros(problem.n), step)
     if problem.is_quadratic:
         phi_t = modes.phi.T
         with np.errstate(over="ignore", invalid="ignore"):

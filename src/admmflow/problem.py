@@ -22,6 +22,7 @@ sigma_max``) can be run.
 from __future__ import annotations
 
 import json
+import math
 from dataclasses import dataclass
 from functools import cached_property
 
@@ -48,6 +49,10 @@ __all__ = [
 # last block is folded into the one before it: at n = 60 OpenBLAS rounded a
 # 147-row product unlike the same rows of one full product; 300+ rows did not
 ROW_BLOCK = 1024
+
+# every sample of a run is stored, so a flow grid and a discrete run are
+# bounded (50x the benchmark's 20,000 steps)
+MAX_STEPS = 10**6
 
 # normwise backward error of a stationary point that optimal_value accepts
 STATIONARY_BACKWARD_TOL = 1e-10
@@ -623,22 +628,29 @@ def save_problem(problem, path):
         fh.write("\n}\n")
 
 
-def _load_array(data, name):
-    """Field ``name`` of a problem file's data as a float array: one
-    ``np.asarray``, refused unless it reads numbers (integers within int64)."""
-    values = np.asarray(data[name])
+def _load_array(data, name, shape):
+    """Field ``name`` of a problem file's data as a float array of ``shape``:
+    one ``np.asarray``, refused unless it reads numbers (integers within
+    int64), flat or nested but not ragged, as many as ``shape`` holds."""
+    try:
+        values = np.asarray(data[name])
+    except ValueError as exc:  # numpy's "inhomogeneous shape"
+        raise ValueError(f"{name} must be an array of numbers; it is ragged") from exc
     if values.dtype.kind not in "iuf":  # bool (b), str (U) or object (O), as for a null
         raise ValueError(f"{name} must be an array of numbers; it reads as {values.dtype.name}: "
                          "a string, a null, only true/false or an integer beyond int64")
-    return values.astype(float, copy=False)
+    if values.size != math.prod(shape):
+        raise ValueError(f"{name} must hold {math.prod(shape)} numbers for shape {shape}, "
+                         f"got {values.size}")
+    return values.astype(float, copy=False).reshape(shape)
 
 
 def _load_quadratic(data, name, dim):
     """The quadratic ``name`` ("f" or "g") of a problem file's data; a
     ValueError of its fields is prefixed with ``name``."""
-    M, q = _load_array(data, f"M_{name}"), _load_array(data, f"q_{name}")
+    M, q = _load_array(data, f"M_{name}", (dim, dim)), _load_array(data, f"q_{name}", (dim,))
     try:
-        return QuadraticFunction(M.reshape(dim, dim), q)
+        return QuadraticFunction(M, q)
     except ValueError as exc:
         raise ValueError(f"{name}: {exc}") from exc
 
@@ -650,7 +662,8 @@ def load_problem(path):
     finite or otherwise invalid, raises ValueError prefixed with ``path``
     (and with ``f:`` or ``g:`` for the data of one function), e.g.
     ``p.json: f: M must be finite; M[0, 1] is nan``. ``n`` and ``m`` must be
-    JSON integers, and arrays numbers (a bool among numbers reads as 1 or 0).
+    JSON integers of at least 1, and arrays flat or nested lists of as many
+    numbers as their shape holds (a bool among numbers reads as 1 or 0).
     """
     try:
         with open(path, "r", encoding="utf-8") as fh:
@@ -658,8 +671,10 @@ def load_problem(path):
         n, m = data["n"], data["m"]
         if type(n) is not int or type(m) is not int:  # 4.0, "4" and true are not
             raise ValueError(f"n and m must be integers, got n = {n!r}, m = {m!r}")
+        if n < 1 or m < 1:
+            raise ValueError(f"n and m must be at least 1, got n = {n}, m = {m}")
         f, g = _load_quadratic(data, "f", n), _load_quadratic(data, "g", m)
-        A = _load_array(data, "A").reshape(m, n)
+        A = _load_array(data, "A", (m, n))
         return SplitProblem(
             f, g, A, seed=data.get("seed"), generator_params=data.get("generator_params")
         )

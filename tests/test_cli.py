@@ -152,6 +152,13 @@ def test_run_rejects_unknown_solver(tmp_path, one_d_file):
     (["run", "--solver", "aadmm_flow", "--t-end", "nan"], "t_end"),
     (["run", "--solver", "aadmm_flow", "--h", "inf"], "step size h"),
     (["figure1", "--h-rk4", "nan"], "step size h"),
+    # every iterate is stored: a discrete run is bounded as a flow grid is
+    (["run", "--solver", "admm", "--max-iter", "1000001"], "MAX_STEPS"),
+    (["figure1", "--max-iter", "1000001", "--h-rk4", "1", "--h-symplectic", "1"], "MAX_STEPS"),
+    # a flow grid flag with no flow solver to honour it is refused by name
+    (["run", "--solver", "admm", "--t-end", "5"], "--t-end"),
+    (["run", "--solver", "admm", "--solver", "aadmm", "--h", "0.1"], "--h"),
+    (["run", "--solver", "aadmm", "--t0", "1"], "--t0"),
 ], ids=["run-rho0", "run-rho-neg", "figure1-rho0", "figure1-rho-neg", "figure1-window",
         "figure1-rho-repeated", "figure1-rho-same-csv-name",
         "figure1-h-rk4", "figure1-h-symplectic", "figure1-t0", "figure1-r", "figure1-r-inf",
@@ -159,7 +166,8 @@ def test_run_rejects_unknown_solver(tmp_path, one_d_file):
         "run-h", "run-t-end", "run-max-iter", "run-r", "run-r-inf", "run-flow-r-inf",
         "run-x0-nan", "run-x0-inf", "run-stop-tol-nan", "figure1-overlay-points-bound",
         "run-flow-t0-nan", "run-flow-h-nan", "run-flow-t-end-nan", "run-flow-h-inf",
-        "figure1-h-rk4-nan"])
+        "figure1-h-rk4-nan", "run-max-iter-bound", "figure1-max-iter-bound",
+        "run-t-end-no-flow", "run-h-no-flow", "run-t0-no-flow"])
 def test_bad_numeric_flags_exit_2_before_any_work(tmp_path, one_d_file, capsys, argv, flag):
     out = tmp_path / "out"
     if argv[0] == "run":

@@ -1,4 +1,5 @@
 import dataclasses
+import tracemalloc
 import warnings
 
 import numpy as np
@@ -238,6 +239,20 @@ def test_nan_inner_solver_raises_divergence(one_d_problem, r, bad):
     partial = err.value.trajectory
     assert np.array_equal(partial.k, [0, 1])
     assert np.all(np.isfinite(partial.X)) and np.all(np.isfinite(partial.v_gap))
+
+
+def test_run_over_max_steps_is_refused_before_it_allocates(one_d_problem):
+    # every iterate is stored, so a run is bounded as a flow grid is: MAX_STEPS
+    # + 1 iterations (five 8 MB columns at n = 1) are refused by name before
+    # any column is allocated
+    tracemalloc.start()
+    try:
+        with pytest.raises(ValueError, match=r"max_iter must be in \[1, MAX_STEPS = 1000000\]"):
+            af.run_admm(one_d_problem, [1.0], rho=1.0, max_iter=af.flows.MAX_STEPS + 1)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 2**20
 
 
 def test_parameter_validation(one_d_problem, pd_2d_problem):

@@ -158,9 +158,9 @@ def test_diverged_quadratic_run_stops_within_a_check_block(one_d_problem, monkey
 def test_diverged_symplectic_run_stops_within_a_check_block(monkeypatch):
     # symplectic Euler at h^2 lam = 100 > 4 grows about 98-fold per step, so
     # V = 50 X^2 overflows within the first hundred of 10^5 steps; the
-    # quadratic loop checks its mode coordinates every FINITE_CHECK_EVERY
-    # samples and stops at the first check, before storing the non-finite
-    # sample, so V is evaluated on FINITE_CHECK_EVERY samples only
+    # quadratic loop checks its mode coordinates at the last sample of each
+    # block of FINITE_CHECK_EVERY and stops at the first check, so V is
+    # evaluated on FINITE_CHECK_EVERY samples only
     stiff = af.SplitProblem(af.QuadraticFunction([[100.0]]), af.QuadraticFunction.zero(1), [[1.0]])
     rows = []
     values = af.flows._values
@@ -588,6 +588,30 @@ def test_callback_rk4_stops_at_non_finite_velocity():
     assert np.all(np.isfinite(partial.X)) and np.all(np.isfinite(partial.Xdot))
 
 
+def test_callback_rk4_checks_its_loop_once_per_block(monkeypatch):
+    # the gradient of the test above overflows at call 21, X' at sample 5, now
+    # on a grid longer than one block: the loop checks X and X' once per
+    # FINITE_CHECK_EVERY samples, so V is evaluated on that block. The steps
+    # after sample 5 run on NaN and call no gradient (the velocity's A X
+    # check), and the run is reported at its first non-finite sample
+    calls, rows = [], []
+
+    def grad(x):
+        calls.append(1)
+        return np.full(1, 1e308) if len(calls) >= 21 else x
+
+    values = af.flows._values
+    monkeypatch.setattr(af.flows, "_values", lambda p, xs: rows.append(len(xs)) or values(p, xs))
+    f = af.CallbackFunction(lambda x: 0.5 * float(x @ x), grad, 1)
+    p = af.SplitProblem(f, af.QuadraticFunction.zero(1), [[0.1]])
+    config = IntegratorConfig(h=0.1, t0=0.0, t_end=200.0)
+    with pytest.raises(DivergenceError, match=r"after t = 0\.4$") as err:
+        af.rk4_integrate(p, np.array([1.0]), config, v_star=0.0)
+    assert len(calls) == 21
+    assert rows == [af.flows.FINITE_CHECK_EVERY] and rows[0] < config.n_steps
+    assert len(err.value.trajectory) == 5
+
+
 @pytest.mark.parametrize("bad_call", [22, 23, 24], ids=["k2", "k3", "k4"])
 def test_callback_rk4_stops_before_a_non_finite_stage_input(bad_call):
     # as above, but the gradient overflows at a later stage of the step from
@@ -722,8 +746,10 @@ def test_callback_flow_work_per_step(pd_2d_problem, flow):
 def test_callback_symplectic_run_stops_before_a_non_finite_input():
     # symplectic Euler on f = 50 x^2, A = 1 at h = 1 grows about 98-fold per
     # step; behind callbacks the run stops where the quadratic path reports
-    # divergence, and no callback sees a non-finite input
-    seen = []
+    # divergence, and no callback sees a non-finite input. V overflows at
+    # sample 77 and X at sample 155: the loop steps on to the end of its check
+    # block, with one gradient per step while X is finite and none after
+    seen, grads = [], []
 
     def value(x):
         seen.append(bool(np.isfinite(x).all()))
@@ -731,6 +757,7 @@ def test_callback_symplectic_run_stops_before_a_non_finite_input():
 
     def grad(x):
         seen.append(bool(np.isfinite(x).all()))
+        grads.append(1)
         return 100.0 * x
 
     quad = af.SplitProblem(af.QuadraticFunction([[100.0]]), af.QuadraticFunction.zero(1), [[1.0]])
@@ -742,6 +769,7 @@ def test_callback_symplectic_run_stops_before_a_non_finite_input():
         assert len(err.value.trajectory) == 77
         assert err.value.t_last == err.value.trajectory.t[-1] == 77.0
     assert seen and all(seen)
+    assert len(grads) == 155
 
 
 def test_modal_flows_record_their_backward_error(pd_2d_problem):

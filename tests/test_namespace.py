@@ -1,3 +1,4 @@
+import ast
 import os
 import subprocess
 import sys
@@ -15,6 +16,29 @@ def test_namespace_reexports_exactly_the_module_all_lists():
     exported = {name for name, value in vars(af).items()
                 if not name.startswith("_") and not isinstance(value, types.ModuleType)}
     assert exported == declared
+
+
+def test_every_private_module_name_is_loaded():
+    # a module-level private name (a helper, class or constant) defined in the
+    # package is loaded somewhere in it: one left without a caller is dead code
+    src = os.path.dirname(af.__file__)
+    trees = []
+    for name in sorted(os.listdir(src)):
+        if name.endswith(".py"):
+            with open(os.path.join(src, name), encoding="utf-8") as fh:
+                trees.append(ast.parse(fh.read(), name))
+    defined = set()
+    for node in (node for tree in trees for node in tree.body):
+        if isinstance(node, (ast.FunctionDef, ast.ClassDef)):
+            defined.add(node.name)
+        elif isinstance(node, (ast.Assign, ast.AnnAssign)):
+            targets = node.targets if isinstance(node, ast.Assign) else [node.target]
+            defined.update(n.id for t in targets for n in ast.walk(t) if isinstance(n, ast.Name))
+    private = {name for name in defined if name.startswith("_") and not name.startswith("__")}
+    loaded = {node.id for tree in trees for node in ast.walk(tree)
+              if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load)}
+    assert len(private) >= 38  # the check sees the package's helpers
+    assert sorted(private - loaded) == []
 
 
 def test_cli_imports_no_scipy():

@@ -469,14 +469,22 @@ def test_load_rejects_malformed(tmp_path, pd_2d_problem):
         path.write_text(text)
         with pytest.raises(ValueError, match=f"^{re.escape(str(path))}: "):
             af.load_problem(path)
-    # one malformed field per row, refused by name: n not a JSON integer, and
-    # arrays holding a string, only true/false or a null
+    # one malformed field per row, refused by name: n not a JSON integer or
+    # below 1, arrays holding a string, only true/false or a null, and arrays
+    # ragged or of the wrong size (n = m = 2)
     af.save_problem(pd_2d_problem, path)
     good = json.loads(path.read_text())
     rows = [("n", 2.7, "n and m must be integers"), ("n", "2", "n and m must be integers"),
             ("M_f", ["2", 0.0, 0.0, 1.0], "M_f must be an array of numbers"),
             ("A", [True, False, False, True], "A must be an array of numbers"),
-            ("q_f", [1.0, None], "q_f must be an array of numbers")]
+            ("q_f", [1.0, None], "q_f must be an array of numbers"),
+            ("M_f", [[1, 2], [3]], "M_f must be an array of numbers; it is ragged$"),
+            ("A", 3.0, r"A must hold 4 numbers for shape \(2, 2\), got 1$"),
+            ("A", [1.0, 0.0, 0.0, 1.0, 0.0], r"A must hold 4 numbers for shape \(2, 2\), got 5$"),
+            ("q_g", [0.2], r"q_g must hold 2 numbers for shape \(2,\), got 1$"),
+            ("n", -1, "n and m must be at least 1, got n = -1, m = 2$"),
+            ("n", 0, "n and m must be at least 1, got n = 0, m = 2$"),
+            ("m", 0, "n and m must be at least 1, got n = 2, m = 0$")]
     for field, value, message in rows:
         path.write_text(json.dumps(dict(good, **{field: value})))
         with pytest.raises(ValueError, match=f"^{re.escape(str(path))}: {message}"):
