@@ -45,6 +45,7 @@ __all__ = [
 ]
 
 GAP_FLOOR = 1e-14  # objective gaps below this are treated as solver noise
+MIN_FIT_SAMPLES = 10  # samples a rate-fit window must hold
 
 
 @dataclass
@@ -188,7 +189,7 @@ def fit_rate(traj, window, slope_target=None):
     traj : Trajectory
         The gaps are its ``v_gap``.
     window : (t_lo, t_hi)
-        Fit window, ``0 < t_lo < t_hi``; must contain >= 10 samples.
+        Fit window, ``0 < t_lo < t_hi``; must contain >= ``MIN_FIT_SAMPLES`` samples.
     slope_target : float, optional
         Reference exponent (e.g. -1 or -2), finite. The constant is
         ``C = max gap * t^(-slope_target)`` over the window, so that
@@ -213,8 +214,9 @@ def fit_rate(traj, window, slope_target=None):
     mask = ~((traj.t < t_lo) | (traj.t > t_hi))  # a NaN t is kept, to be refused
     t = traj.t[mask]
     gap = traj.v_gap[mask]
-    if t.size < 10:
-        raise ValueError(f"window contains {t.size} samples; at least 10 are required")
+    if t.size < MIN_FIT_SAMPLES:
+        raise ValueError(f"window contains {t.size} samples; at least {MIN_FIT_SAMPLES} are "
+                         "required")
     bad = ~(np.isfinite(t) & np.isfinite(gap))
     if bad.any():
         raise ValueError(f"sample time or objective gap is not finite at t = {t[bad][0]:.6g}")

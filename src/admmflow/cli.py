@@ -20,6 +20,7 @@ import numpy as np
 
 from . import __version__
 from .analysis import (
+    MIN_FIT_SAMPLES,
     RateFit,
     fit_rate,
     monitor_aadmm_rate,
@@ -125,9 +126,13 @@ def _driver(solver, *, rho, r, max_iter, stop_tol=0.0, h=None, t0=None, t_end=No
 
 
 def cmd_run(args):
+    flows = [solver for solver in args.solver if solver.endswith("_flow")]
     for flag, value in (("--h", args.h), ("--t0", args.t0), ("--t-end", args.t_end)):
-        if value is not None and not any(s.endswith("_flow") for s in args.solver):
+        if value is not None and not flows:
             raise ValueError(f"{flag} applies only to the flow solvers admm_flow and aadmm_flow")
+    if args.max_iter_given and args.t_end is not None and len(flows) == len(args.solver):
+        raise ValueError("--max-iter sets the discrete solvers' budget and a flow's default "
+                         "--t-end; with --t-end given and no discrete solver it has no use")
     problem = load_problem(args.problem)
     drivers = {solver: _driver(solver, rho=args.rho, r=args.r, max_iter=args.max_iter,
                                stop_tol=args.stop_tol, h=args.h, t0=args.t0, t_end=args.t_end)
@@ -182,6 +187,14 @@ def cmd_figure1(args):
                       f"{' '.join(f'{value:g}' for value in rhos)}", file=sys.stderr)
                 return EXIT_USAGE
             runs[stem(solver, rho)] = _driver(solver, rho=rho, r=args.r, max_iter=args.max_iter)
+    for solver in ("admm_flow", "aadmm_flow"):  # fit_rate's count, on the grid a run samples
+        ts = runs[solver][1]["config"].times()
+        inside = np.count_nonzero((ts >= args.window_lo) & (ts <= args.window_hi))
+        if inside < MIN_FIT_SAMPLES:
+            print(f"error: rate-fit window [{args.window_lo:g}, {args.window_hi:g}] holds "
+                  f"{inside} samples of the {solver} grid; at least {MIN_FIT_SAMPLES} are "
+                  "required", file=sys.stderr)
+            return EXIT_USAGE
     outdir = args.out_dir or os.path.join(_default_outdir(), "figure1_out")
     os.makedirs(outdir, exist_ok=True)
     t_start = time.perf_counter()
@@ -302,11 +315,20 @@ def cmd_rates(args):
     return EXIT_CHECK_FAILED
 
 
-def _figure1_default(parser, flag, type, help=None):
+def _figure1_default(parser, flag, type, help=None, **kwargs):
     """Add ``flag`` with its default from :data:`FIGURE1`, named in its help."""
     default = FIGURE1[flag[2:].replace("-", "_")]
     parser.add_argument(flag, type=type, default=default,
-                        help=help and f"{help} (default {default:g})")
+                        help=help and f"{help} (default {default:g})", **kwargs)
+
+
+class _NoteGiven(argparse.Action):
+    """Store the value and set ``<dest>_given``, so that a command can refuse
+    a flag it has no use for while its default still shows in ``--help``."""
+
+    def __call__(self, parser, namespace, values, option_string=None):
+        setattr(namespace, self.dest, values)
+        setattr(namespace, f"{self.dest}_given", True)
 
 
 def build_parser():
@@ -343,7 +365,8 @@ def build_parser():
     _figure1_default(run, "--rho", _finite(float, positive=True), "penalty parameter")
     _figure1_default(run, "--r", float, "damping parameter")
     _figure1_default(run, "--max-iter", _finite(int, positive=True),
-                     "iteration budget; also sets default flow t-end via the method time scale")
+                     "iteration budget; also sets default flow t-end via the method time scale",
+                     action=_NoteGiven)
     run.add_argument("--stop-tol", type=_finite(float), default=0.0,
                      help="early-stop tolerance on primal residual + z movement (default 0: "
                           "stops only at an exact fixed point)")
@@ -355,7 +378,7 @@ def build_parser():
                      help="flow end time (default max_iter * method time scale)")
     _figure1_default(run, "--x0", _finite(float), "initial point, replicated across coordinates")
     run.add_argument("--out-dir", default=None, help=f"output directory (default ${OUTDIR_ENV} or .)")
-    run.set_defaults(func=cmd_run)
+    run.set_defaults(func=cmd_run, max_iter_given=False)
 
     fig = sub.add_parser(
         "figure1",

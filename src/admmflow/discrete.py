@@ -49,7 +49,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .exceptions import NumericalError, UnsupportedFunctionError
-from .problem import MAX_STEPS, _as_vector, _check_damping, _is_zero, _values, resolve_v_star
+from .problem import (MAX_STEPS, _as_vector, _check_damping, _check_finite, _is_zero, _values,
+                      resolve_v_star)
 from .trajectory import build_trajectory, divergence_error
 
 __all__ = [
@@ -114,8 +115,9 @@ def time_scale(rho, accelerated):
 
 
 def initial_admm_state(problem, x0, rho):
-    """Start state with z0 = A x0 and u0 = 0."""
+    """Start state with z0 = A x0 and u0 = 0; a NaN or inf entry of x0 is refused by name."""
     x0 = np.array(_as_vector(x0, problem.n, "x0"))
+    _check_finite(x0, "x0")
     return AdmmState(x=x0, z=problem.A @ x0, u=np.zeros(problem.m), k=0, rho=rho)
 
 
@@ -292,7 +294,7 @@ def _check_max_iter(max_iter):
 
 def _run(problem, start, args, max_iter, stop_tol, v_star, inner_solver):
     _check_max_iter(max_iter)  # before any column of the run is allocated
-    # a start that is not finite is reported below, at sample 0
+    # a finite x0 whose A x0 overflows is reported below, at sample 0
     with np.errstate(over="ignore", invalid="ignore"):
         state = start(problem, *args)
     v_star = resolve_v_star(problem, v_star)

@@ -33,13 +33,17 @@ X' are products with ``phi^T``, and ``meta["modal_backward_error"]`` records
 the basis's backward error in units of eps. Callback problems take the
 four-stage RK4 step or the same symplectic step on the velocity
 ``-(P grad f(X) + Q grad g(A X))``, with ``P = (A^T A)^{-1} = R^{-1} R^{-T}``
-and ``Q = P A^T = R^{-1} U^T`` formed once per run from the problem's one
-factor ``A = U R`` (``SplitProblem._factor``) and not kept after it. Every
+and ``Q = P A^T = R^{-1} U^T`` stacked once per run into one operator
+``-[P | Q]`` from the problem's one factor ``A = U R``
+(``SplitProblem._factor``) and not kept after it, so a velocity is one
+product with the stacked gradients; RK4 keeps its four stages as the rows
+of one matrix and advances X by one weighted product of them. Every
 stepped flow advances as ``X, X' = step(i, X, X')`` in one sampling loop,
 which checks X and X' once per ``FINITE_CHECK_EVERY`` samples, as the modal
 RK4 blocks are checked. A non-finite X or X' stays non-finite from step to
 step, so a diverged run stops at the next check, and :func:`_finish`
-reports its first non-finite sample. The one check before a gradient call
+reports its first non-finite sample; a non-finite x0 is refused by name
+before a run starts. The one check before a gradient call
 is the velocity's: when ``A X`` is not finite (as for every non-finite X, A
 having full column rank) it returns NaN and calls neither gradient, so no
 callback sees a non-finite X or ``A X`` (V reads NaN there without a call).
@@ -55,8 +59,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .problem import (MAX_STEPS, ROW_BLOCK, _a_sq_norms, _as_vector, _check_damping, _map_rows,
-                      _row_blocks, _values, resolve_v_star)
+from .problem import (MAX_STEPS, ROW_BLOCK, _a_sq_norms, _as_vector, _check_damping,
+                      _check_finite, _map_rows, _row_blocks, _values, resolve_v_star)
 from .trajectory import build_trajectory, divergence_error
 
 __all__ = [
@@ -128,27 +132,39 @@ class IntegratorConfig:
     def n_steps(self):
         return math.ceil((self.t_end - self.t0) / self.h - GRID_RTOL)
 
+    def times(self):
+        """The grid's sample times ``t0 + h k``, k = 0 .. n_steps."""
+        return self.t0 + self.h * np.arange(self.n_steps + 1)
+
 
 def _flow_velocity(problem):
     """The velocity ``X -> -(P grad f(X) + Q grad g(A X))`` of the first-order
     flow, with ``P = (A^T A)^{-1} = R^{-1} R^{-T}`` and ``Q = P A^T = R^{-1}
-    U^T`` formed here from the problem's factor ``A = U R``, held only by the
-    returned closure: three matrix-vector products and the two gradient
-    calls. When ``A X`` is not finite it returns a NaN velocity and calls
-    neither gradient, the one check before a gradient call of a flow run.
-    The input is not validated; callers pass a vector of shape (n,)."""
+    U^T`` from the problem's factor ``A = U R``. The stacked operator ``-[P |
+    Q]`` (n x (n + m)) and one gradient buffer of length n + m are formed
+    here and held only by the returned closure: a call is ``A X``, the two
+    gradient calls written into the buffer and one product, written into
+    ``out`` when given. When ``A X`` is not finite the buffer is NaN and
+    neither gradient is called, the one check before a gradient call of a
+    flow run. The input is not validated; callers pass a vector of shape
+    (n,)."""
     U, _, inv = problem._factor
-    P, Q = inv @ inv.T, inv @ U.T
+    n = problem.n
+    op = np.concatenate((inv @ inv.T, inv @ U.T), axis=1)
+    np.negative(op, out=op)
+    grads = np.empty(n + problem.m)
+    grad_f, grad_g = grads[:n], grads[n:]
     f_grad, g_grad, A = problem.f.grad, problem.g.grad, problem.A
     zero = np.zeros(problem.m)
 
-    def velocity(x):
+    def velocity(x, out=None):
         ax = A @ x
-        if not _is_finite(ax, zero):
-            return np.full(len(x), np.nan)
-        v = P @ f_grad(x)
-        v += Q @ g_grad(ax)
-        return np.negative(v, out=v)
+        if _is_finite(ax, zero):
+            grad_f[...] = f_grad(x)
+            grad_g[...] = g_grad(ax)
+        else:
+            grads.fill(np.nan)
+        return op.dot(grads, out)
 
     return velocity
 
@@ -170,8 +186,10 @@ def admm_flow_rhs(problem, X):
 def _start(problem, x0, config, v_star, method, integrator, r=None):
     """``x0`` as a vector, the resolved ``v_star``, the run meta (with ``r``
     when given, and the modal backward error of a quadratic problem) and the
-    preallocated columns ``t``, ``X`` and ``Xdot`` of the config's grid."""
+    preallocated columns ``t``, ``X`` and ``Xdot`` of the config's grid. A NaN
+    or inf entry of x0 is refused by name before anything else is done."""
     x = np.array(_as_vector(x0, problem.n, "x0"))
+    _check_finite(x, "x0")
     v_star = resolve_v_star(problem, v_star)
     meta = {"method": method, "integrator": integrator, "h": config.h, "t0": config.t0,
             "t_end": config.t_end}
@@ -179,9 +197,9 @@ def _start(problem, x0, config, v_star, method, integrator, r=None):
         meta["r"] = r
     if problem.is_quadratic:
         meta["modal_backward_error"] = problem.modes.backward_error
-    n = config.n_steps + 1
-    columns = {"t": config.t0 + config.h * np.arange(n),
-               "X": np.empty((n, problem.n)), "Xdot": np.empty((n, problem.n))}
+    ts = config.times()
+    shape = (len(ts), problem.n)
+    columns = {"t": ts, "X": np.empty(shape), "Xdot": np.empty(shape)}
     return x, v_star, meta, columns
 
 
@@ -310,24 +328,21 @@ def rk4_integrate(problem, x0, config, v_star=None):
         end = _modal_rk4(problem.modes, x, columns, h)
     else:
         rhs = _flow_velocity(problem)
-        half_h, sixth_h = 0.5 * h, h / 6.0
+        half_h = 0.5 * h
+        stages = np.empty((4, problem.n))
+        k1, k2, k3, k4 = stages  # rows the velocity writes; k1 is each sample's X'
+        weights = (h / 6.0) * np.array([1.0, 2.0, 2.0, 1.0])
 
         def step(i, x, k1):
-            k2 = rhs(x + half_h * k1)
-            k3 = rhs(x + half_h * k2)
-            k4 = rhs(x + h * k3)
-            # x + (h/6) (k1 + 2 k2 + 2 k3 + k4), summed left to right in place
-            k2 *= 2.0
-            k2 += k1
-            k3 *= 2.0
-            k2 += k3
-            k2 += k4
-            k2 *= sixth_h
-            k2 += x
-            return k2, rhs(k2)
+            rhs(x + half_h * k1, k2)
+            rhs(x + half_h * k2, k3)
+            rhs(x + h * k3, k4)
+            x_next = weights.dot(stages)  # (h/6) (k1 + 2 k2 + 2 k3 + k4)
+            x_next += x
+            return x_next, rhs(x_next, k1)
 
         with np.errstate(over="ignore", invalid="ignore"):  # as in _sample: A x0 may overflow
-            xdot = rhs(x)
+            xdot = rhs(x, k1)
         end = _sample(columns, x, xdot, step)
     return _finish(problem, columns, end, v_star, meta, "first-order flow")
 

@@ -159,6 +159,12 @@ def test_run_rejects_unknown_solver(tmp_path, one_d_file):
     (["run", "--solver", "admm", "--t-end", "5"], "--t-end"),
     (["run", "--solver", "admm", "--solver", "aadmm", "--h", "0.1"], "--h"),
     (["run", "--solver", "aadmm", "--t0", "1"], "--t0"),
+    # --max-iter only sets a flow's default t_end: with --t-end and no
+    # discrete solver it would be ignored
+    (["run", "--solver", "admm_flow", "--t-end", "1", "--max-iter", "5"], "--max-iter"),
+    # a rate window that a flow grid cannot fill is refused before any run
+    (["figure1", "--window-lo", "2", "--window-hi", "2.001"], "window [2, 2.001]"),
+    (["figure1", "--window-lo", "2", "--window-hi", "2.05"], "aadmm_flow grid"),
 ], ids=["run-rho0", "run-rho-neg", "figure1-rho0", "figure1-rho-neg", "figure1-window",
         "figure1-rho-repeated", "figure1-rho-same-csv-name",
         "figure1-h-rk4", "figure1-h-symplectic", "figure1-t0", "figure1-r", "figure1-r-inf",
@@ -167,7 +173,8 @@ def test_run_rejects_unknown_solver(tmp_path, one_d_file):
         "run-x0-nan", "run-x0-inf", "run-stop-tol-nan", "figure1-overlay-points-bound",
         "run-flow-t0-nan", "run-flow-h-nan", "run-flow-t-end-nan", "run-flow-h-inf",
         "figure1-h-rk4-nan", "run-max-iter-bound", "figure1-max-iter-bound",
-        "run-t-end-no-flow", "run-h-no-flow", "run-t0-no-flow"])
+        "run-t-end-no-flow", "run-h-no-flow", "run-t0-no-flow", "run-max-iter-no-discrete",
+        "figure1-window-few-samples", "figure1-window-few-symplectic-samples"])
 def test_bad_numeric_flags_exit_2_before_any_work(tmp_path, one_d_file, capsys, argv, flag):
     out = tmp_path / "out"
     if argv[0] == "run":

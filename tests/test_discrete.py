@@ -10,6 +10,7 @@ from admmflow import discrete
 from admmflow.cli import main
 from admmflow.discrete import _operators, momentum_coefficient
 from admmflow.exceptions import DivergenceError, NumericalError, UnsupportedFunctionError
+from admmflow.flows import IntegratorConfig
 
 from helpers import GradCounter, as_callbacks, cg_minimize, decimal_admm, with_g
 
@@ -747,10 +748,29 @@ def test_non_positive_definite_subproblem_is_refused():
 
 @pytest.mark.parametrize("bad", [np.nan, np.inf])
 def test_non_finite_start_raises_at_sample_0(pd_2d_problem, bad):
+    # a non-finite start point is an input fault, not a divergence: each run
+    # refuses it by name before any column (16 MB of X on these 10^6-sample
+    # runs) is allocated and before any callback is called
+    calls = {}
+    p = as_callbacks(pd_2d_problem, calls)
     x0 = np.array([bad, 1.0])
-    for run in (lambda: af.run_admm(pd_2d_problem, x0, rho=2.0, max_iter=10),
-                lambda: af.run_aadmm(pd_2d_problem, x0, rho=2.0, r=3.0, max_iter=10)):
-        with pytest.raises(DivergenceError) as err:
-            run()
-        assert err.value.t_last == 0.0
-        assert err.value.trajectory is None
+    steps = af.flows.MAX_STEPS
+    runs = (
+        lambda: af.run_admm(p, x0, rho=2.0, max_iter=steps, v_star=0.0, inner_solver=cg_minimize),
+        lambda: af.run_aadmm(p, x0, rho=2.0, r=3.0, max_iter=steps, v_star=0.0,
+                             inner_solver=cg_minimize),
+        lambda: af.rk4_integrate(p, x0, IntegratorConfig(h=1.0, t0=0.0, t_end=steps),
+                                 v_star=0.0),
+        lambda: af.aadmm_flow_integrate(p, x0, IntegratorConfig(h=1.0, t0=1.0, t_end=steps + 1,
+                                                                r=3.0), v_star=0.0),
+    )
+    for run in runs:
+        tracemalloc.start()
+        try:
+            with pytest.raises(ValueError, match=rf"x0 must be finite; x0\[0\] is {bad!r}"):
+                run()
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 2**20
+    assert calls == {}

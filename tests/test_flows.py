@@ -57,14 +57,16 @@ def test_rhs_descent_identity(figure1_problem):
 
 
 # normwise distance allowed between admm_flow_rhs and the flows' velocity, in
-# eps: fixed from one measurement, 3.6 at cond(A) = 1e2 in the test below
+# eps: fixed from one measurement, 3.6 at cond(A) = 1e2 in the test below (at
+# most 3.6 at every cond(A) it runs, with the stacked operator)
 RHS_VELOCITY_EPS = 8
 
 
-@pytest.mark.parametrize("cond_a", [1e2, 1e6])
+@pytest.mark.parametrize("cond_a", [1e2, 1e6, 1e8, 9e9])
 def test_rhs_matches_the_flow_velocity(cond_a):
-    # admm_flow_rhs applies the factor A = U R, the flows the pair P = R^-1 R^-T,
-    # Q = R^-1 U^T formed once per run: the same map, rounded apart
+    # admm_flow_rhs applies the factor A = U R, the flows one stacked operator
+    # -[P | Q], P = R^-1 R^-T, Q = R^-1 U^T, formed once per run: the same map,
+    # rounded apart
     p = with_g(af.gen_figure1_problem(60, 40, 10.0, cond_a, seed=38), "dense")
     velocity = _flow_velocity(p)
     rng = np.random.default_rng(0)
