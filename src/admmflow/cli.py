@@ -75,6 +75,13 @@ def _finite(convert, positive=False):
     return parse
 
 
+def _seed(text):
+    """argparse type of ``--seed``: a non-negative integer, as numpy's generator takes."""
+    if not text.strip().isdecimal():
+        raise argparse.ArgumentTypeError(f"must be a non-negative integer, got {text!r}")
+    return int(text)
+
+
 def cmd_gen(args):
     problem = gen_figure1_problem(
         args.n, args.zero_eigs, args.eig_hi, args.cond_a, seed=args.seed, m=args.m
@@ -345,7 +352,7 @@ def build_parser():
     _figure1_default(gen, "--eig-hi", float, "upper end of the nonzero eigenvalue range")
     _figure1_default(gen, "--cond-a", float, "condition number of A")
     gen.add_argument("--m", type=int, default=None, help="rows of A (default n)")
-    gen.add_argument("--seed", type=int, default=7, help="RNG seed (default 7)")
+    gen.add_argument("--seed", type=_seed, default=7, help="RNG seed (default 7)")
     gen.add_argument("--out", default=None,
                      help="output path (default <outdir>/problem.json)")
     gen.set_defaults(func=cmd_gen)
@@ -390,7 +397,7 @@ def build_parser():
                "aadmm_vs_flow; overlay.csv t plus one V-gap column per "
                "method; report.json index written last.",
     )
-    _figure1_default(fig, "--seed", int, "problem seed")
+    _figure1_default(fig, "--seed", _seed, "problem seed")
     fig.add_argument("--rho", type=_finite(float, positive=True), action="append",
                      help=f"penalty parameter, repeatable for a sweep (default {FIGURE1['rho']:g})")
     _figure1_default(fig, "--r", float, "damping parameter")

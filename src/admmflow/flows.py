@@ -36,8 +36,12 @@ four-stage RK4 step or the same symplectic step on the velocity
 and ``Q = P A^T = R^{-1} U^T`` stacked once per run into one operator
 ``-[P | Q]`` from the problem's one factor ``A = U R``
 (``SplitProblem._factor``) and not kept after it, so a velocity is one
-product with the stacked gradients; RK4 keeps its four stages as the rows
-of one matrix and advances X by one weighted product of them. Every
+product with the stacked gradients, each written into one buffer by its
+function's ``_grad_into``, the one conversion of a gradient, which refuses
+a callback result that is not a vector of the function's dimension. RK4
+keeps X and its four stages as the rows of one 5 x n matrix, and forms
+each stage input and the next X as one product of a coefficient row with
+its leading rows, written into one buffer. Every
 stepped flow advances as ``X, X' = step(i, X, X')`` in one sampling loop,
 which checks X and X' once per ``FINITE_CHECK_EVERY`` samples, as the modal
 RK4 blocks are checked. A non-finite X or X' stays non-finite from step to
@@ -143,25 +147,29 @@ def _flow_velocity(problem):
     U^T`` from the problem's factor ``A = U R``. The stacked operator ``-[P |
     Q]`` (n x (n + m)) and one gradient buffer of length n + m are formed
     here and held only by the returned closure: a call is ``A X``, the two
-    gradient calls written into the buffer and one product, written into
-    ``out`` when given. When ``A X`` is not finite the buffer is NaN and
-    neither gradient is called, the one check before a gradient call of a
-    flow run. The input is not validated; callers pass a vector of shape
-    (n,)."""
+    gradients written into the buffer by ``f._grad_into`` and
+    ``g._grad_into`` (the one conversion of each, which refuses a callback
+    result that is not a vector of the function's dimension) and one
+    product, written into ``out`` when given. When ``A X`` is not finite the
+    buffer is NaN and neither gradient is called, the one check before a
+    gradient call of a flow run. The input is not validated; callers pass a
+    vector of shape (n,), which may be a buffer the caller reuses."""
     U, _, inv = problem._factor
     n = problem.n
     op = np.concatenate((inv @ inv.T, inv @ U.T), axis=1)
     np.negative(op, out=op)
     grads = np.empty(n + problem.m)
     grad_f, grad_g = grads[:n], grads[n:]
-    f_grad, g_grad, A = problem.f.grad, problem.g.grad, problem.A
+    f_grad, g_grad, A = problem.f._grad_into, problem.g._grad_into, problem.A
     zero = np.zeros(problem.m)
 
     def velocity(x, out=None):
-        ax = A @ x
-        if _is_finite(ax, zero):
-            grad_f[...] = f_grad(x)
-            grad_g[...] = g_grad(ax)
+        ax = A.dot(x)
+        # A x . 0 is NaN exactly when an entry of A x is not finite (inf 0 and
+        # NaN 0 are NaN), a third of the cost of np.isfinite(ax).all() here
+        if math.isfinite(ax.dot(zero)):
+            f_grad(x, grad_f)
+            g_grad(ax, grad_g)
         else:
             grads.fill(np.nan)
         return op.dot(grads, out)
@@ -233,14 +241,6 @@ def _finish(problem, columns, end, v_star, meta, label, r=None):
     if stop < n:
         raise divergence_error(label, columns, stop, v_star, meta)
     return build_trajectory(columns, n, v_star, meta)
-
-
-def _is_finite(v, zero):
-    """Whether every entry of the vector ``v`` is finite, given ``zero`` of
-    its length: ``v . 0`` is NaN exactly when one is not (``inf 0`` and
-    ``NaN 0`` are NaN, and a finite product is 0), at a third of the cost
-    of ``np.isfinite(v).all()`` on the short vectors of a step."""
-    return math.isfinite(v.dot(zero))
 
 
 def _sample(columns, x, xdot, step):
@@ -328,22 +328,26 @@ def rk4_integrate(problem, x0, config, v_star=None):
         end = _modal_rk4(problem.modes, x, columns, h)
     else:
         rhs = _flow_velocity(problem)
-        half_h = 0.5 * h
-        stages = np.empty((4, problem.n))
-        k1, k2, k3, k4 = stages  # rows the velocity writes; k1 is each sample's X'
-        weights = (h / 6.0) * np.array([1.0, 2.0, 2.0, 1.0])
+        # rows X, k1 .. k4: each stage input and the next X is one product of
+        # a coefficient row with the leading rows, written into one buffer
+        state = np.empty((5, problem.n))
+        state[0] = x
+        x, k1, k2, k3, k4 = state  # k1 is each sample's X'
+        lead2, lead3, lead4 = state[:2], state[:3], state[:4]
+        c2, c3, c4 = (np.array(c) for c in ([1.0, h / 2], [1.0, 0.0, h / 2], [1.0, 0.0, 0.0, h]))
+        weights = np.array([1.0, h / 6, h / 3, h / 3, h / 6])
+        buf = np.empty(problem.n)
 
-        def step(i, x, k1):
-            rhs(x + half_h * k1, k2)
-            rhs(x + half_h * k2, k3)
-            rhs(x + h * k3, k4)
-            x_next = weights.dot(stages)  # (h/6) (k1 + 2 k2 + 2 k3 + k4)
-            x_next += x
-            return x_next, rhs(x_next, k1)
+        def step(i, x, k1):  # the loop passes back the rows x and k1 of state
+            rhs(c2.dot(lead2, buf), k2)  # at x + (h/2) k1
+            rhs(c3.dot(lead3, buf), k3)  # at x + (h/2) k2
+            rhs(c4.dot(lead4, buf), k4)  # at x + h k3
+            x[...] = weights.dot(state, buf)  # x + (h/6) (k1 + 2 k2 + 2 k3 + k4)
+            return x, rhs(x, k1)
 
         with np.errstate(over="ignore", invalid="ignore"):  # as in _sample: A x0 may overflow
-            xdot = rhs(x, k1)
-        end = _sample(columns, x, xdot, step)
+            rhs(x, k1)
+        end = _sample(columns, x, k1, step)
     return _finish(problem, columns, end, v_star, meta, "first-order flow")
 
 

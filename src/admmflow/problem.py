@@ -130,8 +130,8 @@ class QuadraticFunction:
 
     def __init__(self, M, q=None):
         M = np.array(M, dtype=float)
-        if M.ndim != 2 or M.shape[0] != M.shape[1]:
-            raise ValueError(f"M must be a square matrix, got shape {M.shape}")
+        if M.ndim != 2 or M.shape[0] != M.shape[1] or not M.size:
+            raise ValueError(f"M must be a square matrix of size at least 1, got shape {M.shape}")
         _check_finite(M, "M")
         M = 0.5 * M + 0.5 * M.T  # M + M.T can overflow; each half is exact
         dim = M.shape[0]
@@ -164,14 +164,30 @@ class QuadraticFunction:
         return float(0.5 * (v @ (self.M @ v)) + self.q @ v)
 
     def grad(self, v):
-        return self.M @ v + self.q
+        return self._grad_into(v, np.empty(self.dim))
+
+    def _grad_into(self, v, out):
+        """``M v + q`` written into the float vector ``out`` of shape (dim,), returned."""
+        self.M.dot(v, out)
+        out += self.q
+        return out
 
     def __repr__(self):
         return f"QuadraticFunction(dim={self.dim})"
 
 
 class CallbackFunction:
-    """Differentiable convex function given by value and gradient callbacks.
+    """Differentiable convex function on R^dim given by value and gradient callbacks.
+
+    ``dim`` is an integer of at least 1 (a numpy integer too, but not a
+    bool). ``grad_fn(v)`` must return a vector of ``dim`` numbers: an array
+    of shape (dim,), of any real dtype, or a sequence of that length. Any
+    other result (a scalar, ``None``, a (dim, 1) column, a vector of
+    another length) raises ValueError naming its shape, e.g. ``gradient
+    callback returned shape (2, 1), expected (2,)``, on every path: the
+    flows, :func:`admm_flow_rhs`, :func:`grad_V` and an inner solver's
+    subproblem. The flows pass buffers they reuse, so a callback must not
+    keep its argument beyond the call.
 
     Supported everywhere a gradient oracle suffices; operations that need
     closed-form subproblem solves (``optimal_value``, the quadratic solver
@@ -179,6 +195,8 @@ class CallbackFunction:
     """
 
     def __init__(self, fn, grad_fn, dim):
+        if isinstance(dim, bool) or not isinstance(dim, (int, np.integer)) or dim < 1:
+            raise ValueError(f"dim must be an integer of at least 1, got {dim!r}")
         self.fn = fn
         self.grad_fn = grad_fn
         self.dim = int(dim)
@@ -187,7 +205,22 @@ class CallbackFunction:
         return float(self.fn(v))
 
     def grad(self, v):
-        return np.asarray(self.grad_fn(v), dtype=float)
+        return self._grad_into(v, np.empty(self.dim))
+
+    def _grad_into(self, v, out):
+        """``grad_fn(v)`` written into the float vector ``out`` of shape
+        (dim,), returned: the one conversion of the callback's result. An
+        array of the right shape costs one shape compare; anything else is
+        read as an array first and refused unless it has that shape."""
+        grad = self.grad_fn(v)
+        if getattr(grad, "shape", None) != out.shape:
+            if grad is None:
+                raise ValueError(f"gradient callback returned None, expected shape {out.shape}")
+            shape = np.shape(grad)
+            if shape != out.shape:
+                raise ValueError(f"gradient callback returned shape {shape}, expected {out.shape}")
+        out[...] = grad
+        return out
 
     def __repr__(self):
         return f"CallbackFunction(dim={self.dim})"
@@ -252,6 +285,8 @@ class SplitProblem:
         A = np.array(A, dtype=float)
         if A.ndim != 2:
             raise ValueError(f"A must be a matrix, got shape {A.shape}")
+        if not A.size:
+            raise ValueError(f"A must have at least one row and one column, got shape {A.shape}")
         _check_finite(A, "A")
         m, n = A.shape
         if m < n:

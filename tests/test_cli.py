@@ -165,6 +165,9 @@ def test_run_rejects_unknown_solver(tmp_path, one_d_file):
     # a rate window that a flow grid cannot fill is refused before any run
     (["figure1", "--window-lo", "2", "--window-hi", "2.001"], "window [2, 2.001]"),
     (["figure1", "--window-lo", "2", "--window-hi", "2.05"], "aadmm_flow grid"),
+    # numpy's generators take no negative seed: refused by the flag's name
+    (["gen", "--seed", "-1"], "--seed"),
+    (["figure1", "--seed", "-1"], "--seed"),
 ], ids=["run-rho0", "run-rho-neg", "figure1-rho0", "figure1-rho-neg", "figure1-window",
         "figure1-rho-repeated", "figure1-rho-same-csv-name",
         "figure1-h-rk4", "figure1-h-symplectic", "figure1-t0", "figure1-r", "figure1-r-inf",
@@ -174,13 +177,15 @@ def test_run_rejects_unknown_solver(tmp_path, one_d_file):
         "run-flow-t0-nan", "run-flow-h-nan", "run-flow-t-end-nan", "run-flow-h-inf",
         "figure1-h-rk4-nan", "run-max-iter-bound", "figure1-max-iter-bound",
         "run-t-end-no-flow", "run-h-no-flow", "run-t0-no-flow", "run-max-iter-no-discrete",
-        "figure1-window-few-samples", "figure1-window-few-symplectic-samples"])
+        "figure1-window-few-samples", "figure1-window-few-symplectic-samples",
+        "gen-seed-neg", "figure1-seed-neg"])
 def test_bad_numeric_flags_exit_2_before_any_work(tmp_path, one_d_file, capsys, argv, flag):
     out = tmp_path / "out"
     if argv[0] == "run":
         argv = argv + ["--problem", one_d_file]
     try:
-        code = main(argv + ["--out-dir", str(out)])
+        code = main(argv + (["--out", str(out / "problem.json")] if argv[0] == "gen"
+                            else ["--out-dir", str(out)]))
     except SystemExit as err:  # argparse rejects the value itself
         code = err.code
     assert code == 2

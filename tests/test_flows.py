@@ -726,6 +726,26 @@ def test_every_solver_and_flow_runs_across_cond_a(kind, cond_a):
     assert err <= FLOW_CALLBACK_C * quad.cond_A * EPS
 
 
+@pytest.mark.parametrize("cond_a", [1e2, 1e8])
+def test_mixed_quadratic_and_callback_flows_match_the_modal_runs(cond_a):
+    # quadratic f with g behind a callback (dense g): the one path on which a
+    # QuadraticFunction writes its gradient into the callback velocity's
+    # buffer. Both flows agree with the all-quadratic modal runs to the
+    # rounding that a product with R^{-1} carries
+    quad = with_g(af.gen_figure1_problem(8, 2, 10.0, cond_a, seed=38), "dense")
+    _, v_star = af.optimal_value(quad)
+    mixed = af.SplitProblem(quad.f, af.CallbackFunction(quad.g.value, quad.g.grad, quad.m),
+                            quad.A)
+    assert not mixed.is_quadratic
+    x0 = np.full(quad.n, 5.0)
+    for integrate, config in ((af.rk4_integrate, IntegratorConfig(h=1e-3, t0=0.0, t_end=2.0)),
+                              (af.aadmm_flow_integrate,
+                               IntegratorConfig(h=1e-2, t0=1e-2, t_end=5.0, r=3.0))):
+        want = integrate(mixed, x0, config, v_star=v_star).X
+        err = np.max(np.abs(integrate(quad, x0, config, v_star=v_star).X - want))
+        assert err <= FLOW_CALLBACK_C * quad.cond_A * EPS * np.max(np.abs(want))
+
+
 @pytest.mark.parametrize("flow", ["rk4", "symplectic"])
 def test_callback_flow_work_per_step(pd_2d_problem, flow):
     # the work a callback flow does on an N-step grid: RK4 takes 4 gradients

@@ -9,7 +9,7 @@ import admmflow as af
 from admmflow.exceptions import DivergenceError, NumericalError, UnsupportedFunctionError
 from admmflow.problem import ROW_BLOCK, _hessian_and_linear_term, _is_zero, _values
 
-from helpers import as_callbacks, fd_grad, range_term_draw, with_g
+from helpers import as_callbacks, cg_minimize, fd_grad, range_term_draw, with_g
 
 
 def test_eval_V_one_d(one_d_problem):
@@ -388,6 +388,91 @@ def test_a_is_factored_once_per_problem(monkeypatch):
     af.admm_flow_rhs(p, x0)
     assert len(factored) == 1
     assert set(p._operators) == {10.0, 50.0} and "modes" in p.__dict__
+
+
+def _callback(dim):
+    return af.CallbackFunction(lambda v: 0.0, lambda v: v, dim)
+
+
+@pytest.mark.parametrize("build, message", [
+    (lambda: _callback(2.7), r"dim must be an integer of at least 1, got 2\.7"),
+    (lambda: _callback("2"), r"dim must be an integer of at least 1, got '2'"),
+    (lambda: _callback(True), r"dim must be an integer of at least 1, got True"),
+    (lambda: _callback(0), r"dim must be an integer of at least 1, got 0"),
+    (lambda: _callback(-1), r"dim must be an integer of at least 1, got -1"),
+    (lambda: _callback(np.int64(0)), r"dim must be an integer of at least 1, got np\.int64\(0\)"),
+    (lambda: af.QuadraticFunction(np.zeros((0, 0))),
+     r"M must be a square matrix of size at least 1, got shape \(0, 0\)"),
+    (lambda: af.SplitProblem(af.QuadraticFunction.zero(1), af.QuadraticFunction.zero(1),
+                             np.zeros((1, 0))),
+     r"A must have at least one row and one column, got shape \(1, 0\)"),
+    (lambda: af.SplitProblem(af.QuadraticFunction.zero(1), af.QuadraticFunction.zero(1),
+                             np.zeros((0, 0))),
+     r"A must have at least one row and one column, got shape \(0, 0\)"),
+], ids=["dim-float", "dim-str", "dim-bool", "dim-0", "dim-neg", "dim-np-0", "M-empty",
+        "A-no-column", "A-empty"])
+def test_degenerate_dimensions_are_refused_by_name(build, message):
+    with pytest.raises(ValueError, match=message):
+        build()
+
+
+def test_callback_dim_takes_a_numpy_integer():
+    f = _callback(np.int64(3))
+    assert f.dim == 3 and type(f.dim) is int
+
+
+# f = |x|^2/2 behind a callback whose gradient misses the contract, g = 0,
+# A = I_2, x0 = [1, 2]: every path that takes a gradient refuses the result
+# by name, and none reports it as a divergence
+MALFORMED_GRADIENTS = {
+    "scalar": (lambda x: 1.0, r"returned shape \(\), expected \(2,\)"),
+    "column": (lambda x: x[:, None], r"returned shape \(2, 1\), expected \(2,\)"),
+    "long": (lambda x: np.append(x, 0.0), r"returned shape \(3,\), expected \(2,\)"),
+    "none": (lambda x: None, r"returned None, expected shape \(2,\)"),
+}
+GRADIENT_PATHS = {
+    "rk4": lambda p, x0: af.rk4_integrate(p, x0, af.IntegratorConfig(h=0.1, t0=0.0, t_end=1.0),
+                                          v_star=0.0),
+    "symplectic": lambda p, x0: af.aadmm_flow_integrate(
+        p, x0, af.IntegratorConfig(h=0.1, t0=0.1, t_end=1.0, r=3.0), v_star=0.0),
+    "rhs": af.admm_flow_rhs,
+    "grad_V": af.grad_V,
+    "admm-inner": lambda p, x0: af.run_admm(p, x0, rho=1.0, max_iter=5, v_star=0.0,
+                                            inner_solver=cg_minimize),
+}
+
+
+def _half_square(grad):
+    f = af.CallbackFunction(lambda x: 0.5 * float(np.dot(x, x)), grad, 2)
+    return af.SplitProblem(f, af.QuadraticFunction.zero(2), np.eye(2))
+
+
+@pytest.mark.parametrize("path", GRADIENT_PATHS)
+@pytest.mark.parametrize("kind", MALFORMED_GRADIENTS)
+def test_a_malformed_gradient_is_refused_by_name(kind, path):
+    grad, message = MALFORMED_GRADIENTS[kind]
+    with pytest.raises(ValueError, match="gradient callback " + message) as err:
+        GRADIENT_PATHS[path](_half_square(grad), np.array([1.0, 2.0]))
+    assert not isinstance(err.value, DivergenceError)
+
+
+@pytest.mark.parametrize("path", ["rk4", "symplectic", "admm-inner"])
+def test_list_and_integer_gradients_run_as_float_ones(path):
+    # a gradient given as a list, or as an integer array, is read as the
+    # float64 vector of the same numbers: the run is bit for bit the same
+    runs = {}
+    for kind, grad in (("float", lambda x: np.array(x, dtype=float)),
+                       ("list", lambda x: [float(v) for v in x])):
+        runs[kind] = GRADIENT_PATHS[path](_half_square(grad), np.array([1.0, 2.0]))
+    c = np.array([3.0, -1.0])  # f = <c, x>: an integer gradient of the same numbers
+    for kind, grad in (("float-linear", lambda x: c), ("int-linear", lambda x: c.astype(int))):
+        f = af.CallbackFunction(lambda x: float(c @ x), grad, 2)
+        runs[kind] = GRADIENT_PATHS[path](
+            af.SplitProblem(f, af.QuadraticFunction.zero(2), [[1.0, 0.5], [0.0, 2.0]]),
+            np.array([1.0, 2.0]))
+    for got, want in (("list", "float"), ("int-linear", "float-linear")):
+        for field in ("X", "V") + (("Xdot",) if path != "admm-inner" else ()):
+            assert np.array_equal(getattr(runs[got], field), getattr(runs[want], field)), field
 
 
 def test_split_problem_validation():
