@@ -11,8 +11,12 @@ rows iterate as records with the same attribute names. Monitors that need
 the velocity X' read the trajectory's recorded ``Xdot`` (both flows record
 it), the second-order ones read the damping r from its ``meta["r"]``, and
 every ``||A y||^2`` term is formed by the same row-wise helper as the
-Hamiltonian of the second-order flow. Rate fits read the trajectory's own
-objective gaps ``v_gap``.
+Hamiltonian of the second-order flow. Those terms are functions of a block
+of rows of X and X' (:func:`_monitor_terms`): a monitor forms them over a
+trajectory's stored rows one block at a time, or reads them from its
+``terms`` when its run handed its blocks to :func:`flow_row_terms` at the
+same x* and stored no X. Rate fits read the trajectory's own objective
+gaps ``v_gap``.
 
 Decay tolerances default to the integrator order that produced the
 trajectory: tight (1e-9) for RK4 runs of the first-order flow, looser
@@ -30,7 +34,7 @@ import numpy as np
 from .exceptions import NumericalError, UnsupportedFunctionError, WindowError
 from .problem import (_a_sq_norms, _check_damping, _hessian_and_linear_term, _map_rows,
                       _row_norms, eval_V)
-from .trajectory import write_columns_csv
+from .trajectory import NORM_TERMS, RowTerms, write_columns_csv
 
 __all__ = [
     "RateFit",
@@ -42,6 +46,7 @@ __all__ = [
     "check_state_convergence",
     "sup_discrepancy",
     "write_monitor_csv",
+    "flow_row_terms",
 ]
 
 GAP_FLOOR = 1e-14  # objective gaps below this are treated as solver noise
@@ -81,10 +86,67 @@ def _central_diff(t, values):
 def _check_traj(traj, need_velocity=False):
     if len(traj) < 2:
         raise ValueError("monitors need a trajectory with at least 2 samples")
+    if traj.terms is not None:  # a run that kept row terms in place of X and X'
+        return
     if traj.X is None:
         raise ValueError("monitors need state samples (trajectory.X)")
     if need_velocity and traj.Xdot is None:
         raise ValueError("this monitor needs velocity samples (trajectory.Xdot)")
+
+
+def _eta(t, r):
+    """The weight exponent ``eta(t) = 2 log(t / (r - 1))`` of the
+    second-order rate energy."""
+    return 2.0 * np.log(t / (r - 1.0))
+
+
+def _monitor_terms(problem, t, x_star, r=None):
+    """The row terms the monitors of one flow read at ``x_star`` on the
+    sample times ``t``, as functions ``fn(rows, X, Xdot)`` of a block of
+    rows, by name: ``kinetic`` ``||A X'||^2`` and, for the first-order flow
+    (r None), ``displacement`` ``||A (X - x*)||^2`` or, for the second-order
+    flow with damping r, ``rate_displacement`` ``||A (X - x* + e^{eta/2}
+    X')||^2``."""
+    terms = {"kinetic": lambda rows, X, Xdot: _a_sq_norms(problem, Xdot)}
+    if r is None:
+        terms["displacement"] = lambda rows, X, Xdot: _a_sq_norms(problem, X - x_star)
+    else:
+        half_weight = np.exp(0.5 * _eta(t, r))
+        terms["rate_displacement"] = lambda rows, X, Xdot: _a_sq_norms(
+            problem, X - x_star + half_weight[rows, None] * Xdot)
+    return terms
+
+
+def _row_term(problem, traj, x_star, name, r=None):
+    """The row term ``name`` of :func:`_monitor_terms` at each sample of
+    ``traj``: the one its ``terms`` carry when they were taken at
+    ``x_star``, else formed over its stored X and X' one block of
+    :func:`_row_blocks` at a time."""
+    x_star = np.asarray(x_star, dtype=float)
+    terms = traj.terms
+    if terms is not None and name in terms.values and np.array_equal(terms.at, x_star):
+        return terms.values[name]
+    if traj.X is None:
+        raise ValueError(f"monitors need state samples (trajectory.X) or its {name} row term "
+                         "taken at this x_star")
+    fn = _monitor_terms(problem, traj.t, x_star, r)[name]
+    return _map_rows(lambda rows: fn(rows, traj.X[rows], None if traj.Xdot is None
+                                     else traj.Xdot[rows]), len(traj))
+
+
+def flow_row_terms(problem, config, x_star=None):
+    """A :class:`~admmflow.trajectory.RowTerms` for a flow run on
+    ``config``'s grid, as the ``terms`` of :func:`rk4_integrate` or
+    :func:`aadmm_flow_integrate`: the CSV's ``x_norm`` and ``xdot_norm``
+    and, with ``x_star``, the row terms the flow's monitors read at it
+    (:func:`_monitor_terms`), so that the run's CSV and monitors need no
+    stored X and X'."""
+    functions = dict(NORM_TERMS)
+    if x_star is not None:
+        x_star = np.asarray(x_star, dtype=float)
+        r = None if config.r is None else float(config.r)
+        functions.update(_monitor_terms(problem, config.times(), x_star, r))
+    return RowTerms(config.n_steps + 1, functions, x_star)
 
 
 def _damping(traj):
@@ -114,7 +176,7 @@ def monitor_admm_stability(problem, traj, x_star, rtol=1e-9):
     """
     _check_traj(traj, need_velocity=True)
     E = traj.V - eval_V(problem, x_star)
-    resid = np.abs(_central_diff(traj.t, E) + _a_sq_norms(problem, traj.Xdot))
+    resid = np.abs(_central_diff(traj.t, E) + _row_term(problem, traj, x_star, "kinetic"))
     return _samples(traj.t, E, _decay_flags(E, rtol), resid)
 
 
@@ -126,10 +188,8 @@ def monitor_admm_rate(problem, traj, x_star, rtol=1e-9):
     decrease within ``rtol * (1 + |E|)``.
     """
     _check_traj(traj)
-    x_star = np.asarray(x_star, dtype=float)
     gap = traj.V - eval_V(problem, x_star)
-    disp_sq = _map_rows(lambda rows: _a_sq_norms(problem, traj.X[rows] - x_star), len(traj))
-    E = traj.t * gap + 0.5 * disp_sq
+    E = traj.t * gap + 0.5 * _row_term(problem, traj, x_star, "displacement")
     return _samples(traj.t, E, _decay_flags(E, rtol))
 
 
@@ -143,7 +203,7 @@ def monitor_aadmm_stability(problem, traj, x_star, rtol=1e-5):
     """
     r = _damping(traj)
     E0 = eval_V(problem, x_star)
-    kinetic = _a_sq_norms(problem, traj.Xdot)
+    kinetic = _row_term(problem, traj, x_star, "kinetic")
     E = 0.5 * kinetic + traj.V - E0
     resid = np.abs(_central_diff(traj.t, E) + (r / traj.t) * kinetic)
     return _samples(traj.t, E, _decay_flags(E, rtol), resid)
@@ -163,14 +223,9 @@ def monitor_aadmm_rate(problem, traj, x_star, rtol=1e-5):
     """
     r = _damping(traj)
     t = traj.t
-    x_star = np.asarray(x_star, dtype=float)
-    eta = 2.0 * np.log(t / (r - 1.0))
-    weight = np.exp(eta)
-    half_weight = np.exp(0.5 * eta)
+    eta = _eta(t, r)
     gap = traj.V - eval_V(problem, x_star)
-    disp_sq = _map_rows(lambda rows: _a_sq_norms(
-        problem, traj.X[rows] - x_star + half_weight[rows, None] * traj.Xdot[rows]), len(traj))
-    E = weight * gap + 0.5 * disp_sq
+    E = np.exp(eta) * gap + 0.5 * _row_term(problem, traj, x_star, "rate_displacement", r)
     identity_resid = np.abs(np.exp(-0.5 * eta) + 1.0 / t - r / t)
     worst = np.max(identity_resid / np.maximum(1.0, r / t))
     if not worst <= 1e-12:  # NaN too
@@ -249,6 +304,9 @@ def check_state_convergence(problem, traj, x_star, tail_fraction=0.5):
     Returns ``(converged, report)``; ``report["mu"]`` is mu.
     """
     _check_traj(traj, need_velocity=True)
+    if traj.X is None or traj.Xdot is None:
+        raise ValueError("state convergence needs stored state and velocity samples "
+                         "(trajectory.X and trajectory.Xdot)")
     if not 0 < tail_fraction <= 1:
         raise ValueError("tail_fraction must lie in (0, 1]")
     if not problem.is_quadratic:

@@ -1,6 +1,12 @@
 """Command-line harness: generate problems, run solvers and flows, fit rates,
 and reproduce the benchmark experiment end to end.
 
+A flow run of ``run`` or ``figure1`` stores no X and X': it hands each
+block of samples to a :func:`flow_row_terms` consumer, which keeps the
+per-sample terms its CSV (``x_norm``, ``xdot_norm``) and, in ``figure1``,
+its monitors read. The run's trajectory (t, V, the gap, H) carries them,
+and the CSV and the monitors are the library's own, as on a stored run.
+
 Exit codes: 0 success, 2 usage or input error, 3 numerical divergence,
 4 rate-check failure.
 """
@@ -23,6 +29,7 @@ from .analysis import (
     MIN_FIT_SAMPLES,
     RateFit,
     fit_rate,
+    flow_row_terms,
     monitor_aadmm_rate,
     monitor_aadmm_stability,
     monitor_admm_rate,
@@ -109,6 +116,14 @@ def _run_to_csv(path, run, *args, **kwargs):
     return traj
 
 
+def _streamed(problem, kwargs, x_star=None):
+    """The keyword arguments of a run, a flow's with the :func:`flow_row_terms`
+    of its grid (at ``x_star`` for its monitors), so that it stores no X and X'."""
+    if "config" not in kwargs:
+        return kwargs
+    return dict(kwargs, terms=flow_row_terms(problem, kwargs["config"], x_star))
+
+
 def _driver(solver, *, rho, r, max_iter, stop_tol=0.0, h=None, t0=None, t_end=None):
     """Driver and keyword arguments of one run of ``solver``. A flow's grid is
     built, and so checked, here: ``h``/``t0`` None take RK4 h = 1e-3, t0 = 0
@@ -150,7 +165,7 @@ def cmd_run(args):
     v_star = None  # the first run computes it; the others reuse it
     for solver, (run, kwargs) in drivers.items():
         path = os.path.join(outdir, f"{solver}.csv")
-        traj = _run_to_csv(path, run, problem, x0, v_star=v_star, **kwargs)
+        traj = _run_to_csv(path, run, problem, x0, v_star=v_star, **_streamed(problem, kwargs))
         v_star = traj.v_star
         print(f"{solver}: wrote {path}, final V_gap={traj.v_gap[-1]:.6e}")
         if traj.meta.get("stopped_early") and traj.k[-1] < args.max_iter:
@@ -220,17 +235,19 @@ def cmd_figure1(args):
         return files[name]
 
     # each trajectory is written as soon as it is computed; a DivergenceError
-    # keeps the partial CSV and exits through main(). A flow's monitors read its
-    # X and X' last, and each run then keeps only what later stages read
+    # keeps the partial CSV and exits through main(). A flow keeps the row
+    # terms of its CSV and monitors in place of X and X'; its monitors read
+    # them last, and each run then keeps only what later stages read
     monitors = {}
 
     def run_to_csv(name, run, kwargs):
-        traj = _run_to_csv(csv_path(name), run, problem, x0, v_star=v_star, **kwargs)
+        traj = _run_to_csv(csv_path(name), run, problem, x0, v_star=v_star,
+                           **_streamed(problem, kwargs, x_star))
         flow_monitors = {"admm_flow": (monitor_admm_stability, monitor_admm_rate),  # looked
                          "aadmm_flow": (monitor_aadmm_stability, monitor_aadmm_rate)}  # up now
         for kind, monitor in zip(("stability", "rate"), flow_monitors.get(name, ())):
             monitors[f"monitor_{name}_{kind}"] = monitor(problem, traj, x_star)
-        return replace(traj, X=None, Xdot=None)
+        return replace(traj, X=None, Xdot=None, terms=None)
 
     trajs = {name: run_to_csv(name, run, kwargs) for name, (run, kwargs) in runs.items()}
     monitor_summary = {}

@@ -18,16 +18,17 @@ Two dynamical systems are integrated against a :class:`SplitProblem`:
       v = X'_k + h f(X_k),   X_{k+1} = X_k + h v,   X'_{k+1} = d_k v,
 
   with ``d_k = (t_k / t_{k+1})^r`` formed once per grid as
-  ``exp(r log(t_k / t_{k+1}))``, so no ``t^r`` enters the step. H is
-  evaluated in its second form after the loop; ``t^r`` overflows there for
-  large r and t (near t = 35 at r = 200), where H is ``inf``. Divergence is
-  judged on X, X' and V alone.
+  ``exp(r log(t_k / t_{k+1}))``, so no ``t^r`` enters the step. The step
+  writes into vectors it holds, so it makes no array. H is evaluated in its
+  second form after the loop; ``t^r`` overflows there for large r and t
+  (near t = 35 at r = 200), where H is ``inf``. Divergence is judged on X,
+  X' and V alone.
 
 For quadratic f and g both flows run on the modal basis
 :attr:`SplitProblem.modes`: with ``X = phi y`` the first-order flow splits
 into scalar modes ``y_i' = -(lam_i y_i + beta_i)``. RK4 multiplies each
 mode's ``y - y*`` by its stability factor ``R(-h lam)`` per step, so every
-sample has a closed form, formed in row blocks of ``FINITE_CHECK_EVERY``;
+sample has a closed form, formed in chunks of ``FINITE_CHECK_EVERY`` rows;
 symplectic Euler takes its step on the mode coordinates, elementwise. X and
 X' are products with ``phi^T``, and ``meta["modal_backward_error"]`` records
 the basis's backward error in units of eps. Callback problems take the
@@ -44,10 +45,20 @@ each stage input and the next X as one product of a coefficient row with
 its leading rows, written into one buffer. Every
 stepped flow advances as ``X, X' = step(i, X, X')`` in one sampling loop,
 which checks X and X' once per ``FINITE_CHECK_EVERY`` samples, as the modal
-RK4 blocks are checked. A non-finite X or X' stays non-finite from step to
-step, so a diverged run stops at the next check, and :func:`_finish`
-reports its first non-finite sample; a non-finite x0 is refused by name
-before a run starts. The one check before a gradient call
+RK4 chunks are checked. A non-finite X or X' stays non-finite from step to
+step, so a diverged run stops at the next check, and
+:meth:`_Samples.finish` reports its first non-finite sample; a non-finite
+x0 is refused by name before a run starts.
+
+Samples are formed one block of :func:`_row_blocks` at a time
+(:class:`_Samples`), and each block is folded once formed: V, the
+finiteness test and the kinetic term of H at its samples. A run given
+``terms`` (a :class:`~admmflow.trajectory.RowTerms`, e.g. from
+:func:`~admmflow.analysis.flow_row_terms`) forms its blocks in two
+buffers it reuses, hands each to ``terms`` after the fold and stores no X
+or X'; otherwise the blocks are rows of the stored X and X'. Both give
+the same bytes of every per-sample value, the blocks and their products
+being the same. The one check before a gradient call
 is the velocity's: when ``A X`` is not finite (as for every non-finite X, A
 having full column rank) it returns NaN and calls neither gradient, so no
 callback sees a non-finite X or ``A X`` (V reads NaN there without a call).
@@ -64,7 +75,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .problem import (MAX_STEPS, ROW_BLOCK, _a_sq_norms, _as_vector, _check_damping,
-                      _check_finite, _map_rows, _row_blocks, _values, resolve_v_star)
+                      _check_finite, _row_blocks, _values, resolve_v_star)
 from .trajectory import build_trajectory, divergence_error
 
 __all__ = [
@@ -192,10 +203,9 @@ def admm_flow_rhs(problem, X):
 
 
 def _start(problem, x0, config, v_star, method, integrator, r=None):
-    """``x0`` as a vector, the resolved ``v_star``, the run meta (with ``r``
-    when given, and the modal backward error of a quadratic problem) and the
-    preallocated columns ``t``, ``X`` and ``Xdot`` of the config's grid. A NaN
-    or inf entry of x0 is refused by name before anything else is done."""
+    """``x0`` as a vector, the resolved ``v_star`` and the run meta (with
+    ``r`` when given, and the modal backward error of a quadratic problem).
+    A NaN or inf entry of x0 is refused by name before anything else is done."""
     x = np.array(_as_vector(x0, problem.n, "x0"))
     _check_finite(x, "x0")
     v_star = resolve_v_star(problem, v_star)
@@ -205,75 +215,126 @@ def _start(problem, x0, config, v_star, method, integrator, r=None):
         meta["r"] = r
     if problem.is_quadratic:
         meta["modal_backward_error"] = problem.modes.backward_error
-    ts = config.times()
-    shape = (len(ts), problem.n)
-    columns = {"t": ts, "X": np.empty(shape), "Xdot": np.empty(shape)}
-    return x, v_star, meta, columns
+    return x, v_star, meta
 
 
-def _finish(problem, columns, end, v_star, meta, label, r=None):
-    """Trajectory of a run whose first ``end`` samples of X and X' are stored.
+class _Samples:
+    """The samples of one flow run on the grid ``t``, formed one block of
+    :func:`_row_blocks` at a time.
 
-    V is evaluated at those samples and, when ``r`` is given, the Hamiltonian
-    of the second-order flow, ``H = t^r (0.5 ||A X'||^2 + V)``; H is ``inf``
-    where ``t^r`` overflows, which is not divergence. Products and the
-    finiteness test go one block of :func:`_row_blocks` at a time.
-
-    Raises
-    ------
-    DivergenceError
-        At the first sample where X, X' or V is not finite, or at ``end``
-        when that falls short of the grid; it carries the last finite time
-        and the trajectory up to it.
+    :meth:`block` gives the rows X and X' of a block to fill: views of the
+    stored X and X', or, when the run hands its blocks to ``terms`` (a
+    :class:`RowTerms`), two buffers reused from block to block, so that no
+    samples x n array is made. :meth:`fold` takes a block once its rows are
+    formed: it maps them from mode coordinates when ``to_x`` (``phi^T``) is
+    given, and records V, the finiteness test and, when the damping ``r``
+    is given, the ``||A X'||^2`` of the Hamiltonian at its samples, then
+    hands the rows to ``terms``. A run that stops early stops within a
+    block; as the checks fall on multiples of ``ROW_BLOCK``, the blocks
+    folded are then those of :func:`_row_blocks` of the samples formed.
     """
-    n = len(columns["t"])
-    xs, xds = columns["X"][:end], columns["Xdot"][:end]
-    # divergence is detected and reported below; silence the overflow of a
-    # diverged run, and of t^r in H (large r and t), which leaves H = inf
-    with np.errstate(over="ignore", invalid="ignore"):
-        vals = columns["V"] = _values(problem, xs)
-        if r is not None:
-            columns["hamiltonian"] = columns["t"][:end] ** r * (0.5 * _a_sq_norms(problem, xds)
-                                                                + vals)
-    finite = _map_rows(lambda rows: np.isfinite(xs[rows]).all(axis=1)
-                       & np.isfinite(xds[rows]).all(axis=1), end) & np.isfinite(vals)
-    stop = end if finite.all() else int(np.argmin(finite))
-    if stop < n:
-        raise divergence_error(label, columns, stop, v_star, meta)
-    return build_trajectory(columns, n, v_star, meta)
+
+    def __init__(self, problem, t, terms=None, r=None, to_x=None):
+        n = len(t)
+        if terms is not None and len(terms) != n:
+            raise ValueError(f"terms hold {len(terms)} samples; the grid has {n}")
+        self.problem, self.t, self.terms, self.r, self.to_x = problem, t, terms, r, to_x
+        self.blocks = _row_blocks(n)
+        self.V = np.empty(n)
+        self.finite = np.empty(n, dtype=bool)
+        self.kinetic = None if r is None else np.empty(n)
+        rows = n if terms is None else max(b.stop - b.start for b in self.blocks)
+        self._X, self._Xdot = np.empty((rows, problem.n)), np.empty((rows, problem.n))
+
+    def block(self, rows):
+        if self.terms is None:
+            return self._X[rows], self._Xdot[rows]
+        return self._X, self._Xdot
+
+    def fold(self, rows, stop):
+        """Take the rows of the block ``rows`` up to sample ``stop``."""
+        formed = slice(rows.start, stop)
+        xs, xds = (a[:stop - rows.start] for a in self.block(rows))
+        if self.to_x is not None:
+            xs[...] = xs @ self.to_x
+            xds[...] = xds @ self.to_x
+        self.V[formed] = _values(self.problem, xs)
+        self.finite[formed] = np.isfinite(xs).all(axis=1) & np.isfinite(xds).all(axis=1)
+        if self.kinetic is not None:
+            self.kinetic[formed] = _a_sq_norms(self.problem, xds)
+        if self.terms is not None:
+            self.terms(formed, xs, xds)
+
+    def finish(self, end, v_star, meta, label):
+        """Trajectory of a run whose first ``end`` samples are folded, with the
+        Hamiltonian of the second-order flow, ``H = t^r (0.5 ||A X'||^2 +
+        V)``, when the damping ``r`` is given; H is ``inf`` where ``t^r``
+        overflows, which is not divergence.
+
+        Raises
+        ------
+        DivergenceError
+            At the first sample where X, X' or V is not finite, or at ``end``
+            when that falls short of the grid; it carries the last finite time
+            and the trajectory up to it.
+        """
+        n = len(self.t)
+        columns = {"t": self.t, "V": self.V}
+        if self.terms is None:
+            columns["X"], columns["Xdot"] = self._X, self._Xdot
+        else:
+            columns["terms"] = self.terms
+        vals = self.V[:end]
+        if self.r is not None:
+            # silence the overflow of t^r (large r and t), which leaves H = inf
+            with np.errstate(over="ignore", invalid="ignore"):
+                columns["hamiltonian"] = (self.t[:end] ** self.r
+                                          * (0.5 * self.kinetic[:end] + vals))
+        finite = self.finite[:end] & np.isfinite(vals)
+        stop = end if finite.all() else int(np.argmin(finite))
+        if stop < n:
+            raise divergence_error(label, columns, stop, v_star, meta)
+        return build_trajectory(columns, n, v_star, meta)
 
 
-def _sample(columns, x, xdot, step):
-    """Sampling loop of every stepped flow; returns the number of samples stored.
+def _sample(samples, x, xdot, step):
+    """Sampling loop of every stepped flow; returns the number of samples formed.
 
-    Sample i stores X and X', then ``X, X' = step(i, X, X')`` advances. At
-    the last sample of each block of ``FINITE_CHECK_EVERY`` the loop stops
-    when X or X' is not finite; neither becomes finite again, so the run
-    stops after the first block holding a non-finite sample, as
-    :func:`_modal_rk4` does.
+    Sample i stores X and X' in its block, then ``X, X' = step(i, X, X')``
+    advances; each block is folded once filled. At the last sample of each
+    block of ``FINITE_CHECK_EVERY`` the loop stops when X or X' is not
+    finite; neither becomes finite again, so the run stops after the first
+    block holding a non-finite sample, as :func:`_modal_rk4` does.
     """
-    xs, xds = columns["X"], columns["Xdot"]
-    n = len(xs)
+    n = len(samples.t)
+    # divergence is detected and reported from the fold; silence the overflow
+    # of a diverged run
     with np.errstate(over="ignore", invalid="ignore"):
-        for i in range(n):
-            xs[i], xds[i] = x, xdot
-            if (i + 1) % FINITE_CHECK_EVERY == 0 and not np.isfinite((x, xdot)).all():
-                return i + 1
-            if i + 1 < n:
-                x, xdot = step(i, x, xdot)
+        for rows in samples.blocks:
+            xs, xds = samples.block(rows)
+            start = rows.start
+            for i in range(start, rows.stop):
+                xs[i - start], xds[i - start] = x, xdot
+                if (i + 1) % FINITE_CHECK_EVERY == 0 and not np.isfinite((x, xdot)).all():
+                    samples.fold(rows, i + 1)
+                    return i + 1
+                if i + 1 < n:
+                    x, xdot = step(i, x, xdot)
+            samples.fold(rows, rows.stop)
     return n
 
 
-def _modal_rk4(modes, x, columns, h):
+def _modal_rk4(modes, x, samples, h):
     """RK4 samples of a quadratic problem's first-order flow, mode by mode;
-    returns the number of samples stored.
+    returns the number of samples formed.
 
     With ``z = -h lam``, one step multiplies ``y - y*`` (``y* = -beta / lam``)
     by ``R(z) = 1 + z phi(z)``, ``phi(z) = 1 + z/2 + z^2/6 + z^3/24``, so
     sample k is ``y0 + (R^k - 1)(y0 - y*)`` with ``R^k - 1 = expm1(k log1p(z
     phi(z)))``, accurate for lam near 0; a mode with ``z phi(z) = 0`` drifts
-    as ``y0 - k h beta``, which RK4 integrates exactly. A run stops after the
-    first block holding a non-finite row of X or X'.
+    as ``y0 - k h beta``, which RK4 integrates exactly. Rows are formed in
+    chunks of ``FINITE_CHECK_EVERY`` (a block's last chunk may be short),
+    and a run stops after the first chunk holding a non-finite row of X or X'.
     """
     lam, beta = modes.lam, modes.beta
     z = -h * lam
@@ -285,36 +346,43 @@ def _modal_rk4(modes, x, columns, h):
     # X = phi y and X' = -phi (lam y + beta), as products with the rows y
     phi_t = modes.phi.T
     neg_phi_t = -phi_t
-    xs, xds = columns["X"], columns["Xdot"]
-    n = len(xs)
+    n = len(samples.t)
     steps = np.arange(min(FINITE_CHECK_EVERY, n), dtype=float)[:, None]
     with np.errstate(over="ignore", invalid="ignore"):
-        within = np.expm1(steps * log_r)  # R^j - 1 for the rows j of a block
-        for start in range(0, n, FINITE_CHECK_EVERY):
-            rows = slice(start, min(start + FINITE_CHECK_EVERY, n))
-            ahead = np.expm1(start * log_r)  # R^start - 1
-            part = within[:rows.stop - start]
-            ys = part * ahead
-            ys += part
-            ys += ahead  # R^k - 1 = (R^j - 1)(R^start - 1) + (R^j - 1) + (R^start - 1)
-            ys *= gap
-            ys += y0
-            if drift.any():
-                ys[:, drift] = y0[drift] - ((start + steps[:len(ys)]) * h) * beta[drift]
-            np.matmul(ys, phi_t, out=xs[rows])
-            ys *= lam
-            ys += beta
-            np.matmul(ys, neg_phi_t, out=xds[rows])
-            if not (np.isfinite(xs[rows]).all() and np.isfinite(xds[rows]).all()):
-                return rows.stop
+        within = np.expm1(steps * log_r)  # R^j - 1 for the rows j of a chunk
+        for rows in samples.blocks:
+            xs, xds = samples.block(rows)
+            for start in range(rows.start, rows.stop, FINITE_CHECK_EVERY):
+                stop = min(start + FINITE_CHECK_EVERY, rows.stop)
+                chunk = slice(start - rows.start, stop - rows.start)
+                ahead = np.expm1(start * log_r)  # R^start - 1
+                part = within[:stop - start]
+                ys = part * ahead
+                ys += part
+                ys += ahead  # R^k - 1 = (R^j - 1)(R^start - 1) + (R^j - 1) + (R^start - 1)
+                ys *= gap
+                ys += y0
+                if drift.any():
+                    ys[:, drift] = y0[drift] - ((start + steps[:len(ys)]) * h) * beta[drift]
+                np.matmul(ys, phi_t, out=xs[chunk])
+                ys *= lam
+                ys += beta
+                np.matmul(ys, neg_phi_t, out=xds[chunk])
+                if not (np.isfinite(xs[chunk]).all() and np.isfinite(xds[chunk]).all()):
+                    samples.fold(rows, stop)
+                    return stop
+            samples.fold(rows, rows.stop)
     return n
 
 
-def rk4_integrate(problem, x0, config, v_star=None):
+def rk4_integrate(problem, x0, config, v_star=None, *, terms=None):
     """Integrate the first-order flow with classical RK4 from X(t0) = x0.
 
     The trajectory is sampled at every step and records t, X, the flow
     velocity X' (the right-hand side at the sample) and the objective gap.
+    With ``terms``, a :class:`~admmflow.trajectory.RowTerms` of one row per
+    sample of the grid, each block of rows of X and X' is handed to it once
+    formed, and the trajectory carries it in place of X and X'.
 
     Raises
     ------
@@ -323,9 +391,10 @@ def rk4_integrate(problem, x0, config, v_star=None):
         last finite time and the partial trajectory.
     """
     h = config.h
-    x, v_star, meta, columns = _start(problem, x0, config, v_star, "admm_flow", "rk4")
+    x, v_star, meta = _start(problem, x0, config, v_star, "admm_flow", "rk4")
+    samples = _Samples(problem, config.times(), terms)
     if problem.is_quadratic:
-        end = _modal_rk4(problem.modes, x, columns, h)
+        end = _modal_rk4(problem.modes, x, samples, h)
     else:
         rhs = _flow_velocity(problem)
         # rows X, k1 .. k4: each stage input and the next X is one product of
@@ -347,53 +416,55 @@ def rk4_integrate(problem, x0, config, v_star=None):
 
         with np.errstate(over="ignore", invalid="ignore"):  # as in _sample: A x0 may overflow
             rhs(x, k1)
-        end = _sample(columns, x, k1, step)
-    return _finish(problem, columns, end, v_star, meta, "first-order flow")
+        end = _sample(samples, x, k1, step)
+    return samples.finish(end, v_star, meta, "first-order flow")
 
 
-def aadmm_flow_integrate(problem, x0, config, v_star=None):
+def aadmm_flow_integrate(problem, x0, config, v_star=None, *, terms=None):
     """Integrate the second-order damped flow from rest.
 
     Starts at t0 > 0 with X(t0) = x0 and X'(t0) = 0 (carrying the
     zero-initial-velocity condition to t0), then applies symplectic Euler
     steps up to t_end. Samples record t, X, the velocity X', the objective
     gap and the Hamiltonian ``H = t^r (0.5 ||A X'||^2 + V(X))`` (``inf``
-    where ``t^r`` overflows).
+    where ``t^r`` overflows). ``terms`` is as for :func:`rk4_integrate`.
 
     Requires ``config.r``; the config then checks ``r >= 3`` and ``t0 > 0``.
     """
     if config.r is None:
         raise ValueError("config.r is required for the second-order flow")
     r, h = float(config.r), config.h
-    x, v_star, meta, columns = _start(problem, x0, config, v_star, "aadmm_flow",
-                                      "symplectic_euler", r)
-    ts = columns["t"]
+    x, v_star, meta = _start(problem, x0, config, v_star, "aadmm_flow", "symplectic_euler", r)
+    ts = config.times()
     damping = np.exp(r * np.log(ts[:-1] / ts[1:])).tolist()  # (t_k / t_{k+1})^r
     if problem.is_quadratic:
         # the loop steps the mode coordinates (y, w) of (X, X') = phi (y, w)
         modes = problem.modes
         h_lam, h_beta = h * modes.lam, h * modes.beta
         x = modes.coordinates(x)
+        samples = _Samples(problem, ts, terms, r, to_x=modes.phi.T)
 
-        def kick(y):
-            return -(h_lam * y + h_beta)
+        def kick(y, out):  # -(h lam y + h beta)
+            np.multiply(h_lam, y, out)
+            out += h_beta
+            return np.negative(out, out)
     else:
         velocity = _flow_velocity(problem)
+        samples = _Samples(problem, ts, terms, r)
 
-        def kick(x):
-            v = velocity(x)
-            v *= h
-            return v
+        def kick(x, out):  # h times the velocity
+            velocity(x, out)
+            out *= h
+            return out
+
+    # x and xdot are this run's own vectors, advanced in place: the loop
+    # stores each sample before the next step
+    v, hv = np.empty(problem.n), np.empty(problem.n)
 
     def step(i, x, xdot):
-        v = xdot + kick(x)
-        return x + h * v, damping[i] * v
+        np.add(kick(x, v), xdot, v)  # X' + kick
+        x += np.multiply(h, v, hv)
+        return x, np.multiply(damping[i], v, xdot)
 
-    end = _sample(columns, x, np.zeros(problem.n), step)
-    if problem.is_quadratic:
-        phi_t = modes.phi.T
-        with np.errstate(over="ignore", invalid="ignore"):
-            for name in ("X", "Xdot"):
-                for rows in _row_blocks(end):
-                    columns[name][rows] = columns[name][rows] @ phi_t
-    return _finish(problem, columns, end, v_star, meta, "second-order flow", r)
+    end = _sample(samples, x, np.zeros(problem.n), step)
+    return samples.finish(end, v_star, meta, "second-order flow")

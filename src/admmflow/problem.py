@@ -186,8 +186,11 @@ class CallbackFunction:
     another length) raises ValueError naming its shape, e.g. ``gradient
     callback returned shape (2, 1), expected (2,)``, on every path: the
     flows, :func:`admm_flow_rhs`, :func:`grad_V` and an inner solver's
-    subproblem. The flows pass buffers they reuse, so a callback must not
-    keep its argument beyond the call.
+    subproblem. ``fn(v)`` must return one number (a float, a numpy scalar or
+    a 0-d array); ``None``, a vector or a length-1 array raises ValueError
+    naming its type or shape, e.g. ``value callback returned shape (1,),
+    expected a number``. The flows pass buffers they reuse, so a callback
+    must not keep its argument beyond the call.
 
     Supported everywhere a gradient oracle suffices; operations that need
     closed-form subproblem solves (``optimal_value``, the quadratic solver
@@ -202,7 +205,16 @@ class CallbackFunction:
         self.dim = int(dim)
 
     def value(self, v):
-        return float(self.fn(v))
+        """``fn(v)`` as a float. A result that ``float`` does not take as one
+        number (``None``, a vector, a length-1 array) is refused with
+        ValueError naming its type or shape; the good path costs nothing more."""
+        value = self.fn(v)
+        try:
+            return float(value)
+        except TypeError:
+            shape = np.shape(value)
+            got = "None" if value is None else f"shape {shape}" if shape else type(value).__name__
+            raise ValueError(f"value callback returned {got}, expected a number") from None
 
     def grad(self, v):
         return self._grad_into(v, np.empty(self.dim))

@@ -10,7 +10,7 @@ import numpy as np
 from .exceptions import DivergenceError
 from .problem import _row_norms
 
-__all__ = ["Trajectory", "load_trajectory_csv"]
+__all__ = ["RowTerms", "Trajectory", "load_trajectory_csv"]
 
 TRUNCATION_MARKER = "truncated"
 
@@ -24,8 +24,10 @@ class Trajectory:
 
     ``t`` and ``V`` are always present. Discrete runs carry ``k`` and
     ``primal_residual``; flow runs carry state samples ``X`` plus, where
-    defined, velocities ``Xdot`` and the Hamiltonian. ``meta`` holds run
-    parameters (method, rho, step size) and never enters CSVs.
+    defined, velocities ``Xdot`` and the Hamiltonian. A flow run that
+    handed its samples to a :class:`RowTerms` carries that in ``terms``
+    instead of X and X'. ``meta`` holds run parameters (method, rho, step
+    size) and never enters CSVs.
     """
 
     t: np.ndarray
@@ -38,6 +40,7 @@ class Trajectory:
     primal_residual: np.ndarray | None = None
     v_star: float | None = None
     meta: dict = field(default_factory=dict)
+    terms: RowTerms | None = None
 
     def __len__(self):
         return int(self.t.shape[0])
@@ -48,9 +51,17 @@ class Trajectory:
         # (each optional column is written when the trajectory carries it)
         cols = [("k", self.k), ("t", self.t), ("V_gap", self.v_gap),
                 ("primal_residual", self.primal_residual), ("hamiltonian", self.hamiltonian),
-                ("x_norm", None if self.X is None else _row_norms(self.X)),
-                ("xdot_norm", None if self.Xdot is None else _row_norms(self.Xdot))]
+                ("x_norm", self._norms("x_norm", self.X)),
+                ("xdot_norm", self._norms("xdot_norm", self.Xdot))]
         return [(name, values) for name, values in cols if values is not None]
+
+    def _norms(self, name, rows):
+        """The column ``name``: the norms of ``rows`` (X or X'), or, when
+        they are not stored, the ones the run's ``terms`` carry; None
+        without either."""
+        if rows is not None:
+            return _row_norms(rows)
+        return None if self.terms is None else self.terms.values.get(name)
 
     def to_csv(self, path, truncation_note=None):
         """Write the trajectory; floats use repr so files round-trip exactly.
@@ -63,6 +74,43 @@ class Trajectory:
         if truncation_note is not None:
             trailer = [TRUNCATION_MARKER, str(truncation_note)] + [""] * (len(cols) - 2)
         write_columns_csv(path, cols, trailer)
+
+
+class RowTerms:
+    """Per-sample terms of a flow run's rows of X and X', filled one block of
+    samples at a time: what a flow integrator given ``terms`` keeps of its
+    samples in place of X and X'.
+
+    ``functions`` maps each term's name to ``fn(rows, X, Xdot)``, its values
+    at the samples ``rows`` (a slice) from their rows X and X'; ``at`` is
+    the point the terms are taken at, if any (the monitors' x*). Calling the
+    object with a block stores the block's values in ``values``; a slice of
+    it holds the terms of those samples.
+    """
+
+    def __init__(self, n, functions, at=None):
+        self.functions = functions
+        self.at = at
+        self.values = {name: np.empty(n) for name in functions}
+        self._n = n
+
+    def __len__(self):
+        return self._n
+
+    def __call__(self, rows, X, Xdot):
+        for name, fn in self.functions.items():
+            self.values[name][rows] = fn(rows, X, Xdot)
+
+    def __getitem__(self, samples):
+        part = RowTerms(0, self.functions, self.at)
+        part.values = {name: values[samples] for name, values in self.values.items()}
+        part._n = len(range(*samples.indices(self._n)))
+        return part
+
+
+# the CSV's norm columns as terms of a block, for a run that stores no X and X'
+NORM_TERMS = {"x_norm": lambda rows, X, Xdot: _row_norms(X),
+              "xdot_norm": lambda rows, X, Xdot: _row_norms(Xdot)}
 
 
 def write_columns_csv(path, columns, trailer=None):
@@ -98,8 +146,9 @@ def build_trajectory(columns, n, v_star, meta):
     """Trajectory of the first ``n`` samples of preallocated ``columns``.
 
     ``columns`` maps :class:`Trajectory` field names (``t`` and ``V`` at
-    least) to arrays with one row per sample; the trajectory holds views of
-    their first ``n`` rows, not copies.
+    least) to arrays with one row per sample, or ``terms`` to a
+    :class:`RowTerms`; the trajectory holds views of their first ``n``
+    rows, not copies.
     """
     cols = {name: values[:n] for name, values in columns.items()}
     return Trajectory(v_gap=cols["V"] - v_star, v_star=v_star, meta=meta, **cols)
@@ -124,10 +173,12 @@ def _is_data_row(line):
 
 
 def _row_fault(lines, width):
-    """The first fault of the numbered ``lines`` (``(line number, text)``): a
-    row without ``width`` cells or a cell that is not a number, described
-    with its file line, or None."""
-    for lineno, line in lines:
+    """The first fault of the data rows among ``lines``, the lines of a file
+    past its header: a row without ``width`` cells or a cell that is not a
+    number, described with its file line, or None."""
+    for lineno, line in enumerate(lines, 2):
+        if not _is_data_row(line):
+            continue
         cells = line.rstrip("\r\n").split(",")
         if len(cells) != width:
             return (f"line {lineno}: the header names {width} columns, but data row "
@@ -155,16 +206,15 @@ def load_trajectory_csv(path):
             raise ValueError(f"{path}: empty file, expected a trajectory CSV header")
         if not any(header):
             raise ValueError(f"{path}: the first line is blank, expected a trajectory CSV header")
-        numbered = [(lineno, line) for lineno, line in enumerate(fh, 2)
-                    if _is_data_row(line)]
+        rest = fh.readlines()
     width = len(header)
-    lines = [line for _, line in numbered]
+    lines = [line for line in rest if _is_data_row(line)]
     try:
         # loadtxt warns on empty input; comments=None: a '#' row is data too
         data = (np.loadtxt(lines, delimiter=",", comments=None, ndmin=2) if lines
                 else np.empty((0, width)))
     except ValueError as exc:  # a ragged row, or a cell that is not a number
-        raise ValueError(f"{path}: {_row_fault(numbered, width) or exc}") from None
+        raise ValueError(f"{path}: {_row_fault(rest, width) or exc}") from None
     if data.shape[1] != width:
-        raise ValueError(f"{path}: {_row_fault(numbered, width)}")
+        raise ValueError(f"{path}: {_row_fault(rest, width)}")
     return {name: data[:, j] for j, name in enumerate(header)}

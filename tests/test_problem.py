@@ -475,6 +475,28 @@ def test_list_and_integer_gradients_run_as_float_ones(path):
             assert np.array_equal(getattr(runs[got], field), getattr(runs[want], field)), field
 
 
+# the same f behind a value callback that misses the contract: every path that
+# evaluates V refuses the result by name rather than with float()'s TypeError
+MALFORMED_VALUES = {
+    "none": (lambda x: None, r"returned None, expected a number"),
+    "vector": (lambda x: np.asarray(x), r"returned shape \(2,\), expected a number"),
+    "length-1": (lambda x: np.array([0.5 * float(np.dot(x, x))]),
+                 r"returned shape \(1,\), expected a number"),
+}
+
+
+@pytest.mark.parametrize("path", ["eval_V", "rk4", "symplectic", "admm-inner"])
+@pytest.mark.parametrize("kind", MALFORMED_VALUES)
+def test_a_malformed_value_is_refused_by_name(kind, path):
+    fn, message = MALFORMED_VALUES[kind]
+    f = af.CallbackFunction(fn, lambda x: x, 2)
+    p = af.SplitProblem(f, af.QuadraticFunction.zero(2), np.eye(2))
+    run = af.eval_V if path == "eval_V" else GRADIENT_PATHS[path]
+    with pytest.raises(ValueError, match="value callback " + message) as err:
+        run(p, np.array([1.0, 2.0]))
+    assert not isinstance(err.value, DivergenceError)
+
+
 def test_split_problem_validation():
     f1 = af.QuadraticFunction(np.eye(2))
     g1 = af.QuadraticFunction.zero(2)

@@ -20,10 +20,9 @@ from helpers import with_g
 # ROW_BLOCK rows of n floats, well under one copy of the run's samples
 VECTORS = 12
 BLOCKS = 4
-# what an in-process figure1 may hold beyond its largest run's samples: the
-# runs it keeps without X and X', its monitors, the overlay grid and the
-# blocks of its products
-FIGURE1_ALLOWANCE = 6 * 2**20
+# one X of figure1's RK4 run, 20,001 x 60 floats (9.6 MB): what a CLI flow
+# command, or a flow run that hands its blocks to terms, holds less than
+ONE_RUN_X = 20_001 * 60 * 8
 
 
 @pytest.mark.parametrize("n", [0, 1, ROW_BLOCK - 1, ROW_BLOCK, ROW_BLOCK + 1,
@@ -136,25 +135,54 @@ def test_products_over_a_long_run_stay_in_blocks(figure1_problem, figure1_x0, lo
     assert peak <= budget, f"{name}: traced peak {peak} B exceeds {budget} B"
 
 
-def test_figure1_holds_its_trajectories_and_little_more(tmp_path, monkeypatch):
-    # figure1 holds one flow run at a time: its largest run (RK4, 20,001 x 60,
-    # with X and X') plus a fixed allowance; a second run's samples (9.6 MB
-    # an array) do not fit. Each run's stored bytes are recorded, the run is
-    # not kept
+@pytest.mark.parametrize("name", ["rk4", "aadmm_flow"])
+def test_a_run_with_terms_holds_less_than_one_x(figure1_problem, figure1_x0, long_runs, name):
+    # the run stores no X or X' (a stored one takes two such arrays): its
+    # blocks, its per-sample columns and the terms
+    p = figure1_problem
+    x_star, _ = af.optimal_value(p)
+    samples = len(long_runs[0])
+    config = (IntegratorConfig(h=1e-3, t0=0.0, t_end=(samples - 1) * 1e-3) if name == "rk4"
+              else IntegratorConfig(h=1e-3, t0=1e-3, t_end=samples * 1e-3, r=10.0))
+    run = af.rk4_integrate if name == "rk4" else af.aadmm_flow_integrate
+    traj = []
+    peak = _traced_peak(lambda: traj.append(
+        run(p, figure1_x0, config, terms=af.flow_row_terms(p, config, x_star))))
+    assert len(traj[0]) == samples == 20_001 and traj[0].X is None
+    assert peak < ONE_RUN_X, f"{name}: traced peak {peak} B"
+
+
+def _recording_runs(monkeypatch):
+    """The length of each run the CLI writes, and whether it stored its X."""
     stored = []
     run_to_csv = cli._run_to_csv
-    fields = ("t", "V", "v_gap", "X", "Xdot", "hamiltonian", "k", "primal_residual")
 
     def record(*args, **kwargs):
         traj = run_to_csv(*args, **kwargs)
-        stored.append((len(traj), sum(getattr(traj, name).nbytes for name in fields
-                                      if getattr(traj, name) is not None)))
+        stored.append((len(traj), traj.X is not None))
         return traj
 
     monkeypatch.setattr(cli, "_run_to_csv", record)
+    return stored
+
+
+def test_figure1_holds_its_trajectories_and_little_more(tmp_path, monkeypatch):
+    # figure1's flow runs hand their samples to terms, one block at a time:
+    # its traced peak stays below one X of its RK4 run (20,001 x 60)
+    stored = _recording_runs(monkeypatch)
     peak = _traced_peak(lambda: cli.main(["figure1", "--seed", "38",
                                           "--out-dir", str(tmp_path)]))
-    largest = max(nbytes for _, nbytes in stored)
     assert len(stored) == 4 and max(samples for samples, _ in stored) == 20_001
-    assert peak <= largest + FIGURE1_ALLOWANCE, (
-        f"traced peak {peak} B exceeds the largest run's {largest} B + {FIGURE1_ALLOWANCE} B")
+    assert stored[:2] == [(20_001, False), (4_243, False)]  # the flows, run first
+    assert peak < ONE_RUN_X, f"traced peak {peak} B exceeds {ONE_RUN_X} B"
+
+
+def test_run_flows_hold_less_than_one_x(tmp_path, monkeypatch):
+    # run's flows, on figure1's draw and RK4 grid, the same
+    assert cli.main(["gen", "--seed", "38", "--out", str(tmp_path / "p.json")]) == 0
+    stored = _recording_runs(monkeypatch)
+    peak = _traced_peak(lambda: cli.main([
+        "run", "--problem", str(tmp_path / "p.json"), "--solver", "admm_flow",
+        "--solver", "aadmm_flow", "--t-end", "20", "--out-dir", str(tmp_path)]))
+    assert stored == [(20_001, False), (2_000, False)]
+    assert peak < ONE_RUN_X, f"traced peak {peak} B exceeds {ONE_RUN_X} B"
