@@ -12,11 +12,11 @@ the velocity X' read the trajectory's recorded ``Xdot`` (both flows record
 it), the second-order ones read the damping r from its ``meta["r"]``, and
 every ``||A y||^2`` term is formed by the same row-wise helper as the
 Hamiltonian of the second-order flow. Those terms are functions of a block
-of rows of X and X' (:func:`_monitor_terms`): a monitor forms them over a
-trajectory's stored rows one block at a time, or reads them from its
-``terms`` when its run handed its blocks to :func:`flow_row_terms` at the
-same x* and stored no X. Rate fits read the trajectory's own objective
-gaps ``v_gap``.
+of rows of X and X' (:func:`_monitor_terms`), which every flow run folds
+into its trajectory's ``terms``: a monitor reads ``kinetic`` from there,
+and the x*-term when the run was given the same ``x_star``, and otherwise
+forms it over the trajectory's stored rows one block at a time. Rate fits
+read the trajectory's own objective gaps ``v_gap``.
 
 Decay tolerances default to the integrator order that produced the
 trajectory: tight (1e-9) for RK4 runs of the first-order flow, looser
@@ -34,7 +34,7 @@ import numpy as np
 from .exceptions import NumericalError, UnsupportedFunctionError, WindowError
 from .problem import (_a_sq_norms, _check_damping, _hessian_and_linear_term, _map_rows,
                       _row_norms, eval_V)
-from .trajectory import NORM_TERMS, RowTerms, write_columns_csv
+from .trajectory import write_columns_csv
 
 __all__ = [
     "RateFit",
@@ -46,7 +46,6 @@ __all__ = [
     "check_state_convergence",
     "sup_discrepancy",
     "write_monitor_csv",
-    "flow_row_terms",
 ]
 
 GAP_FLOOR = 1e-14  # objective gaps below this are treated as solver noise
@@ -86,7 +85,7 @@ def _central_diff(t, values):
 def _check_traj(traj, need_velocity=False):
     if len(traj) < 2:
         raise ValueError("monitors need a trajectory with at least 2 samples")
-    if traj.terms is not None:  # a run that kept row terms in place of X and X'
+    if traj.terms is not None:  # a flow run: its terms stand in for X and X' unstored
         return
     if traj.X is None:
         raise ValueError("monitors need state samples (trajectory.X)")
@@ -100,14 +99,16 @@ def _eta(t, r):
     return 2.0 * np.log(t / (r - 1.0))
 
 
-def _monitor_terms(problem, t, x_star, r=None):
-    """The row terms the monitors of one flow read at ``x_star`` on the
-    sample times ``t``, as functions ``fn(rows, X, Xdot)`` of a block of
-    rows, by name: ``kinetic`` ``||A X'||^2`` and, for the first-order flow
-    (r None), ``displacement`` ``||A (X - x*)||^2`` or, for the second-order
-    flow with damping r, ``rate_displacement`` ``||A (X - x* + e^{eta/2}
-    X')||^2``."""
+def _monitor_terms(problem, t, x_star=None, r=None):
+    """The row terms the monitors of one flow read on the sample times
+    ``t``, as functions ``fn(rows, X, Xdot)`` of a block of rows, by name:
+    ``kinetic`` ``||A X'||^2`` and, with ``x_star``, for the first-order
+    flow (r None) ``displacement`` ``||A (X - x*)||^2`` or, for the
+    second-order flow with damping r, ``rate_displacement`` ``||A (X - x* +
+    e^{eta/2} X')||^2``."""
     terms = {"kinetic": lambda rows, X, Xdot: _a_sq_norms(problem, Xdot)}
+    if x_star is None:
+        return terms
     if r is None:
         terms["displacement"] = lambda rows, X, Xdot: _a_sq_norms(problem, X - x_star)
     else:
@@ -119,34 +120,21 @@ def _monitor_terms(problem, t, x_star, r=None):
 
 def _row_term(problem, traj, x_star, name, r=None):
     """The row term ``name`` of :func:`_monitor_terms` at each sample of
-    ``traj``: the one its ``terms`` carry when they were taken at
-    ``x_star``, else formed over its stored X and X' one block of
-    :func:`_row_blocks` at a time."""
+    ``traj``: the one its ``terms`` carry when it does not depend on x*
+    (``kinetic``) or was taken at ``x_star`` (the run's ``meta["x_star"]``),
+    else formed over its stored X and X' one block of :func:`_row_blocks`
+    at a time."""
     x_star = np.asarray(x_star, dtype=float)
-    terms = traj.terms
-    if terms is not None and name in terms.values and np.array_equal(terms.at, x_star):
-        return terms.values[name]
+    carried = traj.terms or {}
+    if name in carried and (name == "kinetic"
+                            or np.array_equal(traj.meta.get("x_star"), x_star)):
+        return carried[name]
     if traj.X is None:
         raise ValueError(f"monitors need state samples (trajectory.X) or its {name} row term "
                          "taken at this x_star")
     fn = _monitor_terms(problem, traj.t, x_star, r)[name]
     return _map_rows(lambda rows: fn(rows, traj.X[rows], None if traj.Xdot is None
                                      else traj.Xdot[rows]), len(traj))
-
-
-def flow_row_terms(problem, config, x_star=None):
-    """A :class:`~admmflow.trajectory.RowTerms` for a flow run on
-    ``config``'s grid, as the ``terms`` of :func:`rk4_integrate` or
-    :func:`aadmm_flow_integrate`: the CSV's ``x_norm`` and ``xdot_norm``
-    and, with ``x_star``, the row terms the flow's monitors read at it
-    (:func:`_monitor_terms`), so that the run's CSV and monitors need no
-    stored X and X'."""
-    functions = dict(NORM_TERMS)
-    if x_star is not None:
-        x_star = np.asarray(x_star, dtype=float)
-        r = None if config.r is None else float(config.r)
-        functions.update(_monitor_terms(problem, config.times(), x_star, r))
-    return RowTerms(config.n_steps + 1, functions, x_star)
 
 
 def _damping(traj):

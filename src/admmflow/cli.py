@@ -1,11 +1,11 @@
 """Command-line harness: generate problems, run solvers and flows, fit rates,
 and reproduce the benchmark experiment end to end.
 
-A flow run of ``run`` or ``figure1`` stores no X and X': it hands each
-block of samples to a :func:`flow_row_terms` consumer, which keeps the
-per-sample terms its CSV (``x_norm``, ``xdot_norm``) and, in ``figure1``,
-its monitors read. The run's trajectory (t, V, the gap, H) carries them,
-and the CSV and the monitors are the library's own, as on a stored run.
+A flow run of ``run`` or ``figure1`` is given the problem's x* and so
+stores no X and X': its trajectory (t, V, the gap, H) carries the
+per-sample terms its CSV (``x_norm``, ``xdot_norm``) and its monitors
+read, folded by the run itself, and the CSV and the monitors are the
+library's own, as on a stored run.
 
 Exit codes: 0 success, 2 usage or input error, 3 numerical divergence,
 4 rate-check failure.
@@ -29,7 +29,6 @@ from .analysis import (
     MIN_FIT_SAMPLES,
     RateFit,
     fit_rate,
-    flow_row_terms,
     monitor_aadmm_rate,
     monitor_aadmm_stability,
     monitor_admm_rate,
@@ -116,14 +115,6 @@ def _run_to_csv(path, run, *args, **kwargs):
     return traj
 
 
-def _streamed(problem, kwargs, x_star=None):
-    """The keyword arguments of a run, a flow's with the :func:`flow_row_terms`
-    of its grid (at ``x_star`` for its monitors), so that it stores no X and X'."""
-    if "config" not in kwargs:
-        return kwargs
-    return dict(kwargs, terms=flow_row_terms(problem, kwargs["config"], x_star))
-
-
 def _driver(solver, *, rho, r, max_iter, stop_tol=0.0, h=None, t0=None, t_end=None):
     """Driver and keyword arguments of one run of ``solver``. A flow's grid is
     built, and so checked, here: ``h``/``t0`` None take RK4 h = 1e-3, t0 = 0
@@ -162,10 +153,14 @@ def cmd_run(args):
     x0 = np.full(problem.n, args.x0)
     outdir = args.out_dir or _default_outdir()
     os.makedirs(outdir, exist_ok=True)
-    v_star = None  # the first run computes it; the others reuse it
+    # a flow given x* stores no X and X'; without a flow the first run
+    # computes V* and the others reuse it
+    x_star, v_star = optimal_value(problem) if flows else (None, None)
     for solver, (run, kwargs) in drivers.items():
         path = os.path.join(outdir, f"{solver}.csv")
-        traj = _run_to_csv(path, run, problem, x0, v_star=v_star, **_streamed(problem, kwargs))
+        if solver in flows:
+            kwargs = dict(kwargs, x_star=x_star)
+        traj = _run_to_csv(path, run, problem, x0, v_star=v_star, **kwargs)
         v_star = traj.v_star
         print(f"{solver}: wrote {path}, final V_gap={traj.v_gap[-1]:.6e}")
         if traj.meta.get("stopped_early") and traj.k[-1] < args.max_iter:
@@ -235,16 +230,18 @@ def cmd_figure1(args):
         return files[name]
 
     # each trajectory is written as soon as it is computed; a DivergenceError
-    # keeps the partial CSV and exits through main(). A flow keeps the row
-    # terms of its CSV and monitors in place of X and X'; its monitors read
-    # them last, and each run then keeps only what later stages read
+    # keeps the partial CSV and exits through main(). A flow, given x*,
+    # keeps the row terms of its CSV and monitors in place of X and X'; its
+    # monitors read them last, and each run then keeps only what later
+    # stages read
     monitors = {}
 
     def run_to_csv(name, run, kwargs):
-        traj = _run_to_csv(csv_path(name), run, problem, x0, v_star=v_star,
-                           **_streamed(problem, kwargs, x_star))
         flow_monitors = {"admm_flow": (monitor_admm_stability, monitor_admm_rate),  # looked
                          "aadmm_flow": (monitor_aadmm_stability, monitor_aadmm_rate)}  # up now
+        if name in flow_monitors:
+            kwargs = dict(kwargs, x_star=x_star)
+        traj = _run_to_csv(csv_path(name), run, problem, x0, v_star=v_star, **kwargs)
         for kind, monitor in zip(("stability", "rate"), flow_monitors.get(name, ())):
             monitors[f"monitor_{name}_{kind}"] = monitor(problem, traj, x_star)
         return replace(traj, X=None, Xdot=None, terms=None)

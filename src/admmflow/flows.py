@@ -51,14 +51,16 @@ step, so a diverged run stops at the next check, and
 x0 is refused by name before a run starts.
 
 Samples are formed one block of :func:`_row_blocks` at a time
-(:class:`_Samples`), and each block is folded once formed: V, the
-finiteness test and the kinetic term of H at its samples. A run given
-``terms`` (a :class:`~admmflow.trajectory.RowTerms`, e.g. from
-:func:`~admmflow.analysis.flow_row_terms`) forms its blocks in two
-buffers it reuses, hands each to ``terms`` after the fold and stores no X
-or X'; otherwise the blocks are rows of the stored X and X'. Both give
-the same bytes of every per-sample value, the blocks and their products
-being the same. The one check before a gradient call
+(:class:`_Samples`), and each block is folded once formed, the one place
+a run's per-sample terms are formed: V, the finiteness test, the CSV's
+``x_norm`` and ``xdot_norm`` and the monitors' terms of
+:func:`~admmflow.analysis._monitor_terms`, ``kinetic`` ``||A X'||^2``
+(which H reads too) and, given ``x_star``, the flow's term at it. The
+trajectory carries them in ``terms``. A run given ``x_star`` records it in
+``meta["x_star"]``, forms its blocks in two buffers it reuses and stores
+no X or X'; otherwise the blocks are rows of the stored X and X'. Both
+give the same bytes of every per-sample value, the blocks and their
+products being the same. The one check before a gradient call
 is the velocity's: when ``A X`` is not finite (as for every non-finite X, A
 having full column rank) it returns NaN and calls neither gradient, so no
 callback sees a non-finite X or ``A X`` (V reads NaN there without a call).
@@ -74,8 +76,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .problem import (MAX_STEPS, ROW_BLOCK, _a_sq_norms, _as_vector, _check_damping,
-                      _check_finite, _row_blocks, _values, resolve_v_star)
+from .analysis import _monitor_terms
+from .problem import (MAX_STEPS, ROW_BLOCK, _as_vector, _check_damping, _check_finite,
+                      _row_blocks, _row_norms, _values, resolve_v_star)
 from .trajectory import build_trajectory, divergence_error
 
 __all__ = [
@@ -202,15 +205,19 @@ def admm_flow_rhs(problem, X):
     return -(inv @ (inv.T @ problem.f.grad(x) + U.T @ problem.g.grad(ax)))
 
 
-def _start(problem, x0, config, v_star, method, integrator, r=None):
+def _start(problem, x0, x_star, config, v_star, method, integrator, r=None):
     """``x0`` as a vector, the resolved ``v_star`` and the run meta (with
-    ``r`` when given, and the modal backward error of a quadratic problem).
-    A NaN or inf entry of x0 is refused by name before anything else is done."""
+    ``r`` and ``x_star`` when given, and the modal backward error of a
+    quadratic problem). An x0 or x_star of another shape than (n,), or with a
+    NaN or inf entry, is refused by name before anything else is done."""
     x = np.array(_as_vector(x0, problem.n, "x0"))
     _check_finite(x, "x0")
-    v_star = resolve_v_star(problem, v_star)
     meta = {"method": method, "integrator": integrator, "h": config.h, "t0": config.t0,
             "t_end": config.t_end}
+    if x_star is not None:
+        meta["x_star"] = np.array(_as_vector(x_star, problem.n, "x_star"))
+        _check_finite(meta["x_star"], "x_star")
+    v_star = resolve_v_star(problem, v_star)
     if r is not None:
         meta["r"] = r
     if problem.is_quadratic:
@@ -223,31 +230,32 @@ class _Samples:
     :func:`_row_blocks` at a time.
 
     :meth:`block` gives the rows X and X' of a block to fill: views of the
-    stored X and X', or, when the run hands its blocks to ``terms`` (a
-    :class:`RowTerms`), two buffers reused from block to block, so that no
-    samples x n array is made. :meth:`fold` takes a block once its rows are
-    formed: it maps them from mode coordinates when ``to_x`` (``phi^T``) is
-    given, and records V, the finiteness test and, when the damping ``r``
-    is given, the ``||A X'||^2`` of the Hamiltonian at its samples, then
-    hands the rows to ``terms``. A run that stops early stops within a
-    block; as the checks fall on multiples of ``ROW_BLOCK``, the blocks
-    folded are then those of :func:`_row_blocks` of the samples formed.
+    stored X and X', or, for a run given ``x_star``, two buffers reused
+    from block to block, so that no samples x n array is made. :meth:`fold`
+    takes a block once its rows are formed: it maps them from mode
+    coordinates when ``to_x`` (``phi^T``) is given, and records V, the
+    finiteness test and the per-sample ``terms``: ``x_norm``, ``xdot_norm``
+    and those of :func:`~admmflow.analysis._monitor_terms` (``kinetic``,
+    and the flow's term at ``x_star`` when given; the damping ``r`` picks
+    the flow). A run that stops early stops within a block; as the checks
+    fall on multiples of ``ROW_BLOCK``, the blocks folded are then those of
+    :func:`_row_blocks` of the samples formed.
     """
 
-    def __init__(self, problem, t, terms=None, r=None, to_x=None):
+    def __init__(self, problem, t, x_star=None, r=None, to_x=None):
         n = len(t)
-        if terms is not None and len(terms) != n:
-            raise ValueError(f"terms hold {len(terms)} samples; the grid has {n}")
-        self.problem, self.t, self.terms, self.r, self.to_x = problem, t, terms, r, to_x
+        self.problem, self.t, self.r, self.to_x = problem, t, r, to_x
+        self.stored = x_star is None
         self.blocks = _row_blocks(n)
+        self.functions = _monitor_terms(problem, t, x_star, r)
         self.V = np.empty(n)
         self.finite = np.empty(n, dtype=bool)
-        self.kinetic = None if r is None else np.empty(n)
-        rows = n if terms is None else max(b.stop - b.start for b in self.blocks)
+        self.terms = {name: np.empty(n) for name in ("x_norm", "xdot_norm", *self.functions)}
+        rows = n if self.stored else max(b.stop - b.start for b in self.blocks)
         self._X, self._Xdot = np.empty((rows, problem.n)), np.empty((rows, problem.n))
 
     def block(self, rows):
-        if self.terms is None:
+        if self.stored:
             return self._X[rows], self._Xdot[rows]
         return self._X, self._Xdot
 
@@ -260,10 +268,11 @@ class _Samples:
             xds[...] = xds @ self.to_x
         self.V[formed] = _values(self.problem, xs)
         self.finite[formed] = np.isfinite(xs).all(axis=1) & np.isfinite(xds).all(axis=1)
-        if self.kinetic is not None:
-            self.kinetic[formed] = _a_sq_norms(self.problem, xds)
-        if self.terms is not None:
-            self.terms(formed, xs, xds)
+        terms = self.terms
+        terms["x_norm"][formed] = _row_norms(xs)
+        terms["xdot_norm"][formed] = _row_norms(xds)
+        for name, fn in self.functions.items():
+            terms[name][formed] = fn(formed, xs, xds)
 
     def finish(self, end, v_star, meta, label):
         """Trajectory of a run whose first ``end`` samples are folded, with the
@@ -279,17 +288,15 @@ class _Samples:
             and the trajectory up to it.
         """
         n = len(self.t)
-        columns = {"t": self.t, "V": self.V}
-        if self.terms is None:
+        columns = {"t": self.t, "V": self.V, "terms": self.terms}
+        if self.stored:
             columns["X"], columns["Xdot"] = self._X, self._Xdot
-        else:
-            columns["terms"] = self.terms
         vals = self.V[:end]
         if self.r is not None:
             # silence the overflow of t^r (large r and t), which leaves H = inf
             with np.errstate(over="ignore", invalid="ignore"):
                 columns["hamiltonian"] = (self.t[:end] ** self.r
-                                          * (0.5 * self.kinetic[:end] + vals))
+                                          * (0.5 * self.terms["kinetic"][:end] + vals))
         finite = self.finite[:end] & np.isfinite(vals)
         stop = end if finite.all() else int(np.argmin(finite))
         if stop < n:
@@ -375,14 +382,14 @@ def _modal_rk4(modes, x, samples, h):
     return n
 
 
-def rk4_integrate(problem, x0, config, v_star=None, *, terms=None):
+def rk4_integrate(problem, x0, config, v_star=None, *, x_star=None):
     """Integrate the first-order flow with classical RK4 from X(t0) = x0.
 
     The trajectory is sampled at every step and records t, X, the flow
-    velocity X' (the right-hand side at the sample) and the objective gap.
-    With ``terms``, a :class:`~admmflow.trajectory.RowTerms` of one row per
-    sample of the grid, each block of rows of X and X' is handed to it once
-    formed, and the trajectory carries it in place of X and X'.
+    velocity X' (the right-hand side at the sample), the objective gap and
+    the per-sample ``terms`` of its blocks. With ``x_star``, the point the
+    monitors are taken at, the terms also hold ``displacement``
+    ``||A (X - x*)||^2`` and the trajectory stores no X or X'.
 
     Raises
     ------
@@ -391,8 +398,8 @@ def rk4_integrate(problem, x0, config, v_star=None, *, terms=None):
         last finite time and the partial trajectory.
     """
     h = config.h
-    x, v_star, meta = _start(problem, x0, config, v_star, "admm_flow", "rk4")
-    samples = _Samples(problem, config.times(), terms)
+    x, v_star, meta = _start(problem, x0, x_star, config, v_star, "admm_flow", "rk4")
+    samples = _Samples(problem, config.times(), meta.get("x_star"))
     if problem.is_quadratic:
         end = _modal_rk4(problem.modes, x, samples, h)
     else:
@@ -420,21 +427,23 @@ def rk4_integrate(problem, x0, config, v_star=None, *, terms=None):
     return samples.finish(end, v_star, meta, "first-order flow")
 
 
-def aadmm_flow_integrate(problem, x0, config, v_star=None, *, terms=None):
+def aadmm_flow_integrate(problem, x0, config, v_star=None, *, x_star=None):
     """Integrate the second-order damped flow from rest.
 
     Starts at t0 > 0 with X(t0) = x0 and X'(t0) = 0 (carrying the
     zero-initial-velocity condition to t0), then applies symplectic Euler
     steps up to t_end. Samples record t, X, the velocity X', the objective
     gap and the Hamiltonian ``H = t^r (0.5 ||A X'||^2 + V(X))`` (``inf``
-    where ``t^r`` overflows). ``terms`` is as for :func:`rk4_integrate`.
+    where ``t^r`` overflows). ``x_star`` is as for :func:`rk4_integrate`,
+    its term ``rate_displacement`` ``||A (X - x* + e^{eta/2} X')||^2``.
 
     Requires ``config.r``; the config then checks ``r >= 3`` and ``t0 > 0``.
     """
     if config.r is None:
         raise ValueError("config.r is required for the second-order flow")
     r, h = float(config.r), config.h
-    x, v_star, meta = _start(problem, x0, config, v_star, "aadmm_flow", "symplectic_euler", r)
+    x, v_star, meta = _start(problem, x0, x_star, config, v_star, "aadmm_flow",
+                             "symplectic_euler", r)
     ts = config.times()
     damping = np.exp(r * np.log(ts[:-1] / ts[1:])).tolist()  # (t_k / t_{k+1})^r
     if problem.is_quadratic:
@@ -442,7 +451,7 @@ def aadmm_flow_integrate(problem, x0, config, v_star=None, *, terms=None):
         modes = problem.modes
         h_lam, h_beta = h * modes.lam, h * modes.beta
         x = modes.coordinates(x)
-        samples = _Samples(problem, ts, terms, r, to_x=modes.phi.T)
+        samples = _Samples(problem, ts, meta.get("x_star"), r, to_x=modes.phi.T)
 
         def kick(y, out):  # -(h lam y + h beta)
             np.multiply(h_lam, y, out)
@@ -450,7 +459,7 @@ def aadmm_flow_integrate(problem, x0, config, v_star=None, *, terms=None):
             return np.negative(out, out)
     else:
         velocity = _flow_velocity(problem)
-        samples = _Samples(problem, ts, terms, r)
+        samples = _Samples(problem, ts, meta.get("x_star"), r)
 
         def kick(x, out):  # h times the velocity
             velocity(x, out)

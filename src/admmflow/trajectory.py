@@ -10,7 +10,7 @@ import numpy as np
 from .exceptions import DivergenceError
 from .problem import _row_norms
 
-__all__ = ["RowTerms", "Trajectory", "load_trajectory_csv"]
+__all__ = ["Trajectory", "load_trajectory_csv"]
 
 TRUNCATION_MARKER = "truncated"
 
@@ -24,10 +24,11 @@ class Trajectory:
 
     ``t`` and ``V`` are always present. Discrete runs carry ``k`` and
     ``primal_residual``; flow runs carry state samples ``X`` plus, where
-    defined, velocities ``Xdot`` and the Hamiltonian. A flow run that
-    handed its samples to a :class:`RowTerms` carries that in ``terms``
-    instead of X and X'. ``meta`` holds run parameters (method, rho, step
-    size) and never enters CSVs.
+    defined, velocities ``Xdot`` and the Hamiltonian, and ``terms``, a dict
+    of per-sample arrays their run folded (the CSV's ``x_norm`` and
+    ``xdot_norm`` among them); a run given ``x_star`` stores no X or X'.
+    ``meta`` holds run parameters (method, rho, step size) and never enters
+    CSVs.
     """
 
     t: np.ndarray
@@ -40,7 +41,7 @@ class Trajectory:
     primal_residual: np.ndarray | None = None
     v_star: float | None = None
     meta: dict = field(default_factory=dict)
-    terms: RowTerms | None = None
+    terms: dict | None = None
 
     def __len__(self):
         return int(self.t.shape[0])
@@ -56,12 +57,11 @@ class Trajectory:
         return [(name, values) for name, values in cols if values is not None]
 
     def _norms(self, name, rows):
-        """The column ``name``: the norms of ``rows`` (X or X'), or, when
-        they are not stored, the ones the run's ``terms`` carry; None
-        without either."""
-        if rows is not None:
-            return _row_norms(rows)
-        return None if self.terms is None else self.terms.values.get(name)
+        """The column ``name``: the one the run's ``terms`` carry, else the
+        norms of ``rows`` (X or X'); None without either."""
+        if self.terms is not None and name in self.terms:
+            return self.terms[name]
+        return None if rows is None else _row_norms(rows)
 
     def to_csv(self, path, truncation_note=None):
         """Write the trajectory; floats use repr so files round-trip exactly.
@@ -74,43 +74,6 @@ class Trajectory:
         if truncation_note is not None:
             trailer = [TRUNCATION_MARKER, str(truncation_note)] + [""] * (len(cols) - 2)
         write_columns_csv(path, cols, trailer)
-
-
-class RowTerms:
-    """Per-sample terms of a flow run's rows of X and X', filled one block of
-    samples at a time: what a flow integrator given ``terms`` keeps of its
-    samples in place of X and X'.
-
-    ``functions`` maps each term's name to ``fn(rows, X, Xdot)``, its values
-    at the samples ``rows`` (a slice) from their rows X and X'; ``at`` is
-    the point the terms are taken at, if any (the monitors' x*). Calling the
-    object with a block stores the block's values in ``values``; a slice of
-    it holds the terms of those samples.
-    """
-
-    def __init__(self, n, functions, at=None):
-        self.functions = functions
-        self.at = at
-        self.values = {name: np.empty(n) for name in functions}
-        self._n = n
-
-    def __len__(self):
-        return self._n
-
-    def __call__(self, rows, X, Xdot):
-        for name, fn in self.functions.items():
-            self.values[name][rows] = fn(rows, X, Xdot)
-
-    def __getitem__(self, samples):
-        part = RowTerms(0, self.functions, self.at)
-        part.values = {name: values[samples] for name, values in self.values.items()}
-        part._n = len(range(*samples.indices(self._n)))
-        return part
-
-
-# the CSV's norm columns as terms of a block, for a run that stores no X and X'
-NORM_TERMS = {"x_norm": lambda rows, X, Xdot: _row_norms(X),
-              "xdot_norm": lambda rows, X, Xdot: _row_norms(Xdot)}
 
 
 def write_columns_csv(path, columns, trailer=None):
@@ -146,11 +109,13 @@ def build_trajectory(columns, n, v_star, meta):
     """Trajectory of the first ``n`` samples of preallocated ``columns``.
 
     ``columns`` maps :class:`Trajectory` field names (``t`` and ``V`` at
-    least) to arrays with one row per sample, or ``terms`` to a
-    :class:`RowTerms`; the trajectory holds views of their first ``n``
-    rows, not copies.
+    least) to arrays with one row per sample, and ``terms`` to a dict of
+    such arrays; the trajectory holds views of their first ``n`` rows, not
+    copies.
     """
-    cols = {name: values[:n] for name, values in columns.items()}
+    cols = {name: values[:n] for name, values in columns.items() if name != "terms"}
+    if "terms" in columns:
+        cols["terms"] = {name: values[:n] for name, values in columns["terms"].items()}
     return Trajectory(v_gap=cols["V"] - v_star, v_star=v_star, meta=meta, **cols)
 
 
@@ -196,9 +161,10 @@ def load_trajectory_csv(path):
 
     Blank lines and the ``truncated`` marker row that :meth:`Trajectory.to_csv`
     writes after a divergence are skipped; every other row is data, parsed by
-    ``np.loadtxt``. A file without a header row, or with a data row that is
-    not one number per header column, raises ``ValueError`` naming the file,
-    the fault and its line in the file.
+    ``np.loadtxt``. A file without a header row, with a header that names a
+    column twice, or with a data row that is not one number per header
+    column, raises ``ValueError`` naming the file, the fault and its line in
+    the file.
     """
     with open(path, "r", newline="", encoding="utf-8") as fh:
         header = next(csv.reader(fh), None)
@@ -206,6 +172,9 @@ def load_trajectory_csv(path):
             raise ValueError(f"{path}: empty file, expected a trajectory CSV header")
         if not any(header):
             raise ValueError(f"{path}: the first line is blank, expected a trajectory CSV header")
+        repeated = next((name for i, name in enumerate(header) if name in header[:i]), None)
+        if repeated is not None:
+            raise ValueError(f"{path}: line 1: the header names the column {repeated!r} twice")
         rest = fh.readlines()
     width = len(header)
     lines = [line for line in rest if _is_data_row(line)]

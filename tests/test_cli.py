@@ -411,6 +411,16 @@ def test_rates_names_the_line_of_a_bad_cell(tmp_path, capsys, name):
     assert capsys.readouterr().err == f"error: {path}: {fault}\n"
 
 
+
+def test_rates_refuses_a_repeated_column(tmp_path, capsys):
+    path = tmp_path / "twice.csv"
+    rows = "".join(f"{t},{t ** -1},{t ** -2}\n" for t in range(2, 21))
+    path.write_text("t,V_gap,V_gap\n" + rows)
+    assert main(["rates", "--trajectory", str(path), "--target", "-1"]) == 2
+    assert capsys.readouterr().err == (f"error: {path}: line 1: the header names the column "
+                                       "'V_gap' twice\n")
+
+
 def test_figure1_smoke(tmp_path, capsys):
     out = str(tmp_path / "fig")
     code = main(["figure1", "--seed", "5", "--max-iter", "50", "--h-rk4", "5e-3",

@@ -21,7 +21,7 @@ from helpers import with_g
 VECTORS = 12
 BLOCKS = 4
 # one X of figure1's RK4 run, 20,001 x 60 floats (9.6 MB): what a CLI flow
-# command, or a flow run that hands its blocks to terms, holds less than
+# command, or a flow run given x_star, holds less than
 ONE_RUN_X = 20_001 * 60 * 8
 
 
@@ -147,7 +147,7 @@ def test_a_run_with_terms_holds_less_than_one_x(figure1_problem, figure1_x0, lon
     run = af.rk4_integrate if name == "rk4" else af.aadmm_flow_integrate
     traj = []
     peak = _traced_peak(lambda: traj.append(
-        run(p, figure1_x0, config, terms=af.flow_row_terms(p, config, x_star))))
+        run(p, figure1_x0, config, x_star=x_star)))
     assert len(traj[0]) == samples == 20_001 and traj[0].X is None
     assert peak < ONE_RUN_X, f"{name}: traced peak {peak} B"
 
@@ -167,7 +167,7 @@ def _recording_runs(monkeypatch):
 
 
 def test_figure1_holds_its_trajectories_and_little_more(tmp_path, monkeypatch):
-    # figure1's flow runs hand their samples to terms, one block at a time:
+    # figure1's flow runs, given x_star, fold their samples one block at a time:
     # its traced peak stays below one X of its RK4 run (20,001 x 60)
     stored = _recording_runs(monkeypatch)
     peak = _traced_peak(lambda: cli.main(["figure1", "--seed", "38",

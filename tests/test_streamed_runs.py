@@ -1,13 +1,15 @@
-"""Flow runs that hand their samples to ``terms`` (as every CLI flow run
-does) in place of storing X and X': their CSVs, monitors and divergence
-reports are byte for byte those of the stored run."""
+"""Flow runs given ``x_star`` (as every CLI flow run is), which store no X
+and X' and fold the terms their CSV and monitors read: their CSVs,
+monitors and divergence reports are byte for byte those of the stored run,
+and every run forms each per-sample term once."""
 
 import numpy as np
 import pytest
 
 import admmflow as af
-from admmflow import cli
+from admmflow import analysis, cli
 from admmflow.flows import IntegratorConfig
+from admmflow.problem import ROW_BLOCK, _row_norms
 
 from helpers import as_callbacks, with_g
 
@@ -21,18 +23,18 @@ def _stored_files(problem, x0, configs, x_star, v_star, out):
     """The CSVs of stored runs of both flows, and of their monitors, in ``out``."""
     for name, config in configs.items():
         traj = FLOWS[name](problem, x0, config, v_star=v_star)
-        assert traj.X is not None and traj.terms is None
+        assert traj.X is not None and "x_star" not in traj.meta
         traj.to_csv(out / f"{name}.csv")
         for kind, monitor in MONITORS[name].items():
             af.write_monitor_csv(monitor(problem, traj, x_star), out / f"monitor_{name}_{kind}.csv")
 
 
 def _streamed_files(problem, x0, configs, x_star, v_star, out):
-    """The same files from runs that hand their blocks to ``flow_row_terms``."""
+    """The same files from runs given ``x_star``."""
     for name, config in configs.items():
-        terms = af.flow_row_terms(problem, config, x_star)
-        traj = FLOWS[name](problem, x0, config, v_star=v_star, terms=terms)
-        assert traj.X is None and traj.Xdot is None and len(traj.terms) == len(traj)
+        traj = FLOWS[name](problem, x0, config, v_star=v_star, x_star=x_star)
+        assert traj.X is None and traj.Xdot is None
+        assert all(len(values) == len(traj) for values in traj.terms.values())
         traj.to_csv(out / f"{name}.csv")
         for kind, monitor in MONITORS[name].items():
             af.write_monitor_csv(monitor(problem, traj, x_star), out / f"monitor_{name}_{kind}.csv")
@@ -96,9 +98,9 @@ def test_run_flow_files_are_the_stored_runs(figure1_problem, figure1_x0, tmp_pat
     _same_files(cli_dir, lib_dir)
 
 
-def _diverged(run, problem, x0, config, terms=None):
+def _diverged(run, problem, x0, config, x_star=None):
     with pytest.raises(af.DivergenceError) as err:
-        run(problem, x0, config, v_star=0.0, terms=terms)
+        run(problem, x0, config, v_star=0.0, x_star=x_star)
     return err.value
 
 
@@ -116,13 +118,11 @@ def test_a_streamed_divergence_is_the_stored_one(figure1_problem, figure1_x0, tm
     problem = figure1_problem if draw == "figure1" else as_callbacks(figure1_problem)
     config, run = DIVERGING[name], FLOWS[name]
     stored = _diverged(run, problem, figure1_x0, config)
-    streamed = _diverged(run, problem, figure1_x0, config,
-                         af.flow_row_terms(problem, config, np.zeros(problem.n)))
+    streamed = _diverged(run, problem, figure1_x0, config, np.zeros(problem.n))
     assert streamed.t_last == stored.t_last
     assert len(streamed.trajectory) == len(stored.trajectory) > 1
     note = f"divergence near t={stored.t_last:.6g}"
-    with np.errstate(over="ignore"):  # the norm of a huge finite row of X is inf
-        stored.trajectory.to_csv(tmp_path / "stored.csv", truncation_note=note)
+    stored.trajectory.to_csv(tmp_path / "stored.csv", truncation_note=note)
     streamed.trajectory.to_csv(tmp_path / "streamed.csv", truncation_note=note)
     assert (tmp_path / "stored.csv").read_bytes() == (tmp_path / "streamed.csv").read_bytes()
 
@@ -133,32 +133,89 @@ def test_figure1_divergence_files_are_the_stored_run(figure1_problem, figure1_x0
                      "--out-dir", str(tmp_path)]) == cli.EXIT_DIVERGENCE
     stored = _diverged(af.rk4_integrate, figure1_problem, figure1_x0, DIVERGING["admm_flow"])
     assert f"diverged after t = {stored.t_last:.6g}" in capsys.readouterr().err
-    with np.errstate(over="ignore"):
-        stored.trajectory.to_csv(tmp_path / "stored.csv",
-                                 truncation_note=f"divergence near t={stored.t_last:.6g}")
+    stored.trajectory.to_csv(tmp_path / "stored.csv",
+                             truncation_note=f"divergence near t={stored.t_last:.6g}")
     assert (tmp_path / "admm_flow.csv").read_bytes() == (tmp_path / "stored.csv").read_bytes()
 
 
-def test_terms_must_match_the_grid(figure1_problem, figure1_x0):
-    config = IntegratorConfig(h=0.1, t0=0.0, t_end=1.0)
-    other = af.flow_row_terms(figure1_problem, IntegratorConfig(h=0.1, t0=0.0, t_end=2.0))
-    with pytest.raises(ValueError, match="terms hold 21 samples; the grid has 11"):
-        af.rk4_integrate(figure1_problem, figure1_x0, config, terms=other)
+def test_a_diverged_stored_run_writes_its_csv_without_a_warning(figure1_problem, figure1_x0,
+                                                                 tmp_path):
+    # its last finite rows of X' have norms that overflow (formed afresh,
+    # they warn); the norms are folded in the run's errstate, so to_csv
+    # (under the suite's RuntimeWarning = error, with no errstate of its
+    # own) reads them without a warning
+    err = _diverged(af.rk4_integrate, figure1_problem, figure1_x0, DIVERGING["admm_flow"])
+    assert np.isfinite(err.trajectory.Xdot).all()
+    assert np.isinf(err.trajectory.terms["xdot_norm"]).any()
+    with pytest.warns(RuntimeWarning, match="overflow"):
+        _row_norms(err.trajectory.Xdot)
+    err.trajectory.to_csv(tmp_path / "run.csv", truncation_note="diverged")
+
+
+@pytest.mark.parametrize("name", sorted(FLOWS))
+@pytest.mark.parametrize("x_star, fault", [
+    (np.zeros(3), r"x_star must have shape \(60,\), got \(3,\)"),
+    (np.full((1, 60), 0.0), r"x_star must have shape \(60,\), got \(1, 60\)"),
+    (np.where(np.arange(60) == 7, np.nan, 0.0), r"x_star must be finite; x_star\[7\] is nan"),
+    (np.where(np.arange(60) == 0, -np.inf, 0.0), r"x_star must be finite; x_star\[0\] is -inf"),
+], ids=["short", "matrix", "nan", "inf"])
+def test_x_star_is_refused_by_name(figure1_problem, figure1_x0, monkeypatch, name, x_star,
+                                   fault):
+    # as x0 is: before the run starts, so no sample is formed
+    config = IntegratorConfig(h=0.1, t0=0.1, t_end=1.0, r=10.0)
+    monkeypatch.setattr(af.flows._Samples, "fold", None)
+    with pytest.raises(ValueError, match=fault):
+        FLOWS[name](figure1_problem, figure1_x0, config, x_star=x_star)
 
 
 def test_monitors_of_a_streamed_run_need_its_x_star(figure1_problem, figure1_x0):
-    # the monitors' terms are taken at one x*; at another they cannot be
-    # formed without the X the run did not store
-    config = IntegratorConfig(h=1e-2, t0=0.0, t_end=1.0)
+    # kinetic ||A X'||^2 does not depend on x*: the stability monitors read
+    # the carried one at any x*. The rate monitors' terms are taken at the
+    # run's x*; at another they cannot be formed without the X the run did
+    # not store
     x_star, v_star = af.optimal_value(figure1_problem)
-    traj = af.rk4_integrate(figure1_problem, figure1_x0, config, v_star=v_star,
-                            terms=af.flow_row_terms(figure1_problem, config, x_star))
-    af.monitor_admm_rate(figure1_problem, traj, x_star.copy())
-    with pytest.raises(ValueError, match="displacement row term taken at this x_star"):
-        af.monitor_admm_rate(figure1_problem, traj, x_star + 1.0)
-    plain = af.rk4_integrate(figure1_problem, figure1_x0, config, v_star=v_star,
-                             terms=af.flow_row_terms(figure1_problem, config))
-    with pytest.raises(ValueError, match="kinetic row term"):
-        af.monitor_admm_stability(figure1_problem, plain, x_star)
-    with pytest.raises(ValueError, match="needs stored state and velocity samples"):
-        af.check_state_convergence(figure1_problem, traj, x_star)
+    other = x_star + 1.0
+    configs = {"admm_flow": IntegratorConfig(h=1e-2, t0=0.0, t_end=1.0),
+               "aadmm_flow": IntegratorConfig(h=1e-2, t0=1e-2, t_end=1.0, r=10.0)}
+    faults = {"admm_flow": "displacement", "aadmm_flow": "rate_displacement"}
+    for name, config in configs.items():
+        stored = FLOWS[name](figure1_problem, figure1_x0, config, v_star=v_star)
+        traj = FLOWS[name](figure1_problem, figure1_x0, config, v_star=v_star, x_star=x_star)
+        stability, rate = MONITORS[name]["stability"], MONITORS[name]["rate"]
+        for at in (x_star, other):
+            assert (stability(figure1_problem, traj, at).tobytes()
+                    == stability(figure1_problem, stored, at).tobytes())
+        assert (rate(figure1_problem, traj, x_star.copy()).tobytes()
+                == rate(figure1_problem, stored, x_star).tobytes())
+        with pytest.raises(ValueError, match=f"its {faults[name]} row term taken at this x_star"):
+            rate(figure1_problem, traj, other)
+        with pytest.raises(ValueError, match="needs stored state and velocity samples"):
+            af.check_state_convergence(figure1_problem, traj, x_star)
+
+
+@pytest.mark.parametrize("stored", [False, True], ids=["x_star", "stored"])
+def test_a_second_order_run_forms_each_a_product_once(figure1_problem, figure1_x0, monkeypatch,
+                                                      stored):
+    # a 3-block grid: per block one kinetic ||A X'||^2, which H and both
+    # monitors read, and, given x*, one rate displacement the rate monitor
+    # reads; a stored run's rate monitor forms its displacement over the
+    # stored rows, once per block too
+    calls = []
+    a_sq_norms = analysis._a_sq_norms
+
+    def counted(problem, ys):
+        calls.append(len(ys))
+        return a_sq_norms(problem, ys)
+
+    monkeypatch.setattr(analysis, "_a_sq_norms", counted)
+    monkeypatch.setattr(af.flows, "_a_sq_norms", counted, raising=False)
+    x_star, v_star = af.optimal_value(figure1_problem)
+    samples = 3 * ROW_BLOCK + 147
+    config = IntegratorConfig(h=1e-2, t0=1e-2, t_end=samples * 1e-2, r=10.0)
+    traj = af.aadmm_flow_integrate(figure1_problem, figure1_x0, config, v_star=v_star,
+                                   x_star=None if stored else x_star)
+    assert len(traj) == samples and (traj.X is None) != stored
+    af.monitor_aadmm_stability(figure1_problem, traj, x_star)
+    af.monitor_aadmm_rate(figure1_problem, traj, x_star)
+    blocks = [ROW_BLOCK, ROW_BLOCK, ROW_BLOCK + 147]
+    assert sorted(calls) == sorted(blocks + blocks)

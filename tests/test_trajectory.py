@@ -110,6 +110,16 @@ def test_load_malformed_csv_names_the_file_and_fault(tmp_path, text, fault):
     assert str(err.value).startswith(f"{path}: ") and fault in str(err.value)
 
 
+
+def test_load_refuses_a_header_that_names_a_column_twice(tmp_path):
+    # a repeated V_gap would keep only its last column, and rates would fit it
+    path = tmp_path / "twice.csv"
+    path.write_text("t,V_gap,V_gap\n1,3,4\n2,5,6\n")
+    with pytest.raises(ValueError) as err:
+        load_trajectory_csv(path)
+    assert str(err.value) == f"{path}: line 1: the header names the column 'V_gap' twice"
+
+
 finite_floats = st.floats(allow_nan=False, allow_infinity=False)
 exact_ints = st.integers(min_value=-(2**53), max_value=2**53)  # exact as float64
 
