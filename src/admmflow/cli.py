@@ -36,7 +36,7 @@ from .analysis import (
     sup_discrepancy,
     write_monitor_csv,
 )
-from .discrete import _check_max_iter, run_aadmm, run_admm, time_scale
+from .discrete import _check_budget, run_aadmm, run_admm, time_scale
 from .exceptions import AdmmFlowError, DivergenceError
 from .flows import (
     DEFAULT_RK4_H,
@@ -122,7 +122,7 @@ def _driver(solver, *, rho, r, max_iter, stop_tol=0.0, h=None, t0=None, t_end=No
     discrete method's iterate ``max_iter`` sits."""
     budget = {"rho": rho, "max_iter": max_iter, "stop_tol": stop_tol}
     if solver in ("admm", "aadmm"):  # checked as the run would, before any file is written
-        _check_max_iter(max_iter)
+        _check_budget(max_iter, stop_tol)
         if solver == "admm":
             return run_admm, budget
         _check_damping(r)

@@ -44,6 +44,7 @@ state after a non-finite one.
 from __future__ import annotations
 
 import math
+import numbers
 from dataclasses import dataclass
 
 import numpy as np
@@ -286,14 +287,19 @@ def aadmm_step(problem, state, inner_solver=None):
     )
 
 
-def _check_max_iter(max_iter):
-    """Refuse fewer than 1 or (every iterate is stored) more than ``MAX_STEPS`` iterations."""
+def _check_budget(max_iter, stop_tol):
+    """Refuse a ``max_iter`` that is a bool or not an integer in [1, ``MAX_STEPS``]
+    (every iterate is stored), and a NaN or infinite ``stop_tol``."""
+    if isinstance(max_iter, bool) or not isinstance(max_iter, numbers.Integral):
+        raise ValueError(f"max_iter must be an integer, got {max_iter!r}")
     if not 1 <= max_iter <= MAX_STEPS:
         raise ValueError(f"max_iter must be in [1, MAX_STEPS = {MAX_STEPS}], got {max_iter}")
+    if not math.isfinite(stop_tol):
+        raise ValueError(f"stop_tol must be finite, got {stop_tol}")
 
 
 def _run(problem, start, args, max_iter, stop_tol, v_star, inner_solver):
-    _check_max_iter(max_iter)  # before any column of the run is allocated
+    _check_budget(max_iter, stop_tol)  # before any column of the run is allocated
     # a finite x0 whose A x0 overflows is reported below, at sample 0
     with np.errstate(over="ignore", invalid="ignore"):
         state = start(problem, *args)
@@ -400,7 +406,8 @@ def run_admm(problem, x0, rho, max_iter, stop_tol=0.0, v_star=None, inner_solver
     ``||A x_k - z_k|| + ||z_k - z_{k-1}|| <= stop_tol`` (default 0: only an
     exact fixed point stops early); ``meta["stopped_early"]`` records a stop
     by this test. The time column is ``t = k / rho``. Records per iterate:
-    x, objective gap and primal residual.
+    x, objective gap and primal residual. A non-integer ``max_iter`` and a
+    non-finite ``stop_tol`` are refused by name before the run starts.
     """
     return _run(problem, initial_admm_state, (x0, rho), max_iter, stop_tol, v_star, inner_solver)
 

@@ -28,10 +28,10 @@ For quadratic f and g both flows run on the modal basis
 :attr:`SplitProblem.modes`: with ``X = phi y`` the first-order flow splits
 into scalar modes ``y_i' = -(lam_i y_i + beta_i)``. RK4 multiplies each
 mode's ``y - y*`` by its stability factor ``R(-h lam)`` per step, so every
-sample has a closed form, formed in chunks of ``FINITE_CHECK_EVERY`` rows;
-symplectic Euler takes its step on the mode coordinates, elementwise. X and
-X' are products with ``phi^T``, and ``meta["modal_backward_error"]`` records
-the basis's backward error in units of eps. Callback problems take the
+sample has a closed form, formed a chunk of rows at a time; symplectic
+Euler takes its step on the mode coordinates, elementwise. X and X' are
+products with ``phi^T``, and ``meta["modal_backward_error"]`` records the
+basis's backward error in units of eps. Callback problems take the
 four-stage RK4 step or the same symplectic step on the velocity
 ``-(P grad f(X) + Q grad g(A X))``, with ``P = (A^T A)^{-1} = R^{-1} R^{-T}``
 and ``Q = P A^T = R^{-1} U^T`` stacked once per run into one operator
@@ -42,13 +42,15 @@ function's ``_grad_into``, the one conversion of a gradient, which refuses
 a callback result that is not a vector of the function's dimension. RK4
 keeps X and its four stages as the rows of one 5 x n matrix, and forms
 each stage input and the next X as one product of a coefficient row with
-its leading rows, written into one buffer. Every
-stepped flow advances as ``X, X' = step(i, X, X')`` in one sampling loop,
-which checks X and X' once per ``FINITE_CHECK_EVERY`` samples, as the modal
-RK4 chunks are checked. A non-finite X or X' stays non-finite from step to
-step, so a diverged run stops at the next check, and
-:meth:`_Samples.finish` reports its first non-finite sample; a non-finite
-x0 is refused by name before a run starts.
+its leading rows, written into one buffer. Every flow run is one
+:meth:`_Samples.run`, given a ``fill(start, stop, xs, xds)`` that writes
+samples ``start .. stop - 1`` into the rows it is handed; a stepped fill
+takes the step to sample i when it writes sample i, so no gradient is
+called past the last sample kept. The driver checks X and X' once per
+chunk of ``ROW_BLOCK`` rows. A non-finite X or X' stays non-finite from
+step to step, so a diverged run stops after the chunk holding its first
+non-finite sample, which :meth:`_Samples.finish` reports; a non-finite x0
+is refused by name before a run starts.
 
 Samples are formed one block of :func:`_row_blocks` at a time
 (:class:`_Samples`), and each block is folded once formed, the one place
@@ -97,10 +99,6 @@ DEFAULT_SYMPLECTIC_H = 1e-2
 
 # (t_end - t0) / h may land just above a whole number of steps by rounding
 GRID_RTOL = 1e-9
-
-# rows per block of a modal RK4 run, and samples between the finiteness
-# checks of every other flow's loop: a diverged run stops within this many
-FINITE_CHECK_EVERY = ROW_BLOCK
 
 
 @dataclass
@@ -227,7 +225,8 @@ def _start(problem, x0, x_star, config, v_star, method, integrator, r=None):
 
 class _Samples:
     """The samples of one flow run on the grid ``t``, formed one block of
-    :func:`_row_blocks` at a time.
+    :func:`_row_blocks` at a time, with the run's ``v_star``, ``meta``
+    (which gives ``x_star`` and the damping ``r``) and ``label``.
 
     :meth:`block` gives the rows X and X' of a block to fill: views of the
     stored X and X', or, for a run given ``x_star``, two buffers reused
@@ -236,18 +235,20 @@ class _Samples:
     coordinates when ``to_x`` (``phi^T``) is given, and records V, the
     finiteness test and the per-sample ``terms``: ``x_norm``, ``xdot_norm``
     and those of :func:`~admmflow.analysis._monitor_terms` (``kinetic``,
-    and the flow's term at ``x_star`` when given; the damping ``r`` picks
-    the flow). A run that stops early stops within a block; as the checks
-    fall on multiples of ``ROW_BLOCK``, the blocks folded are then those of
+    and the flow's term at ``x_star`` when given; ``r`` picks the flow). A
+    run that stops early stops within a block; as the checks fall on
+    multiples of ``ROW_BLOCK``, the blocks folded are then those of
     :func:`_row_blocks` of the samples formed.
     """
 
-    def __init__(self, problem, t, x_star=None, r=None, to_x=None):
+    def __init__(self, problem, t, v_star, meta, label, to_x=None):
         n = len(t)
-        self.problem, self.t, self.r, self.to_x = problem, t, r, to_x
+        x_star, self.r = meta.get("x_star"), meta.get("r")
+        self.problem, self.t, self.to_x = problem, t, to_x
+        self.v_star, self.meta, self.label = v_star, meta, label
         self.stored = x_star is None
         self.blocks = _row_blocks(n)
-        self.functions = _monitor_terms(problem, t, x_star, r)
+        self.functions = _monitor_terms(problem, t, x_star, self.r)
         self.V = np.empty(n)
         self.finite = np.empty(n, dtype=bool)
         self.terms = {name: np.empty(n) for name in ("x_norm", "xdot_norm", *self.functions)}
@@ -258,6 +259,26 @@ class _Samples:
         if self.stored:
             return self._X[rows], self._Xdot[rows]
         return self._X, self._Xdot
+
+    def run(self, fill):
+        """The trajectory of the samples ``fill(start, stop, xs, xds)`` writes
+        into the chunks of ``ROW_BLOCK`` rows of each block (a block's last
+        chunk may be short), checked once per chunk: a run stops after the
+        first chunk holding a non-finite row of X or X'. Divergence is
+        reported from the samples, so their overflow is silenced, as is that
+        of ``t^r`` in :meth:`finish`."""
+        with np.errstate(over="ignore", invalid="ignore"):
+            for rows in self.blocks:
+                xs, xds = self.block(rows)
+                for start in range(rows.start, rows.stop, ROW_BLOCK):
+                    stop = min(start + ROW_BLOCK, rows.stop)
+                    chunk = slice(start - rows.start, stop - rows.start)
+                    fill(start, stop, xs[chunk], xds[chunk])
+                    if not (np.isfinite(xs[chunk]).all() and np.isfinite(xds[chunk]).all()):
+                        self.fold(rows, stop)
+                        return self.finish(stop)
+                self.fold(rows, rows.stop)
+            return self.finish(len(self.t))
 
     def fold(self, rows, stop):
         """Take the rows of the block ``rows`` up to sample ``stop``."""
@@ -274,7 +295,7 @@ class _Samples:
         for name, fn in self.functions.items():
             terms[name][formed] = fn(formed, xs, xds)
 
-    def finish(self, end, v_star, meta, label):
+    def finish(self, end):
         """Trajectory of a run whose first ``end`` samples are folded, with the
         Hamiltonian of the second-order flow, ``H = t^r (0.5 ||A X'||^2 +
         V)``, when the damping ``r`` is given; H is ``inf`` where ``t^r``
@@ -292,56 +313,27 @@ class _Samples:
         if self.stored:
             columns["X"], columns["Xdot"] = self._X, self._Xdot
         vals = self.V[:end]
-        if self.r is not None:
-            # silence the overflow of t^r (large r and t), which leaves H = inf
-            with np.errstate(over="ignore", invalid="ignore"):
-                columns["hamiltonian"] = (self.t[:end] ** self.r
-                                          * (0.5 * self.terms["kinetic"][:end] + vals))
+        if self.r is not None:  # t^r overflows for large r and t, leaving H = inf
+            columns["hamiltonian"] = (self.t[:end] ** self.r
+                                      * (0.5 * self.terms["kinetic"][:end] + vals))
         finite = self.finite[:end] & np.isfinite(vals)
         stop = end if finite.all() else int(np.argmin(finite))
         if stop < n:
-            raise divergence_error(label, columns, stop, v_star, meta)
-        return build_trajectory(columns, n, v_star, meta)
+            raise divergence_error(self.label, columns, stop, self.v_star, self.meta)
+        return build_trajectory(columns, n, self.v_star, self.meta)
 
 
-def _sample(samples, x, xdot, step):
-    """Sampling loop of every stepped flow; returns the number of samples formed.
-
-    Sample i stores X and X' in its block, then ``X, X' = step(i, X, X')``
-    advances; each block is folded once filled. At the last sample of each
-    block of ``FINITE_CHECK_EVERY`` the loop stops when X or X' is not
-    finite; neither becomes finite again, so the run stops after the first
-    block holding a non-finite sample, as :func:`_modal_rk4` does.
-    """
-    n = len(samples.t)
-    # divergence is detected and reported from the fold; silence the overflow
-    # of a diverged run
-    with np.errstate(over="ignore", invalid="ignore"):
-        for rows in samples.blocks:
-            xs, xds = samples.block(rows)
-            start = rows.start
-            for i in range(start, rows.stop):
-                xs[i - start], xds[i - start] = x, xdot
-                if (i + 1) % FINITE_CHECK_EVERY == 0 and not np.isfinite((x, xdot)).all():
-                    samples.fold(rows, i + 1)
-                    return i + 1
-                if i + 1 < n:
-                    x, xdot = step(i, x, xdot)
-            samples.fold(rows, rows.stop)
-    return n
-
-
-def _modal_rk4(modes, x, samples, h):
-    """RK4 samples of a quadratic problem's first-order flow, mode by mode;
-    returns the number of samples formed.
+def _modal_rk4(modes, x, h):
+    """The fill of RK4 samples of a quadratic problem's first-order flow, mode
+    by mode.
 
     With ``z = -h lam``, one step multiplies ``y - y*`` (``y* = -beta / lam``)
     by ``R(z) = 1 + z phi(z)``, ``phi(z) = 1 + z/2 + z^2/6 + z^3/24``, so
     sample k is ``y0 + (R^k - 1)(y0 - y*)`` with ``R^k - 1 = expm1(k log1p(z
     phi(z)))``, accurate for lam near 0; a mode with ``z phi(z) = 0`` drifts
-    as ``y0 - k h beta``, which RK4 integrates exactly. Rows are formed in
-    chunks of ``FINITE_CHECK_EVERY`` (a block's last chunk may be short),
-    and a run stops after the first chunk holding a non-finite row of X or X'.
+    as ``y0 - k h beta``, which RK4 integrates exactly. The factors of a
+    chunk's rows are formed with the first chunk, where the driver silences
+    their overflow on a diverging grid.
     """
     lam, beta = modes.lam, modes.beta
     z = -h * lam
@@ -353,33 +345,28 @@ def _modal_rk4(modes, x, samples, h):
     # X = phi y and X' = -phi (lam y + beta), as products with the rows y
     phi_t = modes.phi.T
     neg_phi_t = -phi_t
-    n = len(samples.t)
-    steps = np.arange(min(FINITE_CHECK_EVERY, n), dtype=float)[:, None]
-    with np.errstate(over="ignore", invalid="ignore"):
-        within = np.expm1(steps * log_r)  # R^j - 1 for the rows j of a chunk
-        for rows in samples.blocks:
-            xs, xds = samples.block(rows)
-            for start in range(rows.start, rows.stop, FINITE_CHECK_EVERY):
-                stop = min(start + FINITE_CHECK_EVERY, rows.stop)
-                chunk = slice(start - rows.start, stop - rows.start)
-                ahead = np.expm1(start * log_r)  # R^start - 1
-                part = within[:stop - start]
-                ys = part * ahead
-                ys += part
-                ys += ahead  # R^k - 1 = (R^j - 1)(R^start - 1) + (R^j - 1) + (R^start - 1)
-                ys *= gap
-                ys += y0
-                if drift.any():
-                    ys[:, drift] = y0[drift] - ((start + steps[:len(ys)]) * h) * beta[drift]
-                np.matmul(ys, phi_t, out=xs[chunk])
-                ys *= lam
-                ys += beta
-                np.matmul(ys, neg_phi_t, out=xds[chunk])
-                if not (np.isfinite(xs[chunk]).all() and np.isfinite(xds[chunk]).all()):
-                    samples.fold(rows, stop)
-                    return stop
-            samples.fold(rows, rows.stop)
-    return n
+    steps = np.arange(ROW_BLOCK, dtype=float)[:, None]
+    within = None
+
+    def fill(start, stop, xs, xds):
+        nonlocal within
+        if start == 0:
+            within = np.expm1(steps[:stop] * log_r)  # R^j - 1 for the rows j of a chunk
+        ahead = np.expm1(start * log_r)  # R^start - 1
+        part = within[:stop - start]
+        ys = part * ahead
+        ys += part
+        ys += ahead  # R^k - 1 = (R^j - 1)(R^start - 1) + (R^j - 1) + (R^start - 1)
+        ys *= gap
+        ys += y0
+        if drift.any():
+            ys[:, drift] = y0[drift] - ((start + steps[:len(ys)]) * h) * beta[drift]
+        np.matmul(ys, phi_t, out=xs)
+        ys *= lam
+        ys += beta
+        np.matmul(ys, neg_phi_t, out=xds)
+
+    return fill
 
 
 def rk4_integrate(problem, x0, config, v_star=None, *, x_star=None):
@@ -399,32 +386,31 @@ def rk4_integrate(problem, x0, config, v_star=None, *, x_star=None):
     """
     h = config.h
     x, v_star, meta = _start(problem, x0, x_star, config, v_star, "admm_flow", "rk4")
-    samples = _Samples(problem, config.times(), meta.get("x_star"))
+    samples = _Samples(problem, config.times(), v_star, meta, "first-order flow")
     if problem.is_quadratic:
-        end = _modal_rk4(problem.modes, x, samples, h)
-    else:
-        rhs = _flow_velocity(problem)
-        # rows X, k1 .. k4: each stage input and the next X is one product of
-        # a coefficient row with the leading rows, written into one buffer
-        state = np.empty((5, problem.n))
-        state[0] = x
-        x, k1, k2, k3, k4 = state  # k1 is each sample's X'
-        lead2, lead3, lead4 = state[:2], state[:3], state[:4]
-        c2, c3, c4 = (np.array(c) for c in ([1.0, h / 2], [1.0, 0.0, h / 2], [1.0, 0.0, 0.0, h]))
-        weights = np.array([1.0, h / 6, h / 3, h / 3, h / 6])
-        buf = np.empty(problem.n)
+        return samples.run(_modal_rk4(problem.modes, x, h))
+    rhs = _flow_velocity(problem)
+    # rows X, k1 .. k4: each stage input and the next X is one product of a
+    # coefficient row with the leading rows, written into one buffer
+    state = np.empty((5, problem.n))
+    state[0] = x
+    x, k1, k2, k3, k4 = state  # k1 is each sample's X'
+    lead2, lead3, lead4 = state[:2], state[:3], state[:4]
+    c2, c3, c4 = (np.array(c) for c in ([1.0, h / 2], [1.0, 0.0, h / 2], [1.0, 0.0, 0.0, h]))
+    weights = np.array([1.0, h / 6, h / 3, h / 3, h / 6])
+    buf = np.empty(problem.n)
 
-        def step(i, x, k1):  # the loop passes back the rows x and k1 of state
-            rhs(c2.dot(lead2, buf), k2)  # at x + (h/2) k1
-            rhs(c3.dot(lead3, buf), k3)  # at x + (h/2) k2
-            rhs(c4.dot(lead4, buf), k4)  # at x + h k3
-            x[...] = weights.dot(state, buf)  # x + (h/6) (k1 + 2 k2 + 2 k3 + k4)
-            return x, rhs(x, k1)
-
-        with np.errstate(over="ignore", invalid="ignore"):  # as in _sample: A x0 may overflow
+    def fill(start, stop, xs, xds):
+        for i in range(start, stop):
+            if i:  # the step from sample i - 1
+                rhs(c2.dot(lead2, buf), k2)  # at x + (h/2) k1
+                rhs(c3.dot(lead3, buf), k3)  # at x + (h/2) k2
+                rhs(c4.dot(lead4, buf), k4)  # at x + h k3
+                x[...] = weights.dot(state, buf)  # x + (h/6) (k1 + 2 k2 + 2 k3 + k4)
             rhs(x, k1)
-        end = _sample(samples, x, k1, step)
-    return samples.finish(end, v_star, meta, "first-order flow")
+            xs[i - start], xds[i - start] = x, k1
+
+    return samples.run(fill)
 
 
 def aadmm_flow_integrate(problem, x0, config, v_star=None, *, x_star=None):
@@ -447,33 +433,34 @@ def aadmm_flow_integrate(problem, x0, config, v_star=None, *, x_star=None):
     ts = config.times()
     damping = np.exp(r * np.log(ts[:-1] / ts[1:])).tolist()  # (t_k / t_{k+1})^r
     if problem.is_quadratic:
-        # the loop steps the mode coordinates (y, w) of (X, X') = phi (y, w)
+        # the fill steps the mode coordinates (y, w) of (X, X') = phi (y, w)
         modes = problem.modes
         h_lam, h_beta = h * modes.lam, h * modes.beta
-        x = modes.coordinates(x)
-        samples = _Samples(problem, ts, meta.get("x_star"), r, to_x=modes.phi.T)
+        x, to_x = modes.coordinates(x), modes.phi.T
 
         def kick(y, out):  # -(h lam y + h beta)
             np.multiply(h_lam, y, out)
             out += h_beta
             return np.negative(out, out)
     else:
-        velocity = _flow_velocity(problem)
-        samples = _Samples(problem, ts, meta.get("x_star"), r)
+        velocity, to_x = _flow_velocity(problem), None
 
         def kick(x, out):  # h times the velocity
             velocity(x, out)
             out *= h
             return out
 
-    # x and xdot are this run's own vectors, advanced in place: the loop
+    # x and xdot are this run's own vectors, advanced in place: the fill
     # stores each sample before the next step
-    v, hv = np.empty(problem.n), np.empty(problem.n)
+    xdot, v, hv = np.zeros(problem.n), np.empty(problem.n), np.empty(problem.n)
+    samples = _Samples(problem, ts, v_star, meta, "second-order flow", to_x)
 
-    def step(i, x, xdot):
-        np.add(kick(x, v), xdot, v)  # X' + kick
-        x += np.multiply(h, v, hv)
-        return x, np.multiply(damping[i], v, xdot)
+    def fill(start, stop, xs, xds):
+        for i in range(start, stop):
+            if i:  # the step from sample i - 1
+                np.add(kick(x, v), xdot, v)  # X' + kick
+                np.add(x, np.multiply(h, v, hv), x)
+                np.multiply(damping[i - 1], v, xdot)
+            xs[i - start], xds[i - start] = x, xdot
 
-    end = _sample(samples, x, np.zeros(problem.n), step)
-    return samples.finish(end, v_star, meta, "second-order flow")
+    return samples.run(fill)

@@ -392,7 +392,8 @@ class SplitProblem:
             pencil, ``||H phi - (A^T A) phi diag(lam)||_F / ((||H||_F +
             ||A^T A||_F max|lam|) ||phi||_F)``, or that of the linear term,
             ``||(A^T A) phi beta - c|| / (||A^T A||_F ||phi||_F ||beta|| +
-            ||c||)``, with ``c = q_f + A^T q_g``. Both residuals are formed
+            ||q_f|| + ||A^T q_g||)``, with ``c = q_f + A^T q_g``, rounded at
+            the size of its terms. Both residuals are formed
             as products with A (``H phi = M_f phi + A^T (M_g (A phi))``),
             and ``||A^T A||_F = (sum sigma_i^4)^(1/2)`` comes from the
             singular values of A. Every norm is scaled (:func:`_norm`), so
@@ -423,7 +424,7 @@ class SplitProblem:
         pencil = _norm(h_phi - (A.T @ a_phi) * lam)
         pencil_scale = (_norm(H) + ata_norm * lam_max) * phi_norm
         linear = _norm(A.T @ (A @ (phi @ beta)) - c)
-        linear_scale = ata_norm * phi_norm * _norm(beta) + _norm(c)
+        linear_scale = ata_norm * phi_norm * _norm(beta) + _norm(f.q) + _norm(A.T @ g.q)
         for name, resid, scale in (("pencil", pencil, pencil_scale),
                                    ("linear-term", linear, linear_scale)):
             tol = self.modal_backward_tol * scale

@@ -41,6 +41,26 @@ def with_g(problem, kind, seed=1):
     return SplitProblem(problem.f, g, problem.A)
 
 
+def random_problem(seed, n, extra_rows):
+    """A random small quadratic problem and its generator: strongly convex f,
+    convex g, both with linear terms, and sigma_min(A) >= about 1.5."""
+    from admmflow import QuadraticFunction, SplitProblem
+
+    rng = np.random.default_rng(seed)
+    m = n + extra_rows
+    B = rng.standard_normal((n, n))
+    C = rng.standard_normal((m, m))
+    f = QuadraticFunction(B @ B.T + np.eye(n), rng.standard_normal(n))
+    g = QuadraticFunction(C @ C.T, rng.standard_normal(m))
+    A = 3.0 * np.eye(m, n) + 0.3 * rng.standard_normal((m, n))
+    return SplitProblem(f, g, A), rng
+
+
+# a random_problem draw whose linear term c = q_f + A^T q_g cancels: q_f =
+# -1.1255 and A^T q_g = 1.1281 leave c = 0.0026
+CANCELLING_DRAW = (23192242, 1, 0)
+
+
 def range_term_draw(cond_a, n=8, zero_eigs=2, seed=38, w_seed=3):
     """A bounded g = 0 draw with a linear term: ``gen_figure1_problem(n,
     zero_eigs, 10, cond_a, seed)`` with ``q_f = M_f w``, ``w ~ N(0, I)``

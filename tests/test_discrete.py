@@ -256,6 +256,30 @@ def test_run_over_max_steps_is_refused_before_it_allocates(one_d_problem):
     assert peak < 2**20
 
 
+@pytest.mark.parametrize("run", ["admm", "aadmm"])
+@pytest.mark.parametrize("budget, fault", [
+    ({"max_iter": 2.5}, r"max_iter must be an integer, got 2\.5"),
+    ({"max_iter": 3.0}, r"max_iter must be an integer, got 3\.0"),
+    ({"max_iter": True}, r"max_iter must be an integer, got True"),
+    ({"max_iter": 3, "stop_tol": np.nan}, r"stop_tol must be finite, got nan"),
+    ({"max_iter": 3, "stop_tol": np.inf}, r"stop_tol must be finite, got inf"),
+], ids=["fraction", "whole-float", "bool", "nan-tol", "inf-tol"])
+def test_run_refuses_a_bad_budget_by_name_before_it_allocates(one_d_problem, monkeypatch, run,
+                                                              budget, fault):
+    # as the CLI refuses --max-iter 2.5 and --stop-tol nan: before the start
+    # state is formed or any column is allocated
+    monkeypatch.setattr(af.discrete, "initial_admm_state", None)
+    monkeypatch.setattr(af.discrete, "initial_aadmm_state", None)
+    args = {"admm": {}, "aadmm": {"r": 3.0}}[run]
+    with pytest.raises(ValueError, match=fault):
+        getattr(af, f"run_{run}")(one_d_problem, [1.0], rho=1.0, **args, **budget)
+
+
+def test_run_accepts_a_numpy_integer_budget(one_d_problem):
+    traj = af.run_admm(one_d_problem, [1.0], rho=1.0, max_iter=np.int64(3), stop_tol=np.float64(0))
+    assert len(traj) == 4 and traj.meta["max_iter"] == 3
+
+
 def test_parameter_validation(one_d_problem, pd_2d_problem):
     x0 = np.array([1.0])
     with pytest.raises(ValueError):

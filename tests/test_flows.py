@@ -144,9 +144,9 @@ def test_rk4_divergence_reports_partial(one_d_problem):
 
 def test_diverged_quadratic_run_stops_within_a_check_block(one_d_problem, monkeypatch):
     # V overflows at sample 63 of a 10^5-step grid (R(-10) = 291 per step); the
-    # quadratic run forms its samples in blocks of FINITE_CHECK_EVERY rows and
-    # stops after the first block holding a non-finite row, so V is evaluated
-    # on that block only, long before the grid ends
+    # quadratic run forms its samples in chunks of ROW_BLOCK rows and stops
+    # after the first chunk holding a non-finite row, so V is evaluated on
+    # that block only, long before the grid ends
     rows = []
     values = af.flows._values
     monkeypatch.setattr(af.flows, "_values", lambda p, xs: rows.append(len(xs)) or values(p, xs))
@@ -154,15 +154,14 @@ def test_diverged_quadratic_run_stops_within_a_check_block(one_d_problem, monkey
     with pytest.raises(DivergenceError, match=r"after t = 620$") as err:
         af.rk4_integrate(one_d_problem, np.array([1.0]), config)
     assert len(err.value.trajectory) == 63
-    assert rows == [af.flows.FINITE_CHECK_EVERY] and rows[0] < config.n_steps
+    assert rows == [af.flows.ROW_BLOCK] and rows[0] < config.n_steps
 
 
 def test_diverged_symplectic_run_stops_within_a_check_block(monkeypatch):
     # symplectic Euler at h^2 lam = 100 > 4 grows about 98-fold per step, so
-    # V = 50 X^2 overflows within the first hundred of 10^5 steps; the
-    # quadratic loop checks its mode coordinates at the last sample of each
-    # block of FINITE_CHECK_EVERY and stops at the first check, so V is
-    # evaluated on FINITE_CHECK_EVERY samples only
+    # V = 50 X^2 overflows within the first hundred of 10^5 steps; the run
+    # checks its mode coordinates once per chunk of ROW_BLOCK rows and stops
+    # after the first, so V is evaluated on ROW_BLOCK samples only
     stiff = af.SplitProblem(af.QuadraticFunction([[100.0]]), af.QuadraticFunction.zero(1), [[1.0]])
     rows = []
     values = af.flows._values
@@ -170,7 +169,7 @@ def test_diverged_symplectic_run_stops_within_a_check_block(monkeypatch):
     config = IntegratorConfig(h=1.0, t0=1.0, t_end=1e5, r=3.0)
     with pytest.raises(DivergenceError) as err:
         af.aadmm_flow_integrate(stiff, np.array([1.0]), config)
-    assert rows == [af.flows.FINITE_CHECK_EVERY] and rows[0] < config.n_steps
+    assert rows == [af.flows.ROW_BLOCK] and rows[0] < config.n_steps
     partial = err.value.trajectory
     assert len(partial) < 100 and np.all(np.isfinite(partial.X))
 
@@ -566,7 +565,7 @@ def test_non_finite_velocity_is_caught_at_its_sample(monkeypatch):
     with pytest.raises(DivergenceError, match=r"after t = 0$") as err:
         af.rk4_integrate(p, np.array([1e9]), config)
     assert err.value.trajectory is None
-    assert rows == [af.flows.FINITE_CHECK_EVERY] and rows[0] < config.n_steps
+    assert rows == [af.flows.ROW_BLOCK] and rows[0] < config.n_steps
 
 
 def test_callback_rk4_stops_at_non_finite_velocity():
@@ -590,12 +589,14 @@ def test_callback_rk4_stops_at_non_finite_velocity():
     assert np.all(np.isfinite(partial.X)) and np.all(np.isfinite(partial.Xdot))
 
 
-def test_callback_rk4_checks_its_loop_once_per_block(monkeypatch):
-    # the gradient of the test above overflows at call 21, X' at sample 5, now
-    # on a grid longer than one block: the loop checks X and X' once per
-    # FINITE_CHECK_EVERY samples, so V is evaluated on that block. The steps
-    # after sample 5 run on NaN and call no gradient (the velocity's A X
-    # check), and the run is reported at its first non-finite sample
+@pytest.mark.parametrize("flow, t_last, kept", [("rk4", "0\\.4", 5), ("symplectic", "2\\.1", 21)])
+def test_callback_flows_check_their_loop_once_per_block(monkeypatch, flow, t_last, kept):
+    # the gradient of the test above overflows at call 21, now on a grid
+    # longer than one block: X' at RK4 sample 5 (4 gradients per sample), or
+    # X and X' at symplectic sample 21 (1 per step). The run checks X and X'
+    # once per chunk of ROW_BLOCK samples, so V is evaluated on that block.
+    # The steps after the first non-finite sample run on NaN and call no
+    # gradient (the velocity's A X check), and the run is reported there
     calls, rows = [], []
 
     def grad(x):
@@ -606,12 +607,16 @@ def test_callback_rk4_checks_its_loop_once_per_block(monkeypatch):
     monkeypatch.setattr(af.flows, "_values", lambda p, xs: rows.append(len(xs)) or values(p, xs))
     f = af.CallbackFunction(lambda x: 0.5 * float(x @ x), grad, 1)
     p = af.SplitProblem(f, af.QuadraticFunction.zero(1), [[0.1]])
-    config = IntegratorConfig(h=0.1, t0=0.0, t_end=200.0)
-    with pytest.raises(DivergenceError, match=r"after t = 0\.4$") as err:
-        af.rk4_integrate(p, np.array([1.0]), config, v_star=0.0)
+    if flow == "rk4":
+        config, integrate = IntegratorConfig(h=0.1, t0=0.0, t_end=200.0), af.rk4_integrate
+    else:
+        config = IntegratorConfig(h=0.1, t0=0.1, t_end=200.0, r=3.0)
+        integrate = af.aadmm_flow_integrate
+    with pytest.raises(DivergenceError, match=f"after t = {t_last}$") as err:
+        integrate(p, np.array([1.0]), config, v_star=0.0)
     assert len(calls) == 21
-    assert rows == [af.flows.FINITE_CHECK_EVERY] and rows[0] < config.n_steps
-    assert len(err.value.trajectory) == 5
+    assert rows == [af.flows.ROW_BLOCK] and rows[0] < config.n_steps
+    assert len(err.value.trajectory) == kept
 
 
 @pytest.mark.parametrize("bad_call", [22, 23, 24], ids=["k2", "k3", "k4"])

@@ -1,3 +1,4 @@
+import itertools
 import json
 import re
 import warnings
@@ -9,7 +10,8 @@ import admmflow as af
 from admmflow.exceptions import DivergenceError, NumericalError, UnsupportedFunctionError
 from admmflow.problem import ROW_BLOCK, _hessian_and_linear_term, _is_zero, _values
 
-from helpers import as_callbacks, cg_minimize, fd_grad, range_term_draw, with_g
+from helpers import (CANCELLING_DRAW, as_callbacks, cg_minimize, fd_grad, random_problem,
+                     range_term_draw, with_g)
 
 
 def test_eval_V_one_d(one_d_problem):
@@ -653,12 +655,13 @@ def test_flow_map_refuses_inaccurate_map(pd_2d_problem, monkeypatch):
     # an eigendecomposition off by 1e-9 relative: far above the 64 eps
     # backward-error gates, whatever the conditioning of A. Scaled
     # eigenvalues fail the pencil test; scaled eigenvectors leave the
-    # (scale-free) pencil ratio alone and fail the linear-term test
-    base = pd_2d_problem
+    # (scale-free) pencil ratio alone and fail the linear-term test, also
+    # where the terms of the linear term cancel (its gate's scale is theirs)
     exact = np.linalg.eigh
     perturbations = {"pencil": lambda lam, Q: (lam * (1.0 + 1e-9), Q),
                      "linear-term": lambda lam, Q: (lam, Q * (1.0 + 1e-9))}
-    for name, perturb in perturbations.items():
+    for base, (name, perturb) in itertools.product(
+            (pd_2d_problem, random_problem(*CANCELLING_DRAW)[0]), perturbations.items()):
         monkeypatch.setattr(np.linalg, "eigh", lambda S, perturb=perturb: perturb(*exact(S)))
         p = af.SplitProblem(base.f, base.g, base.A)
         with pytest.raises(NumericalError, match=f"fails its {name} check"):
@@ -666,7 +669,21 @@ def test_flow_map_refuses_inaccurate_map(pd_2d_problem, monkeypatch):
         config = af.flows.IntegratorConfig(h=0.1, t0=0.1, t_end=1.0, r=3.0)
         for integrate in (af.rk4_integrate, af.aadmm_flow_integrate):
             with pytest.raises(NumericalError):
-                integrate(af.SplitProblem(base.f, base.g, base.A), np.ones(2), config)
+                integrate(af.SplitProblem(base.f, base.g, base.A), np.ones(base.n), config)
+
+
+def test_flow_map_accepts_a_linear_term_that_cancels():
+    # c = q_f + A^T q_g = 0.0026 from terms of size 1.13: the rounding of
+    # forming c is about eps 1.13, 162 eps of a gate scaled by ||c||. Scaled
+    # by ||q_f|| + ||A^T q_g||, the correct decomposition reads 0.37 eps of
+    # its 64 eps gate
+    p = random_problem(*CANCELLING_DRAW)[0]
+    terms = abs(p.f.q[0]) + abs((p.A.T @ p.g.q)[0])
+    assert abs((p.f.q + p.A.T @ p.g.q)[0]) < 0.01 * terms  # the premise: c cancels
+    assert 0.0 <= p.modes.backward_error < 64.0
+    x_star, _ = af.optimal_value(p)
+    traj = af.rk4_integrate(p, x_star + 1.0, af.flows.IntegratorConfig(h=0.1, t0=0.0, t_end=1.0))
+    assert np.all(np.isfinite(traj.X)) and traj.v_gap[-1] < traj.v_gap[0]
 
 
 @pytest.mark.parametrize("cond_a", [1e2, 1e4, 1e5, 1e6])

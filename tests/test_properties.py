@@ -13,19 +13,9 @@ import admmflow as af
 from admmflow.discrete import BLOCK
 from admmflow.flows import IntegratorConfig
 
+from helpers import CANCELLING_DRAW, random_problem
+
 EPS = np.finfo(float).eps
-
-
-def random_problem(seed, n, extra_rows):
-    # strongly convex f, convex g with linear terms, sigma_min(A) >= about 1.5
-    rng = np.random.default_rng(seed)
-    m = n + extra_rows
-    B = rng.standard_normal((n, n))
-    C = rng.standard_normal((m, m))
-    f = af.QuadraticFunction(B @ B.T + np.eye(n), rng.standard_normal(n))
-    g = af.QuadraticFunction(C @ C.T, rng.standard_normal(m))
-    A = 3.0 * np.eye(m, n) + 0.3 * rng.standard_normal((m, n))
-    return af.SplitProblem(f, g, A), rng
 
 
 problems = st.builds(random_problem, seed=st.integers(0, 2**32 - 1),
@@ -61,6 +51,7 @@ def test_rk4_propagator_is_the_four_stage_step(problem_rng, frac):
 @settings(max_examples=30, deadline=None)
 @given(problem_rng=problems, h=st.floats(1e-3, 0.5), rho=st.floats(0.1, 100.0),
        r=st.floats(3.0, 20.0), k=st.integers(0, 50))
+@example(problem_rng=random_problem(*CANCELLING_DRAW), h=0.1, rho=1.0, r=3.0, k=0)
 def test_minimizer_is_a_fixed_point_of_every_step(problem_rng, h, rho, r, k):
     problem, _ = problem_rng
     x_star, _ = af.optimal_value(problem)
