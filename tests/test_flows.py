@@ -589,7 +589,8 @@ def test_callback_rk4_stops_at_non_finite_velocity():
     assert np.all(np.isfinite(partial.X)) and np.all(np.isfinite(partial.Xdot))
 
 
-@pytest.mark.parametrize("flow, t_last, kept", [("rk4", "0\\.4", 5), ("symplectic", "2\\.1", 21)])
+@pytest.mark.parametrize("flow, t_last, kept", [("rk4", "0\\.4", 5), ("symplectic", "2\\.1", 21)],
+                         ids=["rk4", "symplectic"])
 def test_callback_flows_check_their_loop_once_per_block(monkeypatch, flow, t_last, kept):
     # the gradient of the test above overflows at call 21, now on a grid
     # longer than one block: X' at RK4 sample 5 (4 gradients per sample), or
