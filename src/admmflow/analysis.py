@@ -32,8 +32,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .exceptions import NumericalError, UnsupportedFunctionError, WindowError
-from .problem import (_a_sq_norms, _check_damping, _hessian_and_linear_term, _map_rows,
-                      _row_norms, eval_V)
+from .problem import _a_sq_norms, _check_damping, _map_rows, _row_norms, eval_V
 from .trajectory import write_columns_csv
 
 __all__ = [
@@ -278,18 +277,20 @@ def fit_rate(traj, window, slope_target=None):
 def check_state_convergence(problem, traj, x_star, tail_fraction=0.5):
     """State convergence check for strongly convex quadratic problems.
 
-    Strong convexity (mu > 0, the smallest eigenvalue of the Hessian H of V)
-    turns objective-gap decay into state convergence. It is decided by ``mu
-    > 64 eps max|eig(H)|`` (:attr:`SplitProblem.modal_backward_tol` times
-    H's spectral radius), else :class:`UnsupportedFunctionError`: below that
-    the sign of mu is rounding noise of ``eigvalsh`` on a singular H. The
-    trailing ``tail_fraction`` of a second-order-flow trajectory should
-    approach (x*, 0). The check passes iff, over the tail, both ``||X -
-    x*||`` and ``||X'||`` stay below 10x their values at the tail start and
-    their oscillation envelope decreases (second-half peak <= first-half
-    peak).
+    Strong convexity turns objective-gap decay into state convergence. It is
+    decided on ``mu = lam[0]``, the smallest eigenvalue of the pencil ``(H,
+    A^T A)`` (``problem.modes.lam``, H the Hessian of V), which is positive
+    exactly when H is positive definite: by ``mu > 64 eps max|lam|``
+    (:attr:`SplitProblem.modal_backward_tol` times the pencil's spectral
+    radius), else :class:`UnsupportedFunctionError`, as below that the sign
+    of mu is rounding noise on a singular H. The trailing ``tail_fraction``
+    of a second-order-flow trajectory should approach (x*, 0). The check
+    passes iff, over the tail, both ``||X - x*||`` and ``||X'||`` stay below
+    10x their values at the tail start and their oscillation envelope
+    decreases (second-half peak <= first-half peak).
 
-    Returns ``(converged, report)``; ``report["mu"]`` is mu.
+    Returns ``(converged, report)``; ``report["mu"]`` is mu, the strong
+    convexity constant of V relative to ``A^T A``: ``<x, H x> >= mu ||A x||^2``.
     """
     _check_traj(traj, need_velocity=True)
     if traj.X is None or traj.Xdot is None:
@@ -299,16 +300,16 @@ def check_state_convergence(problem, traj, x_star, tail_fraction=0.5):
         raise ValueError("tail_fraction must lie in (0, 1]")
     if not problem.is_quadratic:
         raise UnsupportedFunctionError(
-            "state convergence needs the smallest Hessian eigenvalue of V, "
+            "state convergence needs the modal basis of V, "
             "available only for quadratic problems"
         )
-    hessian, _ = _hessian_and_linear_term(problem)
-    evals = np.linalg.eigvalsh(hessian)
-    mu = float(evals[0])
-    if not mu > problem.modal_backward_tol * np.max(np.abs(evals)):
+    lam = problem.modes.lam
+    mu = float(lam[0])
+    if not mu > problem.modal_backward_tol * np.max(np.abs(lam)):
         raise UnsupportedFunctionError(
-            f"V is not strongly convex (smallest Hessian eigenvalue {mu:.3e} is not above "
-            "64 eps of its spectral radius); objective-gap decay does not control the state"
+            f"V is not strongly convex (smallest eigenvalue {mu:.3e} of the pencil (H, A^T A) "
+            "is not above 64 eps of its spectral radius); objective-gap decay does not "
+            "control the state"
         )
     x_star = np.asarray(x_star, dtype=float)
     n_tail = max(int(np.ceil(tail_fraction * len(traj))), 2)

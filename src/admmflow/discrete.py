@@ -256,7 +256,7 @@ def admm_step(problem, state, inner_solver=None):
     ``inner_solver(fun, grad, x0)`` must minimize a smooth convex function to
     gradient-norm tolerance 1e-10 and return an array of ``x0``'s shape
     (else ``ValueError``). The solver sees the x-subproblem in ``w = R x``, with
-    ``A = U R`` the factor behind :meth:`SplitProblem.solve_ata`: it
+    ``A = U R`` the problem's one factor (:attr:`SplitProblem._factor`): it
     minimizes ``f(R^{-1} w) + (rho/2) ||w - U^T (z - u)||^2`` from ``R x``,
     with Hessian ``rho I + R^{-T} (grad^2 f) R^{-1}``, and ``x = R^{-1} w``.
     It sees the z-subproblem as posed.

@@ -331,26 +331,26 @@ def _modal_rk4(modes, x, h):
     by ``R(z) = 1 + z phi(z)``, ``phi(z) = 1 + z/2 + z^2/6 + z^3/24``, so
     sample k is ``y0 + (R^k - 1)(y0 - y*)`` with ``R^k - 1 = expm1(k log1p(z
     phi(z)))``, accurate for lam near 0; a mode with ``z phi(z) = 0`` drifts
-    as ``y0 - k h beta``, which RK4 integrates exactly. The factors of a
-    chunk's rows are formed with the first chunk, where the driver silences
-    their overflow on a diverging grid.
+    as ``y0 - k h beta``, which RK4 integrates exactly. The per-mode factors
+    are formed with the first chunk, where the driver silences their
+    overflow on a diverging grid.
     """
     lam, beta = modes.lam, modes.beta
-    z = -h * lam
-    growth = z * (1.0 + z / 2.0 * (1.0 + z / 3.0 * (1.0 + z / 4.0)))  # R(z) - 1
-    log_r = np.log1p(growth)
-    drift = growth == 0.0
     y0 = modes.coordinates(x)
-    gap = y0 - np.divide(-beta, lam, out=np.zeros_like(lam), where=~drift)  # y0 - y*
     # X = phi y and X' = -phi (lam y + beta), as products with the rows y
     phi_t = modes.phi.T
     neg_phi_t = -phi_t
     steps = np.arange(ROW_BLOCK, dtype=float)[:, None]
-    within = None
+    log_r = drift = gap = within = None
 
     def fill(start, stop, xs, xds):
-        nonlocal within
+        nonlocal log_r, drift, gap, within
         if start == 0:
+            z = -h * lam
+            growth = z * (1.0 + z / 2.0 * (1.0 + z / 3.0 * (1.0 + z / 4.0)))  # R(z) - 1
+            log_r = np.log1p(growth)
+            drift = growth == 0.0
+            gap = y0 - np.divide(-beta, lam, out=np.zeros_like(lam), where=~drift)  # y0 - y*
             within = np.expm1(steps[:stop] * log_r)  # R^j - 1 for the rows j of a chunk
         ahead = np.expm1(start * log_r)  # R^start - 1
         part = within[:stop - start]

@@ -13,10 +13,11 @@ feasible manifold ``z = A x``.
 Both flows and the ADMM x-step are posed in ``A^T A``, whose condition
 number is ``cond(A)^2``. It is never formed: A is factored once per
 problem, as ``A = U R`` (reduced QR, cached on first use), and that one
-factor is behind :meth:`SplitProblem.solve_ata`, the callback velocity,
-the modal basis and the discrete x-operator, so their results lose digits
-as ``cond(A)``, and everything the rank test accepts (``sigma_min > 1e-10
-sigma_max``) can be run.
+factor is behind the callback velocity, the reduced system of V's
+quadratic (:attr:`SplitProblem.modes`, :func:`optimal_value`) and the
+discrete x-operator, so their results lose digits as ``cond(A)``, and
+everything the rank test accepts (``sigma_min > 1e-10 sigma_max``) can be
+run.
 """
 
 from __future__ import annotations
@@ -357,30 +358,13 @@ class SplitProblem:
             a.flags.writeable = False
         return factor
 
-    def solve_ata(self, b):
-        """Solve ``(A^T A) y = b`` as ``y = R^{-1} (R^{-T} b)``, two products
-        with the cached factor ``A = U R`` (:attr:`_factor`); ``b`` is a
-        vector or a matrix of right-hand sides.
-
-        There is no refinement step. The normwise backward error
-        ``||b - A^T (A y)|| / (||A^T A|| ||y|| + ||b||)`` is at most about
-        eps for random vectors and blocks and for ``M_f`` on the generated
-        draws at cond(A) 1e2 to 9e9. The forward error against the exact solve is
-        of order ``cond(A)^2 eps``, the condition number of the system.
-        """
-        inv = self._factor[2]
-        return inv @ (inv.T @ b)
-
     @cached_property
     def modes(self):
         """The :class:`Modes` of a quadratic problem.
 
-        With the problem's factor ``A = U R`` (:attr:`_factor`): ``eigh`` of
-        the symmetrised ``R^{-T} M_f R^{-1} + U^T M_g U`` (which is
-        ``R^{-T} H R^{-1}`` for the Hessian H of V, formed without
-        ``A^T M_g A``) gives ``Q`` and ``lam``, then ``phi = R^{-1} Q`` and
-        ``beta = Q^T (R^{-T} q_f + U^T q_g)``. Built on first access (O(n^3))
-        by a quadratic flow or a g = 0 discrete run; the arrays are read-only.
+        ``eigh`` of the reduced ``S`` of :func:`_reduced_system` gives ``Q``
+        and ``lam``, then ``phi = R^{-1} Q`` and ``beta = Q^T s``. Built on
+        first access (O(n^3)); the arrays are read-only.
 
         Raises
         ------
@@ -404,21 +388,17 @@ class SplitProblem:
         if not self.is_quadratic:
             raise UnsupportedFunctionError("the modal basis requires quadratic f and g")
         f, g, A = self.f, self.g, self.A
-        U, R, inv = self._factor
-        S, s = inv.T @ f.M @ inv, inv.T @ f.q
-        g_terms = not _is_zero(g)  # the g terms, exact zeros when g = 0
-        if g_terms:
-            S += U.T @ g.M @ U
-            s += U.T @ g.q
-        lam, Q = np.linalg.eigh(0.5 * (S + S.T))
+        _, R, inv = self._factor
+        S, s = _reduced_system(self)
+        lam, Q = np.linalg.eigh(S)
         phi = inv @ Q
         beta = Q.T @ s
-        # H is formed only for its norm, the pencil gate's scale
-        H, c = _hessian_and_linear_term(self)
         a_phi = A @ phi
-        h_phi = f.M @ phi
-        if g_terms:
+        h_phi, H, c = f.M @ phi, f.M, f.q
+        if not _is_zero(g):
             h_phi += A.T @ (g.M @ a_phi)
+            # H is formed only for its norm, the pencil gate's scale
+            H, c = f.M + A.T @ (g.M @ A), f.q + A.T @ g.q
         ata_norm, phi_norm = _norm(self._svals**2), _norm(phi)
         lam_max = float(np.max(np.abs(lam)))
         pencil = _norm(h_phi - (A.T @ a_phi) * lam)
@@ -496,22 +476,34 @@ def _a_sq_norms(problem, ys):
     return _map_rows(block, len(ys))
 
 
-def _hessian_and_linear_term(problem):
-    """``(H, c)`` of a quadratic V: ``H = M_f + A^T M_g A`` and ``c = q_f + A^T q_g``,
-    or ``(M_f, q_f)`` itself when g is identically zero (the same values)."""
-    f, g, A = problem.f, problem.g, problem.A
-    if _is_zero(g):
-        return f.M, f.q
-    return f.M + A.T @ (g.M @ A), f.q + A.T @ g.q
+def _reduced_system(problem):
+    """``(S, s)`` of a quadratic V in ``w = R x``, from the problem's factor
+    ``A = U R`` (:attr:`SplitProblem._factor`): the symmetrised ``S = R^{-T}
+    M_f R^{-1} + U^T M_g U``, which is ``R^{-T} H R^{-1}`` for the Hessian
+    ``H = M_f + A^T M_g A`` of V formed without ``A^T M_g A``, and ``s =
+    R^{-T} q_f + U^T q_g``, so that ``V = 0.5 <w, S w> + <s, w>``; the g
+    terms are skipped when g is identically zero. Not cached: S is an n x n
+    matrix that the problem need not keep."""
+    f, g = problem.f, problem.g
+    U, _, inv = problem._factor
+    S, s = inv.T @ f.M @ inv, inv.T @ f.q
+    if not _is_zero(g):
+        S += U.T @ g.M @ U
+        s += U.T @ g.q
+    return 0.5 * (S + S.T), s
 
 
 def optimal_value(problem):
     """Minimizer and optimal value of V for the quadratic class.
 
-    Solves the normal equations ``H x = -c`` with ``H = M_f + A^T M_g A``
-    and ``c = q_f + A^T q_g`` by a least-squares (SVD) solve, which picks
-    the minimum-norm minimizer when H is singular. The optimal value is
-    unique even when the minimizer is not.
+    Solves the stationarity system of V by a least-squares (SVD) solve:
+    ``M_f x = -q_f`` when g is identically zero, which never sees A, and
+    otherwise ``S w = -s`` of :func:`_reduced_system` in ``w = R x``, then
+    ``x* = R^{-1} w``, so that the Hessian ``H = M_f + A^T M_g A`` (whose
+    condition number carries ``cond(A)^2``) is never formed. When the
+    Hessian is singular the minimizer is not unique, and the one returned
+    is of least norm: ``||x||`` when g = 0, ``||A x||`` otherwise. The
+    optimal value is unique even when the minimizer is not.
 
     Returns
     -------
@@ -523,26 +515,28 @@ def optimal_value(problem):
         If ``f`` or ``g`` is not a :class:`QuadraticFunction`; callers must
         then supply the optimal value externally.
     NumericalError
-        If the candidate is not stationary to ``STATIONARY_BACKWARD_TOL``
-        in the normwise backward error ``||H x* + c|| / (||H||_F ||x*|| +
-        ||c||)`` (Higham, Accuracy and Stability of Numerical Algorithms,
-        sec. 7.1), which is scale-free: V is then unbounded below (c has a
-        component outside the range of H), where it reads about 1.
+        If the solution w of the system ``K w = -k`` solved is not stationary
+        to ``STATIONARY_BACKWARD_TOL`` in the normwise backward error ``||K w
+        + k|| / (||K||_F ||w|| + ||k||)`` (Higham, Accuracy and Stability of
+        Numerical Algorithms, sec. 7.1), which is scale-free: V is then
+        unbounded below (k has a component outside the range of K).
     """
     if not problem.is_quadratic:
         raise UnsupportedFunctionError(
             "optimal_value requires quadratic f and g; supply the optimal value "
             "externally for callback functions"
         )
-    H, c = _hessian_and_linear_term(problem)
-    x_star, *_ = np.linalg.lstsq(H, -c, rcond=None)
-    resid = np.linalg.norm(H @ x_star + c)
-    scale = np.linalg.norm(H) * np.linalg.norm(x_star) + np.linalg.norm(c)
+    reduced = not _is_zero(problem.g)
+    K, k = _reduced_system(problem) if reduced else (problem.f.M, problem.f.q)
+    w, *_ = np.linalg.lstsq(K, -k, rcond=None)
+    resid = np.linalg.norm(K @ w + k)
+    scale = np.linalg.norm(K) * np.linalg.norm(w) + np.linalg.norm(k)
     if resid > STATIONARY_BACKWARD_TOL * scale:
         raise NumericalError(
-            f"no stationary point found (backward error of H x* = -c is "
+            f"no stationary point found (backward error of the stationarity system is "
             f"{resid / scale:.3e}, above {STATIONARY_BACKWARD_TOL:g}); V may be unbounded below"
         )
+    x_star = problem._factor[2] @ w if reduced else w
     return x_star, eval_V(problem, x_star)
 
 
@@ -582,7 +576,7 @@ def gen_figure1_problem(n, zero_eigs, eig_hi, cond_a, seed, m=None):
     eig_hi : float
         Upper end of the nonzero-eigenvalue range, finite and > 0.
     cond_a : float
-        Condition number of A, finite and >= 1.
+        Condition number of A, finite and >= 1; exactly 1 when n = 1.
     seed : int
         RNG seed; identical seeds give bitwise-identical problems.
     m : int, optional
@@ -599,6 +593,8 @@ def gen_figure1_problem(n, zero_eigs, eig_hi, cond_a, seed, m=None):
         raise ValueError(f"eig_hi must be positive and finite, got {eig_hi}")
     if not 1 <= cond_a < np.inf:
         raise ValueError(f"cond_a must be >= 1 and finite, got {cond_a}")
+    if n == 1 and cond_a != 1:  # one singular value: A is a multiple of an orthonormal column
+        raise ValueError(f"cond_a must be 1 when n = 1, got {cond_a}")
     if m < n:
         raise ValueError(f"m must be >= n, got m={m}, n={n}")
 

@@ -285,6 +285,32 @@ def decimal_admm(problem, x0, rho, max_iter, r=None):
         return np.array([[float(v) for v in x] for x in xs])
 
 
+def _decimal_hessian(problem):
+    """``(H, c, A^T A)`` of a quadratic problem, ``H = M_f + A^T M_g A`` and
+    ``c = q_f + A^T q_g``, formed exactly from its data as Decimal lists;
+    called in a context of DIGITS digits."""
+    f, g = problem.f, problem.g
+    A, M_f, q_f, M_g, q_g = (_dec(a) for a in (problem.A, f.M, f.q, g.M, g.q))
+    At = [list(col) for col in zip(*A)]
+    H = [[a + b for a, b in zip(r1, r2)] for r1, r2 in zip(M_f, _mm(At, _mm(M_g, A)))]
+    return H, [a + b for a, b in zip(q_f, _mv(At, q_g))], _mm(At, A)
+
+
+def decimal_optimum(problem):
+    """The minimizer ``x* = -H^{-1} c`` and optimal value ``V* = <c, x*> / 2``
+    of a quadratic problem with a positive definite Hessian, as a float
+    vector and a float: H and c formed exactly and H inverted by
+    Gauss-Jordan, at DIGITS digits."""
+    from decimal import localcontext
+
+    with localcontext() as ctx:
+        ctx.prec = DIGITS
+        H, c, _ = _decimal_hessian(problem)
+        x_star = [-v for v in _mv(_gauss_jordan_inverse(H), c)]
+        v_star = sum(a * b for a, b in zip(c, x_star)) / 2
+        return np.array([float(v) for v in x_star]), float(v_star)
+
+
 def decimal_flow(problem, x0, times):
     """The exact first-order flow ``(A^T A) X' = -(H X + c)`` of a quadratic
     problem from ``X(0) = x0`` at each of ``times``, as a float array with a
@@ -298,12 +324,8 @@ def decimal_flow(problem, x0, times):
 
     with localcontext() as ctx:
         ctx.prec = DIGITS
-        f, g, n = problem.f, problem.g, problem.n
-        A, M_f, q_f, M_g, q_g = (_dec(a) for a in (problem.A, f.M, f.q, g.M, g.q))
-        At = [list(col) for col in zip(*A)]
-        ata = _mm(At, A)
-        H = [[a + b for a, b in zip(r1, r2)] for r1, r2 in zip(M_f, _mm(At, _mm(M_g, A)))]
-        c = [a + b for a, b in zip(q_f, _mv(At, q_g))]
+        n = problem.n
+        H, c, ata = _decimal_hessian(problem)
         L = [[Decimal(0)] * n for _ in range(n)]
         for j in range(n):
             L[j][j] = (ata[j][j] - sum(v * v for v in L[j][:j])).sqrt()

@@ -5,7 +5,7 @@ import admmflow as af
 from admmflow.exceptions import UnsupportedFunctionError, WindowError
 from admmflow.flows import IntegratorConfig
 
-from helpers import rk4_reference, second_order_rhs
+from helpers import rk4_reference, second_order_rhs, with_g
 
 
 def exp_flow_trajectory(t_end=3.0, n=301):
@@ -266,13 +266,29 @@ def test_check_state_convergence_rejects_singular(figure1_problem, figure1_sympl
 
 def test_check_state_convergence_rejects_a_zero_eigenvalue_rounded_positive():
     # M_f of this draw has one exact zero eigenvalue, which eigvalsh returns
-    # as +5.5e-16: a sign test called V strongly convex with mu = 5.5e-16
+    # as +5.5e-16: a sign test called V strongly convex with mu = 5.5e-16.
+    # The pencil's smallest eigenvalue reads -2.0e-17, -0.03 eps of max|lam|
     p = af.gen_figure1_problem(8, 1, 10.0, 100.0, seed=3)
     assert np.linalg.eigvalsh(p.f.M)[0] > 0
     traj = af.aadmm_flow_integrate(p, 5.0 * np.ones(8),
                                    IntegratorConfig(h=1e-2, t0=1e-2, t_end=20.0, r=10.0))
     with pytest.raises(UnsupportedFunctionError, match="not strongly convex"):
         af.check_state_convergence(p, traj, af.optimal_value(p)[0])
+
+
+@pytest.mark.parametrize("cond_a", [1e8, 9e9])
+def test_check_state_convergence_accepts_an_ill_conditioned_dense_g_draw(monkeypatch, cond_a):
+    # V is strongly convex at any cond(A) (M_g is PD); mu is the smallest
+    # eigenvalue of the pencil (H, A^T A), 0.265 and 0.263 here, read from
+    # the modal basis with no eigvalsh. eigvalsh of the formed H read 4.785
+    # and -9,686 and called V not strongly convex
+    p = with_g(af.gen_figure1_problem(60, 40, 10.0, cond_a, seed=38), "dense")
+    traj = af.aadmm_flow_integrate(p, 5.0 * np.ones(60),
+                                   IntegratorConfig(h=1e-2, t0=1e-2, t_end=20.0, r=10.0))
+    monkeypatch.setattr(np.linalg, "eigvalsh", None)
+    ok, report = af.check_state_convergence(p, traj, af.optimal_value(p)[0])
+    assert report["mu"] == p.modes.lam[0] and 0.26 < report["mu"] < 0.27
+    assert ok
 
 
 def test_sup_discrepancy_basics():

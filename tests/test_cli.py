@@ -49,10 +49,13 @@ def test_gen_bad_params_exit_2(tmp_path, capsys):
     out = tmp_path / "p.json"
     for flags, fault in ((["--n", "5", "--zero-eigs", "5"], "zero_eigs must satisfy"),
                          (["--eig-hi", "inf"], "eig_hi must be positive and finite, got inf"),
-                         (["--cond-a", "nan"], "cond_a must be >= 1 and finite, got nan")):
+                         (["--cond-a", "nan"], "cond_a must be >= 1 and finite, got nan"),
+                         (["--n", "1", "--zero-eigs", "0"], "cond_a must be 1 when n = 1, got 100.0")):
         assert main(["gen", *flags, "--out", str(out)]) == 2
         assert capsys.readouterr().err.startswith(f"error: {fault}")
         assert not out.exists()
+    assert main(["gen", "--n", "1", "--zero-eigs", "0", "--cond-a", "1", "--out", str(out)]) == 0
+    assert af.load_problem(out).generator_params["cond_a"] == 1.0
 
 
 def test_run_hand_unrolled(tmp_path, one_d_file):

@@ -12,7 +12,8 @@ from admmflow.discrete import _operators, momentum_coefficient
 from admmflow.exceptions import DivergenceError, NumericalError, UnsupportedFunctionError
 from admmflow.flows import IntegratorConfig
 
-from helpers import GradCounter, as_callbacks, cg_minimize, decimal_admm, with_g
+from helpers import (GradCounter, as_callbacks, cg_minimize, decimal_admm, decimal_optimum,
+                     with_g)
 
 
 def test_admm_step_hand_values(one_d_problem):
@@ -698,6 +699,17 @@ def test_non_finite_or_non_positive_rho_is_refused(one_d_problem, pd_2d_problem,
                                                rho=rho)):
                 with pytest.raises(ValueError, match="rho must be finite and positive"):
                     build()
+
+
+def test_admm_gap_stays_above_the_optimum_on_an_ill_conditioned_draw():
+    # V_gap = V(x_k) - V* >= -C cond(A) eps |V*|, C = 1 fixed from one
+    # measurement (the minimum read -5.2e-11 against a bound of -2.4e-8): a
+    # gap far below 0 is a V* above the optimum. With V* from lstsq on the
+    # formed H the minimum read -6.05e-2
+    p = with_g(af.gen_figure1_problem(8, 2, 10.0, 1e8, seed=38), "dense")
+    traj = af.run_admm(p, 5.0 * np.ones(8), rho=50.0, max_iter=5000)
+    assert len(traj) == 5001
+    assert np.min(traj.v_gap) >= -1e8 * np.finfo(float).eps * abs(decimal_optimum(p)[1])
 
 
 @pytest.mark.parametrize("kind", ["zero", "linear", "diagonal", "dense"])

@@ -568,6 +568,18 @@ def test_non_finite_velocity_is_caught_at_its_sample(monkeypatch):
     assert rows == [af.flows.ROW_BLOCK] and rows[0] < config.n_steps
 
 
+@pytest.mark.parametrize("h", [1e80, 1e200])
+def test_modal_rk4_reports_an_overflowing_step_as_divergence(h):
+    # R(-h) - 1 = -h (1 - h/2 (...)) overflows for h above about 1e77; the
+    # per-mode factors are formed inside the run's errstate, so the run
+    # reports its divergence at sample 0 and numpy warns nothing
+    p = af.SplitProblem(af.QuadraticFunction([[1.0]]), af.QuadraticFunction.zero(1), [[1.0]])
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(DivergenceError, match=r"after t = 0$"):
+            af.rk4_integrate(p, [1.0], IntegratorConfig(h=h, t0=0.0, t_end=2 * h))
+
+
 def test_callback_rk4_stops_at_non_finite_velocity():
     # f = x^2/2 behind a callback whose gradient overflows from its 21st call:
     # with A = 0.1 the solve scales it by 100, so X' at sample 5 (4 gradients

@@ -8,10 +8,12 @@ import pytest
 
 import admmflow as af
 from admmflow.exceptions import DivergenceError, NumericalError, UnsupportedFunctionError
-from admmflow.problem import ROW_BLOCK, _hessian_and_linear_term, _is_zero, _values
+from admmflow.problem import ROW_BLOCK, _is_zero, _values
 
-from helpers import (CANCELLING_DRAW, as_callbacks, cg_minimize, fd_grad, random_problem,
-                     range_term_draw, with_g)
+from helpers import (CANCELLING_DRAW, as_callbacks, cg_minimize, decimal_optimum, fd_grad,
+                     random_problem, range_term_draw, with_g)
+
+EPS = np.finfo(float).eps
 
 
 def test_eval_V_one_d(one_d_problem):
@@ -87,7 +89,8 @@ def test_optimal_value_trivial(one_d_problem):
 
 
 def test_optimal_value_figure1_minimum_norm(figure1_problem):
-    # PSD quadratic with q = 0: the minimum-norm minimizer is 0 and V* = 0
+    # PSD quadratic with q = 0 and g = 0: the minimizer of least Euclidean
+    # norm (lstsq on M_f) is 0 and V* = 0
     x_star, v_star = af.optimal_value(figure1_problem)
     assert np.linalg.norm(x_star) <= 1e-10
     assert abs(v_star) <= 1e-12
@@ -103,15 +106,30 @@ def test_optimal_value_stationarity(seed):
 
 def test_optimal_value_solves_an_ill_conditioned_dense_g_draw():
     # M_g is PD, so V is bounded below at any cond(A); the gradient-norm test
-    # 1e-8 (1 + ||grad V(0)||) refused this draw, whose lstsq answer has a
-    # normwise backward error of 2.9 eps
+    # 1e-8 (1 + ||grad V(0)||) refused this draw. The normwise backward error
+    # in the formed H reads 0.23 eps, the forward error of x* 0.0092
+    # cond(A) eps (lstsq on the formed H read 2.9 eps and 4.1e7 cond(A) eps)
     p = with_g(af.gen_figure1_problem(8, 2, 10.0, 1e8, seed=38), "dense")
     x_star, v_star = af.optimal_value(p)
-    H, c = _hessian_and_linear_term(p)
-    eps = np.finfo(float).eps
-    assert np.linalg.norm(H @ x_star + c) <= 64 * eps * (
+    H, c = p.f.M + p.A.T @ (p.g.M @ p.A), p.f.q + p.A.T @ p.g.q
+    assert np.linalg.norm(H @ x_star + c) <= 64 * EPS * (
         np.linalg.norm(H) * np.linalg.norm(x_star) + np.linalg.norm(c))
+    assert np.linalg.norm(x_star - decimal_optimum(p)[0]) <= 1e8 * EPS * np.linalg.norm(x_star)
     assert v_star == af.eval_V(p, x_star)
+
+
+@pytest.mark.parametrize("cond_a", [1e2, 1e6, 1e8, 9e9])
+def test_optimal_value_forward_error_on_dense_g_draws(cond_a):
+    # against the exact optimum of the formed H at 50 digits, x* and V* are
+    # held to C cond(A) eps with C = 1, fixed from one measurement: at most
+    # 0.11 (x*) and 0.025 (V*). The reduced system S w = -s never forms H;
+    # lstsq on the formed H read up to 4.1e7 (x*) and 2.5e6 (V*) here
+    p = with_g(af.gen_figure1_problem(8, 2, 10.0, cond_a, seed=38), "dense")
+    x_exact, v_exact = decimal_optimum(p)
+    x_star, v_star = af.optimal_value(p)
+    bound = cond_a * EPS
+    assert np.linalg.norm(x_star - x_exact) <= bound * np.linalg.norm(x_exact)
+    assert abs(v_star - v_exact) <= bound * abs(v_exact)
 
 
 @pytest.mark.parametrize("cond_a", [1e2, 1e6, 1e8, 9e9])
@@ -137,13 +155,16 @@ def test_optimal_value_rejects_callbacks():
         af.optimal_value(p)
 
 
-def test_optimal_value_unbounded_below():
-    # zero curvature with a linear term: no stationary point
-    p = af.SplitProblem(
+def test_optimal_value_unbounded_below(figure1_problem):
+    # zero curvature with a linear term: no stationary point. On the figure1
+    # draw with a linear g, q_g has a component along the null space of M_f:
+    # the reduced system reads a backward error of 1.5e-2
+    one_d = af.SplitProblem(
         af.QuadraticFunction([[0.0]], [1.0]), af.QuadraticFunction.zero(1), [[1.0]]
     )
-    with pytest.raises(NumericalError):
-        af.optimal_value(p)
+    for p in (one_d, with_g(figure1_problem, "linear")):
+        with pytest.raises(NumericalError, match="no stationary point"):
+            af.optimal_value(p)
 
 
 def test_gen_figure1_rank_and_condition():
@@ -193,6 +214,12 @@ def test_gen_figure1_rejects_bad_params():
         af.gen_figure1_problem(5, 1, 1.0, np.inf, seed=0)
     with pytest.raises(ValueError):
         af.gen_figure1_problem(5, 1, 1.0, 10.0, seed=0, m=3)
+    # one singular value: cond(A) is 1 whatever was asked, which
+    # generator_params (and so problem.json) would have misrecorded
+    with pytest.raises(ValueError, match="cond_a must be 1 when n = 1, got 100.0"):
+        af.gen_figure1_problem(1, 0, 10.0, 100.0, seed=38)
+    p = af.gen_figure1_problem(1, 0, 10.0, 1.0, seed=38)
+    assert p.cond_A == 1.0 and p.generator_params["cond_a"] == 1.0
 
 
 def test_gen_figure1_rectangular_extension():
@@ -313,15 +340,31 @@ def test_callback_values_span_row_blocks(pd_2d_problem):
 
 
 @pytest.mark.parametrize("kind", ["zero", "linear", "diagonal", "dense"])
-def test_hessian_and_linear_term_by_g_structure(figure1_problem, kind):
-    # (H, c) is bit for bit the four-term formula M_f + A^T (M_g A), q_f +
-    # A^T q_g; when g = 0 it is f's own (M, q), with no product formed
+def test_hessian_and_linear_term_by_g_structure(monkeypatch, figure1_problem, kind):
+    # the Hessian and linear term of V that optimal_value's one lstsq solves:
+    # when g = 0 f's own (M, -q), with no product with A (A is not even
+    # factored); otherwise (S, -s) of V in w = R x, bit for bit the
+    # symmetrised R^{-T} M_f R^{-1} + U^T M_g U and R^{-T} q_f + U^T q_g. No
+    # lstsq runs on the formed H = M_f + A^T M_g A
     p = with_g(figure1_problem, kind)
     f, g, A = p.f, p.g, p.A
-    H, c = _hessian_and_linear_term(p)
-    assert np.array_equal(H, f.M + A.T @ (g.M @ A))
-    assert np.array_equal(c, f.q + A.T @ g.q)
-    assert (H is f.M and c is f.q) == (kind == "zero")
+    solved = []
+    lstsq = np.linalg.lstsq
+    monkeypatch.setattr(np.linalg, "lstsq", lambda a, b, **kw: solved.append((a, b))
+                        or lstsq(a, b, **kw))
+    try:
+        af.optimal_value(p)
+    except NumericalError:
+        assert kind == "linear"  # unbounded below (test_optimal_value_unbounded_below)
+    [(a, b)] = solved
+    if kind == "zero":
+        assert a is f.M and np.array_equal(b, -f.q) and "_factor" not in p.__dict__
+        return
+    U, _, inv = p._factor
+    S = inv.T @ f.M @ inv + U.T @ g.M @ U
+    assert np.array_equal(a, 0.5 * (S + S.T))
+    assert np.array_equal(b, -(inv.T @ f.q + U.T @ g.q))
+    assert not np.array_equal(a, f.M + A.T @ (g.M @ A))
 
 
 @pytest.mark.parametrize("build, message", [
@@ -337,32 +380,31 @@ def test_non_finite_data_is_refused_by_name(build, message):
 
 
 @pytest.mark.parametrize("cond_a", [1e2, 1e4, 1e6])
-def test_solve_ata_backward_error(cond_a):
-    # the normwise backward error ||b - A^T (A y)|| / (||A^T A|| ||y|| + ||b||)
-    # of the solve is a small multiple of eps at any cond(A), for a vector and
-    # for a matrix of right-hand sides; ||A^T A||_F = (sum sigma_i^4)^(1/2)
+def test_admm_flow_rhs_backward_error(cond_a):
+    # y = admm_flow_rhs(x) solves (A^T A) y = b, b = -grad V(x), by the two
+    # products R^{-1} (R^{-T} b) with the problem's factor. Its normwise
+    # backward error ||b - A^T (A y)|| / (||A^T A|| ||y|| + ||b||) is a small
+    # multiple of eps at any cond(A): for a random b (f = <b, x>, at x = 0)
+    # and for each column of M_f (at x = e_j); ||A^T A||_F = (sum
+    # sigma_i^4)^(1/2)
     p = af.gen_figure1_problem(60, 40, 10.0, cond_a, seed=38)
-    rng = np.random.default_rng(1)
+    linear = af.SplitProblem(af.QuadraticFunction(np.zeros((60, 60)),
+                                                  np.random.default_rng(1).standard_normal(60)),
+                             p.g, p.A)
     ata_norm = np.linalg.norm(np.linalg.svd(p.A, compute_uv=False) ** 2)
-    for b in (rng.standard_normal(60), rng.standard_normal((60, 60)), p.f.M):
-        y = p.solve_ata(b)
+    for q, x in [(linear, np.zeros(60))] + [(p, e) for e in np.eye(60)]:
+        b = -af.grad_V(q, x)
+        y = af.admm_flow_rhs(q, x)
         resid = np.linalg.norm(b - p.A.T @ (p.A @ y))
-        assert resid <= 64 * np.finfo(float).eps * (ata_norm * np.linalg.norm(y)
-                                                    + np.linalg.norm(b))
+        assert resid <= 64 * EPS * (ata_norm * np.linalg.norm(y) + np.linalg.norm(b))
 
 
-def test_solve_ata_and_modes_accept_every_full_rank_A():
+def test_modes_accept_every_full_rank_A():
     # A passes the rank test at cond(A) = 1e9 < 1e10, where the formed A^T A
     # (cond 1e18) has no Cholesky factor in double precision; the QR factor
-    # of A serves the solve and the modal basis there, with the same
-    # backward errors as at cond(A) = 1e2. The rank test itself refuses
-    # cond(A) = 1e10
+    # of A serves the modal basis there, with the same backward error as at
+    # cond(A) = 1e2. The rank test itself refuses cond(A) = 1e10
     p = af.gen_figure1_problem(60, 40, 10.0, 1e9, seed=38)
-    b = np.ones(p.n)
-    y = p.solve_ata(b)
-    ata_norm = np.linalg.norm(np.linalg.svd(p.A, compute_uv=False) ** 2)
-    assert np.linalg.norm(b - p.A.T @ (p.A @ y)) <= 64 * np.finfo(float).eps * (
-        ata_norm * np.linalg.norm(y) + np.linalg.norm(b))
     assert 0.0 <= p.modes.backward_error < 64.0
     assert np.all(np.diag(p.modes.chol) > 0)  # diag R > 0 makes R^T the Cholesky factor
     with pytest.raises(ValueError, match="full column rank"):
@@ -370,8 +412,9 @@ def test_solve_ata_and_modes_accept_every_full_rank_A():
 
 
 def test_a_is_factored_once_per_problem(monkeypatch):
-    # a flow (through modes), ADMM at two rho (through the operators),
-    # solve_ata and the flow velocity all read the one cached A = U R
+    # a flow (through modes), ADMM at two rho (through the operators and,
+    # for V*, the reduced system) and the flow velocity all read the one
+    # cached A = U R
     p = with_g(af.gen_figure1_problem(20, 5, 10.0, 100.0, seed=38), "dense")
     factored = []
     qr = np.linalg.qr
@@ -386,7 +429,6 @@ def test_a_is_factored_once_per_problem(monkeypatch):
     af.rk4_integrate(p, x0, af.IntegratorConfig(h=0.1, t0=0.0, t_end=1.0))
     for rho in (10.0, 50.0):
         af.run_admm(p, x0, rho=rho, max_iter=5)
-    p.solve_ata(x0)
     af.admm_flow_rhs(p, x0)
     assert len(factored) == 1
     assert set(p._operators) == {10.0, 50.0} and "modes" in p.__dict__

@@ -30,7 +30,8 @@ def test_rk4_propagator_is_the_four_stage_step(problem_rng, frac):
     problem, rng = problem_rng
     H = problem.f.M + problem.A.T @ problem.g.M @ problem.A
     c = problem.f.q + problem.A.T @ problem.g.q
-    K, b = problem.solve_ata(H), problem.solve_ata(c)
+    ata = problem.A.T @ problem.A
+    K, b = np.linalg.solve(ata, H), np.linalg.solve(ata, c)
     norm_hk = frac  # h ||K||_2, inside RK4's stability interval on the real axis
     h = frac / np.linalg.norm(K, 2)
     x = rng.standard_normal(problem.n)
