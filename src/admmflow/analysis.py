@@ -7,16 +7,16 @@ between a finite-difference derivative and that expression. Monitors are
 pure functions over immutable trajectories. Each returns one NumPy record
 array with one row per sample and the columns ``t``, ``value`` (the
 energy), ``decay_ok`` (bool) and ``residual`` (nan where undefined); its
-rows iterate as records with the same attribute names. Monitors that need
-the velocity X' read the trajectory's recorded ``Xdot`` (both flows record
-it), the second-order ones read the damping r from its ``meta["r"]``, and
+rows iterate as records with the same attribute names. The second-order
+monitors read the damping r from the trajectory's ``meta["r"]``, and
 every ``||A y||^2`` term is formed by the same row-wise helper as the
 Hamiltonian of the second-order flow. Those terms are functions of a block
 of rows of X and X' (:func:`_monitor_terms`), which every flow run folds
-into its trajectory's ``terms``: a monitor reads ``kinetic`` from there,
-and the x*-term when the run was given the same ``x_star``, and otherwise
-forms it over the trajectory's stored rows one block at a time. Rate fits
-read the trajectory's own objective gaps ``v_gap``.
+into its trajectory's ``terms``: a monitor reads the velocity term
+``kinetic`` ``||A X'||^2`` from there, and the x*-term when the run was
+given the same ``x_star``, and otherwise forms it over the trajectory's
+stored rows one block at a time. Rate fits read the trajectory's own
+objective gaps ``v_gap``.
 
 Decay tolerances default to the integrator order that produced the
 trajectory: tight (1e-9) for RK4 runs of the first-order flow, looser

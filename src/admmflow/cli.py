@@ -214,6 +214,10 @@ def cmd_figure1(args):
             return EXIT_USAGE
     outdir = args.out_dir or os.path.join(_default_outdir(), "figure1_out")
     os.makedirs(outdir, exist_ok=True)
+    # report.json is the index, written last: a rerun that fails leaves none
+    report_path = os.path.join(outdir, "report.json")
+    if os.path.lexists(report_path):
+        os.remove(report_path)
     t_start = time.perf_counter()
 
     problem = gen_figure1_problem(FIGURE1["n"], FIGURE1["zero_eigs"], FIGURE1["eig_hi"],
@@ -302,7 +306,6 @@ def cmd_figure1(args):
                 "numpy": np.__version__},
         "wall_time_s": time.perf_counter() - t_start,
     }
-    report_path = os.path.join(outdir, "report.json")  # index, written last
     with open(report_path, "w", encoding="utf-8") as fh:
         json.dump(report, fh, indent=1)
         fh.write("\n")

@@ -29,10 +29,11 @@ For quadratic f and g both flows run on the modal basis
 into scalar modes ``y_i' = -(lam_i y_i + beta_i)``. RK4 multiplies each
 mode's ``y - y*`` by its stability factor ``R(-h lam)`` per step, so every
 sample has a closed form, formed a chunk of rows at a time; symplectic
-Euler takes its step on the mode coordinates, elementwise. X and X' are
-products with ``phi^T``, and ``meta["modal_backward_error"]`` records the
-basis's backward error in units of eps. Callback problems take the
-four-stage RK4 step or the same symplectic step on the velocity
+Euler takes its step on the mode coordinates, elementwise. Each fills
+``(y, y')``, which the driver alone maps to ``(X, X') = phi (y, y')``, and
+``meta["modal_backward_error"]`` records the basis's pencil backward error
+in units of eps. Callback problems take the four-stage RK4 step or the
+same symplectic step on the velocity
 ``-(P grad f(X) + Q grad g(A X))``, with ``P = (A^T A)^{-1} = R^{-1} R^{-T}``
 and ``Q = P A^T = R^{-1} U^T`` stacked once per run into one operator
 ``-[P | Q]`` from the problem's one factor ``A = U R``
@@ -47,7 +48,8 @@ its leading rows, written into one buffer. Every flow run is one
 samples ``start .. stop - 1`` into the rows it is handed; a stepped fill
 takes the step to sample i when it writes sample i, so no gradient is
 called past the last sample kept. The driver checks X and X' once per
-chunk of ``ROW_BLOCK`` rows. A non-finite X or X' stays non-finite from
+chunk of ``ROW_BLOCK`` rows, after its map from mode coordinates, so every
+run is checked on X and X'. A non-finite X or X' stays non-finite from
 step to step, so a diverged run stops after the chunk holding its first
 non-finite sample, which :meth:`_Samples.finish` reports; a non-finite x0
 is refused by name before a run starts.
@@ -203,11 +205,12 @@ def admm_flow_rhs(problem, X):
     return -(inv @ (inv.T @ problem.f.grad(x) + U.T @ problem.g.grad(ax)))
 
 
-def _start(problem, x0, x_star, config, v_star, method, integrator, r=None):
-    """``x0`` as a vector, the resolved ``v_star`` and the run meta (with
-    ``r`` and ``x_star`` when given, and the modal backward error of a
-    quadratic problem). An x0 or x_star of another shape than (n,), or with a
-    NaN or inf entry, is refused by name before anything else is done."""
+def _start(problem, x0, x_star, config, v_star, method, integrator, label, r=None):
+    """``x0`` in the coordinates the run steps in (its mode coordinates for a
+    quadratic problem) and the run's :class:`_Samples`, with the resolved
+    ``v_star`` and the run meta (with ``r`` and ``x_star`` when given, and the
+    modal backward error of a quadratic problem). An x0 or x_star of another
+    shape than (n,), or with a NaN or inf entry, is refused by name first."""
     x = np.array(_as_vector(x0, problem.n, "x0"))
     _check_finite(x, "x0")
     meta = {"method": method, "integrator": integrator, "h": config.h, "t0": config.t0,
@@ -220,7 +223,8 @@ def _start(problem, x0, x_star, config, v_star, method, integrator, r=None):
         meta["r"] = r
     if problem.is_quadratic:
         meta["modal_backward_error"] = problem.modes.backward_error
-    return x, v_star, meta
+        x = problem.modes.coordinates(x)
+    return x, _Samples(problem, config.times(), v_star, meta, label)
 
 
 class _Samples:
@@ -230,21 +234,23 @@ class _Samples:
 
     :meth:`block` gives the rows X and X' of a block to fill: views of the
     stored X and X', or, for a run given ``x_star``, two buffers reused
-    from block to block, so that no samples x n array is made. :meth:`fold`
-    takes a block once its rows are formed: it maps them from mode
-    coordinates when ``to_x`` (``phi^T``) is given, and records V, the
-    finiteness test and the per-sample ``terms``: ``x_norm``, ``xdot_norm``
-    and those of :func:`~admmflow.analysis._monitor_terms` (``kinetic``,
-    and the flow's term at ``x_star`` when given; ``r`` picks the flow). A
-    run that stops early stops within a block; as the checks fall on
-    multiples of ``ROW_BLOCK``, the blocks folded are then those of
-    :func:`_row_blocks` of the samples formed.
+    from block to block, so that no samples x n array is made. For a
+    quadratic problem a fill writes the mode coordinates ``(y, y')`` there,
+    which :meth:`run` maps to ``(X, X') = phi (y, y')`` by ``to_x``.
+    :meth:`fold` takes a block of X and X' and records V, the finiteness
+    test and the per-sample ``terms``: ``x_norm``, ``xdot_norm`` and those of
+    :func:`~admmflow.analysis._monitor_terms` (``kinetic``, and the flow's
+    term at ``x_star`` when given; ``r`` picks the flow). A run that stops
+    early stops within a block; as the checks fall on multiples of
+    ``ROW_BLOCK``, the blocks folded are then those of :func:`_row_blocks`
+    of the samples formed.
     """
 
-    def __init__(self, problem, t, v_star, meta, label, to_x=None):
+    def __init__(self, problem, t, v_star, meta, label):
         n = len(t)
         x_star, self.r = meta.get("x_star"), meta.get("r")
-        self.problem, self.t, self.to_x = problem, t, to_x
+        self.problem, self.t = problem, t
+        self.to_x = problem.modes.phi.T if problem.is_quadratic else None
         self.v_star, self.meta, self.label = v_star, meta, label
         self.stored = x_star is None
         self.blocks = _row_blocks(n)
@@ -263,18 +269,23 @@ class _Samples:
     def run(self, fill):
         """The trajectory of the samples ``fill(start, stop, xs, xds)`` writes
         into the chunks of ``ROW_BLOCK`` rows of each block (a block's last
-        chunk may be short), checked once per chunk: a run stops after the
-        first chunk holding a non-finite row of X or X'. Divergence is
-        reported from the samples, so their overflow is silenced, as is that
-        of ``t^r`` in :meth:`finish`."""
+        chunk may be short), each mapped to X and X' (the one map from mode
+        coordinates) and then checked: a run stops after the first chunk
+        holding a non-finite row of X or X'. Divergence is reported from the
+        samples, so their overflow is silenced, as is that of ``t^r`` in
+        :meth:`finish`."""
         with np.errstate(over="ignore", invalid="ignore"):
             for rows in self.blocks:
                 xs, xds = self.block(rows)
                 for start in range(rows.start, rows.stop, ROW_BLOCK):
                     stop = min(start + ROW_BLOCK, rows.stop)
                     chunk = slice(start - rows.start, stop - rows.start)
-                    fill(start, stop, xs[chunk], xds[chunk])
-                    if not (np.isfinite(xs[chunk]).all() and np.isfinite(xds[chunk]).all()):
+                    x_chunk, xd_chunk = xs[chunk], xds[chunk]
+                    fill(start, stop, x_chunk, xd_chunk)
+                    if self.to_x is not None:
+                        x_chunk[...] = x_chunk @ self.to_x
+                        xd_chunk[...] = xd_chunk @ self.to_x
+                    if not (np.isfinite(x_chunk).all() and np.isfinite(xd_chunk).all()):
                         self.fold(rows, stop)
                         return self.finish(stop)
                 self.fold(rows, rows.stop)
@@ -284,9 +295,6 @@ class _Samples:
         """Take the rows of the block ``rows`` up to sample ``stop``."""
         formed = slice(rows.start, stop)
         xs, xds = (a[:stop - rows.start] for a in self.block(rows))
-        if self.to_x is not None:
-            xs[...] = xs @ self.to_x
-            xds[...] = xds @ self.to_x
         self.V[formed] = _values(self.problem, xs)
         self.finite[formed] = np.isfinite(xs).all(axis=1) & np.isfinite(xds).all(axis=1)
         terms = self.terms
@@ -323,9 +331,9 @@ class _Samples:
         return build_trajectory(columns, n, self.v_star, self.meta)
 
 
-def _modal_rk4(modes, x, h):
-    """The fill of RK4 samples of a quadratic problem's first-order flow, mode
-    by mode.
+def _modal_rk4(modes, y0, h):
+    """The fill of RK4 samples of a quadratic problem's first-order flow from
+    the mode coordinates ``y0``, mode by mode: y and ``y' = -(lam y + beta)``.
 
     With ``z = -h lam``, one step multiplies ``y - y*`` (``y* = -beta / lam``)
     by ``R(z) = 1 + z phi(z)``, ``phi(z) = 1 + z/2 + z^2/6 + z^3/24``, so
@@ -336,14 +344,10 @@ def _modal_rk4(modes, x, h):
     overflow on a diverging grid.
     """
     lam, beta = modes.lam, modes.beta
-    y0 = modes.coordinates(x)
-    # X = phi y and X' = -phi (lam y + beta), as products with the rows y
-    phi_t = modes.phi.T
-    neg_phi_t = -phi_t
     steps = np.arange(ROW_BLOCK, dtype=float)[:, None]
     log_r = drift = gap = within = None
 
-    def fill(start, stop, xs, xds):
+    def fill(start, stop, ys, yds):
         nonlocal log_r, drift, gap, within
         if start == 0:
             z = -h * lam
@@ -354,17 +358,16 @@ def _modal_rk4(modes, x, h):
             within = np.expm1(steps[:stop] * log_r)  # R^j - 1 for the rows j of a chunk
         ahead = np.expm1(start * log_r)  # R^start - 1
         part = within[:stop - start]
-        ys = part * ahead
+        np.multiply(part, ahead, ys)
         ys += part
         ys += ahead  # R^k - 1 = (R^j - 1)(R^start - 1) + (R^j - 1) + (R^start - 1)
         ys *= gap
         ys += y0
         if drift.any():
             ys[:, drift] = y0[drift] - ((start + steps[:len(ys)]) * h) * beta[drift]
-        np.matmul(ys, phi_t, out=xs)
-        ys *= lam
-        ys += beta
-        np.matmul(ys, neg_phi_t, out=xds)
+        np.multiply(ys, lam, yds)
+        yds += beta
+        np.negative(yds, yds)
 
     return fill
 
@@ -385,8 +388,8 @@ def rk4_integrate(problem, x0, config, v_star=None, *, x_star=None):
         last finite time and the partial trajectory.
     """
     h = config.h
-    x, v_star, meta = _start(problem, x0, x_star, config, v_star, "admm_flow", "rk4")
-    samples = _Samples(problem, config.times(), v_star, meta, "first-order flow")
+    x, samples = _start(problem, x0, x_star, config, v_star, "admm_flow", "rk4",
+                        "first-order flow")
     if problem.is_quadratic:
         return samples.run(_modal_rk4(problem.modes, x, h))
     rhs = _flow_velocity(problem)
@@ -428,22 +431,19 @@ def aadmm_flow_integrate(problem, x0, config, v_star=None, *, x_star=None):
     if config.r is None:
         raise ValueError("config.r is required for the second-order flow")
     r, h = float(config.r), config.h
-    x, v_star, meta = _start(problem, x0, x_star, config, v_star, "aadmm_flow",
-                             "symplectic_euler", r)
-    ts = config.times()
+    x, samples = _start(problem, x0, x_star, config, v_star, "aadmm_flow", "symplectic_euler",
+                        "second-order flow", r)
+    ts = samples.t
     damping = np.exp(r * np.log(ts[:-1] / ts[1:])).tolist()  # (t_k / t_{k+1})^r
-    if problem.is_quadratic:
-        # the fill steps the mode coordinates (y, w) of (X, X') = phi (y, w)
-        modes = problem.modes
-        h_lam, h_beta = h * modes.lam, h * modes.beta
-        x, to_x = modes.coordinates(x), modes.phi.T
+    if problem.is_quadratic:  # x and xdot are the mode coordinates (y, y')
+        h_lam, h_beta = h * problem.modes.lam, h * problem.modes.beta
 
         def kick(y, out):  # -(h lam y + h beta)
             np.multiply(h_lam, y, out)
             out += h_beta
             return np.negative(out, out)
     else:
-        velocity, to_x = _flow_velocity(problem), None
+        velocity = _flow_velocity(problem)
 
         def kick(x, out):  # h times the velocity
             velocity(x, out)
@@ -453,7 +453,6 @@ def aadmm_flow_integrate(problem, x0, config, v_star=None, *, x_star=None):
     # x and xdot are this run's own vectors, advanced in place: the fill
     # stores each sample before the next step
     xdot, v, hv = np.zeros(problem.n), np.empty(problem.n), np.empty(problem.n)
-    samples = _Samples(problem, ts, v_star, meta, "second-order flow", to_x)
 
     def fill(start, stop, xs, xds):
         for i in range(start, stop):

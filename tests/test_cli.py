@@ -454,13 +454,29 @@ def test_figure1_smoke(tmp_path, capsys):
 def test_figure1_divergence_keeps_partial_csv(tmp_path, capsys):
     # RK4 at h = 0.9 leaves its stability region on a long rate window
     out = tmp_path / "fig"
-    assert main(["figure1", "--h-rk4", "0.9", "--window-lo", "2", "--window-hi", "2000",
-                 "--out-dir", str(out)]) == 3
+    diverging = ["figure1", "--h-rk4", "0.9", "--window-lo", "2", "--window-hi", "2000",
+                 "--out-dir", str(out)]
+    assert main(diverging) == 3
     assert "first-order flow diverged" in capsys.readouterr().err
     lines = (out / "admm_flow.csv").read_text().strip().splitlines()
     assert lines[-1].startswith("truncated,")
     assert len(lines) > 2
     assert not (out / "report.json").exists()
+    # a rerun that fails after writing files leaves no report.json of the
+    # complete run before it, whose files it has partly replaced; a refusal
+    # of its arguments writes nothing and leaves the directory as it was.
+    # At seed 7 the RK4 gap reaches the noise floor inside the window (exit 2)
+    below_floor = ["figure1", "--seed", "7", "--h-rk4", "0.56", "--h-symplectic", "0.1",
+                   "--window-hi", "1679", "--out-dir", str(out)]
+    for failing, code, message in ((diverging, 3, "diverged"), (below_floor, 2, "noise floor")):
+        assert main(["figure1", "--out-dir", str(out)]) == 0
+        report = (out / "report.json").read_text()
+        assert main(["figure1", "--window-lo", "5", "--window-hi", "2", "--out-dir", str(out)]) == 2
+        assert (out / "report.json").read_text() == report
+        capsys.readouterr()
+        assert main(failing) == code
+        assert message in capsys.readouterr().err
+        assert not (out / "report.json").exists()
 
 
 def test_figure1_second_order_divergence_writes_no_file_early(tmp_path, capsys):

@@ -568,6 +568,23 @@ def test_non_finite_velocity_is_caught_at_its_sample(monkeypatch):
     assert rows == [af.flows.ROW_BLOCK] and rows[0] < config.n_steps
 
 
+def test_modal_symplectic_checks_x_not_mode_coordinates(monkeypatch):
+    # f = 1e108 x with A = [1e-100]: one drift mode, phi = 1e100 and beta =
+    # 1e208, so |y| stays near 1e208 t^2 / 8 on [0.01, 30] while X = phi y
+    # leaves the finite range near t = 4 (and V at t = 0.02). The run is
+    # checked on X, so it stops after its first chunk, not at the end of the
+    # grid, and reports the last finite V
+    p = af.SplitProblem(af.QuadraticFunction([[0.0]], [1e108]), af.QuadraticFunction.zero(1),
+                        [[1e-100]])
+    config = IntegratorConfig(h=1e-2, t0=1e-2, t_end=30.0, r=3.0)
+    rows = []
+    values = af.flows._values
+    monkeypatch.setattr(af.flows, "_values", lambda p, xs: rows.append(len(xs)) or values(p, xs))
+    with pytest.raises(DivergenceError, match=r"after t = 0\.01$"):
+        af.aadmm_flow_integrate(p, np.array([1.0]), config, v_star=0.0)
+    assert rows == [af.flows.ROW_BLOCK]
+
+
 @pytest.mark.parametrize("h", [1e80, 1e200])
 def test_modal_rk4_reports_an_overflowing_step_as_divergence(h):
     # R(-h) - 1 = -h (1 - h/2 (...)) overflows for h above about 1e77; the

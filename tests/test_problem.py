@@ -312,6 +312,27 @@ def test_modes_gates_take_scaled_norms(monkeypatch):
         af.SplitProblem(p.f, p.g, p.A).modes
 
 
+@pytest.mark.parametrize("M, q, A, fault", [
+    ([[0.0]], [1e120], [[1e-100]], "linear-term check: residual inf is not finite"),
+    ([[1.0]], None, [[1e-200]], "pencil check: scale nan is not finite"),
+    (np.eye(2), None, np.diag([1e-200, 2e-200]), "pencil check: scale nan is not finite"),
+])
+def test_modes_refuse_an_extreme_scale_without_warning(M, q, A, fault):
+    # phi = R^{-1} Q and the gates' products overflow on these draws; the
+    # basis is built under np.errstate, and the refusal names what is not
+    # finite rather than reporting "exceeds nan". optimal_value answers the
+    # bounded two (x* = 0), which need no basis
+    p = af.SplitProblem(af.QuadraticFunction(M, q), af.QuadraticFunction.zero(len(A)), A)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(NumericalError, match=re.escape(fault)):
+            p.modes
+        if q is None:
+            assert not af.optimal_value(p)[0].any()
+            with pytest.raises(NumericalError, match=re.escape(fault)):
+                af.run_admm(p, np.ones(p.n), rho=1.0, max_iter=3)
+
+
 @pytest.mark.parametrize("kind", ["zero", "linear", "diagonal", "dense"])
 def test_values_by_g_structure(figure1_problem, kind):
     # V at rows: the left-to-right four-term sum when g != 0 (bit for bit,
