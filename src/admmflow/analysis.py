@@ -32,7 +32,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .exceptions import NumericalError, UnsupportedFunctionError, WindowError
-from .problem import _a_sq_norms, _check_damping, _map_rows, _row_norms, eval_V
+from .problem import _a_sq_norms, _check_damping, _map_rows, _out_view, _row_norms, eval_V
 from .trajectory import write_columns_csv
 
 __all__ = [
@@ -104,16 +104,30 @@ def _monitor_terms(problem, t, x_star=None, r=None):
     ``kinetic`` ``||A X'||^2`` and, with ``x_star``, for the first-order
     flow (r None) ``displacement`` ``||A (X - x*)||^2`` or, for the
     second-order flow with damping r, ``rate_displacement`` ``||A (X - x* +
-    e^{eta/2} X')||^2``."""
-    terms = {"kinetic": lambda rows, X, Xdot: _a_sq_norms(problem, Xdot)}
+    e^{eta/2} X')||^2``. A flow run's fold also passes ``work``, the two flat
+    buffers of :func:`~admmflow.problem._values`, into which a function
+    writes its block's differences and products, and ``out``, its column."""
+    def kinetic(rows, X, Xdot, work=(None, None), out=None):
+        return _a_sq_norms(problem, Xdot, work=work[0], out=out)
+
+    terms = {"kinetic": kinetic}
     if x_star is None:
         return terms
     if r is None:
-        terms["displacement"] = lambda rows, X, Xdot: _a_sq_norms(problem, X - x_star)
+        def displacement(rows, X, Xdot, work=(None, None), out=None):
+            shift = np.subtract(X, x_star, out=_out_view(work[0], *X.shape))
+            return _a_sq_norms(problem, shift, work=work[1], out=out)
+
+        terms["displacement"] = displacement
     else:
         half_weight = np.exp(0.5 * _eta(t, r))
-        terms["rate_displacement"] = lambda rows, X, Xdot: _a_sq_norms(
-            problem, X - x_star + half_weight[rows, None] * Xdot)
+
+        def rate_displacement(rows, X, Xdot, work=(None, None), out=None):
+            shift = np.subtract(X, x_star, out=_out_view(work[0], *X.shape))
+            shift += np.multiply(half_weight[rows, None], Xdot, out=_out_view(work[1], *X.shape))
+            return _a_sq_norms(problem, shift, work=work[1], out=out)
+
+        terms["rate_displacement"] = rate_displacement
     return terms
 
 

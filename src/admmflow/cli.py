@@ -214,24 +214,27 @@ def cmd_figure1(args):
             return EXIT_USAGE
     outdir = args.out_dir or os.path.join(_default_outdir(), "figure1_out")
     os.makedirs(outdir, exist_ok=True)
-    # report.json is the index, written last: a rerun that fails leaves none
+    # every file the run writes, in the order it writes them, from the run
+    # table: each is removed first, so a rerun that fails leaves only its own
+    # files. report.json is the index, written last: such a rerun leaves none
+    monitor_names = {name: [f"monitor_{name}_{kind}" for kind in ("stability", "rate")]
+                     for name in runs if name.endswith("_flow")}
+    files = {"problem": os.path.join(outdir, "problem.json")}
+    files.update((name, os.path.join(outdir, f"{name}.csv")) for name in (
+        *runs, *(name for names in monitor_names.values() for name in names),
+        "rates", "discrepancy", "overlay"))
     report_path = os.path.join(outdir, "report.json")
-    if os.path.lexists(report_path):
-        os.remove(report_path)
+    for path in (*files.values(), report_path):
+        if os.path.lexists(path):
+            os.remove(path)
     t_start = time.perf_counter()
 
     problem = gen_figure1_problem(FIGURE1["n"], FIGURE1["zero_eigs"], FIGURE1["eig_hi"],
                                   FIGURE1["cond_a"], seed=args.seed)
-    problem_path = os.path.join(outdir, "problem.json")
-    save_problem(problem, problem_path)
+    save_problem(problem, files["problem"])
     x_star, v_star = optimal_value(problem)
     x0 = np.full(problem.n, FIGURE1["x0"])
-    files = {"problem": problem_path}
     window = (args.window_lo, args.window_hi)
-
-    def csv_path(name):
-        files[name] = os.path.join(outdir, f"{name}.csv")
-        return files[name]
 
     # each trajectory is written as soon as it is computed; a DivergenceError
     # keeps the partial CSV and exits through main(). A flow, given x*,
@@ -245,15 +248,15 @@ def cmd_figure1(args):
                          "aadmm_flow": (monitor_aadmm_stability, monitor_aadmm_rate)}  # up now
         if name in flow_monitors:
             kwargs = dict(kwargs, x_star=x_star)
-        traj = _run_to_csv(csv_path(name), run, problem, x0, v_star=v_star, **kwargs)
-        for kind, monitor in zip(("stability", "rate"), flow_monitors.get(name, ())):
-            monitors[f"monitor_{name}_{kind}"] = monitor(problem, traj, x_star)
+        traj = _run_to_csv(files[name], run, problem, x0, v_star=v_star, **kwargs)
+        for key, monitor in zip(monitor_names.get(name, ()), flow_monitors.get(name, ())):
+            monitors[key] = monitor(problem, traj, x_star)
         return replace(traj, X=None, Xdot=None, terms=None)
 
     trajs = {name: run_to_csv(name, run, kwargs) for name, (run, kwargs) in runs.items()}
     monitor_summary = {}
     for name, samples in monitors.items():
-        write_monitor_csv(samples, csv_path(name))
+        write_monitor_csv(samples, files[name])
         monitor_summary[name] = np.count_nonzero(samples.decay_ok) / len(samples)
 
     fits = {
@@ -262,7 +265,7 @@ def cmd_figure1(args):
     }
     rows = [[name] + fit.summary().split(",") for name, fit in fits.items()]
     header = ("method",) + RateFit.FIELDS
-    write_columns_csv(csv_path("rates"), list(zip(header, zip(*rows))))
+    write_columns_csv(files["rates"], list(zip(header, zip(*rows))))
 
     discrepancies = [{"rho": rho,
                       "admm_vs_flow": sup_discrepancy(trajs[stem("admm", rho)],
@@ -270,7 +273,7 @@ def cmd_figure1(args):
                       "aadmm_vs_flow": sup_discrepancy(trajs[stem("aadmm", rho)],
                                                        trajs["aadmm_flow"])}
                      for rho in rhos]
-    write_columns_csv(csv_path("discrepancy"), [
+    write_columns_csv(files["discrepancy"], [
         (key, np.array([row[key] for row in discrepancies], dtype=float))
         for key in ("rho", "admm_vs_flow", "aadmm_vs_flow")
     ])
@@ -279,7 +282,7 @@ def cmd_figure1(args):
     curves = {name: stem(name, rhos[0]) for name in ("admm", "admm_flow", "aadmm", "aadmm_flow")}
     grid = np.linspace(0.0, max(trajs[name].t[-1] for name in curves.values()),
                        args.overlay_points)
-    write_columns_csv(csv_path("overlay"), [("t", grid)] + [
+    write_columns_csv(files["overlay"], [("t", grid)] + [
         (f"V_gap_{label}", _interp_or_blank(grid, trajs[name])) for label, name in curves.items()
     ])
 

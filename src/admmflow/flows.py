@@ -29,8 +29,9 @@ For quadratic f and g both flows run on the modal basis
 into scalar modes ``y_i' = -(lam_i y_i + beta_i)``. RK4 multiplies each
 mode's ``y - y*`` by its stability factor ``R(-h lam)`` per step, so every
 sample has a closed form, formed a chunk of rows at a time; symplectic
-Euler takes its step on the mode coordinates, elementwise. Each fills
-``(y, y')``, which the driver alone maps to ``(X, X') = phi (y, y')``, and
+Euler takes its step on the mode coordinates, elementwise. Each writes
+``(y, y')`` into the driver's two work arrays, which the driver alone maps
+to ``(X, X') = phi (y, y')``, straight into the rows of X and X', and
 ``meta["modal_backward_error"]`` records the basis's pencil backward error
 in units of eps. Callback problems take the four-stage RK4 step or the
 same symplectic step on the velocity
@@ -49,25 +50,29 @@ samples ``start .. stop - 1`` into the rows it is handed; a stepped fill
 takes the step to sample i when it writes sample i, so no gradient is
 called past the last sample kept. The driver checks X and X' once per
 chunk of ``ROW_BLOCK`` rows, after its map from mode coordinates, so every
-run is checked on X and X'. A non-finite X or X' stays non-finite from
-step to step, so a diverged run stops after the chunk holding its first
-non-finite sample, which :meth:`_Samples.finish` reports; a non-finite x0
-is refused by name before a run starts.
+run is checked on X and X'; that per-row finiteness test is the run's
+one. A non-finite X or X' stays non-finite from step to step, so a
+diverged run stops after the chunk holding its first non-finite sample,
+which :meth:`_Samples.finish` reports; a non-finite x0 is refused by name
+before a run starts.
 
 Samples are formed one block of :func:`_row_blocks` at a time
-(:class:`_Samples`), and each block is folded once formed, the one place
-a run's per-sample terms are formed: V, the finiteness test, the CSV's
-``x_norm`` and ``xdot_norm`` and the monitors' terms of
+(:class:`_Samples`), and each block is folded once formed, the one place a
+run's per-sample terms are formed: V, the CSV's ``x_norm`` and
+``xdot_norm`` and the monitors' terms of
 :func:`~admmflow.analysis._monitor_terms`, ``kinetic`` ``||A X'||^2``
 (which H reads too) and, given ``x_star``, the flow's term at it. The
-trajectory carries them in ``terms``. A run given ``x_star`` records it in
-``meta["x_star"]``, forms its blocks in two buffers it reuses and stores
-no X or X'; otherwise the blocks are rows of the stored X and X'. Both
-give the same bytes of every per-sample value, the blocks and their
-products being the same. The one check before a gradient call
-is the velocity's: when ``A X`` is not finite (as for every non-finite X, A
-having full column rank) it returns NaN and calls neither gradient, so no
-callback sees a non-finite X or ``A X`` (V reads NaN there without a call).
+trajectory carries them in ``terms``. The fold writes each product over a
+block into the run's two work arrays, made once per run, and each term
+into its column, so no chunk or block makes a temporary of its size. A run
+given ``x_star`` records it in ``meta["x_star"]``, forms its blocks in two
+block buffers it reuses and stores no X or X'; otherwise the blocks are
+rows of the stored X and X'. Both give the same bytes of every per-sample
+value, the blocks and their products being the same. The one check before
+a gradient call is the velocity's: when ``A X`` is not finite (as for
+every non-finite X, A having full column rank) it returns NaN and calls
+neither gradient, so no callback sees a non-finite X or ``A X`` (V reads
+NaN there without a call).
 
 With ``A = I`` these reduce to plain gradient flow and to the damped
 oscillator flow of accelerated gradient descent.
@@ -82,7 +87,7 @@ import numpy as np
 
 from .analysis import _monitor_terms
 from .problem import (MAX_STEPS, ROW_BLOCK, _as_vector, _check_damping, _check_finite,
-                      _row_blocks, _row_norms, _values, resolve_v_star)
+                      _out_view, _row_blocks, _row_norms, _values, resolve_v_star)
 from .trajectory import build_trajectory, divergence_error
 
 __all__ = [
@@ -233,17 +238,21 @@ class _Samples:
     (which gives ``x_star`` and the damping ``r``) and ``label``.
 
     :meth:`block` gives the rows X and X' of a block to fill: views of the
-    stored X and X', or, for a run given ``x_star``, two buffers reused
-    from block to block, so that no samples x n array is made. For a
-    quadratic problem a fill writes the mode coordinates ``(y, y')`` there,
-    which :meth:`run` maps to ``(X, X') = phi (y, y')`` by ``to_x``.
-    :meth:`fold` takes a block of X and X' and records V, the finiteness
-    test and the per-sample ``terms``: ``x_norm``, ``xdot_norm`` and those of
+    stored X and X', or, for a run given ``x_star``, two block buffers
+    reused from block to block, so that no samples x n array is made.
+    :meth:`run` makes ``work``, two flat work arrays of (largest block rows)
+    x max(n, m) floats, once per run: for a quadratic problem a fill writes
+    the mode coordinates ``(y, y')`` of a chunk there, which :meth:`run`
+    maps to ``(X, X') = phi (y, y')`` by ``to_x`` straight into the block's
+    rows, and :meth:`fold` writes each product over a block there.
+    :meth:`run` records the finiteness test of each chunk's rows in
+    ``finite``, and :meth:`fold` records V and the per-sample ``terms``:
+    ``x_norm``, ``xdot_norm`` and those of
     :func:`~admmflow.analysis._monitor_terms` (``kinetic``, and the flow's
-    term at ``x_star`` when given; ``r`` picks the flow). A run that stops
-    early stops within a block; as the checks fall on multiples of
-    ``ROW_BLOCK``, the blocks folded are then those of :func:`_row_blocks`
-    of the samples formed.
+    term at ``x_star`` when given; ``r`` picks the flow), each written into
+    its column. A run that stops early stops within a block; as the checks
+    fall on multiples of ``ROW_BLOCK``, the blocks folded are then those of
+    :func:`_row_blocks` of the samples formed.
     """
 
     def __init__(self, problem, t, v_star, meta, label):
@@ -269,39 +278,60 @@ class _Samples:
     def run(self, fill):
         """The trajectory of the samples ``fill(start, stop, xs, xds)`` writes
         into the chunks of ``ROW_BLOCK`` rows of each block (a block's last
-        chunk may be short), each mapped to X and X' (the one map from mode
-        coordinates) and then checked: a run stops after the first chunk
-        holding a non-finite row of X or X'. Divergence is reported from the
-        samples, so their overflow is silenced, as is that of ``t^r`` in
-        :meth:`finish`."""
+        chunk may be short): the rows of X and X', or, for a quadratic
+        problem, the mode coordinates in ``work``, mapped to X and X' (the
+        one map from mode coordinates). Each chunk is then checked, its rows'
+        finiteness test written into ``finite``: a run stops after the first
+        chunk holding a non-finite row of X or X'. The work arrays are let go
+        before :meth:`finish`. Divergence is reported from the samples, so
+        their overflow is silenced, as is that of ``t^r`` in :meth:`finish`."""
+        size = max(b.stop - b.start for b in self.blocks) * max(self.problem.n, self.problem.m)
+        self.work = np.empty(size), np.empty(size)
         with np.errstate(over="ignore", invalid="ignore"):
-            for rows in self.blocks:
-                xs, xds = self.block(rows)
-                for start in range(rows.start, rows.stop, ROW_BLOCK):
-                    stop = min(start + ROW_BLOCK, rows.stop)
-                    chunk = slice(start - rows.start, stop - rows.start)
-                    x_chunk, xd_chunk = xs[chunk], xds[chunk]
+            end = self._form(fill)
+            del self.work
+            return self.finish(end)
+
+    def _form(self, fill):
+        """The number of samples :meth:`run` forms and folds: all, or those up
+        to the end of the first chunk holding a non-finite row."""
+        n = self.problem.n
+        # a chunk's entries' finiteness, in the bytes of a work array the
+        # chunk no longer needs once mapped
+        flags = self.work[0].view(bool)
+        for rows in self.blocks:
+            xs, xds = self.block(rows)
+            for start in range(rows.start, rows.stop, ROW_BLOCK):
+                stop = min(start + ROW_BLOCK, rows.stop)
+                chunk = slice(start - rows.start, stop - rows.start)
+                x_chunk, xd_chunk = xs[chunk], xds[chunk]
+                if self.to_x is None:
                     fill(start, stop, x_chunk, xd_chunk)
-                    if self.to_x is not None:
-                        x_chunk[...] = x_chunk @ self.to_x
-                        xd_chunk[...] = xd_chunk @ self.to_x
-                    if not (np.isfinite(x_chunk).all() and np.isfinite(xd_chunk).all()):
-                        self.fold(rows, stop)
-                        return self.finish(stop)
-                self.fold(rows, rows.stop)
-            return self.finish(len(self.t))
+                else:
+                    ys, yds = (_out_view(w, stop - start, n) for w in self.work)
+                    fill(start, stop, ys, yds)
+                    np.matmul(ys, self.to_x, out=x_chunk)
+                    np.matmul(yds, self.to_x, out=xd_chunk)
+                finite = self.finite[start:stop]
+                entries = _out_view(flags, stop - start, n)
+                np.logical_and.reduce(np.isfinite(x_chunk, out=entries), axis=1, out=finite)
+                finite &= np.logical_and.reduce(np.isfinite(xd_chunk, out=entries), axis=1)
+                if not finite.all():
+                    self.fold(rows, stop)
+                    return stop
+            self.fold(rows, rows.stop)
+        return len(self.t)
 
     def fold(self, rows, stop):
         """Take the rows of the block ``rows`` up to sample ``stop``."""
         formed = slice(rows.start, stop)
         xs, xds = (a[:stop - rows.start] for a in self.block(rows))
-        self.V[formed] = _values(self.problem, xs)
-        self.finite[formed] = np.isfinite(xs).all(axis=1) & np.isfinite(xds).all(axis=1)
-        terms = self.terms
-        terms["x_norm"][formed] = _row_norms(xs)
-        terms["xdot_norm"][formed] = _row_norms(xds)
+        work, terms = self.work, self.terms
+        _values(self.problem, xs, work=work, out=self.V[formed])
+        _row_norms(xs, work=work[0], out=terms["x_norm"][formed])
+        _row_norms(xds, work=work[0], out=terms["xdot_norm"][formed])
         for name, fn in self.functions.items():
-            terms[name][formed] = fn(formed, xs, xds)
+            fn(formed, xs, xds, work=work, out=terms[name][formed])
 
     def finish(self, end):
         """Trajectory of a run whose first ``end`` samples are folded, with the
@@ -340,8 +370,12 @@ def _modal_rk4(modes, y0, h):
     sample k is ``y0 + (R^k - 1)(y0 - y*)`` with ``R^k - 1 = expm1(k log1p(z
     phi(z)))``, accurate for lam near 0; a mode with ``z phi(z) = 0`` drifts
     as ``y0 - k h beta``, which RK4 integrates exactly. The per-mode factors
-    are formed with the first chunk, where the driver silences their
-    overflow on a diverging grid.
+    and ``R^j - 1`` for the rows j of a chunk are formed with the first
+    chunk, where the driver silences their overflow on a diverging grid.
+    A chunk is written into the driver's work arrays it is handed, y by
+    in-place products with those factors and y' from y, the drift modes'
+    y formed first in the rows y' then takes, so a chunk makes no array of
+    its size.
     """
     lam, beta = modes.lam, modes.beta
     steps = np.arange(ROW_BLOCK, dtype=float)[:, None]
@@ -355,7 +389,10 @@ def _modal_rk4(modes, y0, h):
             log_r = np.log1p(growth)
             drift = growth == 0.0
             gap = y0 - np.divide(-beta, lam, out=np.zeros_like(lam), where=~drift)  # y0 - y*
-            within = np.expm1(steps[:stop] * log_r)  # R^j - 1 for the rows j of a chunk
+            within = np.empty((stop, len(lam)))  # R^j - 1 for the rows j of a chunk,
+            np.copyto(within, log_r)  # from j log_r formed in place
+            within *= steps[:stop]
+            np.expm1(within, within)
         ahead = np.expm1(start * log_r)  # R^start - 1
         part = within[:stop - start]
         np.multiply(part, ahead, ys)
@@ -363,8 +400,11 @@ def _modal_rk4(modes, y0, h):
         ys += ahead  # R^k - 1 = (R^j - 1)(R^start - 1) + (R^j - 1) + (R^start - 1)
         ys *= gap
         ys += y0
-        if drift.any():
-            ys[:, drift] = y0[drift] - ((start + steps[:len(ys)]) * h) * beta[drift]
+        if drift.any():  # y0 - t beta on the drift modes, formed in yds, written next
+            np.copyto(yds, beta)
+            yds *= (start + steps[:len(ys)]) * h
+            np.subtract(y0, yds, yds)
+            np.copyto(ys, yds, where=drift)
         np.multiply(ys, lam, yds)
         yds += beta
         np.negative(yds, yds)

@@ -72,14 +72,38 @@ def _row_blocks(n):
     return [slice(a, b) for a, b in zip(bounds, bounds[1:])]
 
 
-def _map_rows(fn, n):
-    """``fn(rows)`` for the slices of :func:`_row_blocks` (n), concatenated."""
+def _map_rows(fn, n, work=None, out=None):
+    """``fn(rows)`` for the slices of :func:`_row_blocks` (n), concatenated;
+    given ``work``, ``fn(slice(None), work, out)``: the n rows as the caller's
+    one block, whose products ``fn`` writes into ``work`` and its result into
+    ``out``."""
+    if work is not None:
+        return fn(slice(None), work, out)
     return np.concatenate([fn(rows) for rows in _row_blocks(n)])
 
 
-def _row_norms(ys, shift=0.0):
-    """``||y - shift||`` for each row ``y`` of ``ys``, by :func:`_map_rows`."""
-    return _map_rows(lambda rows: np.linalg.norm(ys[rows] - shift, axis=1), len(ys))
+def _out_view(work, rows, cols):
+    """The first ``rows x cols`` floats of the flat buffer ``work`` as a
+    C-contiguous matrix, the ``out`` of a product over one block of rows; None
+    without a buffer, so that the product allocates its result."""
+    return None if work is None else work[:rows * cols].reshape(rows, cols)
+
+
+def _row_norms(ys, shift=None, *, work=None, out=None):
+    """``||y - shift||`` for each row ``y`` of ``ys``, formed as
+    ``np.linalg.norm(axis=1)`` forms it (squares, row sums, square roots), so
+    the bits are its own, by :func:`_map_rows`; or, given ``work``, a flat
+    buffer of at least ``ys.size`` floats, with ``ys`` as one block whose
+    squares are written there and whose norms into ``out``."""
+    def block(rows, work=None, out=None):
+        y = ys[rows]
+        squares = _out_view(work, *y.shape)
+        if shift is not None:
+            y = np.subtract(y, shift, out=squares)
+        squares = np.multiply(y, y, out=squares)
+        return np.sqrt(np.add.reduce(squares, axis=1, out=out), out=out)
+
+    return _map_rows(block, len(ys), work, out)
 
 
 def _check_finite(x, name):
@@ -439,29 +463,44 @@ def _is_zero(h):
     return h._zero
 
 
-def _values(problem, xs, axs=None):
+def _values(problem, xs, axs=None, *, work=None, out=None):
     """V at each row of ``xs``, taking ``axs``, the rows of ``xs @ A^T``, when
     the caller has them, one block of :func:`_row_blocks` at a time, so the
-    temporaries are O(``ROW_BLOCK`` n). For quadratic f and g: matrix
-    products, without the g terms (nor ``A x``) when g is identically zero.
-    Otherwise: one value call of f and of g per row; a row whose x or ``A x``
-    is not finite reads NaN and calls neither."""
+    temporaries are O(``ROW_BLOCK`` n); or, given ``work``, two flat buffers
+    of at least ``len(xs) * max(n, m)`` floats, with ``xs`` as one block whose
+    products are written there and whose values into ``out``. For quadratic
+    f and g: matrix products, without the g terms (nor ``A x``) when g is
+    identically zero. Otherwise: one value call of f and of g per row; a row
+    whose x or ``A x`` is not finite reads NaN and calls neither."""
     f, g, quadratic = problem.f, problem.g, problem.is_quadratic
+    n, m = problem.n, problem.m
 
-    def block(rows):
+    def block(rows, work=(None, None), out=None):
         x_blk = xs[rows]
+        k = len(x_blk)
         if quadratic:
-            vals = 0.5 * np.einsum("ij,ij->i", x_blk @ f.M, x_blk) + x_blk @ f.q
+            x_m = np.matmul(x_blk, f.M, out=_out_view(work[0], k, n))
+            vals = np.einsum("ij,ij->i", x_m, x_blk, out=out)
+            vals *= 0.5
+            vals += x_blk @ f.q
             if _is_zero(g):
                 return vals
-        ax_blk = x_blk @ problem.A.T if axs is None else axs[rows]
+        ax_blk = (np.matmul(x_blk, problem.A.T, out=_out_view(work[1], k, m))
+                  if axs is None else axs[rows])
         if quadratic:
-            return vals + 0.5 * np.einsum("ij,ij->i", ax_blk @ g.M, ax_blk) + ax_blk @ g.q
+            ax_m = np.matmul(ax_blk, g.M, out=_out_view(work[0], k, m))
+            g_part = np.einsum("ij,ij->i", ax_m, ax_blk)
+            g_part *= 0.5
+            vals += g_part
+            vals += ax_blk @ g.q
+            return vals
         finite = np.isfinite(x_blk).all(axis=1) & np.isfinite(ax_blk).all(axis=1)
-        return np.array([f.value(x) + g.value(ax) if ok else np.nan
-                         for x, ax, ok in zip(x_blk, ax_blk, finite)], dtype=float)
+        vals = np.empty(k) if out is None else out
+        for i, (x, ax, ok) in enumerate(zip(x_blk, ax_blk, finite)):
+            vals[i] = f.value(x) + g.value(ax) if ok else np.nan
+        return vals
 
-    return _map_rows(block, len(xs))
+    return _map_rows(block, len(xs), work, out)
 
 
 def grad_V(problem, x):
@@ -470,15 +509,18 @@ def grad_V(problem, x):
     return problem.f.grad(x) + problem.A.T @ problem.g.grad(problem.A @ x)
 
 
-def _a_sq_norms(problem, ys):
+def _a_sq_norms(problem, ys, *, work=None, out=None):
     """``||A y||^2`` for each row ``y`` of ``ys``: the kinetic term of the
     second-order flow and the quadratic part of the Lyapunov energies, formed
-    one block of :func:`_row_blocks` at a time."""
-    def block(rows):
-        ays = ys[rows] @ problem.A.T
-        return np.einsum("ij,ij->i", ays, ays)
+    one block of :func:`_row_blocks` at a time; or, given ``work``, a flat
+    buffer of at least ``len(ys) * m`` floats, with ``ys`` as one block whose
+    product ``A y`` is written there and whose norms into ``out``."""
+    def block(rows, work=None, out=None):
+        y = ys[rows]
+        ays = np.matmul(y, problem.A.T, out=_out_view(work, len(y), problem.m))
+        return np.einsum("ij,ij->i", ays, ays, out=out)
 
-    return _map_rows(block, len(ys))
+    return _map_rows(block, len(ys), work, out)
 
 
 def _reduced_system(problem):

@@ -462,13 +462,19 @@ def test_figure1_divergence_keeps_partial_csv(tmp_path, capsys):
     assert lines[-1].startswith("truncated,")
     assert len(lines) > 2
     assert not (out / "report.json").exists()
-    # a rerun that fails after writing files leaves no report.json of the
-    # complete run before it, whose files it has partly replaced; a refusal
-    # of its arguments writes nothing and leaves the directory as it was.
-    # At seed 7 the RK4 gap reaches the noise floor inside the window (exit 2)
+    # a rerun that fails after writing files leaves only the files it wrote:
+    # none of the complete run before it, report.json included; a refusal of
+    # its arguments writes nothing and leaves the directory as it was. At
+    # seed 7 the RK4 gap reaches the noise floor inside the window (exit 2),
+    # after every run and monitor CSV is written
     below_floor = ["figure1", "--seed", "7", "--h-rk4", "0.56", "--h-symplectic", "0.1",
                    "--window-hi", "1679", "--out-dir", str(out)]
-    for failing, code, message in ((diverging, 3, "diverged"), (below_floor, 2, "noise floor")):
+    runs = ["aadmm_flow.csv", "aadmm_rho50.csv", "admm_flow.csv", "admm_rho50.csv"]
+    monitors = [f"monitor_{flow}_{kind}.csv" for flow in ("aadmm_flow", "admm_flow")
+                for kind in ("rate", "stability")]
+    for failing, code, message, written in (
+            (diverging, 3, "diverged", ["admm_flow.csv", "problem.json"]),
+            (below_floor, 2, "noise floor", runs + monitors + ["problem.json"])):
         assert main(["figure1", "--out-dir", str(out)]) == 0
         report = (out / "report.json").read_text()
         assert main(["figure1", "--window-lo", "5", "--window-hi", "2", "--out-dir", str(out)]) == 2
@@ -476,7 +482,9 @@ def test_figure1_divergence_keeps_partial_csv(tmp_path, capsys):
         capsys.readouterr()
         assert main(failing) == code
         assert message in capsys.readouterr().err
-        assert not (out / "report.json").exists()
+        assert sorted(path.name for path in out.iterdir()) == written
+        if code == 3:  # the diverged run's own partial CSV, kept
+            assert (out / "admm_flow.csv").read_text().splitlines()[-1].startswith("truncated,")
 
 
 def test_figure1_second_order_divergence_writes_no_file_early(tmp_path, capsys):

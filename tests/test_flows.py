@@ -149,7 +149,8 @@ def test_diverged_quadratic_run_stops_within_a_check_block(one_d_problem, monkey
     # that block only, long before the grid ends
     rows = []
     values = af.flows._values
-    monkeypatch.setattr(af.flows, "_values", lambda p, xs: rows.append(len(xs)) or values(p, xs))
+    monkeypatch.setattr(af.flows, "_values",
+                        lambda p, xs, **work: rows.append(len(xs)) or values(p, xs, **work))
     config = IntegratorConfig(h=10.0, t0=0.0, t_end=1e6)
     with pytest.raises(DivergenceError, match=r"after t = 620$") as err:
         af.rk4_integrate(one_d_problem, np.array([1.0]), config)
@@ -165,7 +166,8 @@ def test_diverged_symplectic_run_stops_within_a_check_block(monkeypatch):
     stiff = af.SplitProblem(af.QuadraticFunction([[100.0]]), af.QuadraticFunction.zero(1), [[1.0]])
     rows = []
     values = af.flows._values
-    monkeypatch.setattr(af.flows, "_values", lambda p, xs: rows.append(len(xs)) or values(p, xs))
+    monkeypatch.setattr(af.flows, "_values",
+                        lambda p, xs, **work: rows.append(len(xs)) or values(p, xs, **work))
     config = IntegratorConfig(h=1.0, t0=1.0, t_end=1e5, r=3.0)
     with pytest.raises(DivergenceError) as err:
         af.aadmm_flow_integrate(stiff, np.array([1.0]), config)
@@ -560,7 +562,8 @@ def test_non_finite_velocity_is_caught_at_its_sample(monkeypatch):
     # is inf from sample 0: the run still stops after its first block
     rows = []
     values = af.flows._values
-    monkeypatch.setattr(af.flows, "_values", lambda p, xs: rows.append(len(xs)) or values(p, xs))
+    monkeypatch.setattr(af.flows, "_values",
+                        lambda p, xs, **work: rows.append(len(xs)) or values(p, xs, **work))
     config = IntegratorConfig(h=1e-301, t0=0.0, t_end=2000e-301)
     with pytest.raises(DivergenceError, match=r"after t = 0$") as err:
         af.rk4_integrate(p, np.array([1e9]), config)
@@ -579,7 +582,8 @@ def test_modal_symplectic_checks_x_not_mode_coordinates(monkeypatch):
     config = IntegratorConfig(h=1e-2, t0=1e-2, t_end=30.0, r=3.0)
     rows = []
     values = af.flows._values
-    monkeypatch.setattr(af.flows, "_values", lambda p, xs: rows.append(len(xs)) or values(p, xs))
+    monkeypatch.setattr(af.flows, "_values",
+                        lambda p, xs, **work: rows.append(len(xs)) or values(p, xs, **work))
     with pytest.raises(DivergenceError, match=r"after t = 0\.01$"):
         af.aadmm_flow_integrate(p, np.array([1.0]), config, v_star=0.0)
     assert rows == [af.flows.ROW_BLOCK]
@@ -634,7 +638,8 @@ def test_callback_flows_check_their_loop_once_per_block(monkeypatch, flow, t_las
         return np.full(1, 1e308) if len(calls) >= 21 else x
 
     values = af.flows._values
-    monkeypatch.setattr(af.flows, "_values", lambda p, xs: rows.append(len(xs)) or values(p, xs))
+    monkeypatch.setattr(af.flows, "_values",
+                        lambda p, xs, **work: rows.append(len(xs)) or values(p, xs, **work))
     f = af.CallbackFunction(lambda x: 0.5 * float(x @ x), grad, 1)
     p = af.SplitProblem(f, af.QuadraticFunction.zero(1), [[0.1]])
     if flow == "rk4":

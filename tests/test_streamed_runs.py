@@ -9,9 +9,9 @@ import pytest
 import admmflow as af
 from admmflow import analysis, cli
 from admmflow.flows import IntegratorConfig
-from admmflow.problem import ROW_BLOCK, _row_norms
+from admmflow.problem import ROW_BLOCK, _map_rows, _row_norms, _values
 
-from helpers import as_callbacks, with_g
+from helpers import as_callbacks, random_problem, with_g
 
 MONITORS = {"admm_flow": {"stability": af.monitor_admm_stability, "rate": af.monitor_admm_rate},
             "aadmm_flow": {"stability": af.monitor_aadmm_stability,
@@ -203,9 +203,9 @@ def test_a_second_order_run_forms_each_a_product_once(figure1_problem, figure1_x
     calls = []
     a_sq_norms = analysis._a_sq_norms
 
-    def counted(problem, ys):
+    def counted(problem, ys, **work):  # the fold's workspace, passed through
         calls.append(len(ys))
-        return a_sq_norms(problem, ys)
+        return a_sq_norms(problem, ys, **work)
 
     monkeypatch.setattr(analysis, "_a_sq_norms", counted)
     monkeypatch.setattr(af.flows, "_a_sq_norms", counted, raising=False)
@@ -219,3 +219,38 @@ def test_a_second_order_run_forms_each_a_product_once(figure1_problem, figure1_x
     af.monitor_aadmm_rate(figure1_problem, traj, x_star)
     blocks = [ROW_BLOCK, ROW_BLOCK, ROW_BLOCK + 147]
     assert sorted(calls) == sorted(blocks + blocks)
+
+
+@pytest.mark.parametrize("draw", ["figure1", "dense", "tall", "callback"])
+@pytest.mark.parametrize("name", sorted(FLOWS))
+def test_folded_columns_are_their_helpers_without_a_workspace(figure1_problem, figure1_x0, draw,
+                                                              name):
+    # a run's fold writes each block's products into the run's two work
+    # arrays; every column it folds, stored or given x*, is bit for bit its
+    # helper formed without them over the same rows, and each norm is
+    # numpy's own (no einsum standing in for it). 3 ROW_BLOCK + 147 samples:
+    # three blocks, the 147-row tail folded into the last; "tall" has m > n
+    problem = figure1_problem if draw == "figure1" else with_g(figure1_problem, "dense")
+    x0 = figure1_x0
+    if draw == "tall":
+        problem, x0 = random_problem(5, 12, 8)[0], np.full(12, 5.0)
+    x_star, v_star = af.optimal_value(problem)
+    if draw == "callback":
+        problem = as_callbacks(problem)
+    samples = 3 * ROW_BLOCK + 147
+    config = (IntegratorConfig(h=1e-3, t0=0.0, t_end=(samples - 1) * 1e-3) if name == "admm_flow"
+              else IntegratorConfig(h=1e-2, t0=1e-2, t_end=samples * 1e-2, r=10.0))
+    stored = FLOWS[name](problem, x0, config, v_star=v_star)
+    streamed = FLOWS[name](problem, x0, config, v_star=v_star, x_star=x_star)
+    X, Xdot = stored.X, stored.Xdot
+    assert len(X) == samples
+    want = {"V": _values(problem, X), "x_norm": _row_norms(X), "xdot_norm": _row_norms(Xdot)}
+    for term, fn in analysis._monitor_terms(problem, stored.t, x_star,
+                                            stored.meta.get("r")).items():
+        want[term] = _map_rows(lambda rows: fn(rows, X[rows], Xdot[rows]), samples)
+    assert np.array_equal(want["x_norm"], np.linalg.norm(X, axis=1))
+    assert np.array_equal(want["xdot_norm"], np.linalg.norm(Xdot, axis=1))
+    assert {"V", *streamed.terms} == set(want)
+    for traj in (stored, streamed):
+        for key, values in {"V": traj.V, **traj.terms}.items():
+            assert np.array_equal(values, want[key]), key
