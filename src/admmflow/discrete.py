@@ -11,20 +11,18 @@ The accelerated variant runs the same sweep against extrapolated copies
 (z_hat, u_hat) and then re-extrapolates them with the momentum weight
 ``gamma = k / (k + r)``, ``r >= 3``.
 
-Steps are pure functions of ``(problem, state)``; for quadratic ``f, g``
-they apply the affine subproblem operators of :func:`_operators` (``x =
-S_x v - s_x``, ``z = S_z w - s_z``, built and checked once per (problem,
-rho) and kept on the problem), so a sweep is three matrix-vector products.
-The x-operator comes from the problem's one QR factorization ``A = U R``
-(``SplitProblem._factor``), so ``A^T A`` is never formed. Otherwise the
-steps delegate to a user-supplied inner minimizer, which sees the
-x-subproblem in the coordinates ``w = R x`` (its Hessian is then ``rho I +
-R^{-T} (grad^2 f) R^{-1}``, well conditioned as rho grows) and the
-z-subproblem as posed. A state checks its own
-parameters on construction (rho > 0, and r >= 3 for the accelerated
-iterate). The ``run_*`` drivers record trajectories, placing iterate k at
-flow time ``t = k / time_scale`` (``rho`` for ADMM, ``sqrt(rho)`` for
-A-ADMM), and raise :class:`DivergenceError` at the first non-finite iterate.
+One sweep body serves both methods, on a route :func:`_substeps` chooses
+once per step or run: for quadratic ``f, g`` the affine subproblem operators
+of :func:`_operators` (``x = S_x v - s_x``, ``z = S_z w - s_z``, one checked
+build per (problem, rho), the last rho's kept on the problem), so a sweep is
+three matrix-vector products and ``A^T A`` is never formed; otherwise a
+user-supplied inner minimizer, which sees the z-subproblem as posed and the
+x-subproblem in ``w = R x`` (``A = U R``), where its Hessian ``rho I +
+R^{-T} (grad^2 f) R^{-1}`` is well conditioned as rho grows. Steps are pure
+functions of ``(problem, state)``; a state checks rho > 0 (and r >= 3) on
+construction. The ``run_*`` drivers place iterate k at flow time ``t = k /
+time_scale`` (``rho`` for ADMM, ``sqrt(rho)`` for A-ADMM) and raise
+:class:`DivergenceError` at the first non-finite iterate.
 
 A run with quadratic f, g = 0 (every generated draw) and no inner solver
 takes no step: u stays 0 and z = A x, so in the mode coordinates ``y = Q^T R
@@ -151,10 +149,9 @@ def _checked_solve(which, H, rhs):
 
 def _operators(problem, rho):
     """The two quadratic subproblems at ``rho`` as affine operators, the
-    read-only, C-contiguous ``(S_x, s_x, S_z, s_z)``: built by the first
-    step at ``rho`` without an inner solver and kept on the problem per rho,
-    so ADMM and A-ADMM in one ``run`` share one build (two threads that
-    build at once keep either of two equal builds).
+    read-only, C-contiguous ``(S_x, s_x, S_z, s_z)``, kept on the problem as
+    ``(rho, ops)`` for the last rho built (either of two concurrent builds),
+    so ADMM and A-ADMM at one rho in one ``run`` share one build.
 
     The x-step ``H_x x = rho A^T v - q_f`` (``H_x = M_f + rho A^T A``) and
     the z-step ``H_z z = rho w - q_g`` (``H_z = M_g + rho I``) become ``x =
@@ -168,15 +165,13 @@ def _operators(problem, rho):
     right-hand side ``[rho U^T, R^{-T} q_f]``. ``S_z = rho H_z^{-1}`` and
     ``s_z = H_z^{-1} q_g`` come from one solve on ``[rho I, q_g]``.
 
-    Each system is checked once, by :func:`_checked_solve`: ``K`` and
-    ``H_z`` are positive definite and every column meets ``||rhs - H sol||
-    <= SUBPROBLEM_RTOL (1 + ||rhs||)``, else :class:`NumericalError` names
-    the subproblem and nothing is kept. Callback problems are refused with
+    Each system is checked once, by :func:`_checked_solve`; a build that
+    fails its check keeps nothing. Callback problems are refused with
     :class:`UnsupportedFunctionError`.
     """
-    ops = problem._operators.get(rho)
-    if ops is not None:
-        return ops
+    kept = problem._operators
+    if kept is not None and kept[0] == rho:
+        return kept[1]
     if not problem.is_quadratic:
         raise UnsupportedFunctionError(
             "closed-form subproblem solves require quadratic f and g; "
@@ -192,7 +187,7 @@ def _operators(problem, rho):
                                                   sol_z[:, :-1], sol_z[:, -1]))
     for a in ops:
         a.flags.writeable = False
-    problem._operators[rho] = ops
+    problem._operators = (rho, ops)
     return ops
 
 
@@ -223,28 +218,44 @@ def _solve_generic(which, h, rho, target, start, inner_solver, inv=None):
     return primal(w)
 
 
-def _sweep(problem, state, z, u, inner_solver):
-    """x-minimization, z-minimization and scaled dual ascent against (z, u).
+def _substeps(problem, rho, inner_solver):
+    """The route of every sweep at ``rho``: ``xstep(v, x)`` and ``zstep(w,
+    z)`` minimize ``f + (rho/2) ||A . - v||^2`` and ``g + (rho/2) ||. -
+    w||^2``, by the operators of :func:`_operators` (built or refused here),
+    or by the inner solver started from copies of the current z and ``R x``
+    (``||A x - v||^2`` is ``||R x - U^T v||^2`` up to a constant)."""
+    if inner_solver is None:
+        S_x, s_x, S_z, s_z = _operators(problem, rho)
+        # v @ S.T is the BLAS product S @ v
+        return (lambda v, x: v @ S_x.T - s_x), (lambda w, z: w @ S_z.T - s_z)
+    f, g, (U, R, inv) = problem.f, problem.g, problem._factor
+    return ((lambda v, x: _solve_generic("x", f, rho, v @ U, R @ x, inner_solver, inv)),
+            (lambda w, z: _solve_generic("z", g, rho, w, z.copy(), inner_solver)))
 
-    Returns ``(x+, z+, u+)``. An inner solver is warm-started from fresh
-    copies of the current iterate (state.x, state.z); with ``A = U R``,
-    ``(rho/2) ||A x - v||^2`` is ``(rho/2) ||R x - U^T v||^2`` up to a
-    constant.
-    """
+
+def _sweep(problem, state, substeps, accelerated):
+    """The state after ``state`` by the ``substeps`` of :func:`_substeps`: a
+    sweep against (z, u), or when ``accelerated`` against (z_hat, u_hat),
+    which are then re-extrapolated with ``gamma = k / (k + r)``."""
+    xstep, zstep = substeps
+    z, u = (state.z_hat, state.u_hat) if accelerated else (state.z, state.u)
+    x = xstep(z - u, state.x)
+    ax = problem.A @ x
+    z_new = zstep(ax + u, state.z)
+    u_new = u + ax - z_new
+    if not accelerated:
+        return AdmmState(x=x, z=z_new, u=u_new, k=state.k + 1, rho=state.rho)
+    g = momentum_coefficient(state.k, state.r)
+    return AccAdmmState(x=x, z=z_new, u=u_new, z_hat=z_new + g * (z_new - state.z),
+                        u_hat=u_new + g * (u_new - state.u), k=state.k + 1, rho=state.rho,
+                        r=state.r)
+
+
+def _step(problem, state, inner_solver, accelerated):
+    """Check the state's shapes, then sweep once on the route for ``state.rho``."""
     if state.x.shape != (problem.n,) or state.z.shape != (problem.m,) or state.u.shape != (problem.m,):
         raise ValueError("state dimensions do not match the problem")
-    A, rho = problem.A, state.rho
-    if inner_solver is not None:
-        U, R, inv = problem._factor
-        x_new = _solve_generic("x", problem.f, rho, (z - u) @ U, R @ state.x, inner_solver, inv)
-        ax = A @ x_new
-        z_new = _solve_generic("z", problem.g, rho, ax + u, state.z.copy(), inner_solver)
-    else:
-        S_x, s_x, S_z, s_z = _operators(problem, rho)
-        x_new = (z - u) @ S_x.T - s_x  # v @ S.T is the BLAS product S @ v
-        ax = A @ x_new
-        z_new = (ax + u) @ S_z.T - s_z
-    return x_new, z_new, u + ax - z_new
+    return _sweep(problem, state, _substeps(problem, state.rho, inner_solver), accelerated)
 
 
 def admm_step(problem, state, inner_solver=None):
@@ -252,17 +263,16 @@ def admm_step(problem, state, inner_solver=None):
 
     With quadratic f, g and no inner solver the two subproblems are solved
     exactly by the checked operators of :func:`_operators` at ``state.rho``,
-    built by the first step at that rho and kept on the problem. Otherwise
-    ``inner_solver(fun, grad, x0)`` must minimize a smooth convex function to
-    gradient-norm tolerance 1e-10 and return an array of ``x0``'s shape
-    (else ``ValueError``). The solver sees the x-subproblem in ``w = R x``, with
-    ``A = U R`` the problem's one factor (:attr:`SplitProblem._factor`): it
-    minimizes ``f(R^{-1} w) + (rho/2) ||w - U^T (z - u)||^2`` from ``R x``,
-    with Hessian ``rho I + R^{-T} (grad^2 f) R^{-1}``, and ``x = R^{-1} w``.
-    It sees the z-subproblem as posed.
+    built by the first step at that rho and kept until one at another rho.
+    Otherwise ``inner_solver(fun, grad, x0)`` must minimize a smooth convex
+    function to gradient-norm tolerance 1e-10 and return an array of
+    ``x0``'s shape (else ``ValueError``). The solver sees the x-subproblem in
+    ``w = R x``, with ``A = U R`` the problem's one factor
+    (:attr:`SplitProblem._factor`): it minimizes ``f(R^{-1} w) + (rho/2) ||w
+    - U^T (z - u)||^2`` from ``R x``, with Hessian ``rho I + R^{-T} (grad^2
+    f) R^{-1}``, and ``x = R^{-1} w``. It sees the z-subproblem as posed.
     """
-    x_new, z_new, u_new = _sweep(problem, state, state.z, state.u, inner_solver)
-    return AdmmState(x=x_new, z=z_new, u=u_new, k=state.k + 1, rho=state.rho)
+    return _step(problem, state, inner_solver, False)
 
 
 def aadmm_step(problem, state, inner_solver=None):
@@ -271,20 +281,13 @@ def aadmm_step(problem, state, inner_solver=None):
     The sweep mirrors :func:`admm_step` with (z_hat, u_hat) in place of
     (z, u); afterwards the copies are re-extrapolated with weight
     ``gamma = k / (k + r)`` evaluated at the pre-step counter, so the very
-    first step (k = 0, gamma = 0) coincides with plain ADMM.
+    first step (k = 0, gamma = 0) coincides with plain ADMM. A state that is
+    not an :class:`AccAdmmState` is refused with TypeError.
     """
-    x_new, z_new, u_new = _sweep(problem, state, state.z_hat, state.u_hat, inner_solver)
-    g = momentum_coefficient(state.k, state.r)
-    return AccAdmmState(
-        x=x_new,
-        z=z_new,
-        u=u_new,
-        z_hat=z_new + g * (z_new - state.z),
-        u_hat=u_new + g * (u_new - state.u),
-        k=state.k + 1,
-        rho=state.rho,
-        r=state.r,
-    )
+    if not isinstance(state, AccAdmmState):
+        raise TypeError("aadmm_step needs an AccAdmmState (see initial_aadmm_state), "
+                        f"got {type(state).__name__}")
+    return _step(problem, state, inner_solver, True)
 
 
 def _check_budget(max_iter, stop_tol):
@@ -314,8 +317,8 @@ def _run(problem, start, args, max_iter, stop_tol, v_star, inner_solver):
             raise NumericalError(f"singular subproblem system (x): lam + rho = {np.min(h_x):.3e}")
         d, e, phi_t = rho / h_x, modes.beta / h_x, modes.phi.T
         ys = np.empty((min(BLOCK, max_iter), problem.n))
-    if inner_solver is None and not modal:
-        _operators(problem, rho)  # refused here, before sample 0
+    else:
+        substeps = _substeps(problem, rho, inner_solver)  # refused here, before sample 0
     size = 1 if inner_solver is not None else BLOCK  # steps between records
     delta = 1.0 / time_scale(rho, accelerated)
 
@@ -339,20 +342,17 @@ def _run(problem, start, args, max_iter, stop_tol, v_star, inner_solver):
     if accelerated:
         meta["r"] = state.r
     label = f"{'accelerated ADMM' if accelerated else 'ADMM'} at rho = {rho:g}"
-    step = aadmm_step if accelerated else admm_step
 
     def advance(k, count):
         """Store X of samples k + 1 .. k + count and return their z, or None
         where z = A x (the modal path)."""
         nonlocal state, y, y_prev
-        rows = slice(k + 1, k + 1 + count)
         if not modal:
-            states = [state]
-            for _ in range(count):
-                states.append(step(problem, states[-1], inner_solver))
-            state = states[-1]
-            xs[rows] = [st.x for st in states[1:]]
-            return np.array([st.z for st in states[1:]])
+            zs = np.empty((count, problem.m))
+            for j in range(count):
+                state = _sweep(problem, state, substeps, accelerated)
+                xs[k + 1 + j], zs[j] = state.x, state.z
+            return zs
         for j in range(count):
             y_hat = y
             if accelerated and k + j > 1:  # gamma_{k+j-1}; gamma_{-1} = gamma_0 = 0
@@ -361,8 +361,7 @@ def _run(problem, start, args, max_iter, stop_tol, v_star, inner_solver):
             # (in cyclic order), so ys carries y and y_prev into the next block
             y_prev, y = y, np.multiply(d, y_hat, out=ys[j])
             y -= e
-        np.matmul(ys[:count], phi_t, out=xs[rows])
-        return None
+        np.matmul(ys[:count], phi_t, out=xs[k + 1:k + 1 + count])
 
     def record(rows, zs, z_prev):
         """Complete the samples ``rows``, whose X is stored and whose z is

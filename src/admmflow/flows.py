@@ -474,7 +474,7 @@ def aadmm_flow_integrate(problem, x0, config, v_star=None, *, x_star=None):
     x, samples = _start(problem, x0, x_star, config, v_star, "aadmm_flow", "symplectic_euler",
                         "second-order flow", r)
     ts = samples.t
-    damping = np.exp(r * np.log(ts[:-1] / ts[1:])).tolist()  # (t_k / t_{k+1})^r
+    damping = np.exp(r * np.log(ts[:-1] / ts[1:]))  # (t_k / t_{k+1})^r
     if problem.is_quadratic:  # x and xdot are the mode coordinates (y, y')
         h_lam, h_beta = h * problem.modes.lam, h * problem.modes.beta
 

@@ -309,9 +309,8 @@ class SplitProblem:
     A, ``A = U R`` (:attr:`_factor`). The factor and the modal basis of a
     quadratic problem (:attr:`modes`, used by the quadratic flows and by the
     discrete solvers when g = 0) are computed on first use and cached, so a
-    run pays only for what it uses. The discrete solvers keep
-    the subproblem operators of a quadratic problem per rho in
-    ``_operators`` (see :func:`discrete._operators`).
+    run pays only for what it uses. ``_operators`` keeps the discrete
+    solvers' subproblem operators for one rho (:func:`discrete._operators`).
     """
 
     rank_rtol = 1e-10
@@ -349,7 +348,7 @@ class SplitProblem:
         self.sigma_max = float(svals[0])
         self.sigma_min = float(svals[-1])
         self._svals = svals
-        self._operators = {}
+        self._operators = None
         self.seed = seed
         self.generator_params = dict(generator_params) if generator_params else None
 
@@ -471,7 +470,8 @@ def _values(problem, xs, axs=None, *, work=None, out=None):
     products are written there and whose values into ``out``. For quadratic
     f and g: matrix products, without the g terms (nor ``A x``) when g is
     identically zero. Otherwise: one value call of f and of g per row; a row
-    whose x or ``A x`` is not finite reads NaN and calls neither."""
+    whose ``A x`` is not finite reads NaN and calls neither (A has full
+    column rank, so that includes every row whose x is not finite)."""
     f, g, quadratic = problem.f, problem.g, problem.is_quadratic
     n, m = problem.n, problem.m
 
@@ -494,7 +494,7 @@ def _values(problem, xs, axs=None, *, work=None, out=None):
             vals += g_part
             vals += ax_blk @ g.q
             return vals
-        finite = np.isfinite(x_blk).all(axis=1) & np.isfinite(ax_blk).all(axis=1)
+        finite = np.isfinite(ax_blk).all(axis=1)
         vals = np.empty(k) if out is None else out
         for i, (x, ax, ok) in enumerate(zip(x_blk, ax_blk, finite)):
             vals[i] = f.value(x) + g.value(ax) if ok else np.nan

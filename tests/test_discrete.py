@@ -1,6 +1,8 @@
 import dataclasses
+import gc
 import tracemalloc
 import warnings
+import weakref
 
 import numpy as np
 import pytest
@@ -292,13 +294,16 @@ def test_parameter_validation(one_d_problem, pd_2d_problem):
     with pytest.raises(ValueError):
         af.run_admm(one_d_problem, x0, rho=1.0, max_iter=0)
     # steps at two rho on one problem each take their own rho's operators:
-    # they match steps on fresh copies, and both operator sets stay kept
+    # they match steps on fresh copies, and the problem keeps one operator
+    # set, the last step's
     p = af.SplitProblem(pd_2d_problem.f, pd_2d_problem.g, pd_2d_problem.A)
+    kept = []
     for rho in (1.0, 2.0, 1.0):
         state = af.initial_admm_state(p, np.ones(2), rho)
         fresh = af.SplitProblem(p.f, p.g, p.A)
         assert np.array_equal(af.admm_step(p, state).x, af.admm_step(fresh, state).x)
-    assert sorted(p._operators) == [1.0, 2.0]
+        kept.append(p._operators[0])
+    assert kept == [1.0, 2.0, 1.0] and len(p._operators) == 2
 
 
 def test_inner_solver_step_builds_no_operator(one_d_problem):
@@ -557,6 +562,69 @@ def test_steps_build_the_operators_once_per_rho(monkeypatch, figure1_problem, fi
         af.admm_step(p, state)
         af.aadmm_step(p, af.initial_aadmm_state(p, figure1_x0, rho, r=3.0))
         assert len(calls) == builds
+
+
+def test_steps_at_many_rho_keep_one_operator_set(figure1_problem, figure1_x0):
+    # a rho schedule holds one operator set: after 100 steps at 100 rho the
+    # problem keeps the last rho's, equal to a fresh build, and every earlier
+    # set is let go
+    p = with_g(figure1_problem, "dense")
+    rhos = np.geomspace(1.0, 1e3, 100)
+    state, builds = af.initial_admm_state(p, figure1_x0, rhos[0]), []
+    for rho in rhos:
+        state = af.admm_step(p, dataclasses.replace(state, rho=rho))
+        builds.append(weakref.ref(p._operators[1][0]))
+    gc.collect()
+    assert [ref() is not None for ref in builds] == [False] * 99 + [True]
+    rho, ops = p._operators
+    assert rho == rhos[-1] and len(ops) == 4
+    fresh = _operators(af.SplitProblem(p.f, p.g, p.A), rho)
+    assert all(np.array_equal(a, b) for a, b in zip(ops, fresh))
+
+
+@pytest.mark.parametrize("method", ["admm", "aadmm"])
+def test_a_run_chooses_its_route_once(monkeypatch, figure1_problem, figure1_x0, pd_2d_problem,
+                                      method):
+    # a run takes its sweep's route from one _substeps call, whatever its
+    # length: at its rho on the operator route and on the inner-solver
+    # route; a g = 0 run steps its modes and takes none
+    calls = []
+    substeps = discrete._substeps
+    monkeypatch.setattr(discrete, "_substeps",
+                        lambda problem, rho, solver: calls.append((rho, solver))
+                        or substeps(problem, rho, solver))
+    cases = ((with_g(figure1_problem, "dense"), figure1_x0, None, [(50.0, None)]),
+             (as_callbacks(pd_2d_problem), np.array([2.0, -1.0]), cg_minimize,
+              [(50.0, cg_minimize)]),
+             (figure1_problem, figure1_x0, None, []))
+    for problem, x0, solver, want in cases:
+        for max_iter in (1, 10, 130):
+            del calls[:]
+            if method == "admm":
+                traj = af.run_admm(problem, x0, rho=50.0, max_iter=max_iter, v_star=0.0,
+                                   inner_solver=solver)
+            else:
+                traj = af.run_aadmm(problem, x0, rho=50.0, r=10.0, max_iter=max_iter,
+                                    v_star=0.0, inner_solver=solver)
+            assert len(traj) == max_iter + 1 and calls == want
+
+
+def test_aadmm_step_refuses_a_plain_state_by_name(pd_2d_problem):
+    # a plain AdmmState has no extrapolated copies: aadmm_step names the
+    # state it needs, and admm_step takes an AccAdmmState as a plain sweep
+    # against (z, u) that returns an AdmmState
+    p, x0 = pd_2d_problem, np.array([2.0, -1.0])
+    with pytest.raises(TypeError, match="needs an AccAdmmState .see initial_aadmm_state., "
+                                        "got AdmmState"):
+        af.aadmm_step(p, af.initial_admm_state(p, x0, 10.0))
+    acc = af.aadmm_step(p, af.aadmm_step(p, af.initial_aadmm_state(p, x0, 10.0, 3.0)))
+    assert not np.array_equal(acc.z_hat, acc.z)
+    got = af.admm_step(p, acc)
+    want = af.admm_step(p, af.AdmmState(x=acc.x, z=acc.z, u=acc.u, k=acc.k, rho=acc.rho))
+    assert type(got) is af.AdmmState
+    for name in ("x", "z", "u"):
+        assert np.array_equal(getattr(got, name), getattr(want, name))
+    assert got.k == want.k == 3 and got.rho == want.rho
 
 
 @pytest.mark.parametrize("method", ["admm", "aadmm"])

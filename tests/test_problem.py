@@ -360,6 +360,47 @@ def test_callback_values_span_row_blocks(pd_2d_problem):
         assert np.max(np.abs(_values(p, xs, axs) - want)) <= 1e-14 * np.max(np.abs(want))
 
 
+@pytest.mark.parametrize("row", [[np.inf, 0.0], [0.0, np.nan], [1e308, 1e308]],
+                         ids=["inf", "nan", "overflow"])
+def test_callback_values_skip_a_row_whose_ax_is_not_finite(row):
+    # f and g behind callbacks that record their arguments, A = [[1, 1], [1,
+    # -1]] of full column rank: a row of x holding inf or NaN, and a finite
+    # row whose A x overflows, read NaN and call neither callback, whether
+    # A x is given or formed; so does that row in an inner-solver run, where
+    # the solver returns it at the third step and the run diverges there
+    args = []
+
+    def recorded(fn):
+        def call(v):
+            args.append(v.copy())
+            return fn(v)
+        return call
+
+    half_sq = [af.CallbackFunction(recorded(lambda v: 0.5 * float(v @ v)), recorded(np.copy), 2)
+               for _ in range(2)]
+    p = af.SplitProblem(*half_sq, [[1.0, 1.0], [1.0, -1.0]])
+    xs = np.array([[1.0, 2.0], row, [-3.0, 0.5]])
+    with np.errstate(over="ignore", invalid="ignore"):
+        for axs in (None, xs @ p.A.T):
+            del args[:]
+            vals = _values(p, xs, axs)
+            assert np.isnan(vals[1]) and np.isfinite(vals[[0, 2]]).all()
+            assert len(args) == 4 and all(np.isfinite(a).all() for a in args)
+
+    w_row = p._factor[1] @ np.array(row) if np.isfinite(row).all() else np.array(row)
+    solves = []
+
+    def solver(fun, grad, w0):
+        solves.append(w0)
+        return cg_minimize(fun, grad, w0) if len(solves) < 5 else w_row.copy()
+
+    del args[:]
+    with pytest.raises(DivergenceError, match=r"after t = 2$") as err:
+        af.run_admm(p, [1.0, 2.0], rho=1.0, max_iter=10, v_star=0.0, inner_solver=solver)
+    assert len(err.value.trajectory) == 3 and len(solves) == 6
+    assert args and all(np.isfinite(a).all() for a in args)
+
+
 @pytest.mark.parametrize("kind", ["zero", "linear", "diagonal", "dense"])
 def test_hessian_and_linear_term_by_g_structure(monkeypatch, figure1_problem, kind):
     # the Hessian and linear term of V that optimal_value's one lstsq solves:
@@ -433,9 +474,9 @@ def test_modes_accept_every_full_rank_A():
 
 
 def test_a_is_factored_once_per_problem(monkeypatch):
-    # a flow (through modes), ADMM at two rho (through the operators and,
-    # for V*, the reduced system) and the flow velocity all read the one
-    # cached A = U R
+    # a flow (through modes), ADMM at two rho (through the operators, which
+    # the problem keeps for the last rho, and, for V*, the reduced system)
+    # and the flow velocity all read the one cached A = U R
     p = with_g(af.gen_figure1_problem(20, 5, 10.0, 100.0, seed=38), "dense")
     factored = []
     qr = np.linalg.qr
@@ -448,11 +489,13 @@ def test_a_is_factored_once_per_problem(monkeypatch):
     monkeypatch.setattr(np.linalg, "qr", counted)
     x0 = np.ones(p.n)
     af.rk4_integrate(p, x0, af.IntegratorConfig(h=0.1, t0=0.0, t_end=1.0))
+    kept = []
     for rho in (10.0, 50.0):
         af.run_admm(p, x0, rho=rho, max_iter=5)
+        kept.append(p._operators[0])
     af.admm_flow_rhs(p, x0)
     assert len(factored) == 1
-    assert set(p._operators) == {10.0, 50.0} and "modes" in p.__dict__
+    assert kept == [10.0, 50.0] and "modes" in p.__dict__
 
 
 def _callback(dim):

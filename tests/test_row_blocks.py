@@ -3,7 +3,6 @@ blocking rule itself, agreement of every routed function with its one-shot
 form, and the memory those functions may take on a long run, traced with
 ``tracemalloc`` (which sees numpy's buffers)."""
 
-import sys
 import tracemalloc
 
 import numpy as np
@@ -183,8 +182,8 @@ def test_a_run_given_x_star_makes_no_chunk_temporary(figure1_problem, figure1_x0
     buffers = 2 * rows * p.n * 8 + 2 * rows * max(p.n, p.m) * 8
     if name == "rk4":  # R^j - 1 for the rows j of a chunk
         factors = ROW_BLOCK * p.n * 8
-    else:  # the damping weights, a list of floats, and the rate term's e^{eta/2}
-        factors = (samples - 1) * (8 + sys.getsizeof(1.0)) + samples * 8
+    else:  # the damping weights and the rate term's e^{eta/2}, float64 arrays
+        factors = (samples - 1) * 8 + samples * 8
     budget = columns + buffers + factors
     assert SLACK < ROW_BLOCK * p.n * 8
     assert peak <= budget + SLACK, f"{name}: traced peak {peak} B exceeds {budget + SLACK} B"
