@@ -20,9 +20,10 @@ user-supplied inner minimizer, which sees the z-subproblem as posed and the
 x-subproblem in ``w = R x`` (``A = U R``), where its Hessian ``rho I +
 R^{-T} (grad^2 f) R^{-1}`` is well conditioned as rho grows. Steps are pure
 functions of ``(problem, state)``; a state checks rho > 0 (and r >= 3) on
-construction. The ``run_*`` drivers place iterate k at flow time ``t = k /
-time_scale`` (``rho`` for ADMM, ``sqrt(rho)`` for A-ADMM) and raise
-:class:`DivergenceError` at the first non-finite iterate.
+construction. The ``run_*`` drivers build one state, the start, and carry
+the iterate through the sweeps as arrays; they place iterate k at flow time
+``t = k / time_scale`` (``rho`` for ADMM, ``sqrt(rho)`` for A-ADMM) and
+raise :class:`DivergenceError` at the first non-finite iterate.
 
 A run with quadratic f, g = 0 (every generated draw) and no inner solver
 takes no step: u stays 0 and z = A x, so in the mode coordinates ``y = Q^T R
@@ -233,29 +234,34 @@ def _substeps(problem, rho, inner_solver):
             (lambda w, z: _solve_generic("z", g, rho, w, z.copy(), inner_solver)))
 
 
-def _sweep(problem, state, substeps, accelerated):
-    """The state after ``state`` by the ``substeps`` of :func:`_substeps`: a
-    sweep against (z, u), or when ``accelerated`` against (z_hat, u_hat),
-    which are then re-extrapolated with ``gamma = k / (k + r)``."""
+def _sweep(problem, substeps, x, z, u, hat=None, gamma=0.0):
+    """The iterate after (x, z, u) by the ``substeps`` of :func:`_substeps`,
+    as ``(x, z, u, hat)``: a sweep against (z, u), or when ``hat`` = (z_hat,
+    u_hat) is given against it, re-extrapolated with weight ``gamma``."""
     xstep, zstep = substeps
-    z, u = (state.z_hat, state.u_hat) if accelerated else (state.z, state.u)
-    x = xstep(z - u, state.x)
+    z_sweep, u_sweep = hat or (z, u)
+    x = xstep(z_sweep - u_sweep, x)
     ax = problem.A @ x
-    z_new = zstep(ax + u, state.z)
-    u_new = u + ax - z_new
-    if not accelerated:
-        return AdmmState(x=x, z=z_new, u=u_new, k=state.k + 1, rho=state.rho)
-    g = momentum_coefficient(state.k, state.r)
-    return AccAdmmState(x=x, z=z_new, u=u_new, z_hat=z_new + g * (z_new - state.z),
-                        u_hat=u_new + g * (u_new - state.u), k=state.k + 1, rho=state.rho,
-                        r=state.r)
+    z_new = zstep(ax + u_sweep, z)
+    u_new = u_sweep + ax - z_new
+    if hat is not None:
+        hat = (z_new + gamma * (z_new - z), u_new + gamma * (u_new - u))
+    return x, z_new, u_new, hat
 
 
 def _step(problem, state, inner_solver, accelerated):
     """Check the state's shapes, then sweep once on the route for ``state.rho``."""
     if state.x.shape != (problem.n,) or state.z.shape != (problem.m,) or state.u.shape != (problem.m,):
         raise ValueError("state dimensions do not match the problem")
-    return _sweep(problem, state, _substeps(problem, state.rho, inner_solver), accelerated)
+    substeps = _substeps(problem, state.rho, inner_solver)
+    if not accelerated:
+        x, z, u, _ = _sweep(problem, substeps, state.x, state.z, state.u)
+        return AdmmState(x=x, z=z, u=u, k=state.k + 1, rho=state.rho)
+    x, z, u, (z_hat, u_hat) = _sweep(problem, substeps, state.x, state.z, state.u,
+                                     (state.z_hat, state.u_hat),
+                                     momentum_coefficient(state.k, state.r))
+    return AccAdmmState(x=x, z=z, u=u, z_hat=z_hat, u_hat=u_hat, k=state.k + 1, rho=state.rho,
+                        r=state.r)
 
 
 def admm_step(problem, state, inner_solver=None):
@@ -308,7 +314,7 @@ def _run(problem, start, args, max_iter, stop_tol, v_star, inner_solver):
         state = start(problem, *args)
     v_star = resolve_v_star(problem, v_star)
     accelerated = isinstance(state, AccAdmmState)
-    rho = state.rho
+    rho, r = state.rho, (state.r if accelerated else None)
     modal = inner_solver is None and problem.is_quadratic and _is_zero(problem.g)
     if modal:
         modes = problem.modes
@@ -340,23 +346,24 @@ def _run(problem, start, args, max_iter, stop_tol, v_star, inner_solver):
         "stopped_early": False,
     }
     if accelerated:
-        meta["r"] = state.r
+        meta["r"] = r
     label = f"{'accelerated ADMM' if accelerated else 'ADMM'} at rho = {rho:g}"
 
     def advance(k, count):
         """Store X of samples k + 1 .. k + count and return their z, or None
         where z = A x (the modal path)."""
-        nonlocal state, y, y_prev
+        nonlocal x, z, u, hat, y, y_prev
         if not modal:
             zs = np.empty((count, problem.m))
             for j in range(count):
-                state = _sweep(problem, state, substeps, accelerated)
-                xs[k + 1 + j], zs[j] = state.x, state.z
+                gamma = momentum_coefficient(k + j, r) if accelerated else 0.0
+                x, z, u, hat = _sweep(problem, substeps, x, z, u, hat, gamma)
+                xs[k + 1 + j], zs[j] = x, z
             return zs
         for j in range(count):
             y_hat = y
             if accelerated and k + j > 1:  # gamma_{k+j-1}; gamma_{-1} = gamma_0 = 0
-                y_hat = y + momentum_coefficient(k + j - 1, state.r) * (y - y_prev)
+                y_hat = y + momentum_coefficient(k + j - 1, r) * (y - y_prev)
             # ys[j] is written once y_hat is formed from the two rows before it
             # (in cyclic order), so ys carries y and y_prev into the next block
             y_prev, y = y, np.multiply(d, y_hat, out=ys[j])
@@ -387,10 +394,13 @@ def _run(problem, start, args, max_iter, stop_tol, v_star, inner_solver):
 
     # divergence is detected and reported in record(); silence the raw overflow
     with np.errstate(over="ignore", invalid="ignore"):
-        xs[0] = state.x
-        k, z_prev = 0, record(slice(0, 1), None if modal else state.z[None], None)[1]
+        # the run carries the iterate as arrays; a state is built only by a step
+        x, z, u = state.x, state.z, state.u
+        hat = (state.z_hat, state.u_hat) if accelerated else None
+        xs[0] = x
+        k, z_prev = 0, record(slice(0, 1), None if modal else z[None], None)[1]
         if modal:
-            y = y_prev = modes.coordinates(state.x)
+            y = y_prev = modes.coordinates(x)
         while k < max_iter and not meta["stopped_early"]:
             count = min(size, max_iter - k)
             kept, z_prev = record(slice(k + 1, k + 1 + count), advance(k, count), z_prev)

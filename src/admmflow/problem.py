@@ -719,10 +719,58 @@ def save_problem(problem, path):
         fh.write("\n}\n")
 
 
+# the fields of a problem file that hold arrays, decoded one at a time
+ARRAY_FIELDS = frozenset({"M_f", "q_f", "M_g", "q_g", "A"})
+_scan_value = json.JSONDecoder().scan_once
+_skip_space = json.decoder.WHITESPACE.match
+
+
+def _decode_problem(text):
+    """``json.loads(text)``, with each array field decoded as soon as it is read.
+
+    A top-level object is walked key by key with ``json``'s own scanner. The
+    value of a key in ``ARRAY_FIELDS`` becomes ``np.asarray`` of its list
+    at once, so one field's list of floats is held at a time; a list numpy
+    cannot read (ragged) stays a list, for :func:`_load_array` to refuse by
+    name. Every other value stays as ``json`` gives it, and a later
+    duplicate key replaces an earlier one. A fault inside a key or a value
+    is raised by the scanner, as ``json.loads`` raises it; any other text,
+    and any object the walk cannot finish, goes to ``json.loads``, which
+    returns it or raises its own ``JSONDecodeError`` (message and
+    position)."""
+    data = {}
+    end = _skip_space(text).end()
+    if text[end:end + 1] == "{":
+        end = _skip_space(text, end + 1).end()
+        while text[end:end + 1] == '"':
+            key, end = json.decoder.scanstring(text, end + 1)
+            end = _skip_space(text, end).end()
+            if text[end:end + 1] != ":":
+                break
+            try:
+                value, end = _scan_value(text, _skip_space(text, end + 1).end())
+            except StopIteration:  # no value here
+                break
+            if key in ARRAY_FIELDS:
+                try:
+                    value = np.asarray(value)
+                except ValueError:  # ragged: kept as a list
+                    pass
+            data[key] = value
+            end = _skip_space(text, end).end()
+            delimiter = text[end:end + 1]
+            if delimiter == "}" and _skip_space(text, end + 1).end() == len(text):
+                return data
+            if delimiter != ",":
+                break
+            end = _skip_space(text, end + 1).end()
+    return json.loads(text)
+
+
 def _load_array(data, name, shape):
     """Field ``name`` of a problem file's data as a float array of ``shape``:
-    one ``np.asarray``, refused unless it reads numbers (integers within
-    int64), flat or nested but not ragged, as many as ``shape`` holds."""
+    ``np.asarray`` of its value, refused unless it reads numbers (integers
+    within int64), flat or nested but not ragged, as many as ``shape`` holds."""
     try:
         values = np.asarray(data[name])
     except ValueError as exc:  # numpy's "inhomogeneous shape"
@@ -749,16 +797,19 @@ def _load_quadratic(data, name, dim):
 def load_problem(path):
     """Read a problem written by :func:`save_problem`.
 
-    A file that is not JSON, or a field that is missing, malformed, not
-    finite or otherwise invalid, raises ValueError prefixed with ``path``
-    (and with ``f:`` or ``g:`` for the data of one function), e.g.
+    The text is read once and decoded as ``json.loads`` would, with each
+    array field made an array as soon as it is read (:func:`_decode_problem`),
+    so one array's list of floats is held at a time. A file that is not
+    JSON, or a field that is missing, malformed, not finite or otherwise
+    invalid, raises ValueError prefixed with ``path`` (and with ``f:`` or
+    ``g:`` for the data of one function), e.g.
     ``p.json: f: M must be finite; M[0, 1] is nan``. ``n`` and ``m`` must be
     JSON integers of at least 1, and arrays flat or nested lists of as many
     numbers as their shape holds (a bool among numbers reads as 1 or 0).
     """
     try:
         with open(path, "r", encoding="utf-8") as fh:
-            data = json.load(fh)
+            data = _decode_problem(fh.read())
         n, m = data["n"], data["m"]
         if type(n) is not int or type(m) is not int:  # 4.0, "4" and true are not
             raise ValueError(f"n and m must be integers, got n = {n!r}, m = {m!r}")

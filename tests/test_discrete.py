@@ -609,6 +609,35 @@ def test_a_run_chooses_its_route_once(monkeypatch, figure1_problem, figure1_x0, 
             assert len(traj) == max_iter + 1 and calls == want
 
 
+@pytest.mark.parametrize("method", ["admm", "aadmm"])
+def test_a_run_builds_no_state_per_iteration(monkeypatch, figure1_problem, figure1_x0,
+                                             pd_2d_problem, method):
+    # a swept run carries its iterate as arrays: it builds its start state
+    # and no other, whatever its length, on the operator route and on the
+    # inner-solver route
+    built = []
+    post_init = af.AdmmState.__post_init__
+    monkeypatch.setattr(af.AdmmState, "__post_init__",
+                        lambda state: built.append(type(state)) or post_init(state))
+    cases = ((with_g(figure1_problem, "dense"), figure1_x0, None),
+             (as_callbacks(pd_2d_problem), np.array([2.0, -1.0]), cg_minimize))
+    if method == "admm":
+        af.initial_admm_state(pd_2d_problem, [2.0, -1.0], 50.0)
+    else:
+        af.initial_aadmm_state(pd_2d_problem, [2.0, -1.0], 50.0, 10.0)
+    start = built[:]  # [AdmmState], or [AdmmState, AccAdmmState] built from it
+    for problem, x0, solver in cases:
+        for max_iter in (1, 10, 130):
+            del built[:]
+            if method == "admm":
+                traj = af.run_admm(problem, x0, rho=50.0, max_iter=max_iter, v_star=0.0,
+                                   inner_solver=solver)
+            else:
+                traj = af.run_aadmm(problem, x0, rho=50.0, r=10.0, max_iter=max_iter,
+                                    v_star=0.0, inner_solver=solver)
+            assert len(traj) == max_iter + 1 and built == start
+
+
 def test_aadmm_step_refuses_a_plain_state_by_name(pd_2d_problem):
     # a plain AdmmState has no extrapolated copies: aadmm_step names the
     # state it needs, and admm_step takes an AccAdmmState as a plain sweep

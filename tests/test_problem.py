@@ -1,19 +1,28 @@
 import itertools
 import json
+import math
 import re
+import tracemalloc
 import warnings
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 import admmflow as af
 from admmflow.exceptions import DivergenceError, NumericalError, UnsupportedFunctionError
-from admmflow.problem import ROW_BLOCK, _is_zero, _values
+from admmflow.problem import ARRAY_FIELDS, ROW_BLOCK, _decode_problem, _is_zero, _values
 
 from helpers import (CANCELLING_DRAW, as_callbacks, cg_minimize, decimal_optimum, fd_grad,
                      random_problem, range_term_draw, with_g)
 
 EPS = np.finfo(float).eps
+
+# what load_problem may take beyond the file's text, one array's list and the
+# arrays: the list's spare capacity and small objects. Fixed from one
+# measurement on a saved gen_figure1_problem(240, 160, 10, 100, 38), 43 kB
+LOAD_SLACK = 256 * 1024
 
 
 def test_eval_V_one_d(one_d_problem):
@@ -707,6 +716,140 @@ def test_load_rejects_malformed(tmp_path, pd_2d_problem):
     # a bool among numbers reads as 0 or 1
     path.write_text(json.dumps(dict(good, q_f=[True, 0.5])))
     assert np.array_equal(af.load_problem(path).f.q, [1.0, 0.5])
+
+
+def _same(a, b):
+    """Equal in value and type, a NaN equal to a NaN; arrays equal in dtype,
+    shape and bytes (object arrays element by element)."""
+    if type(a) is not type(b):
+        return False
+    if isinstance(a, np.ndarray):
+        return a.dtype == b.dtype and a.shape == b.shape and (
+            _same(a.tolist(), b.tolist()) if a.dtype == object else a.tobytes() == b.tobytes())
+    if isinstance(a, list):
+        return len(a) == len(b) and all(map(_same, a, b))
+    if isinstance(a, dict):
+        return list(a) == list(b) and all(_same(a[key], b[key]) for key in a)
+    if isinstance(a, float) and math.isnan(a):
+        return math.isnan(b)
+    return a == b
+
+
+def _assert_decodes_as_json(text):
+    # json.loads is the oracle: the same JSONDecodeError (message and
+    # position), or the same data with each array field as np.asarray of
+    # json's value (json's value where numpy refuses it)
+    try:
+        want = json.loads(text)
+    except json.JSONDecodeError as exc:
+        with pytest.raises(json.JSONDecodeError) as err:
+            _decode_problem(text)
+        assert (err.value.msg, err.value.pos) == (exc.msg, exc.pos)
+        return
+    got = _decode_problem(text)
+    if isinstance(want, dict):
+        for key in ARRAY_FIELDS & want.keys():
+            try:
+                want[key] = np.asarray(want[key])
+            except ValueError:  # ragged
+                pass
+    assert _same(got, want), (text, got, want)
+
+
+JSON_SCALARS = (st.none() | st.booleans() | st.floats() | st.text(max_size=3)
+                | st.integers() | st.integers(2**63 - 2, 2**64 + 2)
+                | st.integers(-2**64 - 2, -2**63 + 2))
+JSON_VALUES = st.recursive(
+    JSON_SCALARS, lambda inner: st.lists(inner, max_size=3)
+    | st.dictionaries(st.text(max_size=3), inner, max_size=3), max_leaves=8)
+NUMBERS = st.floats() | st.integers(-3, 3) | st.booleans()
+ARRAY_VALUES = (st.lists(NUMBERS, max_size=4)
+                | st.lists(st.lists(NUMBERS, min_size=2, max_size=2), max_size=3)
+                | st.lists(st.lists(NUMBERS, max_size=2), max_size=3)  # ragged at times
+                | JSON_VALUES)
+BLANKS = st.text(" \t\n\r", max_size=2)
+
+
+@st.composite
+def problem_texts(draw):
+    """The text of a JSON object with a problem file's fields and others, in
+    any order, with any blanks, some keys twice."""
+    keys = draw(st.lists(st.sampled_from(["n", "m", *ARRAY_FIELDS, "seed", "generator_params"])
+                         | st.text(max_size=3), max_size=10))
+    parts = []
+    for key in keys:
+        value = draw(ARRAY_VALUES if key in ARRAY_FIELDS else JSON_VALUES)
+        indent = draw(st.sampled_from([None, 1]))
+        parts.append(draw(BLANKS) + json.dumps(key) + draw(BLANKS) + ":" + draw(BLANKS)
+                     + json.dumps(value, indent=indent) + draw(BLANKS))
+    return draw(BLANKS) + "{" + ",".join(parts) + draw(BLANKS) + "}" + draw(BLANKS)
+
+
+@settings(max_examples=300, deadline=None)
+@given(text=problem_texts())
+@example(text='{"seed": [1], "generator_params": [0.5, true], "A": [1]}')
+@example(text='{"M_f": [[1, 2], [3]], "A": [1, null], "q_f": 1, "q_f": [2]}')
+@example(text='{"A": [1, 2],}')
+@example(text='{"A": [1, 2]} {}')
+@example(text='{"A": [1, 2] "n": 1}')
+@example(text='{"A" [1]}')
+@example(text='{"A": }')
+@example(text='{"A": [1, 2}')
+@example(text='{"A\x01": 1}')
+@example(text='[{"A": [1]}]')
+@example(text='\ufeff{}')
+def test_problem_decode_is_json_loads(text):
+    _assert_decodes_as_json(text)
+
+
+@pytest.fixture(scope="module")
+def saved_problem_text(tmp_path_factory):
+    path = tmp_path_factory.mktemp("saved") / "p.json"
+    af.save_problem(af.gen_figure1_problem(3, 1, 5.0, 10.0, seed=3), path)
+    return path.read_text(encoding="utf-8")
+
+
+@settings(max_examples=300, deadline=None)
+@given(data=st.data())
+def test_problem_decode_of_a_damaged_file_is_json_loads(saved_problem_text, data):
+    # a saved file cut at an offset, or with one character put in or taken out
+    text = saved_problem_text
+    at = data.draw(st.integers(0, len(text)), label="at")
+    damage = data.draw(st.sampled_from(["cut", "insert", "delete"]), label="damage")
+    if damage == "cut":
+        text = text[:at]
+    elif damage == "insert":
+        char = data.draw(st.sampled_from('{}[]:,"\\ \n.-+0eEtfnNI') | st.characters(),
+                         label="char")
+        text = text[:at] + char + text[at:]
+    else:
+        text = text[:at] + text[at + 1:]
+    _assert_decodes_as_json(text)
+
+
+def test_load_problem_holds_one_array_list_at_a_time(tmp_path):
+    # the traced peak of load_problem is the file's text, the list of its
+    # largest array (32 B per float: a pointer and a float object), the
+    # arrays and a slack; decoding the whole file before any array holds
+    # every list at once (8.71 MB here against a 6.53 MB budget)
+    p = af.gen_figure1_problem(240, 160, 10.0, 100.0, seed=38)
+    path = tmp_path / "p.json"
+    af.save_problem(p, path)
+    arrays = [p.f.M, p.f.q, p.g.M, p.g.q, p.A]
+    budget = (path.stat().st_size + 32 * max(a.size for a in arrays)
+              + sum(a.nbytes for a in arrays) + LOAD_SLACK)
+    tracemalloc.start()
+    try:
+        tracemalloc.reset_peak()
+        before = tracemalloc.get_traced_memory()[0]
+        q = af.load_problem(path)
+        peak = tracemalloc.get_traced_memory()[1] - before
+    finally:
+        tracemalloc.stop()
+    assert peak <= budget
+    for got, want in zip([q.f.M, q.f.q, q.g.M, q.g.q, q.A], arrays):
+        assert got.dtype == want.dtype and got.tobytes() == want.tobytes()
+    assert _same(q.seed, p.seed) and _same(q.generator_params, p.generator_params)
 
 
 def test_composite_objective_wrapper(pd_2d_problem):
