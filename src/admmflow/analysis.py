@@ -369,9 +369,12 @@ def sup_discrepancy(traj_discrete, traj_flow):
     return float(np.max(np.abs(disc_gap - flow_gap) / (1.0 + flow_gap)))
 
 
-def write_monitor_csv(samples, path):
+def write_monitor_csv(samples, path, text=None):
     """Write a monitor's record array (columns ``t``, ``value``, ``decay_ok``,
     ``residual``) as CSV with header ``t,E,decay_ok,residual``; ``decay_ok``
-    is written as 0/1."""
+    is written as 0/1. With ``text``, the :class:`~admmflow.trajectory.ColumnText`
+    its flow's CSV recorded into, a float column equal in bits to the flow's
+    ``t`` or ``V_gap`` reuses that column's text."""
     write_columns_csv(path, [("t", samples.t), ("E", samples.value),
-                             ("decay_ok", samples.decay_ok), ("residual", samples.residual)])
+                             ("decay_ok", samples.decay_ok), ("residual", samples.residual)],
+                      text=text)

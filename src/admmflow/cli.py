@@ -47,7 +47,7 @@ from .flows import (
     rk4_integrate,
 )
 from .problem import _check_damping, gen_figure1_problem, load_problem, optimal_value, save_problem
-from .trajectory import Trajectory, load_trajectory_csv, write_columns_csv
+from .trajectory import ColumnText, Trajectory, load_trajectory_csv, write_columns_csv
 
 EXIT_OK = 0
 EXIT_USAGE = 2
@@ -102,8 +102,9 @@ def cmd_gen(args):
     return EXIT_OK
 
 
-def _run_to_csv(path, run, *args, **kwargs):
-    """Return ``run(*args, **kwargs)`` after writing its trajectory to ``path``;
+def _run_to_csv(path, run, *args, text=None, **kwargs):
+    """Return ``run(*args, **kwargs)`` after writing its trajectory to ``path``
+    (with ``text``, the :class:`ColumnText` of :meth:`Trajectory.to_csv`);
     on divergence write the partial one with a truncation marker and re-raise."""
     try:
         traj = run(*args, **kwargs)
@@ -111,7 +112,7 @@ def _run_to_csv(path, run, *args, **kwargs):
         if err.trajectory is not None:
             err.trajectory.to_csv(path, truncation_note=f"divergence near t={err.t_last:.6g}")
         raise
-    traj.to_csv(path)
+    traj.to_csv(path, text=text)
     return traj
 
 
@@ -240,14 +241,16 @@ def cmd_figure1(args):
     # keeps the partial CSV and exits through main(). A flow, given x*,
     # keeps the row terms of its CSV and monitors in place of X and X'; its
     # monitors read them last, and each run then keeps only what later
-    # stages read
+    # stages read. A flow's CSV records its t and V_gap text in `text`, which
+    # its monitor CSVs, written after every run, write again unformatted
     monitors = {}
+    text = ColumnText()
 
     def run_to_csv(name, run, kwargs):
         flow_monitors = {"admm_flow": (monitor_admm_stability, monitor_admm_rate),  # looked
                          "aadmm_flow": (monitor_aadmm_stability, monitor_aadmm_rate)}  # up now
         if name in flow_monitors:
-            kwargs = dict(kwargs, x_star=x_star)
+            kwargs = dict(kwargs, x_star=x_star, text=text)
         traj = _run_to_csv(files[name], run, problem, x0, v_star=v_star, **kwargs)
         for key, monitor in zip(monitor_names.get(name, ()), flow_monitors.get(name, ())):
             monitors[key] = monitor(problem, traj, x_star)
@@ -256,7 +259,7 @@ def cmd_figure1(args):
     trajs = {name: run_to_csv(name, run, kwargs) for name, (run, kwargs) in runs.items()}
     monitor_summary = {}
     for name, samples in monitors.items():
-        write_monitor_csv(samples, files[name])
+        write_monitor_csv(samples, files[name], text=text)
         monitor_summary[name] = np.count_nonzero(samples.decay_ok) / len(samples)
 
     fits = {

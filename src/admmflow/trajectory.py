@@ -63,20 +63,48 @@ class Trajectory:
             return self.terms[name]
         return None if rows is None else _row_norms(rows)
 
-    def to_csv(self, path, truncation_note=None):
+    def to_csv(self, path, truncation_note=None, text=None):
         """Write the trajectory; floats use repr so files round-trip exactly.
 
         ``truncation_note`` appends a final marker row (first cell
         ``truncated``, remaining cells the note) for runs cut short.
+        ``text``, a :class:`ColumnText`, takes the text of the ``t`` and
+        ``V_gap`` columns, so that a later CSV of the same run (a monitor's)
+        writes them again without formatting them.
         """
         cols = self._columns()
         trailer = None
         if truncation_note is not None:
             trailer = [TRUNCATION_MARKER, str(truncation_note)] + [""] * (len(cols) - 2)
-        write_columns_csv(path, cols, trailer)
+        write_columns_csv(path, cols, trailer, text, record=("t", "V_gap"))
 
 
-def write_columns_csv(path, columns, trailer=None):
+class ColumnText:
+    """Text of float64 columns one run has written, for its later CSVs.
+
+    Each entry is a column's own array (not a copy) and its cells, one
+    newline-joined string per ``CSV_CHUNK_ROWS`` chunk. A table lives for
+    one run: it keeps every recorded array alive.
+    """
+
+    def __init__(self):
+        self._entries = []
+
+    def find(self, values):
+        """The chunk texts of a recorded column whose bits equal those of the
+        float64 array ``values``, or None."""
+        bits = values.view(np.uint64)
+        for recorded, chunks in self._entries:
+            if recorded.shape == values.shape and np.array_equal(recorded.view(np.uint64), bits):
+                return chunks
+        return None
+
+    def record(self, values, chunks):
+        """Keep ``values`` and its chunk texts, without a copy of either."""
+        self._entries.append((values, chunks))
+
+
+def write_columns_csv(path, columns, trailer=None, text=None, record=()):
     """Write ``columns``, a list of ``(name, values)`` of equal length, as CSV.
 
     Each column's cell format is picked once from its dtype: floats by repr
@@ -86,23 +114,39 @@ def write_columns_csv(path, columns, trailer=None):
     commas directly (the bytes ``csv.writer`` would write); other rows, the
     header and ``trailer``, an optional last row of ready-made cells, go
     through ``csv.writer``.
+
+    With ``text``, a :class:`ColumnText`, a float64 column whose bits equal
+    a recorded one's takes its recorded cells, and the columns named in
+    ``record`` that found none are recorded once the file is written. The
+    bytes are those of a write without ``text``.
     """
     arrays = [np.asarray(values) for _, values in columns]
     arrays = [a.view(np.uint8) if a.dtype.kind == "b" else a for a in arrays]
     formats = [repr if a.dtype.kind == "f" else str for a in arrays]
     numeric = all(a.dtype.kind in "fiu" for a in arrays)
+    shared = [text is not None and a.dtype == np.float64 for a in arrays]
+    found = [text.find(a) if share else None for a, share in zip(arrays, shared)]
+    kept = {j: [] for j, (name, _) in enumerate(columns)
+            if shared[j] and found[j] is None and name in record}
     with open(path, "w", newline="", encoding="utf-8") as fh:
         writer = csv.writer(fh, lineterminator="\n")
         writer.writerow([name for name, _ in columns])
-        for start in range(0, len(arrays[0]), CSV_CHUNK_ROWS):
+        for i, start in enumerate(range(0, len(arrays[0]), CSV_CHUNK_ROWS)):
             chunk = slice(start, start + CSV_CHUNK_ROWS)
-            rows = zip(*(map(fmt, a[chunk].tolist()) for fmt, a in zip(formats, arrays)))
+            cells = [map(fmt, a[chunk].tolist()) if chunks is None else chunks[i].split("\n")
+                     for fmt, a, chunks in zip(formats, arrays, found)]
+            for j, texts in kept.items():
+                cells[j] = list(cells[j])
+                texts.append("\n".join(cells[j]))
+            rows = zip(*cells)
             if numeric:
                 fh.write("\n".join(map(",".join, rows)) + "\n")
             else:
                 writer.writerows(rows)
         if trailer is not None:
             writer.writerow(trailer)
+    for j, texts in kept.items():
+        text.record(arrays[j], texts)
 
 
 def build_trajectory(columns, n, v_star, meta):

@@ -1,7 +1,9 @@
 import ast
+import gc
 import json
 import platform
 import types
+import weakref
 from pathlib import Path
 
 import numpy as np
@@ -12,6 +14,7 @@ from admmflow import cli
 from admmflow.cli import main
 from admmflow.discrete import BLOCK
 from admmflow.flows import IntegratorConfig
+from admmflow.trajectory import ColumnText
 
 from helpers import NOT_A_NUMBER
 
@@ -498,6 +501,44 @@ def test_figure1_second_order_divergence_writes_no_file_early(tmp_path, capsys):
     assert sorted(path.name for path in out.iterdir()) == [
         "aadmm_flow.csv", "admm_flow.csv", "problem.json"]
     assert (out / "aadmm_flow.csv").read_text().splitlines()[-1].startswith("truncated,")
+
+
+def test_figure1_writes_the_same_bytes_without_shared_text(tmp_path, monkeypatch):
+    # the monitor CSVs reuse their flow's t and V_gap text: forcing every
+    # lookup to miss changes no byte, and once main returns no array the
+    # table recorded is alive
+    args = ["figure1", "--seed", "38", "--h-rk4", "1e-2", "--h-symplectic", "2e-2",
+            "--overlay-points", "21"]
+    recorded, hits = [], []
+    record, find = ColumnText.record, ColumnText.find
+
+    def record_weakly(self, values, chunks):
+        recorded.append(weakref.ref(values))
+        record(self, values, chunks)
+
+    def count_hits(self, values):
+        chunks = find(self, values)
+        hits.append(chunks is not None)
+        return chunks
+
+    monkeypatch.setattr(ColumnText, "record", record_weakly)
+    monkeypatch.setattr(ColumnText, "find", count_hits)
+    assert main(args + ["--out-dir", str(tmp_path / "shared")]) == 0
+    gc.collect()
+    assert len(recorded) == 4 and all(ref() is None for ref in recorded)
+    # t of every monitor CSV and E of the first-order stability monitor
+    assert sum(hits) == 5
+    monkeypatch.setattr(ColumnText, "find", lambda self, values: None)
+    assert main(args + ["--out-dir", str(tmp_path / "plain")]) == 0
+    names = sorted(path.name for path in (tmp_path / "plain").iterdir())
+    assert names == sorted(path.name for path in (tmp_path / "shared").iterdir())
+    assert len(names) == 13
+    for name in names:
+        shared, plain = ((tmp_path / sub / name).read_bytes() for sub in ("shared", "plain"))
+        if name == "report.json":
+            shared, plain = ({key: value for key, value in json.loads(text).items()
+                              if key not in ("wall_time_s", "files")} for text in (shared, plain))
+        assert shared == plain, name
 
 
 def test_figure1_rho_sweep_smoke(tmp_path):

@@ -156,12 +156,14 @@ def test_write_columns_csv_round_trip(n_rows, kinds, data):
 )
 def test_write_columns_csv_matches_csv_writer(n_rows, kinds, note, data):
     # numeric rows are joined directly: the bytes must be those of csv.writer
-    # writing the repr/str cells, header and trailer included
+    # writing the repr/str cells, header and trailer included; so must they
+    # when some columns take the text an earlier write recorded in a table
     draw = {"float": st.floats(), "int": exact_ints, "bool": st.booleans()}
     dtypes = {"float": float, "int": np.int64, "bool": bool}
     columns = [(f"c{j}", np.array(data.draw(st.lists(draw[kind], min_size=n_rows,
                                                          max_size=n_rows)), dtype=dtypes[kind]))
                for j, kind in enumerate(kinds)]
+    recorded = data.draw(st.lists(st.sampled_from(columns), min_size=1, max_size=len(columns)))
     trailer = None if note is None else ["truncated", note] + [""] * (len(columns) - 2)
     ref = io.StringIO(newline="")
     writer = csv.writer(ref, lineterminator="\n")
@@ -177,3 +179,32 @@ def test_write_columns_csv_matches_csv_writer(n_rows, kinds, note, data):
         trajectory.write_columns_csv(path, columns, trailer)
         with open(path, "rb") as fh:
             assert fh.read() == ref.getvalue().encode("utf-8")
+        text = trajectory.ColumnText()
+        trajectory.write_columns_csv(  # copies: a hit is by bits, not by object
+            os.path.join(tmp, "earlier.csv"), [(f"r{j}", values.copy())
+                                               for j, (_, values) in enumerate(recorded)],
+            text=text, record=[f"r{j}" for j in range(len(recorded))])
+        trajectory.write_columns_csv(path, columns, trailer, text)
+        with open(path, "rb") as fh:
+            assert fh.read() == ref.getvalue().encode("utf-8")
+    assert all(text.find(values) is not None for _, values in recorded if values.dtype == float)
+
+
+def test_column_text_is_found_by_bits(tmp_path):
+    # a column takes recorded text only when its length and every bit match:
+    # an equal copy hits; -0.0 against 0.0 and an equal prefix miss
+    text = trajectory.ColumnText()
+    t = np.array([0.0, 0.1, 0.2, 0.30000000000000004, 1e-300, 2.5, 3.0])
+    with mock.patch.object(trajectory, "CSV_CHUNK_ROWS", 5):
+        trajectory.write_columns_csv(tmp_path / "flow.csv", [("t", t), ("V_gap", t * 2)],
+                                     text=text, record=("t",))
+        assert text.find(t.copy()) == ["0.0\n0.1\n0.2\n0.30000000000000004\n1e-300", "2.5\n3.0"]
+        assert text.find(t * 2) is None  # not named in record
+        negative_zero = t.copy()
+        negative_zero[0] = -0.0
+        for other in (negative_zero, t[:-1].copy(), np.append(t, 4.0)):
+            assert text.find(other) is None
+            plain, shared = tmp_path / "plain.csv", tmp_path / "shared.csv"
+            trajectory.write_columns_csv(plain, [("t", other)])
+            trajectory.write_columns_csv(shared, [("t", other)], text=text)
+            assert shared.read_bytes() == plain.read_bytes()
