@@ -144,6 +144,8 @@ def cmd_run(args):
     for flag, value in (("--h", args.h), ("--t0", args.t0), ("--t-end", args.t_end)):
         if value is not None and not flows:
             raise ValueError(f"{flag} applies only to the flow solvers admm_flow and aadmm_flow")
+    if args.stop_tol_given and len(flows) == len(args.solver):
+        raise ValueError("--stop-tol applies only to the discrete solvers admm and aadmm")
     if args.max_iter_given and args.t_end is not None and len(flows) == len(args.solver):
         raise ValueError("--max-iter sets the discrete solvers' budget and a flow's default "
                          "--t-end; with --t-end given and no discrete solver it has no use")
@@ -151,6 +153,7 @@ def cmd_run(args):
     drivers = {solver: _driver(solver, rho=args.rho, r=args.r, max_iter=args.max_iter,
                                stop_tol=args.stop_tol, h=args.h, t0=args.t0, t_end=args.t_end)
                for solver in args.solver}
+    _check_damping(args.r)  # a bad --r is refused even when no solver reads it
     x0 = np.full(problem.n, args.x0)
     outdir = args.out_dir or _default_outdir()
     os.makedirs(outdir, exist_ok=True)
@@ -178,52 +181,54 @@ def _interp_or_blank(grid, traj):
 
 def cmd_figure1(args):
     if not 0 < args.window_lo < args.window_hi:
-        print(f"error: rate-fit window must satisfy 0 < window-lo < window-hi, got "
-              f"({args.window_lo:g}, {args.window_hi:g})", file=sys.stderr)
-        return EXIT_USAGE
+        raise ValueError(f"rate-fit window must satisfy 0 < window-lo < window-hi, got "
+                         f"({args.window_lo:g}, {args.window_hi:g})")
     if args.overlay_points > MAX_STEPS + 1:  # the samples of the longest flow grid
-        print(f"error: --overlay-points must be at most {MAX_STEPS + 1}", file=sys.stderr)
-        return EXIT_USAGE
+        raise ValueError(f"--overlay-points must be at most {MAX_STEPS + 1}")
     rhos = args.rho or [FIGURE1["rho"]]
+    window = (args.window_lo, args.window_hi)
+    stem = "{}_rho{:g}".format  # CSV stem of a discrete run; a flow's is its name
 
-    def stem(solver, rho):  # CSV name of a run; a flow's is the same for every rho
-        return solver if solver.endswith("_flow") else f"{solver}_rho{rho:g}"
+    # the method table, which every stage below iterates: each discrete method's
+    # flow, with the flow's step and start-time flags, rate-fit target and
+    # monitors by kind. Built per call, so a monitor replaced on the module
+    # after import (as a tracer does) is the one that runs
+    methods = {"admm": ("admm_flow", args.h_rk4, None, -1.0,
+                        {"stability": monitor_admm_stability, "rate": monitor_admm_rate}),
+               "aadmm": ("aadmm_flow", args.h_symplectic, args.t0, -2.0,
+                         {"stability": monitor_aadmm_stability, "rate": monitor_aadmm_rate})}
+    monitors = {f"monitor_{flow}_{kind}": (flow, monitor)
+                for flow, *_, kinds in methods.values() for kind, monitor in kinds.items()}
 
     # one run per CSV stem, in run order; the penalty-free flows run once, over
     # the rate window and the smallest rho's (longest) discrete time range.
     # Every grid is built, and so checked, before any file is written
     runs = {}
-    for solver, h, t0 in (("admm_flow", args.h_rk4, None),
-                          ("aadmm_flow", args.h_symplectic, args.t0)):
-        t_end = args.max_iter / time_scale(min(rhos), accelerated=solver == "aadmm_flow")
-        runs[solver] = _driver(solver, rho=min(rhos), r=args.r, max_iter=args.max_iter, h=h,
-                               t0=t0, t_end=max(args.window_hi, t_end))
+    for method, (flow, h, t0, *_) in methods.items():
+        t_end = args.max_iter / time_scale(min(rhos), accelerated=method == "aadmm")
+        runs[flow] = _driver(flow, rho=min(rhos), r=args.r, max_iter=args.max_iter, h=h,
+                             t0=t0, t_end=max(args.window_hi, t_end))
     for rho in rhos:
-        for solver in ("admm", "aadmm"):
-            if stem(solver, rho) in runs:
-                print(f"error: each --rho must name its own CSVs (admm_rho<rho:g>.csv), got "
-                      f"{' '.join(f'{value:g}' for value in rhos)}", file=sys.stderr)
-                return EXIT_USAGE
-            runs[stem(solver, rho)] = _driver(solver, rho=rho, r=args.r, max_iter=args.max_iter)
-    for solver in ("admm_flow", "aadmm_flow"):  # fit_rate's count, on the grid a run samples
-        ts = runs[solver][1]["config"].times()
+        for method in methods:
+            if stem(method, rho) in runs:
+                raise ValueError(f"each --rho must name its own CSVs (admm_rho<rho:g>.csv), got "
+                                 f"{' '.join(f'{value:g}' for value in rhos)}")
+            runs[stem(method, rho)] = _driver(method, rho=rho, r=args.r, max_iter=args.max_iter)
+    for flow, *_ in methods.values():  # fit_rate's count, on the grid a run samples
+        ts = runs[flow][1]["config"].times()
         inside = np.count_nonzero((ts >= args.window_lo) & (ts <= args.window_hi))
         if inside < MIN_FIT_SAMPLES:
-            print(f"error: rate-fit window [{args.window_lo:g}, {args.window_hi:g}] holds "
-                  f"{inside} samples of the {solver} grid; at least {MIN_FIT_SAMPLES} are "
-                  "required", file=sys.stderr)
-            return EXIT_USAGE
+            raise ValueError(f"rate-fit window [{args.window_lo:g}, {args.window_hi:g}] holds "
+                             f"{inside} samples of the {flow} grid; at least {MIN_FIT_SAMPLES} "
+                             "are required")
     outdir = args.out_dir or os.path.join(_default_outdir(), "figure1_out")
     os.makedirs(outdir, exist_ok=True)
-    # every file the run writes, in the order it writes them, from the run
-    # table: each is removed first, so a rerun that fails leaves only its own
-    # files. report.json is the index, written last: such a rerun leaves none
-    monitor_names = {name: [f"monitor_{name}_{kind}" for kind in ("stability", "rate")]
-                     for name in runs if name.endswith("_flow")}
+    # every file the run writes, in the order it writes them, from the run and
+    # monitor tables: each is removed first, so a rerun that fails leaves only
+    # its own files. report.json is the index, written last: such a rerun leaves none
     files = {"problem": os.path.join(outdir, "problem.json")}
-    files.update((name, os.path.join(outdir, f"{name}.csv")) for name in (
-        *runs, *(name for names in monitor_names.values() for name in names),
-        "rates", "discrepancy", "overlay"))
+    files.update((name, os.path.join(outdir, f"{name}.csv"))
+                 for name in (*runs, *monitors, "rates", "discrepancy", "overlay"))
     report_path = os.path.join(outdir, "report.json")
     for path in (*files.values(), report_path):
         if os.path.lexists(path):
@@ -235,7 +240,6 @@ def cmd_figure1(args):
     save_problem(problem, files["problem"])
     x_star, v_star = optimal_value(problem)
     x0 = np.full(problem.n, FIGURE1["x0"])
-    window = (args.window_lo, args.window_hi)
 
     # each trajectory is written as soon as it is computed; a DivergenceError
     # keeps the partial CSV and exits through main(). A flow, given x*,
@@ -243,46 +247,41 @@ def cmd_figure1(args):
     # monitors read them last, and each run then keeps only what later
     # stages read. A flow's CSV records its t and V_gap text in `text`, which
     # its monitor CSVs, written after every run, write again unformatted
-    monitors = {}
+    samples = {}
     text = ColumnText()
 
     def run_to_csv(name, run, kwargs):
-        flow_monitors = {"admm_flow": (monitor_admm_stability, monitor_admm_rate),  # looked
-                         "aadmm_flow": (monitor_aadmm_stability, monitor_aadmm_rate)}  # up now
-        if name in flow_monitors:
+        if name.endswith("_flow"):
             kwargs = dict(kwargs, x_star=x_star, text=text)
         traj = _run_to_csv(files[name], run, problem, x0, v_star=v_star, **kwargs)
-        for key, monitor in zip(monitor_names.get(name, ()), flow_monitors.get(name, ())):
-            monitors[key] = monitor(problem, traj, x_star)
+        samples.update((key, monitor(problem, traj, x_star))
+                       for key, (flow, monitor) in monitors.items() if flow == name)
         return replace(traj, X=None, Xdot=None, terms=None)
 
     trajs = {name: run_to_csv(name, run, kwargs) for name, (run, kwargs) in runs.items()}
     monitor_summary = {}
-    for name, samples in monitors.items():
-        write_monitor_csv(samples, files[name], text=text)
-        monitor_summary[name] = np.count_nonzero(samples.decay_ok) / len(samples)
+    for name, monitored in samples.items():
+        write_monitor_csv(monitored, files[name], text=text)
+        monitor_summary[name] = np.count_nonzero(monitored.decay_ok) / len(monitored)
 
-    fits = {
-        "admm_flow": fit_rate(trajs["admm_flow"], window, slope_target=-1.0),
-        "aadmm_flow": fit_rate(trajs["aadmm_flow"], window, slope_target=-2.0),
-    }
+    fits = {flow: fit_rate(trajs[flow], window, slope_target=target)
+            for flow, _, _, target, _ in methods.values()}
     rows = [[name] + fit.summary().split(",") for name, fit in fits.items()]
     header = ("method",) + RateFit.FIELDS
     write_columns_csv(files["rates"], list(zip(header, zip(*rows))))
 
-    discrepancies = [{"rho": rho,
-                      "admm_vs_flow": sup_discrepancy(trajs[stem("admm", rho)],
-                                                      trajs["admm_flow"]),
-                      "aadmm_vs_flow": sup_discrepancy(trajs[stem("aadmm", rho)],
-                                                       trajs["aadmm_flow"])}
-                     for rho in rhos]
+    discrepancies = [  # each method's sup distance from its flow, at each rho
+        {"rho": rho} | {f"{method}_vs_flow": sup_discrepancy(trajs[stem(method, rho)], trajs[flow])
+                        for method, (flow, *_) in methods.items()}
+        for rho in rhos]
     write_columns_csv(files["discrepancy"], [
         (key, np.array([row[key] for row in discrepancies], dtype=float))
-        for key in ("rho", "admm_vs_flow", "aadmm_vs_flow")
+        for key in discrepancies[0]
     ])
 
-    # overlay of V-gap vs t for all four methods at the first rho
-    curves = {name: stem(name, rhos[0]) for name in ("admm", "admm_flow", "aadmm", "aadmm_flow")}
+    # overlay of V-gap vs t for every method and its flow at the first rho
+    curves = {label: name for method, (flow, *_) in methods.items()
+              for label, name in ((method, stem(method, rhos[0])), (flow, flow))}
     grid = np.linspace(0.0, max(trajs[name].t[-1] for name in curves.values()),
                        args.overlay_points)
     write_columns_csv(files["overlay"], [("t", grid)] + [
@@ -301,8 +300,8 @@ def cmd_figure1(args):
             "window": list(window),
         },
         "v_star": v_star,
-        "final_v_gap": {stem(solver, rho): float(trajs[stem(solver, rho)].v_gap[-1])
-                        for rho in rhos for solver in ("admm", "aadmm")},
+        "final_v_gap": {stem(method, rho): float(trajs[stem(method, rho)].v_gap[-1])
+                        for rho in rhos for method in methods},
         "rate_fits": {name: asdict(fit) for name, fit in fits.items()},
         "discrepancies": discrepancies,
         "monitor_decay_fraction": monitor_summary,
@@ -319,8 +318,8 @@ def cmd_figure1(args):
     for name, fit in fits.items():
         print(f"{name}: slope={fit.slope:.4f} C={fit.C:.4g} on t in [{window[0]:g}, {window[1]:g}]")
     for row in discrepancies:
-        print(f"rho={row['rho']:g}: sup-discrepancy admm={row['admm_vs_flow']:.4f} "
-              f"aadmm={row['aadmm_vs_flow']:.4f}")
+        print(f"rho={row['rho']:g}: sup-discrepancy "
+              + " ".join(f"{method}={row[f'{method}_vs_flow']:.4f}" for method in methods))
     print(f"report: {report_path}")
     return EXIT_OK
 
@@ -328,8 +327,7 @@ def cmd_figure1(args):
 def cmd_rates(args):
     cols = load_trajectory_csv(args.trajectory)
     if "t" not in cols or "V_gap" not in cols:
-        print("error: trajectory CSV must have t and V_gap columns", file=sys.stderr)
-        return EXIT_USAGE
+        raise ValueError("trajectory CSV must have t and V_gap columns")
     v_star = args.v_star
     if args.problem is not None:
         _, v_star = optimal_value(load_problem(args.problem))
@@ -397,7 +395,7 @@ def build_parser():
     _figure1_default(run, "--max-iter", _finite(int, positive=True),
                      "iteration budget; also sets default flow t-end via the method time scale",
                      action=_NoteGiven)
-    run.add_argument("--stop-tol", type=_finite(float), default=0.0,
+    run.add_argument("--stop-tol", type=_finite(float), default=0.0, action=_NoteGiven,
                      help="early-stop tolerance on primal residual + z movement (default 0: "
                           "stops only at an exact fixed point)")
     run.add_argument("--h", type=float, default=None,
@@ -408,7 +406,7 @@ def build_parser():
                      help="flow end time (default max_iter * method time scale)")
     _figure1_default(run, "--x0", _finite(float), "initial point, replicated across coordinates")
     run.add_argument("--out-dir", default=None, help=f"output directory (default ${OUTDIR_ENV} or .)")
-    run.set_defaults(func=cmd_run, max_iter_given=False)
+    run.set_defaults(func=cmd_run, max_iter_given=False, stop_tol_given=False)
 
     fig = sub.add_parser(
         "figure1",

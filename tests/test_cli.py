@@ -168,6 +168,11 @@ def test_run_rejects_unknown_solver(tmp_path, one_d_file):
     # --max-iter only sets a flow's default t_end: with --t-end and no
     # discrete solver it would be ignored
     (["run", "--solver", "admm_flow", "--t-end", "1", "--max-iter", "5"], "--max-iter"),
+    # a bad --r is refused whatever the solvers, and --stop-tol with no
+    # discrete solver to honour it
+    (["run", "--solver", "admm", "--r", "1"], "damping parameter r"),
+    (["run", "--solver", "admm_flow", "--r", "nan", "--t-end", "1"], "damping parameter r"),
+    (["run", "--solver", "admm_flow", "--t-end", "1", "--stop-tol", "1e-3"], "--stop-tol"),
     # a rate window that a flow grid cannot fill is refused before any run
     (["figure1", "--window-lo", "2", "--window-hi", "2.001"], "window [2, 2.001]"),
     (["figure1", "--window-lo", "2", "--window-hi", "2.05"], "aadmm_flow grid"),
@@ -183,6 +188,7 @@ def test_run_rejects_unknown_solver(tmp_path, one_d_file):
         "run-flow-t0-nan", "run-flow-h-nan", "run-flow-t-end-nan", "run-flow-h-inf",
         "figure1-h-rk4-nan", "run-max-iter-bound", "figure1-max-iter-bound",
         "run-t-end-no-flow", "run-h-no-flow", "run-t0-no-flow", "run-max-iter-no-discrete",
+        "run-r-no-aadmm", "run-flow-r-nan", "run-stop-tol-no-discrete",
         "figure1-window-few-samples", "figure1-window-few-symplectic-samples",
         "gen-seed-neg", "figure1-seed-neg"])
 def test_bad_numeric_flags_exit_2_before_any_work(tmp_path, one_d_file, capsys, argv, flag):
@@ -434,8 +440,10 @@ def test_figure1_smoke(tmp_path, capsys):
                  "--overlay-points", "101", "--out-dir", out])
     assert code == 0
     report = json.loads((tmp_path / "fig" / "report.json").read_text())
-    for key, path in report["files"].items():
-        assert (tmp_path / "fig").joinpath(path.split("/")[-1]).exists(), key
+    # the files written are exactly those the report names, and the report
+    assert sorted(path.name for path in (tmp_path / "fig").iterdir()) == sorted(
+        [Path(path).name for path in report["files"].values()] + ["report.json"])
+    assert all(Path(path).parent == tmp_path / "fig" for path in report["files"].values())
     # discrete CSV row count: header + max_iter + 1 samples
     lines = (tmp_path / "fig" / "admm_rho50.csv").read_text().strip().splitlines()
     assert len(lines) == 52
@@ -549,6 +557,9 @@ def test_figure1_rho_sweep_smoke(tmp_path):
                  "--overlay-points", "51", "--out-dir", out])
     assert code == 0
     report = json.loads((tmp_path / "fig" / "report.json").read_text())
+    assert sorted(path.name for path in (tmp_path / "fig").iterdir()) == sorted(
+        [Path(path).name for path in report["files"].values()] + ["report.json"])
+    assert len(report["files"]) == 14  # problem, 2 flows, 2 x 2 runs, 4 monitors, 3 tables
     assert [row["rho"] for row in report["discrepancies"]] == [20.0, 80.0]
     assert (tmp_path / "fig" / "aadmm_rho80.csv").exists()
     lo, hi = report["discrepancies"]

@@ -47,3 +47,16 @@ def test_compare_names_every_file_that_differs(tmp_path, same_outputs):
     assert same_outputs.differing(parent, change) == ["extra.csv", "figure1_out/admm_flow.csv"]
     assert same_outputs.differing(change, parent) == ["extra.csv", "figure1_out/admm_flow.csv"]
 
+
+def test_each_command_writes_its_own_files(tmp_path, same_outputs):
+    # a two-rho figure1 and a flow run are checked too; no command writes
+    # into another's output directory or over its problem file
+    argvs = list(same_outputs.commands(38))
+    targets = [argv[argv.index("--out-dir" if "--out-dir" in argv else "--out") + 1]
+               for argv in argvs]
+    assert len(set(targets)) == len(targets)
+    assert any(argv[0] == "figure1" and argv.count("--rho") == 2 for argv in argvs)
+    assert any(argv[0] == "run" and {"admm_flow", "aadmm_flow"} <= set(argv) for argv in argvs)
+    # what a command did beyond its files is one more file to compare
+    same_outputs.record(tmp_path / "cmd0.out", ["figure1", "--seed", "38"], 2, "report: x\n")
+    assert (tmp_path / "cmd0.out").read_text() == "argv: figure1 --seed 38\nexit: 2\nreport: x\n"
