@@ -675,24 +675,35 @@ def gen_figure1_problem(n, zero_eigs, eig_hi, cond_a, seed, m=None):
 # floats formatted per write of a problem file's arrays: bounds the text in memory
 JSON_CHUNK = 4096
 
+# the text of a zero cell after an array's first, and of JSON_CHUNK of them:
+# _scan_zeros compares a saved all-zero array (g = 0, q_f = 0) a run at a time
+_ZERO_CELL = ",\n  0.0"
+_ZERO_RUN = _ZERO_CELL * JSON_CHUNK
+
 
 def _write_json_floats(fh, values):
     """Write a float array as ``json.dump(values.tolist(), fh, indent=1)``
-    would nested one level deep, ``JSON_CHUNK`` floats at a time. ``repr``
-    of a list of floats writes each as ``json`` does (``float.__repr__``)."""
+    would nested one level deep, ``JSON_CHUNK`` floats at a time. A chunk's
+    cells are ``repr`` of its floats, as ``json`` writes them
+    (``float.__repr__``), joined in one pass; an array of only +0.0 (no
+    ``-0.0``, which prints as such) is written as ``0.0`` cells without
+    formatting any float."""
+    zeros = not values.any() and not np.signbit(values).any()
     fh.write("[\n  ")
     for start in range(0, values.size, JSON_CHUNK):
         if start:
             fh.write(",\n  ")
-        fh.write(repr(values[start:start + JSON_CHUNK].tolist())[1:-1].replace(", ", ",\n  "))
+        chunk = values[start:start + JSON_CHUNK]
+        fh.write(",\n  ".join(["0.0"] * chunk.size if zeros else map(repr, chunk.tolist())))
     fh.write("\n ]")
 
 
 def save_problem(problem, path):
     """Write a quadratic problem as JSON (matrices row-major), byte for byte
     the text of ``json.dump(data, fh, indent=1)`` and a newline, with the
-    float arrays streamed in chunks rather than built as one string.
-    Deterministic for identical problems."""
+    float arrays streamed in chunks rather than built as one string, and an
+    all-zero array (g = 0, q = 0) written as copies of one cell's text
+    (:func:`_write_json_floats`). Deterministic for identical problems."""
     if not problem.is_quadratic:
         raise UnsupportedFunctionError(
             "only quadratic problems can be serialized (callback functions have no data form)"
@@ -725,6 +736,25 @@ _scan_value = json.JSONDecoder().scan_once
 _skip_space = json.decoder.WHITESPACE.match
 
 
+def _scan_zeros(text, start):
+    """``(np.zeros(k), end)`` when ``text[start:end]`` is the text
+    :func:`save_problem` writes for k zeros, ``[\\n  0.0``, then ``,\\n  0.0``
+    k - 1 times, then ``\\n ]``; None otherwise. Cells are compared a
+    ``_ZERO_RUN`` at a time, so the compare stops within one run of the
+    first cell that is not ``0.0``, and at the first cell of an array
+    whose first number is not ``0.0``."""
+    first = "[\n  0.0"
+    if not text.startswith(first, start):
+        return None
+    end = start + len(first)
+    while text.startswith(_ZERO_RUN, end):
+        end += len(_ZERO_RUN)
+    close = text.find("\n ]", end, end + len(_ZERO_RUN) + 3)
+    if close < 0 or (close - end) % len(_ZERO_CELL) or not _ZERO_RUN.startswith(text[end:close]):
+        return None
+    return np.zeros(1 + (close - start - len(first)) // len(_ZERO_CELL)), close + 3
+
+
 def _decode_problem(text):
     """``json.loads(text)``, with each array field decoded as soon as it is read.
 
@@ -732,8 +762,11 @@ def _decode_problem(text):
     value of a key in ``ARRAY_FIELDS`` becomes ``np.asarray`` of its list
     at once, so one field's list of floats is held at a time; a list numpy
     cannot read (ragged) stays a list, for :func:`_load_array` to refuse by
-    name. Every other value stays as ``json`` gives it, and a later
-    duplicate key replaces an earlier one. A fault inside a key or a value
+    name. Such a value in exactly the layout :func:`save_problem` writes for
+    an all-zero array is read by one compare as ``np.zeros``
+    (:func:`_scan_zeros`), the array ``json`` gives, without a list. Every
+    other value stays as ``json`` gives it, and a later duplicate key
+    replaces an earlier one. A fault inside a key or a value
     is raised by the scanner, as ``json.loads`` raises it; any other text,
     and any object the walk cannot finish, goes to ``json.loads``, which
     returns it or raises its own ``JSONDecodeError`` (message and
@@ -747,8 +780,10 @@ def _decode_problem(text):
             end = _skip_space(text, end).end()
             if text[end:end + 1] != ":":
                 break
+            start = _skip_space(text, end + 1).end()
+            zeros = _scan_zeros(text, start) if key in ARRAY_FIELDS else None
             try:
-                value, end = _scan_value(text, _skip_space(text, end + 1).end())
+                value, end = zeros or _scan_value(text, start)
             except StopIteration:  # no value here
                 break
             if key in ARRAY_FIELDS:
@@ -799,7 +834,8 @@ def load_problem(path):
 
     The text is read once and decoded as ``json.loads`` would, with each
     array field made an array as soon as it is read (:func:`_decode_problem`),
-    so one array's list of floats is held at a time. A file that is not
+    so one array's list of floats is held at a time, and an all-zero array
+    in the layout saved is read by compare, with no list. A file that is not
     JSON, or a field that is missing, malformed, not finite or otherwise
     invalid, raises ValueError prefixed with ``path`` (and with ``f:`` or
     ``g:`` for the data of one function), e.g.

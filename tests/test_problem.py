@@ -643,15 +643,32 @@ def test_serialization_byte_identical(tmp_path):
     assert f1.read_bytes() == f2.read_bytes()
 
 
+def _with_zero_g(problem, M, q):
+    """``problem`` with the g of ``M`` and ``q``, each entry +0.0 or -0.0."""
+    return af.SplitProblem(problem.f, af.QuadraticFunction(M, q), problem.A, seed=problem.seed,
+                           generator_params=problem.generator_params)
+
+
+MIXED_ZEROS = np.copysign(0.0, np.resize([1.0, -1.0, -1.0], 10))
+
+
 @pytest.mark.parametrize("build", [
     lambda: af.gen_figure1_problem(2, 1, 5.0, 10.0, seed=3),
     lambda: af.gen_figure1_problem(60, 40, 10.0, 100.0, seed=38),
     lambda: with_g(af.gen_figure1_problem(5, 2, 5.0, 10.0, seed=3), "dense"),
-], ids=["gen-n2", "gen-n60", "no-provenance"])
+    lambda: af.gen_figure1_problem(3, 1, 5.0, 10.0, seed=3, m=10),
+    lambda: _with_zero_g(af.gen_figure1_problem(3, 1, 5.0, 10.0, seed=3, m=10),
+                         np.full((10, 10), -0.0), np.full(10, -0.0)),
+    lambda: _with_zero_g(af.gen_figure1_problem(3, 1, 5.0, 10.0, seed=3, m=10),
+                         np.diag(MIXED_ZEROS), MIXED_ZEROS),
+], ids=["gen-n2", "gen-n60", "no-provenance", "zero-g-m10", "g-all-negative-zero",
+        "g-mixed-zero"])
 def test_save_problem_matches_json_dump(monkeypatch, tmp_path, build):
     # the streamed writer lays out the text of json.dump(..., indent=1) + "\n",
     # with its chunks of floats as they are and as short as 7 (a boundary
-    # inside every array)
+    # inside every array, the 100 and 10 zeros of g = 0 at m = 10 too); a g
+    # of only -0.0 is identically zero but is no zero array to copy, and
+    # load_problem gives back every array with its sign bits
     p = build()
     data = {"n": p.n, "m": p.m, "M_f": p.f.M.ravel().tolist(), "q_f": p.f.q.tolist(),
             "M_g": p.g.M.ravel().tolist(), "q_g": p.g.q.tolist(), "A": p.A.ravel().tolist(),
@@ -667,6 +684,9 @@ def test_save_problem_matches_json_dump(monkeypatch, tmp_path, build):
                          min(len(text), len(expected)))
             pytest.fail(f"chunk {chunk}: first difference at {first}: "
                         f"{text[first - 20:first + 20]!r}")
+        q = af.load_problem(path)
+        for got, want in zip([q.f.M, q.f.q, q.g.M, q.g.q, q.A], [p.f.M, p.f.q, p.g.M, p.g.q, p.A]):
+            assert got.dtype == want.dtype and got.tobytes() == want.tobytes()
 
 
 def test_serialization_keeps_generator_params(tmp_path):
@@ -768,20 +788,51 @@ ARRAY_VALUES = (st.lists(NUMBERS, max_size=4)
                 | st.lists(st.lists(NUMBERS, max_size=2), max_size=3)  # ragged at times
                 | JSON_VALUES)
 BLANKS = st.text(" \t\n\r", max_size=2)
+ZERO_RUN = af.problem.JSON_CHUNK  # cells the decoder compares at a time
+
+
+def _zero_text(k, indent="  ", close="\n ]", cells=()):
+    """The text save_problem writes for k zeros, with ``indent`` and
+    ``close`` in place of its own, and each ``(index, text)`` of ``cells``
+    in place of that cell."""
+    texts = ["0.0"] * k
+    for at, cell in cells:
+        texts[at] = cell
+    return f"[\n{indent}" + f",\n{indent}".join(texts) + close
+
+
+@st.composite
+def zero_texts(draw):
+    """The text save_problem writes for an all-zero array, short or across
+    runs of ``ZERO_RUN`` cells, as it is or with one near miss: a cell that
+    is not ``0.0``, another indentation or another close."""
+    k = draw(st.integers(1, 4) | st.sampled_from([ZERO_RUN, ZERO_RUN + 1, 2 * ZERO_RUN + 3]))
+    miss = draw(st.sampled_from([None, "cell", "indent", "close"]))
+    cells = ()
+    if miss == "cell":
+        cells = [(draw(st.integers(0, k - 1)),
+                  draw(st.sampled_from(["-0.0", "0.00", "0", "0e0", "0.5", "0.0 ", " 0.0"])))]
+    indent = draw(st.sampled_from([" ", "   ", "\t "])) if miss == "indent" else "  "
+    close = draw(st.sampled_from(["", "]", "\n]", "\n ", " \n ]"])) if miss == "close" else "\n ]"
+    return _zero_text(k, indent, close, cells)
 
 
 @st.composite
 def problem_texts(draw):
     """The text of a JSON object with a problem file's fields and others, in
-    any order, with any blanks, some keys twice."""
+    any order, with any blanks, some keys twice, and array fields at times
+    in the layout of saved zeros or a near miss of it."""
     keys = draw(st.lists(st.sampled_from(["n", "m", *ARRAY_FIELDS, "seed", "generator_params"])
                          | st.text(max_size=3), max_size=10))
     parts = []
     for key in keys:
         value = draw(ARRAY_VALUES if key in ARRAY_FIELDS else JSON_VALUES)
         indent = draw(st.sampled_from([None, 1]))
+        value = json.dumps(value, indent=indent)
+        if key in ARRAY_FIELDS and draw(st.booleans()):
+            value = draw(zero_texts())
         parts.append(draw(BLANKS) + json.dumps(key) + draw(BLANKS) + ":" + draw(BLANKS)
-                     + json.dumps(value, indent=indent) + draw(BLANKS))
+                     + value + draw(BLANKS))
     return draw(BLANKS) + "{" + ",".join(parts) + draw(BLANKS) + "}" + draw(BLANKS)
 
 
@@ -798,6 +849,19 @@ def problem_texts(draw):
 @example(text='{"A\x01": 1}')
 @example(text='[{"A": [1]}]')
 @example(text='\ufeff{}')
+@example(text='{"M_g": ' + _zero_text(3) + ', "q_g": ' + _zero_text(1) + "}")
+@example(text='{"M_g": ' + _zero_text(2 * ZERO_RUN + 3) + "}")
+@example(text='{"M_g": ' + _zero_text(3, cells=[(1, "-0.0")]) + "}")
+@example(text='{"M_g": ' + _zero_text(3, cells=[(2, "0.00")]) + "}")
+@example(text='{"M_g": ' + _zero_text(1, cells=[(0, "0")]) + "}")
+@example(text='{"M_g": ' + _zero_text(3, cells=[(1, "0")]) + "}")
+@example(text='{"M_g": ' + _zero_text(3, cells=[(0, "0e0")]) + "}")
+@example(text='{"M_g": ' + _zero_text(ZERO_RUN + 1, cells=[(ZERO_RUN - 1, "2.5")]) + "}")
+@example(text='{"M_g": ' + _zero_text(3, close="") + "}")
+@example(text='{"M_g": ' + _zero_text(3, close="]") + "}")
+@example(text='{"M_g": ' + _zero_text(3, indent=" ") + "}")
+@example(text='{"M_g": ' + _zero_text(3) + ' "A": [1]}')
+@example(text='{"M_g": ' + _zero_text(3) + '}, "A": [1]}')
 def test_problem_decode_is_json_loads(text):
     _assert_decodes_as_json(text)
 
@@ -812,9 +876,12 @@ def saved_problem_text(tmp_path_factory):
 @settings(max_examples=300, deadline=None)
 @given(data=st.data())
 def test_problem_decode_of_a_damaged_file_is_json_loads(saved_problem_text, data):
-    # a saved file cut at an offset, or with one character put in or taken out
+    # a saved file cut at an offset, or with one character put in or taken
+    # out, anywhere or inside M_g's zero run (9 cells)
     text = saved_problem_text
-    at = data.draw(st.integers(0, len(text)), label="at")
+    start = text.index('"M_g": ') + len('"M_g": ')
+    zero_run = range(start, text.index("\n ]", start) + 3)
+    at = data.draw(st.integers(0, len(text)) | st.sampled_from(zero_run), label="at")
     damage = data.draw(st.sampled_from(["cut", "insert", "delete"]), label="damage")
     if damage == "cut":
         text = text[:at]

@@ -16,9 +16,13 @@ Each run is ``python3 perfbench/run.py --workload W --seed S --seconds T
 It appends one record to the set ``--set`` of the JSON file ``--out``. A
 record holds the workload, seed, trace, pair, side, copy and ``result``,
 the harness's last output line. The file also holds ``env`` and, for each
-side, the tree of ``src`` that was measured. At the end the script prints,
-for each metric, each side's median, the parent's quartiles and the number
-of pairs in which the change read lower.
+side, the tree of ``src`` that was measured; a set already in ``--out``
+that holds runs of other trees is refused by name. At the end the script
+prints each side's failed and attempted operations and, for each metric,
+each side's median, the parent's quartiles, the number of pairs in which
+the change read lower and whether that is a gain by the claim rule: lower
+in at least nine tenths of the pairs, and the medians apart by more than
+the parent's interquartile range.
 """
 
 from __future__ import annotations
@@ -51,20 +55,44 @@ def run_once(copy, args, seconds):
 
 
 def summary(runs):
-    """Lines of each metric's medians, parent quartiles and pairs the change read lower."""
+    """Lines of each side's failed/attempted totals, then of each metric's
+    medians, parent quartiles, pairs the change read lower and whether the
+    claim rule holds (lower in at least nine tenths of the pairs, and the
+    median lower by more than the parent's interquartile range)."""
     by_pair = {}
+    totals = {side: [0, 0] for side in SIDES}
     for run in runs:
         by_pair.setdefault(run["pair"], {})[run["side"]] = run["result"]["metrics"]
+        totals[run["side"]][0] += run["result"]["failed"]
+        totals[run["side"]][1] += run["result"]["attempted"]
     pairs = [sides for sides in by_pair.values() if len(sides) == 2]
-    lines = []
+    lines = ["  failed/attempted: " + ", ".join(
+        f"{side} {failed}/{attempted}" for side, (failed, attempted) in totals.items())]
     for name in pairs[0]["parent"] if pairs else ():
         parent = [p["parent"][name]["value"] for p in pairs]
         change = [p["change"][name]["value"] for p in pairs]
         lo, hi = statistics.quantiles(parent, n=4)[::2] if len(parent) > 1 else parent * 2
         lower = sum(c < p for p, c in zip(parent, change))
+        drop = statistics.median(parent) - statistics.median(change)
+        claim = 10 * lower >= 9 * len(pairs) and drop > hi - lo
         lines.append(f"  {name:32s} {statistics.median(parent):.6g} [{lo:.6g} .. {hi:.6g}] -> "
-                     f"{statistics.median(change):.6g}, lower in {lower}/{len(pairs)}")
+                     f"{statistics.median(change):.6g}, lower in {lower}/{len(pairs)}, "
+                     f"claim {'holds' if claim else 'fails'}")
     return lines
+
+
+def find_set(bench, name, trees):
+    """The set ``name`` of ``bench``, added if it is new. One that holds runs
+    of other trees of ``src`` is refused by name: its runs would be filed
+    under trees they did not measure."""
+    target = next((s for s in bench["sets"] if s["name"] == name), None)
+    if target is None:
+        target = {"name": name, "src_trees": trees, "runs": []}
+        bench["sets"].append(target)
+    elif target["src_trees"] != trees:
+        sys.exit(f"pairs.py: set {name!r} holds runs of src trees {target['src_trees']}, "
+                 f"not {trees}; name another --set")
+    return target
 
 
 def main():
@@ -88,10 +116,7 @@ def main():
     trees = {side: subprocess.run(["git", "rev-parse", f"{rev}:src"], capture_output=True,
                                   text=True, check=True).stdout.strip()
              for side, rev in revs.items()}
-    target = next((s for s in bench["sets"] if s["name"] == args.set), None)
-    if target is None:
-        target = {"name": args.set, "src_trees": trees, "runs": []}
-        bench["sets"].append(target)
+    target = find_set(bench, args.set, trees)
     runs = []
     with tempfile.TemporaryDirectory(prefix="pairs-") as tmp:
         copies = {side: [os.path.join(tmp, f"{side}{i}") for i in range(COPIES)]
