@@ -26,11 +26,10 @@ the iterate through the sweeps as arrays; they place iterate k at flow time
 raise :class:`DivergenceError` at the first non-finite iterate.
 
 A run with quadratic f, g = 0 (every generated draw) and no inner solver
-takes no step: u stays 0 and z = A x, so in the mode coordinates ``y = Q^T R
-x`` of :attr:`SplitProblem.modes` (``x = phi y``) ADMM is ``y <- d y - e``
-and A-ADMM ``y <- d (y + gamma_{k-1} (y - y_{k-1})) - e`` elementwise, with
-``d = rho / (lam + rho)`` and ``e = beta / (lam + rho)``; a mode with ``lam
-+ rho <= 0`` is refused as the Cholesky test of K refuses it.
+sweeps in the mode coordinates ``y = Q^T R x`` of :attr:`SplitProblem.modes`
+(``x = phi y``), with A = I, z = y, u = 0, the z-step the identity and the
+x-step ``v -> d v - e``, ``d = rho / (lam + rho)``, ``e = beta / (lam +
+rho)``; a mode with ``lam + rho <= 0`` is refused as Cholesky refuses K.
 
 A quadratic run advances in blocks of ``BLOCK`` iterations; at the end of
 each, matrix products over the block's rows give X (from y on the modal
@@ -234,14 +233,15 @@ def _substeps(problem, rho, inner_solver):
             (lambda w, z: _solve_generic("z", g, rho, w, z.copy(), inner_solver)))
 
 
-def _sweep(problem, substeps, x, z, u, hat=None, gamma=0.0):
-    """The iterate after (x, z, u) by the ``substeps`` of :func:`_substeps`,
-    as ``(x, z, u, hat)``: a sweep against (z, u), or when ``hat`` = (z_hat,
+def _sweep(A, substeps, x, z, u, hat=None, gamma=0.0):
+    """The iterate after (x, z, u) by ``substeps`` (those of :func:`_substeps`,
+    or the modal ones of :func:`_run`, with ``A`` None for the identity), as
+    ``(x, z, u, hat)``: a sweep against (z, u), or when ``hat`` = (z_hat,
     u_hat) is given against it, re-extrapolated with weight ``gamma``."""
     xstep, zstep = substeps
     z_sweep, u_sweep = hat or (z, u)
     x = xstep(z_sweep - u_sweep, x)
-    ax = problem.A @ x
+    ax = x if A is None else A @ x
     z_new = zstep(ax + u_sweep, z)
     u_new = u_sweep + ax - z_new
     if hat is not None:
@@ -255,9 +255,9 @@ def _step(problem, state, inner_solver, accelerated):
         raise ValueError("state dimensions do not match the problem")
     substeps = _substeps(problem, state.rho, inner_solver)
     if not accelerated:
-        x, z, u, _ = _sweep(problem, substeps, state.x, state.z, state.u)
+        x, z, u, _ = _sweep(problem.A, substeps, state.x, state.z, state.u)
         return AdmmState(x=x, z=z, u=u, k=state.k + 1, rho=state.rho)
-    x, z, u, (z_hat, u_hat) = _sweep(problem, substeps, state.x, state.z, state.u,
+    x, z, u, (z_hat, u_hat) = _sweep(problem.A, substeps, state.x, state.z, state.u,
                                      (state.z_hat, state.u_hat),
                                      momentum_coefficient(state.k, state.r))
     return AccAdmmState(x=x, z=z, u=u, z_hat=z_hat, u_hat=u_hat, k=state.k + 1, rho=state.rho,
@@ -321,10 +321,12 @@ def _run(problem, start, args, max_iter, stop_tol, v_star, inner_solver):
         h_x = modes.lam + rho  # the eigenvalues of K = R^{-T} M_f R^{-1} + rho I
         if not np.all(h_x > 0):
             raise NumericalError(f"singular subproblem system (x): lam + rho = {np.min(h_x):.3e}")
-        d, e, phi_t = rho / h_x, modes.beta / h_x, modes.phi.T
+        d, e, phi_t, A = rho / h_x, modes.beta / h_x, modes.phi.T, None
+        substeps = (lambda v, x: d * v - e), (lambda w, z: w)
         ys = np.empty((min(BLOCK, max_iter), problem.n))
     else:
         substeps = _substeps(problem, rho, inner_solver)  # refused here, before sample 0
+        A = problem.A
     size = 1 if inner_solver is not None else BLOCK  # steps between records
     delta = 1.0 / time_scale(rho, accelerated)
 
@@ -351,24 +353,18 @@ def _run(problem, start, args, max_iter, stop_tol, v_star, inner_solver):
 
     def advance(k, count):
         """Store X of samples k + 1 .. k + count and return their z, or None
-        where z = A x (the modal path)."""
-        nonlocal x, z, u, hat, y, y_prev
-        if not modal:
-            zs = np.empty((count, problem.m))
-            for j in range(count):
-                gamma = momentum_coefficient(k + j, r) if accelerated else 0.0
-                x, z, u, hat = _sweep(problem, substeps, x, z, u, hat, gamma)
-                xs[k + 1 + j], zs[j] = x, z
-            return zs
+        where z = A x (the modal route, whose rows go through ys)."""
+        nonlocal x, z, u, hat
+        rows, zs = (ys, None) if modal else (xs[k + 1:], np.empty((count, problem.m)))
         for j in range(count):
-            y_hat = y
-            if accelerated and k + j > 1:  # gamma_{k+j-1}; gamma_{-1} = gamma_0 = 0
-                y_hat = y + momentum_coefficient(k + j - 1, r) * (y - y_prev)
-            # ys[j] is written once y_hat is formed from the two rows before it
-            # (in cyclic order), so ys carries y and y_prev into the next block
-            y_prev, y = y, np.multiply(d, y_hat, out=ys[j])
-            y -= e
-        np.matmul(ys[:count], phi_t, out=xs[k + 1:k + 1 + count])
+            gamma = momentum_coefficient(k + j, r) if accelerated else 0.0
+            x, z, u, hat = _sweep(A, substeps, x, z, u, hat, gamma)
+            rows[j] = x
+            if zs is not None:
+                zs[j] = z
+        if modal:
+            np.matmul(ys[:count], phi_t, out=xs[k + 1:k + 1 + count])
+        return zs
 
     def record(rows, zs, z_prev):
         """Complete the samples ``rows``, whose X is stored and whose z is
@@ -399,8 +395,10 @@ def _run(problem, start, args, max_iter, stop_tol, v_star, inner_solver):
         hat = (state.z_hat, state.u_hat) if accelerated else None
         xs[0] = x
         k, z_prev = 0, record(slice(0, 1), None if modal else z[None], None)[1]
-        if modal:
-            y = y_prev = modes.coordinates(x)
+        if modal:  # the sweep's start in mode coordinates
+            x = z = modes.coordinates(x)
+            u = np.zeros(problem.n)
+            hat = (z, u) if accelerated else None
         while k < max_iter and not meta["stopped_early"]:
             count = min(size, max_iter - k)
             kept, z_prev = record(slice(k + 1, k + 1 + count), advance(k, count), z_prev)
