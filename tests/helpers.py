@@ -285,6 +285,32 @@ def decimal_admm(problem, x0, rho, max_iter, r=None):
         return np.array([[float(v) for v in x] for x in xs])
 
 
+def modal_admm(problem, x0, rho, max_iter, r=None, block=64):
+    """The X iterates of ADMM (``r`` None) or A-ADMM on a quadratic problem
+    with g = 0, by the recursion the runs once stepped on their own: in the
+    mode coordinates ``y = Q^T R x`` (``x = phi y``), ``y <- d y_hat - e``
+    with ``d = rho / (lam + rho)``, ``e = beta / (lam + rho)`` and ``y_hat =
+    y + gamma_{k-1} (y - y_{k-1})`` for A-ADMM (``gamma_{-1} = gamma_0 =
+    0``). Rows 1.. are mapped to X ``block`` rows per product, as a run
+    records them, so the result is comparable bit for bit."""
+    modes = problem.modes
+    h_x = modes.lam + rho
+    d, e = rho / h_x, modes.beta / h_x
+    x0 = np.array(x0, dtype=float)
+    ys = [modes.coordinates(x0)]
+    for k in range(max_iter):
+        y_hat = ys[-1]
+        if r is not None and k > 1:
+            y_hat = ys[-1] + (k - 1) / (k - 1 + r) * (ys[-1] - ys[-2])
+        ys.append(d * y_hat - e)
+    ys = np.array(ys)
+    xs = np.empty_like(ys)
+    xs[0] = x0
+    for start in range(1, max_iter + 1, block):
+        xs[start:start + block] = ys[start:start + block] @ modes.phi.T
+    return xs
+
+
 def _decimal_hessian(problem):
     """``(H, c, A^T A)`` of a quadratic problem, ``H = M_f + A^T M_g A`` and
     ``c = q_f + A^T q_g``, formed exactly from its data as Decimal lists;

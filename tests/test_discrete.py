@@ -15,7 +15,7 @@ from admmflow.exceptions import DivergenceError, NumericalError, UnsupportedFunc
 from admmflow.flows import IntegratorConfig
 
 from helpers import (GradCounter, as_callbacks, cg_minimize, decimal_admm, decimal_optimum,
-                     with_g)
+                     modal_admm, with_g)
 
 
 def test_admm_step_hand_values(one_d_problem):
@@ -765,6 +765,39 @@ def test_modal_run_diverges_where_the_step_loop_does(method, x0, kept):
     else:
         assert len(partial) == kept and err.value.t_last == partial.t[-1]
         assert np.allclose(partial.X, [st.x for st in states[:kept]], rtol=1e-12, atol=0)
+
+
+@pytest.mark.parametrize("method", ["admm", "aadmm"])
+def test_a_modal_run_sweeps_with_the_one_sweep_body(monkeypatch, figure1_problem, figure1_x0,
+                                                    method):
+    # a g = 0 run sweeps in mode coordinates through the same _sweep as the
+    # operator and inner-solver routes, once per iteration, and builds no
+    # subproblem operator
+    p = with_g(figure1_problem, "zero")
+    sweeps, real = [], discrete._sweep
+    monkeypatch.setattr(discrete, "_sweep", lambda *args: sweeps.append(1) or real(*args))
+    calls = spy_solve(monkeypatch)
+    max_iter = 2 * discrete.BLOCK + 1
+    if method == "admm":
+        traj = af.run_admm(p, figure1_x0, rho=50.0, max_iter=max_iter)
+    else:
+        traj = af.run_aadmm(p, figure1_x0, rho=50.0, r=10.0, max_iter=max_iter)
+    assert len(traj) == max_iter + 1
+    assert len(sweeps) == max_iter and p._operators is None and not calls
+
+
+@pytest.mark.parametrize("rho", [1.0, 50.0])
+@pytest.mark.parametrize("r", [None, 3.0, 10.0], ids=["admm", "aadmm-r3", "aadmm-r10"])
+def test_modal_runs_are_bit_identical_to_the_modal_recursion(figure1_problem, figure1_x0, rho, r):
+    # the modal route's X, bit for bit, is that of the recursion it replaced
+    # (helpers.modal_admm), over more than one block of samples
+    max_iter = 2 * discrete.BLOCK + 5
+    if r is None:
+        traj = af.run_admm(figure1_problem, figure1_x0, rho=rho, max_iter=max_iter)
+    else:
+        traj = af.run_aadmm(figure1_problem, figure1_x0, rho=rho, r=r, max_iter=max_iter)
+    expected = modal_admm(figure1_problem, figure1_x0, rho, max_iter, r, block=discrete.BLOCK)
+    assert traj.X.tobytes() == expected.tobytes()
 
 
 def test_one_run_builds_the_modes_once(tmp_path, monkeypatch):

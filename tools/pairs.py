@@ -18,7 +18,8 @@ record holds the workload, seed, trace, pair, side, copy and ``result``,
 the harness's last output line. The file also holds ``env`` and, for each
 side, the tree of ``src`` that was measured; a set already in ``--out``
 that holds runs of other trees is refused by name. At the end the script
-prints each side's failed and attempted operations and, for each metric,
+prints, under a header naming the workload, seed and trace of its runs,
+each side's failed and attempted operations and, for each metric,
 each side's median, the parent's quartiles, the number of pairs in which
 the change read lower and whether that is a gain by the claim rule: lower
 in at least nine tenths of the pairs, and the medians apart by more than
@@ -55,10 +56,26 @@ def run_once(copy, args, seconds):
 
 
 def summary(runs):
-    """Lines of each side's failed/attempted totals, then of each metric's
-    medians, parent quartiles, pairs the change read lower and whether the
-    claim rule holds (lower in at least nine tenths of the pairs, and the
-    median lower by more than the parent's interquartile range)."""
+    """Lines of one block per (workload, seed, trace) of ``runs``, in the
+    order first seen: a header, each side's failed/attempted totals, then
+    each metric's medians, parent quartiles, pairs the change read lower and
+    whether the claim rule holds (lower in at least nine tenths of the
+    pairs, and the median lower by more than the parent's interquartile
+    range). Each invocation numbers its pairs from 1, so runs are paired
+    within their block only."""
+    blocks = {}
+    for run in runs:
+        key = (run["workload"], run["seed"], run["trace"])
+        blocks.setdefault(key, []).append(run)
+    lines = []
+    for (workload, seed, trace), block in blocks.items():
+        lines.append(f"{workload} seed {seed} trace {trace}:")
+        lines += _block_summary(block)
+    return lines
+
+
+def _block_summary(runs):
+    """The totals and metric lines of :func:`summary` for runs of one block."""
     by_pair = {}
     totals = {side: [0, 0] for side in SIDES}
     for run in runs:
@@ -139,7 +156,6 @@ def main():
                     fh.write("\n")
                 print(f"pair {pair} {side} copy {copy}: "
                       + json.dumps(result["metrics"]), flush=True)
-    print(f"{args.workload} seed {args.seed} trace {args.trace}:")
     print("\n".join(summary(runs)))
     return 0
 
