@@ -287,12 +287,12 @@ def decimal_admm(problem, x0, rho, max_iter, r=None):
 
 def modal_admm(problem, x0, rho, max_iter, r=None, block=64):
     """The X iterates of ADMM (``r`` None) or A-ADMM on a quadratic problem
-    with g = 0, by the recursion the runs once stepped on their own: in the
-    mode coordinates ``y = Q^T R x`` (``x = phi y``), ``y <- d y_hat - e``
-    with ``d = rho / (lam + rho)``, ``e = beta / (lam + rho)`` and ``y_hat =
-    y + gamma_{k-1} (y - y_{k-1})`` for A-ADMM (``gamma_{-1} = gamma_0 =
-    0``). Rows 1.. are mapped to X ``block`` rows per product, as a run
-    records them, so the result is comparable bit for bit."""
+    with g = 0, by the elementwise recursion the modal route's sweeps reduce
+    to: in the mode coordinates ``y = Q^T R x`` (``x = phi y``), ``y <- d
+    y_hat - e`` with ``d = rho / (lam + rho)``, ``e = beta / (lam + rho)``
+    and ``y_hat = y + gamma_{k-1} (y - y_{k-1})`` for A-ADMM (``gamma_{-1} =
+    gamma_0 = 0``). Rows 1.. are mapped to X ``block`` rows per product, as
+    a run records them, so the result is comparable bit for bit."""
     modes = problem.modes
     h_x = modes.lam + rho
     d, e = rho / h_x, modes.beta / h_x

@@ -789,8 +789,8 @@ def test_a_modal_run_sweeps_with_the_one_sweep_body(monkeypatch, figure1_problem
 @pytest.mark.parametrize("rho", [1.0, 50.0])
 @pytest.mark.parametrize("r", [None, 3.0, 10.0], ids=["admm", "aadmm-r3", "aadmm-r10"])
 def test_modal_runs_are_bit_identical_to_the_modal_recursion(figure1_problem, figure1_x0, rho, r):
-    # the modal route's X, bit for bit, is that of the recursion it replaced
-    # (helpers.modal_admm), over more than one block of samples
+    # the modal route's X, bit for bit, is that of the elementwise mode
+    # recursion (helpers.modal_admm), over more than one block of samples
     max_iter = 2 * discrete.BLOCK + 5
     if r is None:
         traj = af.run_admm(figure1_problem, figure1_x0, rho=rho, max_iter=max_iter)
