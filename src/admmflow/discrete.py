@@ -11,25 +11,26 @@ The accelerated variant runs the same sweep against extrapolated copies
 (z_hat, u_hat) and then re-extrapolates them with the momentum weight
 ``gamma = k / (k + r)``, ``r >= 3``.
 
-One sweep body serves both methods, on a route :func:`_substeps` chooses
-once per step or run: for quadratic ``f, g`` the affine subproblem operators
-of :func:`_operators` (``x = S_x v - s_x``, ``z = S_z w - s_z``, one checked
-build per (problem, rho), the last rho's kept on the problem), so a sweep is
-three matrix-vector products and ``A^T A`` is never formed; otherwise a
-user-supplied inner minimizer, which sees the z-subproblem as posed and the
-x-subproblem in ``w = R x`` (``A = U R``), where its Hessian ``rho I +
-R^{-T} (grad^2 f) R^{-1}`` is well conditioned as rho grows. Steps are pure
-functions of ``(problem, state)``; a state checks rho > 0 (and r >= 3) on
-construction. The ``run_*`` drivers build one state, the start, and carry
-the iterate through the sweeps as arrays; they place iterate k at flow time
-``t = k / time_scale`` (``rho`` for ADMM, ``sqrt(rho)`` for A-ADMM) and
-raise :class:`DivergenceError` at the first non-finite iterate.
+One sweep body serves both methods, on the route ``(A, xstep, zstep)``
+:func:`_substeps` builds once per step or run: for quadratic ``f, g`` the
+affine subproblem operators of :func:`_operators` (``x = S_x v - s_x``, ``z
+= S_z w - s_z``, one checked build per (problem, rho), the last rho's kept
+on the problem), so a sweep is three matrix-vector products and ``A^T A`` is
+never formed; otherwise a user-supplied inner minimizer, which sees the
+z-subproblem as posed and the x-subproblem in ``w = R x`` (``A = U R``),
+where its Hessian ``rho I + R^{-T} (grad^2 f) R^{-1}`` is well conditioned
+as rho grows. Steps are pure functions of ``(problem, state)``; a state
+checks rho > 0 (and r >= 3) on construction. The ``run_*`` drivers build one
+state, the start, and carry the iterate through the sweeps as arrays; they
+place iterate k at flow time ``t = k / time_scale`` (``rho`` for ADMM,
+``sqrt(rho)`` for A-ADMM) and raise :class:`DivergenceError` at the first
+non-finite iterate.
 
 A run with quadratic f, g = 0 (every generated draw) and no inner solver
-sweeps in the mode coordinates ``y = Q^T R x`` of :attr:`SplitProblem.modes`
-(``x = phi y``), with A = I, z = y, u = 0, the z-step the identity and the
-x-step ``v -> d v - e``, ``d = rho / (lam + rho)``, ``e = beta / (lam +
-rho)``; a mode with ``lam + rho <= 0`` is refused as Cholesky refuses K.
+takes the modal route, in the mode coordinates ``y = Q^T R x`` of
+:attr:`SplitProblem.modes` (``x = phi y``): A = I, z = y, u = 0, the z-step
+the identity and the x-step ``v -> d v - e``, ``d = rho / (lam + rho)``, ``e
+= beta / (lam + rho)``; ``lam + rho <= 0`` is refused as Cholesky refuses K.
 
 A quadratic run advances in blocks of ``BLOCK`` iterations; at the end of
 each, matrix products over the block's rows give X (from y on the modal
@@ -218,27 +219,35 @@ def _solve_generic(which, h, rho, target, start, inner_solver, inv=None):
     return primal(w)
 
 
-def _substeps(problem, rho, inner_solver):
-    """The route of every sweep at ``rho``: ``xstep(v, x)`` and ``zstep(w,
-    z)`` minimize ``f + (rho/2) ||A . - v||^2`` and ``g + (rho/2) ||. -
-    w||^2``, by the operators of :func:`_operators` (built or refused here),
-    or by the inner solver started from copies of the current z and ``R x``
-    (``||A x - v||^2`` is ``||R x - U^T v||^2`` up to a constant)."""
+def _substeps(problem, rho, inner_solver, modes=None):
+    """The route ``(A, xstep, zstep)`` of every sweep at ``rho``: ``xstep(v,
+    x)`` and ``zstep(w, z)`` minimize ``f + (rho/2) ||A . - v||^2`` and ``g +
+    (rho/2) ||. - w||^2``, by the operators of :func:`_operators` (built or
+    refused here), by the inner solver started from copies of the current z
+    and ``R x`` (``||A x - v||^2`` is ``||R x - U^T v||^2`` up to a constant),
+    or, given a run's ``modes``, on the modal route (``A`` None for the
+    identity; ``lam + rho <= 0`` is refused here)."""
+    if modes is not None:
+        h_x = modes.lam + rho  # the eigenvalues of K = R^{-T} M_f R^{-1} + rho I
+        if not np.all(h_x > 0):
+            raise NumericalError(f"singular subproblem system (x): lam + rho = {np.min(h_x):.3e}")
+        d, e = rho / h_x, modes.beta / h_x
+        return None, (lambda v, x: d * v - e), (lambda w, z: w)
     if inner_solver is None:
         S_x, s_x, S_z, s_z = _operators(problem, rho)
         # v @ S.T is the BLAS product S @ v
-        return (lambda v, x: v @ S_x.T - s_x), (lambda w, z: w @ S_z.T - s_z)
+        return problem.A, (lambda v, x: v @ S_x.T - s_x), (lambda w, z: w @ S_z.T - s_z)
     f, g, (U, R, inv) = problem.f, problem.g, problem._factor
-    return ((lambda v, x: _solve_generic("x", f, rho, v @ U, R @ x, inner_solver, inv)),
-            (lambda w, z: _solve_generic("z", g, rho, w, z.copy(), inner_solver)))
+    return (problem.A, lambda v, x: _solve_generic("x", f, rho, v @ U, R @ x, inner_solver, inv),
+            lambda w, z: _solve_generic("z", g, rho, w, z.copy(), inner_solver))
 
 
-def _sweep(A, substeps, x, z, u, hat=None, gamma=0.0):
-    """The iterate after (x, z, u) by ``substeps`` (those of :func:`_substeps`,
-    or the modal ones of :func:`_run`, with ``A`` None for the identity), as
-    ``(x, z, u, hat)``: a sweep against (z, u), or when ``hat`` = (z_hat,
-    u_hat) is given against it, re-extrapolated with weight ``gamma``."""
-    xstep, zstep = substeps
+def _sweep(route, x, z, u, hat=None, gamma=0.0):
+    """The iterate after (x, z, u) on ``route``, the ``(A, xstep, zstep)`` of
+    :func:`_substeps` (``A`` None for the identity), as ``(x, z, u, hat)``: a
+    sweep against (z, u), or when ``hat`` = (z_hat, u_hat) is given against
+    it, re-extrapolated with weight ``gamma``."""
+    A, xstep, zstep = route
     z_sweep, u_sweep = hat or (z, u)
     x = xstep(z_sweep - u_sweep, x)
     ax = x if A is None else A @ x
@@ -253,12 +262,11 @@ def _step(problem, state, inner_solver, accelerated):
     """Check the state's shapes, then sweep once on the route for ``state.rho``."""
     if state.x.shape != (problem.n,) or state.z.shape != (problem.m,) or state.u.shape != (problem.m,):
         raise ValueError("state dimensions do not match the problem")
-    substeps = _substeps(problem, state.rho, inner_solver)
+    route = _substeps(problem, state.rho, inner_solver)
     if not accelerated:
-        x, z, u, _ = _sweep(problem.A, substeps, state.x, state.z, state.u)
+        x, z, u, _ = _sweep(route, state.x, state.z, state.u)
         return AdmmState(x=x, z=z, u=u, k=state.k + 1, rho=state.rho)
-    x, z, u, (z_hat, u_hat) = _sweep(problem.A, substeps, state.x, state.z, state.u,
-                                     (state.z_hat, state.u_hat),
+    x, z, u, (z_hat, u_hat) = _sweep(route, state.x, state.z, state.u, (state.z_hat, state.u_hat),
                                      momentum_coefficient(state.k, state.r))
     return AccAdmmState(x=x, z=z, u=u, z_hat=z_hat, u_hat=u_hat, k=state.k + 1, rho=state.rho,
                         r=state.r)
@@ -316,17 +324,8 @@ def _run(problem, start, args, max_iter, stop_tol, v_star, inner_solver):
     accelerated = isinstance(state, AccAdmmState)
     rho, r = state.rho, (state.r if accelerated else None)
     modal = inner_solver is None and problem.is_quadratic and _is_zero(problem.g)
-    if modal:
-        modes = problem.modes
-        h_x = modes.lam + rho  # the eigenvalues of K = R^{-T} M_f R^{-1} + rho I
-        if not np.all(h_x > 0):
-            raise NumericalError(f"singular subproblem system (x): lam + rho = {np.min(h_x):.3e}")
-        d, e, phi_t, A = rho / h_x, modes.beta / h_x, modes.phi.T, None
-        substeps = (lambda v, x: d * v - e), (lambda w, z: w)
-        ys = np.empty((min(BLOCK, max_iter), problem.n))
-    else:
-        substeps = _substeps(problem, rho, inner_solver)  # refused here, before sample 0
-        A = problem.A
+    modes = problem.modes if modal else None
+    route = _substeps(problem, rho, inner_solver, modes)  # refused here, before sample 0
     size = 1 if inner_solver is not None else BLOCK  # steps between records
     delta = 1.0 / time_scale(rho, accelerated)
 
@@ -353,17 +352,18 @@ def _run(problem, start, args, max_iter, stop_tol, v_star, inner_solver):
 
     def advance(k, count):
         """Store X of samples k + 1 .. k + count and return their z, or None
-        where z = A x (the modal route, whose rows go through ys)."""
+        where z = A x (the modal route, whose rows are y until mapped to x)."""
         nonlocal x, z, u, hat
-        rows, zs = (ys, None) if modal else (xs[k + 1:], np.empty((count, problem.m)))
+        rows = xs[k + 1:k + 1 + count]
+        zs = None if modal else np.empty((count, problem.m))
         for j in range(count):
             gamma = momentum_coefficient(k + j, r) if accelerated else 0.0
-            x, z, u, hat = _sweep(A, substeps, x, z, u, hat, gamma)
+            x, z, u, hat = _sweep(route, x, z, u, hat, gamma)
             rows[j] = x
             if zs is not None:
                 zs[j] = z
         if modal:
-            np.matmul(ys[:count], phi_t, out=xs[k + 1:k + 1 + count])
+            np.matmul(rows, modes.phi.T, out=rows)
         return zs
 
     def record(rows, zs, z_prev):

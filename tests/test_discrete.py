@@ -586,17 +586,17 @@ def test_steps_at_many_rho_keep_one_operator_set(figure1_problem, figure1_x0):
 def test_a_run_chooses_its_route_once(monkeypatch, figure1_problem, figure1_x0, pd_2d_problem,
                                       method):
     # a run takes its sweep's route from one _substeps call, whatever its
-    # length: at its rho on the operator route and on the inner-solver
-    # route; a g = 0 run steps its modes and takes none
+    # length, at its rho: on the operator route and on the inner-solver
+    # route with no modes, and on the g = 0 modal route with its modes
     calls = []
     substeps = discrete._substeps
     monkeypatch.setattr(discrete, "_substeps",
-                        lambda problem, rho, solver: calls.append((rho, solver))
-                        or substeps(problem, rho, solver))
-    cases = ((with_g(figure1_problem, "dense"), figure1_x0, None, [(50.0, None)]),
+                        lambda problem, rho, solver, modes=None: calls.append((rho, solver, modes))
+                        or substeps(problem, rho, solver, modes))
+    cases = ((with_g(figure1_problem, "dense"), figure1_x0, None, [(50.0, None, None)]),
              (as_callbacks(pd_2d_problem), np.array([2.0, -1.0]), cg_minimize,
-              [(50.0, cg_minimize)]),
-             (figure1_problem, figure1_x0, None, []))
+              [(50.0, cg_minimize, None)]),
+             (figure1_problem, figure1_x0, None, [(50.0, None, figure1_problem.modes)]))
     for problem, x0, solver, want in cases:
         for max_iter in (1, 10, 130):
             del calls[:]
@@ -784,6 +784,25 @@ def test_a_modal_run_sweeps_with_the_one_sweep_body(monkeypatch, figure1_problem
         traj = af.run_aadmm(p, figure1_x0, rho=50.0, r=10.0, max_iter=max_iter)
     assert len(traj) == max_iter + 1
     assert len(sweeps) == max_iter and p._operators is None and not calls
+
+
+@pytest.mark.parametrize("rho", [1.0, 50.0])
+def test_substeps_builds_the_modal_route_per_rho(figure1_problem, rho):
+    # given a run's modes, _substeps builds the g = 0 route at rho as it
+    # builds the others: A = I (None), the x-step v -> d v - e with d = rho /
+    # (lam + rho) and e = beta / (lam + rho), bit for bit, and the identity
+    # z-step; it builds no subproblem operator. The draw's q_f is 0, so one
+    # is drawn here to make e non-zero
+    q_f = np.random.default_rng(11).standard_normal(figure1_problem.n)
+    p = af.SplitProblem(af.QuadraticFunction(figure1_problem.f.M, q_f), figure1_problem.g,
+                        figure1_problem.A)
+    modes = p.modes
+    assert np.all(modes.beta != 0)
+    A, xstep, zstep = discrete._substeps(p, rho, None, modes)
+    v, x = np.linspace(-3.0, 2.0, p.n), np.ones(p.n)
+    expected = rho / (modes.lam + rho) * v - modes.beta / (modes.lam + rho)
+    assert A is None and xstep(v, x).tobytes() == expected.tobytes()
+    assert zstep(v, x) is v and p._operators is None
 
 
 @pytest.mark.parametrize("rho", [1.0, 50.0])

@@ -49,14 +49,25 @@ def test_compare_names_every_file_that_differs(tmp_path, same_outputs):
 
 
 def test_each_command_writes_its_own_files(tmp_path, same_outputs):
-    # a two-rho figure1 and a flow run are checked too; no command writes
-    # into another's output directory or over its problem file
+    # a two-rho figure1, a flow run, both outcomes of a rate check, a refused
+    # run and a run stopped early are checked too; no command writes into
+    # another's output directory or over its problem file, and rates writes
+    # no file
     argvs = list(same_outputs.commands(38))
     targets = [argv[argv.index("--out-dir" if "--out-dir" in argv else "--out") + 1]
-               for argv in argvs]
+               for argv in argvs if argv[0] != "rates"]
     assert len(set(targets)) == len(targets)
     assert any(argv[0] == "figure1" and argv.count("--rho") == 2 for argv in argvs)
     assert any(argv[0] == "run" and {"admm_flow", "aadmm_flow"} <= set(argv) for argv in argvs)
+    rates = [argv for argv in argvs if argv[0] == "rates"]
+    assert len(rates) == 2 and all("--out-dir" not in argv and "--out" not in argv
+                                   for argv in rates)
+    assert len({argv[argv.index("--target") + 1] for argv in rates}) == 2
+    stop_tol = [argv for argv in argvs if argv[0] == "run" and "--stop-tol" in argv]
+    assert {"admm_flow"} in [set(argv) & {"admm", "aadmm", "admm_flow"} for argv in stop_tol]
+    assert {"admm", "aadmm"} in [set(argv) & {"admm", "aadmm", "admm_flow"} for argv in stop_tol]
     # what a command did beyond its files is one more file to compare
-    same_outputs.record(tmp_path / "cmd0.out", ["figure1", "--seed", "38"], 2, "report: x\n")
-    assert (tmp_path / "cmd0.out").read_text() == "argv: figure1 --seed 38\nexit: 2\nreport: x\n"
+    same_outputs.record(tmp_path / "cmd0.out", ["figure1", "--seed", "38"], 2, "report: x\n",
+                        "error: y\n")
+    assert (tmp_path / "cmd0.out").read_text() == ("argv: figure1 --seed 38\nexit: 2\n"
+                                                   "report: x\nstderr:\nerror: y\n")

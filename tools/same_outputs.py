@@ -6,15 +6,17 @@ Run from the root of a git checkout that holds both revisions (any tree-ish
 ``git archive`` takes). Each revision is copied with ``git archive`` into a
 temporary directory, removed at the end. In each copy, with the benchmark
 harness's child environment (one BLAS thread, the copy's ``src`` on
-``PYTHONPATH``), the script runs ``admmflow figure1`` at the seed and a short
+``PYTHONPATH``), the script runs ``admmflow figure1`` at the seed, ``rates``
+on its ``aadmm_flow.csv`` with a passing and a failing target, and a short
 two-rho ``figure1`` sweep, then the ``sweep_n480`` workload's ``gen`` at the
-seed, its three ``run``s and one ``run`` of both flows on its problem. The
-sweep's arguments come from ``perfbench/workloads.py``. Each command's argv,
-exit code and stdout go to a file ``cmd<i>.out`` beside its outputs. It then
-compares the SHA-256 of every file the two sides wrote, by
-``perfbench/rep.py``'s ``output_hashes``, which drops ``wall_time_s`` from
-``report.json`` first. It names every file that differs or that one side
-lacks, and exits 1 if there is any, else 0.
+seed, its three ``run``s, a ``run`` refused for ``--stop-tol`` on a flow, a
+``run`` that ``--stop-tol`` stops early and one ``run`` of both flows on its
+problem. The sweep's arguments come from ``perfbench/workloads.py``. Each
+command's argv, exit code, stdout and stderr go to a file ``cmd<i>.out``
+beside its outputs. It then compares the SHA-256 of every file the two sides
+wrote, by ``perfbench/rep.py``'s ``output_hashes``, which drops
+``wall_time_s`` from ``report.json`` first. It names every file that differs
+or that one side lacks, and exits 1 if there is any, else 0.
 """
 
 from __future__ import annotations
@@ -36,10 +38,17 @@ from pairs import archive  # noqa: E402
 
 
 def commands(seed):
-    """``admmflow`` argument lists of one check: figure1 and a two-rho
-    figure1, then the sweep and a run of both flows on its problem."""
+    """``admmflow`` argument lists of one check: figure1, two rate checks on
+    its A-ADMM flow (exit 0 and 4) and a two-rho figure1, then the sweep, a
+    refused run (exit 2), a run stopped early and a run of both flows on its
+    problem."""
     n, zero_eigs, eig_hi, cond_a, seed = sweep_problem_args(seed)
     yield ["figure1", "--seed", str(seed), "--out-dir", FIGURE1["out_dir"]]
+    target, tol = FIGURE1["rates"]["aadmm_flow"]
+    # one slope above and one below every check seed's, so both exits are seen
+    for target in (target + 1.0, target - 1.0):
+        yield ["rates", "--trajectory", os.path.join(FIGURE1["out_dir"], "aadmm_flow.csv"),
+               "--target", repr(target), "--tol", repr(tol)]
     yield ["figure1", "--seed", str(seed), "--rho", "20", "--rho", "80", "--max-iter", "40",
            "--h-rk4", "1e-2", "--h-symplectic", "2e-2", "--window-lo", "0.2",
            "--window-hi", "1.9", "--overlay-points", "51", "--out-dir", "figure1_rho_sweep"]
@@ -49,14 +58,20 @@ def commands(seed):
         yield ["run", "--problem", SWEEP["problem"], "--solver", "admm", "--solver", "aadmm",
                "--rho", repr(rho), "--r", repr(SWEEP["r"]), "--max-iter", str(SWEEP["max_iter"]),
                "--x0", repr(SWEEP["x0"]), "--out-dir", SWEEP["out_dir"].format(rho=rho)]
+    yield ["run", "--problem", SWEEP["problem"], "--solver", "admm_flow", "--stop-tol", "1e-3",
+           "--out-dir", "refused"]
+    yield ["run", "--problem", SWEEP["problem"], "--solver", "admm", "--solver", "aadmm",
+           "--rho", "10", "--r", repr(SWEEP["r"]), "--max-iter", str(SWEEP["max_iter"]),
+           "--x0", repr(SWEEP["x0"]), "--stop-tol", "0.5", "--out-dir", "stopped"]
     yield ["run", "--problem", SWEEP["problem"], "--solver", "admm_flow", "--solver",
            "aadmm_flow", "--t-end", "2", "--out-dir", "flows"]
 
 
-def record(path, argv, code, stdout):
-    """Write what one command did beyond its files: its argv, exit code and stdout."""
+def record(path, argv, code, stdout, stderr):
+    """Write what one command did beyond its files: its argv, exit code,
+    stdout and stderr."""
     with open(path, "w", encoding="utf-8") as fh:
-        fh.write(f"argv: {' '.join(argv)}\nexit: {code}\n{stdout}")
+        fh.write(f"argv: {' '.join(argv)}\nexit: {code}\n{stdout}stderr:\n{stderr}")
 
 
 def differing(parent_dir, change_dir):
@@ -82,9 +97,9 @@ def main():
             for i, argv in enumerate(commands(args.seed)):
                 done = subprocess.run([sys.executable, "-m", "admmflow.cli", *argv],
                                       cwd=outs[side], env=harness.child_env(copy),
-                                      stdout=subprocess.PIPE, text=True)
+                                      capture_output=True, text=True)
                 record(os.path.join(outs[side], f"cmd{i}.out"), argv, done.returncode,
-                       done.stdout)
+                       done.stdout, done.stderr)
                 if done.returncode:
                     print(f"{side}: admmflow {argv[0]} exited {done.returncode}",
                           file=sys.stderr)
